@@ -4,7 +4,7 @@ Subcommands::
 
     polyslope slopes analyze FILE [--json] [--tol-scale X]
     polyslope cyclic analyze FILE [--json] [--tol-scale X]
-    polyslope sweep --seed S --trials T --n-min A --n-max B [--threads K] [--json]
+    polyslope sweep --seed S --trials T --n-min A --n-max B [--json]
     polyslope family FILE --steps K [--json] [--tol-scale X]
     polyslope render FILE -o OUT.svg [--tol-scale X]
 
@@ -201,7 +201,6 @@ def cmd_sweep(args) -> int:
         trials=args.trials,
         n_range=(args.n_min, args.n_max),
         tol=_tolerances(args),
-        threads=args.threads,
     )
     if args.json:
         print(json.dumps(result.to_dict()))
@@ -273,7 +272,6 @@ def build_parser() -> argparse.ArgumentParser:
     sweep.add_argument("--trials", type=int, default=100)
     sweep.add_argument("--n-min", type=int, default=4)
     sweep.add_argument("--n-max", type=int, default=9)
-    sweep.add_argument("--threads", type=int, default=1)
     common(sweep)
     sweep.set_defaults(func=cmd_sweep)
 

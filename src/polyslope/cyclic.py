@@ -21,7 +21,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import null_space
 
 from .errors import (
     AntipodalVertices,
@@ -268,10 +267,15 @@ def chain_area_hessian(lengths: np.ndarray, thetas: np.ndarray) -> np.ndarray:
 
 
 def _tangent_frame(lengths: np.ndarray, thetas: np.ndarray):
-    """Constraint Jacobian restricted to free angles and its null-space basis."""
+    """Constraint Jacobian restricted to free angles and its null-space basis.
+
+    The basis is the trailing right singular vectors, with the rank cut at
+    max(s) * eps * max(shape).
+    """
     jac = closure_jacobian(lengths, thetas)[:, 1:]
-    basis = null_space(jac)
-    return jac, basis
+    _, s, vh = np.linalg.svd(jac)
+    cutoff = s[0] * np.finfo(float).eps * max(jac.shape)
+    return jac, vh[np.count_nonzero(s > cutoff):].T
 
 
 def _projected_gradient(lengths, thetas):
@@ -322,6 +326,8 @@ def area_morse_index_numeric(
     if residual > 1e-8 * scale:
         raise NotCritical(f"cyclic polygon fails the criticality test ({residual!r})")
     jac, basis = _tangent_frame(lengths, thetas)
+    if basis.shape[1] == 0:
+        return 0  # a triangle is rigid: the area has no direction to move in
     grad = chain_area_gradient(lengths, thetas)[1:]
     multipliers, *_ = np.linalg.lstsq(jac.T, grad, rcond=None)
     # The closure Hessian is diagonal: d^2 w_i / d theta_i^2 = -w_i.

@@ -54,6 +54,15 @@ def load_input_file(path: str) -> dict:
     return data
 
 
+def _finite_number(value) -> bool:
+    if not isinstance(value, (int, float)) or isinstance(value, bool):
+        return False
+    try:
+        return math.isfinite(value)
+    except OverflowError:  # an integer beyond the float range
+        return False
+
+
 def _angle_list(data: dict, field: str) -> list[float]:
     if field not in data:
         raise InputSchemaError(f"missing field {field!r}")
@@ -61,7 +70,7 @@ def _angle_list(data: dict, field: str) -> list[float]:
     if not isinstance(values, list) or len(values) < 3:
         raise InputSchemaError(f"field {field!r} must be a list of at least 3 numbers")
     for i, v in enumerate(values):
-        if not isinstance(v, (int, float)) or isinstance(v, bool) or not math.isfinite(v):
+        if not _finite_number(v):
             raise InputSchemaError(f"field {field!r}[{i}] must be a finite number")
     return [float(v) for v in values]
 
@@ -74,16 +83,12 @@ def validate_cyclic_input(data: dict) -> tuple[float, list[float], tuple[float, 
     if "radius" not in data:
         raise InputSchemaError("missing field 'radius'")
     radius = data["radius"]
-    if not isinstance(radius, (int, float)) or isinstance(radius, bool) or radius <= 0:
-        raise InputSchemaError("field 'radius' must be a positive number")
+    if not _finite_number(radius) or radius <= 0:
+        raise InputSchemaError("field 'radius' must be a positive finite number")
     phis = _angle_list(data, "phis_deg")
     center = data.get("center", [0.0, 0.0])
-    if (
-        not isinstance(center, list)
-        or len(center) != 2
-        or not all(isinstance(c, (int, float)) and not isinstance(c, bool) for c in center)
-    ):
-        raise InputSchemaError("field 'center' must be a pair [x, y]")
+    if not isinstance(center, list) or len(center) != 2 or not all(map(_finite_number, center)):
+        raise InputSchemaError("field 'center' must be a pair [x, y] of finite numbers")
     return float(radius), phis, (float(center[0]), float(center[1]))
 
 
@@ -304,10 +309,13 @@ def family_report(
         flo = pa
         while hi - lo > 1e-12:
             mid = 0.5 * (lo + hi)
-            row = _family_step(start, end, mid, tol)
-            if row.get("status") != "ok":
+            # Only the sign of sum p matters here; critical points next to its
+            # root are nearly degenerate and their indices are not reported.
+            try:
+                system = SlopeSystem.from_degrees(_interpolated(start, end, mid))
+                fmid = float(build_chart(system, tol).perimeter_sum)
+            except ParallelLines:
                 break
-            fmid = row["perimeter_sum"]
             if flo * fmid <= 0.0:
                 hi = mid
             else:

@@ -9,7 +9,6 @@ semantics.
 """
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -402,35 +401,25 @@ def run_sweep(
     trials: int,
     n_range: tuple[int, int] = (4, 9),
     tol: Tolerances | None = None,
-    threads: int = 1,
 ) -> SweepResult:
     """Run every check ``trials`` times with independent seeded streams.
 
     Results are deterministic functions of (seed, trials, n_range, tol): each
-    (check, trial) pair owns its own random stream, so neither thread count
-    nor scheduling order can change the outcome.
+    (check, trial) pair owns its own random stream, so no trial's outcome
+    depends on the order in which the trials run.
     """
     tol = DEFAULT_TOL if tol is None else tol
-    tallies = [CheckTally(name) for name, _ in CHECKS]
-
-    def run_one(check_index: int, trial: int):
-        name, func = CHECKS[check_index]
-        rng = trial_rng(seed, check_index, trial)
-        return func(rng, n_range, tol)
-
-    jobs = [(ci, t) for ci in range(len(CHECKS)) for t in range(trials)]
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            outcomes = list(pool.map(lambda job: run_one(*job), jobs))
-    else:
-        outcomes = [run_one(*job) for job in jobs]
-    for (check_index, _), outcome in zip(jobs, outcomes):
-        tally = tallies[check_index]
-        if outcome is None:
-            tally.skipped += 1
-        elif outcome:
-            tally.failed += 1
-            tally.failures.extend(outcome)
-        else:
-            tally.passed += 1
+    tallies = []
+    for check_index, (name, func) in enumerate(CHECKS):
+        tally = CheckTally(name)
+        for trial in range(trials):
+            outcome = func(trial_rng(seed, check_index, trial), n_range, tol)
+            if outcome is None:
+                tally.skipped += 1
+            elif outcome:
+                tally.failed += 1
+                tally.failures.extend(outcome)
+            else:
+                tally.passed += 1
+        tallies.append(tally)
     return SweepResult(seed=seed, trials=trials, n_range=tuple(n_range), tallies=tallies)

