@@ -250,7 +250,8 @@ def build_parser() -> argparse.ArgumentParser:
             "--tol-scale",
             type=float,
             default=1.0,
-            help="multiply all numerical tolerances by this factor",
+            help="multiply the tolerances echoed in each report by this finite "
+            "positive factor; fixed thresholds outside them are not scaled",
         )
 
     slopes = sub.add_parser("slopes", help="slope-system commands")

@@ -293,6 +293,7 @@ def family_report(
 
     Produces one row per step and refines every sign change of the perimeter
     sum by bisection to a bracket of width 1e-12 in the family parameter.
+    A bisection that reaches parallel lines has found a pole, not a root.
     """
     tol = DEFAULT_TOL if tol is None else tol
     if steps < 2:
@@ -320,14 +321,15 @@ def family_report(
                 hi = mid
             else:
                 lo, flo = mid, fmid
-        brackets.append(
-            {
-                "t_low": float(lo),
-                "t_high": float(hi),
-                "perimeter_sum_low": float(flo),
-                "angles_deg_root": [float(a) for a in _interpolated(start, end, 0.5 * (lo + hi))],
-            }
-        )
+        else:
+            brackets.append(
+                {
+                    "t_low": float(lo),
+                    "t_high": float(hi),
+                    "perimeter_sum_low": float(flo),
+                    "angles_deg_root": [float(a) for a in _interpolated(start, end, 0.5 * (lo + hi))],
+                }
+            )
     return {
         "kind": "family",
         "input": {

@@ -41,11 +41,11 @@ class RadiiChart:
     """Chart data of a slope system.
 
     ``unit_perimeters[i]`` is the signed perimeter p_i of the decomposition
-    triangle with slopes (s_1, s_{i+2-1}, s_{i+2}) scaled to signed inradius
+    triangle with slopes (s_1, s_{i+1}, s_{i+2}) scaled to signed inradius
     +1; ``area_constants[i]`` is the positive constant c_i relating the
     triangle's area to the squared distance of its apex from the first edge
-    line.  ``perimeter_sum`` is sum(p_i) and ``half_turns`` the integer k with
-    angle sum k * pi.
+    line (closed forms in :func:`build_chart`).  ``perimeter_sum`` is
+    sum(p_i) and ``half_turns`` the integer k with angle sum k * pi.
     """
 
     system: SlopeSystem
@@ -155,7 +155,7 @@ def unit_triangle(
 
     The inscribed circle is centered at the origin, so each edge line is the
     left-of-circle tangent with normal offset -1.  Returns the triangle and
-    its signed perimeter.
+    its signed perimeter: the geometric reference for :func:`build_chart`.
     """
     tol = DEFAULT_TOL if tol is None else tol
     angles = (a.angle, b.angle, c.angle)
@@ -167,33 +167,37 @@ def unit_triangle(
     return triangle, signed_perimeter(triangle, (a, b, c), tol)
 
 
+def _chart_constants(angles: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """p_i and c_i by the closed forms of :func:`build_chart`, along the last axis.
+
+    Triangle i turns by x, y - x and -y, so 2 * sum tan(turn / 2) equals the
+    product form of p_i; products keep the relative accuracy that sums lose.
+    """
+    x = angles[..., 1:-1] - angles[..., :1]
+    y = angles[..., 2:] - angles[..., :1]
+    turn = angles[..., 2:] - angles[..., 1:-1]  # y - x with one rounding
+    perimeters = -2.0 * np.tan(0.5 * x) * np.tan(0.5 * turn) * np.tan(0.5 * y)
+    constants = np.abs(np.sin(turn)) / (2.0 * np.abs(np.sin(x) * np.sin(y)))
+    return perimeters, constants
+
+
 def build_chart(system: SlopeSystem, tol: Tolerances | None = None) -> RadiiChart:
     """Chart of a slope system: unit perimeters, area constants, signature.
 
-    The unit perimeters are taken as twice the oriented area of the unit
-    triangles, which agrees with their signed perimeter at inradius 1; the
-    signed-perimeter route stays available through :func:`unit_triangle` as
-    an independent cross-check.  Raises SignatureMismatch if the number of
-    positive perimeters fails to equal k - 1.
+    With x = s_{i+1} - s_1 and y = s_{i+2} - s_1 the chart constants are
+
+        p_i = -2 tan(x/2) tan((y-x)/2) tan(y/2)
+        c_i = |sin(y-x)| / (2 |sin x sin y|)
+
+    that is, twice the oriented area of the unit-inradius triangle and its
+    area over its squared apex height above e_1.  Raises ParallelLines for
+    parallel lines and SignatureMismatch if the number of positive
+    perimeters fails to equal k - 1.
     """
     tol = DEFAULT_TOL if tol is None else tol
     system.require_pairwise_nonparallel(tol)
     _, half_turns = turning_sum(system, tol)
-    n = system.n
-    first = system[0]
-    first_normal = first.normal
-    perimeters = np.empty(n - 2)
-    constants = np.empty(n - 2)
-    for i in range(n - 2):
-        triangle, _ = unit_triangle(first, system[i + 1], system[i + 2], tol)
-        area = oriented_area(triangle)
-        perimeters[i] = 2.0 * area
-        # Apex of the triangle opposite the first edge: e_{i+1} ^ e_{i+2}.
-        apex = triangle.vertices[2]
-        dist = abs(float(first_normal @ apex) + 1.0)
-        if dist == 0.0:
-            raise ReconstructionDegenerate(f"decomposition triangle {i} has apex on e_1")
-        constants[i] = abs(area) / dist**2
+    perimeters, constants = _chart_constants(system.angles)
     positive = int(np.count_nonzero(perimeters > 0))
     if positive != half_turns - 1:
         raise SignatureMismatch(

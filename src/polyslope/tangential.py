@@ -30,7 +30,7 @@ from .geometry import (
     turn_counts,
     winding_number,
 )
-from .slope_space import RadiiChart, build_chart, polygon_from_radii, unit_triangle
+from .slope_space import RadiiChart, _chart_constants, build_chart, polygon_from_radii
 from .tolerances import DEFAULT_TOL, Tolerances
 
 
@@ -234,29 +234,20 @@ def morse_index_eigen(
 
 
 def well_conditioned_chart(system: SlopeSystem, tol: Tolerances | None = None) -> RadiiChart:
-    """Chart in the cyclic relabeling that maximizes the first unit perimeter.
+    """Chart in the cyclic relabeling that minimizes max|p| / |p_1|.
 
     The first decomposition triangle owns the implicit coordinate of the
     constrained chart, so its unit perimeter divides every derivative of the
-    implicit function; relabeling to make it as large as possible keeps
-    finite differences well conditioned.  Critical points, their indices and
-    gradient vanishing are invariant under cyclic relabeling.
+    implicit function and finite-difference errors grow with max|p| / |p_1|.
+    Critical points, their indices and gradient vanishing are invariant
+    under cyclic relabeling.
     """
-    tol = DEFAULT_TOL if tol is None else tol
-    best_shift = 0
-    best_value = -math.inf
-    for shift in range(system.n):
-        triangle, _ = unit_triangle(
-            system[shift],
-            system[(shift + 1) % system.n],
-            system[(shift + 2) % system.n],
-            tol,
-        )
-        value = abs(2.0 * oriented_area(triangle))
-        if value > best_value:
-            best_value = value
-            best_shift = shift
-    return build_chart(system.rotated(best_shift), tol)
+    n = system.n
+    # Row k holds the angles of the system relabeled to start at slope k.
+    rotations = system.angles[(np.arange(n)[:, None] + np.arange(n)) % n]
+    p, _ = _chart_constants(rotations)
+    ratios = np.max(np.abs(p), axis=1) / np.abs(p[:, 0])
+    return build_chart(system.rotated(int(np.argmin(ratios))), tol)
 
 
 def solve_first_radius(

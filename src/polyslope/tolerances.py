@@ -1,10 +1,11 @@
 """Numerical tolerances shared across the library.
 
-Every tolerance that a computation depends on lives here so that reports can
-echo them and the command line can rescale them uniformly.
+Reports echo these tolerances and ``--tol-scale`` rescales them uniformly;
+a few fixed thresholds elsewhere in the code are neither echoed nor scaled.
 """
 
 import dataclasses
+import math
 from dataclasses import dataclass
 
 
@@ -33,8 +34,8 @@ class Tolerances:
 
     def scaled(self, factor: float) -> "Tolerances":
         """Every tolerance multiplied by ``factor`` (looser when factor > 1)."""
-        if factor <= 0:
-            raise ValueError("tolerance scale factor must be positive")
+        if not (math.isfinite(factor) and factor > 0):
+            raise ValueError("tolerance scale factor must be a positive finite number")
         values = {f.name: getattr(self, f.name) * factor for f in dataclasses.fields(self)}
         return Tolerances(**values)
 

@@ -71,6 +71,26 @@ class TestSlopesAnalyze:
         assert data["critical"]["exceptional"] is True
         assert data["critical"]["points"] == []
 
+    def test_gradient_check_in_well_conditioned_chart(self, tmp_path, capsys):
+        # Relabeling for the largest |p_1| left other |p_i| 360 times larger
+        # and a finite-difference gradient of 1.8e-5 at true critical points.
+        angles = [
+            244.5523834453095,
+            177.38120699850484,
+            203.73444798406135,
+            282.7818942234157,
+            302.2134142183205,
+            355.95898127716487,
+            7.682643138979799,
+            358.76456961804377,
+            258.92490817231646,
+        ]
+        path = write_json(tmp_path, "nine.json", {"angles_deg": angles})
+        code, out, _ = run_cli(capsys, "slopes", "analyze", path, "--json")
+        assert code == 0
+        for point in json.loads(out)["critical"]["points"]:
+            assert point["gradient_norm"] < 1e-8
+
     def test_json_roundtrip_lossless(self):
         report = slopes_report([90, 210, 330])
         assert json.loads(json.dumps(report)) == report
@@ -249,6 +269,18 @@ class TestFamily:
 
         assert perimeter_sum(lo) < 0 < perimeter_sum(hi)
 
+    def test_pole_of_perimeter_sum_is_not_bracketed(self, tmp_path, capsys):
+        # Slope 3 turns parallel to slope 2 near t = 2/21, where sum p jumps
+        # from +inf to -inf; bisection runs into the parallel lines.
+        payload = {"start_angles_deg": [264, 211, 29, 22], "end_angles_deg": [264, 211, 50, 22]}
+        path = write_json(tmp_path, "pole.json", payload)
+        code, out, _ = run_cli(capsys, "family", path, "--steps", "11", "--json")
+        assert code == 0
+        report = json.loads(out)
+        sums = [row["perimeter_sum"] for row in report["rows"]]
+        assert sums[0] > 0 > sums[1]
+        assert report["sign_changes"] == []
+
 
 class TestRender:
     def test_render_slopes(self, tmp_path, capsys):
@@ -310,6 +342,10 @@ class TestReportHygiene:
         assert code == 0
         report = json.loads(out)
         assert report["tolerances"]["parallel"] == pytest.approx(1e-8)
+        for bad in ("nan", "inf", "0"):
+            code, _, err = run_cli(capsys, "slopes", "analyze", path, "--tol-scale", bad)
+            assert code == 2
+            assert "positive finite" in err
 
     def test_tolerances_echoed_in_reports(self):
         report = cyclic_report(1.0, [0, 144, 288, 72, 216])

@@ -117,6 +117,28 @@ class TestBuildChart:
             chart = build_chart(random_slope_system(rng, int(rng.integers(3, 10))))
             assert np.all(chart.area_constants > 0)
 
+    def test_closed_forms_match_unit_triangles(self):
+        # Reference route: p = 2 * oriented area of the unit-inradius triangle
+        # and c = |area| / (height of its apex above e_1) ** 2.
+        rng = np.random.default_rng(24)
+        checked = 0
+        while checked < 200:
+            n = int(rng.integers(3, 15))
+            angles = rng.uniform(0.0, 2 * math.pi, n)
+            lines = np.sort(angles % math.pi)
+            if np.min(np.diff(np.concatenate([lines, [lines[0] + math.pi]]))) < 1e-3:
+                continue
+            system = SlopeSystem.from_angles(angles)
+            chart = build_chart(system)
+            first = system[0]
+            for i in range(n - 2):
+                triangle, _ = unit_triangle(first, system[i + 1], system[i + 2])
+                area = oriented_area(triangle)
+                height = abs(float(first.normal @ triangle.vertices[2]) + 1.0)
+                assert chart.unit_perimeters[i] == pytest.approx(2 * area, rel=1e-9)
+                assert chart.area_constants[i] == pytest.approx(abs(area) / height**2, rel=1e-9)
+            checked += 1
+
     def test_pairwise_parallel_rejected(self):
         with pytest.raises(ParallelLines):
             build_chart(SlopeSystem.from_degrees([0, 90, 180, 270]))
