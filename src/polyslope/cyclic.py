@@ -34,7 +34,7 @@ from .geometry import (
     TWO_PI,
     PolygonChain,
     SlopeSystem,
-    left_normal,
+    left_normals,
     polygon_from_lines,
     winding_number,
 )
@@ -186,8 +186,7 @@ def dual_polygon(cyclic: CyclicPolygon, tol: Tolerances | None = None) -> DualPo
     """
     tol = DEFAULT_TOL if tol is None else tol
     angles = (cyclic.phis + 0.5 * math.pi) % TWO_PI
-    normals = np.stack([left_normal(a) for a in angles])
-    offsets = normals @ cyclic.center - cyclic.radius
+    offsets = left_normals(angles) @ cyclic.center - cyclic.radius
     polygon = polygon_from_lines(angles, offsets, tol)
     return DualPolygon(
         polygon=polygon,

@@ -44,6 +44,17 @@ def left_normal(angle: float) -> np.ndarray:
     return np.array([-math.sin(angle), math.cos(angle)])
 
 
+def left_normals(angles) -> np.ndarray:
+    """Left unit normals of the directions at ``angles``, one row per angle."""
+    angles = np.asarray(angles, dtype=float)
+    return np.column_stack((-np.sin(angles), np.cos(angles)))
+
+
+def _successors(rows: np.ndarray) -> np.ndarray:
+    """Rows shifted cyclically by one: row i holds rows[i + 1]."""
+    return np.concatenate((rows[1:], rows[:1]))
+
+
 def line_gap(a: float, b: float) -> float:
     """Angular distance between two undirected lines (angles taken mod pi)."""
     d = (a - b) % math.pi
@@ -61,6 +72,11 @@ def intersect_lines(
 
     Raises ParallelLines when the lines are parallel within tolerance.
     """
+    return np.array(_intersection(angle_a, offset_a, angle_b, offset_b, tol))
+
+
+def _intersection(angle_a, offset_a, angle_b, offset_b, tol=None) -> tuple[float, float]:
+    """:func:`intersect_lines` as a pair of Python floats."""
     tol = DEFAULT_TOL if tol is None else tol
     det = math.sin(angle_b - angle_a)
     if abs(det) < math.sin(min(tol.parallel, 0.5 * math.pi)):
@@ -71,7 +87,7 @@ def intersect_lines(
     cb, sb = math.cos(angle_b), math.sin(angle_b)
     x = (cb * offset_a - ca * offset_b) / det
     y = (sb * offset_a - sa * offset_b) / det
-    return np.array([x, y])
+    return x, y
 
 
 @dataclass(frozen=True)
@@ -185,7 +201,7 @@ class PolygonChain:
         verts = verts.copy()
         verts.setflags(write=False)
         object.__setattr__(self, "vertices", verts)
-        gaps = np.linalg.norm(np.roll(verts, -1, axis=0) - verts, axis=1)
+        gaps = self.edge_lengths
         limit = DEFAULT_TOL.coincident * max(1.0, self.diameter)
         if np.any(gaps <= limit):
             bad = int(np.argmin(gaps))
@@ -203,7 +219,7 @@ class PolygonChain:
 
     @property
     def edge_vectors(self) -> np.ndarray:
-        return np.roll(self.vertices, -1, axis=0) - self.vertices
+        return _successors(self.vertices) - self.vertices
 
     @property
     def edge_lengths(self) -> np.ndarray:
@@ -245,8 +261,7 @@ def polygon_from_lines(
 
 def edge_offsets(polygon: PolygonChain, angles: Sequence[float]) -> np.ndarray:
     """Line offsets of the polygon edges measured against the given angles."""
-    normals = np.stack([left_normal(a) for a in angles])
-    return np.einsum("ij,ij->i", normals, polygon.vertices)
+    return np.einsum("ij,ij->i", left_normals(angles), polygon.vertices)
 
 
 def oriented_area(polygon: PolygonChain) -> float:
@@ -256,17 +271,19 @@ def oriented_area(polygon: PolygonChain) -> float:
     self-intersecting polygons are handled consistently.
     """
     v = polygon.vertices
-    w = np.roll(v, -1, axis=0)
+    w = _successors(v)
     return 0.5 * float(np.sum(v[:, 0] * w[:, 1] - w[:, 0] * v[:, 1]))
 
 
-def _point_segment_distance(point: np.ndarray, a: np.ndarray, b: np.ndarray) -> float:
-    ab = b - a
-    denom = float(ab @ ab)
-    if denom == 0.0:
-        return float(np.linalg.norm(point - a))
-    t = float(np.clip((point - a) @ ab / denom, 0.0, 1.0))
-    return float(np.linalg.norm(point - (a + t * ab)))
+def _edge_distances(polygon: PolygonChain, point: np.ndarray) -> np.ndarray:
+    """Distance from ``point`` to each closed edge segment of the polygon."""
+    starts = polygon.vertices
+    edges = polygon.edge_vectors
+    to_point = point - starts
+    # PolygonChain rejects coincident vertices, so no edge has length zero.
+    along = np.einsum("ij,ij->i", to_point, edges) / np.einsum("ij,ij->i", edges, edges)
+    nearest = starts + np.clip(along, 0.0, 1.0)[:, None] * edges
+    return np.linalg.norm(point - nearest, axis=1)
 
 
 def winding_number(
@@ -282,13 +299,12 @@ def winding_number(
     """
     tol = DEFAULT_TOL if tol is None else tol
     point = np.asarray(point, dtype=float)
-    verts = polygon.vertices
     guard = tol.on_boundary * max(1.0, polygon.diameter)
-    for i in range(polygon.n):
-        if _point_segment_distance(point, verts[i], verts[(i + 1) % polygon.n]) <= guard:
-            raise PointOnBoundary(f"point {point.tolist()} lies on edge {i}")
-    rel = verts - point
-    nxt = np.roll(rel, -1, axis=0)
+    on_edge = _edge_distances(polygon, point) <= guard
+    if on_edge.any():
+        raise PointOnBoundary(f"point {point.tolist()} lies on edge {int(np.argmax(on_edge))}")
+    rel = polygon.vertices - point
+    nxt = _successors(rel)
     cross = rel[:, 0] * nxt[:, 1] - rel[:, 1] * nxt[:, 0]
     dot = np.einsum("ij,ij->i", rel, nxt)
     total = float(np.sum(np.arctan2(cross, dot)))
@@ -372,13 +388,14 @@ def signed_perimeter(
         )
     edges = polygon.edge_vectors
     angles = polygon.edge_angles
-    total = 0.0
-    for i, slope in enumerate(slopes):
-        if line_gap(angles[i], slope.angle) > tol.parallel:
-            raise SlopeMismatch(
-                f"edge {i} at angle {angles[i]!r} is not parallel to slope {slope.angle!r}"
-            )
-        length = float(np.linalg.norm(edges[i]))
-        sign = 1.0 if float(edges[i] @ slope.direction) > 0.0 else -1.0
-        total += sign * length
-    return total
+    slope_angles = np.array([slope.angle for slope in slopes])
+    turn = (angles - slope_angles) % math.pi
+    mismatched = np.minimum(turn, math.pi - turn) > tol.parallel
+    if mismatched.any():
+        i = int(np.argmax(mismatched))
+        raise SlopeMismatch(
+            f"edge {i} at angle {angles[i]!r} is not parallel to slope {slopes[i].angle!r}"
+        )
+    codirected = edges[:, 0] * np.cos(slope_angles) + edges[:, 1] * np.sin(slope_angles) > 0.0
+    lengths = np.linalg.norm(edges, axis=1)
+    return float(np.sum(np.where(codirected, lengths, -lengths)))

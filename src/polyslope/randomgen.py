@@ -5,7 +5,8 @@ and trials can be drawn independently.  Line angles keep a minimum pairwise
 separation of 3 degrees and charts keep a bounded ratio between the largest
 and smallest unit perimeter, which keeps Hessian conditioning bounded across
 sweeps (near-parallel lines make some decomposition triangles collapse or
-blow up).
+blow up).  A generator asked for n lines that cannot keep the separation
+(n * separation >= pi) raises ValueError before drawing.
 """
 
 import math
@@ -19,6 +20,15 @@ from .tolerances import DEFAULT_TOL, Tolerances
 
 MIN_LINE_SEPARATION = math.radians(3.0)
 MAX_PERIMETER_RATIO = 300.0
+
+
+def _require_separable(n: int, min_separation: float) -> None:
+    # n lines mod pi leave n gaps summing to pi, so a minimum gap of pi / n
+    # or more is met with probability zero and a rejection loop never ends.
+    if n * min_separation >= math.pi:
+        raise ValueError(
+            f"{n} lines cannot keep a pairwise separation of {min_separation!r} rad"
+        )
 
 
 def _line_separation_ok(angles: np.ndarray, min_separation: float) -> bool:
@@ -41,6 +51,7 @@ def random_slope_system(
 ) -> SlopeSystem:
     """Slope system with random directions and random cyclic order."""
     tol = DEFAULT_TOL if tol is None else tol
+    _require_separable(n, min_separation)
     while True:
         lines = rng.uniform(0.0, math.pi, n)
         if not _line_separation_ok(lines, min_separation):
@@ -60,6 +71,7 @@ def random_convex_slope_system(
 ) -> SlopeSystem:
     """Counterclockwise convex system: directions sorted with sub-pi gaps."""
     tol = DEFAULT_TOL if tol is None else tol
+    _require_separable(n, min_separation)
     while True:
         directions = np.sort(rng.uniform(0.0, TWO_PI, n))
         gaps = np.diff(np.concatenate([directions, [directions[0] + TWO_PI]]))
@@ -109,6 +121,7 @@ def random_cyclic_polygon(
 ) -> CyclicPolygon:
     """Generic cyclic polygon with a well-conditioned dual slope system."""
     tol = DEFAULT_TOL if tol is None else tol
+    _require_separable(n, min_separation)
     while True:
         phis = rng.uniform(0.0, TWO_PI, n)
         if not _cyclic_ok(phis, min_arc, antipodal_margin, min_separation):
@@ -133,6 +146,7 @@ def random_star_polygon(
     star (winding at least 2 in absolute value).
     """
     tol = DEFAULT_TOL if tol is None else tol
+    _require_separable(n, min_separation)
     if math.gcd(turns, n) != 1:
         raise ValueError(f"turns {turns} must be coprime to n {n}")
     base = TWO_PI * turns * np.arange(n) / n

@@ -24,9 +24,9 @@ from .geometry import (
     DirectedSlope,
     PolygonChain,
     SlopeSystem,
+    _intersection,
     edge_offsets,
-    intersect_lines,
-    left_normal,
+    left_normals,
     line_gap,
     oriented_area,
     polygon_from_lines,
@@ -118,7 +118,7 @@ def tritangent_circle(
     case; three concurrent lines give radius zero.
     """
     tol = DEFAULT_TOL if tol is None else tol
-    normals = np.stack([left_normal(a) for a in angles])
+    normals = left_normals(angles)
     rhs = np.asarray(offsets, dtype=float)
     scale = 1.0 + float(np.max(np.abs(rhs)))
     candidates = []
@@ -235,14 +235,14 @@ def polygon_from_radii(
         raise ValueError(f"expected {n - 2} radii, got shape {radii.shape}")
     if not np.all(np.isfinite(radii)):
         raise ValueError("radii must be finite")
-    angles = chart.system.angles
-    normals = np.stack([left_normal(a) for a in angles])
-    offsets = np.empty(n)
-    offsets[0] = 0.0
+    angles = chart.system.angles.tolist()
+    r = radii.tolist()
+    normals = [(-math.sin(a), math.cos(a)) for a in angles]
+    offsets = [0.0] * n
     # First circle center: signed distance r_0 from e_1, projecting to origin.
-    center = radii[0] * normals[0]
-    offsets[1] = float(normals[1] @ center) - radii[0]
-    offsets[2] = float(normals[2] @ center) - radii[0]
+    x, y = r[0] * normals[0][0], r[0] * normals[0][1]
+    offsets[1] = normals[1][0] * x + normals[1][1] * y - r[0]
+    offsets[2] = normals[2][0] * x + normals[2][1] * y - r[0]
     for i in range(1, n - 2):
         gap = math.sin(line_gap(angles[0], angles[i + 1]))
         if gap == 0.0 or 1.0 / gap > tol.condition_limit:
@@ -251,10 +251,8 @@ def polygon_from_radii(
             )
         # Center lies on the parallel of e_1 at offset r_i and on the parallel
         # of e_{i+1} at offset d_{i+1} + r_i.
-        center = intersect_lines(
-            angles[0], radii[i], angles[i + 1], offsets[i + 1] + radii[i], tol
-        )
-        offsets[i + 2] = float(normals[i + 2] @ center) - radii[i]
+        x, y = _intersection(angles[0], r[i], angles[i + 1], offsets[i + 1] + r[i], tol)
+        offsets[i + 2] = normals[i + 2][0] * x + normals[i + 2][1] * y - r[i]
     polygon = polygon_from_lines(angles, offsets, tol)
     _check_chart_laws(chart, radii, polygon, tol)
     return polygon

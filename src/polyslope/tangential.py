@@ -24,7 +24,7 @@ from .geometry import (
     PolygonChain,
     SlopeSystem,
     edge_offsets,
-    left_normal,
+    left_normals,
     oriented_area,
     signed_perimeter,
     turn_counts,
@@ -143,8 +143,7 @@ def _critical_point(chart: RadiiChart, inradius: float, tol: Tolerances) -> Tang
 def _check_tangency(chart, polygon, center, inradius, tol):
     angles = chart.system.angles
     offsets = edge_offsets(polygon, angles)
-    normals = np.stack([left_normal(a) for a in angles])
-    sides = normals @ center - offsets
+    sides = left_normals(angles) @ center - offsets
     if np.max(np.abs(sides - inradius)) > 1e-9 * max(1.0, polygon.diameter):
         raise ReconstructionDegenerate("constructed polygon is not tangential")
 
@@ -262,26 +261,48 @@ def solve_first_radius(
     The branch is selected by the seed value; iterates to machine-level
     convergence and enforces the configured residual tolerance.
     """
+    free = np.asarray(free_radii, dtype=float)[None, :]
+    return float(_solve_first_radii(chart, free, target_area, seed, tol)[0])
+
+
+def _solve_first_radii(chart, free_radii, target_area, seed, tol):
+    """:func:`solve_first_radius` for each row of a (K, m) matrix of free radii.
+
+    Every row runs the same Newton iteration from the same seed and stops on
+    its own, so each result is the one a single-row solve gives.  A failing
+    row raises as a single-row solve would, the first such row winning.
+    """
     tol = DEFAULT_TOL if tol is None else tol
     p0 = float(chart.unit_perimeters[0])
-    tail = float(np.sum(chart.unit_perimeters[1:] * np.asarray(free_radii) ** 2))
-    tail_scale = float(np.sum(np.abs(chart.unit_perimeters[1:]) * np.asarray(free_radii) ** 2))
-    r = float(seed)
-    for _ in range(60):
-        residual = 0.5 * (p0 * r * r + tail) - target_area
-        slope = p0 * r
-        if slope == 0.0:
-            raise NotCritical("area constraint has vanishing derivative in r_1")
-        step = residual / slope
-        r -= step
-        if abs(step) <= 1e-16 * max(1.0, abs(r)):
-            break
+    squares = free_radii**2
+    tail = np.sum(chart.unit_perimeters[1:] * squares, axis=1)
+    tail_scale = np.sum(np.abs(chart.unit_perimeters[1:]) * squares, axis=1)
+    r = np.full(len(free_radii), float(seed))
+    active = np.ones(len(r), dtype=bool)
+    vanished = np.zeros(len(r), dtype=bool)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        for _ in range(60):
+            residual = 0.5 * (p0 * r * r + tail) - target_area
+            slope = p0 * r
+            zero = slope == 0.0
+            if zero.any():
+                vanished |= active & zero
+                active &= ~zero
+            step = residual / slope
+            r = np.where(active, r - step, r)
+            active &= np.abs(step) > 1e-16 * np.maximum(1.0, np.abs(r))
+            if not active.any():
+                break
     residual = 0.5 * (p0 * r * r + tail) - target_area
     # The residual cannot be evaluated below the roundoff of its own terms,
     # which dominate near-exceptional systems where large terms cancel.
-    scale = max(1.0, abs(target_area), 0.5 * (abs(p0) * r * r + tail_scale))
-    if abs(residual) > tol.newton * scale:
-        raise NotCritical(f"area constraint solve stalled at residual {residual!r}")
+    scale = np.maximum(max(1.0, abs(target_area)), 0.5 * (abs(p0) * r * r + tail_scale))
+    failed = vanished | (np.abs(residual) > tol.newton * scale)
+    if failed.any():
+        row = int(np.argmax(failed))
+        if vanished[row]:
+            raise NotCritical("area constraint has vanishing derivative in r_1")
+        raise NotCritical(f"area constraint solve stalled at residual {float(residual[row])!r}")
     return r
 
 
@@ -293,10 +314,15 @@ def constrained_perimeter(
     tol: Tolerances | None = None,
 ) -> float:
     """Perimeter sum p . r on the constraint surface of fixed area."""
-    free_radii = np.asarray(free_radii, dtype=float)
-    r0 = solve_first_radius(chart, free_radii, target_area, seed, tol)
+    free = np.asarray(free_radii, dtype=float)[None, :]
+    return float(_constrained_perimeters(chart, free, target_area, seed, tol)[0])
+
+
+def _constrained_perimeters(chart, free_radii, target_area, seed, tol):
+    """:func:`constrained_perimeter` for each row of a (K, m) matrix of free radii."""
+    r0 = _solve_first_radii(chart, free_radii, target_area, seed, tol)
     p = chart.unit_perimeters
-    return float(p[0] * r0 + np.sum(p[1:] * free_radii))
+    return p[0] * r0 + np.sum(p[1:] * free_radii, axis=1)
 
 
 def perimeter_gradient_fd(
@@ -309,17 +335,14 @@ def perimeter_gradient_fd(
 ) -> np.ndarray:
     """Central-difference gradient of the constrained perimeter."""
     free_radii = np.asarray(free_radii, dtype=float)
-    grad = np.empty(len(free_radii))
-    for j in range(len(free_radii)):
-        plus = free_radii.copy()
-        minus = free_radii.copy()
-        plus[j] += step
-        minus[j] -= step
-        grad[j] = (
-            constrained_perimeter(chart, plus, target_area, seed, tol)
-            - constrained_perimeter(chart, minus, target_area, seed, tol)
-        ) / (2.0 * step)
-    return grad
+    m = len(free_radii)
+    # Rows 2j and 2j + 1 step free radius j up and down.
+    offsets = np.zeros((2 * m, m))
+    cols = np.arange(m)
+    offsets[2 * cols, cols] = step
+    offsets[2 * cols + 1, cols] = -step
+    values = _constrained_perimeters(chart, free_radii + offsets, target_area, seed, tol)
+    return (values[0::2] - values[1::2]) / (2.0 * step)
 
 
 def perimeter_hessian_fd(
@@ -332,26 +355,55 @@ def perimeter_hessian_fd(
 ) -> np.ndarray:
     """Central-difference Hessian of the constrained perimeter."""
     free_radii = np.asarray(free_radii, dtype=float)
+    return _hessian_fd(chart, free_radii, target_area, seed, (step,), tol)[0]
+
+
+def _hessian_stencil(m):
+    """Unit offsets of the central-difference Hessian stencil, in evaluation order.
+
+    Row 0 is the centre.  Then, for each free radius j, come +e_j and -e_j
+    and, for each k > j, the corners e_j + e_k, e_j - e_k, -e_j + e_k and
+    -e_j - e_k.  Returns the offsets, the row of +e_j for each j, the pairs
+    j < k in row-major order and the row of e_j + e_k for each pair.
+    """
+    j, k = np.triu_indices(m, 1)
+    sizes = 2 + 4 * (m - 1 - np.arange(m))
+    diagonal = 1 + np.cumsum(sizes) - sizes
+    corners = diagonal[j] + 2 + 4 * (k - j - 1)
+    units = np.zeros((1 + int(np.sum(sizes)), m))
+    cols = np.arange(m)
+    units[diagonal, cols] = 1.0
+    units[diagonal + 1, cols] = -1.0
+    corner_signs = ((1.0, 1.0), (1.0, -1.0), (-1.0, 1.0), (-1.0, -1.0))
+    for row, (sign_j, sign_k) in enumerate(corner_signs):
+        units[corners + row, j] = sign_j
+        units[corners + row, k] = sign_k
+    return units, diagonal, j, k, corners
+
+
+def _hessian_fd(chart, free_radii, target_area, seed, steps, tol):
+    """Central-difference Hessians at each of ``steps``, evaluated as one batch."""
     m = len(free_radii)
-
-    def value(offsets):
-        return constrained_perimeter(chart, free_radii + offsets, target_area, seed, tol)
-
-    center = value(np.zeros(m))
-    hessian = np.empty((m, m))
-    for j in range(m):
-        ej = np.zeros(m)
-        ej[j] = step
-        hessian[j, j] = (value(ej) + value(-ej) - 2.0 * center) / step**2
-        for k in range(j + 1, m):
-            ek = np.zeros(m)
-            ek[k] = step
-            mixed = (
-                value(ej + ek) - value(ej - ek) - value(-ej + ek) + value(-ej - ek)
-            ) / (4.0 * step**2)
-            hessian[j, k] = mixed
-            hessian[k, j] = mixed
-    return hessian
+    units, diagonal, j, k, corners = _hessian_stencil(m)
+    offsets = np.concatenate([units * step for step in steps])
+    values = _constrained_perimeters(
+        chart, free_radii + offsets, target_area, seed, tol
+    ).reshape(len(steps), len(units))
+    squares = np.array([step**2 for step in steps])[:, None]
+    hessians = np.empty((len(steps), m, m))
+    cols = np.arange(m)
+    hessians[:, cols, cols] = (
+        values[:, diagonal] + values[:, diagonal + 1] - 2.0 * values[:, :1]
+    ) / squares
+    mixed = (
+        values[:, corners]
+        - values[:, corners + 1]
+        - values[:, corners + 2]
+        + values[:, corners + 3]
+    ) / (4.0 * squares)
+    hessians[:, j, k] = mixed
+    hessians[:, k, j] = mixed
+    return hessians
 
 
 def critical_gradient_norm(
@@ -374,26 +426,23 @@ def critical_gradient_norm(
     return float(np.linalg.norm(grad))
 
 
-HESSIAN_FD_LADDER = (4e-3, 2e-3, 1e-3, 5e-4, 2.5e-4)
+HESSIAN_FD_LADDER = (1.6e-2, 8e-3, 4e-3, 2e-3, 1e-3, 5e-4, 2.5e-4)
 
 
 def hessian_fd_comparison(
     point: TangentialCritical,
-    step_factor: float | None = None,
-    richardson: bool = True,
     tol: Tolerances | None = None,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Closed-form and finite-difference Hessians in the well-conditioned chart.
 
     Both matrices live in the same relabeled chart, so they are directly
-    comparable entry by entry.  With ``richardson`` (and no explicit step)
-    central differences are evaluated on a ladder of steps, adjacent pairs
-    are extrapolated, and the estimate where successive extrapolations agree
-    best wins; that rides the noise/truncation trade-off per system and
-    certifies five to six digits in double precision.  A fixed
-    ``step_factor`` uses that step (extrapolated with its half-step when
-    ``richardson``); plain central differences bottom out around 1e-4 of the
-    matrix scale.
+    comparable entry by entry.  Central differences are evaluated, in one
+    batch, at the steps ``HESSIAN_FD_LADDER`` times |r|; adjacent pairs are
+    Richardson-extrapolated, and the estimate where successive
+    extrapolations agree best wins.  That rides the noise/truncation
+    trade-off per system and certifies five to six digits in double
+    precision, where plain central differences bottom out around 1e-4 of
+    the matrix scale.
     """
     chart = well_conditioned_chart(point.chart.system, tol)
     closed = hessian_formula(chart.unit_perimeters, point.inradius)
@@ -401,25 +450,8 @@ def hessian_fd_comparison(
         return closed, closed.copy()
     free = np.full(point.n - 3, point.inradius)
     target = math.copysign(1.0, chart.perimeter_sum)
-
-    def stencil(factor):
-        return perimeter_hessian_fd(
-            chart, free, target, point.inradius, factor * abs(point.inradius), tol
-        )
-
-    if step_factor is not None:
-        fd = stencil(step_factor)
-        if richardson:
-            fd = (4.0 * stencil(0.5 * step_factor) - fd) / 3.0
-        return closed, fd
-    if not richardson:
-        return closed, stencil(1e-3)
-    stencils = [stencil(factor) for factor in HESSIAN_FD_LADDER]
-    extrapolated = [
-        (4.0 * fine - coarse) / 3.0 for coarse, fine in zip(stencils, stencils[1:])
-    ]
-    gaps = [
-        float(np.max(np.abs(b - a))) for a, b in zip(extrapolated, extrapolated[1:])
-    ]
-    best = int(np.argmin(gaps)) if gaps else 0
-    return closed, extrapolated[best + 1 if gaps else 0]
+    steps = [factor * abs(point.inradius) for factor in HESSIAN_FD_LADDER]
+    stencils = _hessian_fd(chart, free, target, point.inradius, steps, tol)
+    extrapolated = (4.0 * stencils[1:] - stencils[:-1]) / 3.0
+    gaps = np.max(np.abs(np.diff(extrapolated, axis=0)), axis=(1, 2))
+    return closed, extrapolated[int(np.argmin(gaps)) + 1]

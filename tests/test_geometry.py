@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from polyslope import (
+    DEFAULT_TOL,
     CoincidentVertices,
     DirectedSlope,
     ParallelLines,
@@ -21,6 +22,7 @@ from polyslope import (
     turning_sum,
     winding_number,
 )
+from polyslope.geometry import edge_offsets, left_normal, line_gap, polygon_from_lines
 
 UNIT_SQUARE = PolygonChain(np.array([[0.0, 0.0], [1.0, 0.0], [1.0, 1.0], [0.0, 1.0]]))
 
@@ -221,3 +223,112 @@ class TestConstruction:
     def test_too_few_vertices_rejected(self):
         with pytest.raises(ValueError):
             PolygonChain(np.array([[0.0, 0.0], [1.0, 0.0]]))
+
+
+# Per-edge loops as they were written before the polygon kernels worked on
+# whole arrays; the kernels must agree with them to roundoff and raise the
+# same error for the same first offending edge.
+
+
+def reference_signed_perimeter(polygon, slopes, tol=DEFAULT_TOL):
+    slopes = tuple(slopes)
+    edges = polygon.edge_vectors
+    angles = polygon.edge_angles
+    total = 0.0
+    for i, slope in enumerate(slopes):
+        if line_gap(angles[i], slope.angle) > tol.parallel:
+            raise SlopeMismatch(
+                f"edge {i} at angle {angles[i]!r} is not parallel to slope {slope.angle!r}"
+            )
+        length = float(np.linalg.norm(edges[i]))
+        sign = 1.0 if float(edges[i] @ slope.direction) > 0.0 else -1.0
+        total += sign * length
+    return total
+
+
+def reference_point_segment_distance(point, a, b):
+    ab = b - a
+    denom = float(ab @ ab)
+    if denom == 0.0:
+        return float(np.linalg.norm(point - a))
+    t = float(np.clip((point - a) @ ab / denom, 0.0, 1.0))
+    return float(np.linalg.norm(point - (a + t * ab)))
+
+
+def reference_winding_number(polygon, point, tol=DEFAULT_TOL):
+    point = np.asarray(point, dtype=float)
+    verts = polygon.vertices
+    guard = tol.on_boundary * max(1.0, polygon.diameter)
+    for i in range(polygon.n):
+        if reference_point_segment_distance(point, verts[i], verts[(i + 1) % polygon.n]) <= guard:
+            raise PointOnBoundary(f"point {point.tolist()} lies on edge {i}")
+    rel = verts - point
+    nxt = np.roll(rel, -1, axis=0)
+    cross = rel[:, 0] * nxt[:, 1] - rel[:, 1] * nxt[:, 0]
+    dot = np.einsum("ij,ij->i", rel, nxt)
+    return round(float(np.sum(np.arctan2(cross, dot))) / (2 * math.pi))
+
+
+def reference_edge_offsets(polygon, angles):
+    normals = np.stack([left_normal(a) for a in angles])
+    return np.einsum("ij,ij->i", normals, polygon.vertices)
+
+
+def chart_polygons(seed, count):
+    """Random polygons of random slope systems, n 3..14, self-intersecting too."""
+    from polyslope.randomgen import random_radii, random_slope_system
+    from polyslope.slope_space import build_chart, polygon_from_radii
+
+    rng = np.random.default_rng(seed)
+    for _ in range(count):
+        n = int(rng.integers(3, 15))
+        chart = build_chart(random_slope_system(rng, n))
+        yield rng, chart.system, polygon_from_radii(chart, random_radii(rng, n - 2))
+
+
+class TestArrayKernels:
+    def test_agree_with_per_edge_loops(self):
+        for rng, system, polygon in chart_polygons(40, 150):
+            expected = reference_signed_perimeter(polygon, system)
+            scale = float(np.sum(polygon.edge_lengths))
+            assert abs(signed_perimeter(polygon, system) - expected) <= 1e-12 * scale
+            offsets = edge_offsets(polygon, system.angles)
+            expected = reference_edge_offsets(polygon, system.angles)
+            scale = max(1.0, float(np.max(np.abs(polygon.vertices))))
+            assert np.max(np.abs(offsets - expected)) <= 1e-12 * scale
+            low, high = polygon.vertices.min(axis=0), polygon.vertices.max(axis=0)
+            for point in rng.uniform(low, high, (5, 2)):
+                assert winding_number(polygon, point) == reference_winding_number(polygon, point)
+
+    def test_slope_mismatch_names_first_edge(self):
+        for _, system, polygon in chart_polygons(41, 20):
+            if system.n < 5:
+                continue
+            angles = system.angles
+            angles[[2, 4]] += 0.1
+            bad = SlopeSystem.from_angles(angles)
+            with pytest.raises(SlopeMismatch) as expected:
+                reference_signed_perimeter(polygon, bad)
+            with pytest.raises(SlopeMismatch) as batched:
+                signed_perimeter(polygon, bad)
+            assert str(batched.value) == str(expected.value)
+            assert "edge 2 " in str(batched.value)
+
+    def test_point_on_boundary_names_first_edge(self):
+        for _, _, polygon in chart_polygons(42, 20):
+            # Vertex 2 ends edge 1 and starts edge 2.
+            point = polygon.vertices[2]
+            with pytest.raises(PointOnBoundary) as expected:
+                reference_winding_number(polygon, point)
+            with pytest.raises(PointOnBoundary) as batched:
+                winding_number(polygon, point)
+            assert str(batched.value) == str(expected.value)
+            assert str(batched.value).endswith("edge 1")
+
+    def test_parallel_lines_name_first_pair(self):
+        angles = [0.0, 1.0, 1.0 + math.pi, 2.5, 2.5, 4.0]
+        with pytest.raises(ParallelLines) as raised:
+            polygon_from_lines(angles, [0.0, 1.0, 2.0, 0.5, 1.5, 1.0])
+        assert str(raised.value) == (
+            f"lines at angles {1.0!r} and {1.0 + math.pi!r} are parallel within tolerance"
+        )

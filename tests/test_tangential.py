@@ -6,7 +6,9 @@ import numpy as np
 import pytest
 
 from polyslope import (
+    DEFAULT_TOL,
     ExceptionalSpace,
+    NotCritical,
     SlopeSystem,
     build_chart,
     critical_gradient_norm,
@@ -17,10 +19,14 @@ from polyslope import (
     perimeter_hessian,
     tangential_critical_points,
 )
-from polyslope.randomgen import random_convex_slope_system, random_slope_system
+from polyslope.randomgen import random_convex_slope_system, random_slope_system, trial_rng
+from polyslope.sweeps import check_hessian_difference
 from polyslope.tangential import (
+    HESSIAN_FD_LADDER,
     constrained_perimeter,
     perimeter_gradient_fd,
+    perimeter_hessian_fd,
+    solve_first_radius,
     well_conditioned_chart,
 )
 
@@ -143,10 +149,14 @@ class TestHessian:
         # oracle below certifies 1e-5.
         rng = np.random.default_rng(9)
         system = random_slope_system(rng, 6)
-        chart = build_chart(system)
-        points = tangential_critical_points(chart)
-        for point in points:
-            closed, fd = hessian_fd_comparison(point, step_factor=1e-5, richardson=False)
+        chart = well_conditioned_chart(system)
+        target = math.copysign(1.0, chart.perimeter_sum)
+        for point in tangential_critical_points(chart):
+            closed = perimeter_hessian(point)
+            free = np.full(point.n - 3, point.inradius)
+            fd = perimeter_hessian_fd(
+                chart, free, target, point.inradius, 1e-5 * abs(point.inradius)
+            )
             scale = float(np.max(np.abs(closed)))
             rel = np.abs(fd - closed) / np.maximum(np.abs(closed), 1e-2 * scale)
             assert float(np.max(rel)) < 1e-3
@@ -164,6 +174,12 @@ class TestHessian:
                 scale = float(np.max(np.abs(closed)))
                 rel = np.abs(fd - closed) / np.maximum(np.abs(closed), 1e-2 * scale)
                 assert float(np.max(rel)) < 1e-5
+
+    def test_extrapolation_ladder_resolves_noise_bound_system(self):
+        # Sweep seed 38, trial 11 (n = 5): the extrapolated error falls as
+        # the step grows, 1.7e-5 at 2e-3 * |r| and 7.4e-7 at 8e-3 * |r|, so a
+        # ladder topping out at 4e-3 failed the 1e-5 bound.
+        assert check_hessian_difference(trial_rng(38, 1, 11), (4, 9), DEFAULT_TOL) == []
 
     def test_determinant_identity_small_cases(self):
         rng = np.random.default_rng(26)
@@ -285,3 +301,137 @@ class TestConstrainedChart:
         r0 = (value - float(np.sum(p[1:] * free))) / p[0]
         area = 0.5 * (p[0] * r0**2 + float(np.sum(p[1:] * free**2)))
         assert area == pytest.approx(target, abs=1e-12)
+
+
+# Scalar finite-difference oracles as they were written before the stencils
+# were batched: one Newton solve per stencil point.  The batched kernels must
+# reproduce them bit for bit.
+
+
+def reference_solve_first_radius(chart, free_radii, target_area, seed, tol=DEFAULT_TOL):
+    p0 = float(chart.unit_perimeters[0])
+    tail = float(np.sum(chart.unit_perimeters[1:] * np.asarray(free_radii) ** 2))
+    tail_scale = float(np.sum(np.abs(chart.unit_perimeters[1:]) * np.asarray(free_radii) ** 2))
+    r = float(seed)
+    for _ in range(60):
+        residual = 0.5 * (p0 * r * r + tail) - target_area
+        slope = p0 * r
+        if slope == 0.0:
+            raise NotCritical("area constraint has vanishing derivative in r_1")
+        step = residual / slope
+        r -= step
+        if abs(step) <= 1e-16 * max(1.0, abs(r)):
+            break
+    residual = 0.5 * (p0 * r * r + tail) - target_area
+    scale = max(1.0, abs(target_area), 0.5 * (abs(p0) * r * r + tail_scale))
+    if abs(residual) > tol.newton * scale:
+        raise NotCritical(f"area constraint solve stalled at residual {residual!r}")
+    return r
+
+
+def reference_constrained_perimeter(chart, free_radii, target_area, seed):
+    free_radii = np.asarray(free_radii, dtype=float)
+    r0 = reference_solve_first_radius(chart, free_radii, target_area, seed)
+    p = chart.unit_perimeters
+    return float(p[0] * r0 + np.sum(p[1:] * free_radii))
+
+
+def reference_gradient_fd(chart, free_radii, target_area, seed, step):
+    free_radii = np.asarray(free_radii, dtype=float)
+    grad = np.empty(len(free_radii))
+    for j in range(len(free_radii)):
+        plus = free_radii.copy()
+        minus = free_radii.copy()
+        plus[j] += step
+        minus[j] -= step
+        grad[j] = (
+            reference_constrained_perimeter(chart, plus, target_area, seed)
+            - reference_constrained_perimeter(chart, minus, target_area, seed)
+        ) / (2.0 * step)
+    return grad
+
+
+def reference_hessian_fd(chart, free_radii, target_area, seed, step):
+    free_radii = np.asarray(free_radii, dtype=float)
+    m = len(free_radii)
+
+    def value(offsets):
+        return reference_constrained_perimeter(chart, free_radii + offsets, target_area, seed)
+
+    center = value(np.zeros(m))
+    hessian = np.empty((m, m))
+    for j in range(m):
+        ej = np.zeros(m)
+        ej[j] = step
+        hessian[j, j] = (value(ej) + value(-ej) - 2.0 * center) / step**2
+        for k in range(j + 1, m):
+            ek = np.zeros(m)
+            ek[k] = step
+            mixed = (
+                value(ej + ek) - value(ej - ek) - value(-ej + ek) + value(-ej - ek)
+            ) / (4.0 * step**2)
+            hessian[j, k] = mixed
+            hessian[k, j] = mixed
+    return hessian
+
+
+def reference_hessian_fd_comparison(point):
+    chart = well_conditioned_chart(point.chart.system)
+    free = np.full(point.n - 3, point.inradius)
+    target = math.copysign(1.0, chart.perimeter_sum)
+    stencils = [
+        reference_hessian_fd(chart, free, target, point.inradius, f * abs(point.inradius))
+        for f in HESSIAN_FD_LADDER
+    ]
+    extrapolated = [(4.0 * fine - coarse) / 3.0 for coarse, fine in zip(stencils, stencils[1:])]
+    gaps = [float(np.max(np.abs(b - a))) for a, b in zip(extrapolated, extrapolated[1:])]
+    return extrapolated[int(np.argmin(gaps)) + 1]
+
+
+class TestBatchedFiniteDifferences:
+    def test_equal_to_scalar_reference(self):
+        rng = np.random.default_rng(34)
+        for n in range(4, 15):
+            chart = well_conditioned_chart(random_slope_system(rng, n))
+            points = tangential_critical_points(chart)
+            if isinstance(points, ExceptionalSpace):
+                continue
+            target = math.copysign(1.0, chart.perimeter_sum)
+            for point in points:
+                r = point.inradius
+                at_point = np.full(n - 3, r)
+                off_point = at_point * rng.uniform(0.97, 1.03, n - 3)
+                for free in (at_point, off_point):
+                    assert constrained_perimeter(chart, free, target, r) == (
+                        reference_constrained_perimeter(chart, free, target, r)
+                    )
+                    step = 1e-6 * abs(r)
+                    assert np.array_equal(
+                        perimeter_gradient_fd(chart, free, target, r, step),
+                        reference_gradient_fd(chart, free, target, r, step),
+                    )
+                    step = 1e-3 * abs(r)
+                    assert np.array_equal(
+                        perimeter_hessian_fd(chart, free, target, r, step),
+                        reference_hessian_fd(chart, free, target, r, step),
+                    )
+                _, fd = hessian_fd_comparison(point)
+                assert np.array_equal(fd, reference_hessian_fd_comparison(point))
+
+    def test_failures_match_scalar_reference(self):
+        rng = np.random.default_rng(35)
+        chart = well_conditioned_chart(random_slope_system(rng, 6))
+        point = tangential_critical_points(chart)[0]
+        target = math.copysign(1.0, chart.perimeter_sum)
+        free = np.full(3, point.inradius)
+        # The wrong area sign has no real r_1, so Newton stalls; a zero seed
+        # has a vanishing derivative.
+        for args in ((free, -target, point.inradius), (free, target, 0.0)):
+            with pytest.raises(NotCritical) as expected:
+                reference_solve_first_radius(chart, *args)
+            with pytest.raises(NotCritical) as batched:
+                solve_first_radius(chart, *args)
+            assert str(batched.value) == str(expected.value)
+            with pytest.raises(NotCritical) as stencil:
+                perimeter_hessian_fd(chart, *args, 1e-3 * abs(point.inradius))
+            assert str(stencil.value) == str(expected.value)
