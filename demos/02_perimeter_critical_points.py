@@ -29,8 +29,10 @@ for point in points:
     print(f"  perimeter {point.perimeter:+.6f}, area {point.area:+.1f}")
     print(f"  incenter {np.round(point.incenter, 6)}, winding {point.winding}")
 
-    # The perimeter gradient in the constrained chart vanishes here.
-    print(f"  gradient norm: {critical_gradient_norm(point):.2e}")
+    # The perimeter gradient in the constrained chart vanishes here: its
+    # finite-difference norm stays under the bound set by roundoff.
+    norm, bound = critical_gradient_norm(point)
+    print(f"  gradient norm: {norm:.2e} (bound {bound:.2e})")
 
     # Closed-form Hessian vs Richardson-extrapolated central differences.
     closed, fd = hessian_fd_comparison(point)
@@ -41,11 +43,11 @@ for point in points:
     lhs, rhs = hessian_det_identity(point)
     print(f"  determinant identity: {lhs:.6f} = {rhs:.6f}")
 
-    # Morse index: negative-eigenvalue count agrees with the combinatorial
-    # formula from turn counts, winding, and the perimeter sign.
+    # Morse index: the exact count from the signs of p agrees with the
+    # combinatorial formula from turn counts, winding, and the perimeter sign.
     report = morse_index_eigen(point)
     print(
-        f"  Morse index: eigenvalues give {report.index_eigen}, "
+        f"  Morse index: sign count gives {report.index_eigen}, "
         f"formula gives {report.index_formula} (agree: {report.agreement})"
     )
     print("  eigenvalues:", np.round(report.eigenvalues, 4))

@@ -364,7 +364,8 @@ def duality_index_check(
     The dual polygon is tangential with positive inradius, hence (after the
     area normalization, which leaves the index unchanged) it is the positive
     critical point of the perimeter for its own slope system; its index is
-    evaluated through the eigenvalue route with the formula cross-check.
+    the exact sign count of :func:`morse_index_eigen`, cross-checked against
+    the turn/winding formula.
     """
     tol = DEFAULT_TOL if tol is None else tol
     if bifurcation_test(cyclic, tol):
@@ -377,7 +378,7 @@ def duality_index_check(
     if isinstance(points, ExceptionalSpace):
         raise Bifurcating("dual slope system is exceptional")
     positive = points[0] if points[0].inradius > 0 else points[1]
-    report = morse_index_eigen(positive, tol)
+    report = morse_index_eigen(positive)
     if not report.agreement:
         raise DegenerateCritical("dual index routes disagree")
     mu_dual = report.index_eigen

@@ -50,7 +50,12 @@ class Bifurcating(PolyslopeError):
 
 
 class DegenerateHessian(PolyslopeError):
-    """A perimeter Hessian eigenvalue falls inside the numerical dead band."""
+    """A perimeter Hessian is singular.
+
+    No library routine raises it: the perimeter Morse index is an exact
+    sign count, and the Hessian is singular only on the exceptional locus,
+    which has no critical points.
+    """
 
 
 class DegenerateCritical(PolyslopeError):

@@ -25,8 +25,6 @@ from .cyclic import (
 )
 from .errors import (
     Bifurcating,
-    DegenerateCritical,
-    DegenerateHessian,
     InputSchemaError,
     ParallelLines,
 )
@@ -122,7 +120,8 @@ def _component_dict(shape) -> dict:
 
 
 def _critical_point_dict(point, tol: Tolerances) -> dict:
-    report = morse_index_eigen(point, tol)
+    report = morse_index_eigen(point)
+    gradient_norm, gradient_bound = critical_gradient_norm(point, tol=tol)
     return {
         "inradius": float(point.inradius),
         "perimeter": float(point.perimeter),
@@ -131,9 +130,9 @@ def _critical_point_dict(point, tol: Tolerances) -> dict:
         "winding": int(point.winding),
         "right_turns": int(point.right_turns),
         "left_turns": int(point.left_turns),
-        "gradient_norm": float(critical_gradient_norm(point, tol=tol)),
+        "gradient_norm": float(gradient_norm),
+        "gradient_bound": float(gradient_bound),
         "eigenvalues": [float(v) for v in report.eigenvalues],
-        "minor_signs": [int(s) for s in report.minor_signs],
         "index_eigen": int(report.index_eigen),
         "index_formula": int(report.index_formula),
         "agreement": bool(report.agreement),
@@ -238,14 +237,14 @@ def cyclic_report(
         if isinstance(points, ExceptionalSpace):
             raise Bifurcating("dual slope system is exceptional")
         positive = points[0] if points[0].inradius > 0 else points[1]
-        dual_report = morse_index_eigen(positive, tol)
+        dual_report = morse_index_eigen(positive)
         indices["mu_dual_perimeter"] = int(dual_report.index_eigen)
         indices["identity_holds"] = bool(
             indices["mu_area_numeric"]
             == indices["mu_area_formula"]
             == cyclic.n - 3 - indices["mu_dual_perimeter"]
         )
-    except (ParallelLines, Bifurcating, DegenerateHessian, DegenerateCritical) as exc:
+    except (ParallelLines, Bifurcating) as exc:
         indices["mu_dual_perimeter"] = None
         indices["dual_note"] = f"dual perimeter index unavailable: {exc}"
         indices["identity_holds"] = bool(
@@ -279,7 +278,7 @@ def _family_step(start, end, t, tol) -> dict:
         step["exceptional"] = False
         step["critical_points"] = 2
         step["area_sign"] = int(math.copysign(1.0, points[0].area))
-        step["indices"] = [int(morse_index_eigen(p, tol).index_eigen) for p in points]
+        step["indices"] = [int(morse_index_eigen(p).index_eigen) for p in points]
     return step
 
 

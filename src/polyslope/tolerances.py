@@ -25,7 +25,6 @@ class Tolerances:
     exceptional: float = 1e-9       # |sum p_i| <= exceptional * sum|p_i|
     chart_check: float = 1e-10      # x scale; reconstruction postconditions
     newton: float = 1e-12           # area-constraint Newton solve
-    eigen_band: float = 1e-8        # x max|H|; perimeter Hessian dead band
     area_band: float = 1e-7         # x max|M|; area Hessian dead band
     bifurcation: float = 1e-9       # |B| < bifurcation * sum|tan alpha_i|
     antipodal: float = 1e-6         # radians; alpha_i < pi/2 - antipodal

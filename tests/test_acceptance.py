@@ -79,7 +79,7 @@ def test_criterion_01_critical_point_gradients():
             continue
         checked += 1
         for point in points:
-            norm = critical_gradient_norm(point)
+            norm, _ = critical_gradient_norm(point)
             if norm >= 1e-6:
                 failures.append(f"trial {trial}: gradient norm {norm:.3e} (n={n})")
     verdict(

@@ -18,7 +18,7 @@ from polyslope.report import (
     validate_cyclic_input,
     validate_slopes_input,
 )
-from polyslope.errors import InputSchemaError
+from polyslope.errors import InputSchemaError, NotCritical
 from polyslope.sweeps import run_sweep
 
 FAMILY = {
@@ -90,6 +90,42 @@ class TestSlopesAnalyze:
         assert code == 0
         for point in json.loads(out)["critical"]["points"]:
             assert point["gradient_norm"] < 1e-8
+
+    @pytest.mark.parametrize(
+        "angles",
+        [
+            # max|p|/min|p| = 1.8e4: the smallest Hessian eigenvalue is
+            # 7e-9 of the largest entry, though |sum p| / sum|p| = 0.11.
+            [206.51, 229.95, 219.36, 34.65, 238.03, 227.5, 296.6, 289.26, 117.78],
+            # max|p|/min|p| = 1.2e4: finite-difference roundoff of 1.28e-6
+            # at both critical points, over a fixed bound of 1e-6.
+            [
+                127.29455657427746,
+                97.97829142321719,
+                277.9430969370745,
+                39.6778791561557,
+                214.7584076511983,
+                247.87747674809455,
+                234.49674013040814,
+                69.06131223661899,
+                14.131078274815877,
+                346.57680100529,
+                68.10980142571978,
+                327.8266125011875,
+                61.12662513124438,
+                251.19025050753893,
+            ],
+        ],
+    )
+    def test_badly_scaled_system_passes(self, tmp_path, capsys, angles):
+        path = write_json(tmp_path, "scaled.json", {"angles_deg": angles})
+        code, out, _ = run_cli(capsys, "slopes", "analyze", path, "--json")
+        assert code == 0
+        points = json.loads(out)["critical"]["points"]
+        assert len(points) == 2
+        for point in points:
+            assert point["index_eigen"] == point["index_formula"]
+            assert point["gradient_norm"] < point["gradient_bound"]
 
     def test_json_roundtrip_lossless(self):
         report = slopes_report([90, 210, 330])
@@ -210,6 +246,23 @@ class TestSweep:
         assert "injected failure" in out
 
 
+    def test_raising_check_counts_as_failed_trial(self, monkeypatch):
+        import polyslope.sweeps as sweeps
+
+        def raising_check(rng, n_range, tol):
+            if rng.random() < 0.5:
+                raise NotCritical("injected error")
+            return []
+
+        monkeypatch.setattr(sweeps, "CHECKS", (("raising", raising_check),) + sweeps.CHECKS[1:])
+        result = run_sweep(seed=3, trials=8)
+        tally = result.tallies[0]
+        assert tally.failed > 0 and tally.passed > 0
+        assert tally.failed + tally.passed == 8
+        assert tally.failures == ["raising raised NotCritical: injected error"] * tally.failed
+        assert [t.name for t in result.tallies] == [name for name, _ in sweeps.CHECKS]
+
+
 class TestFamily:
     def test_family_brackets_sign_change(self, tmp_path, capsys):
         path = write_json(tmp_path, "fam.json", FAMILY)
@@ -250,8 +303,8 @@ class TestFamily:
         assert all(row["critical_points"] == 2 for row in report["rows"])
 
     def test_bisection_next_to_degenerate_critical_points(self, tmp_path, capsys):
-        # Near the root of sum p the critical points have Hessian eigenvalues
-        # inside the dead band; bisection needs only the sign of sum p.
+        # Near the root of sum p the critical points are nearly degenerate;
+        # bisection needs only the sign of sum p.
         start = [203.401, 207.53, 322.02, 107.113, 3.88]
         end = [203.401, 207.53, 322.02, 107.113, -18.542]
         payload = {"start_angles_deg": start, "end_angles_deg": end}
@@ -268,6 +321,21 @@ class TestFamily:
             return build_chart(SlopeSystem.from_degrees(angles)).perimeter_sum
 
         assert perimeter_sum(lo) < 0 < perimeter_sum(hi)
+
+    def test_row_next_to_root_of_perimeter_sum(self, tmp_path, capsys):
+        # Row t = 0.5 lies 1e-6 past the root of sum p, where the Hessian's
+        # smallest eigenvalue is 1.6e-9 of its largest entry.
+        start = [203.401, 207.53, 322.02, 107.113, 3.88]
+        end = [203.401, 207.53, 322.02, 107.113, -30.11719781]
+        payload = {"start_angles_deg": start, "end_angles_deg": end}
+        path = write_json(tmp_path, "root.json", payload)
+        code, out, _ = run_cli(capsys, "family", path, "--steps", "3", "--json")
+        assert code == 0
+        rows = json.loads(out)["rows"]
+        assert all(row["critical_points"] == 2 for row in rows)
+        for row in rows:
+            points = slopes_report(row["angles_deg"])["critical"]["points"]
+            assert row["indices"] == [point["index_formula"] for point in points]
 
     def test_pole_of_perimeter_sum_is_not_bracketed(self, tmp_path, capsys):
         # Slope 3 turns parallel to slope 2 near t = 2/21, where sum p jumps

@@ -1,0 +1,70 @@
+"""Unfiltered fuzz tier: uniformly random angles reach every report.
+
+3000 angle lists come from one seeded generator, n = integers(3, 15) and
+angles uniform in [0, 360) degrees, with no separation or conditioning
+filter: the first 1500 are slope systems, the other 1500 the vertex angles
+of cyclic polygons of radius 1.  Every input must give a report that passes
+the command line's cross-checks, or one of its documented input errors.
+"""
+
+import numpy as np
+
+from polyslope import cli
+from polyslope.report import cyclic_report, slopes_report
+
+COUNT = 1500
+
+
+def fuzz_angles():
+    rng = np.random.default_rng(123)
+    for _ in range(2 * COUNT):
+        n = int(rng.integers(3, 15))
+        yield rng.uniform(0.0, 360.0, n).tolist()
+
+
+ANGLES = list(fuzz_angles())
+
+
+def sign_count_index(p, perimeter_sum, inradius):
+    """Negative eigenvalues of -(D + t t^T / p_1) / r, from the signs of p."""
+    negatives = sum(x < 0 for x in p[1:]) + (perimeter_sum > 0) - (p[0] > 0)
+    return negatives if inradius < 0 else len(p) - 1 - negatives
+
+
+def run_fuzz(make_report, inputs):
+    """Reports of the inputs that give one, and a message for each fault."""
+    reports, problems = [], []
+    for i, angles in inputs:
+        try:
+            report = make_report(angles)
+        except cli.INPUT_ERRORS:
+            continue
+        except Exception as exc:  # any other error is a fault of the library
+            problems.append(f"input {i}: {type(exc).__name__}: {exc}")
+            continue
+        failures = cli._cross_check_failures(report)
+        if failures:
+            problems.append(f"input {i}: {failures}")
+        reports.append((i, report))
+    return reports, problems
+
+
+def test_slopes_fuzz():
+    reports, problems = run_fuzz(slopes_report, enumerate(ANGLES[:COUNT]))
+    for i, report in reports:
+        chart = report["chart"]
+        for point in report["critical"]["points"]:
+            expected = sign_count_index(
+                chart["unit_perimeters"], chart["perimeter_sum"], point["inradius"]
+            )
+            if point["index_eigen"] != expected:
+                problems.append(f"input {i}: index {point['index_eigen']}, sign count {expected}")
+    assert problems == []
+    assert len(reports) == COUNT
+
+
+def test_cyclic_fuzz():
+    inputs = enumerate(ANGLES[COUNT:], start=COUNT)
+    reports, problems = run_fuzz(lambda phis: cyclic_report(1.0, phis), inputs)
+    assert problems == []
+    assert len(reports) == COUNT
