@@ -9,7 +9,8 @@ Subcommands::
     polyslope render FILE -o OUT.svg [--tol-scale X]
 
 Exit codes: 0 success, 2 input/validation error, 3 property or cross-check
-failure.  Output is deterministic for identical inputs and seeds.
+failure.  Any other exception is a fault of the library and propagates
+with its traceback.  Output is deterministic for identical inputs and seeds.
 """
 
 import argparse
@@ -23,7 +24,6 @@ from .errors import (
     InputSchemaError,
     LengthMismatch,
     ParallelLines,
-    PointOnBoundary,
     PolyslopeError,
     SlopeMismatch,
 )
@@ -53,14 +53,16 @@ INPUT_ERRORS = (
     CoincidentVertices,
     SlopeMismatch,
     LengthMismatch,
-    PointOnBoundary,
     Bifurcating,
 )
 
 
 def _tolerances(args):
     scale = getattr(args, "tol_scale", 1.0)
-    return DEFAULT_TOL if scale == 1.0 else DEFAULT_TOL.scaled(scale)
+    try:
+        return DEFAULT_TOL if scale == 1.0 else DEFAULT_TOL.scaled(scale)
+    except ValueError as exc:
+        raise InputSchemaError(f"--tol-scale: {exc}") from exc
 
 
 def _emit(report: dict, as_json: bool, text_formatter) -> None:
@@ -196,6 +198,8 @@ def cmd_cyclic_analyze(args) -> int:
 
 
 def cmd_sweep(args) -> int:
+    if args.seed < 0:
+        raise InputSchemaError("--seed must be a non-negative integer")
     result = run_sweep(
         seed=args.seed,
         trials=args.trials,
@@ -296,13 +300,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except INPUT_ERRORS as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
-    except ValueError as exc:
+    except (*INPUT_ERRORS, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
     except PolyslopeError as exc:

@@ -34,8 +34,7 @@ from .geometry import (
     TWO_PI,
     PolygonChain,
     SlopeSystem,
-    left_normals,
-    polygon_from_lines,
+    tangential_polygon,
     winding_number,
 )
 from .tangential import (
@@ -176,20 +175,17 @@ def bifurcation_test(cyclic: CyclicPolygon, tol: Tolerances | None = None) -> bo
     return abs(inv.bifurcation_sum) < tol.bifurcation * scale
 
 
-def dual_polygon(cyclic: CyclicPolygon, tol: Tolerances | None = None) -> DualPolygon:
+def dual_polygon(cyclic: CyclicPolygon) -> DualPolygon:
     """Polygon of tangent lines at the vertices, circle kept on the left.
 
-    The tangent line at vertex angle phi runs at direction phi + pi/2 and the
-    construction makes the circle the inscribed circle of the dual with
+    The tangent at vertex angle phi runs at direction phi + pi/2, so the dual
+    is :func:`tangential_polygon` of those directions about the center with
     signed inradius +R.  Consecutive tangents of a valid cyclic polygon
     always meet (non-antipodal consecutive vertices).
     """
-    tol = DEFAULT_TOL if tol is None else tol
     angles = (cyclic.phis + 0.5 * math.pi) % TWO_PI
-    offsets = left_normals(angles) @ cyclic.center - cyclic.radius
-    polygon = polygon_from_lines(angles, offsets, tol)
     return DualPolygon(
-        polygon=polygon,
+        polygon=tangential_polygon(angles, cyclic.center, cyclic.radius),
         slopes=SlopeSystem.from_angles(angles),
         center=cyclic.center,
         inradius=cyclic.radius,
@@ -373,7 +369,7 @@ def duality_index_check(
     inv = cyclic_invariants(cyclic, tol)
     mu_numeric = area_morse_index_numeric(cyclic, tol)
     mu_formula = area_morse_index_formula(cyclic, tol)
-    dual = dual_polygon(cyclic, tol)
+    dual = dual_polygon(cyclic)
     points = tangential_critical_points(dual.slopes, tol)
     if isinstance(points, ExceptionalSpace):
         raise Bifurcating("dual slope system is exceptional")

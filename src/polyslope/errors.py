@@ -63,4 +63,4 @@ class DegenerateCritical(PolyslopeError):
 
 
 class InputSchemaError(PolyslopeError):
-    """An input file does not match its documented schema."""
+    """An input file or command-line value does not match its documented schema."""

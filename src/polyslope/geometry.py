@@ -259,6 +259,17 @@ def polygon_from_lines(
     return PolygonChain(np.array(verts))
 
 
+def tangential_polygon(angles: Sequence[float], center, inradius: float) -> PolygonChain:
+    """Polygon of the directed lines at ``angles`` tangent to the circle about
+    ``center`` of signed radius r (r > 0: the circle lies left of every line).
+    With tau_i = (phi_{i+1} - phi_i) mod 2pi, vertex i + 1 (edges i, i + 1)
+    is center - (r / cos(tau_i / 2)) n(phi_i + tau_i / 2), n the left normal."""
+    angles = np.asarray(angles, dtype=float)
+    half = 0.5 * ((_successors(angles) - angles) % TWO_PI)
+    corners = center - (inradius / np.cos(half))[:, None] * left_normals(angles + half)
+    return PolygonChain(np.concatenate((corners[-1:], corners[:-1])))
+
+
 def edge_offsets(polygon: PolygonChain, angles: Sequence[float]) -> np.ndarray:
     """Line offsets of the polygon edges measured against the given angles."""
     return np.einsum("ij,ij->i", left_normals(angles), polygon.vertices)

@@ -43,10 +43,8 @@ def load_input_file(path: str) -> dict:
     try:
         with open(path, "r", encoding="utf-8") as handle:
             data = json.load(handle)
-    except json.JSONDecodeError as exc:
-        raise InputSchemaError(
-            f"{path}: invalid JSON at line {exc.lineno}, column {exc.colno}: {exc.msg}"
-        ) from exc
+    except ValueError as exc:  # malformed JSON, not UTF-8, or an integer too long
+        raise InputSchemaError(f"{path}: invalid JSON: {exc}") from exc
     if not isinstance(data, dict):
         raise InputSchemaError(f"{path}: top level must be a JSON object")
     return data
@@ -194,7 +192,7 @@ def cyclic_report(
     tol = DEFAULT_TOL if tol is None else tol
     cyclic = CyclicPolygon.from_degrees(radius, phis_deg, center)
     inv = cyclic_invariants(cyclic, tol)
-    dual = dual_polygon(cyclic, tol)
+    dual = dual_polygon(cyclic)
     dual_perimeter = signed_perimeter(dual.polygon, dual.slopes, tol)
     bifurcating = bifurcation_test(cyclic, tol)
     report = {

@@ -29,6 +29,7 @@ from .geometry import (
     signed_perimeter,
     turn_counts,
     turning_sum,
+    winding_number,
 )
 from .randomgen import (
     random_convex_slope_system,
@@ -160,8 +161,6 @@ def check_index_agreement(rng, n_range, tol):
                 f"index mismatch eigen={report.index_eigen} formula={report.index_formula} (n={n})"
             )
         indices.append(report.index_eigen)
-        if math.copysign(1, point.area) != math.copysign(1, chart.perimeter_sum):
-            failures.append(f"area sign disagrees with perimeter-sum sign (n={n})")
     if len(indices) == 2 and indices[0] + indices[1] != n - 3:
         failures.append(f"indices {indices} do not sum to n-3 (n={n})")
     return failures
@@ -188,8 +187,9 @@ def check_convex_indices(rng, n_range, tol):
 
 
 def check_chart_identities(rng, n_range, tol):
-    """Chart laws: quadratic area, linear perimeter, additivity, roundtrip,
-    quadratic-form coordinates, and area = perimeter * r / 2 at tangential points."""
+    """Chart laws: quadratic area, linear perimeter, additivity, roundtrip and
+    quadratic-form coordinates; at the tangential points, the closed-form
+    vertices, area, perimeter and winding against the reconstruction."""
     n = _draw_n(rng, n_range, 3, 12)
     if n is None:
         return None
@@ -227,13 +227,17 @@ def check_chart_identities(rng, n_range, tol):
     quadratic = float(np.sum(coords.x[mask] ** 2) - np.sum(coords.x[~mask] ** 2))
     if abs(quadratic - area) > 1e-9 * area_scale:
         failures.append(f"coordinate quadratic form off by {quadratic - area:.3e} (n={n})")
-    points = _nonexceptional_points(chart, tol)
-    if points is not None:
-        for point in points:
-            if abs(point.area - 0.5 * point.perimeter * point.inradius) > 1e-10:
-                failures.append(f"area != perimeter*r/2 at tangential point (n={n})")
-            if abs(abs(point.area) - 1.0) > 1e-10:
-                failures.append(f"|area| != 1 at tangential point (n={n})")
+    for point in _nonexceptional_points(chart, tol) or ():
+        rebuilt = polygon_from_radii(chart, np.full(n - 2, point.inradius), tol)
+        gap = float(np.max(np.abs(rebuilt.vertices - point.polygon.vertices)))
+        if gap > 1e-10 * rebuilt.diameter:
+            failures.append(f"tangential vertices off the reconstruction by {gap:.3e} (n={n})")
+        if abs(oriented_area(rebuilt) - point.area) > 1e-10:
+            failures.append(f"tangential area off the reconstruction (n={n})")
+        if abs(signed_perimeter(rebuilt, chart.system, tol) / point.perimeter - 1.0) > 1e-10:
+            failures.append(f"tangential perimeter off the reconstruction (n={n})")
+        if winding_number(rebuilt, point.incenter, tol) != point.winding:
+            failures.append(f"tangential winding off the reconstruction (n={n})")
     return failures
 
 
@@ -269,7 +273,7 @@ def check_dual_perimeter(rng, n_range, tol):
         return None
     cyclic = random_cyclic_polygon(rng, n)
     inv = cyclic_invariants(cyclic, tol)
-    dual = dual_polygon(cyclic, tol)
+    dual = dual_polygon(cyclic)
     failures = []
     measured = signed_perimeter(dual.polygon, dual.slopes, tol)
     expected = 2.0 * cyclic.radius * inv.bifurcation_sum

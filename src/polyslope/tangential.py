@@ -8,11 +8,14 @@ constrained radii chart has the closed form
 
     H_jj = -(p_j / (r p_1)) (p_1 + p_j),   H_jk = -p_j p_k / (r p_1),
 
-indexed by the free radii j, k = 2..n-2.  The Morse index is produced two
-independent ways: exactly, from the signs of the p_i (inertia of the
-Hessian's bordered matrix), and by the combinatorial turn/winding formula.
-Finite-difference utilities for the constrained chart live here as well so
-that verification sweeps can cross-check the gradient and the Hessian.
+indexed by the free radii j, k = 2..n-2.  So are the vertices, the perimeter
+r sum p_i, the area sign(sum p_i) and the winding number, with the radii
+reconstruction :func:`polygon_from_radii` as their oracle in tests and
+sweeps.  The Morse index is produced two independent ways: exactly, from
+the signs of the p_i (inertia of the Hessian's bordered matrix), and by the
+combinatorial turn/winding formula.  Finite-difference utilities for the
+constrained chart live here as well so that verification sweeps can
+cross-check the gradient and the Hessian.
 """
 
 import math
@@ -20,18 +23,16 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NotCritical, ReconstructionDegenerate
+from .errors import NotCritical
 from .geometry import (
+    TWO_PI,
     PolygonChain,
     SlopeSystem,
-    edge_offsets,
-    left_normals,
-    oriented_area,
-    signed_perimeter,
+    _successors,
+    tangential_polygon,
     turn_counts,
-    winding_number,
 )
-from .slope_space import RadiiChart, _chart_constants, build_chart, polygon_from_radii
+from .slope_space import RadiiChart, _chart_constants, build_chart
 from .tolerances import DEFAULT_TOL, Tolerances
 
 
@@ -48,7 +49,7 @@ class ExceptionalSpace:
 
 @dataclass(frozen=True, eq=False)
 class TangentialCritical:
-    """A tangential critical point of the perimeter on the unit-area slice."""
+    """A tangential critical point of the perimeter, every field in closed form."""
 
     polygon: PolygonChain
     chart: RadiiChart
@@ -113,41 +114,32 @@ def tangential_critical_points(
         return ExceptionalSpace(chart=chart)
     magnitude = math.sqrt(2.0 / abs(chart.perimeter_sum))
     return (
-        _critical_point(chart, magnitude, tol),
-        _critical_point(chart, -magnitude, tol),
+        _critical_point(chart, magnitude),
+        _critical_point(chart, -magnitude),
     )
 
 
-def _critical_point(chart: RadiiChart, inradius: float, tol: Tolerances) -> TangentialCritical:
-    radii = np.full(chart.n - 2, inradius)
-    polygon = polygon_from_radii(chart, radii, tol)
+def _critical_point(chart: RadiiChart, inradius: float) -> TangentialCritical:
+    angles = chart.system.angles
     # Canonical representative: the common circle center sits at signed
     # distance r from the first edge line, above the origin.
     incenter = inradius * chart.system[0].normal
-    _check_tangency(chart, polygon, incenter, inradius, tol)
-    area = oriented_area(polygon)
-    perimeter = signed_perimeter(polygon, chart.system, tol)
     right_turns, left_turns = turn_counts(chart.system)
+    # Seen from the incenter, vertex i turns to vertex i + 1 by (t_{i-1} + t_i) / 2,
+    # t_i the turn of edge i to i + 1 in (-pi, pi): winding = turning number.
+    turns = (_successors(angles) - angles + math.pi) % TWO_PI - math.pi
     return TangentialCritical(
-        polygon=polygon,
+        polygon=tangential_polygon(angles, incenter, inradius),
         chart=chart,
         inradius=inradius,
         incenter=incenter,
-        perimeter=perimeter,
-        area=area,
-        winding=winding_number(polygon, incenter, tol),
+        perimeter=inradius * chart.perimeter_sum,
+        area=math.copysign(1.0, chart.perimeter_sum),
+        winding=round(float(np.sum(turns)) / TWO_PI),
         right_turns=right_turns,
         left_turns=left_turns,
         hessian=hessian_formula(chart.unit_perimeters, inradius),
     )
-
-
-def _check_tangency(chart, polygon, center, inradius, tol):
-    angles = chart.system.angles
-    offsets = edge_offsets(polygon, angles)
-    sides = left_normals(angles) @ center - offsets
-    if np.max(np.abs(sides - inradius)) > 1e-9 * max(1.0, polygon.diameter):
-        raise ReconstructionDegenerate("constructed polygon is not tangential")
 
 
 def perimeter_hessian(point: TangentialCritical) -> np.ndarray:

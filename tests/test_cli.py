@@ -6,6 +6,7 @@ import os
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
 import polyslope
@@ -451,3 +452,26 @@ class TestValidation:
             validate_cyclic_input({"phis_deg": [0, 90, 200]})
         with pytest.raises(InputSchemaError):
             validate_cyclic_input({"radius": 1, "phis_deg": [0, 90, 200], "center": [0]})
+
+
+class TestErrorClasses:
+    def test_internal_value_error_is_not_an_input_error(self, tmp_path, monkeypatch):
+        # numpy's LinAlgError is a ValueError; raised inside a report it is a
+        # fault of the library, so it must not pass for an input error.
+        def broken_report(angles, tol):
+            raise np.linalg.LinAlgError("SVD did not converge")
+
+        monkeypatch.setattr("polyslope.cli.slopes_report", broken_report)
+        path = write_json(tmp_path, "eq.json", {"angles_deg": [90, 210, 330]})
+        with pytest.raises(np.linalg.LinAlgError):
+            main(["slopes", "analyze", path])
+
+    def test_unreadable_file_and_negative_seed_exit_code(self, tmp_path, capsys):
+        path = tmp_path / "binary.json"
+        path.write_bytes(b"\xff\xfe{")
+        code, _, err = run_cli(capsys, "slopes", "analyze", str(path))
+        assert code == 2
+        assert "invalid JSON" in err
+        code, _, err = run_cli(capsys, "sweep", "--seed", "-1", "--trials", "1")
+        assert code == 2
+        assert "--seed" in err

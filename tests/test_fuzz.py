@@ -5,11 +5,26 @@ angles uniform in [0, 360) degrees, with no separation or conditioning
 filter: the first 1500 are slope systems, the other 1500 the vertex angles
 of cyclic polygons of radius 1.  Every input must give a report that passes
 the command line's cross-checks, or one of its documented input errors.
+The same draws check the closed forms of the tangential polygons against
+their geometric oracles, the radii reconstruction and tangent-line intersections.
 """
 
 import numpy as np
 
 from polyslope import cli
+from polyslope import (
+    CyclicPolygon,
+    ExceptionalSpace,
+    SlopeSystem,
+    build_chart,
+    dual_polygon,
+    oriented_area,
+    polygon_from_radii,
+    signed_perimeter,
+    tangential_critical_points,
+    winding_number,
+)
+from polyslope.geometry import left_normals, polygon_from_lines
 from polyslope.report import cyclic_report, slopes_report
 
 COUNT = 1500
@@ -68,3 +83,39 @@ def test_cyclic_fuzz():
     reports, problems = run_fuzz(lambda phis: cyclic_report(1.0, phis), inputs)
     assert problems == []
     assert len(reports) == COUNT
+
+
+def test_critical_points_match_reconstruction():
+    # Each closed-form field against its geometric oracle: the radii
+    # reconstruction at r_i = r, its shoelace area, signed perimeter and
+    # winding number about the incenter.
+    points = 0
+    for angles in ANGLES[:COUNT]:
+        try:
+            chart = build_chart(SlopeSystem.from_degrees(angles))
+        except cli.INPUT_ERRORS:
+            continue
+        critical = tangential_critical_points(chart)
+        if isinstance(critical, ExceptionalSpace):
+            continue
+        for point in critical:
+            rebuilt = polygon_from_radii(chart, np.full(chart.n - 2, point.inradius))
+            gap = np.max(np.abs(rebuilt.vertices - point.polygon.vertices))
+            assert gap <= 1e-11 * rebuilt.diameter, angles
+            perimeter = signed_perimeter(rebuilt, chart.system)
+            assert abs(perimeter - point.perimeter) <= 1e-11 * abs(point.perimeter), angles
+            assert abs(oriented_area(rebuilt) - point.area) <= 1e-10, angles
+            assert winding_number(rebuilt, point.incenter) == point.winding, angles
+            points += 1
+    assert points == 2 * COUNT
+
+
+def test_dual_matches_tangent_line_intersections():
+    for phis in ANGLES[COUNT:]:
+        cyclic = CyclicPolygon.from_degrees(1.0, phis)
+        dual = dual_polygon(cyclic)
+        angles = dual.slopes.angles
+        offsets = left_normals(angles) @ cyclic.center - cyclic.radius
+        expected = polygon_from_lines(angles, offsets)
+        gap = np.max(np.abs(dual.polygon.vertices - expected.vertices))
+        assert gap <= 1e-11 * expected.diameter, phis

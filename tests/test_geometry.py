@@ -22,7 +22,13 @@ from polyslope import (
     turning_sum,
     winding_number,
 )
-from polyslope.geometry import edge_offsets, left_normal, line_gap, polygon_from_lines
+from polyslope.geometry import (
+    edge_offsets,
+    left_normal,
+    line_gap,
+    polygon_from_lines,
+    tangential_polygon,
+)
 
 UNIT_SQUARE = PolygonChain(np.array([[0.0, 0.0], [1.0, 0.0], [1.0, 1.0], [0.0, 1.0]]))
 
@@ -332,3 +338,42 @@ class TestArrayKernels:
         assert str(raised.value) == (
             f"lines at angles {1.0!r} and {1.0 + math.pi!r} are parallel within tolerance"
         )
+
+
+def mpmath_tangential_vertices(angles, center, inradius):
+    """Corners of the lines tangent to the circle, intersected at 50 digits.
+
+    Line i is {q : n_i . q = n_i . c - r}; vertex i + 1 solves lines i and
+    i + 1 by Cramer's rule, independent of the half-angle closed form.
+    """
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(50):
+        phi = [mpmath.mpf(float(a)) for a in angles]
+        cx, cy = (mpmath.mpf(float(x)) for x in center)
+        r = mpmath.mpf(float(inradius))
+        offsets = [-mpmath.sin(a) * cx + mpmath.cos(a) * cy - r for a in phi]
+        corners = []
+        for i in range(len(phi)):
+            a, b = phi[i], phi[(i + 1) % len(phi)]
+            oa, ob = offsets[i], offsets[(i + 1) % len(phi)]
+            det = mpmath.sin(b - a)
+            x = (mpmath.cos(b) * oa - mpmath.cos(a) * ob) / det
+            y = (mpmath.sin(b) * oa - mpmath.sin(a) * ob) / det
+            corners.append((float(x), float(y)))
+    return np.array(corners[-1:] + corners[:-1])
+
+
+class TestTangentialPolygon:
+    def test_matches_mpmath_intersections(self):
+        # Unfiltered: uniform angles, so nearly parallel and nearly
+        # antiparallel neighbours (far corners) occur.
+        rng = np.random.default_rng(50)
+        for _ in range(40):
+            n = int(rng.integers(3, 15))
+            angles = rng.uniform(0.0, 2.0 * math.pi, n)
+            center = rng.uniform(-2.0, 2.0, 2)
+            inradius = rng.choice([-1.0, 1.0]) * rng.uniform(0.1, 2.0)
+            polygon = tangential_polygon(angles, center, inradius)
+            expected = mpmath_tangential_vertices(angles, center, inradius)
+            gap = float(np.max(np.abs(polygon.vertices - expected)))
+            assert gap <= 1e-12 * polygon.diameter
