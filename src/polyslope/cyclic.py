@@ -29,6 +29,7 @@ from .errors import (
     DegenerateCritical,
     LengthMismatch,
     NotCritical,
+    ParallelLines,
 )
 from .geometry import (
     TWO_PI,
@@ -39,7 +40,6 @@ from .geometry import (
 )
 from .tangential import (
     ExceptionalSpace,
-    TangentialCritical,
     morse_index_eigen,
     tangential_critical_points,
 )
@@ -132,13 +132,18 @@ class DualPolygon:
 
 @dataclass(frozen=True, eq=False)
 class DualityReport:
-    """Cross-check of the area index against the dual perimeter index."""
+    """The area index by both routes, and the dual perimeter index.
 
-    bifurcation_sum: float
-    dual: TangentialCritical
+    ``mu_area_numeric`` comes from the Lagrangian Hessian, ``mu_area_formula``
+    from the edge counts and winding.  Without a dual index (parallel or
+    exceptional dual slopes) ``mu_dual_perimeter`` is None, ``dual_note``
+    says why and ``identity_holds`` compares the two area routes alone.
+    """
+
     mu_area_numeric: int
     mu_area_formula: int
-    mu_dual_perimeter: int
+    mu_dual_perimeter: int | None
+    dual_note: str | None
     identity_holds: bool
 
 
@@ -175,6 +180,10 @@ def bifurcation_test(cyclic: CyclicPolygon, tol: Tolerances | None = None) -> bo
     return abs(inv.bifurcation_sum) < tol.bifurcation * scale
 
 
+def _dual_angles(cyclic: CyclicPolygon) -> np.ndarray:
+    return (cyclic.phis + 0.5 * math.pi) % TWO_PI
+
+
 def dual_polygon(cyclic: CyclicPolygon) -> DualPolygon:
     """Polygon of tangent lines at the vertices, circle kept on the left.
 
@@ -183,7 +192,7 @@ def dual_polygon(cyclic: CyclicPolygon) -> DualPolygon:
     signed inradius +R.  Consecutive tangents of a valid cyclic polygon
     always meet (non-antipodal consecutive vertices).
     """
-    angles = (cyclic.phis + 0.5 * math.pi) % TWO_PI
+    angles = _dual_angles(cyclic)
     return DualPolygon(
         polygon=tangential_polygon(angles, cyclic.center, cyclic.radius),
         slopes=SlopeSystem.from_angles(angles),
@@ -227,18 +236,21 @@ def chain_area(lengths: np.ndarray, thetas: np.ndarray) -> float:
     return 0.5 * float(np.sum(verts[:, 0] * nxt[:, 1] - nxt[:, 0] * verts[:, 1]))
 
 
+def _head_differences(w: np.ndarray) -> np.ndarray:
+    """Row j, for j < n - 1: the sum of w_i over i < j minus that over j < i <= n - 2."""
+    head = w[:-1]
+    prefix = np.vstack([np.zeros(2), np.cumsum(head[:-1], axis=0)])
+    after = head.sum(axis=0) - prefix - head
+    return prefix - after
+
+
 def chain_area_gradient(lengths: np.ndarray, thetas: np.ndarray) -> np.ndarray:
     """Gradient of the chord-closed area with respect to all edge angles."""
-    n = len(thetas)
     w = _edge_vectors(lengths, thetas)
-    wp = _rot90(w)
-    grad = np.zeros(n)
-    prefix = np.vstack([np.zeros(2), np.cumsum(w[:-1], axis=0)])  # sum of w_i, i < j
-    total_head = w[:-1].sum(axis=0)
-    for j in range(n - 1):
-        after = total_head - prefix[j] - w[j]  # sum of w_k, j < k <= n-2
-        diff = prefix[j] - after
-        grad[j] = 0.5 * (diff[0] * wp[j, 1] - diff[1] * wp[j, 0])
+    wp = _rot90(w)[:-1]
+    diff = _head_differences(w)
+    grad = np.zeros(len(thetas))
+    grad[:-1] = 0.5 * (diff[:, 0] * wp[:, 1] - diff[:, 1] * wp[:, 0])
     return grad
 
 
@@ -246,18 +258,13 @@ def chain_area_hessian(lengths: np.ndarray, thetas: np.ndarray) -> np.ndarray:
     """Hessian of the chord-closed area with respect to all edge angles."""
     n = len(thetas)
     w = _edge_vectors(lengths, thetas)
+    diff = _head_differences(w)
+    x, y = w[:-1, 0], w[:-1, 1]
+    # Off the diagonal, cross(w_j', w_k') equals cross(w_j, w_k).
+    upper = np.triu(0.5 * (np.outer(x, y) - np.outer(y, x)), 1)
     hess = np.zeros((n, n))
-    prefix = np.vstack([np.zeros(2), np.cumsum(w[:-1], axis=0)])
-    total_head = w[:-1].sum(axis=0)
-    for j in range(n - 1):
-        after = total_head - prefix[j] - w[j]
-        diff = prefix[j] - after
-        hess[j, j] = -0.5 * (diff[0] * w[j, 1] - diff[1] * w[j, 0])
-        for k in range(j + 1, n - 1):
-            # cross(w_j', w_k') equals cross(w_j, w_k)
-            value = 0.5 * (w[j, 0] * w[k, 1] - w[j, 1] * w[k, 0])
-            hess[j, k] = value
-            hess[k, j] = value
+    hess[:-1, :-1] = upper + upper.T
+    hess[np.arange(n - 1), np.arange(n - 1)] = -0.5 * (diff[:, 0] * y - diff[:, 1] * x)
     return hess
 
 
@@ -271,12 +278,6 @@ def _tangent_frame(lengths: np.ndarray, thetas: np.ndarray):
     _, s, vh = np.linalg.svd(jac)
     cutoff = s[0] * np.finfo(float).eps * max(jac.shape)
     return jac, vh[np.count_nonzero(s > cutoff):].T
-
-
-def _projected_gradient(lengths, thetas):
-    grad = chain_area_gradient(lengths, thetas)[1:]
-    _, basis = _tangent_frame(lengths, thetas)
-    return basis.T @ grad
 
 
 def area_criticality_residual(
@@ -298,7 +299,8 @@ def area_criticality_residual(
     if float(np.max(np.abs(actual - lengths))) > tol.length_match * scale:
         raise LengthMismatch("vertices do not realize the prescribed edge lengths")
     thetas = polygon.edge_angles
-    return float(np.linalg.norm(_projected_gradient(lengths, thetas)))
+    _, basis = _tangent_frame(lengths, thetas)
+    return float(np.linalg.norm(basis.T @ chain_area_gradient(lengths, thetas)[1:]))
 
 
 def area_morse_index_numeric(
@@ -311,19 +313,23 @@ def area_morse_index_numeric(
     frozen-first-angle chart, with least-squares Lagrange multipliers, and
     counts negative eigenvalues outside the dead band.  An eigenvalue inside
     the band raises DegenerateCritical (the bifurcation signature).
+
+    The index depends on the vertex angles alone, so the polygon is rebuilt
+    on the unit circle about the origin: the edge lengths stay of order one
+    whatever the radius, and their squares cannot overflow.
     """
     tol = DEFAULT_TOL if tol is None else tol
-    polygon = cyclic.polygon
+    polygon = CyclicPolygon(np.zeros(2), 1.0, cyclic.phis).polygon
     lengths = polygon.edge_lengths
     thetas = polygon.edge_angles
+    jac, basis = _tangent_frame(lengths, thetas)
+    grad = chain_area_gradient(lengths, thetas)[1:]
     scale = max(1.0, float(np.sum(lengths)) ** 2)
-    residual = float(np.linalg.norm(_projected_gradient(lengths, thetas)))
+    residual = float(np.linalg.norm(basis.T @ grad))
     if residual > 1e-8 * scale:
         raise NotCritical(f"cyclic polygon fails the criticality test ({residual!r})")
-    jac, basis = _tangent_frame(lengths, thetas)
     if basis.shape[1] == 0:
         return 0  # a triangle is rigid: the area has no direction to move in
-    grad = chain_area_gradient(lengths, thetas)[1:]
     multipliers, *_ = np.linalg.lstsq(jac.T, grad, rcond=None)
     # The closure Hessian is diagonal: d^2 w_i / d theta_i^2 = -w_i.
     w = _edge_vectors(lengths, thetas)
@@ -357,35 +363,42 @@ def duality_index_check(
 ) -> DualityReport:
     """Area index versus dual perimeter index: mu_area = n - 3 - mu_dual.
 
-    The dual polygon is tangential with positive inradius, hence (after the
-    area normalization, which leaves the index unchanged) it is the positive
-    critical point of the perimeter for its own slope system; its index is
-    the exact sign count of :func:`morse_index_eigen`, cross-checked against
-    the turn/winding formula.
+    The one place that computes the cyclic indices; reports and sweeps read
+    its result.  The dual polygon is tangential with positive inradius,
+    hence (after the area normalization, which leaves the index unchanged)
+    it is the positive critical point of the perimeter for its own slope
+    system; its index is the exact sign count of :func:`morse_index_eigen`,
+    cross-checked against the turn/winding formula.  A dual slope system
+    with parallel lines or an exceptional one has no such index, and the
+    report says why in ``dual_note``.  Raises Bifurcating on the
+    bifurcation locus.
     """
     tol = DEFAULT_TOL if tol is None else tol
-    if bifurcation_test(cyclic, tol):
-        raise Bifurcating("duality check undefined on the bifurcation locus")
-    inv = cyclic_invariants(cyclic, tol)
-    mu_numeric = area_morse_index_numeric(cyclic, tol)
+    # The formula goes first: on the bifurcation locus it raises Bifurcating,
+    # where the numeric route would only see a degenerate Hessian.
     mu_formula = area_morse_index_formula(cyclic, tol)
-    dual = dual_polygon(cyclic)
-    points = tangential_critical_points(dual.slopes, tol)
-    if isinstance(points, ExceptionalSpace):
-        raise Bifurcating("dual slope system is exceptional")
-    positive = points[0] if points[0].inradius > 0 else points[1]
-    report = morse_index_eigen(positive)
-    if not report.agreement:
-        raise DegenerateCritical("dual index routes disagree")
-    mu_dual = report.index_eigen
-    n = cyclic.n
+    mu_numeric = area_morse_index_numeric(cyclic, tol)
+    mu_dual, note = None, None
+    try:
+        dual_slopes = SlopeSystem.from_angles(_dual_angles(cyclic))
+        points = tangential_critical_points(dual_slopes, tol)
+        if isinstance(points, ExceptionalSpace):
+            raise Bifurcating("dual slope system is exceptional")
+    except (ParallelLines, Bifurcating) as exc:
+        note = f"dual perimeter index unavailable: {exc}"
+    else:
+        positive = points[0] if points[0].inradius > 0 else points[1]
+        report = morse_index_eigen(positive)
+        if not report.agreement:
+            raise DegenerateCritical("dual index routes disagree")
+        mu_dual = report.index_eigen
     return DualityReport(
-        bifurcation_sum=inv.bifurcation_sum,
-        dual=positive,
         mu_area_numeric=mu_numeric,
         mu_area_formula=mu_formula,
         mu_dual_perimeter=mu_dual,
-        identity_holds=(mu_numeric == mu_formula == n - 3 - mu_dual),
+        dual_note=note,
+        identity_holds=mu_numeric == mu_formula
+        and (mu_dual is None or mu_formula == cyclic.n - 3 - mu_dual),
     )
 
 

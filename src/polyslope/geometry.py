@@ -223,7 +223,8 @@ class PolygonChain:
 
     @property
     def edge_lengths(self) -> np.ndarray:
-        return np.linalg.norm(self.edge_vectors, axis=1)
+        e = self.edge_vectors
+        return np.hypot(e[:, 0], e[:, 1])
 
     @property
     def edge_angles(self) -> np.ndarray:
@@ -408,5 +409,5 @@ def signed_perimeter(
             f"edge {i} at angle {angles[i]!r} is not parallel to slope {slopes[i].angle!r}"
         )
     codirected = edges[:, 0] * np.cos(slope_angles) + edges[:, 1] * np.sin(slope_angles) > 0.0
-    lengths = np.linalg.norm(edges, axis=1)
+    lengths = np.hypot(edges[:, 0], edges[:, 1])
     return float(np.sum(np.where(codirected, lengths, -lengths)))

@@ -17,17 +17,12 @@ import numpy as np
 
 from .cyclic import (
     CyclicPolygon,
-    area_morse_index_formula,
-    area_morse_index_numeric,
     bifurcation_test,
     cyclic_invariants,
     dual_polygon,
+    duality_index_check,
 )
-from .errors import (
-    Bifurcating,
-    InputSchemaError,
-    ParallelLines,
-)
+from .errors import InputSchemaError, ParallelLines
 from .geometry import SlopeSystem, signed_perimeter, turn_counts, turning_sum
 from .slope_space import build_chart, topology_report
 from .tangential import (
@@ -227,27 +222,16 @@ def cyclic_report(
             "reason": "bifurcating polygon: the area Hessian is degenerate",
         }
         return report
-    indices: dict = {"withheld": False}
-    indices["mu_area_numeric"] = int(area_morse_index_numeric(cyclic, tol))
-    indices["mu_area_formula"] = int(area_morse_index_formula(cyclic, tol))
-    try:
-        points = tangential_critical_points(dual.slopes, tol)
-        if isinstance(points, ExceptionalSpace):
-            raise Bifurcating("dual slope system is exceptional")
-        positive = points[0] if points[0].inradius > 0 else points[1]
-        dual_report = morse_index_eigen(positive)
-        indices["mu_dual_perimeter"] = int(dual_report.index_eigen)
-        indices["identity_holds"] = bool(
-            indices["mu_area_numeric"]
-            == indices["mu_area_formula"]
-            == cyclic.n - 3 - indices["mu_dual_perimeter"]
-        )
-    except (ParallelLines, Bifurcating) as exc:
-        indices["mu_dual_perimeter"] = None
-        indices["dual_note"] = f"dual perimeter index unavailable: {exc}"
-        indices["identity_holds"] = bool(
-            indices["mu_area_numeric"] == indices["mu_area_formula"]
-        )
+    check = duality_index_check(cyclic, tol)
+    indices: dict = {
+        "withheld": False,
+        "mu_area_numeric": check.mu_area_numeric,
+        "mu_area_formula": check.mu_area_formula,
+        "mu_dual_perimeter": check.mu_dual_perimeter,
+    }
+    if check.dual_note is not None:
+        indices["dual_note"] = check.dual_note
+    indices["identity_holds"] = check.identity_holds
     report["indices"] = indices
     return report
 

@@ -160,6 +160,16 @@ class TestCyclicAnalyze:
         indices = report["indices"]
         assert indices["mu_area_numeric"] == indices["mu_area_formula"] == 1
         assert indices["identity_holds"]
+        # Opposite tangent lines of the square are parallel: no dual index.
+        assert list(indices) == [
+            "withheld",
+            "mu_area_numeric",
+            "mu_area_formula",
+            "mu_dual_perimeter",
+            "dual_note",
+            "identity_holds",
+        ]
+        assert indices["mu_dual_perimeter"] is None
         # A triangle with fixed edge lengths is rigid, so every index is 0.
         path = write_json(tmp_path, "tri.json", {"radius": 1, "phis_deg": [0, 120, 240]})
         code, out, _ = run_cli(capsys, "cyclic", "analyze", path, "--json")
@@ -197,6 +207,21 @@ class TestCyclicAnalyze:
         assert report["bifurcating"] is True
         assert report["indices"]["withheld"] is True
         assert "reason" in report["indices"]
+
+    def test_large_radius_keeps_indices(self, tmp_path, capsys):
+        # The indices depend on the vertex angles alone; squared edge lengths
+        # of these radii overflow a float.
+        for phis in ([0, 100, 200], [0, 100, 200, 290]):
+            path = write_json(tmp_path, "unit.json", {"radius": 1, "phis_deg": phis})
+            code, out, _ = run_cli(capsys, "cyclic", "analyze", path, "--json")
+            assert code == 0
+            expected = json.loads(out)["indices"]
+            for radius in (1e150, 1e160, 1e300):
+                path = write_json(tmp_path, "big.json", {"radius": radius, "phis_deg": phis})
+                code, out, _ = run_cli(capsys, "cyclic", "analyze", path, "--json")
+                assert code == 0, (radius, phis)
+                assert "Infinity" not in out and "NaN" not in out
+                assert json.loads(out)["indices"] == expected
 
     def test_json_roundtrip_lossless(self):
         report = cyclic_report(1.0, [0, 144, 288, 72, 216])

@@ -1,9 +1,12 @@
 """Tests for cyclic polygons, duality, and the area Morse index."""
 
 import math
+import sys
 
 import numpy as np
 import pytest
+
+import polyslope.cyclic as cyclic_module
 
 from polyslope import (
     AntipodalVertices,
@@ -25,8 +28,17 @@ from polyslope import (
     signed_perimeter,
     winding_number,
 )
-from polyslope.cyclic import cyclic_winding_check
+from polyslope.cyclic import (
+    chain_area,
+    chain_area_gradient,
+    chain_area_hessian,
+    closure_jacobian,
+    closure_residual,
+    cyclic_winding_check,
+)
 from polyslope.randomgen import random_cyclic_polygon, random_star_polygon
+from polyslope.report import cyclic_report
+from polyslope.sweeps import run_sweep
 
 from families import bif_family, bisect_bifurcation_root
 
@@ -137,6 +149,91 @@ class TestBifurcation:
         cyclic = bif_family(root + 0.05)
         assert not bifurcation_test(cyclic)
         assert area_morse_index_numeric(cyclic) == area_morse_index_formula(cyclic)
+
+
+def loop_gradient(lengths, thetas):
+    """Gradient of the chord-closed area, one edge at a time."""
+    n = len(thetas)
+    w = lengths[:, None] * np.column_stack([np.cos(thetas), np.sin(thetas)])
+    wp = np.column_stack([-w[:, 1], w[:, 0]])
+    grad = np.zeros(n)
+    prefix = np.vstack([np.zeros(2), np.cumsum(w[:-1], axis=0)])
+    total_head = w[:-1].sum(axis=0)
+    for j in range(n - 1):
+        after = total_head - prefix[j] - w[j]
+        diff = prefix[j] - after
+        grad[j] = 0.5 * (diff[0] * wp[j, 1] - diff[1] * wp[j, 0])
+    return grad
+
+
+def loop_hessian(lengths, thetas):
+    """Hessian of the chord-closed area, one pair of edges at a time."""
+    n = len(thetas)
+    w = lengths[:, None] * np.column_stack([np.cos(thetas), np.sin(thetas)])
+    hess = np.zeros((n, n))
+    prefix = np.vstack([np.zeros(2), np.cumsum(w[:-1], axis=0)])
+    total_head = w[:-1].sum(axis=0)
+    for j in range(n - 1):
+        after = total_head - prefix[j] - w[j]
+        diff = prefix[j] - after
+        hess[j, j] = -0.5 * (diff[0] * w[j, 1] - diff[1] * w[j, 0])
+        for k in range(j + 1, n - 1):
+            value = 0.5 * (w[j, 0] * w[k, 1] - w[j, 1] * w[k, 0])
+            hess[j, k] = value
+            hess[k, j] = value
+    return hess
+
+
+def count_calls(monkeypatch, module, name):
+    """Rebind ``module.name`` in every polyslope module that holds it to a
+    counting wrapper; returns the list that grows by one per call."""
+    original = getattr(module, name)
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return original(*args, **kwargs)
+
+    for module_name, held in list(sys.modules.items()):
+        if module_name == "polyslope" or module_name.startswith("polyslope."):
+            for attr, value in list(vars(held).items()):
+                if value is original:
+                    monkeypatch.setattr(held, attr, counted)
+    return calls
+
+
+class TestAreaChart:
+    def test_array_forms_match_loops_and_differences(self):
+        rng = np.random.default_rng(50)
+        h_grad, h_hess = 1e-6, 1e-4
+        for n in range(3, 16):
+            for _ in range(20):
+                lengths = rng.uniform(0.1, 2.0, n)
+                thetas = rng.uniform(0.0, 2.0 * math.pi, n)
+                grad = chain_area_gradient(lengths, thetas)
+                hess = chain_area_hessian(lengths, thetas)
+                assert np.array_equal(grad, loop_gradient(lengths, thetas))
+                assert np.array_equal(hess, loop_hessian(lengths, thetas))
+            steps = np.eye(n)
+            fd_grad = np.array([
+                chain_area(lengths, thetas + h_grad * e) - chain_area(lengths, thetas - h_grad * e)
+                for e in steps
+            ]) / (2.0 * h_grad)
+            assert np.allclose(fd_grad, grad, rtol=0.0, atol=1e-7)
+            fd_hess = np.array([[
+                chain_area(lengths, thetas + h_hess * (a + b))
+                - chain_area(lengths, thetas + h_hess * (a - b))
+                - chain_area(lengths, thetas - h_hess * (a - b))
+                + chain_area(lengths, thetas - h_hess * (a + b))
+                for b in steps] for a in steps
+            ]) / (4.0 * h_hess**2)
+            assert np.allclose(fd_hess, hess, rtol=0.0, atol=1e-5)
+            fd_jac = np.column_stack([
+                closure_residual(lengths, thetas + h_grad * e)
+                - closure_residual(lengths, thetas - h_grad * e)
+                for e in steps
+            ]) / (2.0 * h_grad)
+            assert np.allclose(fd_jac, closure_jacobian(lengths, thetas), rtol=0.0, atol=1e-7)
 
 
 class TestCriticalityResidual:
@@ -263,3 +360,23 @@ class TestDuality:
         root = bisect_bifurcation_root()
         with pytest.raises(Bifurcating):
             duality_index_check(bif_family(root))
+
+    def test_square_dual_index_unavailable(self):
+        # The tangent lines at opposite vertices of the square are parallel.
+        report = duality_index_check(SQUARE)
+        assert report.mu_area_numeric == report.mu_area_formula == 1
+        assert report.mu_dual_perimeter is None
+        assert report.dual_note == (
+            "dual perimeter index unavailable: slopes 0 and 2 are parallel as lines"
+        )
+        assert report.identity_holds
+
+    def test_each_index_computed_once(self, monkeypatch):
+        numeric = count_calls(monkeypatch, cyclic_module, "area_morse_index_numeric")
+        frames = count_calls(monkeypatch, cyclic_module, "_tangent_frame")
+        cyclic_report(1.0, [0, 144, 288, 72, 216])
+        assert (len(numeric), len(frames)) == (1, 1)
+        result = run_sweep(1, 20)
+        tally = next(t for t in result.tallies if t.name == "cyclic_indices")
+        assert tally.passed + tally.failed > 0
+        assert len(numeric) - 1 == len(frames) - 1 == tally.passed + tally.failed
