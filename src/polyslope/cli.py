@@ -198,8 +198,10 @@ def cmd_cyclic_analyze(args) -> int:
 
 
 def cmd_sweep(args) -> int:
-    if args.seed < 0:
-        raise InputSchemaError("--seed must be a non-negative integer")
+    if args.seed < 0 or args.trials < 0:
+        raise InputSchemaError("--seed and --trials must be non-negative integers")
+    if args.n_min > args.n_max:
+        raise InputSchemaError("--n-min must not exceed --n-max")
     result = run_sweep(
         seed=args.seed,
         trials=args.trials,

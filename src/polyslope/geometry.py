@@ -202,7 +202,7 @@ class PolygonChain:
         verts.setflags(write=False)
         object.__setattr__(self, "vertices", verts)
         gaps = self.edge_lengths
-        limit = DEFAULT_TOL.coincident * max(1.0, self.diameter)
+        limit = DEFAULT_TOL.coincident * self.diameter
         if np.any(gaps <= limit):
             bad = int(np.argmin(gaps))
             raise CoincidentVertices(f"vertices {bad} and {(bad + 1) % len(verts)} coincide")
@@ -311,7 +311,7 @@ def winding_number(
     """
     tol = DEFAULT_TOL if tol is None else tol
     point = np.asarray(point, dtype=float)
-    guard = tol.on_boundary * max(1.0, polygon.diameter)
+    guard = tol.on_boundary * polygon.diameter
     on_edge = _edge_distances(polygon, point) <= guard
     if on_edge.any():
         raise PointOnBoundary(f"point {point.tolist()} lies on edge {int(np.argmax(on_edge))}")

@@ -28,7 +28,9 @@ from .slope_space import build_chart, topology_report
 from .tangential import (
     ExceptionalSpace,
     critical_gradient_norm,
+    exceptional,
     morse_index_eigen,
+    morse_index_sign_count,
     tangential_critical_points,
 )
 from .tolerances import DEFAULT_TOL, Tolerances
@@ -187,8 +189,13 @@ def cyclic_report(
     tol = DEFAULT_TOL if tol is None else tol
     cyclic = CyclicPolygon.from_degrees(radius, phis_deg, center)
     inv = cyclic_invariants(cyclic, tol)
-    dual = dual_polygon(cyclic)
-    dual_perimeter = signed_perimeter(dual.polygon, dual.slopes, tol)
+    with np.errstate(over="raise"):
+        try:
+            dual = dual_polygon(cyclic)
+            dual_perimeter = signed_perimeter(dual.polygon, dual.slopes, tol)
+            twice_radius_sum = float(2.0 * np.float64(radius) * inv.bifurcation_sum)
+        except FloatingPointError as exc:
+            raise InputSchemaError(f"the dual polygon overflows the float range ({exc})") from exc
     bifurcating = bifurcation_test(cyclic, tol)
     report = {
         "kind": "cyclic",
@@ -212,7 +219,7 @@ def cyclic_report(
             "slope_angles_deg": [float(s.degrees) for s in dual.slopes],
             "vertices": [[float(x), float(y)] for x, y in dual.polygon.vertices],
             "signed_perimeter": float(dual_perimeter),
-            "twice_radius_times_sum": float(2.0 * radius * inv.bifurcation_sum),
+            "twice_radius_times_sum": twice_radius_sum,
             "inradius": float(dual.inradius),
         },
     }
@@ -252,15 +259,15 @@ def _family_step(start, end, t, tol) -> dict:
         return step
     step["status"] = "ok"
     step["perimeter_sum"] = float(chart.perimeter_sum)
-    points = tangential_critical_points(chart, tol)
-    if isinstance(points, ExceptionalSpace):
+    if exceptional(chart, tol):
         step["exceptional"] = True
         step["critical_points"] = 0
     else:
+        # The two critical points, of inradius +r and -r, have the area sign of sum p.
         step["exceptional"] = False
         step["critical_points"] = 2
-        step["area_sign"] = int(math.copysign(1.0, points[0].area))
-        step["indices"] = [int(morse_index_eigen(p).index_eigen) for p in points]
+        step["area_sign"] = int(math.copysign(1.0, chart.perimeter_sum))
+        step["indices"] = [morse_index_sign_count(chart, r) for r in (1.0, -1.0)]
     return step
 
 

@@ -14,6 +14,7 @@ which drives everything downstream: critical points, Hessians and the
 topology of the space.
 """
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -61,6 +62,24 @@ class RadiiChart:
     @property
     def positive_mask(self) -> np.ndarray:
         return self.unit_perimeters > 0
+
+    @functools.cached_property
+    def well_conditioned(self) -> "RadiiChart":
+        """This chart in the cyclic relabeling that minimizes max|p| / |p_1|.
+
+        The first decomposition triangle owns the implicit coordinate of the
+        constrained chart, so its unit perimeter divides every derivative of
+        the implicit function and finite-difference errors grow with
+        max|p| / |p_1|.  Critical points, their indices and gradient
+        vanishing are invariant under cyclic relabeling.  Computed on first
+        read, from the closed forms on all n relabelings at once.
+        """
+        n = self.n
+        # Row k holds the angles of the system relabeled to start at slope k.
+        rotations = self.system.angles[(np.arange(n)[:, None] + np.arange(n)) % n]
+        perimeters, constants = _chart_constants(rotations)
+        k = int(np.argmin(np.max(np.abs(perimeters), axis=1) / np.abs(perimeters[:, 0])))
+        return _radii_chart(self.system.rotated(k), perimeters[k], constants[k], self.half_turns)
 
 
 @dataclass(frozen=True)
@@ -197,7 +216,11 @@ def build_chart(system: SlopeSystem, tol: Tolerances | None = None) -> RadiiChar
     tol = DEFAULT_TOL if tol is None else tol
     system.require_pairwise_nonparallel(tol)
     _, half_turns = turning_sum(system, tol)
-    perimeters, constants = _chart_constants(system.angles)
+    return _radii_chart(system, *_chart_constants(system.angles), half_turns)
+
+
+def _radii_chart(system, perimeters, constants, half_turns) -> RadiiChart:
+    """Chart of the given constants, after the signature check of :func:`build_chart`."""
     positive = int(np.count_nonzero(perimeters > 0))
     if positive != half_turns - 1:
         raise SignatureMismatch(

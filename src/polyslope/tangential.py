@@ -18,6 +18,7 @@ constrained chart live here as well so that verification sweeps can
 cross-check the gradient and the Hessian.
 """
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -32,7 +33,7 @@ from .geometry import (
     tangential_polygon,
     turn_counts,
 )
-from .slope_space import RadiiChart, _chart_constants, build_chart
+from .slope_space import RadiiChart, build_chart
 from .tolerances import DEFAULT_TOL, Tolerances
 
 
@@ -49,9 +50,12 @@ class ExceptionalSpace:
 
 @dataclass(frozen=True, eq=False)
 class TangentialCritical:
-    """A tangential critical point of the perimeter, every field in closed form."""
+    """A tangential critical point of the perimeter, every field in closed form.
 
-    polygon: PolygonChain
+    ``polygon`` and ``hessian`` are computed on first read and then kept, so
+    a caller that needs only the index or the perimeter builds neither.
+    """
+
     chart: RadiiChart
     inradius: float
     incenter: np.ndarray
@@ -60,11 +64,18 @@ class TangentialCritical:
     winding: int
     right_turns: int
     left_turns: int
-    hessian: np.ndarray
 
     @property
     def n(self) -> int:
         return self.chart.n
+
+    @functools.cached_property
+    def polygon(self) -> PolygonChain:
+        return tangential_polygon(self.chart.system.angles, self.incenter, self.inradius)
+
+    @functools.cached_property
+    def hessian(self) -> np.ndarray:
+        return hessian_formula(self.chart.unit_perimeters, self.inradius)
 
 
 @dataclass(frozen=True, eq=False)
@@ -113,32 +124,26 @@ def tangential_critical_points(
     if exceptional(chart, tol):
         return ExceptionalSpace(chart=chart)
     magnitude = math.sqrt(2.0 / abs(chart.perimeter_sum))
-    return (
-        _critical_point(chart, magnitude),
-        _critical_point(chart, -magnitude),
-    )
-
-
-def _critical_point(chart: RadiiChart, inradius: float) -> TangentialCritical:
     angles = chart.system.angles
-    # Canonical representative: the common circle center sits at signed
-    # distance r from the first edge line, above the origin.
-    incenter = inradius * chart.system[0].normal
     right_turns, left_turns = turn_counts(chart.system)
     # Seen from the incenter, vertex i turns to vertex i + 1 by (t_{i-1} + t_i) / 2,
     # t_i the turn of edge i to i + 1 in (-pi, pi): winding = turning number.
     turns = (_successors(angles) - angles + math.pi) % TWO_PI - math.pi
-    return TangentialCritical(
-        polygon=tangential_polygon(angles, incenter, inradius),
-        chart=chart,
-        inradius=inradius,
-        incenter=incenter,
-        perimeter=inradius * chart.perimeter_sum,
-        area=math.copysign(1.0, chart.perimeter_sum),
-        winding=round(float(np.sum(turns)) / TWO_PI),
-        right_turns=right_turns,
-        left_turns=left_turns,
-        hessian=hessian_formula(chart.unit_perimeters, inradius),
+    winding = round(float(np.sum(turns)) / TWO_PI)
+    # Canonical representative: the common circle center sits at signed
+    # distance r from the first edge line, above the origin.
+    return tuple(
+        TangentialCritical(
+            chart=chart,
+            inradius=inradius,
+            incenter=inradius * chart.system[0].normal,
+            perimeter=inradius * chart.perimeter_sum,
+            area=math.copysign(1.0, chart.perimeter_sum),
+            winding=winding,
+            right_turns=right_turns,
+            left_turns=left_turns,
+        )
+        for inradius in (magnitude, -magnitude)
     )
 
 
@@ -171,8 +176,9 @@ def morse_index_formula(point: TangentialCritical) -> int:
     return point.left_turns - 1 - 2 * point.winding - perimeter_positive
 
 
-def morse_index_eigen(point: TangentialCritical) -> IndexReport:
-    """Morse index from the inertia of the Hessian, decided by signs alone.
+def morse_index_sign_count(chart: RadiiChart, inradius: float) -> int:
+    """Negative eigenvalues of the Hessian at the critical point of signed
+    inradius ``inradius``, decided by signs alone.
 
     With t = (p_2, ..., p_{n-2}) and D = diag(t) the Hessian is
     H = -(D + t t^T / p_1) / r.  The bordered matrix [[-p_1, t^T], [t, D]]
@@ -186,13 +192,20 @@ def morse_index_eigen(point: TangentialCritical) -> IndexReport:
     sum p = 0, which has no critical points.  The count is exact, so no
     eigenvalue threshold decides it.
     """
-    p = point.chart.unit_perimeters
+    p = chart.unit_perimeters
     negatives = (
         int(np.count_nonzero(p[1:] < 0))
-        + int(point.chart.perimeter_sum > 0)
+        + int(chart.perimeter_sum > 0)
         - int(p[0] > 0)
     )
-    index = negatives if point.inradius < 0 else point.n - 3 - negatives
+    return negatives if inradius < 0 else chart.n - 3 - negatives
+
+
+def morse_index_eigen(point: TangentialCritical) -> IndexReport:
+    """Morse index from the inertia of the Hessian (see
+    :func:`morse_index_sign_count`), with the turn/winding formula as its
+    cross-check and the Hessian's eigenvalues for inspection."""
+    index = morse_index_sign_count(point.chart, point.inradius)
     formula = morse_index_formula(point)
     return IndexReport(
         index_eigen=index,
@@ -209,20 +222,13 @@ def morse_index_eigen(point: TangentialCritical) -> IndexReport:
 
 
 def well_conditioned_chart(system: SlopeSystem, tol: Tolerances | None = None) -> RadiiChart:
-    """Chart in the cyclic relabeling that minimizes max|p| / |p_1|.
+    """The chart of ``system`` in its well-conditioned relabeling.
 
-    The first decomposition triangle owns the implicit coordinate of the
-    constrained chart, so its unit perimeter divides every derivative of the
-    implicit function and finite-difference errors grow with max|p| / |p_1|.
-    Critical points, their indices and gradient vanishing are invariant
-    under cyclic relabeling.
+    Same as ``build_chart(system, tol).well_conditioned``; callers that
+    already hold a chart read its :attr:`RadiiChart.well_conditioned`, which
+    is built once per chart.
     """
-    n = system.n
-    # Row k holds the angles of the system relabeled to start at slope k.
-    rotations = system.angles[(np.arange(n)[:, None] + np.arange(n)) % n]
-    p, _ = _chart_constants(rotations)
-    ratios = np.max(np.abs(p), axis=1) / np.abs(p[:, 0])
-    return build_chart(system.rotated(int(np.argmin(ratios))), tol)
+    return build_chart(system, tol).well_conditioned
 
 
 def solve_first_radius(
@@ -396,7 +402,7 @@ def critical_gradient_norm(
     8262 points of random slope systems, n 4..14); the bound is sixteen
     times that, and never below 1e-6.
     """
-    chart = point.chart if point.n < 4 else well_conditioned_chart(point.chart.system, tol)
+    chart = point.chart.well_conditioned
     scale = float(np.sum(np.abs(chart.unit_perimeters)))
     bound = max(1e-6, 16.0 * np.finfo(float).eps * scale / step_factor)
     if point.n < 4:
@@ -426,7 +432,7 @@ def hessian_fd_comparison(
     precision, where plain central differences bottom out around 1e-4 of
     the matrix scale.
     """
-    chart = well_conditioned_chart(point.chart.system, tol)
+    chart = point.chart.well_conditioned
     closed = hessian_formula(chart.unit_perimeters, point.inradius)
     if closed.size == 0:
         return closed, closed.copy()

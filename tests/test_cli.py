@@ -223,6 +223,28 @@ class TestCyclicAnalyze:
                 assert "Infinity" not in out and "NaN" not in out
                 assert json.loads(out)["indices"] == expected
 
+    def test_small_radius_keeps_indices(self, tmp_path, capsys):
+        # Coincidence is measured against the polygon's own size, so a tiny
+        # dual polygon is not mistaken for one with coincident vertices.
+        for phis in ([0, 100, 200], [0, 100, 200, 290]):
+            path = write_json(tmp_path, "unit.json", {"radius": 1, "phis_deg": phis})
+            code, out, _ = run_cli(capsys, "cyclic", "analyze", path, "--json")
+            assert code == 0
+            expected = json.loads(out)["indices"]
+            for radius in (1e-13, 1e-200):
+                path = write_json(tmp_path, "small.json", {"radius": radius, "phis_deg": phis})
+                code, out, _ = run_cli(capsys, "cyclic", "analyze", path, "--json")
+                assert code == 0, (radius, phis)
+                assert json.loads(out)["indices"] == expected
+
+    def test_overflowing_radius_is_an_input_error(self, tmp_path, capsys):
+        for phis in ([0, 100, 200], [0, 100, 200, 290]):
+            path = write_json(tmp_path, "huge.json", {"radius": 1.7e308, "phis_deg": phis})
+            code, out, err = run_cli(capsys, "cyclic", "analyze", path, "--json")
+            assert code == 2, phis
+            assert out == ""
+            assert "overflows" in err and "RuntimeWarning" not in err
+
     def test_json_roundtrip_lossless(self):
         report = cyclic_report(1.0, [0, 144, 288, 72, 216])
         assert json.loads(json.dumps(report)) == report
@@ -255,6 +277,16 @@ class TestSweep:
         code, out, _ = run_cli(capsys, "sweep", "--seed", "1", "--trials", "0")
         assert code == 0
         assert "result: PASS" in out
+
+    def test_negative_trials_exit_code(self, capsys):
+        code, out, err = run_cli(capsys, "sweep", "--trials", "-3", "--json")
+        assert code == 2
+        assert out == "" and "--trials" in err
+
+    def test_empty_size_range_exit_code(self, capsys):
+        code, out, err = run_cli(capsys, "sweep", "--trials", "1", "--n-min", "12", "--n-max", "5")
+        assert code == 2
+        assert out == "" and "--n-min" in err
 
     def test_property_failure_exit_code(self, capsys, monkeypatch):
         # Wiring check: a failing property must surface as exit code 3.
