@@ -59,7 +59,12 @@ class DegenerateHessian(PolyslopeError):
 
 
 class DegenerateCritical(PolyslopeError):
-    """An area Hessian eigenvalue falls inside the numerical dead band."""
+    """An area Hessian eigenvalue is zero within its roundoff bound.
+
+    The bound is derived from machine epsilon (see
+    :func:`polyslope.cyclic.area_morse_index_numeric`), so only a polygon on
+    the bifurcation locus, to working precision, raises it.
+    """
 
 
 class InputSchemaError(PolyslopeError):

@@ -22,7 +22,7 @@ from .cyclic import (
     dual_polygon,
     duality_index_check,
 )
-from .errors import InputSchemaError, ParallelLines
+from .errors import InputSchemaError, ParallelLines, SlopeMismatch
 from .geometry import SlopeSystem, signed_perimeter, turn_counts, turning_sum
 from .slope_space import build_chart, topology_report
 from .tangential import (
@@ -135,8 +135,7 @@ def _critical_point_dict(point, tol: Tolerances) -> dict:
     }
 
 
-def slopes_report(angles_deg: list[float], tol: Tolerances | None = None) -> dict:
-    tol = DEFAULT_TOL if tol is None else tol
+def slopes_report(angles_deg: list[float], tol: Tolerances = DEFAULT_TOL) -> dict:
     system = SlopeSystem.from_degrees(angles_deg)
     total, half_turns = turning_sum(system, tol)
     right, left = turn_counts(system)
@@ -184,9 +183,8 @@ def cyclic_report(
     radius: float,
     phis_deg: list[float],
     center: tuple[float, float] = (0.0, 0.0),
-    tol: Tolerances | None = None,
+    tol: Tolerances = DEFAULT_TOL,
 ) -> dict:
-    tol = DEFAULT_TOL if tol is None else tol
     cyclic = CyclicPolygon.from_degrees(radius, phis_deg, center)
     inv = cyclic_invariants(cyclic, tol)
     with np.errstate(over="raise"):
@@ -196,6 +194,13 @@ def cyclic_report(
             twice_radius_sum = float(2.0 * np.float64(radius) * inv.bifurcation_sum)
         except FloatingPointError as exc:
             raise InputSchemaError(f"the dual polygon overflows the float range ({exc})") from exc
+        except SlopeMismatch as exc:
+            # The dual is built from exact slopes and each edge is allowed the
+            # roundoff of its own scale, so an edge leaves its slope only where
+            # the coordinates are too coarse to resolve the polygon.
+            raise InputSchemaError(
+                f"the coordinates cannot resolve the polygon at this radius and center ({exc})"
+            ) from exc
     bifurcating = bifurcation_test(cyclic, tol)
     report = {
         "kind": "cyclic",
@@ -275,7 +280,7 @@ def family_report(
     start: list[float],
     end: list[float],
     steps: int,
-    tol: Tolerances | None = None,
+    tol: Tolerances = DEFAULT_TOL,
 ) -> dict:
     """Interpolate two slope systems and track the perimeter sum.
 
@@ -283,7 +288,6 @@ def family_report(
     sum by bisection to a bracket of width 1e-12 in the family parameter.
     A bisection that reaches parallel lines has found a pole, not a root.
     """
-    tol = DEFAULT_TOL if tol is None else tol
     if steps < 2:
         raise InputSchemaError("family needs at least 2 steps")
     rows = [_family_step(start, end, i / (steps - 1), tol) for i in range(steps)]

@@ -27,7 +27,6 @@ from .geometry import (
     SlopeSystem,
     _intersection,
     edge_offsets,
-    left_normals,
     line_gap,
     oriented_area,
     polygon_from_lines,
@@ -123,52 +122,37 @@ class ChartCoordinates:
     normalized: np.ndarray | None
 
 
-def tritangent_circle(
-    angles: tuple[float, float, float],
-    offsets: tuple[float, float, float],
-    tol: Tolerances | None = None,
-) -> tuple[np.ndarray, float]:
+def tritangent_circle(angles, offsets) -> tuple[np.ndarray, float | np.ndarray]:
     """Center and signed radius of the one-side tritangent circle.
 
     Of the four circles tangent to all three directed lines, exactly one lies
     entirely to the left of every line or entirely to the right of every
-    line; the four candidates are solved and tested exhaustively.  The signed
-    radius is positive in the all-left case and negative in the all-right
-    case; three concurrent lines give radius zero.
+    line: the solution (c, rho) of n_j . c - rho = d_j, j = 1..3, whose
+    center has the same signed distance rho from each line.  The other three
+    sign patterns qualify only when rho is zero (concurrent lines), where
+    they give the same point.  The signed radius is positive in the all-left
+    case and negative in the all-right case.
+
+    ``angles`` and ``offsets`` may be stacked with shape (..., 3); the result
+    then has shapes (..., 2) and (...), one circle per triple.
     """
-    tol = DEFAULT_TOL if tol is None else tol
-    normals = left_normals(angles)
+    angles = np.asarray(angles, dtype=float)
     rhs = np.asarray(offsets, dtype=float)
-    scale = 1.0 + float(np.max(np.abs(rhs)))
-    candidates = []
-    for pattern in ((1, 1, 1), (1, 1, -1), (1, -1, 1), (-1, 1, 1)):
-        matrix = np.column_stack([normals, -np.asarray(pattern, dtype=float)])
-        try:
-            center_x, center_y, rho = np.linalg.solve(matrix, rhs)
-        except np.linalg.LinAlgError:
-            continue
-        center = np.array([center_x, center_y])
-        sides = normals @ center - rhs
-        band = 1e-12 * (scale + abs(rho))
-        if np.all(sides >= -band) or np.all(sides <= band):
-            signed = float(pattern[0] * rho)
-            candidates.append((center, signed))
-    if not candidates:
-        raise ReconstructionDegenerate("no one-side tritangent circle found")
-    if len(candidates) > 1:
-        # Multiple qualifiers only at near-concurrency, where all candidates
-        # collapse to the same point with radius ~ 0.
-        radii = [abs(r) for _, r in candidates]
-        if max(radii) > 1e-9 * scale:
-            raise ReconstructionDegenerate("tritangent circle is not unique")
-    return candidates[0]
+    matrix = np.stack((-np.sin(angles), np.cos(angles), -np.ones_like(angles)), axis=-1)
+    try:
+        solution = np.linalg.solve(matrix, rhs[..., None])[..., 0]
+    except np.linalg.LinAlgError as exc:
+        raise ReconstructionDegenerate("no one-side tritangent circle found") from exc
+    if solution.ndim == 1:
+        return solution[:2], float(solution[2])
+    return solution[..., :2], solution[..., 2]
 
 
 def unit_triangle(
     a: DirectedSlope,
     b: DirectedSlope,
     c: DirectedSlope,
-    tol: Tolerances | None = None,
+    tol: Tolerances = DEFAULT_TOL,
 ) -> tuple[PolygonChain, float]:
     """Triangle with edges codirected with (a, b, c) and signed inradius +1.
 
@@ -176,7 +160,6 @@ def unit_triangle(
     left-of-circle tangent with normal offset -1.  Returns the triangle and
     its signed perimeter: the geometric reference for :func:`build_chart`.
     """
-    tol = DEFAULT_TOL if tol is None else tol
     angles = (a.angle, b.angle, c.angle)
     for i in range(3):
         j = (i + 1) % 3
@@ -200,7 +183,7 @@ def _chart_constants(angles: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return perimeters, constants
 
 
-def build_chart(system: SlopeSystem, tol: Tolerances | None = None) -> RadiiChart:
+def build_chart(system: SlopeSystem, tol: Tolerances = DEFAULT_TOL) -> RadiiChart:
     """Chart of a slope system: unit perimeters, area constants, signature.
 
     With x = s_{i+1} - s_1 and y = s_{i+2} - s_1 the chart constants are
@@ -213,7 +196,6 @@ def build_chart(system: SlopeSystem, tol: Tolerances | None = None) -> RadiiChar
     parallel lines and SignatureMismatch if the number of positive
     perimeters fails to equal k - 1.
     """
-    tol = DEFAULT_TOL if tol is None else tol
     system.require_pairwise_nonparallel(tol)
     _, half_turns = turning_sum(system, tol)
     return _radii_chart(system, *_chart_constants(system.angles), half_turns)
@@ -240,7 +222,7 @@ def _radii_chart(system, perimeters, constants, half_turns) -> RadiiChart:
 def polygon_from_radii(
     chart: RadiiChart,
     radii,
-    tol: Tolerances | None = None,
+    tol: Tolerances = DEFAULT_TOL,
 ) -> PolygonChain:
     """Polygon whose decomposition triangles have the given signed inradii.
 
@@ -251,7 +233,6 @@ def polygon_from_radii(
     the matching sides, and e_{i+2} is the matching-side tangent with slope
     s_{i+2}.  A zero radius makes the three lines concurrent.
     """
-    tol = DEFAULT_TOL if tol is None else tol
     radii = np.asarray(radii, dtype=float)
     n = chart.n
     if radii.shape != (n - 2,):
@@ -301,13 +282,12 @@ def _check_chart_laws(chart, radii, polygon, tol):
 def polygon_line_offsets(
     chart: RadiiChart,
     polygon: PolygonChain,
-    tol: Tolerances | None = None,
+    tol: Tolerances = DEFAULT_TOL,
 ) -> np.ndarray:
     """Offsets of the polygon's edge lines against the chart's slope angles.
 
     Raises SlopeMismatch when an edge is not parallel to its slope.
     """
-    tol = DEFAULT_TOL if tol is None else tol
     if polygon.n != chart.n:
         raise SlopeMismatch(f"polygon has {polygon.n} edges, chart expects {chart.n}")
     angles = chart.system.angles
@@ -321,29 +301,23 @@ def polygon_line_offsets(
 def radii_of_polygon(
     chart: RadiiChart,
     polygon: PolygonChain,
-    tol: Tolerances | None = None,
+    tol: Tolerances = DEFAULT_TOL,
 ) -> np.ndarray:
     """Signed inradii of the polygon's decomposition triangles."""
-    tol = DEFAULT_TOL if tol is None else tol
     offsets = polygon_line_offsets(chart, polygon, tol)
-    angles = chart.system.angles
-    radii = np.empty(chart.n - 2)
-    for i in range(chart.n - 2):
-        _, radii[i] = tritangent_circle(
-            (angles[0], angles[i + 1], angles[i + 2]),
-            (offsets[0], offsets[i + 1], offsets[i + 2]),
-            tol,
-        )
+    # Row i indexes the lines (0, i + 1, i + 2) of decomposition triangle i.
+    rest = np.arange(1, chart.n - 1)[:, None]
+    triples = np.hstack((np.zeros_like(rest), rest, rest + 1))
+    _, radii = tritangent_circle(chart.system.angles[triples], offsets[triples])
     return radii
 
 
 def decomposition_polygons(
     chart: RadiiChart,
     polygon: PolygonChain,
-    tol: Tolerances | None = None,
+    tol: Tolerances = DEFAULT_TOL,
 ) -> list[PolygonChain]:
     """Triangles Q(e_1, e_{i+1}, e_{i+2}) built from the polygon's edge lines."""
-    tol = DEFAULT_TOL if tol is None else tol
     offsets = polygon_line_offsets(chart, polygon, tol)
     angles = chart.system.angles
     out = []
@@ -358,7 +332,7 @@ def decomposition_polygons(
 def normalized_coordinates(
     chart: RadiiChart,
     polygon: PolygonChain,
-    tol: Tolerances | None = None,
+    tol: Tolerances = DEFAULT_TOL,
 ) -> ChartCoordinates:
     """Quadratic-form coordinates x of the polygon in the chart.
 
@@ -367,7 +341,6 @@ def normalized_coordinates(
     oriented area.  For polygons of area +1 with a nonempty positive block
     the sphere-times-disc normalization of x is returned as well.
     """
-    tol = DEFAULT_TOL if tol is None else tol
     offsets = polygon_line_offsets(chart, polygon, tol)
     first_normal = chart.system[0].normal
     x = np.empty(chart.n - 2)
@@ -384,14 +357,13 @@ def normalized_coordinates(
     return ChartCoordinates(x=x, normalized=normalized)
 
 
-def topology_report(system: SlopeSystem, tol: Tolerances | None = None) -> TopologyReport:
+def topology_report(system: SlopeSystem, tol: Tolerances = DEFAULT_TOL) -> TopologyReport:
     """Homeomorphism type of the two components of the configuration space.
 
     With angle sum k * pi the negative component is S^(n-k-2) x D^(k-1) and
     the positive component is S^(k-2) x D^(n-k-1); a negative sphere
     dimension marks an empty component.
     """
-    tol = DEFAULT_TOL if tol is None else tol
     _, k = turning_sum(system, tol)
     n = system.n
     return TopologyReport(

@@ -390,7 +390,7 @@ def run_sweep(
     seed: int,
     trials: int,
     n_range: tuple[int, int] = (4, 9),
-    tol: Tolerances | None = None,
+    tol: Tolerances = DEFAULT_TOL,
 ) -> SweepResult:
     """Run every check ``trials`` times with independent seeded streams.
 
@@ -399,7 +399,6 @@ def run_sweep(
     depends on the order in which the trials run.  A library error raised
     inside a check counts as one failed trial, named with the check.
     """
-    tol = DEFAULT_TOL if tol is None else tol
     tallies = []
     for check_index, (name, func) in enumerate(CHECKS):
         tally = CheckTally(name)

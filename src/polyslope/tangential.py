@@ -102,16 +102,15 @@ def hessian_formula(unit_perimeters: np.ndarray, inradius: float) -> np.ndarray:
     return -(np.outer(tail, tail) / p0 + np.diag(tail)) / inradius
 
 
-def exceptional(chart: RadiiChart, tol: Tolerances | None = None) -> bool:
+def exceptional(chart: RadiiChart, tol: Tolerances = DEFAULT_TOL) -> bool:
     """Whether the slope system yields an exceptional space (zero-area tangential)."""
-    tol = DEFAULT_TOL if tol is None else tol
     scale = float(np.sum(np.abs(chart.unit_perimeters)))
     return abs(chart.perimeter_sum) <= tol.exceptional * scale
 
 
 def tangential_critical_points(
     source: SlopeSystem | RadiiChart,
-    tol: Tolerances | None = None,
+    tol: Tolerances = DEFAULT_TOL,
 ) -> ExceptionalSpace | tuple[TangentialCritical, TangentialCritical]:
     """The two tangential critical points, or the exceptional marker.
 
@@ -119,7 +118,6 @@ def tangential_critical_points(
     signed radius +r and the other -r, with r = sqrt(2 / |sum p_i|).  Both
     have area sign equal to the sign of sum p_i.
     """
-    tol = DEFAULT_TOL if tol is None else tol
     chart = source if isinstance(source, RadiiChart) else build_chart(source, tol)
     if exceptional(chart, tol):
         return ExceptionalSpace(chart=chart)
@@ -145,11 +143,6 @@ def tangential_critical_points(
         )
         for inradius in (magnitude, -magnitude)
     )
-
-
-def perimeter_hessian(point: TangentialCritical) -> np.ndarray:
-    """Closed-form Hessian of the perimeter at a tangential critical point."""
-    return hessian_formula(point.chart.unit_perimeters, point.inradius)
 
 
 def hessian_det_identity(point: TangentialCritical) -> tuple[float, float]:
@@ -221,7 +214,7 @@ def morse_index_eigen(point: TangentialCritical) -> IndexReport:
 # ---------------------------------------------------------------------------
 
 
-def well_conditioned_chart(system: SlopeSystem, tol: Tolerances | None = None) -> RadiiChart:
+def well_conditioned_chart(system: SlopeSystem, tol: Tolerances = DEFAULT_TOL) -> RadiiChart:
     """The chart of ``system`` in its well-conditioned relabeling.
 
     Same as ``build_chart(system, tol).well_conditioned``; callers that
@@ -236,7 +229,7 @@ def solve_first_radius(
     free_radii: np.ndarray,
     target_area: float,
     seed: float,
-    tol: Tolerances | None = None,
+    tol: Tolerances = DEFAULT_TOL,
 ) -> float:
     """Newton solve of 0.5 * sum p_i r_i**2 = target_area for r_1.
 
@@ -254,7 +247,6 @@ def _solve_first_radii(chart, free_radii, target_area, seed, tol):
     its own, so each result is the one a single-row solve gives.  A failing
     row raises as a single-row solve would, the first such row winning.
     """
-    tol = DEFAULT_TOL if tol is None else tol
     p0 = float(chart.unit_perimeters[0])
     squares = free_radii**2
     tail = np.sum(chart.unit_perimeters[1:] * squares, axis=1)
@@ -293,7 +285,7 @@ def constrained_perimeter(
     free_radii,
     target_area: float,
     seed: float,
-    tol: Tolerances | None = None,
+    tol: Tolerances = DEFAULT_TOL,
 ) -> float:
     """Perimeter sum p . r on the constraint surface of fixed area."""
     free = np.asarray(free_radii, dtype=float)[None, :]
@@ -313,7 +305,7 @@ def perimeter_gradient_fd(
     target_area: float,
     seed: float,
     step: float,
-    tol: Tolerances | None = None,
+    tol: Tolerances = DEFAULT_TOL,
 ) -> np.ndarray:
     """Central-difference gradient of the constrained perimeter."""
     free_radii = np.asarray(free_radii, dtype=float)
@@ -333,7 +325,7 @@ def perimeter_hessian_fd(
     target_area: float,
     seed: float,
     step: float,
-    tol: Tolerances | None = None,
+    tol: Tolerances = DEFAULT_TOL,
 ) -> np.ndarray:
     """Central-difference Hessian of the constrained perimeter."""
     free_radii = np.asarray(free_radii, dtype=float)
@@ -391,7 +383,7 @@ def _hessian_fd(chart, free_radii, target_area, seed, steps, tol):
 def critical_gradient_norm(
     point: TangentialCritical,
     step_factor: float = 1e-6,
-    tol: Tolerances | None = None,
+    tol: Tolerances = DEFAULT_TOL,
 ) -> tuple[float, float]:
     """Finite-difference gradient norm of the perimeter at a critical point.
 
@@ -419,7 +411,7 @@ HESSIAN_FD_LADDER = (1.6e-2, 8e-3, 4e-3, 2e-3, 1e-3, 5e-4, 2.5e-4)
 
 def hessian_fd_comparison(
     point: TangentialCritical,
-    tol: Tolerances | None = None,
+    tol: Tolerances = DEFAULT_TOL,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Closed-form and finite-difference Hessians in the well-conditioned chart.
 

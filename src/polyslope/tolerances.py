@@ -1,7 +1,13 @@
 """Numerical tolerances shared across the library.
 
-Reports echo these tolerances and ``--tol-scale`` rescales them uniformly;
-a few fixed thresholds elsewhere in the code are neither echoed nor scaled.
+Every function that takes a ``tol`` argument reads its thresholds from the
+value passed in, with the frozen ``DEFAULT_TOL`` as the default; reports echo
+that value and ``--tol-scale`` rescales every field uniformly.  Each field is
+read by some check.  Fixed are the checks that constructors make before any
+caller's tolerances apply (consecutive slopes or vertex arcs against
+``DEFAULT_TOL.parallel``, ``geometry.COINCIDENT`` and ``cyclic.ANTIPODAL``)
+and the roundoff bounds derived from machine epsilon, such as the area
+Hessian's degeneracy bound in :func:`polyslope.cyclic.area_morse_index_numeric`.
 """
 
 import dataclasses
@@ -18,16 +24,13 @@ class Tolerances:
     """
 
     parallel: float = 1e-9          # radians; minimal angle between distinct lines
-    coincident: float = 1e-12       # x diameter; vertex distinctness
     on_boundary: float = 1e-9       # x diameter; winding-number boundary guard
     winding_residual: float = 1e-6  # x 2*pi; allowed winding rounding residual
     turn_integral: float = 1e-9     # relative; integrality of angle sum / pi
     exceptional: float = 1e-9       # |sum p_i| <= exceptional * sum|p_i|
     chart_check: float = 1e-10      # x scale; reconstruction postconditions
     newton: float = 1e-12           # area-constraint Newton solve
-    area_band: float = 1e-7         # x max|M|; area Hessian dead band
     bifurcation: float = 1e-9       # |B| < bifurcation * sum|tan alpha_i|
-    antipodal: float = 1e-6         # radians; alpha_i < pi/2 - antipodal
     length_match: float = 1e-9      # x scale; edge length realization
     condition_limit: float = 1e12   # reconstruction solve conditioning
 

@@ -2,13 +2,16 @@
 
 The slope family crosses the perimeter-sum zero (exceptional locus); the
 cyclic family crosses the bifurcation locus.  Both stay valid along the whole
-parameter interval, so bisection to the root is safe.
+parameter interval, so bisection to the root is safe.  Seeded cyclic
+polygons next to, or on, the bifurcation locus come from
+:func:`near_bifurcation_phis`.
 """
 
 import numpy as np
 
-from polyslope import CyclicPolygon, SlopeSystem, build_chart
+from polyslope import CyclicPolygon, PolyslopeError, SlopeSystem, build_chart
 from polyslope.cyclic import cyclic_invariants
+from polyslope.randomgen import random_cyclic_polygon
 
 # Slope family with a perimeter-sum zero crossing between the endpoints;
 # pairwise line separations stay above 25 degrees throughout.
@@ -73,3 +76,51 @@ def bisect_bifurcation_root(width=1e-15) -> float:
         else:
             lo, flo = mid, fmid
     return 0.5 * (lo + hi)
+
+
+def _tangent_sum(phis_deg):
+    """B, sum|tan alpha| and the edge orientations of the unit-circle polygon."""
+    inv = cyclic_invariants(CyclicPolygon.from_degrees(1.0, phis_deg))
+    return inv.bifurcation_sum, float(np.sum(np.abs(np.tan(inv.half_angles)))), inv.orientations
+
+
+def near_bifurcation_phis(rng, n, low, high):
+    """Vertex angles in degrees of a random cyclic n-gon, one vertex moved by
+    bisection until low <= |B| / sum|tan alpha| <= high.
+
+    With ``high = 0`` the bisection runs until the bracket is two adjacent
+    floats and returns one end: a root of B to working precision.  The vertex
+    is first stepped around the circle by whole degrees; a step where B
+    changes sign while both edges at the vertex keep their orientation
+    brackets a root, where a change of orientation would mark a pole.
+    """
+    while True:
+        phis = np.degrees(random_cyclic_polygon(rng, n).phis).tolist()
+        k = int(rng.integers(n))
+
+        def moved(angle):
+            return phis[:k] + [angle] + phis[k + 1:]
+
+        samples = []
+        for angle in (phis[k] + np.arange(361.0)).tolist():
+            try:
+                samples.append((angle, *_tangent_sum(moved(angle))))
+            except PolyslopeError:
+                samples.append(None)
+        for left, right in zip(samples, samples[1:]):
+            if left is None or right is None or left[1] * right[1] > 0:
+                continue
+            if not np.array_equal(left[3], right[3]):
+                continue
+            lo, hi, f_lo = left[0], right[0], left[1]
+            while lo < 0.5 * (lo + hi) < hi:
+                mid = 0.5 * (lo + hi)
+                f_mid, scale, _ = _tangent_sum(moved(mid))
+                if low <= abs(f_mid) / scale <= high:
+                    return moved(mid)
+                if f_lo * f_mid <= 0:
+                    hi = mid
+                else:
+                    lo, f_lo = mid, f_mid
+            if high == 0.0:
+                return moved(lo)

@@ -21,11 +21,23 @@ from polyslope.report import (
 )
 from polyslope.errors import InputSchemaError, NotCritical
 from polyslope.sweeps import run_sweep
+from polyslope.tolerances import DEFAULT_TOL
 
 FAMILY = {
     "start_angles_deg": [0.0, 150.0, 72.0, 290.0],
     "end_angles_deg": [0.0, 135.0, 72.0, 290.0],
 }
+
+# A cyclic hexagon with |B| / sum|tan alpha| = 2.3e-8: close to the
+# bifurcation locus, not on it.
+NEAR_BIFURCATION = [
+    40.74899068153537,
+    49.07114093449097,
+    64.57365492775428,
+    284.6929675573905,
+    314.4374816924464,
+    454.79229323153066,
+]
 
 
 def write_json(tmp_path, name, payload):
@@ -231,7 +243,7 @@ class TestCyclicAnalyze:
             code, out, _ = run_cli(capsys, "cyclic", "analyze", path, "--json")
             assert code == 0
             expected = json.loads(out)["indices"]
-            for radius in (1e-13, 1e-200):
+            for radius in (1e-13, 1e-200, 1e-315):
                 path = write_json(tmp_path, "small.json", {"radius": radius, "phis_deg": phis})
                 code, out, _ = run_cli(capsys, "cyclic", "analyze", path, "--json")
                 assert code == 0, (radius, phis)
@@ -244,6 +256,29 @@ class TestCyclicAnalyze:
             assert code == 2, phis
             assert out == ""
             assert "overflows" in err and "RuntimeWarning" not in err
+
+    def test_unresolvable_coordinates_are_an_input_error(self, tmp_path, capsys):
+        # A subnormal radius, or a center where one ulp exceeds the radius,
+        # leaves the coordinates too coarse for the dual polygon's edges.
+        for payload in (
+            {"radius": 1e-320, "phis_deg": [0, 100, 200]},
+            {"radius": 1, "phis_deg": [0, 100, 200], "center": [1.7e308, 0]},
+        ):
+            path = write_json(tmp_path, "coarse.json", payload)
+            code, out, err = run_cli(capsys, "cyclic", "analyze", path, "--json")
+            assert code == 2, payload
+            assert out == ""
+            assert "cannot resolve" in err and "np.float64" not in err
+
+    def test_near_bifurcating_input_keeps_indices(self, tmp_path, capsys):
+        path = write_json(tmp_path, "near.json", {"radius": 1.0, "phis_deg": NEAR_BIFURCATION})
+        code, out, err = run_cli(capsys, "cyclic", "analyze", path, "--json")
+        assert code == 0, err
+        report = json.loads(out)
+        assert report["bifurcating"] is False
+        indices = report["indices"]
+        assert indices["mu_area_numeric"] == indices["mu_area_formula"]
+        assert indices["identity_holds"] is True
 
     def test_json_roundtrip_lossless(self):
         report = cyclic_report(1.0, [0, 144, 288, 72, 216])
@@ -287,6 +322,12 @@ class TestSweep:
         code, out, err = run_cli(capsys, "sweep", "--trials", "1", "--n-min", "12", "--n-max", "5")
         assert code == 2
         assert out == "" and "--n-min" in err
+
+    def test_size_range_no_check_draws_exit_code(self, capsys):
+        # Every check bounds its own polygon sizes; none draws n >= 13.
+        code, out, err = run_cli(capsys, "sweep", "--trials", "5", "--n-min", "13", "--n-max", "20")
+        assert code == 2
+        assert out == "" and "--n-min" in err and "--n-max" in err
 
     def test_property_failure_exit_code(self, capsys, monkeypatch):
         # Wiring check: a failing property must surface as exit code 3.
@@ -476,6 +517,12 @@ class TestReportHygiene:
     def test_tolerances_echoed_in_reports(self):
         report = cyclic_report(1.0, [0, 144, 288, 72, 216])
         assert report["tolerances"]["bifurcation"] == pytest.approx(1e-9)
+
+    def test_scaled_tolerance_reaches_the_bifurcation_test(self):
+        # |B| / sum|tan alpha| = 2.3e-8 lies between 1e-9 and 100 * 1e-9.
+        tol = DEFAULT_TOL.scaled(100.0)
+        assert cyclic_report(1.0, NEAR_BIFURCATION)["bifurcating"] is False
+        assert cyclic_report(1.0, NEAR_BIFURCATION, tol=tol)["bifurcating"] is True
 
 
 class TestImport:

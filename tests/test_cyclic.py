@@ -40,7 +40,7 @@ from polyslope.randomgen import random_cyclic_polygon, random_star_polygon
 from polyslope.report import cyclic_report
 from polyslope.sweeps import run_sweep
 
-from families import bif_family, bisect_bifurcation_root
+from families import bif_family, bisect_bifurcation_root, near_bifurcation_phis
 
 SQUARE = CyclicPolygon.from_degrees(1.0, [0, 90, 180, 270])
 SQUARE_REVERSED = CyclicPolygon.from_degrees(1.0, [270, 180, 90, 0])
@@ -149,6 +149,30 @@ class TestBifurcation:
         cyclic = bif_family(root + 0.05)
         assert not bifurcation_test(cyclic)
         assert area_morse_index_numeric(cyclic) == area_morse_index_formula(cyclic)
+
+    def test_near_bifurcation_reports_hold_their_identity(self):
+        # Valid polygons next to the bifurcation locus: their smallest area
+        # Hessian eigenvalue is tiny but above the roundoff bound, so both
+        # routes give the index.
+        rng = np.random.default_rng(2026)
+        for n in range(4, 10):
+            for _ in range(6):
+                phis = near_bifurcation_phis(rng, n, 1e-9, 1e-7)
+                report = cyclic_report(1.0, phis)
+                assert report["bifurcating"] is False
+                indices = report["indices"]
+                assert indices["mu_area_numeric"] == indices["mu_area_formula"], phis
+                assert indices["identity_holds"], phis
+
+    def test_roots_of_every_size_are_degenerate(self):
+        # At n = 4 the projected Hessian is 1 x 1, so only a bound relative
+        # to the unprojected Lagrangian can see it vanish.
+        rng = np.random.default_rng(2027)
+        for n in range(4, 10):
+            cyclic = CyclicPolygon.from_degrees(1.0, near_bifurcation_phis(rng, n, 0.0, 0.0))
+            assert bifurcation_test(cyclic)
+            with pytest.raises(DegenerateCritical):
+                area_morse_index_numeric(cyclic)
 
 
 def loop_gradient(lengths, thetas):

@@ -242,11 +242,12 @@ def reference_signed_perimeter(polygon, slopes, tol=DEFAULT_TOL):
     angles = polygon.edge_angles
     total = 0.0
     for i, slope in enumerate(slopes):
-        if line_gap(angles[i], slope.angle) > tol.parallel:
-            raise SlopeMismatch(
-                f"edge {i} at angle {angles[i]!r} is not parallel to slope {slope.angle!r}"
-            )
         length = float(np.linalg.norm(edges[i]))
+        roundoff = 256.0 * np.finfo(float).eps * polygon.diameter / length
+        if line_gap(angles[i], slope.angle) > tol.parallel + roundoff:
+            raise SlopeMismatch(
+                f"edge {i} at angle {float(angles[i])!r} is not parallel to slope {slope.angle!r}"
+            )
         sign = 1.0 if float(edges[i] @ slope.direction) > 0.0 else -1.0
         total += sign * length
     return total

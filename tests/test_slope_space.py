@@ -76,6 +76,7 @@ class TestTritangentCircle:
     def test_exactly_one_candidate_qualifies(self):
         # Exhaustive check of the four tritangent circles of random triples.
         rng = np.random.default_rng(4)
+        triples, singles = [], []
         for _ in range(100):
             a, b, c = random_triple(rng)
             angles = (a.angle, b.angle, c.angle)
@@ -93,8 +94,14 @@ class TestTritangentCircle:
                     qualifying += 1
             assert qualifying == 1
             center, radius = tritangent_circle(angles, offsets)
-            distances = np.abs(normals @ center - offsets)
-            assert np.max(np.abs(distances - abs(radius))) < 1e-9
+            assert center.shape == (2,) and isinstance(radius, float)
+            sides = normals @ center - offsets
+            assert np.max(np.abs(sides - radius)) < 1e-9
+            triples.append((angles, offsets))
+            singles.append((*center, radius))
+        # One stacked call gives each triple's circle bit for bit.
+        centers, radii = tritangent_circle(*map(np.array, zip(*triples)))
+        assert np.array_equal(np.column_stack((centers, radii)), np.array(singles))
 
 
 class TestBuildChart:

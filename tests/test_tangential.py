@@ -16,7 +16,6 @@ from polyslope import (
     hessian_fd_comparison,
     morse_index_eigen,
     morse_index_formula,
-    perimeter_hessian,
     tangential_critical_points,
 )
 from polyslope.randomgen import random_convex_slope_system, random_slope_system, trial_rng
@@ -131,7 +130,6 @@ class TestHessian:
     def test_empty_for_triangles(self):
         points = tangential_critical_points(EQUILATERAL)
         assert points[0].hessian.shape == (0, 0)
-        assert perimeter_hessian(points[0]).shape == (0, 0)
 
     def test_quadrilateral_single_entry(self):
         rng = np.random.default_rng(24)
@@ -152,7 +150,7 @@ class TestHessian:
         chart = well_conditioned_chart(system)
         target = math.copysign(1.0, chart.perimeter_sum)
         for point in tangential_critical_points(chart):
-            closed = perimeter_hessian(point)
+            closed = point.hessian
             free = np.full(point.n - 3, point.inradius)
             fd = perimeter_hessian_fd(
                 chart, free, target, point.inradius, 1e-5 * abs(point.inradius)
