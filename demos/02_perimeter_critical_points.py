@@ -6,8 +6,8 @@ On the unit-area slice of a slope system's polygon space, the signed
 perimeter has exactly two critical points (or none): the two tangential
 polygons, whose edge lines all touch one circle from a common side.  This
 script constructs them, checks the gradient really vanishes, compares the
-closed-form Hessian against finite differences, and computes the Morse index
-two independent ways.
+closed-form Hessian against hyper-dual differentiation, and computes the
+Morse index two independent ways.
 """
 
 import numpy as np
@@ -30,14 +30,15 @@ for point in points:
     print(f"  incenter {np.round(point.incenter, 6)}, winding {point.winding}")
 
     # The perimeter gradient in the constrained chart vanishes here: its
-    # finite-difference norm stays under the bound set by roundoff.
+    # complex-step norm stays under the bound set by roundoff.
     norm, bound = critical_gradient_norm(point)
     print(f"  gradient norm: {norm:.2e} (bound {bound:.2e})")
 
-    # Closed-form Hessian vs Richardson-extrapolated central differences.
-    closed, fd = hessian_fd_comparison(point)
-    err = np.max(np.abs(fd - closed)) / np.max(np.abs(closed))
-    print(f"  Hessian vs finite differences: max deviation {err:.2e} of scale")
+    # Closed-form Hessian vs the hyper-dual Hessian of the constrained
+    # perimeter, both exact up to rounding.
+    closed, exact = hessian_fd_comparison(point)
+    err = np.max(np.abs(exact - closed)) / np.max(np.abs(closed))
+    print(f"  Hessian vs hyper-dual: max deviation {err:.2e} of scale")
 
     # Determinant identity: r^(n-3) det H is an explicit product.
     lhs, rhs = hessian_det_identity(point)

@@ -35,6 +35,7 @@ from .geometry import (
     TWO_PI,
     PolygonChain,
     SlopeSystem,
+    _successors,
     tangential_polygon,
     winding_number,
 )
@@ -75,7 +76,7 @@ class CyclicPolygon:
         object.__setattr__(self, "center", center)
         object.__setattr__(self, "radius", float(self.radius))
         object.__setattr__(self, "phis", phis)
-        arcs = (np.roll(phis, -1) - phis) % TWO_PI
+        arcs = (_successors(phis) - phis) % TWO_PI
         for i, arc in enumerate(arcs):
             if min(arc, TWO_PI - arc) < DEFAULT_TOL.parallel:
                 raise CoincidentVertices(f"vertices {i} and {(i + 1) % len(phis)} coincide")
@@ -159,7 +160,7 @@ def cyclic_invariants(cyclic: CyclicPolygon, tol: Tolerances = DEFAULT_TOL) -> C
     is positively oriented, arc - 2*pi otherwise) and must come out integral;
     it coincides with the geometric winding number around the center.
     """
-    arcs = (np.roll(cyclic.phis, -1) - cyclic.phis) % TWO_PI
+    arcs = (_successors(cyclic.phis) - cyclic.phis) % TWO_PI
     orientations = np.where(arcs < math.pi, 1, -1)
     half_angles = np.minimum(arcs, TWO_PI - arcs) / 2.0
     signed_arcs = np.where(orientations > 0, arcs, arcs - TWO_PI)
@@ -176,9 +177,11 @@ def cyclic_invariants(cyclic: CyclicPolygon, tol: Tolerances = DEFAULT_TOL) -> C
     )
 
 
-def bifurcation_test(cyclic: CyclicPolygon, tol: Tolerances = DEFAULT_TOL) -> bool:
+def bifurcation_test(
+    source: CyclicPolygon | CyclicInvariants, tol: Tolerances = DEFAULT_TOL
+) -> bool:
     """Whether the signed tangent sum vanishes within tolerance."""
-    inv = cyclic_invariants(cyclic, tol)
+    inv = source if isinstance(source, CyclicInvariants) else cyclic_invariants(source, tol)
     scale = float(np.sum(np.abs(np.tan(inv.half_angles))))
     return abs(inv.bifurcation_sum) < tol.bifurcation * scale
 
@@ -352,9 +355,9 @@ def area_morse_index_formula(
     tol: Tolerances = DEFAULT_TOL,
 ) -> int:
     """Morse index of the area from edge counts, winding, and the tangent sum."""
-    if bifurcation_test(cyclic, tol):
-        raise Bifurcating("index undefined on the bifurcation locus")
     inv = cyclic_invariants(cyclic, tol)
+    if bifurcation_test(inv, tol):
+        raise Bifurcating("index undefined on the bifurcation locus")
     correction = 0 if inv.bifurcation_sum > 0 else 1
     return inv.positive_edges - 1 - 2 * inv.winding - correction
 

@@ -42,7 +42,8 @@ class LengthMismatch(PolyslopeError):
 
 
 class NotCritical(PolyslopeError):
-    """A configuration expected to be a critical point fails the gradient test."""
+    """No real r_1 gives the requested area: the closed form in
+    :func:`polyslope.tangential.constrained_perimeter` has a negative radicand."""
 
 
 class Bifurcating(PolyslopeError):

@@ -23,7 +23,7 @@ from .cyclic import (
     duality_index_check,
 )
 from .errors import InputSchemaError, ParallelLines, SlopeMismatch
-from .geometry import SlopeSystem, signed_perimeter, turn_counts, turning_sum
+from .geometry import SlopeSystem, signed_perimeter, tangential_polygon, turn_counts, turning_sum
 from .slope_space import build_chart, topology_report
 from .tangential import (
     ExceptionalSpace,
@@ -114,9 +114,9 @@ def _component_dict(shape) -> dict:
     }
 
 
-def _critical_point_dict(point, tol: Tolerances) -> dict:
+def _critical_point_dict(point) -> dict:
     report = morse_index_eigen(point)
-    gradient_norm, gradient_bound = critical_gradient_norm(point, tol=tol)
+    gradient_norm, gradient_bound = critical_gradient_norm(point)
     return {
         "inradius": float(point.inradius),
         "perimeter": float(point.perimeter),
@@ -174,7 +174,7 @@ def slopes_report(angles_deg: list[float], tol: Tolerances = DEFAULT_TOL) -> dic
     else:
         report["critical"] = {
             "exceptional": False,
-            "points": [_critical_point_dict(p, tol) for p in points],
+            "points": [_critical_point_dict(p) for p in points],
         }
     return report
 
@@ -187,21 +187,32 @@ def cyclic_report(
 ) -> dict:
     cyclic = CyclicPolygon.from_degrees(radius, phis_deg, center)
     inv = cyclic_invariants(cyclic, tol)
+    unresolved = "the coordinates cannot resolve the polygon at this radius and center"
+    # Coordinates near the center round by eps |center|, which turns an edge
+    # of length R by up to that over R.
+    blur = float(np.finfo(float).eps * np.max(np.abs(cyclic.center)))
+    if blur > tol.parallel * cyclic.radius:
+        raise InputSchemaError(
+            f"{unresolved} (rounding of {blur!r} at the center exceeds "
+            f"{tol.parallel!r} times the radius)"
+        )
     with np.errstate(over="raise"):
         try:
             dual = dual_polygon(cyclic)
-            dual_perimeter = signed_perimeter(dual.polygon, dual.slopes, tol)
+            # The signed perimeter does not depend on where the circle sits;
+            # about its center the coordinates keep the digits of short edges.
+            centred = tangential_polygon(dual.slopes.angles, (0.0, 0.0), radius)
+            dual_perimeter = signed_perimeter(centred, dual.slopes, tol)
             twice_radius_sum = float(2.0 * np.float64(radius) * inv.bifurcation_sum)
         except FloatingPointError as exc:
             raise InputSchemaError(f"the dual polygon overflows the float range ({exc})") from exc
         except SlopeMismatch as exc:
             # The dual is built from exact slopes and each edge is allowed the
             # roundoff of its own scale, so an edge leaves its slope only where
-            # the coordinates are too coarse to resolve the polygon.
-            raise InputSchemaError(
-                f"the coordinates cannot resolve the polygon at this radius and center ({exc})"
-            ) from exc
-    bifurcating = bifurcation_test(cyclic, tol)
+            # the coordinates are too coarse to resolve the polygon, as at a
+            # subnormal radius.
+            raise InputSchemaError(f"{unresolved} ({exc})") from exc
+    bifurcating = bifurcation_test(inv, tol)
     report = {
         "kind": "cyclic",
         "input": {

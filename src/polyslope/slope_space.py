@@ -68,8 +68,8 @@ class RadiiChart:
 
         The first decomposition triangle owns the implicit coordinate of the
         constrained chart, so its unit perimeter divides every derivative of
-        the implicit function and finite-difference errors grow with
-        max|p| / |p_1|.  Critical points, their indices and gradient
+        the implicit function and the roundoff of those derivatives grows
+        with max|p| / |p_1|.  Critical points, their indices and gradient
         vanishing are invariant under cyclic relabeling.  Computed on first
         read, from the closed forms on all n relabelings at once.
         """

@@ -48,20 +48,13 @@ from .tangential import (
     ExceptionalSpace,
     critical_gradient_norm,
     hessian_det_identity,
-    hessian_fd_comparison,
+    hessian_error,
     morse_index_eigen,
     tangential_critical_points,
 )
 from .tolerances import DEFAULT_TOL, Tolerances
 
 EXCEPTIONAL_EXCLUSION = 1e-6  # |sum p_i| below this fraction of sum |p_i| is skipped
-
-# Finite differences of the constrained perimeter lose relative accuracy like
-# 1 / (|sum p_i| / sum |p_i|) near the exceptional locus (the true Hessian
-# shrinks with the perimeter sum while the evaluation noise grows with the
-# inradius), so the difference-based Hessian check only runs where the oracle
-# can certify 1e-5 with margin.  Analytic checks keep the tighter exclusion.
-HESSIAN_FD_EXCLUSION = 1e-3
 
 
 def _draw_n(rng, n_range, lo, hi):
@@ -83,56 +76,52 @@ def _nonexceptional_points(chart, tol):
     return points
 
 
+def _draw_points(rng, n_range, hi, tol, draw=random_slope_system):
+    """(n, critical points) of a system of 4..hi lines from ``draw``, or None
+    when no size fits or the system is too close to the exceptional locus."""
+    n = _draw_n(rng, n_range, 4, hi)
+    points = None if n is None else _nonexceptional_points(build_chart(draw(rng, n), tol), tol)
+    return None if points is None else (n, points)
+
+
 def check_critical_gradient(rng, n_range, tol):
-    """Finite-difference perimeter gradient vanishes at both critical points."""
-    n = _draw_n(rng, n_range, 4, 9)
-    if n is None:
+    """Complex-step perimeter gradient vanishes at both critical points, to
+    the roundoff bound of :func:`critical_gradient_norm` (c = 256)."""
+    drawn = _draw_points(rng, n_range, 9, tol)
+    if drawn is None:
         return None
-    chart = build_chart(random_slope_system(rng, n), tol)
-    points = _nonexceptional_points(chart, tol)
-    if points is None:
-        return None
+    n, points = drawn
     failures = []
     for point in points:
-        norm, bound = critical_gradient_norm(point, tol=tol)
+        norm, bound = critical_gradient_norm(point)
         if norm >= bound:
             failures.append(f"gradient norm {norm:.3e} at r={point.inradius:.4f} (n={n})")
     return failures
 
 
 def check_hessian_difference(rng, n_range, tol):
-    """Closed-form Hessian matches extrapolated central differences entrywise."""
-    n = _draw_n(rng, n_range, 4, 8)
-    if n is None:
+    """Closed-form Hessian matches the hyper-dual Hessian to the roundoff
+    bound of :func:`hessian_error`, c eps max|H| sum|p| / |sum p| with c = 512."""
+    drawn = _draw_points(rng, n_range, 12, tol)
+    if drawn is None:
         return None
-    chart = build_chart(random_slope_system(rng, n), tol)
-    if abs(chart.perimeter_sum) < HESSIAN_FD_EXCLUSION * np.sum(
-        np.abs(chart.unit_perimeters)
-    ):
-        return None
-    points = _nonexceptional_points(chart, tol)
-    if points is None:
-        return None
+    n, points = drawn
     failures = []
     for point in points:
-        closed, fd = hessian_fd_comparison(point, tol=tol)
-        scale = float(np.max(np.abs(closed)))
-        rel = np.abs(fd - closed) / np.maximum(np.abs(closed), 1e-2 * scale)
-        worst = float(np.max(rel))
-        if worst >= 1e-5:
-            failures.append(f"hessian mismatch {worst:.3e} (n={n}, r={point.inradius:.4f})")
+        error, bound = hessian_error(point)
+        if error > bound:
+            failures.append(
+                f"hessian error {error:.3e} over bound {bound:.3e} (n={n}, r={point.inradius:.4f})"
+            )
     return failures
 
 
 def check_hessian_determinant(rng, n_range, tol):
     """r**(n-3) det H equals the closed product formula."""
-    n = _draw_n(rng, n_range, 4, 9)
-    if n is None:
+    drawn = _draw_points(rng, n_range, 9, tol)
+    if drawn is None:
         return None
-    chart = build_chart(random_slope_system(rng, n), tol)
-    points = _nonexceptional_points(chart, tol)
-    if points is None:
-        return None
+    n, points = drawn
     failures = []
     for point in points:
         lhs, rhs = hessian_det_identity(point)
@@ -143,13 +132,10 @@ def check_hessian_determinant(rng, n_range, tol):
 
 def check_index_agreement(rng, n_range, tol):
     """Eigenvalue index equals the formula index; the two points complement."""
-    n = _draw_n(rng, n_range, 4, 9)
-    if n is None:
+    drawn = _draw_points(rng, n_range, 9, tol)
+    if drawn is None:
         return None
-    chart = build_chart(random_slope_system(rng, n), tol)
-    points = _nonexceptional_points(chart, tol)
-    if points is None:
-        return None
+    n, points = drawn
     failures = []
     indices = []
     for point in points:
@@ -166,13 +152,10 @@ def check_index_agreement(rng, n_range, tol):
 
 def check_convex_indices(rng, n_range, tol):
     """Convex counterclockwise systems: index 0 at r>0 and n-3 at r<0."""
-    n = _draw_n(rng, n_range, 4, 9)
-    if n is None:
+    drawn = _draw_points(rng, n_range, 9, tol, random_convex_slope_system)
+    if drawn is None:
         return None
-    chart = build_chart(random_convex_slope_system(rng, n), tol)
-    points = _nonexceptional_points(chart, tol)
-    if points is None:
-        return None
+    n, points = drawn
     failures = []
     for point in points:
         expected = 0 if point.inradius > 0 else n - 3
@@ -278,7 +261,7 @@ def check_dual_perimeter(rng, n_range, tol):
     scale = 2.0 * cyclic.radius * float(np.sum(np.abs(np.tan(inv.half_angles))))
     if abs(measured - expected) > 1e-9 * scale:
         failures.append(f"dual perimeter {measured!r} != 2RB {expected!r} (n={n})")
-    bif = bifurcation_test(cyclic, tol)
+    bif = bifurcation_test(inv, tol)
     dual_vanishes = abs(measured) < tol.bifurcation * scale
     if bif != dual_vanishes:
         failures.append(f"bifurcation test {bif} disagrees with dual perimeter (n={n})")

@@ -13,9 +13,9 @@ r sum p_i, the area sign(sum p_i) and the winding number, with the radii
 reconstruction :func:`polygon_from_radii` as their oracle in tests and
 sweeps.  The Morse index is produced two independent ways: exactly, from
 the signs of the p_i (inertia of the Hessian's bordered matrix), and by the
-combinatorial turn/winding formula.  Finite-difference utilities for the
-constrained chart live here as well so that verification sweeps can
-cross-check the gradient and the Hessian.
+combinatorial turn/winding formula.  On the unit-area slice r_1 is a closed
+form in the free radii, so the gradient and the Hessian there are checked
+exactly to rounding, by the complex step and by hyper-dual numbers.
 """
 
 import functools
@@ -209,8 +209,9 @@ def morse_index_eigen(point: TangentialCritical) -> IndexReport:
 
 
 # ---------------------------------------------------------------------------
-# Constrained chart: free radii (r_2, ..., r_{n-2}) with r_1 recovered from
-# the unit-area constraint.  Used by finite-difference verification.
+# Constrained chart: free radii x = (r_2, ..., r_{n-2}), with r_1 recovered in
+# closed form from the unit-area constraint.  Exact derivatives of the
+# perimeter there check the closed-form Hessian and the vanishing gradient.
 # ---------------------------------------------------------------------------
 
 
@@ -224,214 +225,115 @@ def well_conditioned_chart(system: SlopeSystem, tol: Tolerances = DEFAULT_TOL) -
     return build_chart(system, tol).well_conditioned
 
 
-def solve_first_radius(
-    chart: RadiiChart,
-    free_radii: np.ndarray,
-    target_area: float,
-    seed: float,
-    tol: Tolerances = DEFAULT_TOL,
-) -> float:
-    """Newton solve of 0.5 * sum p_i r_i**2 = target_area for r_1.
+class _HyperDual:
+    """Arrays of hyper-dual numbers a + b e1 + c e2 + d e1e2, e1**2 = e2**2 = 0.
 
-    The branch is selected by the seed value; iterates to machine-level
-    convergence and enforces the configured residual tolerance.
+    The e1e2 part of f(x + e1 u + e2 v) is the second derivative of f along
+    u and v, exact to rounding (Fike and Alonso, AIAA 2011-886).  Only the
+    arithmetic of :func:`constrained_perimeter` is defined.
     """
-    free = np.asarray(free_radii, dtype=float)[None, :]
-    return float(_solve_first_radii(chart, free, target_area, seed, tol)[0])
+
+    def __init__(self, *parts):
+        self.parts = parts
+
+    def __add__(self, other):
+        other = other.parts if isinstance(other, _HyperDual) else (other, 0.0, 0.0, 0.0)
+        return _HyperDual(*(x + y for x, y in zip(self.parts, other)))
+
+    def __mul__(self, other):
+        if not isinstance(other, _HyperDual):
+            return _HyperDual(*(x * other for x in self.parts))
+        (a, b, c, d), (e, f, g, h) = self.parts, other.parts
+        return _HyperDual(a * e, a * f + b * e, a * g + c * e, a * h + b * g + c * f + d * e)
+
+    def sum(self, axis):
+        return _HyperDual(*(x.sum(axis=axis) for x in self.parts))
+
+    def sqrt(self):
+        a, b, c, d = self.parts
+        root = np.sqrt(a)
+        half = 0.5 / root
+        return _HyperDual(root, b * half, c * half, (d - b * c / (2.0 * a)) * half)
 
 
-def _solve_first_radii(chart, free_radii, target_area, seed, tol):
-    """:func:`solve_first_radius` for each row of a (K, m) matrix of free radii.
+def constrained_perimeter(chart: RadiiChart, free_radii, target_area: float, branch: float):
+    """Perimeter p_1 r_1 + sum_{j>=2} p_j x_j at the free radii x = (r_2, ..., r_{n-2}).
 
-    Every row runs the same Newton iteration from the same seed and stops on
-    its own, so each result is the one a single-row solve gives.  A failing
-    row raises as a single-row solve would, the first such row winning.
+    r_1 = sign(branch) sqrt((2 A - sum_{j>=2} p_j x_j**2) / p_1) solves the
+    area law 0.5 sum p_i r_i**2 = A in closed form; the square root is the
+    one non-polynomial step.  ``free_radii`` is one point or a (K, m) stack,
+    real, complex or hyper-dual, with one result per point.  A negative
+    radicand leaves no real r_1 and raises NotCritical.
     """
-    p0 = float(chart.unit_perimeters[0])
-    squares = free_radii**2
-    tail = np.sum(chart.unit_perimeters[1:] * squares, axis=1)
-    tail_scale = np.sum(np.abs(chart.unit_perimeters[1:]) * squares, axis=1)
-    r = np.full(len(free_radii), float(seed))
-    active = np.ones(len(r), dtype=bool)
-    vanished = np.zeros(len(r), dtype=bool)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        for _ in range(60):
-            residual = 0.5 * (p0 * r * r + tail) - target_area
-            slope = p0 * r
-            zero = slope == 0.0
-            if zero.any():
-                vanished |= active & zero
-                active &= ~zero
-            step = residual / slope
-            r = np.where(active, r - step, r)
-            active &= np.abs(step) > 1e-16 * np.maximum(1.0, np.abs(r))
-            if not active.any():
-                break
-    residual = 0.5 * (p0 * r * r + tail) - target_area
-    # The residual cannot be evaluated below the roundoff of its own terms,
-    # which dominate near-exceptional systems where large terms cancel.
-    scale = np.maximum(max(1.0, abs(target_area)), 0.5 * (abs(p0) * r * r + tail_scale))
-    failed = vanished | (np.abs(residual) > tol.newton * scale)
-    if failed.any():
-        row = int(np.argmax(failed))
-        if vanished[row]:
-            raise NotCritical("area constraint has vanishing derivative in r_1")
-        raise NotCritical(f"area constraint solve stalled at residual {float(residual[row])!r}")
-    return r
-
-
-def constrained_perimeter(
-    chart: RadiiChart,
-    free_radii,
-    target_area: float,
-    seed: float,
-    tol: Tolerances = DEFAULT_TOL,
-) -> float:
-    """Perimeter sum p . r on the constraint surface of fixed area."""
-    free = np.asarray(free_radii, dtype=float)[None, :]
-    return float(_constrained_perimeters(chart, free, target_area, seed, tol)[0])
-
-
-def _constrained_perimeters(chart, free_radii, target_area, seed, tol):
-    """:func:`constrained_perimeter` for each row of a (K, m) matrix of free radii."""
-    r0 = _solve_first_radii(chart, free_radii, target_area, seed, tol)
     p = chart.unit_perimeters
-    return p[0] * r0 + np.sum(p[1:] * free_radii, axis=1)
+    x = free_radii if isinstance(free_radii, _HyperDual) else np.asarray(free_radii)
+    # Each product keeps x on the left, where a hyper-dual stack defines it.
+    radicand = (x * x * p[1:]).sum(axis=-1) * (-1.0 / p[0]) + 2.0 * target_area / p[0]
+    hyperdual = isinstance(radicand, _HyperDual)
+    value = np.real(radicand.parts[0] if hyperdual else radicand)
+    if np.any(value < 0):
+        worst = float(np.min(value))
+        raise NotCritical(f"no real r_1 gives area {target_area!r}: radicand {worst!r}")
+    root = radicand.sqrt() if hyperdual else np.sqrt(radicand)
+    return root * (p[0] * math.copysign(1.0, branch)) + (x * p[1:]).sum(axis=-1)
 
 
-def perimeter_gradient_fd(
-    chart: RadiiChart,
-    free_radii,
-    target_area: float,
-    seed: float,
-    step: float,
-    tol: Tolerances = DEFAULT_TOL,
-) -> np.ndarray:
-    """Central-difference gradient of the constrained perimeter."""
-    free_radii = np.asarray(free_radii, dtype=float)
-    m = len(free_radii)
-    # Rows 2j and 2j + 1 step free radius j up and down.
-    offsets = np.zeros((2 * m, m))
-    cols = np.arange(m)
-    offsets[2 * cols, cols] = step
-    offsets[2 * cols + 1, cols] = -step
-    values = _constrained_perimeters(chart, free_radii + offsets, target_area, seed, tol)
-    return (values[0::2] - values[1::2]) / (2.0 * step)
+def _roundoff_scale(point: TangentialCritical) -> float:
+    """eps sum|p|, sum|p| the larger in the point's chart and the
+    well-conditioned one: the inradius carries the roundoff of the first,
+    the derivatives that of the second."""
+    charts = (point.chart, point.chart.well_conditioned)
+    return float(np.finfo(float).eps) * max(
+        float(np.sum(np.abs(c.unit_perimeters))) for c in charts
+    )
 
 
-def perimeter_hessian_fd(
-    chart: RadiiChart,
-    free_radii,
-    target_area: float,
-    seed: float,
-    step: float,
-    tol: Tolerances = DEFAULT_TOL,
-) -> np.ndarray:
-    """Central-difference Hessian of the constrained perimeter."""
-    free_radii = np.asarray(free_radii, dtype=float)
-    return _hessian_fd(chart, free_radii, target_area, seed, (step,), tol)[0]
+COMPLEX_STEP = 1e-200
 
 
-def _hessian_stencil(m):
-    """Unit offsets of the central-difference Hessian stencil, in evaluation order.
+def critical_gradient_norm(point: TangentialCritical) -> tuple[float, float]:
+    """Complex-step gradient norm of the perimeter at a critical point, and its bound.
 
-    Row 0 is the centre.  Then, for each free radius j, come +e_j and -e_j
-    and, for each k > j, the corners e_j + e_k, e_j - e_k, -e_j + e_k and
-    -e_j - e_k.  Returns the offsets, the row of +e_j for each j, the pairs
-    j < k in row-major order and the row of e_j + e_k for each pair.
-    """
-    j, k = np.triu_indices(m, 1)
-    sizes = 2 + 4 * (m - 1 - np.arange(m))
-    diagonal = 1 + np.cumsum(sizes) - sizes
-    corners = diagonal[j] + 2 + 4 * (k - j - 1)
-    units = np.zeros((1 + int(np.sum(sizes)), m))
-    cols = np.arange(m)
-    units[diagonal, cols] = 1.0
-    units[diagonal + 1, cols] = -1.0
-    corner_signs = ((1.0, 1.0), (1.0, -1.0), (-1.0, 1.0), (-1.0, -1.0))
-    for row, (sign_j, sign_k) in enumerate(corner_signs):
-        units[corners + row, j] = sign_j
-        units[corners + row, k] = sign_k
-    return units, diagonal, j, k, corners
-
-
-def _hessian_fd(chart, free_radii, target_area, seed, steps, tol):
-    """Central-difference Hessians at each of ``steps``, evaluated as one batch."""
-    m = len(free_radii)
-    units, diagonal, j, k, corners = _hessian_stencil(m)
-    offsets = np.concatenate([units * step for step in steps])
-    values = _constrained_perimeters(
-        chart, free_radii + offsets, target_area, seed, tol
-    ).reshape(len(steps), len(units))
-    squares = np.array([step**2 for step in steps])[:, None]
-    hessians = np.empty((len(steps), m, m))
-    cols = np.arange(m)
-    hessians[:, cols, cols] = (
-        values[:, diagonal] + values[:, diagonal + 1] - 2.0 * values[:, :1]
-    ) / squares
-    mixed = (
-        values[:, corners]
-        - values[:, corners + 1]
-        - values[:, corners + 2]
-        + values[:, corners + 3]
-    ) / (4.0 * squares)
-    hessians[:, j, k] = mixed
-    hessians[:, k, j] = mixed
-    return hessians
-
-
-def critical_gradient_norm(
-    point: TangentialCritical,
-    step_factor: float = 1e-6,
-    tol: Tolerances = DEFAULT_TOL,
-) -> tuple[float, float]:
-    """Finite-difference gradient norm of the perimeter at a critical point.
-
-    Evaluated in the well-conditioned relabeling, with central steps of
-    ``step_factor`` * |r|.  Returns (norm, bound) without comparing them.
-    At a tangential point the norm is roundoff, which grows like
-    eps * sum|p| / step_factor in that chart (at most 1.6 times that on
-    8262 points of random slope systems, n 4..14); the bound is sixteen
-    times that, and never below 1e-6.
+    In the well-conditioned chart, row j of one complex stack gives
+    Im P(x + i h e_j) / h, h = ``COMPLEX_STEP``: the j-th partial derivative,
+    exact to rounding, with no difference to cancel (Squire and Trapp, SIAM
+    Review 40, 1998).  The norm at a tangential point is roundoff; in units
+    of :func:`_roundoff_scale` it reached 14 on sweep seeds 0..399, 7.1 on the
+    fuzz set and 2.6 next to the exceptional locus.  The bound is 256 units.
     """
     chart = point.chart.well_conditioned
-    scale = float(np.sum(np.abs(chart.unit_perimeters)))
-    bound = max(1e-6, 16.0 * np.finfo(float).eps * scale / step_factor)
-    if point.n < 4:
-        return 0.0, bound
-    free = np.full(point.n - 3, point.inradius)
+    rows = point.inradius + 1j * COMPLEX_STEP * np.eye(point.n - 3)
     target = math.copysign(1.0, chart.perimeter_sum)
-    step = step_factor * abs(point.inradius)
-    grad = perimeter_gradient_fd(chart, free, target, point.inradius, step, tol)
-    return float(np.linalg.norm(grad)), bound
+    grad = constrained_perimeter(chart, rows, target, point.inradius).imag / COMPLEX_STEP
+    return float(np.linalg.norm(grad)), 256.0 * _roundoff_scale(point)
 
 
-HESSIAN_FD_LADDER = (1.6e-2, 8e-3, 4e-3, 2e-3, 1e-3, 5e-4, 2.5e-4)
+def hessian_fd_comparison(point: TangentialCritical) -> tuple[np.ndarray, np.ndarray]:
+    """Closed-form and hyper-dual Hessians in the well-conditioned chart.
 
-
-def hessian_fd_comparison(
-    point: TangentialCritical,
-    tol: Tolerances = DEFAULT_TOL,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Closed-form and finite-difference Hessians in the well-conditioned chart.
-
-    Both matrices live in the same relabeled chart, so they are directly
-    comparable entry by entry.  Central differences are evaluated, in one
-    batch, at the steps ``HESSIAN_FD_LADDER`` times |r|; adjacent pairs are
-    Richardson-extrapolated, and the estimate where successive
-    extrapolations agree best wins.  That rides the noise/truncation
-    trade-off per system and certifies five to six digits in double
-    precision, where plain central differences bottom out around 1e-4 of
-    the matrix scale.
+    The second matrix is hyper-dual, not a finite difference as the name
+    says: row (j, k), j <= k, of one hyper-dual stack evaluates the
+    perimeter at x + e1 e_j + e2 e_k, whose e1e2 part is H_jk.  It never
+    reads :func:`hessian_formula`, so it stays an independent oracle.
     """
     chart = point.chart.well_conditioned
-    closed = hessian_formula(chart.unit_perimeters, point.inradius)
-    if closed.size == 0:
-        return closed, closed.copy()
-    free = np.full(point.n - 3, point.inradius)
+    m = point.n - 3
+    j, k = np.triu_indices(m)
+    units = np.eye(m)
+    rows = _HyperDual(np.full((len(j), m), point.inradius), units[j], units[k], 0.0 * units[j])
     target = math.copysign(1.0, chart.perimeter_sum)
-    steps = [factor * abs(point.inradius) for factor in HESSIAN_FD_LADDER]
-    stencils = _hessian_fd(chart, free, target, point.inradius, steps, tol)
-    extrapolated = (4.0 * stencils[1:] - stencils[:-1]) / 3.0
-    gaps = np.max(np.abs(np.diff(extrapolated, axis=0)), axis=(1, 2))
-    return closed, extrapolated[int(np.argmin(gaps)) + 1]
+    exact = np.empty((m, m))
+    exact[j, k] = exact[k, j] = constrained_perimeter(chart, rows, target, point.inradius).parts[3]
+    return hessian_formula(chart.unit_perimeters, point.inradius), exact
+
+
+def hessian_error(point: TangentialCritical) -> tuple[float, float]:
+    """Largest entry of |hyper-dual - closed-form Hessian|, and its bound; n >= 4.
+
+    The radicand of r_1 cancels terms sum|p| / |sum p| times its size.  In
+    units of max|H| / |sum p| times :func:`_roundoff_scale` the error reached
+    28 on sweep seeds 0..399, 19 on the fuzz set and 4.2 next to the
+    exceptional locus.  The bound is 512 units."""
+    closed, exact = hessian_fd_comparison(point)
+    scale = float(np.max(np.abs(closed))) / abs(point.chart.perimeter_sum)
+    return float(np.max(np.abs(exact - closed))), 512.0 * scale * _roundoff_scale(point)

@@ -6,8 +6,8 @@ that value and ``--tol-scale`` rescales every field uniformly.  Each field is
 read by some check.  Fixed are the checks that constructors make before any
 caller's tolerances apply (consecutive slopes or vertex arcs against
 ``DEFAULT_TOL.parallel``, ``geometry.COINCIDENT`` and ``cyclic.ANTIPODAL``)
-and the roundoff bounds derived from machine epsilon, such as the area
-Hessian's degeneracy bound in :func:`polyslope.cyclic.area_morse_index_numeric`.
+and the roundoff bounds derived from machine epsilon in :mod:`polyslope.cyclic`
+and :mod:`polyslope.tangential`, whose exact derivatives need no solver tolerance.
 """
 
 import dataclasses
@@ -29,7 +29,6 @@ class Tolerances:
     turn_integral: float = 1e-9     # relative; integrality of angle sum / pi
     exceptional: float = 1e-9       # |sum p_i| <= exceptional * sum|p_i|
     chart_check: float = 1e-10      # x scale; reconstruction postconditions
-    newton: float = 1e-12           # area-constraint Newton solve
     bifurcation: float = 1e-9       # |B| < bifurcation * sum|tan alpha_i|
     length_match: float = 1e-9      # x scale; edge length realization
     condition_limit: float = 1e12   # reconstruction solve conditioning

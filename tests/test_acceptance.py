@@ -19,7 +19,6 @@ from polyslope import (
     dual_polygon,
     duality_index_check,
     hessian_det_identity,
-    hessian_fd_comparison,
     morse_index_eigen,
     oriented_area,
     signed_perimeter,
@@ -37,6 +36,7 @@ from polyslope.randomgen import (
 )
 from polyslope.slope_space import decomposition_polygons, polygon_from_radii
 from polyslope.sweeps import run_sweep
+from polyslope.tangential import hessian_error
 
 from families import (
     bif_family,
@@ -79,49 +79,40 @@ def test_criterion_01_critical_point_gradients():
             continue
         checked += 1
         for point in points:
-            norm, _ = critical_gradient_norm(point)
-            if norm >= 1e-6:
-                failures.append(f"trial {trial}: gradient norm {norm:.3e} (n={n})")
+            norm, bound = critical_gradient_norm(point)
+            if norm >= bound:
+                failures.append(f"trial {trial}: gradient norm {norm:.3e} >= {bound:.3e} (n={n})")
     verdict(
         1,
-        f"finite-difference gradient < 1e-6 at both critical points "
-        f"({checked} systems, n in [4,9])",
+        f"complex-step gradient under its roundoff bound 256 eps sum|p| at both "
+        f"critical points ({checked} systems, n in [4,9])",
         failures,
     )
     assert checked >= 990
 
 
 def test_criterion_02_hessian_closed_form():
-    from polyslope.sweeps import HESSIAN_FD_EXCLUSION
-
     failures = []
+    checked = 0
     for trial in range(200):
         rng = trial_rng(SEED, 2, trial)
         n = int(rng.integers(4, 9))
         chart = build_chart(random_slope_system(rng, n))
-        # The difference oracle cannot certify 1e-5 arbitrarily close to the
-        # exceptional locus; those systems stay covered by the analytic
-        # determinant and index criteria.
-        if abs(chart.perimeter_sum) < HESSIAN_FD_EXCLUSION * np.sum(
-            np.abs(chart.unit_perimeters)
-        ):
-            continue
         points = nonexceptional_points(chart)
         if points is None:
             continue
+        checked += 1
         for point in points:
-            closed, fd = hessian_fd_comparison(point)
-            scale = float(np.max(np.abs(closed)))
-            rel = np.abs(fd - closed) / np.maximum(np.abs(closed), 1e-2 * scale)
-            worst = float(np.max(rel))
-            if worst >= 1e-5:
-                failures.append(f"trial {trial}: entrywise error {worst:.3e} (n={n})")
+            error, bound = hessian_error(point)
+            if error > bound:
+                failures.append(f"trial {trial}: entrywise error {error:.3e} > {bound:.3e} (n={n})")
     verdict(
         2,
-        "closed-form Hessian matches central finite differences to 1e-5 "
-        "entrywise (200 systems, n in [4,8])",
+        "closed-form Hessian matches the hyper-dual Hessian within its roundoff "
+        f"bound 512 eps max|H| sum|p| / |sum p| ({checked} systems, n in [4,8])",
         failures,
     )
+    assert checked == 200
 
 
 def test_criterion_03_determinant_identity():

@@ -85,8 +85,10 @@ class TestSlopesAnalyze:
         assert data["critical"]["points"] == []
 
     def test_gradient_check_in_well_conditioned_chart(self, tmp_path, capsys):
-        # Relabeling for the largest |p_1| left other |p_i| 360 times larger
-        # and a finite-difference gradient of 1.8e-5 at true critical points.
+        # Relabeling for the largest |p_1| left other |p_i| 360 times larger,
+        # and a finite-difference gradient there read 1.8e-5 at true critical
+        # points.  The well-conditioned chart keeps the complex-step gradient
+        # at roundoff.
         angles = [
             244.5523834453095,
             177.38120699850484,
@@ -269,6 +271,22 @@ class TestCyclicAnalyze:
             assert code == 2, payload
             assert out == ""
             assert "cannot resolve" in err and "np.float64" not in err
+
+    def test_report_does_not_depend_on_where_the_circle_sits(self, tmp_path, capsys):
+        # Two vertices about 3e-9 degrees apart give the dual an edge near
+        # 1e-10 long.  Measured at the center (0.5, -2), coordinates of size 2
+        # would turn that edge by about 1e-6 rad; about the circle's center
+        # it keeps its slope.
+        phis = [331.1460577934202, 228.9134894920745, 331.1460610519868, 185.45533067604663]
+        indices = []
+        for center in ([0.0, 0.0], [0.5, -2.0]):
+            payload = {"radius": 0.001, "phis_deg": phis, "center": center}
+            path = write_json(tmp_path, "moved.json", payload)
+            code, out, err = run_cli(capsys, "cyclic", "analyze", path, "--json")
+            assert code == 0, err
+            indices.append(json.loads(out)["indices"])
+        assert indices[0] == indices[1]
+        assert indices[1]["identity_holds"] is True
 
     def test_near_bifurcating_input_keeps_indices(self, tmp_path, capsys):
         path = write_json(tmp_path, "near.json", {"radius": 1.0, "phis_deg": NEAR_BIFURCATION})

@@ -9,6 +9,8 @@ The same draws check the closed forms of the tangential polygons against
 their geometric oracles, the radii reconstruction and tangent-line intersections.
 """
 
+import functools
+
 import numpy as np
 
 from polyslope import cli
@@ -78,11 +80,36 @@ def test_slopes_fuzz():
     assert len(reports) == COUNT
 
 
-def test_cyclic_fuzz():
+@functools.cache
+def cyclic_fuzz_reports():
     inputs = enumerate(ANGLES[COUNT:], start=COUNT)
-    reports, problems = run_fuzz(lambda phis: cyclic_report(1.0, phis), inputs)
+    return run_fuzz(lambda phis: cyclic_report(1.0, phis), inputs)
+
+
+def test_cyclic_fuzz():
+    reports, problems = cyclic_fuzz_reports()
     assert problems == []
     assert len(reports) == COUNT
+
+
+def test_cyclic_fuzz_moved_circle():
+    # The same polygons about a center at distance 1e0..1e6 in a random
+    # direction keep their indices: the dual is measured about the center.
+    rng = np.random.default_rng(124)
+    origin_reports, _ = cyclic_fuzz_reports()
+    problems = []
+    for i, report in origin_reports:
+        size = 10.0 ** rng.uniform(0.0, 6.0)
+        angle = rng.uniform(0.0, 2.0 * np.pi)
+        center = (size * np.cos(angle), size * np.sin(angle))
+        try:
+            moved = cyclic_report(1.0, ANGLES[i], center)
+        except Exception as exc:
+            problems.append(f"input {i} at {center}: {type(exc).__name__}: {exc}")
+            continue
+        if moved["indices"] != report["indices"] or cli._cross_check_failures(moved):
+            problems.append(f"input {i} at {center}: {moved['indices']} != {report['indices']}")
+    assert problems == []
 
 
 def test_critical_points_match_reconstruction():

@@ -19,19 +19,38 @@ from polyslope import (
     tangential_critical_points,
 )
 from polyslope.randomgen import random_convex_slope_system, random_slope_system, trial_rng
-from polyslope.sweeps import check_hessian_difference
 from polyslope.tangential import (
-    HESSIAN_FD_LADDER,
+    COMPLEX_STEP,
+    _HyperDual,
     constrained_perimeter,
-    perimeter_gradient_fd,
-    perimeter_hessian_fd,
-    solve_first_radius,
+    hessian_error,
     well_conditioned_chart,
 )
 
 from families import bisect_family_root, family_system
 
 EQUILATERAL = SlopeSystem.from_degrees([90, 210, 330])
+
+
+def complex_step_gradient(chart, free_radii, target_area, branch):
+    """Gradient of the constrained perimeter at any free radii, one complex
+    row per direction, as :func:`critical_gradient_norm` takes it."""
+    free = np.asarray(free_radii, dtype=float)
+    rows = free + 1j * COMPLEX_STEP * np.eye(len(free))
+    return constrained_perimeter(chart, rows, target_area, branch).imag / COMPLEX_STEP
+
+
+def hyperdual_hessian(chart, free_radii, target_area, branch):
+    """Hessian of the constrained perimeter at any free radii, one hyper-dual
+    row per pair j <= k, as :func:`hessian_fd_comparison` takes it."""
+    free = np.asarray(free_radii, dtype=float)
+    m = len(free)
+    j, k = np.triu_indices(m)
+    units = np.eye(m)
+    rows = _HyperDual(np.tile(free, (len(j), 1)), units[j], units[k], 0.0 * units[j])
+    hessian = np.empty((m, m))
+    hessian[j, k] = hessian[k, j] = constrained_perimeter(chart, rows, target_area, branch).parts[3]
+    return hessian
 
 
 class TestCriticalPoints:
@@ -104,7 +123,8 @@ class TestGradient:
             if isinstance(points, ExceptionalSpace):
                 continue
             for point in points:
-                assert critical_gradient_norm(point)[0] < 1e-6
+                norm, bound = critical_gradient_norm(point)
+                assert norm < bound
 
     def test_large_away_from_critical_points(self):
         rng = np.random.default_rng(23)
@@ -119,11 +139,13 @@ class TestGradient:
             free = np.full(n - 3, point.inradius)
             free[0] *= 1.3
             target = math.copysign(1.0, chart.perimeter_sum)
-            grad = perimeter_gradient_fd(
+            grad = complex_step_gradient(chart, free, target, point.inradius)
+            fd = reference_gradient_fd(
                 chart, free, target, point.inradius, 1e-6 * abs(point.inradius)
             )
             scale = float(np.sum(np.abs(chart.unit_perimeters))) * abs(point.inradius)
             assert float(np.linalg.norm(grad)) > 1e-3 * scale
+            assert float(np.linalg.norm(grad - fd)) < 1e-6 * scale
 
 
 class TestHessian:
@@ -152,7 +174,7 @@ class TestHessian:
         for point in tangential_critical_points(chart):
             closed = point.hessian
             free = np.full(point.n - 3, point.inradius)
-            fd = perimeter_hessian_fd(
+            fd = reference_hessian_fd(
                 chart, free, target, point.inradius, 1e-5 * abs(point.inradius)
             )
             scale = float(np.max(np.abs(closed)))
@@ -168,16 +190,29 @@ class TestHessian:
             if isinstance(points, ExceptionalSpace):
                 continue
             for point in points:
-                closed, fd = hessian_fd_comparison(point)
+                closed, _ = hessian_fd_comparison(point)
+                fd = reference_hessian_fd_comparison(point)
                 scale = float(np.max(np.abs(closed)))
                 rel = np.abs(fd - closed) / np.maximum(np.abs(closed), 1e-2 * scale)
                 assert float(np.max(rel)) < 1e-5
 
     def test_extrapolation_ladder_resolves_noise_bound_system(self):
-        # Sweep seed 38, trial 11 (n = 5): the extrapolated error falls as
-        # the step grows, 1.7e-5 at 2e-3 * |r| and 7.4e-7 at 8e-3 * |r|, so a
-        # ladder topping out at 4e-3 failed the 1e-5 bound.
-        assert check_hessian_difference(trial_rng(38, 1, 11), (4, 9), DEFAULT_TOL) == []
+        # The system that seed 38, trial 11 of the sweep drew while it checked
+        # finite differences (n = 5): the extrapolated error falls as the step
+        # grows, 1.7e-5 at 2e-3 * |r| and 7.4e-7 at 8e-3 * |r|, so a ladder
+        # topping out at 4e-3 failed the 1e-5 bound.
+        rng = trial_rng(38, 1, 11)
+        n = int(rng.integers(4, 9))
+        chart = build_chart(random_slope_system(rng, n))
+        assert n == 5
+        for point in tangential_critical_points(chart):
+            closed, _ = hessian_fd_comparison(point)
+            fd = reference_hessian_fd_comparison(point)
+            scale = float(np.max(np.abs(closed)))
+            rel = np.abs(fd - closed) / np.maximum(np.abs(closed), 1e-2 * scale)
+            assert float(np.max(rel)) < 1e-5
+            error, bound = hessian_error(point)
+            assert error <= bound
 
     def test_determinant_identity_small_cases(self):
         rng = np.random.default_rng(26)
@@ -308,13 +343,37 @@ class TestConstrainedChart:
         area = 0.5 * (p[0] * r0**2 + float(np.sum(p[1:] * free**2)))
         assert area == pytest.approx(target, abs=1e-12)
 
+    def test_wrong_area_sign_raises(self):
+        # The wrong area sign leaves no real r_1: the closed form, on real,
+        # complex and hyper-dual radii, and the Newton twin below refuse it.
+        rng = np.random.default_rng(35)
+        chart = well_conditioned_chart(random_slope_system(rng, 6))
+        point = tangential_critical_points(chart)[0]
+        target = math.copysign(1.0, chart.perimeter_sum)
+        args = (np.full(3, point.inradius), -target, point.inradius)
+        oracles = (
+            constrained_perimeter,
+            complex_step_gradient,
+            hyperdual_hessian,
+            reference_solve_first_radius,
+        )
+        for oracle in oracles:
+            with pytest.raises(NotCritical):
+                oracle(chart, *args)
 
-# Scalar finite-difference oracles as they were written before the stencils
-# were batched: one Newton solve per stencil point.  The batched kernels must
-# reproduce them bit for bit.
+
+# Test-only oracles of the exact derivatives: central finite differences of
+# the perimeter on the unit-area slice, with r_1 from a scalar Newton solve
+# per stencil point instead of the closed form.  The Hessian differences are
+# Richardson-extrapolated along FD_LADDER (steps as fractions of |r|), and the
+# estimate where successive extrapolations agree best wins.
+
+NEWTON_TOL = 1e-12  # residual of the area law, relative to its terms
+FD_LADDER = (1.6e-2, 8e-3, 4e-3, 2e-3, 1e-3, 5e-4, 2.5e-4)
+GRADIENT_FD_STEP = 1e-6  # central-difference step of the gradient, times |r|
 
 
-def reference_solve_first_radius(chart, free_radii, target_area, seed, tol=DEFAULT_TOL):
+def reference_solve_first_radius(chart, free_radii, target_area, seed):
     p0 = float(chart.unit_perimeters[0])
     tail = float(np.sum(chart.unit_perimeters[1:] * np.asarray(free_radii) ** 2))
     tail_scale = float(np.sum(np.abs(chart.unit_perimeters[1:]) * np.asarray(free_radii) ** 2))
@@ -330,7 +389,7 @@ def reference_solve_first_radius(chart, free_radii, target_area, seed, tol=DEFAU
             break
     residual = 0.5 * (p0 * r * r + tail) - target_area
     scale = max(1.0, abs(target_area), 0.5 * (abs(p0) * r * r + tail_scale))
-    if abs(residual) > tol.newton * scale:
+    if abs(residual) > NEWTON_TOL * scale:
         raise NotCritical(f"area constraint solve stalled at residual {residual!r}")
     return r
 
@@ -387,57 +446,64 @@ def reference_hessian_fd_comparison(point):
     target = math.copysign(1.0, chart.perimeter_sum)
     stencils = [
         reference_hessian_fd(chart, free, target, point.inradius, f * abs(point.inradius))
-        for f in HESSIAN_FD_LADDER
+        for f in FD_LADDER
     ]
     extrapolated = [(4.0 * fine - coarse) / 3.0 for coarse, fine in zip(stencils, stencils[1:])]
     gaps = [float(np.max(np.abs(b - a))) for a, b in zip(extrapolated, extrapolated[1:])]
     return extrapolated[int(np.argmin(gaps)) + 1]
 
 
-class TestBatchedFiniteDifferences:
-    def test_equal_to_scalar_reference(self):
+class TestExactDerivatives:
+    def test_agree_with_scalar_finite_differences(self):
+        # The bounds are what the twin's differences certify; near the
+        # exceptional locus they certify less, so those systems are skipped.
+        eps = float(np.finfo(float).eps)
         rng = np.random.default_rng(34)
-        for n in range(4, 15):
+        checked = 0
+        while checked < 30:
+            n = int(rng.integers(4, 9))
+            chart = well_conditioned_chart(random_slope_system(rng, n))
+            scale = float(np.sum(np.abs(chart.unit_perimeters)))
+            if abs(chart.perimeter_sum) < 1e-3 * scale:
+                continue
+            checked += 1
+            target = math.copysign(1.0, chart.perimeter_sum)
+            for point in tangential_critical_points(chart):
+                r = point.inradius
+                free = np.full(n - 3, r)
+                grad = complex_step_gradient(chart, free, target, r)
+                fd = reference_gradient_fd(chart, free, target, r, GRADIENT_FD_STEP * abs(r))
+                gradient_bound = max(1e-6, 16.0 * eps * scale / GRADIENT_FD_STEP)
+                assert float(np.linalg.norm(grad - fd)) < gradient_bound
+                _, exact = hessian_fd_comparison(point)
+                fd = reference_hessian_fd_comparison(point)
+                hessian_scale = float(np.max(np.abs(exact)))
+                rel = np.abs(fd - exact) / np.maximum(np.abs(exact), 1e-2 * hessian_scale)
+                assert float(np.max(rel)) < 1e-5
+
+
+    def test_agree_with_scalar_finite_differences_off_critical_points(self):
+        # Away from a critical point neither derivative has a closed form to
+        # meet, so the twin checks the complex and hyper-dual arithmetic.
+        rng = np.random.default_rng(36)
+        for _ in range(10):
+            n = int(rng.integers(4, 9))
             chart = well_conditioned_chart(random_slope_system(rng, n))
             points = tangential_critical_points(chart)
             if isinstance(points, ExceptionalSpace):
                 continue
             target = math.copysign(1.0, chart.perimeter_sum)
-            for point in points:
-                r = point.inradius
-                at_point = np.full(n - 3, r)
-                off_point = at_point * rng.uniform(0.97, 1.03, n - 3)
-                for free in (at_point, off_point):
-                    assert constrained_perimeter(chart, free, target, r) == (
-                        reference_constrained_perimeter(chart, free, target, r)
-                    )
-                    step = 1e-6 * abs(r)
-                    assert np.array_equal(
-                        perimeter_gradient_fd(chart, free, target, r, step),
-                        reference_gradient_fd(chart, free, target, r, step),
-                    )
-                    step = 1e-3 * abs(r)
-                    assert np.array_equal(
-                        perimeter_hessian_fd(chart, free, target, r, step),
-                        reference_hessian_fd(chart, free, target, r, step),
-                    )
-                _, fd = hessian_fd_comparison(point)
-                assert np.array_equal(fd, reference_hessian_fd_comparison(point))
-
-    def test_failures_match_scalar_reference(self):
-        rng = np.random.default_rng(35)
-        chart = well_conditioned_chart(random_slope_system(rng, 6))
-        point = tangential_critical_points(chart)[0]
-        target = math.copysign(1.0, chart.perimeter_sum)
-        free = np.full(3, point.inradius)
-        # The wrong area sign has no real r_1, so Newton stalls; a zero seed
-        # has a vanishing derivative.
-        for args in ((free, -target, point.inradius), (free, target, 0.0)):
-            with pytest.raises(NotCritical) as expected:
-                reference_solve_first_radius(chart, *args)
-            with pytest.raises(NotCritical) as batched:
-                solve_first_radius(chart, *args)
-            assert str(batched.value) == str(expected.value)
-            with pytest.raises(NotCritical) as stencil:
-                perimeter_hessian_fd(chart, *args, 1e-3 * abs(point.inradius))
-            assert str(stencil.value) == str(expected.value)
+            r = points[0].inradius
+            free = r * rng.uniform(0.9, 1.1, n - 3)
+            grad = complex_step_gradient(chart, free, target, r)
+            fd = reference_gradient_fd(chart, free, target, r, GRADIENT_FD_STEP * abs(r))
+            # The twin's roundoff is about eps sum|p| / GRADIENT_FD_STEP.
+            noise = 16.0 * np.finfo(float).eps * float(np.sum(np.abs(chart.unit_perimeters)))
+            assert float(np.max(np.abs(grad - fd))) < noise / GRADIENT_FD_STEP
+            exact = hyperdual_hessian(chart, free, target, r)
+            coarse, fine = (
+                reference_hessian_fd(chart, free, target, r, step * abs(r)) for step in (4e-3, 2e-3)
+            )
+            extrapolated = (4.0 * fine - coarse) / 3.0
+            scale = float(np.max(np.abs(exact)))
+            assert float(np.max(np.abs(extrapolated - exact))) < 1e-5 * scale
