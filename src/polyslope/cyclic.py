@@ -99,13 +99,15 @@ class CyclicPolygon:
 
     @property
     def vertices(self) -> np.ndarray:
-        return self.center + self.radius * np.column_stack(
-            [np.cos(self.phis), np.sin(self.phis)]
-        )
+        return _circle_points(self.center, self.radius, self.phis)
 
     @property
     def polygon(self) -> PolygonChain:
         return PolygonChain(self.vertices)
+
+
+def _circle_points(center, radius, phis) -> np.ndarray:
+    return center + radius * np.column_stack([np.cos(phis), np.sin(phis)])
 
 
 @dataclass(frozen=True, eq=False)
@@ -324,9 +326,10 @@ def area_morse_index_numeric(cyclic: CyclicPolygon) -> int:
 
     The index depends on the vertex angles alone, so the polygon is rebuilt
     on the unit circle about the origin: the edge lengths stay of order one
-    whatever the radius, and their squares cannot overflow.
+    whatever the radius, and their squares cannot overflow.  Its vertex
+    angles are those of ``cyclic``, which its constructor has checked.
     """
-    polygon = CyclicPolygon(np.zeros(2), 1.0, cyclic.phis).polygon
+    polygon = PolygonChain(_circle_points(np.zeros(2), 1.0, cyclic.phis))
     lengths = polygon.edge_lengths
     thetas = polygon.edge_angles
     jac, basis = _tangent_frame(lengths, thetas)
@@ -351,11 +354,11 @@ def area_morse_index_numeric(cyclic: CyclicPolygon) -> int:
 
 
 def area_morse_index_formula(
-    cyclic: CyclicPolygon,
+    source: CyclicPolygon | CyclicInvariants,
     tol: Tolerances = DEFAULT_TOL,
 ) -> int:
     """Morse index of the area from edge counts, winding, and the tangent sum."""
-    inv = cyclic_invariants(cyclic, tol)
+    inv = source if isinstance(source, CyclicInvariants) else cyclic_invariants(source, tol)
     if bifurcation_test(inv, tol):
         raise Bifurcating("index undefined on the bifurcation locus")
     correction = 0 if inv.bifurcation_sum > 0 else 1
@@ -365,6 +368,8 @@ def area_morse_index_formula(
 def duality_index_check(
     cyclic: CyclicPolygon,
     tol: Tolerances = DEFAULT_TOL,
+    invariants: CyclicInvariants | None = None,
+    dual_slopes: SlopeSystem | None = None,
 ) -> DualityReport:
     """Area index versus dual perimeter index: mu_area = n - 3 - mu_dual.
 
@@ -376,15 +381,18 @@ def duality_index_check(
     cross-checked against the turn/winding formula.  A dual slope system
     with parallel lines or an exceptional one has no such index, and the
     report says why in ``dual_note``.  Raises Bifurcating on the
-    bifurcation locus.
+    bifurcation locus.  A caller that holds the invariants of ``cyclic``, or
+    the slopes of its :func:`dual_polygon`, passes them on; they are
+    computed here otherwise.
     """
     # The formula goes first: on the bifurcation locus it raises Bifurcating,
     # where the numeric route would only see a degenerate Hessian.
-    mu_formula = area_morse_index_formula(cyclic, tol)
+    mu_formula = area_morse_index_formula(cyclic if invariants is None else invariants, tol)
     mu_numeric = area_morse_index_numeric(cyclic)
     mu_dual, note = None, None
     try:
-        dual_slopes = SlopeSystem.from_angles(_dual_angles(cyclic))
+        if dual_slopes is None:
+            dual_slopes = SlopeSystem.from_angles(_dual_angles(cyclic))
         points = tangential_critical_points(dual_slopes, tol)
         if isinstance(points, ExceptionalSpace):
             raise Bifurcating("dual slope system is exceptional")

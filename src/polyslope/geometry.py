@@ -16,6 +16,7 @@ All values are immutable after construction and all functions are pure, so
 everything here is safe to share across threads.
 """
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Iterable, Sequence
@@ -118,41 +119,78 @@ class DirectedSlope:
     def reversed(self) -> "DirectedSlope":
         return DirectedSlope(self.angle + math.pi)
 
+    @classmethod
+    def _of_reduced(cls, angle: float) -> "DirectedSlope":
+        """The slope of an angle reduced before, kept bit for bit: reducing
+        again would map an angle that rounded up to 2pi onto 0."""
+        slope = cls.__new__(cls)
+        object.__setattr__(slope, "angle", angle)
+        return slope
 
-@dataclass(frozen=True)
+
 class SlopeSystem:
-    """Ordered tuple of directed slopes.
+    """Ordered directed slopes, held as one read-only float64 array.
+
+    ``angles[i]`` is the direction of slope i reduced to [0, 2pi).  The
+    array is the representation: it is computed once at construction, and
+    every check and closed form reads it.  The :class:`DirectedSlope`
+    objects of :attr:`slopes`, iteration and indexing are built on first
+    request and kept.
 
     Construction requires n >= 3 and consecutive slopes non-parallel as lines
     (this is what the turning quantities need).  Operations that build the
     configuration space additionally require pairwise non-parallelism; see
-    :meth:`require_pairwise_nonparallel`.
+    :meth:`require_pairwise_nonparallel`.  Each parallel test compares
+    d = (a_i - a_j) mod pi and pi - d with the tolerance, the two distances
+    :func:`line_gap` takes the smaller of.
     """
 
-    slopes: tuple[DirectedSlope, ...]
+    def __init__(self, slopes: Iterable[DirectedSlope]):
+        slopes = tuple(slopes)
+        self._set_angles([s.angle for s in slopes])
+        self.__dict__["slopes"] = slopes
 
-    def __post_init__(self):
-        slopes = tuple(self.slopes)
-        object.__setattr__(self, "slopes", slopes)
-        if len(slopes) < 3:
+    @classmethod
+    def _of_reduced(cls, angles: list[float]) -> "SlopeSystem":
+        system = cls.__new__(cls)
+        system._set_angles(angles)
+        return system
+
+    def _set_angles(self, angles: list[float]) -> None:
+        n = len(angles)
+        if n < 3:
             raise ValueError("a slope system needs at least three slopes")
-        for i, s in enumerate(slopes):
-            t = slopes[(i + 1) % len(slopes)]
-            if line_gap(s.angle, t.angle) < DEFAULT_TOL.parallel:
+        tol = DEFAULT_TOL.parallel
+        for i in range(n):
+            d = (angles[i] - angles[(i + 1) % n]) % math.pi
+            if d < tol or math.pi - d < tol:
                 raise ParallelLines(
-                    f"consecutive slopes {i} and {(i + 1) % len(slopes)} are parallel as lines"
+                    f"consecutive slopes {i} and {(i + 1) % n} are parallel as lines"
                 )
+        array = np.array(angles, dtype=float)
+        array.setflags(write=False)
+        object.__setattr__(self, "angles", array)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
 
     @classmethod
     def from_angles(cls, angles: Iterable[float]) -> "SlopeSystem":
-        return cls(tuple(DirectedSlope(a) for a in angles))
+        return cls._of_reduced([float(a) % TWO_PI for a in angles])
 
     @classmethod
     def from_degrees(cls, degrees: Iterable[float]) -> "SlopeSystem":
-        return cls(tuple(DirectedSlope.from_degrees(d) for d in degrees))
+        return cls._of_reduced([math.radians(d) % TWO_PI for d in degrees])
+
+    @functools.cached_property
+    def slopes(self) -> tuple[DirectedSlope, ...]:
+        return tuple(DirectedSlope._of_reduced(a) for a in self.angles.tolist())
 
     def __len__(self) -> int:
-        return len(self.slopes)
+        return len(self.angles)
 
     def __iter__(self):
         return iter(self.slopes)
@@ -160,23 +198,34 @@ class SlopeSystem:
     def __getitem__(self, i):
         return self.slopes[i]
 
-    @property
-    def n(self) -> int:
-        return len(self.slopes)
+    def __eq__(self, other):
+        if not isinstance(other, SlopeSystem):
+            return NotImplemented
+        return self.angles.tolist() == other.angles.tolist()
+
+    def __hash__(self) -> int:
+        return hash(tuple(self.angles.tolist()))
+
+    def __repr__(self) -> str:
+        return f"SlopeSystem.from_angles({self.angles.tolist()!r})"
 
     @property
-    def angles(self) -> np.ndarray:
-        return np.array([s.angle for s in self.slopes])
+    def n(self) -> int:
+        return len(self.angles)
 
     def rotated(self, shift: int) -> "SlopeSystem":
         """Cyclically relabelled system starting at index ``shift``."""
         k = shift % self.n
-        return SlopeSystem(self.slopes[k:] + self.slopes[:k])
+        angles = self.angles.tolist()
+        return SlopeSystem._of_reduced(angles[k:] + angles[:k])
 
     def require_pairwise_nonparallel(self, tol: Tolerances = DEFAULT_TOL) -> None:
-        for i in range(self.n):
-            for j in range(i + 1, self.n):
-                if line_gap(self.slopes[i].angle, self.slopes[j].angle) < tol.parallel:
+        angles = self.angles.tolist()
+        limit = tol.parallel
+        for i, a in enumerate(angles):
+            for j in range(i + 1, len(angles)):
+                d = (a - angles[j]) % math.pi
+                if d < limit or math.pi - d < limit:
                     raise ParallelLines(f"slopes {i} and {j} are parallel as lines")
 
 
@@ -346,13 +395,19 @@ def turning_sum(
     """Cyclic sum of consecutive line angles and its multiple of pi.
 
     Returns ``(t, k)`` where ``t = k * pi``; k is an integer between 1 and
-    n - 1 for every valid system.
+    n - 1 for every valid system.  Each term is :func:`line_angle` of the
+    two slopes, with its parallel test, computed on the angle array.
     """
-    slopes = system.slopes
-    t = sum(
-        line_angle(slopes[i], slopes[(i + 1) % len(slopes)], tol)
-        for i in range(len(slopes))
-    )
+    angles = system.angles.tolist()
+    following = angles[1:] + angles[:1]
+    limit = tol.parallel
+    terms = []
+    for a, b in zip(angles, following):
+        d = (a - b) % math.pi
+        if d < limit or math.pi - d < limit:
+            raise ParallelLines("line angle undefined for parallel lines")
+        terms.append((b - a) % math.pi)
+    t = sum(terms)
     ratio = t / math.pi
     k = round(ratio)
     if abs(ratio - k) > tol.turn_integral * max(1.0, abs(ratio)):
@@ -368,16 +423,9 @@ def turn_counts(system: SlopeSystem) -> tuple[int, int]:
     A consecutive pair turns right when the second direction is a clockwise
     rotation of the first by less than pi.  RT + LT = n always.
     """
-    right = 0
-    left = 0
-    slopes = system.slopes
-    for i in range(len(slopes)):
-        step = (slopes[(i + 1) % len(slopes)].angle - slopes[i].angle) % TWO_PI
-        if step < math.pi:
-            left += 1
-        else:
-            right += 1
-    return right, left
+    angles = system.angles.tolist()
+    left = sum((b - a) % TWO_PI < math.pi for a, b in zip(angles, angles[1:] + angles[:1]))
+    return len(angles) - left, left
 
 
 def signed_perimeter(
@@ -396,22 +444,25 @@ def signed_perimeter(
     the bifurcation locus) erred by up to 38 times that; the allowance is 256
     times.
     """
-    slopes = tuple(slopes)
-    if len(slopes) != polygon.n:
+    if isinstance(slopes, SlopeSystem):
+        slope_angles = slopes.angles
+    else:
+        slope_angles = np.array([slope.angle for slope in slopes])
+    if len(slope_angles) != polygon.n:
         raise SlopeMismatch(
-            f"polygon has {polygon.n} edges but {len(slopes)} slopes were given"
+            f"polygon has {polygon.n} edges but {len(slope_angles)} slopes were given"
         )
     edges = polygon.edge_vectors
     angles = polygon.edge_angles
     lengths = polygon.edge_lengths
-    slope_angles = np.array([slope.angle for slope in slopes])
     turn = (angles - slope_angles) % math.pi
     roundoff = 256.0 * np.finfo(float).eps * polygon.diameter / lengths
     mismatched = np.minimum(turn, math.pi - turn) > tol.parallel + roundoff
     if mismatched.any():
         i = int(np.argmax(mismatched))
         raise SlopeMismatch(
-            f"edge {i} at angle {float(angles[i])!r} is not parallel to slope {slopes[i].angle!r}"
+            f"edge {i} at angle {float(angles[i])!r} is not parallel to slope "
+            f"{float(slope_angles[i])!r}"
         )
     codirected = edges[:, 0] * np.cos(slope_angles) + edges[:, 1] * np.sin(slope_angles) > 0.0
     return float(np.sum(np.where(codirected, lengths, -lengths)))

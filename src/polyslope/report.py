@@ -17,12 +17,11 @@ import numpy as np
 
 from .cyclic import (
     CyclicPolygon,
-    bifurcation_test,
     cyclic_invariants,
     dual_polygon,
     duality_index_check,
 )
-from .errors import InputSchemaError, ParallelLines, SlopeMismatch
+from .errors import Bifurcating, InputSchemaError, ParallelLines, SlopeMismatch
 from .geometry import SlopeSystem, signed_perimeter, tangential_polygon, turn_counts, turning_sum
 from .slope_space import build_chart, topology_report
 from .tangential import (
@@ -140,12 +139,12 @@ def slopes_report(angles_deg: list[float], tol: Tolerances = DEFAULT_TOL) -> dic
     total, half_turns = turning_sum(system, tol)
     right, left = turn_counts(system)
     chart = build_chart(system, tol)
-    topology = topology_report(system, tol)
+    topology = topology_report(chart, tol)
     report = {
         "kind": "slopes",
         "input": {
             "angles_deg": [float(a) for a in angles_deg],
-            "angles_rad": [float(s.angle) for s in system],
+            "angles_rad": system.angles.tolist(),
         },
         "tolerances": tol.to_dict(),
         "turning": {
@@ -212,7 +211,11 @@ def cyclic_report(
             # the coordinates are too coarse to resolve the polygon, as at a
             # subnormal radius.
             raise InputSchemaError(f"{unresolved} ({exc})") from exc
-    bifurcating = bifurcation_test(inv, tol)
+    try:
+        check = duality_index_check(cyclic, tol, inv, dual.slopes)
+    except Bifurcating:
+        check = None  # the area Hessian is degenerate: no index to report
+    bifurcating = check is None
     report = {
         "kind": "cyclic",
         "input": {
@@ -232,7 +235,7 @@ def cyclic_report(
         },
         "bifurcating": bool(bifurcating),
         "dual": {
-            "slope_angles_deg": [float(s.degrees) for s in dual.slopes],
+            "slope_angles_deg": [math.degrees(a) for a in dual.slopes.angles.tolist()],
             "vertices": [[float(x), float(y)] for x, y in dual.polygon.vertices],
             "signed_perimeter": float(dual_perimeter),
             "twice_radius_times_sum": twice_radius_sum,
@@ -245,7 +248,6 @@ def cyclic_report(
             "reason": "bifurcating polygon: the area Hessian is degenerate",
         }
         return report
-    check = duality_index_check(cyclic, tol)
     indices: dict = {
         "withheld": False,
         "mu_area_numeric": check.mu_area_numeric,

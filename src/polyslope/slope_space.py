@@ -27,6 +27,7 @@ from .geometry import (
     SlopeSystem,
     _intersection,
     edge_offsets,
+    left_normal,
     line_gap,
     oriented_area,
     polygon_from_lines,
@@ -38,19 +39,19 @@ from .tolerances import DEFAULT_TOL, Tolerances
 
 @dataclass(frozen=True, eq=False)
 class RadiiChart:
-    """Chart data of a slope system.
+    """Chart data of a slope system, closed forms in its angle array.
 
     ``unit_perimeters[i]`` is the signed perimeter p_i of the decomposition
     triangle with slopes (s_1, s_{i+1}, s_{i+2}) scaled to signed inradius
     +1; ``area_constants[i]`` is the positive constant c_i relating the
     triangle's area to the squared distance of its apex from the first edge
-    line (closed forms in :func:`build_chart`).  ``perimeter_sum`` is
-    sum(p_i) and ``half_turns`` the integer k with angle sum k * pi.
+    line (closed forms in :func:`build_chart`), computed on first read.
+    ``perimeter_sum`` is sum(p_i) and ``half_turns`` the integer k with
+    angle sum k * pi.
     """
 
     system: SlopeSystem
     unit_perimeters: np.ndarray
-    area_constants: np.ndarray
     perimeter_sum: float
     half_turns: int
 
@@ -61,6 +62,12 @@ class RadiiChart:
     @property
     def positive_mask(self) -> np.ndarray:
         return self.unit_perimeters > 0
+
+    @functools.cached_property
+    def area_constants(self) -> np.ndarray:
+        constants = _area_constants(self.system.angles)
+        constants.setflags(write=False)
+        return constants
 
     @functools.cached_property
     def well_conditioned(self) -> "RadiiChart":
@@ -76,9 +83,9 @@ class RadiiChart:
         n = self.n
         # Row k holds the angles of the system relabeled to start at slope k.
         rotations = self.system.angles[(np.arange(n)[:, None] + np.arange(n)) % n]
-        perimeters, constants = _chart_constants(rotations)
+        perimeters = _unit_perimeters(rotations)
         k = int(np.argmin(np.max(np.abs(perimeters), axis=1) / np.abs(perimeters[:, 0])))
-        return _radii_chart(self.system.rotated(k), perimeters[k], constants[k], self.half_turns)
+        return _radii_chart(self.system.rotated(k), perimeters[k], self.half_turns)
 
 
 @dataclass(frozen=True)
@@ -169,18 +176,27 @@ def unit_triangle(
     return triangle, signed_perimeter(triangle, (a, b, c), tol)
 
 
-def _chart_constants(angles: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """p_i and c_i by the closed forms of :func:`build_chart`, along the last axis.
+def _triangle_angles(angles: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """x = s_{i+1} - s_1, y = s_{i+2} - s_1 and y - x along the last axis,
+    y - x with one rounding."""
+    first = angles[..., :1]
+    return angles[..., 1:-1] - first, angles[..., 2:] - first, angles[..., 2:] - angles[..., 1:-1]
+
+
+def _unit_perimeters(angles: np.ndarray) -> np.ndarray:
+    """p_i by the closed form of :func:`build_chart`, along the last axis.
 
     Triangle i turns by x, y - x and -y, so 2 * sum tan(turn / 2) equals the
     product form of p_i; products keep the relative accuracy that sums lose.
     """
-    x = angles[..., 1:-1] - angles[..., :1]
-    y = angles[..., 2:] - angles[..., :1]
-    turn = angles[..., 2:] - angles[..., 1:-1]  # y - x with one rounding
-    perimeters = -2.0 * np.tan(0.5 * x) * np.tan(0.5 * turn) * np.tan(0.5 * y)
-    constants = np.abs(np.sin(turn)) / (2.0 * np.abs(np.sin(x) * np.sin(y)))
-    return perimeters, constants
+    x, y, turn = _triangle_angles(angles)
+    return -2.0 * np.tan(0.5 * x) * np.tan(0.5 * turn) * np.tan(0.5 * y)
+
+
+def _area_constants(angles: np.ndarray) -> np.ndarray:
+    """c_i by the closed form of :func:`build_chart`, along the last axis."""
+    x, y, turn = _triangle_angles(angles)
+    return np.abs(np.sin(turn)) / (2.0 * np.abs(np.sin(x) * np.sin(y)))
 
 
 def build_chart(system: SlopeSystem, tol: Tolerances = DEFAULT_TOL) -> RadiiChart:
@@ -198,10 +214,10 @@ def build_chart(system: SlopeSystem, tol: Tolerances = DEFAULT_TOL) -> RadiiChar
     """
     system.require_pairwise_nonparallel(tol)
     _, half_turns = turning_sum(system, tol)
-    return _radii_chart(system, *_chart_constants(system.angles), half_turns)
+    return _radii_chart(system, _unit_perimeters(system.angles), half_turns)
 
 
-def _radii_chart(system, perimeters, constants, half_turns) -> RadiiChart:
+def _radii_chart(system, perimeters, half_turns) -> RadiiChart:
     """Chart of the given constants, after the signature check of :func:`build_chart`."""
     positive = int(np.count_nonzero(perimeters > 0))
     if positive != half_turns - 1:
@@ -209,11 +225,9 @@ def _radii_chart(system, perimeters, constants, half_turns) -> RadiiChart:
             f"{positive} positive unit perimeters, expected {half_turns - 1}"
         )
     perimeters.setflags(write=False)
-    constants.setflags(write=False)
     return RadiiChart(
         system=system,
         unit_perimeters=perimeters,
-        area_constants=constants,
         perimeter_sum=float(np.sum(perimeters)),
         half_turns=half_turns,
     )
@@ -342,7 +356,7 @@ def normalized_coordinates(
     the sphere-times-disc normalization of x is returned as well.
     """
     offsets = polygon_line_offsets(chart, polygon, tol)
-    first_normal = chart.system[0].normal
+    first_normal = left_normal(chart.system.angles[0])
     x = np.empty(chart.n - 2)
     for i in range(chart.n - 2):
         signed_dist = float(first_normal @ polygon.vertices[i + 2]) - offsets[0]
@@ -357,15 +371,20 @@ def normalized_coordinates(
     return ChartCoordinates(x=x, normalized=normalized)
 
 
-def topology_report(system: SlopeSystem, tol: Tolerances = DEFAULT_TOL) -> TopologyReport:
+def topology_report(
+    source: SlopeSystem | RadiiChart, tol: Tolerances = DEFAULT_TOL
+) -> TopologyReport:
     """Homeomorphism type of the two components of the configuration space.
 
     With angle sum k * pi the negative component is S^(n-k-2) x D^(k-1) and
     the positive component is S^(k-2) x D^(n-k-1); a negative sphere
-    dimension marks an empty component.
+    dimension marks an empty component.  A chart gives its own k.
     """
-    _, k = turning_sum(system, tol)
-    n = system.n
+    if isinstance(source, RadiiChart):
+        k = source.half_turns
+    else:
+        _, k = turning_sum(source, tol)
+    n = source.n
     return TopologyReport(
         half_turns=k,
         negative_component=ComponentShape(sphere_dim=n - k - 2, disc_dim=k - 1),

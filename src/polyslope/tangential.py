@@ -30,6 +30,7 @@ from .geometry import (
     PolygonChain,
     SlopeSystem,
     _successors,
+    left_normal,
     tangential_polygon,
     turn_counts,
 )
@@ -128,13 +129,14 @@ def tangential_critical_points(
     # t_i the turn of edge i to i + 1 in (-pi, pi): winding = turning number.
     turns = (_successors(angles) - angles + math.pi) % TWO_PI - math.pi
     winding = round(float(np.sum(turns)) / TWO_PI)
+    first_normal = left_normal(angles[0])
     # Canonical representative: the common circle center sits at signed
     # distance r from the first edge line, above the origin.
     return tuple(
         TangentialCritical(
             chart=chart,
             inradius=inradius,
-            incenter=inradius * chart.system[0].normal,
+            incenter=inradius * first_normal,
             perimeter=inradius * chart.perimeter_sum,
             area=math.copysign(1.0, chart.perimeter_sum),
             winding=winding,

@@ -10,6 +10,7 @@ from polyslope import (
     DEFAULT_TOL,
     CoincidentVertices,
     DirectedSlope,
+    NonIntegralTurn,
     ParallelLines,
     PointOnBoundary,
     PolygonChain,
@@ -231,6 +232,153 @@ class TestConstruction:
             PolygonChain(np.array([[0.0, 0.0], [1.0, 0.0]]))
 
 
+# The slope checks as they were written over DirectedSlope objects and
+# line_gap, before SlopeSystem held one angle array; the array loops must
+# decide the same, name the same first pair and sum the same bits.
+
+
+def reference_consecutive_check(angles):
+    slopes = tuple(DirectedSlope(a) for a in angles)
+    for i, s in enumerate(slopes):
+        t = slopes[(i + 1) % len(slopes)]
+        if line_gap(s.angle, t.angle) < DEFAULT_TOL.parallel:
+            raise ParallelLines(
+                f"consecutive slopes {i} and {(i + 1) % len(slopes)} are parallel as lines"
+            )
+
+
+def reference_pairwise_check(angles, tol):
+    slopes = tuple(DirectedSlope(a) for a in angles)
+    for i in range(len(slopes)):
+        for j in range(i + 1, len(slopes)):
+            if line_gap(slopes[i].angle, slopes[j].angle) < tol.parallel:
+                raise ParallelLines(f"slopes {i} and {j} are parallel as lines")
+
+
+def reference_turning_sum(angles, tol):
+    slopes = tuple(DirectedSlope(a) for a in angles)
+    t = sum(
+        line_angle(slopes[i], slopes[(i + 1) % len(slopes)], tol)
+        for i in range(len(slopes))
+    )
+    ratio = t / math.pi
+    k = round(ratio)
+    if abs(ratio - k) > tol.turn_integral * max(1.0, abs(ratio)):
+        raise NonIntegralTurn(f"angle sum {t!r} is not an integral multiple of pi")
+    if not 1 <= k <= len(slopes) - 1:
+        raise NonIntegralTurn(f"turning number {k} outside {{1, ..., n - 1}}")
+    return float(t), int(k)
+
+
+def reference_turn_counts(angles):
+    slopes = tuple(DirectedSlope(a) for a in angles)
+    right = left = 0
+    for i in range(len(slopes)):
+        step = (slopes[(i + 1) % len(slopes)].angle - slopes[i].angle) % (2.0 * math.pi)
+        if step < math.pi:
+            left += 1
+        else:
+            right += 1
+    return right, left
+
+
+def outcome(func, *args):
+    """The result, with floats as hex so that only equal bits compare equal,
+    or the error's type and message."""
+    try:
+        result = func(*args)
+    except (ParallelLines, NonIntegralTurn) as exc:
+        return type(exc).__name__, str(exc)
+    if isinstance(result, tuple):
+        return tuple(x.hex() if isinstance(x, float) else x for x in result)
+    return result
+
+
+def twin_systems(count):
+    """Seeded angle lists, n 3..14, with tolerances 1, 10 and 1e3 times the
+    default.  Most plant one or two pairs, consecutive or not, at a line gap
+    of tol.parallel * (1 +- 4 eps); two pairs share a slope, so the order of
+    the search decides which is named first.  Some plant the gap from an
+    angle of 0, where d = (a_i - a_j) mod pi is the planted gap itself."""
+    rng = np.random.default_rng(2024)
+    eps = np.finfo(float).eps
+    for index in range(count):
+        tol = DEFAULT_TOL.scaled([1.0, 10.0, 1e3][index % 3])
+        n = int(rng.integers(3, 15))
+        angles = rng.uniform(0.0, 2.0 * math.pi, n).tolist()
+        i = int(rng.integers(0, n))
+        for _ in range(int(rng.choice([0, 1, 1, 2]))):
+            j = (i + 1) % n if rng.random() < 0.5 else int(rng.integers(0, n))
+            if i == j:
+                continue
+            gap = tol.parallel * (1.0 + eps * float(rng.choice([-4.0, 0.0, 4.0])))
+            if rng.random() < 0.3:
+                angles[i], angles[j] = gap, 0.0
+            else:
+                shift = math.pi * int(rng.integers(-1, 3))
+                angles[j] = angles[i] + shift + float(rng.choice([-1.0, 1.0])) * gap
+        yield angles, tol
+
+
+class TestAngleArrayChecks:
+    def test_agree_with_object_loops(self):
+        seen = set()
+        for angles, tol in twin_systems(2000):
+            built = outcome(SlopeSystem.from_angles, angles)
+            expected = outcome(reference_consecutive_check, angles)
+            if expected is not None:
+                assert built == expected
+                seen.add("consecutive")
+                continue
+            system = SlopeSystem.from_angles(angles)
+            assert outcome(system.require_pairwise_nonparallel, tol) == outcome(
+                reference_pairwise_check, angles, tol
+            )
+            turning = outcome(turning_sum, system, tol)
+            assert turning == outcome(reference_turning_sum, angles, tol)
+            assert turn_counts(system) == reference_turn_counts(angles)
+            seen.add(turning[0] if turning[0] == "ParallelLines" else "turning")
+        assert seen == {"consecutive", "ParallelLines", "turning"}
+
+    def test_planted_gaps_decide_both_ways(self):
+        eps = np.finfo(float).eps
+        for scale in (1.0, 10.0, 1e3):
+            tol = DEFAULT_TOL.scaled(scale)
+            below = tol.parallel * (1.0 - 4.0 * eps)
+            above = tol.parallel * (1.0 + 4.0 * eps)
+            # Slopes 0 and 2 are not neighbours: only the pairwise check sees them.
+            with pytest.raises(ParallelLines, match="^slopes 0 and 2 are parallel"):
+                SlopeSystem.from_angles([below, 2.0, 0.0, 4.0]).require_pairwise_nonparallel(tol)
+            SlopeSystem.from_angles([above, 2.0, 0.0, 4.0]).require_pairwise_nonparallel(tol)
+            # Slopes 0 and 1 are: the constructor decides at the default
+            # tolerance, turning_sum at the looser ones.
+            neighbours = [below, 0.0, 2.0, 4.0]
+            if scale == 1.0:
+                with pytest.raises(ParallelLines, match="^consecutive slopes 0 and 1 "):
+                    SlopeSystem.from_angles(neighbours)
+            else:
+                with pytest.raises(ParallelLines):
+                    turning_sum(SlopeSystem.from_angles(neighbours), tol)
+            system = SlopeSystem.from_angles([above, 0.0, 2.0, 4.0])
+            assert outcome(turning_sum, system, tol) == outcome(
+                reference_turning_sum, [above, 0.0, 2.0, 4.0], tol
+            )
+
+    def test_slopes_are_built_once_from_the_angles(self):
+        system = SlopeSystem.from_degrees([10.0, 80.0, 200.0, 300.0])
+        with pytest.raises(ValueError):
+            system.angles[0] = 0.0
+        assert [s.angle for s in system] == system.angles.tolist()
+        assert system.slopes is system.slopes
+        assert SlopeSystem(system.slopes) == system
+
+    def test_slopes_keep_an_angle_reduced_to_two_pi(self):
+        # -1e-17 mod 2pi rounds up to 2pi; reducing again would give 0.
+        system = SlopeSystem.from_angles([-1e-17, 2.0, 4.0])
+        assert system.angles[0] == 2.0 * math.pi
+        assert system[0].angle == DirectedSlope(-1e-17).angle == 2.0 * math.pi
+
+
 # Per-edge loops as they were written before the polygon kernels worked on
 # whole arrays; the kernels must agree with them to roundoff and raise the
 # same error for the same first offending edge.
@@ -311,7 +459,7 @@ class TestArrayKernels:
         for _, system, polygon in chart_polygons(41, 20):
             if system.n < 5:
                 continue
-            angles = system.angles
+            angles = system.angles.copy()
             angles[[2, 4]] += 0.1
             bad = SlopeSystem.from_angles(angles)
             with pytest.raises(SlopeMismatch) as expected:

@@ -1,7 +1,9 @@
 """What the reports and the sweep checks build, and how often.
 
-Each critical point builds its polygon and Hessian on first read, and each
-chart its well-conditioned relabeling once.  Counters wrap
+Each critical point builds its polygon and Hessian on first read, each
+chart its area constants and well-conditioned relabeling, and each slope
+system its DirectedSlope objects.  A cyclic report computes its invariants
+and its dual slopes once.  Counters wrap functions such as
 ``geometry.tangential_polygon`` and ``slope_space.build_chart`` in every
 ``polyslope`` module that holds them.  The routes these shortcuts replace
 stay here as oracles: the family rows against the critical points' own
@@ -15,15 +17,17 @@ import numpy as np
 import pytest
 
 from polyslope import (
+    DirectedSlope,
     ExceptionalSpace,
     SlopeSystem,
     build_chart,
     morse_index_eigen,
     tangential_critical_points,
 )
-from polyslope.geometry import tangential_polygon
+from polyslope.cyclic import bifurcation_test, cyclic_invariants
+from polyslope.geometry import tangential_polygon, turning_sum
 from polyslope.randomgen import random_slope_system, trial_rng
-from polyslope.report import family_report, slopes_report
+from polyslope.report import cyclic_report, family_report, slopes_report
 from polyslope.sweeps import CHECKS
 from polyslope.tangential import hessian_formula, well_conditioned_chart
 from polyslope.tolerances import DEFAULT_TOL
@@ -31,24 +35,34 @@ from polyslope.tolerances import DEFAULT_TOL
 from families import FAMILY_END, FAMILY_START
 
 
-@pytest.fixture
-def calls(monkeypatch):
-    """Counts of calls to build_chart and tangential_polygon, by name."""
+def counted(monkeypatch, originals, results=None):
+    """Counts of calls to each original, by name, wrapped in every
+    ``polyslope`` module that holds it; each result is appended to
+    ``results`` when it is given."""
     counts = {}
-    for original in (build_chart, tangential_polygon):
+    for original in originals:
         name = original.__name__
         counts[name] = 0
 
-        def counted(*args, _original=original, _name=name, **kwargs):
+        def wrapper(*args, _original=original, _name=name, **kwargs):
             counts[_name] += 1
-            return _original(*args, **kwargs)
+            result = _original(*args, **kwargs)
+            if results is not None:
+                results.append(result)
+            return result
 
         for module_name, module in list(sys.modules.items()):
             if module_name == "polyslope" or module_name.startswith("polyslope."):
                 for attr, value in list(vars(module).items()):
                     if value is original:
-                        monkeypatch.setattr(module, attr, counted)
+                        monkeypatch.setattr(module, attr, wrapper)
     return counts
+
+
+@pytest.fixture
+def calls(monkeypatch):
+    """Counts of calls to build_chart and tangential_polygon, by name."""
+    return counted(monkeypatch, (build_chart, tangential_polygon))
 
 
 SLOPES_7 = [10.0, 62.0, 131.0, 175.0, 228.0, 281.0, 333.0]
@@ -145,3 +159,82 @@ def test_family_rows_match_critical_points():
         end = rng.uniform(0.0, 360.0, n).tolist()
         checked += check_family_rows(family_report(start, end, 7))
     assert checked > 500
+
+
+@pytest.fixture
+def slopes_made(monkeypatch):
+    """Number of DirectedSlope objects made: by the constructor, or by the
+    lazy ``SlopeSystem.slopes`` through ``DirectedSlope._of_reduced``."""
+    made = [0]
+    post_init = DirectedSlope.__post_init__
+    of_reduced = DirectedSlope._of_reduced
+
+    def counted_post_init(self):
+        made[0] += 1
+        post_init(self)
+
+    def counted_of_reduced(cls, angle):
+        made[0] += 1
+        return of_reduced(angle)
+
+    monkeypatch.setattr(DirectedSlope, "__post_init__", counted_post_init)
+    monkeypatch.setattr(DirectedSlope, "_of_reduced", classmethod(counted_of_reduced))
+    return made
+
+
+def test_slopes_made_counts_both_routes(slopes_made):
+    system = SlopeSystem.from_degrees(SLOPES_7)
+    assert slopes_made[0] == 0
+    assert len(system.slopes) == 7 and slopes_made[0] == 7
+    assert system[0] is system.slopes[0] and list(system) == list(system.slopes)
+    assert slopes_made[0] == 7
+    DirectedSlope(1.0)
+    assert slopes_made[0] == 8
+
+
+def test_family_report_builds_no_slope_object_and_no_area_constants(monkeypatch, slopes_made):
+    charts = []
+    counted(monkeypatch, (build_chart,), charts)
+    family_report(FAMILY_START, FAMILY_END, 11)
+    assert len(charts) > 11  # the rows, and the bisection midpoints
+    assert slopes_made[0] == 0
+    assert not any("area_constants" in vars(chart) for chart in charts)
+
+
+def test_area_constants_on_first_read():
+    chart = build_chart(SlopeSystem.from_degrees(SLOPES_7))
+    assert "area_constants" not in vars(chart)
+    constants = chart.area_constants
+    assert constants is chart.area_constants
+    assert not constants.flags.writeable
+
+
+def test_angles_are_read_only_and_shared():
+    system = SlopeSystem.from_degrees(SLOPES_7)
+    angles = system.angles
+    assert angles is system.angles
+    assert not angles.flags.writeable
+    assert angles.dtype == np.float64
+
+
+def test_slopes_report_runs_turning_sum_twice(monkeypatch):
+    counts = counted(monkeypatch, (turning_sum,))
+    slopes_report(SLOPES_7)
+    assert counts["turning_sum"] == 2
+
+
+def test_cyclic_report_computes_invariants_and_dual_once(monkeypatch):
+    counts = counted(monkeypatch, (cyclic_invariants, bifurcation_test))
+    systems = [0]
+    set_angles = SlopeSystem._set_angles
+
+    def counted_set_angles(self, angles):
+        systems[0] += 1
+        set_angles(self, angles)
+
+    # Every SlopeSystem, however it is made, sets its angles once.
+    monkeypatch.setattr(SlopeSystem, "_set_angles", counted_set_angles)
+    report = cyclic_report(1.0, [0.0, 70.0, 150.0, 220.0, 290.0])
+    assert report["indices"]["mu_dual_perimeter"] is not None
+    assert counts == {"cyclic_invariants": 1, "bifurcation_test": 1}
+    assert systems[0] == 1
