@@ -1,4 +1,4 @@
-"""Planar primitives: directed slopes, polygon chains, and the signed
+"""Planar primitives: slope systems, polygon chains, and the signed
 area / perimeter / winding / turning computations everything else builds on.
 
 Conventions used throughout the library:
@@ -16,7 +16,6 @@ All values are immutable after construction and all functions are pure, so
 everything here is safe to share across threads.
 """
 
-import functools
 import math
 from dataclasses import dataclass
 from typing import Iterable, Sequence
@@ -33,11 +32,6 @@ from .errors import (
 from .tolerances import DEFAULT_TOL, Tolerances
 
 TWO_PI = 2.0 * math.pi
-
-
-def direction_vector(angle: float) -> np.ndarray:
-    """Unit vector at the given angle."""
-    return np.array([math.cos(angle), math.sin(angle)])
 
 
 def left_normal(angle: float) -> np.ndarray:
@@ -68,16 +62,11 @@ def intersect_lines(
     angle_b: float,
     offset_b: float,
     tol: Tolerances = DEFAULT_TOL,
-) -> np.ndarray:
-    """Intersection point of two directed lines given as (angle, offset).
+) -> tuple[float, float]:
+    """Intersection point ``(x, y)`` of two directed lines given as (angle, offset).
 
     Raises ParallelLines when the lines are parallel within tolerance.
     """
-    return np.array(_intersection(angle_a, offset_a, angle_b, offset_b, tol))
-
-
-def _intersection(angle_a, offset_a, angle_b, offset_b, tol=DEFAULT_TOL) -> tuple[float, float]:
-    """:func:`intersect_lines` as a pair of Python floats."""
     det = math.sin(angle_b - angle_a)
     if abs(det) < math.sin(min(tol.parallel, 0.5 * math.pi)):
         raise ParallelLines(
@@ -90,52 +79,14 @@ def _intersection(angle_a, offset_a, angle_b, offset_b, tol=DEFAULT_TOL) -> tupl
     return x, y
 
 
-@dataclass(frozen=True)
-class DirectedSlope:
-    """Direction of an oriented line through the origin, reduced to [0, 2pi)."""
-
-    angle: float
-
-    def __post_init__(self):
-        reduced = float(self.angle) % TWO_PI
-        object.__setattr__(self, "angle", reduced)
-
-    @classmethod
-    def from_degrees(cls, degrees: float) -> "DirectedSlope":
-        return cls(math.radians(degrees))
-
-    @property
-    def degrees(self) -> float:
-        return math.degrees(self.angle)
-
-    @property
-    def direction(self) -> np.ndarray:
-        return direction_vector(self.angle)
-
-    @property
-    def normal(self) -> np.ndarray:
-        return left_normal(self.angle)
-
-    def reversed(self) -> "DirectedSlope":
-        return DirectedSlope(self.angle + math.pi)
-
-    @classmethod
-    def _of_reduced(cls, angle: float) -> "DirectedSlope":
-        """The slope of an angle reduced before, kept bit for bit: reducing
-        again would map an angle that rounded up to 2pi onto 0."""
-        slope = cls.__new__(cls)
-        object.__setattr__(slope, "angle", angle)
-        return slope
-
-
 class SlopeSystem:
-    """Ordered directed slopes, held as one read-only float64 array.
+    """Ordered directed slopes: one read-only float64 array of angles.
 
-    ``angles[i]`` is the direction of slope i reduced to [0, 2pi).  The
-    array is the representation: it is computed once at construction, and
-    every check and closed form reads it.  The :class:`DirectedSlope`
-    objects of :attr:`slopes`, iteration and indexing are built on first
-    request and kept.
+    ``angles[i]`` is the direction of slope i reduced to [0, 2pi).  A
+    remainder that rounds up to 2pi is stored as 0.0, so reducing again is
+    the identity and ``SlopeSystem(system.angles)`` equals ``system`` bit for
+    bit.  The array is the whole representation: every check and closed form
+    reads it.
 
     Construction requires n >= 3 and consecutive slopes non-parallel as lines
     (this is what the turning quantities need).  Operations that build the
@@ -145,25 +96,17 @@ class SlopeSystem:
     :func:`line_gap` takes the smaller of.
     """
 
-    def __init__(self, slopes: Iterable[DirectedSlope]):
-        slopes = tuple(slopes)
-        self._set_angles([s.angle for s in slopes])
-        self.__dict__["slopes"] = slopes
-
-    @classmethod
-    def _of_reduced(cls, angles: list[float]) -> "SlopeSystem":
-        system = cls.__new__(cls)
-        system._set_angles(angles)
-        return system
-
-    def _set_angles(self, angles: list[float]) -> None:
+    def __init__(self, angles: Iterable[float]):
+        angles = [a % TWO_PI for a in angles]
+        if TWO_PI in angles:
+            angles = [0.0 if a == TWO_PI else a for a in angles]
         n = len(angles)
         if n < 3:
             raise ValueError("a slope system needs at least three slopes")
-        tol = DEFAULT_TOL.parallel
+        tol, pi = DEFAULT_TOL.parallel, math.pi
         for i in range(n):
-            d = (angles[i] - angles[(i + 1) % n]) % math.pi
-            if d < tol or math.pi - d < tol:
+            d = (angles[i] - angles[(i + 1) % n]) % pi
+            if d < tol or pi - d < tol:
                 raise ParallelLines(
                     f"consecutive slopes {i} and {(i + 1) % n} are parallel as lines"
                 )
@@ -179,24 +122,18 @@ class SlopeSystem:
 
     @classmethod
     def from_angles(cls, angles: Iterable[float]) -> "SlopeSystem":
-        return cls._of_reduced([float(a) % TWO_PI for a in angles])
+        """The system of the given radians; the constructor's loops run
+        several times faster on the Python floats of an array's ``tolist``."""
+        if isinstance(angles, np.ndarray):
+            angles = angles.tolist()
+        return cls(angles)
 
     @classmethod
     def from_degrees(cls, degrees: Iterable[float]) -> "SlopeSystem":
-        return cls._of_reduced([math.radians(d) % TWO_PI for d in degrees])
-
-    @functools.cached_property
-    def slopes(self) -> tuple[DirectedSlope, ...]:
-        return tuple(DirectedSlope._of_reduced(a) for a in self.angles.tolist())
+        return cls(map(math.radians, degrees))
 
     def __len__(self) -> int:
         return len(self.angles)
-
-    def __iter__(self):
-        return iter(self.slopes)
-
-    def __getitem__(self, i):
-        return self.slopes[i]
 
     def __eq__(self, other):
         if not isinstance(other, SlopeSystem):
@@ -217,7 +154,7 @@ class SlopeSystem:
         """Cyclically relabelled system starting at index ``shift``."""
         k = shift % self.n
         angles = self.angles.tolist()
-        return SlopeSystem._of_reduced(angles[k:] + angles[:k])
+        return SlopeSystem(angles[k:] + angles[:k])
 
     def require_pairwise_nonparallel(self, tol: Tolerances = DEFAULT_TOL) -> None:
         angles = self.angles.tolist()
@@ -377,17 +314,6 @@ def winding_number(
     return int(nearest)
 
 
-def line_angle(
-    r: DirectedSlope,
-    s: DirectedSlope,
-    tol: Tolerances = DEFAULT_TOL,
-) -> float:
-    """Angle in (0, pi) of the counterclockwise rotation taking line r to line s."""
-    if line_gap(r.angle, s.angle) < tol.parallel:
-        raise ParallelLines("line angle undefined for parallel lines")
-    return (s.angle - r.angle) % math.pi
-
-
 def turning_sum(
     system: SlopeSystem,
     tol: Tolerances = DEFAULT_TOL,
@@ -395,8 +321,9 @@ def turning_sum(
     """Cyclic sum of consecutive line angles and its multiple of pi.
 
     Returns ``(t, k)`` where ``t = k * pi``; k is an integer between 1 and
-    n - 1 for every valid system.  Each term is :func:`line_angle` of the
-    two slopes, with its parallel test, computed on the angle array.
+    n - 1 for every valid system.  Each term is the angle (b - a) mod pi in
+    (0, pi) of the counterclockwise rotation taking the line at a to the
+    line at b, after the parallel test of the pair at ``tol.parallel``.
     """
     angles = system.angles.tolist()
     following = angles[1:] + angles[:1]
@@ -430,24 +357,21 @@ def turn_counts(system: SlopeSystem) -> tuple[int, int]:
 
 def signed_perimeter(
     polygon: PolygonChain,
-    slopes: SlopeSystem | Sequence[DirectedSlope],
+    system: SlopeSystem,
     tol: Tolerances = DEFAULT_TOL,
 ) -> float:
     """Edge lengths summed with signs against the declared slope directions.
 
     Edge ``i`` contributes +length when its traversal is codirected with
-    ``slopes[i]`` and -length otherwise.  Raises SlopeMismatch when an edge is
-    not parallel to its slope within ``tol.parallel`` plus the roundoff of its
-    direction.  Vertices rounded at the polygon's own scale leave the
-    direction of an edge of length l uncertain by eps * diameter / l.  The
-    duals of 1600 seeded cyclic polygons (n 4..9; random, star and next to
-    the bifurcation locus) erred by up to 38 times that; the allowance is 256
-    times.
+    slope ``i`` of ``system`` and -length otherwise.  Raises SlopeMismatch
+    when an edge is not parallel to its slope within ``tol.parallel`` plus
+    the roundoff of its direction.  Vertices rounded at the polygon's own
+    scale leave the direction of an edge of length l uncertain by
+    eps * diameter / l.  The duals of 1600 seeded cyclic polygons (n 4..9;
+    random, star and next to the bifurcation locus) erred by up to 38 times
+    that; the allowance is 256 times.
     """
-    if isinstance(slopes, SlopeSystem):
-        slope_angles = slopes.angles
-    else:
-        slope_angles = np.array([slope.angle for slope in slopes])
+    slope_angles = system.angles
     if len(slope_angles) != polygon.n:
         raise SlopeMismatch(
             f"polygon has {polygon.n} edges but {len(slope_angles)} slopes were given"

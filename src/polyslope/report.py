@@ -22,7 +22,7 @@ from .cyclic import (
     duality_index_check,
 )
 from .errors import Bifurcating, InputSchemaError, ParallelLines, SlopeMismatch
-from .geometry import SlopeSystem, signed_perimeter, tangential_polygon, turn_counts, turning_sum
+from .geometry import SlopeSystem, signed_perimeter, tangential_polygon, turn_counts
 from .slope_space import build_chart, topology_report
 from .tangential import (
     ExceptionalSpace,
@@ -136,9 +136,9 @@ def _critical_point_dict(point) -> dict:
 
 def slopes_report(angles_deg: list[float], tol: Tolerances = DEFAULT_TOL) -> dict:
     system = SlopeSystem.from_degrees(angles_deg)
-    total, half_turns = turning_sum(system, tol)
-    right, left = turn_counts(system)
     chart = build_chart(system, tol)
+    total, half_turns = chart.angle_sum, chart.half_turns
+    right, left = turn_counts(system)
     topology = topology_report(chart, tol)
     report = {
         "kind": "slopes",

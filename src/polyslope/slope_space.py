@@ -20,13 +20,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ParallelLines, ReconstructionDegenerate, SignatureMismatch, SlopeMismatch
+from .errors import ReconstructionDegenerate, SignatureMismatch, SlopeMismatch
 from .geometry import (
-    DirectedSlope,
     PolygonChain,
     SlopeSystem,
-    _intersection,
     edge_offsets,
+    intersect_lines,
     left_normal,
     line_gap,
     oriented_area,
@@ -46,13 +45,14 @@ class RadiiChart:
     +1; ``area_constants[i]`` is the positive constant c_i relating the
     triangle's area to the squared distance of its apex from the first edge
     line (closed forms in :func:`build_chart`), computed on first read.
-    ``perimeter_sum`` is sum(p_i) and ``half_turns`` the integer k with
-    angle sum k * pi.
+    ``perimeter_sum`` is sum(p_i), ``angle_sum`` the angle sum t of
+    :func:`turning_sum` and ``half_turns`` the integer k with t = k * pi.
     """
 
     system: SlopeSystem
     unit_perimeters: np.ndarray
     perimeter_sum: float
+    angle_sum: float
     half_turns: int
 
     @property
@@ -85,7 +85,9 @@ class RadiiChart:
         rotations = self.system.angles[(np.arange(n)[:, None] + np.arange(n)) % n]
         perimeters = _unit_perimeters(rotations)
         k = int(np.argmin(np.max(np.abs(perimeters), axis=1) / np.abs(perimeters[:, 0])))
-        return _radii_chart(self.system.rotated(k), perimeters[k], self.half_turns)
+        return _radii_chart(
+            self.system.rotated(k), perimeters[k], self.angle_sum, self.half_turns
+        )
 
 
 @dataclass(frozen=True)
@@ -156,24 +158,22 @@ def tritangent_circle(angles, offsets) -> tuple[np.ndarray, float | np.ndarray]:
 
 
 def unit_triangle(
-    a: DirectedSlope,
-    b: DirectedSlope,
-    c: DirectedSlope,
+    a: float,
+    b: float,
+    c: float,
     tol: Tolerances = DEFAULT_TOL,
 ) -> tuple[PolygonChain, float]:
-    """Triangle with edges codirected with (a, b, c) and signed inradius +1.
+    """Triangle with edges codirected with the slopes at angles (a, b, c) and
+    signed inradius +1.
 
     The inscribed circle is centered at the origin, so each edge line is the
     left-of-circle tangent with normal offset -1.  Returns the triangle and
     its signed perimeter: the geometric reference for :func:`build_chart`.
     """
-    angles = (a.angle, b.angle, c.angle)
-    for i in range(3):
-        j = (i + 1) % 3
-        if line_gap(angles[i], angles[j]) < tol.parallel:
-            raise ParallelLines(f"slopes {i} and {j} are parallel as lines")
-    triangle = polygon_from_lines(angles, (-1.0, -1.0, -1.0), tol)
-    return triangle, signed_perimeter(triangle, (a, b, c), tol)
+    system = SlopeSystem((a, b, c))
+    system.require_pairwise_nonparallel(tol)
+    triangle = polygon_from_lines(system.angles.tolist(), (-1.0, -1.0, -1.0), tol)
+    return triangle, signed_perimeter(triangle, system, tol)
 
 
 def _triangle_angles(angles: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -213,11 +213,11 @@ def build_chart(system: SlopeSystem, tol: Tolerances = DEFAULT_TOL) -> RadiiChar
     perimeters fails to equal k - 1.
     """
     system.require_pairwise_nonparallel(tol)
-    _, half_turns = turning_sum(system, tol)
-    return _radii_chart(system, _unit_perimeters(system.angles), half_turns)
+    angle_sum, half_turns = turning_sum(system, tol)
+    return _radii_chart(system, _unit_perimeters(system.angles), angle_sum, half_turns)
 
 
-def _radii_chart(system, perimeters, half_turns) -> RadiiChart:
+def _radii_chart(system, perimeters, angle_sum, half_turns) -> RadiiChart:
     """Chart of the given constants, after the signature check of :func:`build_chart`."""
     positive = int(np.count_nonzero(perimeters > 0))
     if positive != half_turns - 1:
@@ -229,6 +229,7 @@ def _radii_chart(system, perimeters, half_turns) -> RadiiChart:
         system=system,
         unit_perimeters=perimeters,
         perimeter_sum=float(np.sum(perimeters)),
+        angle_sum=angle_sum,
         half_turns=half_turns,
     )
 
@@ -269,7 +270,7 @@ def polygon_from_radii(
             )
         # Center lies on the parallel of e_1 at offset r_i and on the parallel
         # of e_{i+1} at offset d_{i+1} + r_i.
-        x, y = _intersection(angles[0], r[i], angles[i + 1], offsets[i + 1] + r[i], tol)
+        x, y = intersect_lines(angles[0], r[i], angles[i + 1], offsets[i + 1] + r[i], tol)
         offsets[i + 2] = normals[i + 2][0] * x + normals[i + 2][1] * y - r[i]
     polygon = polygon_from_lines(angles, offsets, tol)
     _check_chart_laws(chart, radii, polygon, tol)

@@ -193,7 +193,7 @@ def check_chart_identities(rng, n_range, tol):
     tri_area = sum(oriented_area(t) for t in triangles)
     tri_perim = 0.0
     for i, t in enumerate(triangles):
-        triple = (chart.system[0], chart.system[i + 1], chart.system[i + 2])
+        triple = SlopeSystem.from_angles(chart.system.angles[[0, i + 1, i + 2]])
         tri_perim += signed_perimeter(t, triple, tol)
     if abs(tri_area - area) > 1e-10 * area_scale:
         failures.append(f"area additivity off by {tri_area - area:.3e} (n={n})")
@@ -235,8 +235,8 @@ def check_turning_signature(rng, n_range, tol):
     if not 1 <= k <= n - 1:
         failures.append(f"turning multiple {k} out of range (n={n})")
     if n > 3:
-        head = SlopeSystem(system.slopes[:-1])
-        tail = SlopeSystem((system.slopes[0], system.slopes[-2], system.slopes[-1]))
+        head = SlopeSystem.from_angles(system.angles[:-1])
+        tail = SlopeSystem.from_angles(system.angles[[0, -2, -1]])
         lhs = total
         rhs = turning_sum(head, tol)[0] + turning_sum(tail, tol)[0] - math.pi
         if abs(lhs - rhs) > 1e-9 * max(1.0, abs(lhs)):

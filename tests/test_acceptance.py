@@ -12,6 +12,7 @@ import numpy as np
 
 from polyslope import (
     ExceptionalSpace,
+    SlopeSystem,
     bifurcation_test,
     build_chart,
     critical_gradient_norm,
@@ -236,9 +237,7 @@ def test_criterion_07_chart_laws():
         triangles = decomposition_polygons(chart, polygon)
         tri_area = sum(oriented_area(t) for t in triangles)
         tri_perim = sum(
-            signed_perimeter(
-                t, (chart.system[0], chart.system[i + 1], chart.system[i + 2])
-            )
+            signed_perimeter(t, SlopeSystem(chart.system.angles[[0, i + 1, i + 2]]))
             for i, t in enumerate(triangles)
         )
         if abs(tri_area - area) > 1e-10 * area_scale:
@@ -270,7 +269,7 @@ def test_criterion_08_signature_topology():
         except Exception as exc:
             failures.append(f"trial {trial}: {exc}")
             continue
-        from polyslope import SlopeSystem, turning_sum
+        from polyslope import turning_sum
 
         total, k = turning_sum(system)
         if abs(total / math.pi - k) > 1e-9 * max(1.0, k):
@@ -279,8 +278,8 @@ def test_criterion_08_signature_topology():
         if positive != k - 1:
             failures.append(f"trial {trial}: signature {positive} != {k - 1}")
         if n > 3:
-            head = SlopeSystem(system.slopes[:-1])
-            tail = SlopeSystem((system.slopes[0], system.slopes[-2], system.slopes[-1]))
+            head = SlopeSystem(system.angles[:-1])
+            tail = SlopeSystem(system.angles[[0, -2, -1]])
             rhs = turning_sum(head)[0] + turning_sum(tail)[0] - math.pi
             if abs(total - rhs) > 1e-9 * max(1.0, abs(total)):
                 failures.append(f"trial {trial}: recursion off by {total - rhs:.2e}")

@@ -36,6 +36,7 @@ from polyslope.cyclic import (
     closure_residual,
     cyclic_winding_check,
 )
+from polyslope.geometry import left_normals
 from polyslope.randomgen import random_cyclic_polygon, random_star_polygon
 from polyslope.report import cyclic_report
 from polyslope.sweeps import run_sweep
@@ -109,9 +110,9 @@ class TestDualPolygon:
         for _ in range(30):
             cyclic = random_cyclic_polygon(rng, int(rng.integers(4, 8)))
             dual = dual_polygon(cyclic)
-            for i, slope in enumerate(dual.slopes):
-                offset = float(slope.normal @ dual.polygon.vertices[i])
-                side = float(slope.normal @ cyclic.center) - offset
+            for i, normal in enumerate(left_normals(dual.slopes.angles)):
+                offset = float(normal @ dual.polygon.vertices[i])
+                side = float(normal @ cyclic.center) - offset
                 assert side == pytest.approx(cyclic.radius, abs=1e-9 * cyclic.radius)
 
     def test_perimeter_proportional_to_tangent_sum(self):

@@ -112,6 +112,17 @@ def test_cyclic_fuzz_moved_circle():
     assert problems == []
 
 
+def test_reduction_is_idempotent():
+    # The stored angles build the same system back, bit for bit, and so does
+    # every relabelling undone.
+    for angles in ANGLES[:COUNT]:
+        system = SlopeSystem.from_degrees(angles)
+        expected = system.angles.tobytes()
+        assert SlopeSystem(system.angles).angles.tobytes() == expected, angles
+        for k in range(system.n):
+            assert system.rotated(k).rotated(-k).angles.tobytes() == expected, angles
+
+
 def test_critical_points_match_reconstruction():
     # Each closed-form field against its geometric oracle: the radii
     # reconstruction at r_i = r, its shoelace area, signed perimeter and

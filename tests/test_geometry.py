@@ -9,14 +9,12 @@ from hypothesis import given, settings, strategies as st
 from polyslope import (
     DEFAULT_TOL,
     CoincidentVertices,
-    DirectedSlope,
     NonIntegralTurn,
     ParallelLines,
     PointOnBoundary,
     PolygonChain,
     SlopeMismatch,
     SlopeSystem,
-    line_angle,
     oriented_area,
     signed_perimeter,
     turn_counts,
@@ -98,32 +96,6 @@ class TestWindingNumber:
         assert winding_number(hexagon, [0.05, -0.1]) == 1
 
 
-class TestLineAngle:
-    def test_zero_to_sixty(self):
-        a = DirectedSlope.from_degrees(0)
-        b = DirectedSlope.from_degrees(60)
-        assert line_angle(a, b) == pytest.approx(math.pi / 3)
-
-    def test_sixty_to_zero(self):
-        a = DirectedSlope.from_degrees(60)
-        b = DirectedSlope.from_degrees(0)
-        assert line_angle(a, b) == pytest.approx(2 * math.pi / 3)
-
-    def test_parallel_rejected(self):
-        with pytest.raises(ParallelLines):
-            line_angle(DirectedSlope.from_degrees(10), DirectedSlope.from_degrees(190))
-
-    @settings(max_examples=100, deadline=None)
-    @given(st.floats(0.0, 360.0), st.floats(0.0, 360.0))
-    def test_complement_sums_to_pi(self, a_deg, b_deg):
-        a = DirectedSlope.from_degrees(a_deg)
-        b = DirectedSlope.from_degrees(b_deg)
-        gap = (a.angle - b.angle) % math.pi
-        if min(gap, math.pi - gap) < 1e-6:
-            return
-        assert line_angle(a, b) + line_angle(b, a) == pytest.approx(math.pi)
-
-
 class TestTurning:
     def test_three_sixty_degree_steps(self):
         t, k = turning_sum(SlopeSystem.from_degrees([0, 60, 120]))
@@ -153,8 +125,8 @@ class TestTurning:
             n = int(rng.integers(4, 10))
             system = random_slope_system(rng, n)
             total, _ = turning_sum(system)
-            head = SlopeSystem(system.slopes[:-1])
-            tail = SlopeSystem((system.slopes[0], system.slopes[-2], system.slopes[-1]))
+            head = SlopeSystem(system.angles[:-1])
+            tail = SlopeSystem(system.angles[[0, -2, -1]])
             rhs = turning_sum(head)[0] + turning_sum(tail)[0] - math.pi
             assert total == pytest.approx(rhs, abs=1e-9)
 
@@ -181,18 +153,14 @@ class TestSignedPerimeter:
         self.triangle = PolygonChain(
             np.array([[0.0, 0.0], [2.0, 0.0], [1.0, math.sqrt(3.0)]])
         )
-        self.slopes = [
-            DirectedSlope.from_degrees(0),
-            DirectedSlope.from_degrees(120),
-            DirectedSlope.from_degrees(240),
-        ]
+        self.slopes = SlopeSystem.from_degrees([0, 120, 240])
 
     def test_codirected_gives_total_length(self):
         total = signed_perimeter(self.triangle, self.slopes)
         assert total == pytest.approx(6.0)
 
     def test_reversed_slopes_negate(self):
-        flipped = [s.reversed() for s in self.slopes]
+        flipped = SlopeSystem.from_degrees([180, 300, 420])
         assert signed_perimeter(self.triangle, flipped) == pytest.approx(-6.0)
 
     def test_point_reflection_negates(self):
@@ -200,19 +168,16 @@ class TestSignedPerimeter:
         assert signed_perimeter(reflected, self.slopes) == pytest.approx(-6.0)
 
     def test_slope_mismatch_rejected(self):
-        bad = [
-            DirectedSlope.from_degrees(10),
-            DirectedSlope.from_degrees(120),
-            DirectedSlope.from_degrees(240),
-        ]
+        bad = SlopeSystem.from_degrees([10, 120, 240])
         with pytest.raises(SlopeMismatch):
             signed_perimeter(self.triangle, bad)
 
 
 class TestConstruction:
-    def test_directed_slope_reduces_angle(self):
-        assert DirectedSlope(2 * math.pi + 0.5).angle == pytest.approx(0.5)
-        assert DirectedSlope(-0.5).angle == pytest.approx(2 * math.pi - 0.5)
+    def test_slope_system_reduces_angles(self):
+        system = SlopeSystem.from_angles([2 * math.pi + 0.5, -0.5, 2.0])
+        assert system.angles[0] == pytest.approx(0.5)
+        assert system.angles[1] == pytest.approx(2 * math.pi - 0.5)
 
     def test_consecutive_parallel_rejected(self):
         with pytest.raises(ParallelLines):
@@ -232,49 +197,59 @@ class TestConstruction:
             PolygonChain(np.array([[0.0, 0.0], [1.0, 0.0]]))
 
 
-# The slope checks as they were written over DirectedSlope objects and
-# line_gap, before SlopeSystem held one angle array; the array loops must
-# decide the same, name the same first pair and sum the same bits.
+# The slope checks as plain float loops over line_gap and (b - a) mod pi,
+# pair by pair in the order of the definitions; the array loops of
+# SlopeSystem must decide the same, name the same first pair and sum the
+# same bits.
+
+
+def reduced(angles):
+    """Each angle mod 2pi, with a remainder that rounded up to 2pi as 0."""
+    out = [float(a) % (2.0 * math.pi) for a in angles]
+    return [0.0 if a == 2.0 * math.pi else a for a in out]
 
 
 def reference_consecutive_check(angles):
-    slopes = tuple(DirectedSlope(a) for a in angles)
-    for i, s in enumerate(slopes):
-        t = slopes[(i + 1) % len(slopes)]
-        if line_gap(s.angle, t.angle) < DEFAULT_TOL.parallel:
+    angles = reduced(angles)
+    for i, a in enumerate(angles):
+        b = angles[(i + 1) % len(angles)]
+        if line_gap(a, b) < DEFAULT_TOL.parallel:
             raise ParallelLines(
-                f"consecutive slopes {i} and {(i + 1) % len(slopes)} are parallel as lines"
+                f"consecutive slopes {i} and {(i + 1) % len(angles)} are parallel as lines"
             )
 
 
 def reference_pairwise_check(angles, tol):
-    slopes = tuple(DirectedSlope(a) for a in angles)
-    for i in range(len(slopes)):
-        for j in range(i + 1, len(slopes)):
-            if line_gap(slopes[i].angle, slopes[j].angle) < tol.parallel:
+    angles = reduced(angles)
+    for i in range(len(angles)):
+        for j in range(i + 1, len(angles)):
+            if line_gap(angles[i], angles[j]) < tol.parallel:
                 raise ParallelLines(f"slopes {i} and {j} are parallel as lines")
 
 
 def reference_turning_sum(angles, tol):
-    slopes = tuple(DirectedSlope(a) for a in angles)
-    t = sum(
-        line_angle(slopes[i], slopes[(i + 1) % len(slopes)], tol)
-        for i in range(len(slopes))
-    )
+    angles = reduced(angles)
+    terms = []
+    for i, a in enumerate(angles):
+        b = angles[(i + 1) % len(angles)]
+        if line_gap(a, b) < tol.parallel:
+            raise ParallelLines("line angle undefined for parallel lines")
+        terms.append((b - a) % math.pi)
+    t = sum(terms)
     ratio = t / math.pi
     k = round(ratio)
     if abs(ratio - k) > tol.turn_integral * max(1.0, abs(ratio)):
         raise NonIntegralTurn(f"angle sum {t!r} is not an integral multiple of pi")
-    if not 1 <= k <= len(slopes) - 1:
+    if not 1 <= k <= len(angles) - 1:
         raise NonIntegralTurn(f"turning number {k} outside {{1, ..., n - 1}}")
     return float(t), int(k)
 
 
 def reference_turn_counts(angles):
-    slopes = tuple(DirectedSlope(a) for a in angles)
+    angles = reduced(angles)
     right = left = 0
-    for i in range(len(slopes)):
-        step = (slopes[(i + 1) % len(slopes)].angle - slopes[i].angle) % (2.0 * math.pi)
+    for i, a in enumerate(angles):
+        step = (angles[(i + 1) % len(angles)] - a) % (2.0 * math.pi)
         if step < math.pi:
             left += 1
         else:
@@ -364,19 +339,24 @@ class TestAngleArrayChecks:
                 reference_turning_sum, [above, 0.0, 2.0, 4.0], tol
             )
 
-    def test_slopes_are_built_once_from_the_angles(self):
+    def test_angles_are_the_whole_representation(self):
         system = SlopeSystem.from_degrees([10.0, 80.0, 200.0, 300.0])
         with pytest.raises(ValueError):
             system.angles[0] = 0.0
-        assert [s.angle for s in system] == system.angles.tolist()
-        assert system.slopes is system.slopes
-        assert SlopeSystem(system.slopes) == system
+        assert vars(system).keys() == {"angles"}
+        again = SlopeSystem(system.angles)
+        assert again == system and again.angles.tobytes() == system.angles.tobytes()
 
-    def test_slopes_keep_an_angle_reduced_to_two_pi(self):
-        # -1e-17 mod 2pi rounds up to 2pi; reducing again would give 0.
+    def test_an_angle_reduced_to_two_pi_is_stored_as_zero(self):
+        # -1e-17 mod 2pi rounds up to 2pi, outside [0, 2pi).
+        assert -1e-17 % (2.0 * math.pi) == 2.0 * math.pi
         system = SlopeSystem.from_angles([-1e-17, 2.0, 4.0])
-        assert system.angles[0] == 2.0 * math.pi
-        assert system[0].angle == DirectedSlope(-1e-17).angle == 2.0 * math.pi
+        assert system.angles[0] == 0.0
+        assert SlopeSystem.from_degrees([-1e-15, 100.0, 200.0]).angles[0] == 0.0
+        assert SlopeSystem(system.angles).angles.tobytes() == system.angles.tobytes()
+        from polyslope.report import slopes_report
+
+        assert slopes_report([-1e-15, 100, 200])["input"]["angles_rad"][0] == 0.0
 
 
 # Per-edge loops as they were written before the polygon kernels worked on
@@ -384,19 +364,19 @@ class TestAngleArrayChecks:
 # same error for the same first offending edge.
 
 
-def reference_signed_perimeter(polygon, slopes, tol=DEFAULT_TOL):
-    slopes = tuple(slopes)
+def reference_signed_perimeter(polygon, system, tol=DEFAULT_TOL):
     edges = polygon.edge_vectors
     angles = polygon.edge_angles
     total = 0.0
-    for i, slope in enumerate(slopes):
+    for i, slope in enumerate(system.angles.tolist()):
         length = float(np.linalg.norm(edges[i]))
         roundoff = 256.0 * np.finfo(float).eps * polygon.diameter / length
-        if line_gap(angles[i], slope.angle) > tol.parallel + roundoff:
+        if line_gap(angles[i], slope) > tol.parallel + roundoff:
             raise SlopeMismatch(
-                f"edge {i} at angle {float(angles[i])!r} is not parallel to slope {slope.angle!r}"
+                f"edge {i} at angle {float(angles[i])!r} is not parallel to slope {slope!r}"
             )
-        sign = 1.0 if float(edges[i] @ slope.direction) > 0.0 else -1.0
+        direction = np.array([math.cos(slope), math.sin(slope)])
+        sign = 1.0 if float(edges[i] @ direction) > 0.0 else -1.0
         total += sign * length
     return total
 

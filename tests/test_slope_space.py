@@ -6,7 +6,6 @@ import numpy as np
 import pytest
 
 from polyslope import (
-    DirectedSlope,
     turning_sum,
     ParallelLines,
     SlopeSystem,
@@ -21,7 +20,7 @@ from polyslope import (
     tritangent_circle,
     unit_triangle,
 )
-from polyslope.geometry import left_normal
+from polyslope.geometry import left_normal, left_normals
 from polyslope.randomgen import random_radii, random_slope_system
 
 EQUILATERAL = SlopeSystem.from_degrees([90, 210, 330])
@@ -33,17 +32,17 @@ def random_triple(rng):
         lines = np.sort(angles % math.pi)
         gaps = np.diff(np.concatenate([lines, [lines[0] + math.pi]]))
         if np.min(gaps) > math.radians(5):
-            return tuple(DirectedSlope(a) for a in angles)
+            return tuple(angles.tolist())
 
 
 class TestUnitTriangle:
     def test_equilateral_perimeter(self):
-        _, p = unit_triangle(*EQUILATERAL.slopes)
+        _, p = unit_triangle(*EQUILATERAL.angles)
         assert p == pytest.approx(6 * math.sqrt(3))
 
     def test_reversed_directions_flip_sign(self):
         reversed_system = SlopeSystem.from_degrees([330, 210, 90])
-        _, p = unit_triangle(*reversed_system.slopes)
+        _, p = unit_triangle(*reversed_system.angles)
         assert p == pytest.approx(-6 * math.sqrt(3))
 
     def test_perimeter_equals_twice_area(self):
@@ -61,15 +60,11 @@ class TestUnitTriangle:
             triangle, _ = unit_triangle(a, b, c)
             for slope, vertex in zip((a, b, c), triangle.vertices):
                 # Edge line offset against the origin-centered circle.
-                assert float(slope.normal @ vertex) == pytest.approx(-1.0, abs=1e-9)
+                assert float(left_normal(slope) @ vertex) == pytest.approx(-1.0, abs=1e-9)
 
     def test_parallel_triple_rejected(self):
         with pytest.raises(ParallelLines):
-            unit_triangle(
-                DirectedSlope.from_degrees(0),
-                DirectedSlope.from_degrees(180.0),
-                DirectedSlope.from_degrees(90),
-            )
+            unit_triangle(0.0, math.pi, 0.5 * math.pi)
 
 
 class TestTritangentCircle:
@@ -78,8 +73,7 @@ class TestTritangentCircle:
         rng = np.random.default_rng(4)
         triples, singles = [], []
         for _ in range(100):
-            a, b, c = random_triple(rng)
-            angles = (a.angle, b.angle, c.angle)
+            angles = random_triple(rng)
             offsets = tuple(rng.uniform(-2, 2, 3))
             normals = np.stack([left_normal(t) for t in angles])
             qualifying = 0
@@ -137,11 +131,11 @@ class TestBuildChart:
                 continue
             system = SlopeSystem.from_angles(angles)
             chart = build_chart(system)
-            first = system[0]
+            first = system.angles[0]
             for i in range(n - 2):
-                triangle, _ = unit_triangle(first, system[i + 1], system[i + 2])
+                triangle, _ = unit_triangle(first, system.angles[i + 1], system.angles[i + 2])
                 area = oriented_area(triangle)
-                height = abs(float(first.normal @ triangle.vertices[2]) + 1.0)
+                height = abs(float(left_normal(first) @ triangle.vertices[2]) + 1.0)
                 assert chart.unit_perimeters[i] == pytest.approx(2 * area, rel=1e-9)
                 assert chart.area_constants[i] == pytest.approx(abs(area) / height**2, rel=1e-9)
             checked += 1
@@ -155,7 +149,7 @@ class TestReconstruction:
     def test_unit_radius_reproduces_unit_triangle(self):
         chart = build_chart(EQUILATERAL)
         rebuilt = polygon_from_radii(chart, [1.0])
-        reference, _ = unit_triangle(*EQUILATERAL.slopes)
+        reference, _ = unit_triangle(*EQUILATERAL.angles)
         shift = rebuilt.vertices[0] - reference.vertices[0]
         assert np.allclose(rebuilt.vertices, reference.vertices + shift, atol=1e-12)
 
@@ -166,10 +160,10 @@ class TestReconstruction:
             chart = build_chart(random_slope_system(rng, n))
             rho = float(rng.uniform(0.2, 2.0)) * (1 if rng.random() < 0.5 else -1)
             polygon = polygon_from_radii(chart, np.full(n - 2, rho))
-            center = rho * chart.system[0].normal
-            for i, slope in enumerate(chart.system):
-                offset = float(slope.normal @ polygon.vertices[i])
-                assert float(slope.normal @ center) - offset == pytest.approx(rho, abs=1e-9)
+            center = rho * left_normal(chart.system.angles[0])
+            for i, normal in enumerate(left_normals(chart.system.angles)):
+                offset = float(normal @ polygon.vertices[i])
+                assert float(normal @ center) - offset == pytest.approx(rho, abs=1e-9)
 
     def test_area_and_perimeter_sums(self):
         # Shoelace and edge-length sums computed independently of the chart.
@@ -234,7 +228,7 @@ class TestAdditivity:
             area_sum = sum(oriented_area(t) for t in triangles)
             perim_sum = 0.0
             for i, t in enumerate(triangles):
-                triple = (chart.system[0], chart.system[i + 1], chart.system[i + 2])
+                triple = SlopeSystem(chart.system.angles[[0, i + 1, i + 2]])
                 perim_sum += signed_perimeter(t, triple)
             scale = max(1.0, polygon.diameter**2)
             assert abs(area_sum - oriented_area(polygon)) <= 1e-10 * scale

@@ -18,6 +18,7 @@ from polyslope import (
     morse_index_formula,
     tangential_critical_points,
 )
+from polyslope.geometry import left_normals
 from polyslope.randomgen import random_convex_slope_system, random_slope_system, trial_rng
 from polyslope.tangential import (
     COMPLEX_STEP,
@@ -85,9 +86,9 @@ class TestCriticalPoints:
                 assert point.perimeter == pytest.approx(
                     expected_perimeter, abs=1e-10 * max(1.0, abs(expected_perimeter))
                 )
-                for i, slope in enumerate(chart.system):
-                    offset = float(slope.normal @ point.polygon.vertices[i])
-                    side = float(slope.normal @ point.incenter) - offset
+                for i, normal in enumerate(left_normals(chart.system.angles)):
+                    offset = float(normal @ point.polygon.vertices[i])
+                    side = float(normal @ point.incenter) - offset
                     assert side == pytest.approx(point.inradius, abs=1e-9)
 
     def test_points_share_area_sign_with_perimeter_sum(self):

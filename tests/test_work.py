@@ -1,9 +1,9 @@
 """What the reports and the sweep checks build, and how often.
 
-Each critical point builds its polygon and Hessian on first read, each
-chart its area constants and well-conditioned relabeling, and each slope
-system its DirectedSlope objects.  A cyclic report computes its invariants
-and its dual slopes once.  Counters wrap functions such as
+Each critical point builds its polygon and Hessian on first read, and each
+chart its area constants and well-conditioned relabeling.  A slopes report
+takes its angle sum from its chart, and a cyclic report computes its
+invariants and its dual slopes once.  Counters wrap functions such as
 ``geometry.tangential_polygon`` and ``slope_space.build_chart`` in every
 ``polyslope`` module that holds them.  The routes these shortcuts replace
 stay here as oracles: the family rows against the critical points' own
@@ -17,7 +17,6 @@ import numpy as np
 import pytest
 
 from polyslope import (
-    DirectedSlope,
     ExceptionalSpace,
     SlopeSystem,
     build_chart,
@@ -126,6 +125,7 @@ def test_well_conditioned_chart_is_shared_and_equal_to_reference():
         assert np.array_equal(shared.area_constants, expected.area_constants)
         assert shared.perimeter_sum == expected.perimeter_sum
         assert shared.half_turns == expected.half_turns
+        assert shared.angle_sum == chart.angle_sum
         assert not shared.unit_perimeters.flags.writeable
         public = well_conditioned_chart(system)
         assert np.array_equal(public.unit_perimeters, expected.unit_perimeters)
@@ -161,43 +161,11 @@ def test_family_rows_match_critical_points():
     assert checked > 500
 
 
-@pytest.fixture
-def slopes_made(monkeypatch):
-    """Number of DirectedSlope objects made: by the constructor, or by the
-    lazy ``SlopeSystem.slopes`` through ``DirectedSlope._of_reduced``."""
-    made = [0]
-    post_init = DirectedSlope.__post_init__
-    of_reduced = DirectedSlope._of_reduced
-
-    def counted_post_init(self):
-        made[0] += 1
-        post_init(self)
-
-    def counted_of_reduced(cls, angle):
-        made[0] += 1
-        return of_reduced(angle)
-
-    monkeypatch.setattr(DirectedSlope, "__post_init__", counted_post_init)
-    monkeypatch.setattr(DirectedSlope, "_of_reduced", classmethod(counted_of_reduced))
-    return made
-
-
-def test_slopes_made_counts_both_routes(slopes_made):
-    system = SlopeSystem.from_degrees(SLOPES_7)
-    assert slopes_made[0] == 0
-    assert len(system.slopes) == 7 and slopes_made[0] == 7
-    assert system[0] is system.slopes[0] and list(system) == list(system.slopes)
-    assert slopes_made[0] == 7
-    DirectedSlope(1.0)
-    assert slopes_made[0] == 8
-
-
-def test_family_report_builds_no_slope_object_and_no_area_constants(monkeypatch, slopes_made):
+def test_family_report_builds_no_area_constants(monkeypatch):
     charts = []
     counted(monkeypatch, (build_chart,), charts)
     family_report(FAMILY_START, FAMILY_END, 11)
     assert len(charts) > 11  # the rows, and the bisection midpoints
-    assert slopes_made[0] == 0
     assert not any("area_constants" in vars(chart) for chart in charts)
 
 
@@ -217,23 +185,26 @@ def test_angles_are_read_only_and_shared():
     assert angles.dtype == np.float64
 
 
-def test_slopes_report_runs_turning_sum_twice(monkeypatch):
+def test_slopes_report_runs_turning_sum_once(monkeypatch):
     counts = counted(monkeypatch, (turning_sum,))
-    slopes_report(SLOPES_7)
-    assert counts["turning_sum"] == 2
+    report = slopes_report(SLOPES_7)
+    assert counts["turning_sum"] == 1
+    total, half_turns = turning_sum(SlopeSystem.from_degrees(SLOPES_7))
+    assert report["turning"]["angle_sum_rad"] == total
+    assert report["turning"]["half_turns"] == half_turns
 
 
 def test_cyclic_report_computes_invariants_and_dual_once(monkeypatch):
     counts = counted(monkeypatch, (cyclic_invariants, bifurcation_test))
     systems = [0]
-    set_angles = SlopeSystem._set_angles
+    init = SlopeSystem.__init__
 
-    def counted_set_angles(self, angles):
+    def counted_init(self, angles):
         systems[0] += 1
-        set_angles(self, angles)
+        init(self, angles)
 
-    # Every SlopeSystem, however it is made, sets its angles once.
-    monkeypatch.setattr(SlopeSystem, "_set_angles", counted_set_angles)
+    # Every SlopeSystem, however it is made, runs the one constructor.
+    monkeypatch.setattr(SlopeSystem, "__init__", counted_init)
     report = cyclic_report(1.0, [0.0, 70.0, 150.0, 220.0, 290.0])
     assert report["indices"]["mu_dual_perimeter"] is not None
     assert counts == {"cyclic_invariants": 1, "bifurcation_test": 1}
