@@ -21,22 +21,21 @@ from polyslope import (
     radii_of_polygon,
     signed_perimeter,
     topology_report,
-    turn_counts,
-    turning_sum,
 )
 
 # A pentagon slope system, angles in degrees (directions, not just lines).
 system = SlopeSystem.from_degrees([10, 80, 150, 230, 300])
 
-total, half_turns = turning_sum(system)
-right, left = turn_counts(system)
-print(f"turning: angle sum = {np.degrees(total):.1f} deg = {half_turns} half turns")
-print(f"turn counts: {right} right, {left} left (sum = n = {system.n})")
-
-# The chart: p_i is the signed perimeter of the i-th decomposition triangle
-# scaled to signed inradius +1.  The number of positive p_i always equals
-# half_turns - 1.
+# The chart carries the turning data of the system: the angle sum of
+# consecutive lines, k half turns, and the right and left turns, whose
+# difference from k gives the winding number w = (k - RT) / 2.
 chart = build_chart(system)
+print(f"turning: angle sum = {np.degrees(chart.angle_sum):.1f} deg = {chart.half_turns} half turns")
+print(f"turn counts: {chart.right_turns} right, {chart.left_turns} left, winding {chart.winding}")
+
+# p_i is the signed perimeter of the i-th decomposition triangle scaled to
+# signed inradius +1.  The number of positive p_i always equals
+# half_turns - 1.
 print("unit perimeters p:", np.round(chart.unit_perimeters, 4))
 print("perimeter sum   :", round(chart.perimeter_sum, 4))
 
@@ -61,7 +60,7 @@ value = float(np.sum(coords.x[mask] ** 2) - np.sum(coords.x[~mask] ** 2))
 print("sum_A x^2 - sum_B x^2 =", round(value, 10))
 
 # The unit-area slice splits into two pieces classified by sphere x disc.
-topology = topology_report(system)
+topology = topology_report(chart)
 print(
     f"\ntopology: negative side {topology.negative_component.describe()}, "
     f"positive side {topology.positive_component.describe()}"

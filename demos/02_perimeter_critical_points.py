@@ -14,6 +14,7 @@ import numpy as np
 
 from polyslope import (
     SlopeSystem,
+    build_chart,
     critical_gradient_norm,
     hessian_det_identity,
     hessian_fd_comparison,
@@ -22,12 +23,12 @@ from polyslope import (
 )
 
 system = SlopeSystem.from_degrees([10, 80, 150, 230, 300])
-points = tangential_critical_points(system)
+points = tangential_critical_points(build_chart(system))
 
 for point in points:
     print(f"tangential point with signed inradius r = {point.inradius:+.6f}")
     print(f"  perimeter {point.perimeter:+.6f}, area {point.area:+.1f}")
-    print(f"  incenter {np.round(point.incenter, 6)}, winding {point.winding}")
+    print(f"  incenter {np.round(point.incenter, 6)}, winding {point.chart.winding}")
 
     # The perimeter gradient in the constrained chart vanishes here: its
     # complex-step norm stays under the bound set by roundoff.

@@ -50,9 +50,9 @@ while hi - lo > 1e-13:
 root = 0.5 * (lo + hi)
 print(f"\nperimeter sum crosses zero at t = {root:.12f}")
 
-outcome = tangential_critical_points(system_at(root))
+outcome = tangential_critical_points(build_chart(system_at(root)))
 print("at the root:", "exceptional" if isinstance(outcome, ExceptionalSpace) else "regular")
 for offset in (-1e-4, 1e-4):
-    points = tangential_critical_points(system_at(root + offset))
+    points = tangential_critical_points(build_chart(system_at(root + offset)))
     label = "exceptional" if isinstance(points, ExceptionalSpace) else "two critical points"
     print(f"at t = root {offset:+.0e}: {label}")

@@ -37,8 +37,8 @@ from .geometry import (
     SlopeSystem,
     _successors,
     tangential_polygon,
-    winding_number,
 )
+from .slope_space import build_chart
 from .tangential import (
     ExceptionalSpace,
     morse_index_eigen,
@@ -130,12 +130,11 @@ class CyclicInvariants:
 
 @dataclass(frozen=True, eq=False)
 class DualPolygon:
-    """Tangential polygon cut out by the tangent lines at the cyclic vertices."""
+    """Tangential polygon cut out by the tangent lines at the cyclic vertices;
+    its incircle is the circumscribed circle of the cyclic polygon."""
 
     polygon: PolygonChain
     slopes: SlopeSystem
-    center: np.ndarray
-    inradius: float
 
 
 @dataclass(frozen=True, eq=False)
@@ -179,17 +178,15 @@ def cyclic_invariants(cyclic: CyclicPolygon, tol: Tolerances = DEFAULT_TOL) -> C
     )
 
 
-def bifurcation_test(
-    source: CyclicPolygon | CyclicInvariants, tol: Tolerances = DEFAULT_TOL
-) -> bool:
+def bifurcation_test(inv: CyclicInvariants, tol: Tolerances = DEFAULT_TOL) -> bool:
     """Whether the signed tangent sum vanishes within tolerance."""
-    inv = source if isinstance(source, CyclicInvariants) else cyclic_invariants(source, tol)
     scale = float(np.sum(np.abs(np.tan(inv.half_angles))))
     return abs(inv.bifurcation_sum) < tol.bifurcation * scale
 
 
-def _dual_angles(cyclic: CyclicPolygon) -> np.ndarray:
-    return (cyclic.phis + 0.5 * math.pi) % TWO_PI
+def dual_slopes(cyclic: CyclicPolygon) -> SlopeSystem:
+    """Slopes of the :func:`dual_polygon`: the tangent directions phi + pi/2."""
+    return SlopeSystem.from_angles((cyclic.phis + 0.5 * math.pi) % TWO_PI)
 
 
 def dual_polygon(cyclic: CyclicPolygon) -> DualPolygon:
@@ -200,12 +197,10 @@ def dual_polygon(cyclic: CyclicPolygon) -> DualPolygon:
     signed inradius +R.  Consecutive tangents of a valid cyclic polygon
     always meet (non-antipodal consecutive vertices).
     """
-    angles = _dual_angles(cyclic)
+    slopes = dual_slopes(cyclic)
     return DualPolygon(
-        polygon=tangential_polygon(angles, cyclic.center, cyclic.radius),
-        slopes=SlopeSystem.from_angles(angles),
-        center=cyclic.center,
-        inradius=cyclic.radius,
+        polygon=tangential_polygon(slopes.angles, cyclic.center, cyclic.radius),
+        slopes=slopes,
     )
 
 
@@ -353,12 +348,8 @@ def area_morse_index_numeric(cyclic: CyclicPolygon) -> int:
     return int(np.count_nonzero(eigenvalues < 0))
 
 
-def area_morse_index_formula(
-    source: CyclicPolygon | CyclicInvariants,
-    tol: Tolerances = DEFAULT_TOL,
-) -> int:
+def area_morse_index_formula(inv: CyclicInvariants, tol: Tolerances = DEFAULT_TOL) -> int:
     """Morse index of the area from edge counts, winding, and the tangent sum."""
-    inv = source if isinstance(source, CyclicInvariants) else cyclic_invariants(source, tol)
     if bifurcation_test(inv, tol):
         raise Bifurcating("index undefined on the bifurcation locus")
     correction = 0 if inv.bifurcation_sum > 0 else 1
@@ -367,9 +358,9 @@ def area_morse_index_formula(
 
 def duality_index_check(
     cyclic: CyclicPolygon,
+    invariants: CyclicInvariants,
+    dual_slopes: SlopeSystem,
     tol: Tolerances = DEFAULT_TOL,
-    invariants: CyclicInvariants | None = None,
-    dual_slopes: SlopeSystem | None = None,
 ) -> DualityReport:
     """Area index versus dual perimeter index: mu_area = n - 3 - mu_dual.
 
@@ -381,19 +372,16 @@ def duality_index_check(
     cross-checked against the turn/winding formula.  A dual slope system
     with parallel lines or an exceptional one has no such index, and the
     report says why in ``dual_note``.  Raises Bifurcating on the
-    bifurcation locus.  A caller that holds the invariants of ``cyclic``, or
-    the slopes of its :func:`dual_polygon`, passes them on; they are
-    computed here otherwise.
+    bifurcation locus.  ``invariants`` are :func:`cyclic_invariants` of ``cyclic`` and
+    ``dual_slopes`` its :func:`dual_slopes`.
     """
     # The formula goes first: on the bifurcation locus it raises Bifurcating,
     # where the numeric route would only see a degenerate Hessian.
-    mu_formula = area_morse_index_formula(cyclic if invariants is None else invariants, tol)
+    mu_formula = area_morse_index_formula(invariants, tol)
     mu_numeric = area_morse_index_numeric(cyclic)
     mu_dual, note = None, None
     try:
-        if dual_slopes is None:
-            dual_slopes = SlopeSystem.from_angles(_dual_angles(cyclic))
-        points = tangential_critical_points(dual_slopes, tol)
+        points = tangential_critical_points(build_chart(dual_slopes, tol), tol)
         if isinstance(points, ExceptionalSpace):
             raise Bifurcating("dual slope system is exceptional")
     except (ParallelLines, Bifurcating) as exc:
@@ -412,9 +400,3 @@ def duality_index_check(
         identity_holds=mu_numeric == mu_formula
         and (mu_dual is None or mu_formula == cyclic.n - 3 - mu_dual),
     )
-
-
-def cyclic_winding_check(cyclic: CyclicPolygon, tol: Tolerances = DEFAULT_TOL) -> bool:
-    """Arc-sum winding agrees with the geometric winding number around the center."""
-    inv = cyclic_invariants(cyclic, tol)
-    return inv.winding == winding_number(cyclic.polygon, cyclic.center, tol)

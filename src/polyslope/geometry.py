@@ -317,23 +317,24 @@ def winding_number(
 def turning_sum(
     system: SlopeSystem,
     tol: Tolerances = DEFAULT_TOL,
-) -> tuple[float, int]:
-    """Cyclic sum of consecutive line angles and its multiple of pi.
+) -> tuple[float, int, int]:
+    """Cyclic sum of consecutive line angles, its multiple of pi, and the
+    number of right turns: the one loop over consecutive slopes.
 
-    Returns ``(t, k)`` where ``t = k * pi``; k is an integer between 1 and
-    n - 1 for every valid system.  Each term is the angle (b - a) mod pi in
-    (0, pi) of the counterclockwise rotation taking the line at a to the
-    line at b, after the parallel test of the pair at ``tol.parallel``.
+    Returns ``(t, k, right_turns)`` where ``t = k * pi``; k is an integer
+    between 1 and n - 1 for every valid system.  Each term is the angle
+    (b - a) mod pi in (0, pi) of the counterclockwise rotation taking the
+    line at a to the line at b; the constructor keeps consecutive lines
+    apart, so no term vanishes.  A pair turns right when the direction at b
+    is a clockwise rotation of that at a by less than pi, that is when
+    (b - a) mod 2pi >= pi.
     """
     angles = system.angles.tolist()
-    following = angles[1:] + angles[:1]
-    limit = tol.parallel
     terms = []
-    for a, b in zip(angles, following):
-        d = (a - b) % math.pi
-        if d < limit or math.pi - d < limit:
-            raise ParallelLines("line angle undefined for parallel lines")
+    right_turns = 0
+    for a, b in zip(angles, angles[1:] + angles[:1]):
         terms.append((b - a) % math.pi)
+        right_turns += (b - a) % TWO_PI >= math.pi
     t = sum(terms)
     ratio = t / math.pi
     k = round(ratio)
@@ -341,18 +342,7 @@ def turning_sum(
         raise NonIntegralTurn(f"angle sum {t!r} is not an integral multiple of pi")
     if not 1 <= k <= system.n - 1:
         raise NonIntegralTurn(f"turning number {k} outside {{1, ..., n - 1}}")
-    return float(t), int(k)
-
-
-def turn_counts(system: SlopeSystem) -> tuple[int, int]:
-    """Numbers of clockwise and counterclockwise sub-pi turns.
-
-    A consecutive pair turns right when the second direction is a clockwise
-    rotation of the first by less than pi.  RT + LT = n always.
-    """
-    angles = system.angles.tolist()
-    left = sum((b - a) % TWO_PI < math.pi for a, b in zip(angles, angles[1:] + angles[:1]))
-    return len(angles) - left, left
+    return float(t), int(k), right_turns
 
 
 def signed_perimeter(

@@ -22,7 +22,7 @@ from .cyclic import (
     duality_index_check,
 )
 from .errors import Bifurcating, InputSchemaError, ParallelLines, SlopeMismatch
-from .geometry import SlopeSystem, signed_perimeter, tangential_polygon, turn_counts
+from .geometry import SlopeSystem, signed_perimeter, tangential_polygon
 from .slope_space import build_chart, topology_report
 from .tangential import (
     ExceptionalSpace,
@@ -116,14 +116,15 @@ def _component_dict(shape) -> dict:
 def _critical_point_dict(point) -> dict:
     report = morse_index_eigen(point)
     gradient_norm, gradient_bound = critical_gradient_norm(point)
+    chart = point.chart
     return {
         "inradius": float(point.inradius),
         "perimeter": float(point.perimeter),
         "area": float(point.area),
         "incenter": [float(point.incenter[0]), float(point.incenter[1])],
-        "winding": int(point.winding),
-        "right_turns": int(point.right_turns),
-        "left_turns": int(point.left_turns),
+        "winding": int(chart.winding),
+        "right_turns": int(chart.right_turns),
+        "left_turns": int(chart.left_turns),
         "gradient_norm": float(gradient_norm),
         "gradient_bound": float(gradient_bound),
         "eigenvalues": [float(v) for v in report.eigenvalues],
@@ -138,8 +139,7 @@ def slopes_report(angles_deg: list[float], tol: Tolerances = DEFAULT_TOL) -> dic
     system = SlopeSystem.from_degrees(angles_deg)
     chart = build_chart(system, tol)
     total, half_turns = chart.angle_sum, chart.half_turns
-    right, left = turn_counts(system)
-    topology = topology_report(chart, tol)
+    topology = topology_report(chart)
     report = {
         "kind": "slopes",
         "input": {
@@ -151,8 +151,8 @@ def slopes_report(angles_deg: list[float], tol: Tolerances = DEFAULT_TOL) -> dic
             "angle_sum_rad": float(total),
             "angle_sum_deg": float(math.degrees(total)),
             "half_turns": int(half_turns),
-            "right_turns": int(right),
-            "left_turns": int(left),
+            "right_turns": int(chart.right_turns),
+            "left_turns": int(chart.left_turns),
         },
         "chart": {
             "unit_perimeters": [float(p) for p in chart.unit_perimeters],
@@ -212,7 +212,7 @@ def cyclic_report(
             # subnormal radius.
             raise InputSchemaError(f"{unresolved} ({exc})") from exc
     try:
-        check = duality_index_check(cyclic, tol, inv, dual.slopes)
+        check = duality_index_check(cyclic, inv, dual.slopes, tol)
     except Bifurcating:
         check = None  # the area Hessian is degenerate: no index to report
     bifurcating = check is None
@@ -239,7 +239,7 @@ def cyclic_report(
             "vertices": [[float(x), float(y)] for x, y in dual.polygon.vertices],
             "signed_perimeter": float(dual_perimeter),
             "twice_radius_times_sum": twice_radius_sum,
-            "inradius": float(dual.inradius),
+            "inradius": float(radius),
         },
     }
     if bifurcating:

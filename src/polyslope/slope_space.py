@@ -45,8 +45,10 @@ class RadiiChart:
     +1; ``area_constants[i]`` is the positive constant c_i relating the
     triangle's area to the squared distance of its apex from the first edge
     line (closed forms in :func:`build_chart`), computed on first read.
-    ``perimeter_sum`` is sum(p_i), ``angle_sum`` the angle sum t of
-    :func:`turning_sum` and ``half_turns`` the integer k with t = k * pi.
+    ``perimeter_sum`` is sum(p_i); ``angle_sum`` (the angle sum t),
+    ``half_turns`` (the integer k with t = k * pi) and ``right_turns`` come
+    from :func:`turning_sum`.  Both critical points of the perimeter share
+    this turning data, as do all cyclic relabelings of the system.
     """
 
     system: SlopeSystem
@@ -54,10 +56,25 @@ class RadiiChart:
     perimeter_sum: float
     angle_sum: float
     half_turns: int
+    right_turns: int
 
     @property
     def n(self) -> int:
         return self.system.n
+
+    @property
+    def left_turns(self) -> int:
+        return self.n - self.right_turns
+
+    @property
+    def winding(self) -> int:
+        """Turning number of every polygon of the system, w = (k - RT) / 2.
+
+        With d_i = (a_{i+1} - a_i) mod 2pi and sum d_i = 2pi m, the line
+        turns give k pi = 2pi m - pi RT and the turns wrapped to (-pi, pi)
+        give 2pi w = 2pi m - 2pi RT.
+        """
+        return (self.half_turns - self.right_turns) // 2
 
     @property
     def positive_mask(self) -> np.ndarray:
@@ -86,7 +103,11 @@ class RadiiChart:
         perimeters = _unit_perimeters(rotations)
         k = int(np.argmin(np.max(np.abs(perimeters), axis=1) / np.abs(perimeters[:, 0])))
         return _radii_chart(
-            self.system.rotated(k), perimeters[k], self.angle_sum, self.half_turns
+            self.system.rotated(k),
+            perimeters[k],
+            self.angle_sum,
+            self.half_turns,
+            self.right_turns,
         )
 
 
@@ -213,11 +234,11 @@ def build_chart(system: SlopeSystem, tol: Tolerances = DEFAULT_TOL) -> RadiiChar
     perimeters fails to equal k - 1.
     """
     system.require_pairwise_nonparallel(tol)
-    angle_sum, half_turns = turning_sum(system, tol)
-    return _radii_chart(system, _unit_perimeters(system.angles), angle_sum, half_turns)
+    turning = turning_sum(system, tol)
+    return _radii_chart(system, _unit_perimeters(system.angles), *turning)
 
 
-def _radii_chart(system, perimeters, angle_sum, half_turns) -> RadiiChart:
+def _radii_chart(system, perimeters, angle_sum, half_turns, right_turns) -> RadiiChart:
     """Chart of the given constants, after the signature check of :func:`build_chart`."""
     positive = int(np.count_nonzero(perimeters > 0))
     if positive != half_turns - 1:
@@ -231,6 +252,7 @@ def _radii_chart(system, perimeters, angle_sum, half_turns) -> RadiiChart:
         perimeter_sum=float(np.sum(perimeters)),
         angle_sum=angle_sum,
         half_turns=half_turns,
+        right_turns=right_turns,
     )
 
 
@@ -372,20 +394,14 @@ def normalized_coordinates(
     return ChartCoordinates(x=x, normalized=normalized)
 
 
-def topology_report(
-    source: SlopeSystem | RadiiChart, tol: Tolerances = DEFAULT_TOL
-) -> TopologyReport:
+def topology_report(chart: RadiiChart) -> TopologyReport:
     """Homeomorphism type of the two components of the configuration space.
 
     With angle sum k * pi the negative component is S^(n-k-2) x D^(k-1) and
     the positive component is S^(k-2) x D^(n-k-1); a negative sphere
-    dimension marks an empty component.  A chart gives its own k.
+    dimension marks an empty component.
     """
-    if isinstance(source, RadiiChart):
-        k = source.half_turns
-    else:
-        _, k = turning_sum(source, tol)
-    n = source.n
+    n, k = chart.n, chart.half_turns
     return TopologyReport(
         half_turns=k,
         negative_component=ComponentShape(sphere_dim=n - k - 2, disc_dim=k - 1),

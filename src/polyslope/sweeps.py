@@ -16,16 +16,16 @@ import numpy as np
 from .cyclic import (
     bifurcation_test,
     cyclic_invariants,
-    cyclic_winding_check,
     dual_polygon,
+    dual_slopes,
     duality_index_check,
 )
 from .errors import PolyslopeError
 from .geometry import (
+    TWO_PI,
     SlopeSystem,
     oriented_area,
     signed_perimeter,
-    turn_counts,
     turning_sum,
     winding_number,
 )
@@ -217,21 +217,22 @@ def check_chart_identities(rng, n_range, tol):
             failures.append(f"tangential area off the reconstruction (n={n})")
         if abs(signed_perimeter(rebuilt, chart.system, tol) / point.perimeter - 1.0) > 1e-10:
             failures.append(f"tangential perimeter off the reconstruction (n={n})")
-        if winding_number(rebuilt, point.incenter, tol) != point.winding:
+        if winding_number(rebuilt, point.incenter, tol) != chart.winding:
             failures.append(f"tangential winding off the reconstruction (n={n})")
     return failures
 
 
 def check_turning_signature(rng, n_range, tol):
-    """Signature law, turning recursion, and turn-count total."""
+    """Signature law, turning recursion, the parity of the right turns, and
+    the chart's winding against the sum of turns wrapped to (-pi, pi)."""
     n = _draw_n(rng, n_range, 3, 12)
     if n is None:
         return None
     system = random_slope_system(rng, n)
     failures = []
     # build_chart raises SignatureMismatch when the sign count is off.
-    build_chart(system, tol)
-    total, k = turning_sum(system, tol)
+    chart = build_chart(system, tol)
+    total, k, right = chart.angle_sum, chart.half_turns, chart.right_turns
     if not 1 <= k <= n - 1:
         failures.append(f"turning multiple {k} out of range (n={n})")
     if n > 3:
@@ -241,9 +242,13 @@ def check_turning_signature(rng, n_range, tol):
         rhs = turning_sum(head, tol)[0] + turning_sum(tail, tol)[0] - math.pi
         if abs(lhs - rhs) > 1e-9 * max(1.0, abs(lhs)):
             failures.append(f"turning recursion off by {lhs - rhs:.3e} (n={n})")
-    right, left = turn_counts(system)
-    if right + left != n:
-        failures.append(f"RT+LT = {right + left} != n (n={n})")
+    if (k - right) % 2:
+        failures.append(f"k = {k} and RT = {right} differ in parity (n={n})")
+    angles = system.angles
+    turns = (np.roll(angles, -1) - angles + math.pi) % TWO_PI - math.pi
+    winding = round(float(np.sum(turns)) / TWO_PI)
+    if chart.winding != winding:
+        failures.append(f"chart winding {chart.winding} != wrapped-turn sum {winding} (n={n})")
     return failures
 
 
@@ -270,7 +275,7 @@ def check_dual_perimeter(rng, n_range, tol):
         1e-12 * cyclic.radius
     ):
         failures.append(f"chord-length law violated (n={n})")
-    if not cyclic_winding_check(cyclic, tol):
+    if inv.winding != winding_number(cyclic.polygon, cyclic.center, tol):
         failures.append(f"winding mismatch (n={n})")
     return failures
 
@@ -285,9 +290,10 @@ def check_cyclic_indices(rng, n_range, tol):
         cyclic = random_star_polygon(rng, n, turns)
     else:
         cyclic = random_cyclic_polygon(rng, n)
-    if bifurcation_test(cyclic, tol):
+    inv = cyclic_invariants(cyclic, tol)
+    if bifurcation_test(inv, tol):
         return None
-    report = duality_index_check(cyclic, tol)
+    report = duality_index_check(cyclic, inv, dual_slopes(cyclic), tol)
     numeric, formula = report.mu_area_numeric, report.mu_area_formula
     failures = []
     if numeric != formula:

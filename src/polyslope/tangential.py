@@ -25,15 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NotCritical
-from .geometry import (
-    TWO_PI,
-    PolygonChain,
-    SlopeSystem,
-    _successors,
-    left_normal,
-    tangential_polygon,
-    turn_counts,
-)
+from .geometry import PolygonChain, SlopeSystem, left_normal, tangential_polygon
 from .slope_space import RadiiChart, build_chart
 from .tolerances import DEFAULT_TOL, Tolerances
 
@@ -55,6 +47,8 @@ class TangentialCritical:
 
     ``polygon`` and ``hessian`` are computed on first read and then kept, so
     a caller that needs only the index or the perimeter builds neither.
+    The winding number and turn counts are the chart's, shared by both
+    points.
     """
 
     chart: RadiiChart
@@ -62,9 +56,6 @@ class TangentialCritical:
     incenter: np.ndarray
     perimeter: float
     area: float
-    winding: int
-    right_turns: int
-    left_turns: int
 
     @property
     def n(self) -> int:
@@ -117,19 +108,15 @@ def tangential_critical_points(
 
     The points are mutual point reflections: the inscribed circle of one has
     signed radius +r and the other -r, with r = sqrt(2 / |sum p_i|).  Both
-    have area sign equal to the sign of sum p_i.
+    have area sign equal to the sign of sum p_i, and the winding number of
+    both about their incenter is the turning number :attr:`RadiiChart.winding`.
+    A slope system is charted first.
     """
     chart = source if isinstance(source, RadiiChart) else build_chart(source, tol)
     if exceptional(chart, tol):
         return ExceptionalSpace(chart=chart)
     magnitude = math.sqrt(2.0 / abs(chart.perimeter_sum))
-    angles = chart.system.angles
-    right_turns, left_turns = turn_counts(chart.system)
-    # Seen from the incenter, vertex i turns to vertex i + 1 by (t_{i-1} + t_i) / 2,
-    # t_i the turn of edge i to i + 1 in (-pi, pi): winding = turning number.
-    turns = (_successors(angles) - angles + math.pi) % TWO_PI - math.pi
-    winding = round(float(np.sum(turns)) / TWO_PI)
-    first_normal = left_normal(angles[0])
+    first_normal = left_normal(chart.system.angles[0])
     # Canonical representative: the common circle center sits at signed
     # distance r from the first edge line, above the origin.
     return tuple(
@@ -139,9 +126,6 @@ def tangential_critical_points(
             incenter=inradius * first_normal,
             perimeter=inradius * chart.perimeter_sum,
             area=math.copysign(1.0, chart.perimeter_sum),
-            winding=winding,
-            right_turns=right_turns,
-            left_turns=left_turns,
         )
         for inradius in (magnitude, -magnitude)
     )
@@ -165,10 +149,11 @@ def hessian_det_identity(point: TangentialCritical) -> tuple[float, float]:
 
 def morse_index_formula(point: TangentialCritical) -> int:
     """Morse index from turn counts, winding and perimeter sign alone."""
+    chart = point.chart
     perimeter_positive = 1 if point.perimeter > 0 else 0
     if point.inradius > 0:
-        return point.right_turns - 1 + 2 * point.winding - perimeter_positive
-    return point.left_turns - 1 - 2 * point.winding - perimeter_positive
+        return chart.right_turns - 1 + 2 * chart.winding - perimeter_positive
+    return chart.left_turns - 1 - 2 * chart.winding - perimeter_positive
 
 
 def morse_index_sign_count(chart: RadiiChart, inradius: float) -> int:

@@ -10,7 +10,7 @@ polygons next to, or on, the bifurcation locus come from
 import numpy as np
 
 from polyslope import CyclicPolygon, PolyslopeError, SlopeSystem, build_chart
-from polyslope.cyclic import cyclic_invariants
+from polyslope.cyclic import cyclic_invariants, dual_slopes, duality_index_check
 from polyslope.randomgen import random_cyclic_polygon
 
 # Slope family with a perimeter-sum zero crossing between the endpoints;
@@ -124,3 +124,9 @@ def near_bifurcation_phis(rng, n, low, high):
                     lo, f_lo = mid, f_mid
             if high == 0.0:
                 return moved(lo)
+
+
+def duality(cyclic):
+    """:func:`duality_index_check` of a cyclic polygon, its invariants and
+    its dual slopes."""
+    return duality_index_check(cyclic, cyclic_invariants(cyclic), dual_slopes(cyclic))

@@ -18,7 +18,6 @@ from polyslope import (
     critical_gradient_norm,
     cyclic_invariants,
     dual_polygon,
-    duality_index_check,
     hessian_det_identity,
     morse_index_eigen,
     oriented_area,
@@ -43,6 +42,7 @@ from families import (
     bif_family,
     bisect_bifurcation_root,
     bisect_family_root,
+    duality,
     family_perimeter_sum,
     family_system,
 )
@@ -271,7 +271,7 @@ def test_criterion_08_signature_topology():
             continue
         from polyslope import turning_sum
 
-        total, k = turning_sum(system)
+        total, k, _ = turning_sum(system)
         if abs(total / math.pi - k) > 1e-9 * max(1.0, k):
             failures.append(f"trial {trial}: non-integral turning")
         positive = int(np.count_nonzero(chart.unit_perimeters > 0))
@@ -304,7 +304,7 @@ def test_criterion_09_dual_perimeter():
         scale = 2.0 * cyclic.radius * float(np.sum(np.abs(np.tan(inv.half_angles))))
         if abs(measured - expected) > 1e-9 * scale:
             failures.append(f"trial {trial}: perimeter law off (n={n})")
-        if bifurcation_test(cyclic) != (abs(measured) < 1e-9 * scale):
+        if bifurcation_test(inv) != (abs(measured) < 1e-9 * scale):
             failures.append(f"trial {trial}: vanishing tests disagree (n={n})")
     # The constructed bifurcating polygon must trip all three tests at once.
     root = bisect_bifurcation_root()
@@ -312,7 +312,7 @@ def test_criterion_09_dual_perimeter():
     inv = cyclic_invariants(cyclic)
     dual = dual_polygon(cyclic)
     scale = 2.0 * cyclic.radius * float(np.sum(np.abs(np.tan(inv.half_angles))))
-    if not bifurcation_test(cyclic):
+    if not bifurcation_test(inv):
         failures.append("bifurcation root not detected")
     if abs(signed_perimeter(dual.polygon, dual.slopes)) >= 1e-9 * scale:
         failures.append("dual perimeter does not vanish at the root")
@@ -342,16 +342,16 @@ def test_criterion_10_cyclic_index_and_duality():
         else:
             n = int(rng.integers(4, 8))
             cyclic = random_cyclic_polygon(rng, n)
-        if bifurcation_test(cyclic):
+        inv = cyclic_invariants(cyclic)
+        if bifurcation_test(inv):
             continue
         checked += 1
-        inv = cyclic_invariants(cyclic)
         if inv.winding >= 2:
             high_winding += 1
         try:
             numeric = area_morse_index_numeric(cyclic)
-            formula = area_morse_index_formula(cyclic)
-            report = duality_index_check(cyclic)
+            formula = area_morse_index_formula(inv)
+            report = duality(cyclic)
         except (Bifurcating, DegenerateCritical) as exc:
             failures.append(f"trial {trial}: unexpected degeneracy ({exc})")
             continue

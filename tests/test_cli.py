@@ -157,6 +157,16 @@ class TestSlopesAnalyze:
         code, _, _ = run_cli(capsys, "slopes", "analyze", path)
         assert code == 2
 
+    def test_neighbours_parallel_at_scaled_tolerance(self, tmp_path, capsys):
+        # 1e-5 degrees (1.7e-7 rad) clears the constructor's default 1e-9 but
+        # not the scaled 1e-6, which the chart's pairwise check applies.
+        path = write_json(tmp_path, "near.json", {"angles_deg": [0, 1e-5, 120, 240]})
+        code, _, _ = run_cli(capsys, "slopes", "analyze", path)
+        assert code == 0
+        code, _, err = run_cli(capsys, "slopes", "analyze", path, "--tol-scale", "1000")
+        assert code == 2
+        assert "slopes 0 and 1 are parallel as lines" in err
+
 
 class TestCyclicAnalyze:
     def test_square_report(self, tmp_path, capsys):

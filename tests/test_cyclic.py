@@ -23,7 +23,6 @@ from polyslope import (
     bifurcation_test,
     cyclic_invariants,
     dual_polygon,
-    duality_index_check,
     radii_of_polygon,
     signed_perimeter,
     winding_number,
@@ -34,14 +33,13 @@ from polyslope.cyclic import (
     chain_area_hessian,
     closure_jacobian,
     closure_residual,
-    cyclic_winding_check,
 )
 from polyslope.geometry import left_normals
 from polyslope.randomgen import random_cyclic_polygon, random_star_polygon
 from polyslope.report import cyclic_report
 from polyslope.sweeps import run_sweep
 
-from families import bif_family, bisect_bifurcation_root, near_bifurcation_phis
+from families import bif_family, bisect_bifurcation_root, duality, near_bifurcation_phis
 
 SQUARE = CyclicPolygon.from_degrees(1.0, [0, 90, 180, 270])
 SQUARE_REVERSED = CyclicPolygon.from_degrees(1.0, [270, 180, 90, 0])
@@ -84,7 +82,8 @@ class TestInvariants:
         rng = np.random.default_rng(41)
         for _ in range(30):
             cyclic = random_cyclic_polygon(rng, int(rng.integers(4, 8)))
-            assert cyclic_winding_check(cyclic)
+            geometric = winding_number(cyclic.polygon, cyclic.center)
+            assert cyclic_invariants(cyclic).winding == geometric
         assert cyclic_invariants(PENTAGRAM).winding == winding_number(
             PENTAGRAM.polygon, PENTAGRAM.center
         )
@@ -129,27 +128,28 @@ class TestDualPolygon:
 
 class TestBifurcation:
     def test_square_and_pentagram_not_bifurcating(self):
-        assert not bifurcation_test(SQUARE)
-        assert not bifurcation_test(PENTAGRAM)
+        assert not bifurcation_test(cyclic_invariants(SQUARE))
+        assert not bifurcation_test(cyclic_invariants(PENTAGRAM))
 
     def test_root_found_by_bisection_is_bifurcating(self):
         root = bisect_bifurcation_root()
         cyclic = bif_family(root)
-        assert bifurcation_test(cyclic)
-        dual = dual_polygon(cyclic)
         inv = cyclic_invariants(cyclic)
+        assert bifurcation_test(inv)
+        dual = dual_polygon(cyclic)
         scale = 2.0 * cyclic.radius * float(np.sum(np.abs(np.tan(inv.half_angles))))
         assert abs(signed_perimeter(dual.polygon, dual.slopes)) < 1e-9 * scale
         with pytest.raises(DegenerateCritical):
             area_morse_index_numeric(cyclic)
         with pytest.raises(Bifurcating):
-            area_morse_index_formula(cyclic)
+            area_morse_index_formula(inv)
 
     def test_off_root_is_generic(self):
         root = bisect_bifurcation_root()
         cyclic = bif_family(root + 0.05)
-        assert not bifurcation_test(cyclic)
-        assert area_morse_index_numeric(cyclic) == area_morse_index_formula(cyclic)
+        inv = cyclic_invariants(cyclic)
+        assert not bifurcation_test(inv)
+        assert area_morse_index_numeric(cyclic) == area_morse_index_formula(inv)
 
     def test_near_bifurcation_reports_hold_their_identity(self):
         # Valid polygons next to the bifurcation locus: their smallest area
@@ -171,7 +171,7 @@ class TestBifurcation:
         rng = np.random.default_rng(2027)
         for n in range(4, 10):
             cyclic = CyclicPolygon.from_degrees(1.0, near_bifurcation_phis(rng, n, 0.0, 0.0))
-            assert bifurcation_test(cyclic)
+            assert bifurcation_test(cyclic_invariants(cyclic))
             with pytest.raises(DegenerateCritical):
                 area_morse_index_numeric(cyclic)
 
@@ -292,7 +292,7 @@ class TestAreaIndex:
                 if inv.positive_edges == n and inv.winding == 1:
                     break
             assert area_morse_index_numeric(cyclic) == n - 3
-            assert area_morse_index_formula(cyclic) == n - 3
+            assert area_morse_index_formula(inv) == n - 3
 
     def test_convex_clockwise_is_min(self):
         rng = np.random.default_rng(45)
@@ -302,28 +302,29 @@ class TestAreaIndex:
             if inv.positive_edges == 0 and inv.winding == -1:
                 break
         assert area_morse_index_numeric(cyclic) == 0
-        assert area_morse_index_formula(cyclic) == 0
+        assert area_morse_index_formula(inv) == 0
 
     def test_reversed_square_formula(self):
         # e = 0, winding -1, negative tangent sum: 0 - 1 + 2 - 1 = 0.
-        assert area_morse_index_formula(SQUARE_REVERSED) == 0
+        assert area_morse_index_formula(cyclic_invariants(SQUARE_REVERSED)) == 0
 
     def test_pentagram_index_zero(self):
         assert area_morse_index_numeric(PENTAGRAM) == 0
-        assert area_morse_index_formula(PENTAGRAM) == 0
+        assert area_morse_index_formula(cyclic_invariants(PENTAGRAM)) == 0
 
     def test_numeric_matches_formula_on_random_polygons(self):
         rng = np.random.default_rng(46)
         for _ in range(60):
             cyclic = random_cyclic_polygon(rng, int(rng.integers(4, 8)))
-            if bifurcation_test(cyclic):
+            inv = cyclic_invariants(cyclic)
+            if bifurcation_test(inv):
                 continue
-            assert area_morse_index_numeric(cyclic) == area_morse_index_formula(cyclic)
+            assert area_morse_index_numeric(cyclic) == area_morse_index_formula(inv)
 
 
 class TestDuality:
     def test_pentagram_duality(self):
-        report = duality_index_check(PENTAGRAM)
+        report = duality(PENTAGRAM)
         assert report.mu_area_numeric == 0
         assert report.mu_area_formula == 0
         assert report.mu_dual_perimeter == 2
@@ -337,7 +338,7 @@ class TestDuality:
                 inv = cyclic_invariants(cyclic)
                 if inv.positive_edges == n and inv.winding == 1:
                     break
-            report = duality_index_check(cyclic)
+            report = duality(cyclic)
             assert report.mu_area_numeric == n - 3
             assert report.mu_dual_perimeter == 0
             assert report.identity_holds
@@ -349,8 +350,8 @@ class TestDuality:
         assert inv.positive_edges == 0
         assert inv.winding == -2
         assert area_morse_index_numeric(reversed_star) == 2
-        assert area_morse_index_formula(reversed_star) == 2
-        report = duality_index_check(reversed_star)
+        assert area_morse_index_formula(inv) == 2
+        report = duality(reversed_star)
         assert report.mu_dual_perimeter == 0
         assert report.identity_holds
 
@@ -375,20 +376,20 @@ class TestDuality:
                 stars += 1
             else:
                 cyclic = random_cyclic_polygon(rng, int(rng.integers(4, 8)))
-            if bifurcation_test(cyclic):
+            if bifurcation_test(cyclic_invariants(cyclic)):
                 continue
-            report = duality_index_check(cyclic)
+            report = duality(cyclic)
             assert report.identity_holds
         assert stars >= 10
 
     def test_bifurcating_input_rejected(self):
         root = bisect_bifurcation_root()
         with pytest.raises(Bifurcating):
-            duality_index_check(bif_family(root))
+            duality(bif_family(root))
 
     def test_square_dual_index_unavailable(self):
         # The tangent lines at opposite vertices of the square are parallel.
-        report = duality_index_check(SQUARE)
+        report = duality(SQUARE)
         assert report.mu_area_numeric == report.mu_area_formula == 1
         assert report.mu_dual_perimeter is None
         assert report.dual_note == (

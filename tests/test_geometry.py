@@ -9,15 +9,18 @@ from hypothesis import given, settings, strategies as st
 from polyslope import (
     DEFAULT_TOL,
     CoincidentVertices,
+    ExceptionalSpace,
     NonIntegralTurn,
     ParallelLines,
     PointOnBoundary,
     PolygonChain,
     SlopeMismatch,
     SlopeSystem,
+    build_chart,
+    morse_index_formula,
     oriented_area,
     signed_perimeter,
-    turn_counts,
+    tangential_critical_points,
     turning_sum,
     winding_number,
 )
@@ -98,14 +101,15 @@ class TestWindingNumber:
 
 class TestTurning:
     def test_three_sixty_degree_steps(self):
-        t, k = turning_sum(SlopeSystem.from_degrees([0, 60, 120]))
+        # Two left turns of 60 degrees, then a right turn of 120.
+        t, k, right = turning_sum(SlopeSystem.from_degrees([0, 60, 120]))
         assert t == pytest.approx(math.pi)
-        assert k == 1
+        assert (k, right) == (1, 1)
 
     def test_three_onetwenty_degree_steps(self):
-        t, k = turning_sum(SlopeSystem.from_degrees([0, 120, 60]))
+        t, k, right = turning_sum(SlopeSystem.from_degrees([0, 120, 60]))
         assert t == pytest.approx(2 * math.pi)
-        assert k == 2
+        assert (k, right) == (2, 2)
 
     @pytest.mark.parametrize("n", [3, 4, 5, 6, 8, 12])
     def test_range_of_turning_multiple(self, n):
@@ -114,7 +118,7 @@ class TestTurning:
 
         for _ in range(20):
             system = random_slope_system(rng, n)
-            _, k = turning_sum(system)
+            _, k, _ = turning_sum(system)
             assert 1 <= k <= n - 1
 
     def test_recursion(self):
@@ -124,7 +128,7 @@ class TestTurning:
         for _ in range(50):
             n = int(rng.integers(4, 10))
             system = random_slope_system(rng, n)
-            total, _ = turning_sum(system)
+            total, _, _ = turning_sum(system)
             head = SlopeSystem(system.angles[:-1])
             tail = SlopeSystem(system.angles[[0, -2, -1]])
             rhs = turning_sum(head)[0] + turning_sum(tail)[0] - math.pi
@@ -132,11 +136,15 @@ class TestTurning:
 
 
 class TestTurnCounts:
+    # The square's opposite sides are parallel, so it has no chart; its
+    # turn counts come from turning_sum alone.
     def test_quarter_turns_left(self):
-        assert turn_counts(SlopeSystem.from_degrees([0, 90, 180, 270])) == (0, 4)
+        _, k, right = turning_sum(SlopeSystem.from_degrees([0, 90, 180, 270]))
+        assert (k, right) == (2, 0)
 
     def test_quarter_turns_right(self):
-        assert turn_counts(SlopeSystem.from_degrees([0, 270, 180, 90])) == (4, 0)
+        _, k, right = turning_sum(SlopeSystem.from_degrees([0, 270, 180, 90]))
+        assert (k, right) == (2, 4)
 
     def test_counts_sum_to_n(self):
         rng = np.random.default_rng(17)
@@ -144,8 +152,9 @@ class TestTurnCounts:
 
         for _ in range(50):
             n = int(rng.integers(3, 12))
-            right, left = turn_counts(random_slope_system(rng, n))
-            assert right + left == n
+            chart = build_chart(random_slope_system(rng, n))
+            assert chart.right_turns + chart.left_turns == n
+            assert chart.half_turns == chart.right_turns + 2 * chart.winding
 
 
 class TestSignedPerimeter:
@@ -257,6 +266,14 @@ def reference_turn_counts(angles):
     return right, left
 
 
+def reference_winding(angles):
+    """Sum of the turns of consecutive directions wrapped to (-pi, pi), in
+    whole turns."""
+    angles = np.array(reduced(angles))
+    turns = (np.roll(angles, -1) - angles + math.pi) % (2.0 * math.pi) - math.pi
+    return round(float(np.sum(turns)) / (2.0 * math.pi))
+
+
 def outcome(func, *args):
     """The result, with floats as hex so that only equal bits compare equal,
     or the error's type and message."""
@@ -267,6 +284,29 @@ def outcome(func, *args):
     if isinstance(result, tuple):
         return tuple(x.hex() if isinstance(x, float) else x for x in result)
     return result
+
+
+# Two angles within this of each other differ by the rounding of a
+# remainder mod pi.
+ROUNDING_OF_PI = 8.0 * np.finfo(float).eps * math.pi
+
+
+def min_line_gap(angles):
+    return min(line_gap(a, b) for i, a in enumerate(angles) for b in angles[i + 1 :])
+
+
+def twin_and_fuzz_charts():
+    """(chart, tolerances) of the 2000 twin systems and the 1500 fuzz slope
+    systems of test_fuzz that have a chart."""
+    from test_fuzz import ANGLES, COUNT
+
+    cases = [(SlopeSystem.from_angles, angles, tol) for angles, tol in twin_systems(2000)]
+    cases += [(SlopeSystem.from_degrees, angles, DEFAULT_TOL) for angles in ANGLES[:COUNT]]
+    for make, angles, tol in cases:
+        try:
+            yield build_chart(make(angles), tol), tol
+        except ParallelLines:
+            continue
 
 
 def twin_systems(count):
@@ -306,14 +346,29 @@ class TestAngleArrayChecks:
                 seen.add("consecutive")
                 continue
             system = SlopeSystem.from_angles(angles)
-            assert outcome(system.require_pairwise_nonparallel, tol) == outcome(
-                reference_pairwise_check, angles, tol
-            )
-            turning = outcome(turning_sum, system, tol)
-            assert turning == outcome(reference_turning_sum, angles, tol)
-            assert turn_counts(system) == reference_turn_counts(angles)
-            seen.add(turning[0] if turning[0] == "ParallelLines" else "turning")
-        assert seen == {"consecutive", "ParallelLines", "turning"}
+            pairwise = outcome(system.require_pairwise_nonparallel, tol)
+            assert pairwise == outcome(reference_pairwise_check, angles, tol)
+            # build_chart runs the pairwise check first, and turning_sum only
+            # on the systems that pass it.
+            if pairwise is not None:
+                assert outcome(build_chart, system, tol) == pairwise
+                seen.add("ParallelLines")
+                continue
+            expected = outcome(reference_turning_sum, angles, tol)
+            if expected[0] == "ParallelLines":
+                # The reference measures the wrap-around pair as
+                # (a_n - a_1) mod pi and the pairwise check as (a_1 - a_n)
+                # mod pi; within rounding of tol.parallel they can decide
+                # differently, and the pairwise check decides.  The
+                # constructor has passed the pair at the default tolerance.
+                first, *_, last = reduced(angles)
+                assert abs(line_gap(first, last) - tol.parallel) <= ROUNDING_OF_PI
+                seen.add("wrap-around boundary")
+                expected = outcome(reference_turning_sum, angles, DEFAULT_TOL)
+            right, _ = reference_turn_counts(angles)
+            assert outcome(turning_sum, system, tol) == expected + (right,)
+            seen.add("turning")
+        assert seen == {"consecutive", "ParallelLines", "turning", "wrap-around boundary"}
 
     def test_planted_gaps_decide_both_ways(self):
         eps = np.finfo(float).eps
@@ -326,18 +381,49 @@ class TestAngleArrayChecks:
                 SlopeSystem.from_angles([below, 2.0, 0.0, 4.0]).require_pairwise_nonparallel(tol)
             SlopeSystem.from_angles([above, 2.0, 0.0, 4.0]).require_pairwise_nonparallel(tol)
             # Slopes 0 and 1 are: the constructor decides at the default
-            # tolerance, turning_sum at the looser ones.
+            # tolerance, the chart's pairwise check at the looser ones.
             neighbours = [below, 0.0, 2.0, 4.0]
             if scale == 1.0:
                 with pytest.raises(ParallelLines, match="^consecutive slopes 0 and 1 "):
                     SlopeSystem.from_angles(neighbours)
             else:
-                with pytest.raises(ParallelLines):
-                    turning_sum(SlopeSystem.from_angles(neighbours), tol)
-            system = SlopeSystem.from_angles([above, 0.0, 2.0, 4.0])
-            assert outcome(turning_sum, system, tol) == outcome(
+                with pytest.raises(ParallelLines, match="^slopes 0 and 1 are parallel"):
+                    build_chart(SlopeSystem.from_angles(neighbours), tol)
+            chart = build_chart(SlopeSystem.from_angles([above, 0.0, 2.0, 4.0]), tol)
+            assert (chart.angle_sum.hex(), chart.half_turns) == outcome(
                 reference_turning_sum, [above, 0.0, 2.0, 4.0], tol
             )
+
+    def test_chart_turning_data_matches_references(self):
+        # Every relabeling of a system shares its turn counts and winding,
+        # and the turn/winding index formula reduces to k and the sign of
+        # sum p.
+        points = 0
+        for chart, tol in twin_and_fuzz_charts():
+            angles = chart.system.angles.tolist()
+            right, left = reference_turn_counts(angles)
+            expected = (chart.half_turns, right, left, reference_winding(angles))
+            relabelings = [chart, chart.well_conditioned]
+            for shift in range(1, chart.n):
+                try:
+                    relabelings.append(build_chart(chart.system.rotated(shift), tol))
+                except ParallelLines:
+                    # A gap planted at tol.parallel, which the relabeled
+                    # pairwise check measures the other way round.
+                    assert abs(min_line_gap(angles) - tol.parallel) <= ROUNDING_OF_PI, angles
+            for other in relabelings:
+                observed = (other.half_turns, other.right_turns, other.left_turns, other.winding)
+                assert observed == expected, angles
+            critical = tangential_critical_points(chart, tol)
+            if isinstance(critical, ExceptionalSpace):
+                continue
+            k, n = chart.half_turns, chart.n
+            positive = int(chart.perimeter_sum > 0)
+            for point in critical:
+                index = k - 1 - positive if point.inradius > 0 else n - 2 - k + positive
+                assert morse_index_formula(point) == index, angles
+                points += 1
+        assert points >= 2 * 2500
 
     def test_angles_are_the_whole_representation(self):
         system = SlopeSystem.from_degrees([10.0, 80.0, 200.0, 300.0])

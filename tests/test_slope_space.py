@@ -6,7 +6,6 @@ import numpy as np
 import pytest
 
 from polyslope import (
-    turning_sum,
     ParallelLines,
     SlopeSystem,
     build_chart,
@@ -291,7 +290,7 @@ class TestNormalizedCoordinates:
 
 class TestTopologyReport:
     def test_triangle_positive_class(self):
-        report = topology_report(SlopeSystem.from_degrees([0, 120, 60]))
+        report = topology_report(build_chart(SlopeSystem.from_degrees([0, 120, 60])))
         assert report.half_turns == 2
         assert report.positive_component.describe() == "S^0 x D^0"
         assert report.negative_component.empty
@@ -299,21 +298,19 @@ class TestTopologyReport:
     def test_quadrilateral_middle_class(self):
         rng = np.random.default_rng(18)
         while True:
-            system = random_slope_system(rng, 4)
-            _, k = turning_sum(system)
-            if k == 2:
+            chart = build_chart(random_slope_system(rng, 4))
+            if chart.half_turns == 2:
                 break
-        report = topology_report(system)
+        report = topology_report(chart)
         assert report.negative_component.describe() == "S^0 x D^1"
         assert report.positive_component.describe() == "S^0 x D^1"
 
     def test_pentagon_k3(self):
         rng = np.random.default_rng(19)
         while True:
-            system = random_slope_system(rng, 5)
-            _, k = turning_sum(system)
-            if k == 3:
+            chart = build_chart(random_slope_system(rng, 5))
+            if chart.half_turns == 3:
                 break
-        report = topology_report(system)
+        report = topology_report(chart)
         assert report.negative_component.describe() == "S^0 x D^2"
         assert report.positive_component.describe() == "S^1 x D^1"

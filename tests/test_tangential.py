@@ -315,12 +315,12 @@ class TestMorseIndex:
         rng = np.random.default_rng(32)
         found = False
         for _ in range(400):
-            system = random_slope_system(rng, 5)
-            points = tangential_critical_points(system)
+            chart = build_chart(random_slope_system(rng, 5))
+            points = tangential_critical_points(chart)
             if isinstance(points, ExceptionalSpace):
                 continue
             point = points[0] if points[0].inradius > 0 else points[1]
-            if point.right_turns == 1 and point.winding == 1 and point.perimeter > 0:
+            if chart.right_turns == 1 and chart.winding == 1 and point.perimeter > 0:
                 assert morse_index_formula(point) == 1
                 assert morse_index_eigen(point).index_eigen == 1
                 found = True

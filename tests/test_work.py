@@ -23,6 +23,7 @@ from polyslope import (
     morse_index_eigen,
     tangential_critical_points,
 )
+from polyslope import geometry
 from polyslope.cyclic import bifurcation_test, cyclic_invariants
 from polyslope.geometry import tangential_polygon, turning_sum
 from polyslope.randomgen import random_slope_system, trial_rng
@@ -125,6 +126,7 @@ def test_well_conditioned_chart_is_shared_and_equal_to_reference():
         assert np.array_equal(shared.area_constants, expected.area_constants)
         assert shared.perimeter_sum == expected.perimeter_sum
         assert shared.half_turns == expected.half_turns
+        assert shared.right_turns == expected.right_turns == chart.right_turns
         assert shared.angle_sum == chart.angle_sum
         assert not shared.unit_perimeters.flags.writeable
         public = well_conditioned_chart(system)
@@ -186,12 +188,30 @@ def test_angles_are_read_only_and_shared():
 
 
 def test_slopes_report_runs_turning_sum_once(monkeypatch):
-    counts = counted(monkeypatch, (turning_sum,))
+    # turning_sum is the one loop over consecutive slopes: the report and
+    # both critical points read its angle sum and turn counts off the chart.
+    results = []
+    counts = counted(monkeypatch, (turning_sum,), results)
     report = slopes_report(SLOPES_7)
     assert counts["turning_sum"] == 1
-    total, half_turns = turning_sum(SlopeSystem.from_degrees(SLOPES_7))
-    assert report["turning"]["angle_sum_rad"] == total
-    assert report["turning"]["half_turns"] == half_turns
+    assert not hasattr(geometry, "turn_counts")
+    total, half_turns, right_turns = results[0]
+    turning = report["turning"]
+    assert (turning["angle_sum_rad"], turning["half_turns"]) == (total, half_turns)
+    assert (turning["right_turns"], turning["left_turns"]) == (right_turns, 7 - right_turns)
+    for point in report["critical"]["points"]:
+        assert (point["right_turns"], point["left_turns"]) == (right_turns, 7 - right_turns)
+        assert point["winding"] == (half_turns - right_turns) // 2
+
+
+@pytest.mark.parametrize("name", ["cyclic_indices", "dual_perimeter"])
+def test_cyclic_trial_computes_invariants_once(monkeypatch, name):
+    counts = counted(monkeypatch, (cyclic_invariants,))
+    index, check = next((i, c) for i, (n, c) in enumerate(CHECKS) if n == name)
+    for trial in range(20):
+        counts["cyclic_invariants"] = 0
+        assert check(trial_rng(1, index, trial), (4, 9), DEFAULT_TOL) is not None
+        assert counts["cyclic_invariants"] == 1
 
 
 def test_cyclic_report_computes_invariants_and_dual_once(monkeypatch):
