@@ -54,7 +54,13 @@ from .tangential import (
 )
 from .tolerances import DEFAULT_TOL, Tolerances
 
-EXCEPTIONAL_EXCLUSION = 1e-6  # |sum p_i| below this fraction of sum |p_i| is skipped
+# Roundoff bounds, in units of eps sum|p| / |sum p|, of comparisons that cancel
+# toward the exceptional locus: 17 to 30 times the worst error on sweep seeds
+# 0..399 and next to the locus, never tighter than the fixed bounds they
+# replaced.  The determinant also loses max|p| / |p_1|, the drawn chart's
+# conditioning: without that factor its error reached 2.9e4, on a heavy tail.
+DETERMINANT_ROUNDOFF = 512.0  # r**(n-3) det H, times max|p| / |p_1|; worst 17
+TANGENTIAL_ROUNDOFF = 2048.0  # tangential area and perimeter; worst 122
 
 
 def _draw_n(rng, n_range, lo, hi):
@@ -66,19 +72,19 @@ def _draw_n(rng, n_range, lo, hi):
 
 
 def _nonexceptional_points(chart, tol):
-    if abs(chart.perimeter_sum) < EXCEPTIONAL_EXCLUSION * np.sum(
-        np.abs(chart.unit_perimeters)
-    ):
-        return None
     points = tangential_critical_points(chart, tol)
-    if isinstance(points, ExceptionalSpace):
-        return None
-    return points
+    return None if isinstance(points, ExceptionalSpace) else points
 
 
-def _draw_points(rng, n_range, hi, tol, draw=random_slope_system):
+def _locus_roundoff(chart):
+    """eps sum|p| / |sum p|, the roundoff of quantities that cancel to unit area."""
+    scale = float(np.sum(np.abs(chart.unit_perimeters)))
+    return float(np.finfo(float).eps) * scale / abs(chart.perimeter_sum)
+
+
+def _draw_points(rng, n_range, hi, tol, draw):
     """(n, critical points) of a system of 4..hi lines from ``draw``, or None
-    when no size fits or the system is too close to the exceptional locus."""
+    when no size fits or the system is exceptional."""
     n = _draw_n(rng, n_range, 4, hi)
     points = None if n is None else _nonexceptional_points(build_chart(draw(rng, n), tol), tol)
     return None if points is None else (n, points)
@@ -87,7 +93,7 @@ def _draw_points(rng, n_range, hi, tol, draw=random_slope_system):
 def check_critical_gradient(rng, n_range, tol):
     """Complex-step perimeter gradient vanishes at both critical points, to
     the roundoff bound of :func:`critical_gradient_norm` (c = 256)."""
-    drawn = _draw_points(rng, n_range, 9, tol)
+    drawn = _draw_points(rng, n_range, 9, tol, random_slope_system)
     if drawn is None:
         return None
     n, points = drawn
@@ -102,7 +108,7 @@ def check_critical_gradient(rng, n_range, tol):
 def check_hessian_difference(rng, n_range, tol):
     """Closed-form Hessian matches the hyper-dual Hessian to the roundoff
     bound of :func:`hessian_error`, c eps max|H| sum|p| / |sum p| with c = 512."""
-    drawn = _draw_points(rng, n_range, 12, tol)
+    drawn = _draw_points(rng, n_range, 12, tol, random_slope_system)
     if drawn is None:
         return None
     n, points = drawn
@@ -117,22 +123,26 @@ def check_hessian_difference(rng, n_range, tol):
 
 
 def check_hessian_determinant(rng, n_range, tol):
-    """r**(n-3) det H equals the closed product formula."""
-    drawn = _draw_points(rng, n_range, 9, tol)
+    """r**(n-3) det H equals the closed product formula, relative to the
+    larger side, within max(1e-9, c eps sum|p| max|p| / (|sum p| |p_1|)),
+    c = 512."""
+    drawn = _draw_points(rng, n_range, 9, tol, random_slope_system)
     if drawn is None:
         return None
     n, points = drawn
     failures = []
     for point in points:
         lhs, rhs = hessian_det_identity(point)
-        if abs(lhs - rhs) > 1e-9 * max(abs(lhs), abs(rhs)):
+        p = np.abs(point.chart.unit_perimeters)
+        bound = max(1e-9, DETERMINANT_ROUNDOFF * _locus_roundoff(point.chart) * p.max() / p[0])
+        if abs(lhs - rhs) > bound * max(abs(lhs), abs(rhs)):
             failures.append(f"determinant identity off: {lhs!r} vs {rhs!r} (n={n})")
     return failures
 
 
 def check_index_agreement(rng, n_range, tol):
     """Eigenvalue index equals the formula index; the two points complement."""
-    drawn = _draw_points(rng, n_range, 9, tol)
+    drawn = _draw_points(rng, n_range, 9, tol, random_slope_system)
     if drawn is None:
         return None
     n, points = drawn
@@ -213,9 +223,11 @@ def check_chart_identities(rng, n_range, tol):
         gap = float(np.max(np.abs(rebuilt.vertices - point.polygon.vertices)))
         if gap > 1e-10 * rebuilt.diameter:
             failures.append(f"tangential vertices off the reconstruction by {gap:.3e} (n={n})")
-        if abs(oriented_area(rebuilt) - point.area) > 1e-10:
+        # The area is +-1, so its absolute and relative errors agree.
+        bound = max(1e-10, TANGENTIAL_ROUNDOFF * _locus_roundoff(chart))
+        if abs(oriented_area(rebuilt) - point.area) > bound:
             failures.append(f"tangential area off the reconstruction (n={n})")
-        if abs(signed_perimeter(rebuilt, chart.system, tol) / point.perimeter - 1.0) > 1e-10:
+        if abs(signed_perimeter(rebuilt, chart.system, tol) / point.perimeter - 1.0) > bound:
             failures.append(f"tangential perimeter off the reconstruction (n={n})")
         if winding_number(rebuilt, point.incenter, tol) != chart.winding:
             failures.append(f"tangential winding off the reconstruction (n={n})")

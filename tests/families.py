@@ -4,14 +4,15 @@ The slope family crosses the perimeter-sum zero (exceptional locus); the
 cyclic family crosses the bifurcation locus.  Both stay valid along the whole
 parameter interval, so bisection to the root is safe.  Seeded cyclic
 polygons next to, or on, the bifurcation locus come from
-:func:`near_bifurcation_phis`.
+:func:`near_bifurcation_phis`, and seeded slope systems next to the
+exceptional locus from :func:`near_exceptional_system`.
 """
 
 import numpy as np
 
 from polyslope import CyclicPolygon, PolyslopeError, SlopeSystem, build_chart
 from polyslope.cyclic import cyclic_invariants, dual_slopes, duality_index_check
-from polyslope.randomgen import random_cyclic_polygon
+from polyslope.randomgen import MIN_LINE_SEPARATION, random_cyclic_polygon, random_slope_system
 
 # Slope family with a perimeter-sum zero crossing between the endpoints;
 # pairwise line separations stay above 25 degrees throughout.
@@ -59,6 +60,55 @@ def bisect_family_root(lo=0.0, hi=1.0, width=1e-13) -> float:
         else:
             lo, flo = mid, fmid
     return 0.5 * (lo + hi)
+
+
+def _lines_apart(angles):
+    lines = np.sort(np.asarray(angles) % np.pi)
+    return np.min(np.diff(lines, append=lines[0] + np.pi)) >= MIN_LINE_SEPARATION
+
+
+def near_exceptional_system(rng, n, low, high):
+    """Chart of a random slope system with one slope moved by bisection until
+    low <= |sum p| / sum|p| <= high, its lines still 3 degrees apart.
+
+    The slope is first stepped around the circle by whole degrees; a step
+    where sum p changes sign while every p_i keeps its sign brackets a root,
+    where a sign change of some p_i would mark a pole.
+    """
+
+    def chart_at(angles, k, angle):
+        moved = angles.copy()
+        moved[k] = angle
+        try:
+            return build_chart(SlopeSystem.from_angles(moved))
+        except PolyslopeError:
+            return None
+
+    while True:
+        angles = random_slope_system(rng, n).angles.copy()
+        k = int(rng.integers(n))
+        steps = (angles[k] + np.radians(np.arange(361.0))).tolist()
+        charts = [chart_at(angles, k, angle) for angle in steps]
+        for (lo, left), (hi, right) in zip(zip(steps, charts), zip(steps[1:], charts[1:])):
+            if left is None or right is None or left.perimeter_sum * right.perimeter_sum > 0:
+                continue
+            if not np.array_equal(left.positive_mask, right.positive_mask):
+                continue
+            f_lo = left.perimeter_sum
+            while lo < 0.5 * (lo + hi) < hi:
+                mid = 0.5 * (lo + hi)
+                chart = chart_at(angles, k, mid)
+                if chart is None:
+                    break
+                ratio = abs(chart.perimeter_sum) / float(np.sum(np.abs(chart.unit_perimeters)))
+                if low <= ratio <= high:
+                    if _lines_apart(chart.system.angles):
+                        return chart
+                    break
+                if f_lo * chart.perimeter_sum <= 0:
+                    hi = mid
+                else:
+                    lo, f_lo = mid, chart.perimeter_sum
 
 
 def bif_family(t: float) -> CyclicPolygon:

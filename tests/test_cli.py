@@ -357,6 +357,27 @@ class TestSweep:
         assert code == 2
         assert out == "" and "--n-min" in err and "--n-max" in err
 
+    @pytest.mark.parametrize(
+        "n_min, n_max, drawing",
+        [
+            (10, 12, {"hessian_difference", "chart_identities", "turning_signature"}),
+            (3, 3, {"chart_identities", "turning_signature"}),
+        ],
+    )
+    def test_size_range_edges(self, capsys, n_min, n_max, drawing):
+        # Only the checks whose sizes reach the range draw; they must pass.
+        code, out, _ = run_cli(
+            capsys, "sweep", "--n-min", str(n_min), "--n-max", str(n_max),
+            "--trials", "5", "--json",
+        )
+        assert code == 0
+        checks = json.loads(out)["checks"]
+        assert {c["name"] for c in checks if c["skipped"] < 5} == drawing
+        for check in checks:
+            assert check["failed"] == 0
+            if check["name"] in drawing:
+                assert check["passed"] > 0
+
     def test_property_failure_exit_code(self, capsys, monkeypatch):
         # Wiring check: a failing property must surface as exit code 3.
         import polyslope.sweeps as sweeps

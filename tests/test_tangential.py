@@ -347,10 +347,17 @@ class TestConstrainedChart:
     def test_wrong_area_sign_raises(self):
         # The wrong area sign leaves no real r_1: the closed form, on real,
         # complex and hyper-dual radii, and the Newton twin below refuse it.
+        # At x = r the radicand is r**2 - 4 sgn(sum p) / p_1, negative exactly
+        # when p_1 has the sign of sum p and |p_1| < 2 |sum p|.
         rng = np.random.default_rng(35)
-        chart = well_conditioned_chart(random_slope_system(rng, 6))
+        while True:
+            chart = well_conditioned_chart(random_slope_system(rng, 6))
+            p1, total = chart.unit_perimeters[0], chart.perimeter_sum
+            if p1 * total > 0 and abs(p1) < 2.0 * abs(total):
+                break
         point = tangential_critical_points(chart)[0]
-        target = math.copysign(1.0, chart.perimeter_sum)
+        target = math.copysign(1.0, total)
+        assert point.inradius**2 - 4.0 * target / p1 < 0
         args = (np.full(3, point.inradius), -target, point.inradius)
         oracles = (
             constrained_perimeter,
