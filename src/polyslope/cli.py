@@ -37,8 +37,6 @@ from .report import (
     validate_family_input,
     validate_slopes_input,
 )
-from .svgrender import render_cyclic_svg, render_slopes_svg
-from .sweeps import run_sweep
 from .tolerances import DEFAULT_TOL
 
 EXIT_OK = 0
@@ -195,6 +193,10 @@ def cmd_cyclic_analyze(args) -> int:
 
 
 def cmd_sweep(args) -> int:
+    # Imported here: the sweep's generators load numpy.random, which no
+    # other subcommand needs.
+    from .sweeps import run_sweep
+
     if args.seed < 0 or args.trials < 0:
         raise InputSchemaError("--seed and --trials must be non-negative integers")
     if args.n_min > args.n_max:
@@ -226,6 +228,8 @@ def cmd_family(args) -> int:
 
 
 def cmd_render(args) -> int:
+    from .svgrender import render_cyclic_svg, render_slopes_svg
+
     data = load_input_file(args.file)
     kind = detect_kind(data)
     tol = _tolerances(args)

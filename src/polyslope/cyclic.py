@@ -41,7 +41,8 @@ from .geometry import (
 from .slope_space import build_chart
 from .tangential import (
     ExceptionalSpace,
-    morse_index_eigen,
+    morse_index_formula,
+    morse_index_sign_count,
     tangential_critical_points,
 )
 from .tolerances import DEFAULT_TOL, Tolerances
@@ -368,7 +369,7 @@ def duality_index_check(
     its result.  The dual polygon is tangential with positive inradius,
     hence (after the area normalization, which leaves the index unchanged)
     it is the positive critical point of the perimeter for its own slope
-    system; its index is the exact sign count of :func:`morse_index_eigen`,
+    system; its index is the exact sign count of :func:`morse_index_sign_count`,
     cross-checked against the turn/winding formula.  A dual slope system
     with parallel lines or an exceptional one has no such index, and the
     report says why in ``dual_note``.  Raises Bifurcating on the
@@ -388,10 +389,9 @@ def duality_index_check(
         note = f"dual perimeter index unavailable: {exc}"
     else:
         positive = points[0] if points[0].inradius > 0 else points[1]
-        report = morse_index_eigen(positive)
-        if not report.agreement:
+        mu_dual = morse_index_sign_count(positive.chart, positive.inradius)
+        if mu_dual != morse_index_formula(positive):
             raise DegenerateCritical("dual index routes disagree")
-        mu_dual = report.index_eigen
     return DualityReport(
         mu_area_numeric=mu_numeric,
         mu_area_formula=mu_formula,

@@ -22,14 +22,14 @@ from .cyclic import (
     duality_index_check,
 )
 from .errors import Bifurcating, InputSchemaError, ParallelLines, SlopeMismatch
-from .geometry import SlopeSystem, signed_perimeter, tangential_polygon
-from .slope_space import build_chart, topology_report
+from .geometry import TWO_PI, SlopeSystem, signed_perimeter, tangential_polygon
+from .slope_space import build_chart, chart_stack, topology_report
 from .tangential import (
     ExceptionalSpace,
     critical_gradient_norm,
-    exceptional,
+    exceptional_mask,
     morse_index_eigen,
-    morse_index_sign_count,
+    sign_count_index,
     tangential_critical_points,
 )
 from .tolerances import DEFAULT_TOL, Tolerances
@@ -261,32 +261,126 @@ def cyclic_report(
     return report
 
 
-def _interpolated(start: list[float], end: list[float], t: float) -> list[float]:
-    return [(1.0 - t) * a + t * b for a, b in zip(start, end)]
+# Bisection midpoints are charted a tree at a time: the 2**depth - 1 midpoints
+# that the next depth halvings can visit, in one chart_stack call.  On the
+# benchmark's n = 5 crossing (2-core VM) one round took 44, 54, 59, 89 and
+# 134 us at depths 3 to 7, so a bracket of 37 halvings took 573, 539, 475,
+# 621 and 804 us: fixed costs dominate below depth 5, rows above it.
+BISECTION_DEPTH = 5
+BRACKET_WIDTH = 1e-12
 
 
-def _family_step(start, end, t, tol) -> dict:
-    angles = _interpolated(start, end, t)
-    step = {"t": float(t), "angles_deg": [float(a) for a in angles]}
-    try:
-        system = SlopeSystem.from_degrees(angles)
-        chart = build_chart(system, tol)
-    except ParallelLines as exc:
-        step["status"] = "invalid"
-        step["reason"] = str(exc)
-        return step
-    step["status"] = "ok"
-    step["perimeter_sum"] = float(chart.perimeter_sum)
-    if exceptional(chart, tol):
-        step["exceptional"] = True
-        step["critical_points"] = 0
-    else:
-        # The two critical points, of inradius +r and -r, have the area sign of sum p.
-        step["exceptional"] = False
-        step["critical_points"] = 2
-        step["area_sign"] = int(math.copysign(1.0, chart.perimeter_sum))
-        step["indices"] = [morse_index_sign_count(chart, r) for r in (1.0, -1.0)]
-    return step
+def _family_angles(start, end, ts) -> tuple[np.ndarray, np.ndarray]:
+    """Degrees of the family at each parameter in ``ts``, one row each, and
+    their radians reduced as :class:`SlopeSystem` stores them."""
+    t = np.asarray(ts, dtype=float)[:, None]
+    # An angle beyond the float range fails chart_stack's checks, and the
+    # scalar path then says what is wrong with it.
+    with np.errstate(over="ignore", invalid="ignore"):
+        degrees = (1.0 - t) * np.asarray(start, dtype=float) + t * np.asarray(end, dtype=float)
+        reduced = np.radians(degrees) % TWO_PI
+    reduced[reduced == TWO_PI] = 0.0
+    return degrees, reduced
+
+
+def _scalar_chart(degrees: np.ndarray, tol):
+    """Chart of a row that chart_stack rejects, by SlopeSystem and
+    build_chart: they raise for it what they raise for any slope system."""
+    return build_chart(SlopeSystem.from_degrees(degrees.tolist()), tol)
+
+
+def _family_rows(start, end, steps, tol) -> list[dict]:
+    """One row per step, all charted by one chart_stack call.  Parallel
+    lines make a row invalid, with the scalar path's message as reason;
+    any other error it raises propagates."""
+    ts = [i / (steps - 1) for i in range(steps)]
+    degrees, reduced = _family_angles(start, end, ts)
+    perimeters, sums, ok = chart_stack(reduced, tol)
+    reasons = {}
+    for i in np.flatnonzero(~ok).tolist():
+        try:
+            chart = _scalar_chart(degrees[i], tol)
+        except ParallelLines as exc:
+            reasons[i] = str(exc)
+        else:
+            perimeters[i], sums[i] = chart.unit_perimeters, chart.perimeter_sum
+    exceptional_rows = exceptional_mask(perimeters, sums, tol).tolist()
+    # The two critical points, of inradius +r and -r, have the area sign of sum p.
+    indices = zip(*(sign_count_index(perimeters, sums, r).tolist() for r in (1.0, -1.0)))
+    rows = []
+    for i, (t, angles, total, index_pair) in enumerate(
+        zip(ts, degrees.tolist(), sums.tolist(), indices)
+    ):
+        step = {"t": t, "angles_deg": angles}
+        if i in reasons:
+            step["status"] = "invalid"
+            step["reason"] = reasons[i]
+        else:
+            step["status"] = "ok"
+            step["perimeter_sum"] = total
+            step["exceptional"] = exceptional_rows[i]
+            if exceptional_rows[i]:
+                step["critical_points"] = 0
+            else:
+                step["critical_points"] = 2
+                step["area_sign"] = int(math.copysign(1.0, total))
+                step["indices"] = list(index_pair)
+        rows.append(step)
+    return rows
+
+
+def _midpoint_tree(lo: float, hi: float) -> list[float]:
+    """Midpoints of the bisection tree below (lo, hi), heap-ordered: node j
+    halves its interval at 0.5 * (lo + hi) and hands (lo, mid) to node
+    2j + 1 and (mid, hi) to node 2j + 2, the arithmetic of one halving."""
+    intervals = [(lo, hi)]
+    mids = []
+    for _ in range(BISECTION_DEPTH):
+        level = []
+        for a, b in intervals:
+            mid = 0.5 * (a + b)
+            mids.append(mid)
+            level += ((a, mid), (mid, b))
+        intervals = level
+    return mids
+
+
+def _bracket(start, end, lo: float, hi: float, flo: float, tol) -> dict | None:
+    """Bisect a sign change of sum p between lo and hi to BRACKET_WIDTH.
+
+    Each halving keeps the half (lo, mid) when flo * f(mid) <= 0 and
+    (mid, hi) otherwise.  A round charts the midpoints of the next
+    BISECTION_DEPTH halvings in one call and walks them: the tree holds
+    every midpoint the walk can reach, so it visits those of the one-at-a-
+    time loop.  Reaching parallel lines means a pole, not a root: None.
+    """
+    while hi - lo > BRACKET_WIDTH:
+        mids = _midpoint_tree(lo, hi)
+        degrees, reduced = _family_angles(start, end, mids)
+        _, sums, ok = chart_stack(reduced, tol)
+        node = 0
+        for _ in range(BISECTION_DEPTH):
+            if not hi - lo > BRACKET_WIDTH:
+                break
+            # Only the sign of sum p matters here; critical points next to
+            # its root are nearly degenerate and their indices are not reported.
+            mid, fmid = mids[node], float(sums[node])
+            if not ok[node]:
+                try:
+                    fmid = _scalar_chart(degrees[node], tol).perimeter_sum
+                except ParallelLines:
+                    return None
+            if flo * fmid <= 0.0:
+                hi, node = mid, 2 * node + 1
+            else:
+                lo, flo, node = mid, fmid, 2 * node + 2
+    degrees, _ = _family_angles(start, end, [0.5 * (lo + hi)])
+    return {
+        "t_low": float(lo),
+        "t_high": float(hi),
+        "perimeter_sum_low": float(flo),
+        "angles_deg_root": degrees[0].tolist(),
+    }
 
 
 def family_report(
@@ -303,7 +397,7 @@ def family_report(
     """
     if steps < 2:
         raise InputSchemaError("family needs at least 2 steps")
-    rows = [_family_step(start, end, i / (steps - 1), tol) for i in range(steps)]
+    rows = _family_rows(start, end, steps, tol)
     brackets = []
     for a, b in zip(rows[:-1], rows[1:]):
         if a.get("status") != "ok" or b.get("status") != "ok":
@@ -311,30 +405,9 @@ def family_report(
         pa, pb = a["perimeter_sum"], b["perimeter_sum"]
         if pa == 0.0 or pa * pb >= 0.0:
             continue
-        lo, hi = a["t"], b["t"]
-        flo = pa
-        while hi - lo > 1e-12:
-            mid = 0.5 * (lo + hi)
-            # Only the sign of sum p matters here; critical points next to its
-            # root are nearly degenerate and their indices are not reported.
-            try:
-                system = SlopeSystem.from_degrees(_interpolated(start, end, mid))
-                fmid = float(build_chart(system, tol).perimeter_sum)
-            except ParallelLines:
-                break
-            if flo * fmid <= 0.0:
-                hi = mid
-            else:
-                lo, flo = mid, fmid
-        else:
-            brackets.append(
-                {
-                    "t_low": float(lo),
-                    "t_high": float(hi),
-                    "perimeter_sum_low": float(flo),
-                    "angles_deg_root": [float(a) for a in _interpolated(start, end, 0.5 * (lo + hi))],
-                }
-            )
+        bracket = _bracket(start, end, a["t"], b["t"], pa, tol)
+        if bracket is not None:
+            brackets.append(bracket)
     return {
         "kind": "family",
         "input": {

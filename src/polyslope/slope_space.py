@@ -238,6 +238,54 @@ def build_chart(system: SlopeSystem, tol: Tolerances = DEFAULT_TOL) -> RadiiChar
     return _radii_chart(system, _unit_perimeters(system.angles), *turning)
 
 
+@functools.lru_cache(maxsize=None)
+def _line_pairs(n: int, parallel: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Slope pairs (i, j) that :func:`chart_stack` keeps apart as lines, and
+    the least gap of each: every pair i < j by ``parallel``, as
+    require_pairwise_nonparallel does, and consecutive pairs also by
+    ``DEFAULT_TOL.parallel``, as the constructor does, which takes the last
+    one as (n - 1, 0)."""
+    first, second = np.triu_indices(n, 1)
+    limits = np.where(second - first == 1, max(parallel, DEFAULT_TOL.parallel), parallel)
+    return (
+        np.append(first, n - 1),
+        np.append(second, 0),
+        np.append(limits, DEFAULT_TOL.parallel),
+    )
+
+
+def chart_stack(
+    angles: np.ndarray,
+    tol: Tolerances = DEFAULT_TOL,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Unit perimeters, their sums and a validity flag for each row of an
+    (m, n) stack of angles reduced as :class:`SlopeSystem` stores them.
+
+    A row is ok when it passes every check that ``SlopeSystem`` and
+    :func:`build_chart` make, with the same arithmetic: consecutive lines
+    apart by ``DEFAULT_TOL.parallel``, all pairs by ``tol.parallel``, an
+    integral angle sum k * pi with 1 <= k <= n - 1, and k - 1 positive p_i.
+    On an ok row p and sum p equal the chart's bit for bit; on any other
+    row they mean nothing, and the scalar path says what is wrong.  Every
+    test is a positive condition, so a row that is not finite fails it.
+    """
+    pi = math.pi
+    # Each check compares d = (a_i - a_j) mod pi and pi - d with its limit.
+    first, second, limits = _line_pairs(angles.shape[1], tol.parallel)
+    gaps = (angles[:, first] - angles[:, second]) % pi
+    ok = (np.minimum(gaps, pi - gaps) >= limits).all(axis=1)
+    # turning_sum adds (a_{i+1} - a_i) mod pi in order, as cumsum does; the
+    # terms are not negative, so the ratio is its own absolute value.
+    turns = np.concatenate((angles[:, 1:], angles[:, :1]), axis=1) - angles
+    ratio = np.cumsum(turns % pi, axis=1)[:, -1] / pi
+    k = np.rint(ratio)
+    ok &= np.abs(ratio - k) <= tol.turn_integral * np.maximum(1.0, ratio)
+    perimeters = _unit_perimeters(angles)
+    # k - 1 positive p_i out of n - 2 also puts k in 1..n - 1.
+    ok &= (perimeters > 0).sum(axis=1) == k - 1
+    return perimeters, perimeters.sum(axis=1), ok
+
+
 def _radii_chart(system, perimeters, angle_sum, half_turns, right_turns) -> RadiiChart:
     """Chart of the given constants, after the signature check of :func:`build_chart`."""
     positive = int(np.count_nonzero(perimeters > 0))

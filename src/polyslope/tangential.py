@@ -94,10 +94,17 @@ def hessian_formula(unit_perimeters: np.ndarray, inradius: float) -> np.ndarray:
     return -(np.outer(tail, tail) / p0 + np.diag(tail)) / inradius
 
 
+def exceptional_mask(unit_perimeters, perimeter_sum, tol: Tolerances = DEFAULT_TOL) -> np.ndarray:
+    """Whether |sum p| <= tol.exceptional * sum|p|, along the last axis of a
+    stack of unit perimeters: the systems whose tangential polygons have
+    zero area and whose perimeter has no critical points."""
+    scale = np.sum(np.abs(unit_perimeters), axis=-1)
+    return np.abs(perimeter_sum) <= tol.exceptional * scale
+
+
 def exceptional(chart: RadiiChart, tol: Tolerances = DEFAULT_TOL) -> bool:
     """Whether the slope system yields an exceptional space (zero-area tangential)."""
-    scale = float(np.sum(np.abs(chart.unit_perimeters)))
-    return abs(chart.perimeter_sum) <= tol.exceptional * scale
+    return bool(exceptional_mask(chart.unit_perimeters, chart.perimeter_sum, tol))
 
 
 def tangential_critical_points(
@@ -156,9 +163,10 @@ def morse_index_formula(point: TangentialCritical) -> int:
     return chart.left_turns - 1 - 2 * chart.winding - perimeter_positive
 
 
-def morse_index_sign_count(chart: RadiiChart, inradius: float) -> int:
+def sign_count_index(unit_perimeters: np.ndarray, perimeter_sum, inradius: float):
     """Negative eigenvalues of the Hessian at the critical point of signed
-    inradius ``inradius``, decided by signs alone.
+    inradius ``inradius``, decided by signs alone, along the last axis of a
+    stack of unit perimeters.
 
     With t = (p_2, ..., p_{n-2}) and D = diag(t) the Hessian is
     H = -(D + t t^T / p_1) / r.  The bordered matrix [[-p_1, t^T], [t, D]]
@@ -172,13 +180,14 @@ def morse_index_sign_count(chart: RadiiChart, inradius: float) -> int:
     sum p = 0, which has no critical points.  The count is exact, so no
     eigenvalue threshold decides it.
     """
-    p = chart.unit_perimeters
-    negatives = (
-        int(np.count_nonzero(p[1:] < 0))
-        + int(chart.perimeter_sum > 0)
-        - int(p[0] > 0)
-    )
-    return negatives if inradius < 0 else chart.n - 3 - negatives
+    p = unit_perimeters
+    negatives = (p[..., 1:] < 0).sum(axis=-1) + (perimeter_sum > 0) - (p[..., 0] > 0)
+    return negatives if inradius < 0 else p.shape[-1] - 1 - negatives
+
+
+def morse_index_sign_count(chart: RadiiChart, inradius: float) -> int:
+    """:func:`sign_count_index` of the chart's unit perimeters."""
+    return int(sign_count_index(chart.unit_perimeters, chart.perimeter_sum, inradius))
 
 
 def morse_index_eigen(point: TangentialCritical) -> IndexReport:

@@ -6,18 +6,34 @@ parameter interval, so bisection to the root is safe.  Seeded cyclic
 polygons next to, or on, the bifurcation locus come from
 :func:`near_bifurcation_phis`, and seeded slope systems next to the
 exceptional locus from :func:`near_exceptional_system`.
+:func:`sequential_family_report` is the reference route of the family report,
+and ``BENCH_F3`` and ``BENCH_CROSSING`` are the benchmark's crossing families.
 """
+
+import math
 
 import numpy as np
 
-from polyslope import CyclicPolygon, PolyslopeError, SlopeSystem, build_chart
+from polyslope import CyclicPolygon, ParallelLines, PolyslopeError, SlopeSystem, build_chart
 from polyslope.cyclic import cyclic_invariants, dual_slopes, duality_index_check
 from polyslope.randomgen import MIN_LINE_SEPARATION, random_cyclic_polygon, random_slope_system
+from polyslope.tangential import exceptional, morse_index_sign_count
+from polyslope.tolerances import DEFAULT_TOL
 
 # Slope family with a perimeter-sum zero crossing between the endpoints;
 # pairwise line separations stay above 25 degrees throughout.
 FAMILY_START = [0.0, 150.0, 72.0, 290.0]
 FAMILY_END = [0.0, 135.0, 72.0, 290.0]
+
+# The benchmark's family F3, and its fixed n = 6 crossing, as (start, end).
+BENCH_F3 = (
+    [203.401, 207.53, 322.02, 107.113, 3.88],
+    [203.401, 207.53, 322.02, 107.113, -18.542],
+)
+BENCH_CROSSING = (
+    [250.512, 43.289, 272.96, 318.156, 171.047, 157.43],
+    [250.512, 43.289, 272.96, 318.156, 183.919, 157.43],
+)
 
 # Endpoints of a vertex-angle family crossing the bifurcation locus; every
 # interpolated polygon is valid and keeps its arcs away from pi.
@@ -60,6 +76,81 @@ def bisect_family_root(lo=0.0, hi=1.0, width=1e-13) -> float:
         else:
             lo, flo = mid, fmid
     return 0.5 * (lo + hi)
+
+
+def _interpolated(start, end, t):
+    return [(1.0 - t) * a + t * b for a, b in zip(start, end)]
+
+
+def _sequential_step(start, end, t, tol):
+    angles = _interpolated(start, end, t)
+    step = {"t": float(t), "angles_deg": [float(a) for a in angles]}
+    try:
+        chart = build_chart(SlopeSystem.from_degrees(angles), tol)
+    except ParallelLines as exc:
+        step["status"] = "invalid"
+        step["reason"] = str(exc)
+        return step
+    step["status"] = "ok"
+    step["perimeter_sum"] = float(chart.perimeter_sum)
+    if exceptional(chart, tol):
+        step["exceptional"] = True
+        step["critical_points"] = 0
+    else:
+        step["exceptional"] = False
+        step["critical_points"] = 2
+        step["area_sign"] = int(math.copysign(1.0, chart.perimeter_sum))
+        step["indices"] = [morse_index_sign_count(chart, r) for r in (1.0, -1.0)]
+    return step
+
+
+def sequential_family_report(start, end, steps, tol=DEFAULT_TOL):
+    """The family report with one SlopeSystem and one build_chart per row
+    and per bisection midpoint: the route that ``family_report``'s angle
+    stacks and bisection trees replace, kept as their reference."""
+    rows = [_sequential_step(start, end, i / (steps - 1), tol) for i in range(steps)]
+    brackets = []
+    for a, b in zip(rows[:-1], rows[1:]):
+        if a.get("status") != "ok" or b.get("status") != "ok":
+            continue
+        pa, pb = a["perimeter_sum"], b["perimeter_sum"]
+        if pa == 0.0 or pa * pb >= 0.0:
+            continue
+        lo, hi = a["t"], b["t"]
+        flo = pa
+        while hi - lo > 1e-12:
+            mid = 0.5 * (lo + hi)
+            try:
+                system = SlopeSystem.from_degrees(_interpolated(start, end, mid))
+                fmid = float(build_chart(system, tol).perimeter_sum)
+            except ParallelLines:
+                break
+            if flo * fmid <= 0.0:
+                hi = mid
+            else:
+                lo, flo = mid, fmid
+        else:
+            brackets.append(
+                {
+                    "t_low": float(lo),
+                    "t_high": float(hi),
+                    "perimeter_sum_low": float(flo),
+                    "angles_deg_root": [
+                        float(a) for a in _interpolated(start, end, 0.5 * (lo + hi))
+                    ],
+                }
+            )
+    return {
+        "kind": "family",
+        "input": {
+            "start_angles_deg": [float(a) for a in start],
+            "end_angles_deg": [float(a) for a in end],
+            "steps": int(steps),
+        },
+        "tolerances": tol.to_dict(),
+        "rows": rows,
+        "sign_changes": brackets,
+    }
 
 
 def _lines_apart(angles):

@@ -8,6 +8,8 @@ invariants and its dual slopes once.  Counters wrap functions such as
 ``polyslope`` module that holds them.  The routes these shortcuts replace
 stay here as oracles: the family rows against the critical points' own
 indices, the shared chart against a fresh ``build_chart`` per relabeling.
+A family charts its rows and bisection midpoints as angle stacks and builds
+no chart unless a row is invalid.
 """
 
 import math
@@ -27,12 +29,19 @@ from polyslope import geometry
 from polyslope.cyclic import bifurcation_test, cyclic_invariants
 from polyslope.geometry import tangential_polygon, turning_sum
 from polyslope.randomgen import random_slope_system, trial_rng
-from polyslope.report import cyclic_report, family_report, slopes_report
+from polyslope.report import BISECTION_DEPTH, cyclic_report, family_report, slopes_report
+from polyslope.slope_space import RadiiChart, chart_stack
 from polyslope.sweeps import CHECKS
 from polyslope.tangential import hessian_formula, well_conditioned_chart
 from polyslope.tolerances import DEFAULT_TOL
 
-from families import FAMILY_END, FAMILY_START
+from families import (
+    BENCH_CROSSING,
+    BENCH_F3,
+    FAMILY_END,
+    FAMILY_START,
+    sequential_family_report,
+)
 
 
 def counted(monkeypatch, originals, results=None):
@@ -163,12 +172,30 @@ def test_family_rows_match_critical_points():
     assert checked > 500
 
 
-def test_family_report_builds_no_area_constants(monkeypatch):
-    charts = []
-    counted(monkeypatch, (build_chart,), charts)
-    family_report(FAMILY_START, FAMILY_END, 11)
-    assert len(charts) > 11  # the rows, and the bisection midpoints
-    assert not any("area_constants" in vars(chart) for chart in charts)
+def test_family_report_charts_rows_and_midpoints_as_stacks(monkeypatch):
+    # With no invalid row, one chart_stack call charts the rows and each
+    # bracket takes one per BISECTION_DEPTH halvings, rounded up; no
+    # RadiiChart is built.  The reference builds one chart per row and per
+    # midpoint, so its count less the rows is the number of halvings.
+    made = [0]
+    init = RadiiChart.__init__
+
+    def counted_init(self, *args, **kwargs):
+        made[0] += 1
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(RadiiChart, "__init__", counted_init)
+    stacks = counted(monkeypatch, (chart_stack,))
+    for start, end in ((FAMILY_START, FAMILY_END), BENCH_F3, BENCH_CROSSING):
+        made[0] = 0
+        sequential_family_report(start, end, 11)
+        halvings = made[0] - 11
+        made[0] = stacks["chart_stack"] = 0
+        report = family_report(start, end, 11)
+        assert all(row["status"] == "ok" for row in report["rows"])
+        assert len(report["sign_changes"]) == 1
+        assert made[0] == 0
+        assert stacks["chart_stack"] == 1 + math.ceil(halvings / BISECTION_DEPTH)
 
 
 def test_area_constants_on_first_read():
