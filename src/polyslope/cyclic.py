@@ -17,6 +17,7 @@ squares at the critical point, and the Hessian is projected onto an
 orthonormal basis of the constraint null space.
 """
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -35,7 +36,7 @@ from .geometry import (
     TWO_PI,
     PolygonChain,
     SlopeSystem,
-    _successors,
+    _cycled,
     tangential_polygon,
 )
 from .slope_space import build_chart
@@ -77,7 +78,7 @@ class CyclicPolygon:
         object.__setattr__(self, "center", center)
         object.__setattr__(self, "radius", float(self.radius))
         object.__setattr__(self, "phis", phis)
-        arcs = (_successors(phis) - phis) % TWO_PI
+        arcs = (_cycled(phis) - phis) % TWO_PI
         for i, arc in enumerate(arcs):
             if min(arc, TWO_PI - arc) < DEFAULT_TOL.parallel:
                 raise CoincidentVertices(f"vertices {i} and {(i + 1) % len(phis)} coincide")
@@ -102,7 +103,7 @@ class CyclicPolygon:
     def vertices(self) -> np.ndarray:
         return _circle_points(self.center, self.radius, self.phis)
 
-    @property
+    @functools.cached_property
     def polygon(self) -> PolygonChain:
         return PolygonChain(self.vertices)
 
@@ -162,7 +163,7 @@ def cyclic_invariants(cyclic: CyclicPolygon, tol: Tolerances = DEFAULT_TOL) -> C
     is positively oriented, arc - 2*pi otherwise) and must come out integral;
     it coincides with the geometric winding number around the center.
     """
-    arcs = (_successors(cyclic.phis) - cyclic.phis) % TWO_PI
+    arcs = (_cycled(cyclic.phis) - cyclic.phis) % TWO_PI
     orientations = np.where(arcs < math.pi, 1, -1)
     half_angles = np.minimum(arcs, TWO_PI - arcs) / 2.0
     signed_arcs = np.where(orientations > 0, arcs, arcs - TWO_PI)

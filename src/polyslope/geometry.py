@@ -16,6 +16,7 @@ All values are immutable after construction and all functions are pure, so
 everything here is safe to share across threads.
 """
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Iterable, Sequence
@@ -45,38 +46,42 @@ def left_normals(angles) -> np.ndarray:
     return np.column_stack((-np.sin(angles), np.cos(angles)))
 
 
-def _successors(rows: np.ndarray) -> np.ndarray:
-    """Rows shifted cyclically by one: row i holds rows[i + 1]."""
-    return np.concatenate((rows[1:], rows[:1]))
+@functools.lru_cache(maxsize=None)
+def _cyclic_index(m: int, step: int) -> np.ndarray:
+    return (np.arange(m) + step) % m
 
 
-def line_gap(a: float, b: float) -> float:
-    """Angular distance between two undirected lines (angles taken mod pi)."""
+def _cycled(rows: np.ndarray, step: int = 1, axis: int = 0) -> np.ndarray:
+    """Entries shifted cyclically along ``axis``: entry i holds entry i + step."""
+    return rows.take(_cyclic_index(rows.shape[axis], step), axis)
+
+
+def line_gap(a, b):
+    """Angular distance between undirected lines (angles mod pi), elementwise."""
     d = (a - b) % math.pi
-    return min(d, math.pi - d)
+    return np.minimum(d, math.pi - d)
 
 
-def intersect_lines(
-    angle_a: float,
-    offset_a: float,
-    angle_b: float,
-    offset_b: float,
-    tol: Tolerances = DEFAULT_TOL,
-) -> tuple[float, float]:
-    """Intersection point ``(x, y)`` of two directed lines given as (angle, offset).
-
-    Raises ParallelLines when the lines are parallel within tolerance.
-    """
-    det = math.sin(angle_b - angle_a)
-    if abs(det) < math.sin(min(tol.parallel, 0.5 * math.pi)):
+def line_vertices(angles, offsets, tol: Tolerances = DEFAULT_TOL) -> np.ndarray:
+    """Vertices ``v_i = e_{i-1} ^ e_i`` of the directed lines (angles, offsets)
+    along the last axis of (..., m) stacks, shape (..., m, 2).  Raises
+    ParallelLines for the first consecutive pair, in row-major order, that is
+    parallel within tolerance."""
+    angles, offsets = np.asarray(angles, dtype=float), np.asarray(offsets, dtype=float)
+    before = _cycled(angles, -1, -1)
+    det = np.sin(angles - before)
+    parallel = np.abs(det) < math.sin(min(tol.parallel, 0.5 * math.pi))
+    if parallel.any():
+        at = np.unravel_index(np.argmax(parallel), parallel.shape)
         raise ParallelLines(
-            f"lines at angles {angle_a!r} and {angle_b!r} are parallel within tolerance"
+            f"lines at angles {float(before[at])!r} and {float(angles[at])!r} "
+            "are parallel within tolerance"
         )
-    ca, sa = math.cos(angle_a), math.sin(angle_a)
-    cb, sb = math.cos(angle_b), math.sin(angle_b)
-    x = (cb * offset_a - ca * offset_b) / det
-    y = (sb * offset_a - sa * offset_b) / det
-    return x, y
+    cos, sin = np.cos(angles), np.sin(angles)
+    offsets_before = _cycled(offsets, -1, -1)
+    x = (cos * offsets_before - _cycled(cos, -1, -1) * offsets) / det
+    y = (sin * offsets_before - _cycled(sin, -1, -1) * offsets) / det
+    return np.stack((x, y), axis=-1)
 
 
 class SlopeSystem:
@@ -170,12 +175,30 @@ class SlopeSystem:
 COINCIDENT = 1e-12
 
 
+def diameters(vertices: np.ndarray) -> np.ndarray:
+    """Bounding-box diagonals of a (..., m, 2) stack of vertex lists."""
+    spread = vertices.max(axis=-2) - vertices.min(axis=-2)
+    return np.hypot(spread[..., 0], spread[..., 1])
+
+
+def require_distinct(vertices: np.ndarray) -> None:
+    """The check of :class:`PolygonChain` on a (..., m, 2) vertex stack: the first
+    polygon with an edge of at most ``COINCIDENT`` times its diameter raises."""
+    edges = _cycled(vertices, 1, -2) - vertices
+    lengths = np.hypot(edges[..., 0], edges[..., 1])
+    short = (lengths <= COINCIDENT * diameters(vertices)[..., None]).any(axis=-1)
+    if short.any():
+        bad = int(np.argmin(lengths[np.unravel_index(np.argmax(short), short.shape)]))
+        raise CoincidentVertices(f"vertices {bad} and {(bad + 1) % lengths.shape[-1]} coincide")
+
+
 @dataclass(frozen=True, eq=False)
 class PolygonChain:
     """Oriented closed broken line given by its vertex list.
 
     The vertex list is cyclic; consecutive vertices must be distinct.
-    Self-intersection and zero total area are allowed.
+    Self-intersection and zero total area are allowed.  Edge data and the
+    diameter are computed on first read and kept.
     """
 
     vertices: np.ndarray
@@ -189,32 +212,27 @@ class PolygonChain:
         verts = verts.copy()
         verts.setflags(write=False)
         object.__setattr__(self, "vertices", verts)
-        gaps = self.edge_lengths
-        limit = COINCIDENT * self.diameter
-        if np.any(gaps <= limit):
-            bad = int(np.argmin(gaps))
-            raise CoincidentVertices(f"vertices {bad} and {(bad + 1) % len(verts)} coincide")
+        require_distinct(verts)
 
     @property
     def n(self) -> int:
         return len(self.vertices)
 
-    @property
+    @functools.cached_property
     def diameter(self) -> float:
         """Diagonal of the bounding box, used as the polygon scale."""
-        spread = self.vertices.max(axis=0) - self.vertices.min(axis=0)
-        return float(np.hypot(*spread))
+        return float(diameters(self.vertices))
 
-    @property
+    @functools.cached_property
     def edge_vectors(self) -> np.ndarray:
-        return _successors(self.vertices) - self.vertices
+        return _cycled(self.vertices) - self.vertices
 
-    @property
+    @functools.cached_property
     def edge_lengths(self) -> np.ndarray:
         e = self.edge_vectors
         return np.hypot(e[:, 0], e[:, 1])
 
-    @property
+    @functools.cached_property
     def edge_angles(self) -> np.ndarray:
         e = self.edge_vectors
         return np.arctan2(e[:, 1], e[:, 0]) % TWO_PI
@@ -236,27 +254,26 @@ def polygon_from_lines(
 ) -> PolygonChain:
     """Polygon whose edge ``i`` lies on the directed line (angles[i], offsets[i]).
 
-    Vertices follow the convention ``v_i = e_{i-1} ^ e_i``.
+    Vertices follow the convention ``v_i = e_{i-1} ^ e_i`` (:func:`line_vertices`).
     """
-    n = len(angles)
-    if len(offsets) != n:
+    if len(offsets) != len(angles):
         raise ValueError("angles and offsets must have equal length")
-    verts = [
-        intersect_lines(angles[i - 1], offsets[i - 1], angles[i], offsets[i], tol)
-        for i in range(n)
-    ]
-    return PolygonChain(np.array(verts))
+    return PolygonChain(line_vertices(angles, offsets, tol))
+
+
+def tangential_offsets(angles: Sequence[float], inradius: float) -> np.ndarray:
+    """X, the polygon of the lines at ``angles`` tangent to the circle about c
+    of signed radius r (r > 0: circle left of every line) being c - X.  Row
+    i + 1 (edges i, i + 1) is (r / cos(tau_i / 2)) n(phi_i + tau_i / 2), with
+    tau_i = (phi_{i+1} - phi_i) mod 2pi and n the left normal."""
+    angles = np.asarray(angles, dtype=float)
+    half = 0.5 * ((_cycled(angles) - angles) % TWO_PI)
+    return _cycled((inradius / np.cos(half))[:, None] * left_normals(angles + half), -1)
 
 
 def tangential_polygon(angles: Sequence[float], center, inradius: float) -> PolygonChain:
-    """Polygon of the directed lines at ``angles`` tangent to the circle about
-    ``center`` of signed radius r (r > 0: the circle lies left of every line).
-    With tau_i = (phi_{i+1} - phi_i) mod 2pi, vertex i + 1 (edges i, i + 1)
-    is center - (r / cos(tau_i / 2)) n(phi_i + tau_i / 2), n the left normal."""
-    angles = np.asarray(angles, dtype=float)
-    half = 0.5 * ((_successors(angles) - angles) % TWO_PI)
-    corners = center - (inradius / np.cos(half))[:, None] * left_normals(angles + half)
-    return PolygonChain(np.concatenate((corners[-1:], corners[:-1])))
+    """Polygon of the lines tangent to a circle (:func:`tangential_offsets`)."""
+    return PolygonChain(center - tangential_offsets(angles, inradius))
 
 
 def edge_offsets(polygon: PolygonChain, angles: Sequence[float]) -> np.ndarray:
@@ -264,54 +281,54 @@ def edge_offsets(polygon: PolygonChain, angles: Sequence[float]) -> np.ndarray:
     return np.einsum("ij,ij->i", left_normals(angles), polygon.vertices)
 
 
+def oriented_areas(vertices: np.ndarray) -> np.ndarray:
+    """Shoelace areas of a (..., m, 2) stack of vertex lists, signed by
+    orientation: the integral of the winding number over the plane, so
+    self-intersecting polygons are handled consistently."""
+    v, w = vertices, _cycled(vertices, 1, -2)
+    return 0.5 * (v[..., 0] * w[..., 1] - w[..., 0] * v[..., 1]).sum(axis=-1)
+
+
 def oriented_area(polygon: PolygonChain) -> float:
-    """Shoelace area; the sign encodes orientation.
-
-    Equal to the integral of the winding number over the plane, so
-    self-intersecting polygons are handled consistently.
-    """
-    v = polygon.vertices
-    w = _successors(v)
-    return 0.5 * float(np.sum(v[:, 0] * w[:, 1] - w[:, 0] * v[:, 1]))
+    """Shoelace area of one polygon (:func:`oriented_areas`)."""
+    return float(oriented_areas(polygon.vertices))
 
 
-def _edge_distances(polygon: PolygonChain, point: np.ndarray) -> np.ndarray:
-    """Distance from ``point`` to each closed edge segment of the polygon."""
-    starts = polygon.vertices
-    edges = polygon.edge_vectors
-    to_point = point - starts
-    # PolygonChain rejects coincident vertices, so no edge has length zero.
-    along = np.einsum("ij,ij->i", to_point, edges) / np.einsum("ij,ij->i", edges, edges)
-    nearest = starts + np.clip(along, 0.0, 1.0)[:, None] * edges
-    return np.linalg.norm(point - nearest, axis=1)
-
-
-def winding_number(
-    polygon: PolygonChain,
-    point,
-    tol: Tolerances = DEFAULT_TOL,
-) -> int:
-    """Winding number of the polygon around ``point`` by summed signed angles.
-
-    Correct for self-intersecting polygons.  Raises PointOnBoundary when the
-    point lies on an edge within tolerance, and NonIntegralTurn if the angle
-    sum fails to round cleanly to an integer multiple of 2*pi.
-    """
-    point = np.asarray(point, dtype=float)
-    guard = tol.on_boundary * polygon.diameter
-    on_edge = _edge_distances(polygon, point) <= guard
+def winding_numbers(vertices: np.ndarray, points, tol: Tolerances = DEFAULT_TOL) -> np.ndarray:
+    """Winding numbers of a (..., m, 2) stack of vertex lists around (..., 2)
+    points by summed signed angles, correct for self-intersecting polygons.
+    The first polygon to fail raises PointOnBoundary (its point on an edge
+    within tolerance) or NonIntegralTurn (angle sum off a multiple of 2*pi)."""
+    points = np.asarray(points, dtype=float)[..., None, :]
+    edges = _cycled(vertices, 1, -2) - vertices
+    # Distance from the point to each closed edge segment; PolygonChain
+    # rejects coincident vertices, so no edge has length zero.
+    along = ((points - vertices) * edges).sum(axis=-1) / (edges * edges).sum(axis=-1)
+    nearest = vertices + np.clip(along, 0.0, 1.0)[..., None] * edges
+    guard = tol.on_boundary * diameters(vertices)[..., None]
+    on_edge = np.linalg.norm(points - nearest, axis=-1) <= guard
     if on_edge.any():
-        raise PointOnBoundary(f"point {point.tolist()} lies on edge {int(np.argmax(on_edge))}")
-    rel = polygon.vertices - point
-    nxt = _successors(rel)
-    cross = rel[:, 0] * nxt[:, 1] - rel[:, 1] * nxt[:, 0]
-    dot = np.einsum("ij,ij->i", rel, nxt)
-    total = float(np.sum(np.arctan2(cross, dot)))
-    turns = total / TWO_PI
-    nearest = round(turns)
-    if abs(turns - nearest) >= tol.winding_residual:
-        raise NonIntegralTurn(f"winding residual {turns - nearest!r} exceeds tolerance")
-    return int(nearest)
+        *row, i = np.unravel_index(np.argmax(on_edge), on_edge.shape)
+        point = np.broadcast_to(points, vertices.shape)[(*row, 0)]
+        raise PointOnBoundary(f"point {point.tolist()} lies on edge {i}")
+    rel = vertices - points
+    nxt = _cycled(rel, 1, -2)
+    cross = rel[..., 0] * nxt[..., 1] - rel[..., 1] * nxt[..., 0]
+    dot = np.einsum("...ij,...ij->...i", rel, nxt)
+    turns = np.arctan2(cross, dot).sum(axis=-1) / TWO_PI
+    nearest = np.rint(turns)
+    off = np.abs(turns - nearest) >= tol.winding_residual
+    if off.any():
+        row = np.unravel_index(np.argmax(off), off.shape)
+        raise NonIntegralTurn(
+            f"winding residual {float(turns[row] - nearest[row])!r} exceeds tolerance"
+        )
+    return nearest.astype(int)
+
+
+def winding_number(polygon: PolygonChain, point, tol: Tolerances = DEFAULT_TOL) -> int:
+    """Winding number of one polygon around ``point`` (:func:`winding_numbers`)."""
+    return int(winding_numbers(polygon.vertices, point, tol))
 
 
 def turning_sum(
@@ -345,38 +362,42 @@ def turning_sum(
     return float(t), int(k), right_turns
 
 
+def signed_perimeters(vertices: np.ndarray, slope_angles, tol: Tolerances = DEFAULT_TOL):
+    """Edge lengths summed with signs against the declared slope directions,
+    for a (..., m, 2) vertex stack and slope angles of shape (..., m) or (m,).
+
+    Edge ``i`` contributes +length when its traversal is codirected with
+    slope ``i`` and -length otherwise.  Raises SlopeMismatch for the first
+    edge, in row-major order, that is not parallel to its slope within
+    ``tol.parallel`` plus the roundoff of its direction.  Vertices rounded
+    at the polygon's own scale leave the direction of an edge of length l
+    uncertain by eps * diameter / l.  The duals of 1600 seeded cyclic
+    polygons (n 4..9; random, star and next to the bifurcation locus) erred
+    by up to 38 times that; the allowance is 256 times.
+    """
+    edges = _cycled(vertices, 1, -2) - vertices
+    lengths = np.hypot(edges[..., 0], edges[..., 1])
+    angles = np.arctan2(edges[..., 1], edges[..., 0]) % TWO_PI
+    turn = (angles - slope_angles) % math.pi
+    roundoff = 256.0 * np.finfo(float).eps * diameters(vertices)[..., None] / lengths
+    mismatched = np.minimum(turn, math.pi - turn) > tol.parallel + roundoff
+    if mismatched.any():
+        at = np.unravel_index(np.argmax(mismatched), mismatched.shape)
+        slope = np.broadcast_to(slope_angles, angles.shape)[at]
+        raise SlopeMismatch(
+            f"edge {at[-1]} at angle {float(angles[at])!r} is not parallel to slope "
+            f"{float(slope)!r}"
+        )
+    codirected = edges[..., 0] * np.cos(slope_angles) + edges[..., 1] * np.sin(slope_angles) > 0.0
+    return np.where(codirected, lengths, -lengths).sum(axis=-1)
+
+
 def signed_perimeter(
     polygon: PolygonChain,
     system: SlopeSystem,
     tol: Tolerances = DEFAULT_TOL,
 ) -> float:
-    """Edge lengths summed with signs against the declared slope directions.
-
-    Edge ``i`` contributes +length when its traversal is codirected with
-    slope ``i`` of ``system`` and -length otherwise.  Raises SlopeMismatch
-    when an edge is not parallel to its slope within ``tol.parallel`` plus
-    the roundoff of its direction.  Vertices rounded at the polygon's own
-    scale leave the direction of an edge of length l uncertain by
-    eps * diameter / l.  The duals of 1600 seeded cyclic polygons (n 4..9;
-    random, star and next to the bifurcation locus) erred by up to 38 times
-    that; the allowance is 256 times.
-    """
-    slope_angles = system.angles
-    if len(slope_angles) != polygon.n:
-        raise SlopeMismatch(
-            f"polygon has {polygon.n} edges but {len(slope_angles)} slopes were given"
-        )
-    edges = polygon.edge_vectors
-    angles = polygon.edge_angles
-    lengths = polygon.edge_lengths
-    turn = (angles - slope_angles) % math.pi
-    roundoff = 256.0 * np.finfo(float).eps * polygon.diameter / lengths
-    mismatched = np.minimum(turn, math.pi - turn) > tol.parallel + roundoff
-    if mismatched.any():
-        i = int(np.argmax(mismatched))
-        raise SlopeMismatch(
-            f"edge {i} at angle {float(angles[i])!r} is not parallel to slope "
-            f"{float(slope_angles[i])!r}"
-        )
-    codirected = edges[:, 0] * np.cos(slope_angles) + edges[:, 1] * np.sin(slope_angles) > 0.0
-    return float(np.sum(np.where(codirected, lengths, -lengths)))
+    """Signed perimeter of one polygon against ``system`` (:func:`signed_perimeters`)."""
+    if system.n != polygon.n:
+        raise SlopeMismatch(f"polygon has {polygon.n} edges but {system.n} slopes were given")
+    return float(signed_perimeters(polygon.vertices, system.angles, tol))

@@ -18,11 +18,11 @@ import numpy as np
 from .cyclic import (
     CyclicPolygon,
     cyclic_invariants,
-    dual_polygon,
+    dual_slopes,
     duality_index_check,
 )
 from .errors import Bifurcating, InputSchemaError, ParallelLines, SlopeMismatch
-from .geometry import TWO_PI, SlopeSystem, signed_perimeter, tangential_polygon
+from .geometry import TWO_PI, PolygonChain, SlopeSystem, signed_perimeter, tangential_offsets
 from .slope_space import build_chart, chart_stack, topology_report
 from .tangential import (
     ExceptionalSpace,
@@ -197,11 +197,12 @@ def cyclic_report(
         )
     with np.errstate(over="raise"):
         try:
-            dual = dual_polygon(cyclic)
-            # The signed perimeter does not depend on where the circle sits;
-            # about its center the coordinates keep the digits of short edges.
-            centred = tangential_polygon(dual.slopes.angles, (0.0, 0.0), radius)
-            dual_perimeter = signed_perimeter(centred, dual.slopes, tol)
+            # One tangential construction gives the dual_polygon and, for the
+            # perimeter, the polygon about the center, keeping short edges' digits.
+            slopes = dual_slopes(cyclic)
+            offsets = tangential_offsets(slopes.angles, cyclic.radius)
+            dual = PolygonChain(cyclic.center - offsets)
+            dual_perimeter = signed_perimeter(PolygonChain(0.0 - offsets), slopes, tol)
             twice_radius_sum = float(2.0 * np.float64(radius) * inv.bifurcation_sum)
         except FloatingPointError as exc:
             raise InputSchemaError(f"the dual polygon overflows the float range ({exc})") from exc
@@ -212,7 +213,7 @@ def cyclic_report(
             # subnormal radius.
             raise InputSchemaError(f"{unresolved} ({exc})") from exc
     try:
-        check = duality_index_check(cyclic, inv, dual.slopes, tol)
+        check = duality_index_check(cyclic, inv, slopes, tol)
     except Bifurcating:
         check = None  # the area Hessian is degenerate: no index to report
     bifurcating = check is None
@@ -235,8 +236,8 @@ def cyclic_report(
         },
         "bifurcating": bool(bifurcating),
         "dual": {
-            "slope_angles_deg": [math.degrees(a) for a in dual.slopes.angles.tolist()],
-            "vertices": [[float(x), float(y)] for x, y in dual.polygon.vertices],
+            "slope_angles_deg": [math.degrees(a) for a in slopes.angles.tolist()],
+            "vertices": [[float(x), float(y)] for x, y in dual.vertices],
             "signed_perimeter": float(dual_perimeter),
             "twice_radius_times_sum": twice_radius_sum,
             "inradius": float(radius),

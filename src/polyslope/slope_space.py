@@ -25,12 +25,15 @@ from .geometry import (
     PolygonChain,
     SlopeSystem,
     edge_offsets,
-    intersect_lines,
     left_normal,
     line_gap,
+    line_vertices,
     oriented_area,
+    oriented_areas,
     polygon_from_lines,
+    require_distinct,
     signed_perimeter,
+    signed_perimeters,
     turning_sum,
 )
 from .tolerances import DEFAULT_TOL, Tolerances
@@ -308,7 +311,7 @@ def polygon_from_radii(
     chart: RadiiChart,
     radii,
     tol: Tolerances = DEFAULT_TOL,
-) -> PolygonChain:
+) -> PolygonChain | np.ndarray:
     """Polygon whose decomposition triangles have the given signed inradii.
 
     The translation representative is canonical: the first edge line passes
@@ -316,52 +319,57 @@ def polygon_from_radii(
     projects onto the origin along that line.  Edge lines are placed
     sequentially: the circle of triangle i is tangent to e_1 and e_{i+1} on
     the matching sides, and e_{i+2} is the matching-side tangent with slope
-    s_{i+2}.  A zero radius makes the three lines concurrent.
+    s_{i+2}.  A zero radius makes the three lines concurrent.  With theta_k
+    the angle from s_1 to s_k and T_k = tan(theta_k / 2), line k crosses e_1
+    at t_k u_1 and circle i is centered at c_i u_1 + r_i n_1, where t_k =
+    c_i + r_i T_k for each triangle i that has line k.  So c_0 = 0, centers
+    step by (r_{i-1} - r_i) T_{i+1}, and line k has offset -t_k sin(theta_k).
+
+    ``radii`` may also be a (K, n - 2) stack, one polygon per row, built at
+    once: the result is then the (K, n, 2) stack of their vertices, each row
+    checked as a single polygon is, and a failing check names the first row.
     """
     radii = np.asarray(radii, dtype=float)
     n = chart.n
-    if radii.shape != (n - 2,):
+    if radii.shape[-1:] != (n - 2,) or radii.ndim > 2:
         raise ValueError(f"expected {n - 2} radii, got shape {radii.shape}")
     if not np.all(np.isfinite(radii)):
         raise ValueError("radii must be finite")
-    angles = chart.system.angles.tolist()
-    r = radii.tolist()
-    normals = [(-math.sin(a), math.cos(a)) for a in angles]
-    offsets = [0.0] * n
-    # First circle center: signed distance r_0 from e_1, projecting to origin.
-    x, y = r[0] * normals[0][0], r[0] * normals[0][1]
-    offsets[1] = normals[1][0] * x + normals[1][1] * y - r[0]
-    offsets[2] = normals[2][0] * x + normals[2][1] * y - r[0]
-    for i in range(1, n - 2):
-        gap = math.sin(line_gap(angles[0], angles[i + 1]))
-        if gap == 0.0 or 1.0 / gap > tol.condition_limit:
-            raise ReconstructionDegenerate(
-                f"tangent construction for triangle {i} is ill-conditioned"
-            )
-        # Center lies on the parallel of e_1 at offset r_i and on the parallel
-        # of e_{i+1} at offset d_{i+1} + r_i.
-        x, y = intersect_lines(angles[0], r[i], angles[i + 1], offsets[i + 1] + r[i], tol)
-        offsets[i + 2] = normals[i + 2][0] * x + normals[i + 2][1] * y - r[i]
-    polygon = polygon_from_lines(angles, offsets, tol)
-    _check_chart_laws(chart, radii, polygon, tol)
-    return polygon
-
-
-def _check_chart_laws(chart, radii, polygon, tol):
-    p = chart.unit_perimeters
-    area_terms = 0.5 * p * radii**2
-    perim_terms = p * radii
-    area_scale = max(1.0, float(np.sum(np.abs(area_terms))))
-    perim_scale = max(1.0, float(np.sum(np.abs(perim_terms))))
-    area_err = abs(oriented_area(polygon) - float(np.sum(area_terms)))
-    perim_err = abs(
-        signed_perimeter(polygon, chart.system, tol) - float(np.sum(perim_terms))
-    )
-    if area_err > tol.chart_check * area_scale or perim_err > tol.chart_check * perim_scale:
+    angles = chart.system.angles
+    gaps = np.sin(line_gap(angles[0], angles[2:-1]))
+    with np.errstate(divide="ignore"):
+        first_ill = int(np.append(1.0 / gaps > tol.condition_limit, True).argmax())
+    # Circle i sits on e_1 and e_{i+1}, which must meet: line_vertices checks
+    # those pairs before the first ill-conditioned one, as it checks its own.
+    pairs = np.column_stack((angles[2 : 2 + first_ill], np.full(first_ill, angles[0])))
+    line_vertices(pairs, np.zeros_like(pairs), tol)
+    if first_ill < n - 3:
+        raise ReconstructionDegenerate(
+            f"tangent construction for triangle {first_ill + 1} is ill-conditioned"
+        )
+    rows = radii.reshape(-1, n - 2)
+    theta = angles - angles[0]
+    half = np.tan(0.5 * theta)
+    centers = np.cumsum(-np.diff(rows, axis=1, prepend=rows[:, :1]) * half[1:-1], axis=1)
+    # t_k comes from triangle max(k - 2, 0); sin(theta_0) = 0 keeps e_1 at 0.
+    owner = np.maximum(np.arange(-2, n - 2), 0)
+    offsets = (centers[:, owner] + rows[:, owner] * half) * np.sin(-theta)
+    vertices = line_vertices(angles, offsets, tol)
+    require_distinct(vertices)
+    # The chart laws hold on every row, to tol.chart_check.
+    terms = np.stack((0.5 * chart.unit_perimeters * rows**2, chart.unit_perimeters * rows))
+    perimeters = signed_perimeters(vertices, angles, tol)
+    measured = np.stack((oriented_areas(vertices), perimeters))
+    errors = np.abs(measured - np.sum(terms, axis=-1))
+    bounds = tol.chart_check * np.maximum(1.0, np.sum(np.abs(terms), axis=-1))
+    violated = (errors > bounds).any(axis=0)
+    if violated.any():
+        area_err, perim_err = errors[:, np.argmax(violated)].tolist()
         raise ReconstructionDegenerate(
             f"reconstruction violates chart laws (area error {area_err!r}, "
             f"perimeter error {perim_err!r})"
         )
+    return PolygonChain(vertices[0]) if radii.ndim == 1 else vertices
 
 
 def polygon_line_offsets(
@@ -371,16 +379,21 @@ def polygon_line_offsets(
 ) -> np.ndarray:
     """Offsets of the polygon's edge lines against the chart's slope angles.
 
-    Raises SlopeMismatch when an edge is not parallel to its slope.
+    Raises SlopeMismatch for the first edge that is not parallel to its slope.
     """
     if polygon.n != chart.n:
         raise SlopeMismatch(f"polygon has {polygon.n} edges, chart expects {chart.n}")
     angles = chart.system.angles
-    edge_angles = polygon.edge_angles
-    for i in range(chart.n):
-        if line_gap(edge_angles[i], angles[i]) > tol.parallel:
-            raise SlopeMismatch(f"edge {i} does not match slope {i}")
+    mismatched = line_gap(polygon.edge_angles, angles) > tol.parallel
+    if mismatched.any():
+        i = int(np.argmax(mismatched))
+        raise SlopeMismatch(f"edge {i} does not match slope {i}")
     return edge_offsets(polygon, angles)
+
+
+def decomposition_lines(n: int) -> np.ndarray:
+    """Row i indexes the lines (0, i + 1, i + 2) of decomposition triangle i."""
+    return np.arange(1, n - 1)[:, None] * [0, 1, 1] + [0, 0, 1]
 
 
 def radii_of_polygon(
@@ -390,10 +403,8 @@ def radii_of_polygon(
 ) -> np.ndarray:
     """Signed inradii of the polygon's decomposition triangles."""
     offsets = polygon_line_offsets(chart, polygon, tol)
-    # Row i indexes the lines (0, i + 1, i + 2) of decomposition triangle i.
-    rest = np.arange(1, chart.n - 1)[:, None]
-    triples = np.hstack((np.zeros_like(rest), rest, rest + 1))
-    _, radii = tritangent_circle(chart.system.angles[triples], offsets[triples])
+    lines = decomposition_lines(chart.n)
+    _, radii = tritangent_circle(chart.system.angles[lines], offsets[lines])
     return radii
 
 
@@ -401,17 +412,15 @@ def decomposition_polygons(
     chart: RadiiChart,
     polygon: PolygonChain,
     tol: Tolerances = DEFAULT_TOL,
-) -> list[PolygonChain]:
-    """Triangles Q(e_1, e_{i+1}, e_{i+2}) built from the polygon's edge lines."""
+) -> np.ndarray:
+    """Triangles Q(e_1, e_{i+1}, e_{i+2}) built from the polygon's edge lines,
+    as one (n - 2, 3, 2) stack of vertex lists, each checked as a
+    :class:`PolygonChain` is."""
     offsets = polygon_line_offsets(chart, polygon, tol)
-    angles = chart.system.angles
-    out = []
-    for i in range(chart.n - 2):
-        idx = (0, i + 1, i + 2)
-        out.append(
-            polygon_from_lines([angles[j] for j in idx], [offsets[j] for j in idx], tol)
-        )
-    return out
+    lines = decomposition_lines(chart.n)
+    vertices = line_vertices(chart.system.angles[lines], offsets[lines], tol)
+    require_distinct(vertices)
+    return vertices
 
 
 def normalized_coordinates(
@@ -427,11 +436,8 @@ def normalized_coordinates(
     the sphere-times-disc normalization of x is returned as well.
     """
     offsets = polygon_line_offsets(chart, polygon, tol)
-    first_normal = left_normal(chart.system.angles[0])
-    x = np.empty(chart.n - 2)
-    for i in range(chart.n - 2):
-        signed_dist = float(first_normal @ polygon.vertices[i + 2]) - offsets[0]
-        x[i] = math.sqrt(chart.area_constants[i]) * signed_dist
+    heights = polygon.vertices[2:] @ left_normal(chart.system.angles[0]) - offsets[0]
+    x = np.sqrt(chart.area_constants) * heights
     normalized = None
     mask = chart.positive_mask
     if np.any(mask):

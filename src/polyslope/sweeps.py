@@ -23,11 +23,15 @@ from .cyclic import (
 from .errors import PolyslopeError
 from .geometry import (
     TWO_PI,
+    PolygonChain,
     SlopeSystem,
-    oriented_area,
+    diameters,
+    oriented_areas,
     signed_perimeter,
+    signed_perimeters,
     turning_sum,
     winding_number,
+    winding_numbers,
 )
 from .randomgen import (
     random_convex_slope_system,
@@ -39,6 +43,7 @@ from .randomgen import (
 )
 from .slope_space import (
     build_chart,
+    decomposition_lines,
     decomposition_polygons,
     normalized_coordinates,
     polygon_from_radii,
@@ -180,17 +185,22 @@ def check_convex_indices(rng, n_range, tol):
 def check_chart_identities(rng, n_range, tol):
     """Chart laws: quadratic area, linear perimeter, additivity, roundtrip and
     quadratic-form coordinates; at the tangential points, the closed-form
-    vertices, area, perimeter and winding against the reconstruction."""
+    vertices, area, perimeter and winding against one stacked reconstruction."""
     n = _draw_n(rng, n_range, 3, 12)
     if n is None:
         return None
     chart = build_chart(random_slope_system(rng, n), tol)
     radii = random_radii(rng, n - 2)
+    points = _nonexceptional_points(chart, tol) or ()
+    # Row 0 holds the drawn radii, each further row a tangential point's r_i = r.
+    stack = np.array([radii, *(np.full(n - 2, point.inradius) for point in points)])
+    rebuilt = polygon_from_radii(chart, stack, tol)
+    angles = chart.system.angles
+    areas = oriented_areas(rebuilt).tolist()
+    perimeters = signed_perimeters(rebuilt, angles, tol).tolist()
     failures = []
-    polygon = polygon_from_radii(chart, radii, tol)
     p = chart.unit_perimeters
-    area = oriented_area(polygon)
-    perim = signed_perimeter(polygon, chart.system, tol)
+    area, perim = areas[0], perimeters[0]
     area_sum = 0.5 * float(np.sum(p * radii**2))
     perim_sum = float(np.sum(p * radii))
     area_scale = max(1.0, 0.5 * float(np.sum(np.abs(p) * radii**2)))
@@ -199,12 +209,10 @@ def check_chart_identities(rng, n_range, tol):
         failures.append(f"quadratic area law off by {area - area_sum:.3e} (n={n})")
     if abs(perim - perim_sum) > 1e-10 * perim_scale:
         failures.append(f"linear perimeter law off by {perim - perim_sum:.3e} (n={n})")
+    polygon = PolygonChain(rebuilt[0])
     triangles = decomposition_polygons(chart, polygon, tol)
-    tri_area = sum(oriented_area(t) for t in triangles)
-    tri_perim = 0.0
-    for i, t in enumerate(triangles):
-        triple = SlopeSystem.from_angles(chart.system.angles[[0, i + 1, i + 2]])
-        tri_perim += signed_perimeter(t, triple, tol)
+    tri_area = sum(oriented_areas(triangles).tolist())
+    tri_perim = sum(signed_perimeters(triangles, angles[decomposition_lines(n)], tol).tolist())
     if abs(tri_area - area) > 1e-10 * area_scale:
         failures.append(f"area additivity off by {tri_area - area:.3e} (n={n})")
     if abs(tri_perim - perim) > 1e-10 * perim_scale:
@@ -218,18 +226,21 @@ def check_chart_identities(rng, n_range, tol):
     quadratic = float(np.sum(coords.x[mask] ** 2) - np.sum(coords.x[~mask] ** 2))
     if abs(quadratic - area) > 1e-9 * area_scale:
         failures.append(f"coordinate quadratic form off by {quadratic - area:.3e} (n={n})")
-    for point in _nonexceptional_points(chart, tol) or ():
-        rebuilt = polygon_from_radii(chart, np.full(n - 2, point.inradius), tol)
-        gap = float(np.max(np.abs(rebuilt.vertices - point.polygon.vertices)))
-        if gap > 1e-10 * rebuilt.diameter:
+    if not points:
+        return failures
+    scales = diameters(rebuilt).tolist()
+    windings = winding_numbers(rebuilt[1:], [point.incenter for point in points], tol).tolist()
+    # The area is +-1, so its absolute and relative errors agree.
+    bound = max(1e-10, TANGENTIAL_ROUNDOFF * _locus_roundoff(chart))
+    for k, point in enumerate(points, 1):
+        gap = float(np.max(np.abs(rebuilt[k] - point.polygon.vertices)))
+        if gap > 1e-10 * scales[k]:
             failures.append(f"tangential vertices off the reconstruction by {gap:.3e} (n={n})")
-        # The area is +-1, so its absolute and relative errors agree.
-        bound = max(1e-10, TANGENTIAL_ROUNDOFF * _locus_roundoff(chart))
-        if abs(oriented_area(rebuilt) - point.area) > bound:
+        if abs(areas[k] - point.area) > bound:
             failures.append(f"tangential area off the reconstruction (n={n})")
-        if abs(signed_perimeter(rebuilt, chart.system, tol) / point.perimeter - 1.0) > bound:
+        if abs(perimeters[k] / point.perimeter - 1.0) > bound:
             failures.append(f"tangential perimeter off the reconstruction (n={n})")
-        if winding_number(rebuilt, point.incenter, tol) != chart.winding:
+        if windings[k - 1] != chart.winding:
             failures.append(f"tangential winding off the reconstruction (n={n})")
     return failures
 

@@ -13,6 +13,7 @@ import numpy as np
 
 from polyslope import (
     ExceptionalSpace,
+    PolygonChain,
     SlopeSystem,
     bifurcation_test,
     build_chart,
@@ -237,7 +238,7 @@ def test_criterion_07_chart_laws():
             failures.append(f"trial {trial}: quadratic area law (n={n})")
         if abs(perim - float(np.sum(p * radii))) > 1e-10 * perim_scale:
             failures.append(f"trial {trial}: linear perimeter law (n={n})")
-        triangles = decomposition_polygons(chart, polygon)
+        triangles = [PolygonChain(v) for v in decomposition_polygons(chart, polygon)]
         tri_area = sum(oriented_area(t) for t in triangles)
         tri_perim = sum(
             signed_perimeter(t, SlopeSystem(chart.system.angles[[0, i + 1, i + 2]]))

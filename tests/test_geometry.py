@@ -25,11 +25,17 @@ from polyslope import (
     winding_number,
 )
 from polyslope.geometry import (
+    diameters,
     edge_offsets,
     left_normal,
     line_gap,
+    line_vertices,
+    oriented_areas,
     polygon_from_lines,
+    require_distinct,
+    signed_perimeters,
     tangential_polygon,
+    winding_numbers,
 )
 
 UNIT_SQUARE = PolygonChain(np.array([[0.0, 0.0], [1.0, 0.0], [1.0, 1.0], [0.0, 1.0]]))
@@ -495,6 +501,38 @@ def reference_edge_offsets(polygon, angles):
     return np.einsum("ij,ij->i", normals, polygon.vertices)
 
 
+def reference_intersect_lines(angle_a, offset_a, angle_b, offset_b, tol=DEFAULT_TOL):
+    """Intersection (x, y) of two directed lines given as (angle, offset)."""
+    det = math.sin(angle_b - angle_a)
+    if abs(det) < math.sin(min(tol.parallel, 0.5 * math.pi)):
+        raise ParallelLines(
+            f"lines at angles {angle_a!r} and {angle_b!r} are parallel within tolerance"
+        )
+    ca, sa = math.cos(angle_a), math.sin(angle_a)
+    cb, sb = math.cos(angle_b), math.sin(angle_b)
+    return (cb * offset_a - ca * offset_b) / det, (sb * offset_a - sa * offset_b) / det
+
+
+def reference_line_vertices(angles, offsets, tol=DEFAULT_TOL):
+    """Vertices v_i = e_{i-1} ^ e_i, one intersection at a time."""
+    angles, offsets = [float(a) for a in angles], [float(d) for d in offsets]
+    return np.array(
+        [
+            reference_intersect_lines(angles[i - 1], offsets[i - 1], angles[i], offsets[i], tol)
+            for i in range(len(angles))
+        ]
+    )
+
+
+def outcome_text(func, *args):
+    """The error's type and message, or None when ``func`` returns."""
+    try:
+        func(*args)
+    except Exception as exc:  # each caller plants the error it expects
+        return type(exc).__name__, str(exc)
+    return None
+
+
 def chart_polygons(seed, count):
     """Random polygons of random slope systems, n 3..14, self-intersecting too."""
     from polyslope.randomgen import random_radii, random_slope_system
@@ -545,6 +583,77 @@ class TestArrayKernels:
                 winding_number(polygon, point)
             assert str(batched.value) == str(expected.value)
             assert str(batched.value).endswith("edge 1")
+
+    def test_line_vertices_agree_with_intersections(self):
+        # Stacks of four systems, n 3..14: every row against the loop, and
+        # polygon_from_lines is the one-row case.
+        from polyslope.randomgen import random_slope_system
+
+        rng = np.random.default_rng(43)
+        for _ in range(150):
+            n = int(rng.integers(3, 15))
+            angles = np.array([random_slope_system(rng, n).angles for _ in range(4)])
+            offsets = rng.uniform(-2.0, 2.0, (4, n))
+            stacked = line_vertices(angles, offsets)
+            assert stacked.shape == (4, n, 2)
+            for row, (a, d) in enumerate(zip(angles, offsets)):
+                expected = reference_line_vertices(a, d)
+                scale = max(1.0, float(np.max(np.abs(expected))))
+                assert np.max(np.abs(stacked[row] - expected)) <= 1e-12 * scale
+                assert np.array_equal(polygon_from_lines(a, d).vertices, stacked[row])
+
+    def test_parallel_lines_name_first_pair_of_a_stack(self):
+        rng = np.random.default_rng(44)
+        angles = rng.uniform(0.0, 2.0 * math.pi, (4, 6))
+        offsets = rng.uniform(-1.0, 1.0, (4, 6))
+        angles[2, 4] = angles[2, 3] + math.pi
+        angles[3, 1] = angles[3, 0]
+        expected = outcome_text(reference_line_vertices, angles[2], offsets[2])
+        assert expected[0] == "ParallelLines"
+        assert outcome_text(line_vertices, angles, offsets) == expected
+        assert outcome_text(line_vertices, angles[2], offsets[2]) == expected
+
+    def test_stacks_measure_each_polygon_as_one(self):
+        # A polygon, its point reflection and a dilation share the slopes:
+        # each stacked row gives the one-polygon value bit for bit.
+        for rng, system, polygon in chart_polygons(45, 80):
+            stack = np.array([polygon.vertices, -polygon.vertices, 2.5 * polygon.vertices])
+            chains = [PolygonChain(v) for v in stack]
+            points = rng.uniform(stack.min(axis=1), stack.max(axis=1))
+            require_distinct(stack)
+            assert oriented_areas(stack).tolist() == [oriented_area(c) for c in chains]
+            assert signed_perimeters(stack, system.angles).tolist() == [
+                signed_perimeter(c, system) for c in chains
+            ]
+            assert diameters(stack).tolist() == [c.diameter for c in chains]
+            assert winding_numbers(stack, points).tolist() == [
+                winding_number(c, p) for c, p in zip(chains, points)
+            ]
+
+    def test_stacks_name_the_first_failing_row(self):
+        for _, system, polygon in chart_polygons(46, 20):
+            if system.n < 5:
+                continue
+            good = polygon.vertices
+            angles = system.angles.copy()
+            angles[[2, 4]] += 0.1
+            bad = SlopeSystem.from_angles(angles)
+            slopes = np.array([system.angles, bad.angles, bad.angles])
+            expected = outcome_text(reference_signed_perimeter, polygon, bad)
+            assert expected[0] == "SlopeMismatch"
+            assert outcome_text(signed_perimeters, np.array([good] * 3), slopes) == expected
+            # Vertex 2 ends edge 1 and starts edge 2.
+            points = np.array([good.mean(axis=0), good[2], good[3]])
+            expected = outcome_text(reference_winding_number, polygon, good[2])
+            assert expected[0] == "PointOnBoundary"
+            assert outcome_text(winding_numbers, np.array([good] * 3), points) == expected
+            doubled = good.copy()
+            doubled[3] = doubled[2]
+            expected = outcome_text(PolygonChain, doubled)
+            assert expected == ("CoincidentVertices", "vertices 2 and 3 coincide")
+            assert outcome_text(require_distinct, np.array([good, doubled, doubled[::-1]])) == (
+                expected
+            )
 
     def test_parallel_lines_name_first_pair(self):
         angles = [0.0, 1.0, 1.0 + math.pi, 2.5, 2.5, 4.0]

@@ -1,13 +1,19 @@
 """Tests for the radii chart on the space of polygons with fixed slopes."""
 
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 
 from polyslope import (
+    DEFAULT_TOL,
     ParallelLines,
+    PolygonChain,
+    ReconstructionDegenerate,
+    SlopeMismatch,
     SlopeSystem,
+    Tolerances,
     build_chart,
     decomposition_polygons,
     normalized_coordinates,
@@ -19,8 +25,11 @@ from polyslope import (
     tritangent_circle,
     unit_triangle,
 )
-from polyslope.geometry import left_normal, left_normals
+from polyslope.geometry import edge_offsets, left_normal, left_normals, line_gap
 from polyslope.randomgen import random_radii, random_slope_system
+from polyslope.slope_space import polygon_line_offsets
+
+from test_geometry import outcome_text, reference_intersect_lines, reference_line_vertices
 
 EQUILATERAL = SlopeSystem.from_degrees([90, 210, 330])
 
@@ -191,9 +200,7 @@ class TestReconstruction:
         # the common point of the three lines.
         angles = chart.system.angles
         offsets = [float(left_normal(angles[i]) @ polygon.vertices[i]) for i in range(5)]
-        from polyslope.geometry import intersect_lines
-
-        meet = intersect_lines(angles[0], offsets[0], angles[2], offsets[2])
+        meet = reference_intersect_lines(angles[0], offsets[0], angles[2], offsets[2])
         assert float(left_normal(angles[3]) @ meet) == pytest.approx(offsets[3], abs=1e-9)
 
     def test_radii_roundtrip(self):
@@ -223,7 +230,7 @@ class TestAdditivity:
             chart = build_chart(random_slope_system(rng, n))
             radii = random_radii(rng, n - 2)
             polygon = polygon_from_radii(chart, radii)
-            triangles = decomposition_polygons(chart, polygon)
+            triangles = [PolygonChain(v) for v in decomposition_polygons(chart, polygon)]
             area_sum = sum(oriented_area(t) for t in triangles)
             perim_sum = 0.0
             for i, t in enumerate(triangles):
@@ -314,3 +321,176 @@ class TestTopologyReport:
         report = topology_report(chart)
         assert report.negative_component.describe() == "S^0 x D^2"
         assert report.positive_component.describe() == "S^1 x D^1"
+
+
+# The reconstruction one triangle, edge and vertex at a time, as it ran before
+# it worked on stacks; every stacked row must agree with these loops to
+# roundoff and raise the same error with the same text.
+
+
+def reference_polygon_from_radii(chart, radii, tol=DEFAULT_TOL):
+    """The sequential tangent construction: circle i is tangent to e_1 and
+    e_{i+1}, and e_{i+2} is its tangent of slope s_{i+2}."""
+    angles = chart.system.angles.tolist()
+    r = [float(x) for x in radii]
+    n = chart.n
+    normals = [(-math.sin(a), math.cos(a)) for a in angles]
+    offsets = [0.0] * n
+    x, y = r[0] * normals[0][0], r[0] * normals[0][1]
+    offsets[1] = normals[1][0] * x + normals[1][1] * y - r[0]
+    offsets[2] = normals[2][0] * x + normals[2][1] * y - r[0]
+    for i in range(1, n - 2):
+        gap = math.sin(line_gap(angles[0], angles[i + 1]))
+        if gap == 0.0 or 1.0 / gap > tol.condition_limit:
+            raise ReconstructionDegenerate(
+                f"tangent construction for triangle {i} is ill-conditioned"
+            )
+        x, y = reference_intersect_lines(angles[0], r[i], angles[i + 1], offsets[i + 1] + r[i], tol)
+        offsets[i + 2] = normals[i + 2][0] * x + normals[i + 2][1] * y - r[i]
+    polygon = PolygonChain(reference_line_vertices(angles, offsets, tol))
+    p = chart.unit_perimeters
+    area_terms = 0.5 * p * np.asarray(r) ** 2
+    perim_terms = p * np.asarray(r)
+    area_err = abs(oriented_area(polygon) - float(np.sum(area_terms)))
+    perim_err = abs(signed_perimeter(polygon, chart.system, tol) - float(np.sum(perim_terms)))
+    if area_err > tol.chart_check * max(1.0, float(np.sum(np.abs(area_terms)))) or (
+        perim_err > tol.chart_check * max(1.0, float(np.sum(np.abs(perim_terms))))
+    ):
+        raise ReconstructionDegenerate(
+            f"reconstruction violates chart laws (area error {area_err!r}, "
+            f"perimeter error {perim_err!r})"
+        )
+    return polygon
+
+
+def reference_line_offsets(chart, polygon, tol=DEFAULT_TOL):
+    angles = chart.system.angles
+    for i in range(chart.n):
+        if line_gap(polygon.edge_angles[i], angles[i]) > tol.parallel:
+            raise SlopeMismatch(f"edge {i} does not match slope {i}")
+    return edge_offsets(polygon, angles)
+
+
+def reference_decomposition(chart, polygon, tol=DEFAULT_TOL):
+    offsets = reference_line_offsets(chart, polygon, tol)
+    angles = chart.system.angles
+    triangles = []
+    for i in range(chart.n - 2):
+        idx = (0, i + 1, i + 2)
+        vertices = reference_line_vertices(angles[list(idx)], offsets[list(idx)], tol)
+        triangles.append(PolygonChain(vertices))
+    return triangles
+
+
+def reference_coordinates(chart, polygon, tol=DEFAULT_TOL):
+    offsets = reference_line_offsets(chart, polygon, tol)
+    first_normal = left_normal(chart.system.angles[0])
+    x = np.empty(chart.n - 2)
+    for i in range(chart.n - 2):
+        signed_dist = float(first_normal @ polygon.vertices[i + 2]) - offsets[0]
+        x[i] = math.sqrt(chart.area_constants[i]) * signed_dist
+    return x
+
+
+def stacked_draws(seed, count):
+    """(chart, three rows of radii): two random, one tangential; n 3..14."""
+    rng = np.random.default_rng(seed)
+    for _ in range(count):
+        n = int(rng.integers(3, 15))
+        chart = build_chart(random_slope_system(rng, n))
+        rows = [random_radii(rng, n - 2), random_radii(rng, n - 2), np.full(n - 2, 0.7)]
+        yield chart, np.array(rows)
+
+
+class TestStackedReconstruction:
+    def test_rows_agree_with_the_sequential_construction(self):
+        worst = 0.0
+        for chart, rows in stacked_draws(60, 300):
+            stacked = polygon_from_radii(chart, rows)
+            assert stacked.shape == (3, chart.n, 2)
+            for row, radii in zip(stacked, rows):
+                expected = reference_polygon_from_radii(chart, radii)
+                worst = max(worst, np.max(np.abs(row - expected.vertices)) / expected.diameter)
+                # The one-row call is the same arithmetic.
+                assert np.array_equal(polygon_from_radii(chart, radii).vertices, row)
+        assert worst <= 1e-12
+
+    def test_triangles_offsets_and_coordinates_agree_with_loops(self):
+        for chart, rows in stacked_draws(61, 200):
+            polygon = polygon_from_radii(chart, rows[0])
+            offsets = polygon_line_offsets(chart, polygon)
+            assert np.array_equal(offsets, reference_line_offsets(chart, polygon))
+            triangles = decomposition_polygons(chart, polygon)
+            assert triangles.shape == (chart.n - 2, 3, 2)
+            for stacked, expected in zip(triangles, reference_decomposition(chart, polygon)):
+                scale = max(1.0, float(np.max(np.abs(expected.vertices))))
+                assert np.max(np.abs(stacked - expected.vertices)) <= 1e-12 * scale
+            x = normalized_coordinates(chart, polygon).x
+            expected = reference_coordinates(chart, polygon)
+            assert np.max(np.abs(x - expected)) <= 1e-12 * max(1.0, float(np.max(np.abs(expected))))
+
+    def test_ill_conditioned_triangle_named_as_before(self):
+        # A condition limit of 1.5 rejects lines closer than 41.8 degrees to e_1.
+        tol = Tolerances(condition_limit=1.5)
+        seen = 0
+        for chart, rows in stacked_draws(62, 60):
+            expected = outcome_text(reference_polygon_from_radii, chart, rows[1], tol)
+            if expected is None:
+                continue
+            assert expected[0] == "ReconstructionDegenerate"
+            assert outcome_text(polygon_from_radii, chart, rows, tol) == expected
+            assert outcome_text(polygon_from_radii, chart, rows[1], tol) == expected
+            seen += 1
+        assert seen > 20
+
+    def test_parallel_lines_named_as_before(self):
+        # Lines within 0.7 rad of parallel: e_1 against e_{i+1} in the
+        # construction, or consecutive lines at the vertices.
+        tol = Tolerances(parallel=0.7)
+        seen = set()
+        for chart, rows in stacked_draws(63, 60):
+            expected = outcome_text(reference_polygon_from_radii, chart, rows[0], tol)
+            if expected is None:
+                continue
+            assert expected[0] == "ParallelLines"
+            assert outcome_text(polygon_from_radii, chart, rows, tol) == expected
+            seen.add(expected[1].split(" and ")[0])
+        assert len(seen) > 10
+
+    def test_coincident_vertices_named_as_before(self):
+        # A zero radius at n = 3 makes the three lines concurrent.
+        rng = np.random.default_rng(64)
+        for _ in range(20):
+            chart = build_chart(random_slope_system(rng, 3))
+            expected = outcome_text(reference_polygon_from_radii, chart, [0.0])
+            assert expected[0] == "CoincidentVertices"
+            assert outcome_text(polygon_from_radii, chart, [[0.8], [0.0], [0.0]]) == expected
+
+    def test_violated_chart_laws_named_as_before(self):
+        # The message quotes both errors, which differ from the loop's by the
+        # rounding of the vertices.
+        for chart, rows in stacked_draws(65, 20):
+            wrong = dataclasses.replace(chart, unit_perimeters=chart.unit_perimeters * 1.001)
+            expected = outcome_text(reference_polygon_from_radii, wrong, rows[0])
+            stacked = outcome_text(polygon_from_radii, wrong, rows)
+            assert stacked[0] == expected[0] == "ReconstructionDegenerate"
+            numbers = [
+                [float(word.strip(",)")) for word in text.split() if word[0].isdigit()]
+                for text in (stacked[1], expected[1])
+            ]
+            assert np.allclose(*numbers, rtol=1e-9, atol=0.0)
+            assert stacked[1].split("(")[0] == expected[1].split("(")[0]
+
+    def test_slope_mismatch_named_as_before(self):
+        for chart, rows in stacked_draws(66, 40):
+            if chart.n < 5:
+                continue
+            angles = chart.system.angles.copy()
+            angles[[2, 4]] += 0.1
+            other = build_chart(SlopeSystem.from_angles(angles))
+            polygon = polygon_from_radii(chart, rows[0])
+            for func in (reference_line_offsets, polygon_line_offsets, decomposition_polygons,
+                         radii_of_polygon, normalized_coordinates):
+                assert outcome_text(func, other, polygon) == (
+                    "SlopeMismatch", "edge 2 does not match slope 2"
+                )

@@ -90,7 +90,68 @@ def test_perturbed_closed_form_fails(monkeypatch, check_index, name, value, mess
     # A closed form off by one part in a million fails every trial of the
     # check's own stream: the roundoff bounds stay below that on its draws.
     monkeypatch.setattr(sweeps, name, value)
+    assert_fails_every_trial(check_index, message)
+
+
+def assert_fails_every_trial(check_index, message):
     check = sweeps.CHECKS[check_index][1]
     for trial in range(20):
         failures = check(trial_rng(1, check_index, trial), (3, 12), DEFAULT_TOL)
         assert any(message in failure for failure in failures), (trial, failures)
+
+
+OFF = 1.0 + 1e-6
+
+
+def plant_on_triangles(monkeypatch, name):
+    """sweeps.<name> off by one part in a million on the decomposition
+    triangles alone: the stack that decomposition_polygons returned last."""
+    made = []
+    decompose, kernel = sweeps.decomposition_polygons, getattr(sweeps, name)
+
+    def recorded(*args):
+        made.append(decompose(*args))
+        return made[-1]
+
+    def planted(vertices, *args):
+        value = kernel(vertices, *args)
+        return value * OFF if made and vertices is made[-1] else value
+
+    monkeypatch.setattr(sweeps, "decomposition_polygons", recorded)
+    monkeypatch.setattr(sweeps, name, planted)
+
+
+def plant_on_result(monkeypatch, name, perturb):
+    original = getattr(sweeps, name)
+    monkeypatch.setattr(sweeps, name, lambda *args: perturb(original(*args)))
+
+
+def offset_incenters(chart, tol):
+    # Each closed-form polygon moves with its incenter, by 1e-6 |r|.
+    return tuple(
+        dataclasses.replace(point, incenter=point.incenter * OFF)
+        for point in tangential_critical_points(chart, tol)
+    )
+
+
+# Each comparison of the chart-identity check, by its message, and a planted
+# defect of one part in a million on one side of it.
+PLANTED = {
+    "area additivity off": lambda m: plant_on_triangles(m, "oriented_areas"),
+    "perimeter additivity off": lambda m: plant_on_triangles(m, "signed_perimeters"),
+    "radii roundtrip off": lambda m: plant_on_result(m, "radii_of_polygon", lambda r: r * OFF),
+    "coordinate quadratic form off": lambda m: plant_on_result(
+        m, "normalized_coordinates", lambda c: dataclasses.replace(c, x=c.x * OFF)
+    ),
+    "tangential vertices off": lambda m: m.setattr(
+        sweeps, "tangential_critical_points", offset_incenters
+    ),
+}
+
+
+@pytest.mark.parametrize("message", list(PLANTED))
+def test_planted_chart_identity_defect_fails(monkeypatch, message):
+    # Every comparison of the stacked chart-identity check still fails each
+    # trial of its stream when one side is off by one part in a million.
+    PLANTED[message](monkeypatch)
+    assert_fails_every_trial(5, message)

@@ -15,6 +15,7 @@ no chart unless a row is invalid.
 import math
 import sys
 
+import polyslope.sweeps as sweeps
 import numpy as np
 import pytest
 
@@ -27,10 +28,10 @@ from polyslope import (
 )
 from polyslope import geometry
 from polyslope.cyclic import bifurcation_test, cyclic_invariants
-from polyslope.geometry import tangential_polygon, turning_sum
+from polyslope.geometry import tangential_offsets, tangential_polygon, turning_sum
 from polyslope.randomgen import random_slope_system, trial_rng
 from polyslope.report import BISECTION_DEPTH, cyclic_report, family_report, slopes_report
-from polyslope.slope_space import RadiiChart, chart_stack
+from polyslope.slope_space import RadiiChart, chart_stack, polygon_from_radii
 from polyslope.sweeps import CHECKS
 from polyslope.tangential import hessian_formula, well_conditioned_chart
 from polyslope.tolerances import DEFAULT_TOL
@@ -40,6 +41,8 @@ from families import (
     BENCH_F3,
     FAMILY_END,
     FAMILY_START,
+    bisect_family_root,
+    family_system,
     sequential_family_report,
 )
 
@@ -241,8 +244,8 @@ def test_cyclic_trial_computes_invariants_once(monkeypatch, name):
         assert counts["cyclic_invariants"] == 1
 
 
-def test_cyclic_report_computes_invariants_and_dual_once(monkeypatch):
-    counts = counted(monkeypatch, (cyclic_invariants, bifurcation_test))
+def counted_systems(monkeypatch):
+    """A one-item list holding the number of SlopeSystems constructed."""
     systems = [0]
     init = SlopeSystem.__init__
 
@@ -252,7 +255,46 @@ def test_cyclic_report_computes_invariants_and_dual_once(monkeypatch):
 
     # Every SlopeSystem, however it is made, runs the one constructor.
     monkeypatch.setattr(SlopeSystem, "__init__", counted_init)
+    return systems
+
+
+def test_cyclic_report_computes_invariants_and_dual_once(monkeypatch):
+    # One tangential construction gives both the reported dual vertices and
+    # the polygon about the circle's center that the perimeter is read from.
+    counts = counted(
+        monkeypatch, (cyclic_invariants, bifurcation_test, tangential_offsets, tangential_polygon)
+    )
+    systems = counted_systems(monkeypatch)
     report = cyclic_report(1.0, [0.0, 70.0, 150.0, 220.0, 290.0])
     assert report["indices"]["mu_dual_perimeter"] is not None
-    assert counts == {"cyclic_invariants": 1, "bifurcation_test": 1}
+    assert counts == {
+        "cyclic_invariants": 1,
+        "bifurcation_test": 1,
+        "tangential_offsets": 1,
+        "tangential_polygon": 0,
+    }
     assert systems[0] == 1
+
+
+def test_chart_identity_trial_reconstructs_one_stack(monkeypatch):
+    # One chart, one reconstruction of three rows (one when the drawn system
+    # is exceptional), and no SlopeSystem but the drawn one.
+    index, check = next((i, c) for i, (n, c) in enumerate(CHECKS) if n == "chart_identities")
+    results = []
+    counts = counted(monkeypatch, (build_chart, polygon_from_radii), results)
+    systems = counted_systems(monkeypatch)
+
+    def trial(rng, n_range, rows):
+        counts["build_chart"] = counts["polygon_from_radii"] = systems[0] = 0
+        results.clear()
+        assert check(rng, n_range, DEFAULT_TOL) == []
+        assert counts == {"build_chart": 1, "polygon_from_radii": 1}
+        assert results[-1].shape[0] == rows
+        return systems[0]
+
+    for t in range(20):
+        assert trial(trial_rng(1, index, t), (3, 12), 3) == 1
+    exceptional = family_system(bisect_family_root())
+    assert isinstance(tangential_critical_points(exceptional), ExceptionalSpace)
+    monkeypatch.setattr(sweeps, "random_slope_system", lambda rng, n: exceptional)
+    assert trial(np.random.default_rng(0), (4, 4), 1) == 0
