@@ -167,7 +167,8 @@ def _cross_check_failures(report: dict) -> list[str]:
         for point in report["critical"].get("points", []):
             if not point["agreement"]:
                 problems.append("index disagreement")
-            if point["gradient_norm"] >= point["gradient_bound"]:
+            # The sweep runner's rule: a NaN norm fails.
+            if not point["gradient_norm"] <= point["gradient_bound"]:
                 problems.append("gradient check failed")
     elif report["kind"] == "cyclic":
         indices = report["indices"]

@@ -11,7 +11,7 @@ import pytest
 
 import polyslope
 from polyslope import SlopeSystem, build_chart
-from polyslope.cli import main
+from polyslope.cli import _cross_check_failures, main
 from polyslope.report import (
     cyclic_report,
     family_report,
@@ -105,6 +105,12 @@ class TestSlopesAnalyze:
         assert code == 0
         for point in json.loads(out)["critical"]["points"]:
             assert point["gradient_norm"] < 1e-8
+
+    def test_nan_gradient_norm_fails_cross_check(self):
+        # The sweep runner's rule, not gradient_norm >= bound: a NaN fails.
+        point = {"agreement": True, "gradient_norm": math.nan, "gradient_bound": 1e-12}
+        report = {"kind": "slopes", "critical": {"points": [point]}}
+        assert _cross_check_failures(report) == ["gradient check failed"]
 
     @pytest.mark.parametrize(
         "angles",
@@ -383,7 +389,7 @@ class TestSweep:
         import polyslope.sweeps as sweeps
 
         def broken_check(rng, n_range, tol):
-            return ["injected failure"]
+            return 4, [("injected failure", 1.0, 0.0)]
 
         monkeypatch.setattr(
             sweeps, "CHECKS", (("broken", broken_check),) + sweeps.CHECKS[1:]
@@ -391,7 +397,7 @@ class TestSweep:
         code, out, _ = run_cli(capsys, "sweep", "--seed", "1", "--trials", "2")
         assert code == 3
         assert "result: FAIL" in out
-        assert "injected failure" in out
+        assert "FAIL injected failure 1.000e+00 over bound 0.000e+00 (n=4)" in out
 
 
     def test_raising_check_counts_as_failed_trial(self, monkeypatch):
@@ -400,7 +406,7 @@ class TestSweep:
         def raising_check(rng, n_range, tol):
             if rng.random() < 0.5:
                 raise NotCritical("injected error")
-            return []
+            return 4, [("passing row", 0.0, 0.0)]
 
         monkeypatch.setattr(sweeps, "CHECKS", (("raising", raising_check),) + sweeps.CHECKS[1:])
         result = run_sweep(seed=3, trials=8)

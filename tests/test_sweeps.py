@@ -1,20 +1,33 @@
-"""Roundoff bounds of the sweep checks next to the exceptional locus.
+"""Roundoff bounds of the sweep checks next to the exceptional locus, and a
+planted defect in every check.
 
 The sweep draws systems as close to the locus as tangential_critical_points
 allows (|sum p| / sum|p| above tol.exceptional = 1e-9), so the comparisons
-whose terms cancel there carry bounds in eps sum|p| / |sum p|.
+whose terms cancel there carry bounds in eps sum|p| / |sum p|.  A check
+returns (n, rows) of (label, error, bound); a row fails, as in the sweep's
+runner, when ``not error <= bound``.
 """
 
 import dataclasses
+import math
+import numbers
 
 import numpy as np
 import pytest
 
 import polyslope.sweeps as sweeps
+from polyslope.cli import main
+from polyslope.cyclic import cyclic_invariants, duality_index_check
 from polyslope.geometry import oriented_area, signed_perimeter
 from polyslope.randomgen import trial_rng
 from polyslope.slope_space import build_chart, polygon_from_radii
-from polyslope.tangential import hessian_det_identity, tangential_critical_points
+from polyslope.tangential import (
+    critical_gradient_norm,
+    hessian_det_identity,
+    hessian_error,
+    morse_index_eigen,
+    tangential_critical_points,
+)
 from polyslope.tolerances import DEFAULT_TOL
 
 from families import near_exceptional_system
@@ -26,10 +39,18 @@ def near_locus():
     return [near_exceptional_system(rng, int(rng.integers(4, 10)), 1e-9, 1e-6) for _ in range(40)]
 
 
-def run_on(monkeypatch, check, chart):
-    """``check`` run on ``chart``'s system in place of its random draw."""
+def failing_labels(outcome):
+    """The labels of the rows of a check's (n, rows) that fail."""
+    _, rows = outcome
+    return [label for label, error, bound in rows if not error <= bound]
+
+
+def run_on(monkeypatch, name, chart):
+    """Failing labels of check ``name`` run on ``chart``'s system in place of
+    its random draw."""
     monkeypatch.setattr(sweeps, "random_slope_system", lambda rng, n: chart.system)
-    return check(np.random.default_rng(0), (chart.n, chart.n), DEFAULT_TOL)
+    check = dict(sweeps.CHECKS)[name]
+    return failing_labels(check(np.random.default_rng(0), (chart.n, chart.n), DEFAULT_TOL))
 
 
 def test_determinant_passes_next_to_the_locus(monkeypatch, near_locus):
@@ -37,7 +58,7 @@ def test_determinant_passes_next_to_the_locus(monkeypatch, near_locus):
     # that ratio too, which the bound's units alone do not cover.
     over_fixed_bound = 0
     for chart in (build_chart(c.system.rotated(k)) for c in near_locus for k in range(c.n)):
-        assert run_on(monkeypatch, sweeps.check_hessian_determinant, chart) == []
+        assert run_on(monkeypatch, "hessian_determinant", chart) == []
         for point in tangential_critical_points(chart):
             lhs, rhs = hessian_det_identity(point)
             over_fixed_bound += abs(lhs - rhs) > 1e-9 * max(abs(lhs), abs(rhs))
@@ -48,7 +69,7 @@ def test_determinant_passes_next_to_the_locus(monkeypatch, near_locus):
 def test_tangential_area_and_perimeter_pass_next_to_the_locus(monkeypatch, near_locus):
     over_fixed_bound = 0
     for chart in near_locus:
-        assert run_on(monkeypatch, sweeps.check_chart_identities, chart) == []
+        assert run_on(monkeypatch, "chart_identities", chart) == []
         for point in tangential_critical_points(chart):
             rebuilt = polygon_from_radii(chart, np.full(chart.n - 2, point.inradius))
             area_error = abs(oriented_area(rebuilt) - point.area)
@@ -73,8 +94,47 @@ def perturbed_points(field):
     return points
 
 
+def nan_error(kernel):
+    """``kernel``'s (error, bound) with a NaN error."""
+
+    def nan(point):
+        return math.nan, kernel(point)[1]
+
+    return nan
+
+
+def shifted(kernel, *fields):
+    """``kernel``'s report with each integer field one more."""
+
+    def shift(*args):
+        report = kernel(*args)
+        return dataclasses.replace(report, **{f: getattr(report, f) + 1 for f in fields})
+
+    return shift
+
+
+def withheld(cyclic, invariants, slopes, tol):
+    report = duality_index_check(cyclic, invariants, slopes, tol)
+    return dataclasses.replace(report, mu_dual_perimeter=None, dual_note="planted")
+
+
+def offset_tangent_sum(cyclic, tol):
+    # B off by a millionth of sum|tan a|, the scale of the dual perimeter's
+    # bound; B itself may be far smaller than that scale.
+    invariants = cyclic_invariants(cyclic, tol)
+    scale = float(np.sum(np.abs(np.tan(invariants.half_angles))))
+    return dataclasses.replace(
+        invariants, bifurcation_sum=invariants.bifurcation_sum + 1e-6 * scale
+    )
+
+
+def odd_right_turns(system, tol):
+    chart = build_chart(system, tol)
+    return dataclasses.replace(chart, right_turns=chart.right_turns + 1)
+
+
 @pytest.mark.parametrize(
-    "check_index, name, value, message",
+    "check_index, name, value, label",
     [
         (2, "hessian_det_identity", perturbed_determinant, "determinant identity off"),
         (5, "tangential_critical_points", perturbed_points("area"), "tangential area off"),
@@ -84,20 +144,68 @@ def perturbed_points(field):
             perturbed_points("perimeter"),
             "tangential perimeter off",
         ),
+        (0, "tangential_critical_points", perturbed_points("inradius"), "gradient norm"),
+        (1, "tangential_critical_points", perturbed_points("inradius"), "hessian error"),
+        (3, "morse_index_eigen", shifted(morse_index_eigen, "index_formula"), "index mismatch"),
+        (
+            3,
+            "morse_index_eigen",
+            shifted(morse_index_eigen, "index_eigen", "index_formula"),
+            "index sum off n-3",
+        ),
+        (4, "morse_index_eigen", shifted(morse_index_eigen, "index_eigen"), "convex index off"),
+        (6, "build_chart", odd_right_turns, "turn parity off"),
+        (7, "cyclic_invariants", offset_tangent_sum, "dual perimeter off 2RB"),
+        (
+            8,
+            "duality_index_check",
+            shifted(duality_index_check, "mu_area_numeric"),
+            "area index numeric off formula",
+        ),
+        (8, "duality_index_check", withheld, "dual index withheld"),
+        # A NaN error fails: the runner's rule is error <= bound.
+        (0, "critical_gradient_norm", nan_error(critical_gradient_norm), "gradient norm"),
+        (1, "hessian_error", nan_error(hessian_error), "hessian error"),
     ],
 )
-def test_perturbed_closed_form_fails(monkeypatch, check_index, name, value, message):
-    # A closed form off by one part in a million fails every trial of the
-    # check's own stream: the roundoff bounds stay below that on its draws.
+def test_perturbed_closed_form_fails(monkeypatch, capsys, check_index, name, value, label):
+    # A closed form off by one part in a million, or a planted defect in
+    # what a check compares, fails every trial of the check's own stream:
+    # the roundoff bounds stay below that on its draws.
     monkeypatch.setattr(sweeps, name, value)
-    assert_fails_every_trial(check_index, message)
+    assert_fails_every_trial(check_index, label, capsys)
 
 
-def assert_fails_every_trial(check_index, message):
+def assert_fails_every_trial(check_index, label, capsys):
+    """Check ``check_index`` fails its row ``label`` on each of 20 trials of
+    its stream, and the ``sweep`` command exits 3 on the same streams."""
     check = sweeps.CHECKS[check_index][1]
     for trial in range(20):
-        failures = check(trial_rng(1, check_index, trial), (3, 12), DEFAULT_TOL)
-        assert any(message in failure for failure in failures), (trial, failures)
+        outcome = check(trial_rng(1, check_index, trial), (3, 12), DEFAULT_TOL)
+        assert label in failing_labels(outcome), (trial, outcome)
+    argv = ["sweep", "--seed", "1", "--trials", "2", "--n-min", "3", "--n-max", "12"]
+    assert main(argv) == 3
+    assert f"FAIL {label} " in capsys.readouterr().out
+
+
+def test_every_check_returns_concrete_rows():
+    # Each check runs its whole trial before it returns: a timer around the
+    # call measures the trial, which a lazy generator would not.
+    for check_index, entry in enumerate(sweeps.CHECKS):
+        name, check = entry
+        assert isinstance(entry, tuple) and isinstance(name, str) and callable(check)
+        for trial in range(5):
+            outcome = check(trial_rng(2, check_index, trial), (3, 12), DEFAULT_TOL)
+            if outcome is None:
+                continue
+            assert isinstance(outcome, tuple)
+            n, rows = outcome
+            assert isinstance(n, int) and isinstance(rows, list) and rows
+            for row in rows:
+                assert isinstance(row, tuple) and len(row) == 3
+                label, error, bound = row
+                assert isinstance(label, str)
+                assert isinstance(error, numbers.Real) and isinstance(bound, numbers.Real)
 
 
 OFF = 1.0 + 1e-6
@@ -134,7 +242,7 @@ def offset_incenters(chart, tol):
     )
 
 
-# Each comparison of the chart-identity check, by its message, and a planted
+# Each comparison of the chart-identity check, by its row's label, and a planted
 # defect of one part in a million on one side of it.
 PLANTED = {
     "area additivity off": lambda m: plant_on_triangles(m, "oriented_areas"),
@@ -149,9 +257,9 @@ PLANTED = {
 }
 
 
-@pytest.mark.parametrize("message", list(PLANTED))
-def test_planted_chart_identity_defect_fails(monkeypatch, message):
+@pytest.mark.parametrize("label", list(PLANTED))
+def test_planted_chart_identity_defect_fails(monkeypatch, capsys, label):
     # Every comparison of the stacked chart-identity check still fails each
     # trial of its stream when one side is off by one part in a million.
-    PLANTED[message](monkeypatch)
-    assert_fails_every_trial(5, message)
+    PLANTED[label](monkeypatch)
+    assert_fails_every_trial(5, label, capsys)
