@@ -12,9 +12,9 @@ which ties the two Morse theories together.
 
 The area index is computed numerically on the space of polygons with fixed
 edge lengths, charted by edge direction angles with the first angle frozen:
-the closure condition is the constraint, Lagrange multipliers come from least
-squares at the critical point, and the Hessian is projected onto an
-orthonormal basis of the constraint null space.
+the closure condition is the constraint, and one SVD of its Jacobian at the
+critical point gives both the least-squares Lagrange multipliers and the
+orthonormal basis of its null space that the Hessian is projected onto.
 """
 
 import functools
@@ -249,21 +249,19 @@ def _head_differences(w: np.ndarray) -> np.ndarray:
     return prefix - after
 
 
-def chain_area_gradient(lengths: np.ndarray, thetas: np.ndarray) -> np.ndarray:
-    """Gradient of the chord-closed area with respect to all edge angles."""
-    w = _edge_vectors(lengths, thetas)
+def _area_gradient(w: np.ndarray, diff: np.ndarray) -> np.ndarray:
+    """:func:`chain_area_gradient` of the edge vectors w, diff their
+    :func:`_head_differences`."""
     wp = _rot90(w)[:-1]
-    diff = _head_differences(w)
-    grad = np.zeros(len(thetas))
+    grad = np.zeros(len(w))
     grad[:-1] = 0.5 * (diff[:, 0] * wp[:, 1] - diff[:, 1] * wp[:, 0])
     return grad
 
 
-def chain_area_hessian(lengths: np.ndarray, thetas: np.ndarray) -> np.ndarray:
-    """Hessian of the chord-closed area with respect to all edge angles."""
-    n = len(thetas)
-    w = _edge_vectors(lengths, thetas)
-    diff = _head_differences(w)
+def _area_hessian(w: np.ndarray, diff: np.ndarray) -> np.ndarray:
+    """:func:`chain_area_hessian` of the edge vectors w, diff their
+    :func:`_head_differences`."""
+    n = len(w)
     x, y = w[:-1, 0], w[:-1, 1]
     # Off the diagonal, cross(w_j', w_k') equals cross(w_j, w_k).
     upper = np.triu(0.5 * (np.outer(x, y) - np.outer(y, x)), 1)
@@ -273,16 +271,33 @@ def chain_area_hessian(lengths: np.ndarray, thetas: np.ndarray) -> np.ndarray:
     return hess
 
 
-def _tangent_frame(lengths: np.ndarray, thetas: np.ndarray):
-    """Constraint Jacobian restricted to free angles and its null-space basis.
+def chain_area_gradient(lengths: np.ndarray, thetas: np.ndarray) -> np.ndarray:
+    """Gradient of the chord-closed area with respect to all edge angles."""
+    w = _edge_vectors(lengths, thetas)
+    return _area_gradient(w, _head_differences(w))
 
-    The basis is the trailing right singular vectors, with the rank cut at
-    max(s) * eps * max(shape).
+
+def chain_area_hessian(lengths: np.ndarray, thetas: np.ndarray) -> np.ndarray:
+    """Hessian of the chord-closed area with respect to all edge angles."""
+    w = _edge_vectors(lengths, thetas)
+    return _area_hessian(w, _head_differences(w))
+
+
+def _tangent_frame(w: np.ndarray, grad: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Null-space basis of the closure Jacobian J on the free angles, and the
+    Lagrange multipliers of ``grad``, from one SVD J = U S V^T.
+
+    w are the edge vectors and ``grad`` the area gradient in the free angles.
+    The rank is cut at max(s) * eps * max(shape).  The basis is the trailing
+    right singular vectors; the multipliers lambda = U S^+ V^T grad are the
+    least-squares solution of J^T lambda = grad of least norm, the solve an
+    SVD gives (Golub and Van Loan, Matrix Computations, sec. 5.5).
     """
-    jac = closure_jacobian(lengths, thetas)[:, 1:]
-    _, s, vh = np.linalg.svd(jac)
-    cutoff = s[0] * np.finfo(float).eps * max(jac.shape)
-    return jac, vh[np.count_nonzero(s > cutoff):].T
+    jac = _rot90(w).T[:, 1:]
+    u, s, vh = np.linalg.svd(jac)
+    rank = np.count_nonzero(s > s[0] * np.finfo(float).eps * max(jac.shape))
+    multipliers = u[:, :rank] @ ((vh[:rank] @ grad) / s[:rank])
+    return vh[rank:].T, multipliers
 
 
 def area_criticality_residual(
@@ -302,9 +317,10 @@ def area_criticality_residual(
     scale = max(1.0, float(np.sum(lengths)))
     if float(np.max(np.abs(actual - lengths))) > tol.length_match * scale:
         raise LengthMismatch("vertices do not realize the prescribed edge lengths")
-    thetas = polygon.edge_angles
-    _, basis = _tangent_frame(lengths, thetas)
-    return float(np.linalg.norm(basis.T @ chain_area_gradient(lengths, thetas)[1:]))
+    w = _edge_vectors(lengths, polygon.edge_angles)
+    grad = _area_gradient(w, _head_differences(w))[1:]
+    basis, _ = _tangent_frame(w, grad)
+    return float(np.linalg.norm(basis.T @ grad))
 
 
 def area_morse_index_numeric(cyclic: CyclicPolygon) -> int:
@@ -312,10 +328,12 @@ def area_morse_index_numeric(cyclic: CyclicPolygon) -> int:
 
     Builds the projected Hessian B^T L B, L = H_area - lambda . H_closure, in
     the frozen-first-angle chart, with least-squares Lagrange multipliers,
-    and counts its negative eigenvalues.  An eigenvalue within the roundoff
-    bound 500 * n * eps * max|L| of zero raises DegenerateCritical (the
-    bifurcation signature).  The bound is relative to L, not to the projected
-    matrix, which is 1 x 1 at n = 4.  Its constant is measured on seeded
+    and counts its negative eigenvalues.  The edge vectors are built once for
+    the gradient and the Hessian, and one SVD of the constraint Jacobian
+    gives both B and the multipliers (:func:`_tangent_frame`).  An
+    eigenvalue within the roundoff bound 500 * n * eps * max|L| of zero
+    raises DegenerateCritical (the bifurcation signature).  The bound is
+    relative to L, not to the projected matrix, which is 1 x 1 at n = 4.  Its constant is measured on seeded
     random polygons, n 4..9: at 360 bifurcation roots bisected to adjacent
     floats, min|eigenvalue| was at most 27 n eps max|L|; on 360 polygons with
     1e-9 <= |B| / sum|tan alpha| <= 1e-7, at least 1.0e4 n eps max|L|.  The
@@ -328,21 +346,18 @@ def area_morse_index_numeric(cyclic: CyclicPolygon) -> int:
     """
     polygon = PolygonChain(_circle_points(np.zeros(2), 1.0, cyclic.phis))
     lengths = polygon.edge_lengths
-    thetas = polygon.edge_angles
-    jac, basis = _tangent_frame(lengths, thetas)
-    grad = chain_area_gradient(lengths, thetas)[1:]
+    w = _edge_vectors(lengths, polygon.edge_angles)
+    diff = _head_differences(w)
+    grad = _area_gradient(w, diff)[1:]
+    basis, multipliers = _tangent_frame(w, grad)
     scale = max(1.0, float(np.sum(lengths)) ** 2)
     residual = float(np.linalg.norm(basis.T @ grad))
     if residual > 1e-8 * scale:
         raise NotCritical(f"cyclic polygon fails the criticality test ({residual!r})")
     if basis.shape[1] == 0:
         return 0  # a triangle is rigid: the area has no direction to move in
-    multipliers, *_ = np.linalg.lstsq(jac.T, grad, rcond=None)
     # The closure Hessian is diagonal: d^2 w_i / d theta_i^2 = -w_i.
-    w = _edge_vectors(lengths, thetas)
-    lagrangian = chain_area_hessian(lengths, thetas)[1:, 1:] + np.diag(
-        (w[1:] @ multipliers)
-    )
+    lagrangian = _area_hessian(w, diff)[1:, 1:] + np.diag(w[1:] @ multipliers)
     eigenvalues = np.linalg.eigvalsh(basis.T @ lagrangian @ basis)
     bound = 500.0 * cyclic.n * np.finfo(float).eps * float(np.max(np.abs(lagrangian)))
     if np.any(np.abs(eigenvalues) <= bound):

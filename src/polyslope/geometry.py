@@ -261,18 +261,22 @@ def polygon_from_lines(
     return PolygonChain(line_vertices(angles, offsets, tol))
 
 
-def tangential_offsets(angles: Sequence[float], inradius: float) -> np.ndarray:
+def tangential_offsets(angles: Sequence[float], inradius) -> np.ndarray:
     """X, the polygon of the lines at ``angles`` tangent to the circle about c
     of signed radius r (r > 0: circle left of every line) being c - X.  Row
     i + 1 (edges i, i + 1) is (r / cos(tau_i / 2)) n(phi_i + tau_i / 2), with
-    tau_i = (phi_{i+1} - phi_i) mod 2pi and n the left normal."""
+    tau_i = (phi_{i+1} - phi_i) mod 2pi and n the left normal.  ``inradius``
+    may be a (K,) stack of radii: the result is then the (K, n, 2) stack of
+    their offsets, each row equal to that of its radius alone."""
     angles = np.asarray(angles, dtype=float)
     half = 0.5 * ((_cycled(angles) - angles) % TWO_PI)
-    return _cycled((inradius / np.cos(half))[:, None] * left_normals(angles + half), -1)
+    scales = np.asarray(inradius, dtype=float)[..., None] / np.cos(half)
+    return _cycled(scales[..., None] * left_normals(angles + half), -1, -2)
 
 
 def tangential_polygon(angles: Sequence[float], center, inradius: float) -> PolygonChain:
-    """Polygon of the lines tangent to a circle (:func:`tangential_offsets`)."""
+    """Polygon of the lines tangent to a circle (:func:`tangential_offsets`),
+    its one-row call."""
     return PolygonChain(center - tangential_offsets(angles, inradius))
 
 

@@ -22,11 +22,18 @@ from .cyclic import (
     duality_index_check,
 )
 from .errors import Bifurcating, InputSchemaError, ParallelLines, SlopeMismatch
-from .geometry import TWO_PI, PolygonChain, SlopeSystem, signed_perimeter, tangential_offsets
+from .geometry import (
+    TWO_PI,
+    PolygonChain,
+    SlopeSystem,
+    require_distinct,
+    signed_perimeter,
+    tangential_offsets,
+)
 from .slope_space import build_chart, chart_stack, topology_report
 from .tangential import (
     ExceptionalSpace,
-    critical_gradient_norm,
+    critical_gradient_norms,
     exceptional_mask,
     morse_index_eigen,
     sign_count_index,
@@ -113,26 +120,39 @@ def _component_dict(shape) -> dict:
     }
 
 
-def _critical_point_dict(point) -> dict:
-    report = morse_index_eigen(point)
-    gradient_norm, gradient_bound = critical_gradient_norm(point)
-    chart = point.chart
-    return {
-        "inradius": float(point.inradius),
-        "perimeter": float(point.perimeter),
-        "area": float(point.area),
-        "incenter": [float(point.incenter[0]), float(point.incenter[1])],
-        "winding": int(chart.winding),
-        "right_turns": int(chart.right_turns),
-        "left_turns": int(chart.left_turns),
-        "gradient_norm": float(gradient_norm),
-        "gradient_bound": float(gradient_bound),
-        "eigenvalues": [float(v) for v in report.eigenvalues],
-        "index_eigen": int(report.index_eigen),
-        "index_formula": int(report.index_formula),
-        "agreement": bool(report.agreement),
-        "vertices": [[float(x), float(y)] for x, y in point.polygon.vertices],
-    }
+def _critical_point_dicts(points) -> list[dict]:
+    """The report entries of the two critical points of one chart.  Their
+    gradients are one complex stack and their polygons one vertex stack,
+    each row from that point's own incenter and inradius, checked at once as
+    PolygonChain checks each: the first polygon to fail raises."""
+    chart = points[0].chart
+    reports = [morse_index_eigen(point) for point in points]
+    gradients = critical_gradient_norms(points)
+    centers = np.array([point.incenter for point in points])
+    radii = [point.inradius for point in points]
+    vertices = centers[:, None] - tangential_offsets(chart.system.angles, radii)
+    require_distinct(vertices)
+    return [
+        {
+            "inradius": float(point.inradius),
+            "perimeter": float(point.perimeter),
+            "area": float(point.area),
+            "incenter": point.incenter.tolist(),
+            "winding": int(chart.winding),
+            "right_turns": int(chart.right_turns),
+            "left_turns": int(chart.left_turns),
+            "gradient_norm": float(gradient_norm),
+            "gradient_bound": float(gradient_bound),
+            "eigenvalues": report.eigenvalues.tolist(),
+            "index_eigen": int(report.index_eigen),
+            "index_formula": int(report.index_formula),
+            "agreement": bool(report.agreement),
+            "vertices": polygon.tolist(),
+        }
+        for point, report, (gradient_norm, gradient_bound), polygon in zip(
+            points, reports, gradients, vertices
+        )
+    ]
 
 
 def slopes_report(angles_deg: list[float], tol: Tolerances = DEFAULT_TOL) -> dict:
@@ -155,8 +175,8 @@ def slopes_report(angles_deg: list[float], tol: Tolerances = DEFAULT_TOL) -> dic
             "left_turns": int(chart.left_turns),
         },
         "chart": {
-            "unit_perimeters": [float(p) for p in chart.unit_perimeters],
-            "area_constants": [float(c) for c in chart.area_constants],
+            "unit_perimeters": chart.unit_perimeters.tolist(),
+            "area_constants": chart.area_constants.tolist(),
             "perimeter_sum": float(chart.perimeter_sum),
             "positive_count": int(np.count_nonzero(chart.positive_mask)),
             "expected_positive_count": int(half_turns - 1),
@@ -173,7 +193,7 @@ def slopes_report(angles_deg: list[float], tol: Tolerances = DEFAULT_TOL) -> dic
     else:
         report["critical"] = {
             "exceptional": False,
-            "points": [_critical_point_dict(p) for p in points],
+            "points": _critical_point_dicts(points),
         }
     return report
 
@@ -222,13 +242,13 @@ def cyclic_report(
         "input": {
             "radius": float(radius),
             "phis_deg": [float(p) for p in phis_deg],
-            "phis_rad": [float(p) for p in cyclic.phis],
+            "phis_rad": cyclic.phis.tolist(),
             "center": [float(center[0]), float(center[1])],
         },
         "tolerances": tol.to_dict(),
         "invariants": {
-            "edge_orientations": [int(e) for e in inv.orientations],
-            "half_angles_rad": [float(a) for a in inv.half_angles],
+            "edge_orientations": inv.orientations.tolist(),
+            "half_angles_rad": inv.half_angles.tolist(),
             "half_angles_deg": [float(math.degrees(a)) for a in inv.half_angles],
             "positive_edges": int(inv.positive_edges),
             "winding": int(inv.winding),
@@ -237,7 +257,7 @@ def cyclic_report(
         "bifurcating": bool(bifurcating),
         "dual": {
             "slope_angles_deg": [math.degrees(a) for a in slopes.angles.tolist()],
-            "vertices": [[float(x), float(y)] for x, y in dual.vertices],
+            "vertices": dual.vertices.tolist(),
             "signed_perimeter": float(dual_perimeter),
             "twice_radius_times_sum": twice_radius_sum,
             "inradius": float(radius),

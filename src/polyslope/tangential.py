@@ -15,11 +15,15 @@ sweeps.  The Morse index is produced two independent ways: exactly, from
 the signs of the p_i (inertia of the Hessian's bordered matrix), and by the
 combinatorial turn/winding formula.  On the unit-area slice r_1 is a closed
 form in the free radii, so the gradient and the Hessian there are checked
-exactly to rounding, by the complex step and by hyper-dual numbers.
+exactly to rounding, by the complex step and by hyper-dual numbers.  The two
+points share their chart and differ only in the sign of r, so each check
+evaluates both in one stack (:func:`critical_gradient_norms`,
+:func:`hessian_errors`), whose one-point calls keep the singular names.
 """
 
 import functools
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -87,11 +91,15 @@ class IndexReport:
     agreement: bool
 
 
-def hessian_formula(unit_perimeters: np.ndarray, inradius: float) -> np.ndarray:
-    """Closed-form perimeter Hessian in the free radii (r_2, ..., r_{n-2})."""
+def hessian_formula(unit_perimeters: np.ndarray, inradius) -> np.ndarray:
+    """Closed-form perimeter Hessian in the free radii (r_2, ..., r_{n-2}).
+
+    ``inradius`` may be a (K,) stack of radii: the result is then the
+    (K, m, m) stack of their Hessians, each equal to that of its radius alone.
+    """
     p0 = float(unit_perimeters[0])
     tail = np.asarray(unit_perimeters[1:], dtype=float)
-    return -(np.outer(tail, tail) / p0 + np.diag(tail)) / inradius
+    return -(np.outer(tail, tail) / p0 + np.diag(tail)) / np.asarray(inradius)[..., None, None]
 
 
 def exceptional_mask(unit_perimeters, perimeter_sum, tol: Tolerances = DEFAULT_TOL) -> np.ndarray:
@@ -252,14 +260,15 @@ class _HyperDual:
         return _HyperDual(root, b * half, c * half, (d - b * c / (2.0 * a)) * half)
 
 
-def constrained_perimeter(chart: RadiiChart, free_radii, target_area: float, branch: float):
+def constrained_perimeter(chart: RadiiChart, free_radii, target_area: float, branch):
     """Perimeter p_1 r_1 + sum_{j>=2} p_j x_j at the free radii x = (r_2, ..., r_{n-2}).
 
     r_1 = sign(branch) sqrt((2 A - sum_{j>=2} p_j x_j**2) / p_1) solves the
     area law 0.5 sum p_i r_i**2 = A in closed form; the square root is the
     one non-polynomial step.  ``free_radii`` is one point or a (K, m) stack,
-    real, complex or hyper-dual, with one result per point.  A negative
-    radicand leaves no real r_1 and raises NotCritical.
+    real, complex or hyper-dual, with one result per point; ``branch`` is
+    one number, or an array of one per point.  A negative radicand leaves
+    no real r_1 and raises NotCritical.
     """
     p = chart.unit_perimeters
     x = free_radii if isinstance(free_radii, _HyperDual) else np.asarray(free_radii)
@@ -271,14 +280,26 @@ def constrained_perimeter(chart: RadiiChart, free_radii, target_area: float, bra
         worst = float(np.min(value))
         raise NotCritical(f"no real r_1 gives area {target_area!r}: radicand {worst!r}")
     root = radicand.sqrt() if hyperdual else np.sqrt(radicand)
-    return root * (p[0] * math.copysign(1.0, branch)) + (x * p[1:]).sum(axis=-1)
+    if isinstance(branch, np.ndarray):
+        sign = np.copysign(1.0, branch)
+    else:
+        sign = math.copysign(1.0, branch)
+    return root * (p[0] * sign) + (x * p[1:]).sum(axis=-1)
 
 
-def _roundoff_scale(point: TangentialCritical) -> float:
-    """eps sum|p|, sum|p| the larger in the point's chart and the
+def _shared_chart(points: Sequence[TangentialCritical]) -> RadiiChart:
+    """The chart of every point in ``points``, which a stack evaluates at once."""
+    chart = points[0].chart
+    if any(point.chart is not chart for point in points):
+        raise ValueError("stacked critical points must share one chart")
+    return chart
+
+
+def _roundoff_scale(chart: RadiiChart) -> float:
+    """eps sum|p|, sum|p| the larger in the points' chart and the
     well-conditioned one: the inradius carries the roundoff of the first,
     the derivatives that of the second."""
-    charts = (point.chart, point.chart.well_conditioned)
+    charts = (chart, chart.well_conditioned)
     return float(np.finfo(float).eps) * max(
         float(np.sum(np.abs(c.unit_perimeters))) for c in charts
     )
@@ -287,49 +308,90 @@ def _roundoff_scale(point: TangentialCritical) -> float:
 COMPLEX_STEP = 1e-200
 
 
-def critical_gradient_norm(point: TangentialCritical) -> tuple[float, float]:
-    """Complex-step gradient norm of the perimeter at a critical point, and its bound.
+def critical_gradient_norms(points: Sequence[TangentialCritical]) -> list[tuple[float, float]]:
+    """Complex-step gradient norm of the perimeter at critical points of one
+    chart, and its bound, one pair per point.
 
-    In the well-conditioned chart, row j of one complex stack gives
-    Im P(x + i h e_j) / h, h = ``COMPLEX_STEP``: the j-th partial derivative,
-    exact to rounding, with no difference to cancel (Squire and Trapp, SIAM
-    Review 40, 1998).  The norm at a tangential point is roundoff; in units
-    of :func:`_roundoff_scale` it reached 14 on sweep seeds 0..399, 7.1 on the
-    fuzz set and 2.6 next to the exceptional locus.  The bound is 256 units.
+    In the well-conditioned chart, row j of point k's block of one complex
+    stack gives Im P(x_k + i h e_j) / h, h = ``COMPLEX_STEP``: the j-th
+    partial derivative at x_k = (r_k, ..., r_k), exact to rounding, with no
+    difference to cancel (Squire and Trapp, SIAM Review 40, 1998).  Each
+    point reads only its own inradius, so both points of
+    :func:`tangential_critical_points` are one stack.  The norm at a
+    tangential point is roundoff; in units of :func:`_roundoff_scale` it
+    reached 14 on sweep seeds 0..399, 7.1 on the fuzz set and 2.6 next to
+    the exceptional locus.  The bound is 256 units.
     """
-    chart = point.chart.well_conditioned
-    rows = point.inradius + 1j * COMPLEX_STEP * np.eye(point.n - 3)
+    chart = _shared_chart(points)
+    conditioned = chart.well_conditioned
+    m = chart.n - 3
+    radii = np.array([point.inradius for point in points])
+    rows = (radii[:, None, None] + 1j * COMPLEX_STEP * np.eye(m)).reshape(len(radii) * m, m)
+    target = math.copysign(1.0, conditioned.perimeter_sum)
+    values = constrained_perimeter(conditioned, rows, target, np.repeat(radii, m))
+    grads = values.imag.reshape(len(points), m) / COMPLEX_STEP
+    bound = 256.0 * _roundoff_scale(chart)
+    return [(float(np.linalg.norm(grad)), bound) for grad in grads]
+
+
+def critical_gradient_norm(point: TangentialCritical) -> tuple[float, float]:
+    """:func:`critical_gradient_norms` of one point."""
+    return critical_gradient_norms((point,))[0]
+
+
+def hessian_fd_comparisons(points: Sequence[TangentialCritical]) -> tuple[np.ndarray, np.ndarray]:
+    """Closed-form and hyper-dual Hessians in the well-conditioned chart, as
+    two (K, m, m) stacks, one matrix per critical point of one chart.
+
+    The second stack is hyper-dual, not a finite difference as the name
+    says: row (j, k), j <= k, of each point's block of one hyper-dual stack
+    evaluates the perimeter at x + e1 e_j + e2 e_k, whose e1e2 part is H_jk.
+    It never reads :func:`hessian_formula`, so it stays an independent oracle.
+    """
+    chart = _shared_chart(points).well_conditioned
+    m = chart.n - 3
+    j, k = np.triu_indices(m)
+    units = np.eye(m)
+    radii = np.array([point.inradius for point in points])
+    count = len(points)
+    branches = np.repeat(radii, len(j))
+    rows = _HyperDual(
+        np.repeat(branches, m).reshape(len(branches), m),
+        np.tile(units[j], (count, 1)),
+        np.tile(units[k], (count, 1)),
+        np.zeros((count * len(j), m)),
+    )
     target = math.copysign(1.0, chart.perimeter_sum)
-    grad = constrained_perimeter(chart, rows, target, point.inradius).imag / COMPLEX_STEP
-    return float(np.linalg.norm(grad)), 256.0 * _roundoff_scale(point)
+    values = constrained_perimeter(chart, rows, target, branches).parts[3]
+    exact = np.empty((count, m, m))
+    exact[:, j, k] = exact[:, k, j] = values.reshape(count, len(j))
+    return hessian_formula(chart.unit_perimeters, radii), exact
 
 
 def hessian_fd_comparison(point: TangentialCritical) -> tuple[np.ndarray, np.ndarray]:
-    """Closed-form and hyper-dual Hessians in the well-conditioned chart.
-
-    The second matrix is hyper-dual, not a finite difference as the name
-    says: row (j, k), j <= k, of one hyper-dual stack evaluates the
-    perimeter at x + e1 e_j + e2 e_k, whose e1e2 part is H_jk.  It never
-    reads :func:`hessian_formula`, so it stays an independent oracle.
-    """
-    chart = point.chart.well_conditioned
-    m = point.n - 3
-    j, k = np.triu_indices(m)
-    units = np.eye(m)
-    rows = _HyperDual(np.full((len(j), m), point.inradius), units[j], units[k], 0.0 * units[j])
-    target = math.copysign(1.0, chart.perimeter_sum)
-    exact = np.empty((m, m))
-    exact[j, k] = exact[k, j] = constrained_perimeter(chart, rows, target, point.inradius).parts[3]
-    return hessian_formula(chart.unit_perimeters, point.inradius), exact
+    """:func:`hessian_fd_comparisons` of one point: its two (m, m) Hessians."""
+    closed, exact = hessian_fd_comparisons((point,))
+    return closed[0], exact[0]
 
 
-def hessian_error(point: TangentialCritical) -> tuple[float, float]:
-    """Largest entry of |hyper-dual - closed-form Hessian|, and its bound; n >= 4.
+def hessian_errors(points: Sequence[TangentialCritical]) -> list[tuple[float, float]]:
+    """Largest entry of |hyper-dual - closed-form Hessian|, and its bound, one
+    pair per critical point of one chart; n >= 4.
 
     The radicand of r_1 cancels terms sum|p| / |sum p| times its size.  In
     units of max|H| / |sum p| times :func:`_roundoff_scale` the error reached
     28 on sweep seeds 0..399, 19 on the fuzz set and 4.2 next to the
     exceptional locus.  The bound is 512 units."""
-    closed, exact = hessian_fd_comparison(point)
-    scale = float(np.max(np.abs(closed))) / abs(point.chart.perimeter_sum)
-    return float(np.max(np.abs(exact - closed))), 512.0 * scale * _roundoff_scale(point)
+    chart = _shared_chart(points)
+    closed, exact = hessian_fd_comparisons(points)
+    roundoff = _roundoff_scale(chart)
+    errors = []
+    for c, e in zip(closed, exact):
+        scale = float(np.max(np.abs(c))) / abs(chart.perimeter_sum)
+        errors.append((float(np.max(np.abs(e - c))), 512.0 * scale * roundoff))
+    return errors
+
+
+def hessian_error(point: TangentialCritical) -> tuple[float, float]:
+    """:func:`hessian_errors` of one point."""
+    return hessian_errors((point,))[0]

@@ -22,9 +22,9 @@ from polyslope.geometry import oriented_area, signed_perimeter
 from polyslope.randomgen import trial_rng
 from polyslope.slope_space import build_chart, polygon_from_radii
 from polyslope.tangential import (
-    critical_gradient_norm,
+    critical_gradient_norms,
     hessian_det_identity,
-    hessian_error,
+    hessian_errors,
     morse_index_eigen,
     tangential_critical_points,
 )
@@ -95,12 +95,16 @@ def perturbed_points(field):
 
 
 def nan_error(kernel):
-    """``kernel``'s (error, bound) with a NaN error."""
+    """``kernel``'s (error, bound) rows, one per point, with NaN errors."""
 
-    def nan(point):
-        return math.nan, kernel(point)[1]
+    def nan(points):
+        return [(math.nan, bound) for _, bound in kernel(points)]
 
     return nan
+
+
+def perturbed_perimeter(polygon, system, tol):
+    return signed_perimeter(polygon, system, tol) * (1.0 + 1e-6)
 
 
 def shifted(kernel, *fields):
@@ -119,8 +123,8 @@ def withheld(cyclic, invariants, slopes, tol):
 
 
 def offset_tangent_sum(cyclic, tol):
-    # B off by a millionth of sum|tan a|, the scale of the dual perimeter's
-    # bound; B itself may be far smaller than that scale.
+    # B off by a millionth of sum|tan a|, far above the dual perimeter's
+    # bound of 1024 eps sum|tan a|, however small B itself is.
     invariants = cyclic_invariants(cyclic, tol)
     scale = float(np.sum(np.abs(np.tan(invariants.half_angles))))
     return dataclasses.replace(
@@ -156,6 +160,7 @@ def odd_right_turns(system, tol):
         (4, "morse_index_eigen", shifted(morse_index_eigen, "index_eigen"), "convex index off"),
         (6, "build_chart", odd_right_turns, "turn parity off"),
         (7, "cyclic_invariants", offset_tangent_sum, "dual perimeter off 2RB"),
+        (7, "signed_perimeter", perturbed_perimeter, "dual perimeter off 2RB"),
         (
             8,
             "duality_index_check",
@@ -164,8 +169,8 @@ def odd_right_turns(system, tol):
         ),
         (8, "duality_index_check", withheld, "dual index withheld"),
         # A NaN error fails: the runner's rule is error <= bound.
-        (0, "critical_gradient_norm", nan_error(critical_gradient_norm), "gradient norm"),
-        (1, "hessian_error", nan_error(hessian_error), "hessian error"),
+        (0, "critical_gradient_norms", nan_error(critical_gradient_norms), "gradient norm"),
+        (1, "hessian_errors", nan_error(hessian_errors), "hessian error"),
     ],
 )
 def test_perturbed_closed_form_fails(monkeypatch, capsys, check_index, name, value, label):

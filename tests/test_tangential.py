@@ -24,6 +24,7 @@ from polyslope.tangential import (
     COMPLEX_STEP,
     _HyperDual,
     constrained_perimeter,
+    critical_gradient_norms,
     hessian_error,
     well_conditioned_chart,
 )
@@ -126,6 +127,13 @@ class TestGradient:
             for point in points:
                 norm, bound = critical_gradient_norm(point)
                 assert norm < bound
+
+    def test_stack_takes_points_of_one_chart(self):
+        rng = np.random.default_rng(27)
+        first, second = (tangential_critical_points(random_slope_system(rng, 6)) for _ in "ab")
+        assert len(critical_gradient_norms(first)) == 2
+        with pytest.raises(ValueError, match="share one chart"):
+            critical_gradient_norms((first[0], second[1]))
 
     def test_large_away_from_critical_points(self):
         rng = np.random.default_rng(23)

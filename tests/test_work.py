@@ -2,8 +2,10 @@
 
 Each critical point builds its polygon and Hessian on first read, and each
 chart its area constants and well-conditioned relabeling.  A slopes report
-takes its angle sum from its chart, and a cyclic report computes its
-invariants and its dual slopes once.  Counters wrap functions such as
+takes its angle sum from its chart and builds both critical points' polygons
+as one vertex stack from one ``tangential_offsets`` call, and their gradients
+as one complex stack; a cyclic report computes its invariants and its dual
+slopes once.  Counters wrap functions such as
 ``geometry.tangential_polygon`` and ``slope_space.build_chart`` in every
 ``polyslope`` module that holds them.  The routes these shortcuts replace
 stay here as oracles: the family rows against the critical points' own
@@ -33,7 +35,7 @@ from polyslope.randomgen import random_slope_system, trial_rng
 from polyslope.report import BISECTION_DEPTH, cyclic_report, family_report, slopes_report
 from polyslope.slope_space import RadiiChart, chart_stack, polygon_from_radii
 from polyslope.sweeps import CHECKS
-from polyslope.tangential import hessian_formula, well_conditioned_chart
+from polyslope.tangential import constrained_perimeter, hessian_formula, well_conditioned_chart
 from polyslope.tolerances import DEFAULT_TOL
 
 from families import (
@@ -80,11 +82,19 @@ def calls(monkeypatch):
 SLOPES_7 = [10.0, 62.0, 131.0, 175.0, 228.0, 281.0, 333.0]
 
 
-def test_slopes_report_builds_one_chart_and_two_polygons(calls):
+def test_slopes_report_builds_one_chart_and_one_vertex_stack(monkeypatch, calls):
+    # Both points' polygons come from one call with the stack of their radii,
+    # and both gradients from one evaluation of the constrained perimeter.
+    offsets = []
+    stacks = counted(monkeypatch, (tangential_offsets,), offsets)
+    gradients = counted(monkeypatch, (constrained_perimeter,))
     report = slopes_report(SLOPES_7)
     assert not report["critical"]["exceptional"]
     assert calls["build_chart"] <= 2
-    assert calls["tangential_polygon"] == 2
+    assert calls["tangential_polygon"] == 0
+    assert stacks == {"tangential_offsets": 1}
+    assert gradients == {"constrained_perimeter": 1}
+    assert offsets[0].shape == (2, 7, 2)
 
 
 def test_family_report_builds_no_polygon(calls):
