@@ -100,7 +100,9 @@ class RadiiChart:
         vanishing are invariant under cyclic relabeling.  Computed on first
         read, from the closed forms on all n relabelings at once.
         """
-        rotations = self.system.angles[_rotation_index(self.n)]
+        n = self.n
+        # Row k holds the angles of the system relabeled to start at slope k.
+        rotations = self.system.angles[(np.arange(n)[:, None] + np.arange(n)) % n]
         perimeters = _unit_perimeters(rotations)
         k = int(np.argmin(np.max(np.abs(perimeters), axis=1) / np.abs(perimeters[:, 0])))
         return _radii_chart(
@@ -110,14 +112,6 @@ class RadiiChart:
             self.half_turns,
             self.right_turns,
         )
-
-
-@functools.lru_cache(maxsize=None)
-def _rotation_index(n: int) -> np.ndarray:
-    """Row k indexes the n slopes relabeled to start at slope k."""
-    index = (np.arange(n)[:, None] + np.arange(n)) % n
-    index.setflags(write=False)
-    return index
 
 
 @dataclass(frozen=True)

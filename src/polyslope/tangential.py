@@ -280,10 +280,7 @@ def constrained_perimeter(chart: RadiiChart, free_radii, target_area: float, bra
         worst = float(np.min(value))
         raise NotCritical(f"no real r_1 gives area {target_area!r}: radicand {worst!r}")
     root = radicand.sqrt() if hyperdual else np.sqrt(radicand)
-    if isinstance(branch, np.ndarray):
-        sign = np.copysign(1.0, branch)
-    else:
-        sign = math.copysign(1.0, branch)
+    sign = np.copysign(1.0, branch)
     return root * (p[0] * sign) + (x * p[1:]).sum(axis=-1)
 
 
