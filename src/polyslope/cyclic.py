@@ -342,11 +342,14 @@ def area_morse_index_numeric(cyclic: CyclicPolygon) -> int:
     The index depends on the vertex angles alone, so the polygon is rebuilt
     on the unit circle about the origin: the edge lengths stay of order one
     whatever the radius, and their squares cannot overflow.  Its vertex
-    angles are those of ``cyclic``, which its constructor has checked.
+    angles are those of ``cyclic``, whose constructor has kept them apart,
+    so its edges are read off the vertices as :class:`PolygonChain` reads
+    them, without that class's check.
     """
-    polygon = PolygonChain(_circle_points(np.zeros(2), 1.0, cyclic.phis))
-    lengths = polygon.edge_lengths
-    w = _edge_vectors(lengths, polygon.edge_angles)
+    vertices = _circle_points(np.zeros(2), 1.0, cyclic.phis)
+    edges = _cycled(vertices) - vertices
+    lengths = np.hypot(edges[:, 0], edges[:, 1])
+    w = _edge_vectors(lengths, np.arctan2(edges[:, 1], edges[:, 0]) % TWO_PI)
     diff = _head_differences(w)
     grad = _area_gradient(w, diff)[1:]
     basis, multipliers = _tangent_frame(w, grad)

@@ -280,9 +280,10 @@ def tangential_polygon(angles: Sequence[float], center, inradius: float) -> Poly
     return PolygonChain(center - tangential_offsets(angles, inradius))
 
 
-def edge_offsets(polygon: PolygonChain, angles: Sequence[float]) -> np.ndarray:
-    """Line offsets of the polygon edges measured against the given angles."""
-    return np.einsum("ij,ij->i", left_normals(angles), polygon.vertices)
+def edge_offsets(vertices: np.ndarray, angles: Sequence[float]) -> np.ndarray:
+    """Line offsets of the edges of an (n, 2) vertex list, edge i leaving
+    vertex i, measured against the given angles."""
+    return np.einsum("ij,ij->i", left_normals(angles), vertices)
 
 
 def oriented_areas(vertices: np.ndarray) -> np.ndarray:

@@ -24,10 +24,9 @@ from .cyclic import (
 from .errors import Bifurcating, InputSchemaError, ParallelLines, SlopeMismatch
 from .geometry import (
     TWO_PI,
-    PolygonChain,
     SlopeSystem,
     require_distinct,
-    signed_perimeter,
+    signed_perimeters,
     tangential_offsets,
 )
 from .slope_space import build_chart, chart_stack, topology_report
@@ -92,11 +91,8 @@ def validate_cyclic_input(data: dict) -> tuple[float, list[float], tuple[float, 
 
 
 def validate_family_input(data: dict) -> tuple[list[float], list[float]]:
-    start = _angle_list(data, "start_angles_deg")
-    end = _angle_list(data, "end_angles_deg")
-    if len(start) != len(end):
-        raise InputSchemaError("'start_angles_deg' and 'end_angles_deg' differ in length")
-    return start, end
+    """The two angle lists; :func:`family_report` checks that they match."""
+    return _angle_list(data, "start_angles_deg"), _angle_list(data, "end_angles_deg")
 
 
 def detect_kind(data: dict) -> str:
@@ -217,12 +213,16 @@ def cyclic_report(
         )
     with np.errstate(over="raise"):
         try:
-            # One tangential construction gives the dual_polygon and, for the
-            # perimeter, the polygon about the center, keeping short edges' digits.
+            # One tangential construction gives the dual polygon about the
+            # center, which is reported, and about the origin, whose perimeter
+            # keeps short edges' digits.  Rounding about the center can merge
+            # vertices or pull them apart, so both are checked as PolygonChain
+            # checks them, in one stack: the first to fail raises.
             slopes = dual_slopes(cyclic)
             offsets = tangential_offsets(slopes.angles, cyclic.radius)
-            dual = PolygonChain(cyclic.center - offsets)
-            dual_perimeter = signed_perimeter(PolygonChain(0.0 - offsets), slopes, tol)
+            duals = np.stack((cyclic.center - offsets, 0.0 - offsets))
+            require_distinct(duals)
+            dual_perimeter = signed_perimeters(duals[1], slopes.angles, tol)
             twice_radius_sum = float(2.0 * np.float64(radius) * inv.bifurcation_sum)
         except FloatingPointError as exc:
             raise InputSchemaError(f"the dual polygon overflows the float range ({exc})") from exc
@@ -257,7 +257,7 @@ def cyclic_report(
         "bifurcating": bool(bifurcating),
         "dual": {
             "slope_angles_deg": [math.degrees(a) for a in slopes.angles.tolist()],
-            "vertices": dual.vertices.tolist(),
+            "vertices": duals[0].tolist(),
             "signed_perimeter": float(dual_perimeter),
             "twice_radius_times_sum": twice_radius_sum,
             "inradius": float(radius),
@@ -282,11 +282,14 @@ def cyclic_report(
     return report
 
 
-# Bisection midpoints are charted a tree at a time: the 2**depth - 1 midpoints
-# that the next depth halvings can visit, in one chart_stack call.  On the
-# benchmark's n = 5 crossing (2-core VM) one round took 44, 54, 59, 89 and
-# 134 us at depths 3 to 7, so a bracket of 37 halvings took 573, 539, 475,
-# 621 and 804 us: fixed costs dominate below depth 5, rows above it.
+# A bisection round charts, in one chart_stack call, the 2**depth - 1
+# midpoints that the next depth halvings can visit and those of the halvings
+# along the secant root.  The tree holds a bracket to ceil(halvings / depth)
+# rounds whatever the secant root does; the path brings a root bracket of 37
+# halvings from 8 rounds to 3 or 4.  On the benchmark's n = 6 crossing
+# (2-core VM) a round took about 110 us with the tree alone (31 rows) and
+# 145 us with the path (up to 63 rows); the bracket took 0.9-1.0 ms in 8
+# rounds and 0.5-0.6 ms in 3.
 BISECTION_DEPTH = 5
 BRACKET_WIDTH = 1e-12
 
@@ -351,9 +354,9 @@ def _family_rows(start, end, steps, tol) -> list[dict]:
 
 
 def _midpoint_tree(lo: float, hi: float) -> list[float]:
-    """Midpoints of the bisection tree below (lo, hi), heap-ordered: node j
-    halves its interval at 0.5 * (lo + hi) and hands (lo, mid) to node
-    2j + 1 and (mid, hi) to node 2j + 2, the arithmetic of one halving."""
+    """Midpoints of the bisection tree below (lo, hi), BISECTION_DEPTH levels
+    deep: each halves its interval at 0.5 * (lo + hi), the arithmetic of one
+    halving."""
     intervals = [(lo, hi)]
     mids = []
     for _ in range(BISECTION_DEPTH):
@@ -366,35 +369,56 @@ def _midpoint_tree(lo: float, hi: float) -> list[float]:
     return mids
 
 
-def _bracket(start, end, lo: float, hi: float, flo: float, tol) -> dict | None:
+def _secant_path(lo: float, hi: float, flo: float, fhi: float) -> list[float]:
+    """Midpoints of the halvings of (lo, hi), down to BRACKET_WIDTH, that keep
+    the secant root of the bracket ends inside, with the arithmetic of one
+    halving; none when that root does not lie strictly inside (lo, hi)."""
+    slope = fhi - flo
+    root = lo - flo * (hi - lo) / slope if slope else lo
+    mids = []
+    if lo < root < hi:
+        while hi - lo > BRACKET_WIDTH:
+            mid = 0.5 * (lo + hi)
+            mids.append(mid)
+            if root < mid:
+                hi = mid
+            else:
+                lo = mid
+    return mids
+
+
+def _bracket(start, end, lo: float, hi: float, flo: float, fhi: float, tol) -> dict | None:
     """Bisect a sign change of sum p between lo and hi to BRACKET_WIDTH.
 
     Each halving keeps the half (lo, mid) when flo * f(mid) <= 0 and
-    (mid, hi) otherwise.  A round charts the midpoints of the next
-    BISECTION_DEPTH halvings in one call and walks them: the tree holds
-    every midpoint the walk can reach, so it visits those of the one-at-a-
-    time loop.  Reaching parallel lines means a pole, not a root: None.
+    (mid, hi) otherwise.  A round charts, in one call, the midpoints of the
+    next BISECTION_DEPTH halvings and those of the halvings that follow the
+    secant root of f(lo) and f(hi), and walks on while its next midpoint was
+    charted, found by value: the walk visits the midpoints of the one-at-a-
+    time loop, at least BISECTION_DEPTH of them a round.  Reaching parallel
+    lines means a pole, not a root: None.
     """
     while hi - lo > BRACKET_WIDTH:
-        mids = _midpoint_tree(lo, hi)
+        mids = _midpoint_tree(lo, hi) + _secant_path(lo, hi, flo, fhi)[BISECTION_DEPTH:]
         degrees, reduced = _family_angles(start, end, mids)
         _, sums, ok = chart_stack(reduced, tol)
-        node = 0
-        for _ in range(BISECTION_DEPTH):
-            if not hi - lo > BRACKET_WIDTH:
-                break
+        charted = {mid: row for row, mid in enumerate(mids)}
+        mid = 0.5 * (lo + hi)
+        while hi - lo > BRACKET_WIDTH and mid in charted:
             # Only the sign of sum p matters here; critical points next to
             # its root are nearly degenerate and their indices are not reported.
-            mid, fmid = mids[node], float(sums[node])
-            if not ok[node]:
+            row = charted[mid]
+            fmid = float(sums[row])
+            if not ok[row]:
                 try:
-                    fmid = _scalar_chart(degrees[node], tol).perimeter_sum
+                    fmid = _scalar_chart(degrees[row], tol).perimeter_sum
                 except ParallelLines:
                     return None
             if flo * fmid <= 0.0:
-                hi, node = mid, 2 * node + 1
+                hi, fhi = mid, fmid
             else:
-                lo, flo, node = mid, fmid, 2 * node + 2
+                lo, flo = mid, fmid
+            mid = 0.5 * (lo + hi)
     degrees, _ = _family_angles(start, end, [0.5 * (lo + hi)])
     return {
         "t_low": float(lo),
@@ -416,6 +440,8 @@ def family_report(
     sum by bisection to a bracket of width 1e-12 in the family parameter.
     A bisection that reaches parallel lines has found a pole, not a root.
     """
+    if len(start) != len(end):
+        raise InputSchemaError("'start_angles_deg' and 'end_angles_deg' differ in length")
     if steps < 2:
         raise InputSchemaError("family needs at least 2 steps")
     rows = _family_rows(start, end, steps, tol)
@@ -426,7 +452,7 @@ def family_report(
         pa, pb = a["perimeter_sum"], b["perimeter_sum"]
         if pa == 0.0 or pa * pb >= 0.0:
             continue
-        bracket = _bracket(start, end, a["t"], b["t"], pa, tol)
+        bracket = _bracket(start, end, a["t"], b["t"], pa, pb, tol)
         if bracket is not None:
             brackets.append(bracket)
     return {

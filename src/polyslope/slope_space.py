@@ -22,13 +22,14 @@ import numpy as np
 
 from .errors import ReconstructionDegenerate, SignatureMismatch, SlopeMismatch
 from .geometry import (
+    TWO_PI,
     PolygonChain,
     SlopeSystem,
+    _cycled,
     edge_offsets,
     left_normal,
     line_gap,
     line_vertices,
-    oriented_area,
     oriented_areas,
     polygon_from_lines,
     require_distinct,
@@ -372,6 +373,18 @@ def polygon_from_radii(
     return PolygonChain(vertices[0]) if radii.ndim == 1 else vertices
 
 
+def _line_offsets(chart: RadiiChart, vertices: np.ndarray, tol: Tolerances) -> np.ndarray:
+    """:func:`polygon_line_offsets` of an (n, 2) vertex list, its edges read
+    as :class:`PolygonChain` reads them."""
+    angles = chart.system.angles
+    edges = _cycled(vertices) - vertices
+    mismatched = line_gap(np.arctan2(edges[:, 1], edges[:, 0]) % TWO_PI, angles) > tol.parallel
+    if mismatched.any():
+        i = int(np.argmax(mismatched))
+        raise SlopeMismatch(f"edge {i} does not match slope {i}")
+    return edge_offsets(vertices, angles)
+
+
 def polygon_line_offsets(
     chart: RadiiChart,
     polygon: PolygonChain,
@@ -383,17 +396,19 @@ def polygon_line_offsets(
     """
     if polygon.n != chart.n:
         raise SlopeMismatch(f"polygon has {polygon.n} edges, chart expects {chart.n}")
-    angles = chart.system.angles
-    mismatched = line_gap(polygon.edge_angles, angles) > tol.parallel
-    if mismatched.any():
-        i = int(np.argmax(mismatched))
-        raise SlopeMismatch(f"edge {i} does not match slope {i}")
-    return edge_offsets(polygon, angles)
+    return _line_offsets(chart, polygon.vertices, tol)
 
 
 def decomposition_lines(n: int) -> np.ndarray:
     """Row i indexes the lines (0, i + 1, i + 2) of decomposition triangle i."""
     return np.arange(1, n - 1)[:, None] * [0, 1, 1] + [0, 0, 1]
+
+
+def _decomposition_radii(chart: RadiiChart, offsets: np.ndarray) -> np.ndarray:
+    """:func:`radii_of_polygon` from the polygon's line offsets."""
+    lines = decomposition_lines(chart.n)
+    _, radii = tritangent_circle(chart.system.angles[lines], offsets[lines])
+    return radii
 
 
 def radii_of_polygon(
@@ -402,10 +417,17 @@ def radii_of_polygon(
     tol: Tolerances = DEFAULT_TOL,
 ) -> np.ndarray:
     """Signed inradii of the polygon's decomposition triangles."""
-    offsets = polygon_line_offsets(chart, polygon, tol)
+    return _decomposition_radii(chart, polygon_line_offsets(chart, polygon, tol))
+
+
+def _decomposition_triangles(
+    chart: RadiiChart, offsets: np.ndarray, tol: Tolerances
+) -> np.ndarray:
+    """:func:`decomposition_polygons` from the polygon's line offsets."""
     lines = decomposition_lines(chart.n)
-    _, radii = tritangent_circle(chart.system.angles[lines], offsets[lines])
-    return radii
+    vertices = line_vertices(chart.system.angles[lines], offsets[lines], tol)
+    require_distinct(vertices)
+    return vertices
 
 
 def decomposition_polygons(
@@ -416,11 +438,23 @@ def decomposition_polygons(
     """Triangles Q(e_1, e_{i+1}, e_{i+2}) built from the polygon's edge lines,
     as one (n - 2, 3, 2) stack of vertex lists, each checked as a
     :class:`PolygonChain` is."""
-    offsets = polygon_line_offsets(chart, polygon, tol)
-    lines = decomposition_lines(chart.n)
-    vertices = line_vertices(chart.system.angles[lines], offsets[lines], tol)
-    require_distinct(vertices)
-    return vertices
+    return _decomposition_triangles(chart, polygon_line_offsets(chart, polygon, tol), tol)
+
+
+def _chart_coordinates(
+    chart: RadiiChart, vertices: np.ndarray, offsets: np.ndarray
+) -> ChartCoordinates:
+    """:func:`normalized_coordinates` of an (n, 2) vertex list and its line offsets."""
+    heights = vertices[2:] @ left_normal(chart.system.angles[0]) - offsets[0]
+    x = np.sqrt(chart.area_constants) * heights
+    normalized = None
+    mask = chart.positive_mask
+    if np.any(mask):
+        positive_norm_sq = float(np.sum(x[mask] ** 2))
+        area = float(oriented_areas(vertices))
+        if positive_norm_sq > 0.0 and abs(area - 1.0) <= 1e-9 * max(1.0, abs(area)):
+            normalized = x / math.sqrt(positive_norm_sq)
+    return ChartCoordinates(x=x, normalized=normalized)
 
 
 def normalized_coordinates(
@@ -436,16 +470,7 @@ def normalized_coordinates(
     the sphere-times-disc normalization of x is returned as well.
     """
     offsets = polygon_line_offsets(chart, polygon, tol)
-    heights = polygon.vertices[2:] @ left_normal(chart.system.angles[0]) - offsets[0]
-    x = np.sqrt(chart.area_constants) * heights
-    normalized = None
-    mask = chart.positive_mask
-    if np.any(mask):
-        positive_norm_sq = float(np.sum(x[mask] ** 2))
-        area = oriented_area(polygon)
-        if positive_norm_sq > 0.0 and abs(area - 1.0) <= 1e-9 * max(1.0, abs(area)):
-            normalized = x / math.sqrt(positive_norm_sq)
-    return ChartCoordinates(x=x, normalized=normalized)
+    return _chart_coordinates(chart, polygon.vertices, offsets)
 
 
 def topology_report(chart: RadiiChart) -> TopologyReport:

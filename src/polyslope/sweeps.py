@@ -24,7 +24,6 @@ from .cyclic import (
 from .errors import PolyslopeError
 from .geometry import (
     TWO_PI,
-    PolygonChain,
     SlopeSystem,
     diameters,
     oriented_areas,
@@ -43,12 +42,13 @@ from .randomgen import (
     trial_rng,
 )
 from .slope_space import (
+    _chart_coordinates,
+    _decomposition_radii,
+    _decomposition_triangles,
+    _line_offsets,
     build_chart,
     decomposition_lines,
-    decomposition_polygons,
-    normalized_coordinates,
     polygon_from_radii,
-    radii_of_polygon,
 )
 from .tangential import (
     ExceptionalSpace,
@@ -162,12 +162,13 @@ def check_chart_identities(rng, n, tol):
     perim_sum = float(np.sum(p * radii))
     area_scale = max(1.0, 0.5 * float(np.sum(np.abs(p) * radii**2)))
     perim_scale = max(1.0, float(np.sum(np.abs(p * radii))))
-    polygon = PolygonChain(rebuilt[0])
-    triangles = decomposition_polygons(chart, polygon, tol)
+    # Row 0 is checked; its line offsets give the triangles, radii and coordinates.
+    offsets = _line_offsets(chart, rebuilt[0], tol)
+    triangles = _decomposition_triangles(chart, offsets, tol)
     tri_area = sum(oriented_areas(triangles).tolist())
     tri_perim = sum(signed_perimeters(triangles, angles[decomposition_lines(n)], tol).tolist())
-    recovered = radii_of_polygon(chart, polygon, tol)
-    coords = normalized_coordinates(chart, polygon, tol)
+    recovered = _decomposition_radii(chart, offsets)
+    coords = _chart_coordinates(chart, rebuilt[0], offsets)
     mask = chart.positive_mask
     quadratic = float(np.sum(coords.x[mask] ** 2) - np.sum(coords.x[~mask] ** 2))
     radii_scale = max(1.0, float(np.max(np.abs(radii))))

@@ -6,8 +6,9 @@ parameter interval, so bisection to the root is safe.  Seeded cyclic
 polygons next to, or on, the bifurcation locus come from
 :func:`near_bifurcation_phis`, and seeded slope systems next to the
 exceptional locus from :func:`near_exceptional_system`.
-:func:`sequential_family_report` is the reference route of the family report,
-and ``BENCH_F3`` and ``BENCH_CROSSING`` are the benchmark's crossing families.
+:func:`sequential_family_report` is the reference route of the family report
+and :func:`sequential_bracket` that of one bisection; ``BENCH_F3`` and
+``BENCH_CROSSING`` are the benchmark's crossing families.
 """
 
 import math
@@ -78,12 +79,12 @@ def bisect_family_root(lo=0.0, hi=1.0, width=1e-13) -> float:
     return 0.5 * (lo + hi)
 
 
-def _interpolated(start, end, t):
+def interpolated(start, end, t):
     return [(1.0 - t) * a + t * b for a, b in zip(start, end)]
 
 
 def _sequential_step(start, end, t, tol):
-    angles = _interpolated(start, end, t)
+    angles = interpolated(start, end, t)
     step = {"t": float(t), "angles_deg": [float(a) for a in angles]}
     try:
         chart = build_chart(SlopeSystem.from_degrees(angles), tol)
@@ -104,10 +105,36 @@ def _sequential_step(start, end, t, tol):
     return step
 
 
+def sequential_bracket(start, end, lo, hi, flo, tol=DEFAULT_TOL):
+    """Bisection of a sign change of sum p between rows lo and hi with one
+    build_chart per midpoint: the bracket, or None where a midpoint has
+    parallel lines (a pole), and the number of midpoints charted."""
+    halvings = 0
+    while hi - lo > 1e-12:
+        mid = 0.5 * (lo + hi)
+        halvings += 1
+        try:
+            system = SlopeSystem.from_degrees(interpolated(start, end, mid))
+            fmid = float(build_chart(system, tol).perimeter_sum)
+        except ParallelLines:
+            return None, halvings
+        if flo * fmid <= 0.0:
+            hi = mid
+        else:
+            lo, flo = mid, fmid
+    bracket = {
+        "t_low": float(lo),
+        "t_high": float(hi),
+        "perimeter_sum_low": float(flo),
+        "angles_deg_root": [float(a) for a in interpolated(start, end, 0.5 * (lo + hi))],
+    }
+    return bracket, halvings
+
+
 def sequential_family_report(start, end, steps, tol=DEFAULT_TOL):
     """The family report with one SlopeSystem and one build_chart per row
     and per bisection midpoint: the route that ``family_report``'s angle
-    stacks and bisection trees replace, kept as their reference."""
+    stacks and bisection rounds replace, kept as their reference."""
     rows = [_sequential_step(start, end, i / (steps - 1), tol) for i in range(steps)]
     brackets = []
     for a, b in zip(rows[:-1], rows[1:]):
@@ -116,30 +143,9 @@ def sequential_family_report(start, end, steps, tol=DEFAULT_TOL):
         pa, pb = a["perimeter_sum"], b["perimeter_sum"]
         if pa == 0.0 or pa * pb >= 0.0:
             continue
-        lo, hi = a["t"], b["t"]
-        flo = pa
-        while hi - lo > 1e-12:
-            mid = 0.5 * (lo + hi)
-            try:
-                system = SlopeSystem.from_degrees(_interpolated(start, end, mid))
-                fmid = float(build_chart(system, tol).perimeter_sum)
-            except ParallelLines:
-                break
-            if flo * fmid <= 0.0:
-                hi = mid
-            else:
-                lo, flo = mid, fmid
-        else:
-            brackets.append(
-                {
-                    "t_low": float(lo),
-                    "t_high": float(hi),
-                    "perimeter_sum_low": float(flo),
-                    "angles_deg_root": [
-                        float(a) for a in _interpolated(start, end, 0.5 * (lo + hi))
-                    ],
-                }
-            )
+        bracket, _ = sequential_bracket(start, end, a["t"], b["t"], pa, tol)
+        if bracket is not None:
+            brackets.append(bracket)
     return {
         "kind": "family",
         "input": {

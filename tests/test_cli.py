@@ -430,6 +430,16 @@ class TestFamily:
         assert bracket["t_high"] - bracket["t_low"] <= 1e-12
         assert all(row["critical_points"] == 2 for row in report["rows"])
 
+    def test_unequal_endpoints_are_an_input_error(self, tmp_path, capsys):
+        payload = {
+            "start_angles_deg": [0.0, 100.0, 200.0, 300.0],
+            "end_angles_deg": [0.0, 100.0, 200.0],
+        }
+        path = write_json(tmp_path, "unequal.json", payload)
+        code, _, err = run_cli(capsys, "family", path, "--steps", "3")
+        assert code == 2
+        assert "differ in length" in err
+
     def test_constant_family(self, tmp_path, capsys):
         payload = {
             "start_angles_deg": [0.0, 150.0, 72.0, 290.0],

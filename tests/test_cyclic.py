@@ -125,6 +125,14 @@ class TestDualPolygon:
             scale = 2.0 * cyclic.radius * float(np.sum(np.abs(np.tan(inv.half_angles))))
             assert abs(measured - expected) <= 1e-9 * scale
 
+    def test_report_checks_the_dual_about_the_origin_too(self):
+        # Vertices 0 and 2 lie 3e-10 degrees apart, so dual vertices 1 and 2
+        # are 6e-12 apart, under 1e-12 times the diameter.  About this center
+        # rounding pulls them a float of 16412 apart, and only the polygon
+        # about the origin, which gives the perimeter, still sees them coincide.
+        with pytest.raises(CoincidentVertices, match="vertices 1 and 2 coincide"):
+            cyclic_report(1.0, [0.0, 100.0, 3e-10, 200.0], (16412.523127055625, 0.0))
+
 
 class TestBifurcation:
     def test_square_and_pentagram_not_bifurcating(self):

@@ -1,12 +1,16 @@
 """The family report against its one-row-at-a-time reference.
 
 ``family_report`` charts its rows and bisection midpoints as angle stacks
-(``slope_space.chart_stack``) and walks speculative bisection trees.
-``families.sequential_family_report`` is the route it replaced: one
-``SlopeSystem`` and one ``build_chart`` per row and per midpoint.  Both must
-give the same JSON, byte for byte, on families that reach every branch:
-random families, poles, invalid rows at grid points, scaled tolerances,
-two steps and the benchmark's crossings.
+(``slope_space.chart_stack``).  Each bisection round charts the midpoint
+tree of the next few halvings and the halvings that follow the secant root
+of the bracket ends, and walks them.  ``families.sequential_family_report``
+is the route it replaced: one ``SlopeSystem`` and one ``build_chart`` per
+row and per midpoint.  Both must give the same JSON, byte for byte, on
+families that reach every branch: random families, poles, invalid rows at
+grid points, scaled tolerances, two steps, crossings shaped like the
+benchmark's, and roots on a grid row or one float beside it, where the
+secant root can round onto a bracket end.  No bracket may take more stacks
+than the midpoint trees alone would.
 """
 
 import json
@@ -15,18 +19,20 @@ import math
 import numpy as np
 import pytest
 
-from polyslope import SlopeSystem, build_chart
-from polyslope.errors import PolyslopeError
+from polyslope import SlopeSystem, build_chart, report
+from polyslope.errors import InputSchemaError, PolyslopeError
 from polyslope.geometry import TWO_PI
-from polyslope.report import family_report
+from polyslope.report import BISECTION_DEPTH, BRACKET_WIDTH, _secant_path, family_report
 from polyslope.slope_space import chart_stack
 from polyslope.tolerances import DEFAULT_TOL
 
+import families as reference
 from families import (
     BENCH_CROSSING,
     BENCH_F3,
     FAMILY_END,
     FAMILY_START,
+    interpolated,
     sequential_family_report,
 )
 
@@ -68,6 +74,84 @@ def one_angle_family(rng, n):
     return start, end
 
 
+def benchmark_crossings(rng, count):
+    """Families shaped like the benchmark's crossings: one slope of n = 4..9
+    moved 5 to 60 degrees either way, 11 valid rows, and one sign change of
+    sum p between them, where every p_i keeps its sign (a root, not a pole)."""
+    while count:
+        n = int(rng.integers(4, 10))
+        start = rng.uniform(0.0, 360.0, n).tolist()
+        end = list(start)
+        k = int(rng.integers(0, n))
+        end[k] += float(rng.uniform(5.0, 60.0)) * float(rng.choice([-1.0, 1.0]))
+        try:
+            charts = [
+                build_chart(SlopeSystem.from_degrees(interpolated(start, end, i / 10)))
+                for i in range(11)
+            ]
+        except PolyslopeError:
+            continue
+        changes = [
+            np.array_equal(a.unit_perimeters > 0, b.unit_perimeters > 0)
+            for a, b in zip(charts, charts[1:])
+            if a.perimeter_sum * b.perimeter_sum < 0.0
+        ]
+        if changes == [True]:
+            count -= 1
+            yield start, end
+
+
+def moved(angles, k, angle):
+    angles = list(angles)
+    angles[k] = angle
+    return angles
+
+
+def sign_change_degrees(start, end, k):
+    """The two adjacent floats between start[k] and end[k] across which sum p
+    changes sign as slope k moves alone."""
+    def total(angle):
+        return build_chart(SlopeSystem.from_degrees(moved(start, k, angle))).perimeter_sum
+
+    lo, hi = start[k], end[k]
+    flo = total(lo)
+    while lo < 0.5 * (lo + hi) < hi or hi < 0.5 * (lo + hi) < lo:
+        mid = 0.5 * (lo + hi)
+        fmid = total(mid)
+        if flo * fmid <= 0.0:
+            hi = mid
+        else:
+            lo, flo = mid, fmid
+    return lo, hi
+
+
+def root_families():
+    """Families with a root of sum p at a grid row, from the three crossings
+    above with their moved slope k on a float next to the root or one float
+    further out: as an end, as the row t = 1/2, and as the end opposite a
+    system with slope k 1e-6 degrees off parallel to another, whose |sum p|
+    is about 1e8.  The secant root of such ends can round onto one of them,
+    and the round then charts the midpoint tree alone."""
+    for start, end in ((FAMILY_START, FAMILY_END), BENCH_F3, BENCH_CROSSING):
+        k = next(i for i, (a, b) in enumerate(zip(start, end)) if a != b)
+        below, above = sign_change_degrees(start, end, k)
+        outward = math.copysign(math.inf, above - below)
+        beside = (math.nextafter(below, -outward), below, above, math.nextafter(above, outward))
+        for angle in beside:
+            at_root = moved(start, k, angle)
+            yield start, at_root
+            yield at_root, end
+            for half_width in (1.0, 0.25):
+                low, high = angle - half_width, angle + half_width
+                if 0.5 * low + 0.5 * high == angle:  # the row t = 1/2 holds angle exactly
+                    yield moved(start, k, low), moved(start, k, high)
+            for j in range(len(start)):
+                if j != k:
+                    near_pole = moved(start, k, start[j] + 180.0 + 1e-6)
+                    yield near_pole, at_root
+                    yield at_root, near_pole
+
+
 def families():
     """(start, end, steps, tolerance scale) of every family compared."""
     fixed = [(FAMILY_START, FAMILY_END), BENCH_F3, BENCH_CROSSING, POLE, *PARALLEL_ROWS, *EXTREME]
@@ -89,30 +173,112 @@ def families():
         n = int(rng.integers(3, 8))
         start, end = (5.0 * rng.integers(0, 72, (2, n))).tolist()
         yield start, end, int(rng.choice([3, 5, 9])), 1.0
+    for start, end in benchmark_crossings(rng, 100):
+        yield start, end, 11, 1.0
+    for start, end in root_families():
+        for steps in (2, 3):
+            yield start, end, steps, 1.0
 
 
-def test_reports_equal_the_sequential_reference():
-    cases = list(families())
-    assert len(cases) >= 1000
+@pytest.fixture(scope="module")
+def compared():
+    """For each family: the outcome of each route, the chart_stack calls of
+    each bracket of family_report, and the midpoints the one-at-a-time loop
+    charts for each bracket; both routes bracket the same rows in order.
+    Also the number of rounds that charted the midpoint tree alone."""
+    stacks, rounds, halvings, results, tree_only = [0], [], [], [], [0]
+    stack, bracket, sequential = report.chart_stack, report._bracket, reference.sequential_bracket
+    secant_path = report._secant_path
+
+    def counted_stack(*args):
+        stacks[0] += 1
+        return stack(*args)
+
+    def counted_path(*args):
+        path = secant_path(*args)
+        tree_only[0] += not path
+        return path
+
+    def counted_bracket(*args):
+        before = stacks[0]
+        result = bracket(*args)
+        rounds.append(stacks[0] - before)
+        return result
+
+    def counted_sequential(*args):
+        result, count = sequential(*args)
+        halvings.append(count)
+        return result, count
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(report, "chart_stack", counted_stack)
+        patch.setattr(report, "_bracket", counted_bracket)
+        patch.setattr(report, "_secant_path", counted_path)
+        patch.setattr(reference, "sequential_bracket", counted_sequential)
+        for start, end, steps, scale in families():
+            tol = tolerances(scale)
+            first = len(rounds), len(halvings)
+            expected = outcome(sequential_family_report, start, end, steps, tol)
+            actual = outcome(family_report, start, end, steps, tol)
+            results.append(
+                ((start, end, steps), expected, actual, rounds[first[0]:], halvings[first[1]:])
+            )
+    return results, tree_only[0]
+
+
+def test_reports_equal_the_sequential_reference(compared):
+    results, _ = compared
+    assert len(results) >= 1000
     brackets = poles = invalid = 0
-    for start, end, steps, scale in cases:
-        tol = tolerances(scale)
-        expected = outcome(sequential_family_report, start, end, steps, tol)
-        assert outcome(family_report, start, end, steps, tol) == expected, (start, end, steps)
+    for case, expected, actual, _, _ in results:
+        assert actual == expected, case
         if not expected.startswith("{"):
             continue
-        report = json.loads(expected)
-        rows = report["rows"]
+        rows = json.loads(expected)["rows"]
         changes = sum(
             a["status"] == b["status"] == "ok" and a["perimeter_sum"] * b["perimeter_sum"] < 0
             for a, b in zip(rows, rows[1:])
         )
-        brackets += len(report["sign_changes"])
-        poles += changes - len(report["sign_changes"])
+        sign_changes = len(json.loads(expected)["sign_changes"])
+        brackets += sign_changes
+        poles += changes - sign_changes
         invalid += sum(row["status"] == "invalid" for row in rows)
     # Every branch is reached: roots, poles broken off at parallel
-    # midpoints, and invalid rows (448, 932 and 289 when written).
+    # midpoints, and invalid rows (648, 1020 and 289 when written).
     assert brackets >= 300 and poles >= 300 and invalid >= 100
+
+
+def test_no_bracket_charts_more_stacks_than_its_midpoint_trees(compared):
+    # Each round charts the midpoint tree of the next BISECTION_DEPTH
+    # halvings, so a bracket whose one-at-a-time loop charts h midpoints,
+    # root or pole, takes at most ceil(h / BISECTION_DEPTH) stacks, as it did
+    # when rounds charted the tree alone (10,069 in all when written); the
+    # secant path cut that to 6,932.  Some rounds, where the secant root
+    # rounds onto an end or the ends do not define one, chart the tree alone
+    # (66 when written).
+    results, tree_only = compared
+    used = bound = 0
+    for case, _, _, rounds, halvings in results:
+        assert len(rounds) == len(halvings), case
+        for taken, count in zip(rounds, halvings):
+            assert taken <= math.ceil(count / BISECTION_DEPTH), case
+            used += taken
+            bound += math.ceil(count / BISECTION_DEPTH)
+    assert used < 0.8 * bound and tree_only >= 30
+
+
+def test_secant_path_keeps_the_secant_root_inside():
+    lo, hi = 0.25, 0.375
+    path = _secant_path(lo, hi, 2.0, -1.0)  # the secant root is 1/3
+    for mid in path:
+        assert mid == 0.5 * (lo + hi)
+        lo, hi = (lo, mid) if 1.0 / 3.0 < mid else (mid, hi)
+    assert lo < 1.0 / 3.0 < hi and hi - lo <= BRACKET_WIDTH < 2.0 * (hi - lo)
+    # Ends whose difference overflows, whose secant root rounds onto an end,
+    # or that do not define one: the round charts the tree alone.
+    ends = [(1.5e308, -1.5e308), (1e-300, -1e300), (1.0, 0.0), (1.0, 1.0), (math.nan, 1.0)]
+    for flo, fhi in ends:
+        assert _secant_path(0.25, 0.375, flo, fhi) == []
 
 
 def test_poles_are_not_bracketed():
@@ -120,6 +286,12 @@ def test_poles_are_not_bracketed():
     report = family_report(start, end, 11)
     sums = [row["perimeter_sum"] for row in report["rows"]]
     assert sums[0] > 0 > sums[1] and report["sign_changes"] == []
+
+
+def test_unequal_endpoints_are_an_input_error():
+    # The library call says what the command line says, not a numpy error.
+    with pytest.raises(InputSchemaError, match="differ in length"):
+        family_report([0.0, 100.0, 200.0], [0.0, 100.0], 3)
 
 
 def planted_stack(rng, n, m):

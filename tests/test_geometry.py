@@ -551,7 +551,7 @@ class TestArrayKernels:
             expected = reference_signed_perimeter(polygon, system)
             scale = float(np.sum(polygon.edge_lengths))
             assert abs(signed_perimeter(polygon, system) - expected) <= 1e-12 * scale
-            offsets = edge_offsets(polygon, system.angles)
+            offsets = edge_offsets(polygon.vertices, system.angles)
             expected = reference_edge_offsets(polygon, system.angles)
             scale = max(1.0, float(np.max(np.abs(polygon.vertices))))
             assert np.max(np.abs(offsets - expected)) <= 1e-12 * scale

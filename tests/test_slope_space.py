@@ -368,7 +368,7 @@ def reference_line_offsets(chart, polygon, tol=DEFAULT_TOL):
     for i in range(chart.n):
         if line_gap(polygon.edge_angles[i], angles[i]) > tol.parallel:
             raise SlopeMismatch(f"edge {i} does not match slope {i}")
-    return edge_offsets(polygon, angles)
+    return edge_offsets(polygon.vertices, angles)
 
 
 def reference_decomposition(chart, polygon, tol=DEFAULT_TOL):

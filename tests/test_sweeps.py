@@ -218,9 +218,9 @@ OFF = 1.0 + 1e-6
 
 def plant_on_triangles(monkeypatch, name):
     """sweeps.<name> off by one part in a million on the decomposition
-    triangles alone: the stack that decomposition_polygons returned last."""
+    triangles alone: the stack that _decomposition_triangles returned last."""
     made = []
-    decompose, kernel = sweeps.decomposition_polygons, getattr(sweeps, name)
+    decompose, kernel = sweeps._decomposition_triangles, getattr(sweeps, name)
 
     def recorded(*args):
         made.append(decompose(*args))
@@ -230,7 +230,7 @@ def plant_on_triangles(monkeypatch, name):
         value = kernel(vertices, *args)
         return value * OFF if made and vertices is made[-1] else value
 
-    monkeypatch.setattr(sweeps, "decomposition_polygons", recorded)
+    monkeypatch.setattr(sweeps, "_decomposition_triangles", recorded)
     monkeypatch.setattr(sweeps, name, planted)
 
 
@@ -252,9 +252,9 @@ def offset_incenters(chart, tol):
 PLANTED = {
     "area additivity off": lambda m: plant_on_triangles(m, "oriented_areas"),
     "perimeter additivity off": lambda m: plant_on_triangles(m, "signed_perimeters"),
-    "radii roundtrip off": lambda m: plant_on_result(m, "radii_of_polygon", lambda r: r * OFF),
+    "radii roundtrip off": lambda m: plant_on_result(m, "_decomposition_radii", lambda r: r * OFF),
     "coordinate quadratic form off": lambda m: plant_on_result(
-        m, "normalized_coordinates", lambda c: dataclasses.replace(c, x=c.x * OFF)
+        m, "_chart_coordinates", lambda c: dataclasses.replace(c, x=c.x * OFF)
     ),
     "tangential vertices off": lambda m: m.setattr(
         sweeps, "tangential_critical_points", offset_incenters

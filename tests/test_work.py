@@ -30,10 +30,15 @@ from polyslope import (
 )
 from polyslope import geometry
 from polyslope.cyclic import bifurcation_test, cyclic_invariants
-from polyslope.geometry import tangential_offsets, tangential_polygon, turning_sum
+from polyslope.geometry import (
+    require_distinct,
+    tangential_offsets,
+    tangential_polygon,
+    turning_sum,
+)
 from polyslope.randomgen import random_slope_system, trial_rng
 from polyslope.report import BISECTION_DEPTH, cyclic_report, family_report, slopes_report
-from polyslope.slope_space import RadiiChart, chart_stack, polygon_from_radii
+from polyslope.slope_space import RadiiChart, _line_offsets, chart_stack, polygon_from_radii
 from polyslope.sweeps import CHECKS
 from polyslope.tangential import constrained_perimeter, hessian_formula, well_conditioned_chart
 from polyslope.tolerances import DEFAULT_TOL
@@ -186,10 +191,13 @@ def test_family_rows_match_critical_points():
 
 
 def test_family_report_charts_rows_and_midpoints_as_stacks(monkeypatch):
-    # With no invalid row, one chart_stack call charts the rows and each
-    # bracket takes one per BISECTION_DEPTH halvings, rounded up; no
-    # RadiiChart is built.  The reference builds one chart per row and per
-    # midpoint, so its count less the rows is the number of halvings.
+    # With no invalid row, one chart_stack call charts the rows, and no
+    # RadiiChart is built.  Each bisection round charts the midpoint tree of
+    # BISECTION_DEPTH halvings and the path of the secant root, so these
+    # brackets take three stacks where the trees alone took one per
+    # BISECTION_DEPTH halvings, rounded up (eight).  The reference builds one
+    # chart per row and per midpoint, so its count less the rows is the
+    # number of halvings.
     made = [0]
     init = RadiiChart.__init__
 
@@ -208,7 +216,8 @@ def test_family_report_charts_rows_and_midpoints_as_stacks(monkeypatch):
         assert all(row["status"] == "ok" for row in report["rows"])
         assert len(report["sign_changes"]) == 1
         assert made[0] == 0
-        assert stacks["chart_stack"] == 1 + math.ceil(halvings / BISECTION_DEPTH)
+        assert math.ceil(halvings / BISECTION_DEPTH) == 8
+        assert stacks["chart_stack"] == 1 + 3
 
 
 def test_area_constants_on_first_read():
@@ -270,9 +279,13 @@ def counted_systems(monkeypatch):
 
 def test_cyclic_report_computes_invariants_and_dual_once(monkeypatch):
     # One tangential construction gives both the reported dual vertices and
-    # the polygon about the circle's center that the perimeter is read from.
+    # the polygon about the origin that the perimeter is read from; one
+    # vertex check covers both, and the unit-circle polygon of the numeric
+    # area index, whose vertex angles the CyclicPolygon has checked, gets none.
     counts = counted(
-        monkeypatch, (cyclic_invariants, bifurcation_test, tangential_offsets, tangential_polygon)
+        monkeypatch,
+        (cyclic_invariants, bifurcation_test, tangential_offsets, tangential_polygon,
+         require_distinct),
     )
     systems = counted_systems(monkeypatch)
     report = cyclic_report(1.0, [0.0, 70.0, 150.0, 220.0, 290.0])
@@ -282,24 +295,31 @@ def test_cyclic_report_computes_invariants_and_dual_once(monkeypatch):
         "bifurcation_test": 1,
         "tangential_offsets": 1,
         "tangential_polygon": 0,
+        "require_distinct": 1,
     }
     assert systems[0] == 1
 
 
 def test_chart_identity_trial_reconstructs_one_stack(monkeypatch):
     # One chart, one reconstruction of three rows (one when the drawn system
-    # is exceptional), and no SlopeSystem but the drawn one.
+    # is exceptional), and no SlopeSystem but the drawn one.  The drawn row's
+    # line offsets are computed once, and vertices are checked once for the
+    # reconstruction, once for the triangles and once for each tangential
+    # point's closed-form polygon, not again for the drawn row.
     index, check = next((i, c) for i, (n, c) in enumerate(CHECKS) if n == "chart_identities")
     results = []
     counts = counted(monkeypatch, (build_chart, polygon_from_radii), results)
+    checks = counted(monkeypatch, (_line_offsets, require_distinct))
     systems = counted_systems(monkeypatch)
 
     def trial(rng, n_range, rows):
         counts["build_chart"] = counts["polygon_from_radii"] = systems[0] = 0
+        checks["_line_offsets"] = checks["require_distinct"] = 0
         results.clear()
         _, checked = check(rng, n_range, DEFAULT_TOL)
         assert all(error <= bound for _, error, bound in checked), checked
         assert counts == {"build_chart": 1, "polygon_from_radii": 1}
+        assert checks == {"_line_offsets": 1, "require_distinct": rows + 1}
         assert results[-1].shape[0] == rows
         return systems[0]
 
