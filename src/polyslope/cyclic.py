@@ -39,7 +39,7 @@ from .geometry import (
     _cycled,
     tangential_polygon,
 )
-from .slope_space import build_chart
+from .slope_space import build_chart, integral_ratio
 from .tangential import (
     ExceptionalSpace,
     morse_index_formula,
@@ -168,8 +168,8 @@ def cyclic_invariants(cyclic: CyclicPolygon, tol: Tolerances = DEFAULT_TOL) -> C
     half_angles = np.minimum(arcs, TWO_PI - arcs) / 2.0
     signed_arcs = np.where(orientations > 0, arcs, arcs - TWO_PI)
     turns = float(np.sum(signed_arcs)) / TWO_PI
-    winding = round(turns)
-    if abs(turns - winding) > tol.turn_integral * max(1.0, abs(turns)):
+    winding, off = integral_ratio(turns, tol)
+    if off:
         raise NotCritical(f"arc sum {turns!r} turns is not integral")
     return CyclicInvariants(
         orientations=orientations,

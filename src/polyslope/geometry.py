@@ -94,11 +94,10 @@ class SlopeSystem:
     reads it.
 
     Construction requires n >= 3 and consecutive slopes non-parallel as lines
-    (this is what the turning quantities need).  Operations that build the
-    configuration space additionally require pairwise non-parallelism; see
-    :meth:`require_pairwise_nonparallel`.  Each parallel test compares
-    d = (a_i - a_j) mod pi and pi - d with the tolerance, the two distances
-    :func:`line_gap` takes the smaller of.
+    (this is what the turning quantities need), each pair's d = (a_i - a_j)
+    mod pi and pi - d at least ``DEFAULT_TOL.parallel``.  The rules of a
+    chart, pairwise non-parallel lines among them, are defined once, by
+    :func:`polyslope.slope_space.chart_stack`.
     """
 
     def __init__(self, angles: Iterable[float]):
@@ -162,13 +161,11 @@ class SlopeSystem:
         return SlopeSystem(angles[k:] + angles[:k])
 
     def require_pairwise_nonparallel(self, tol: Tolerances = DEFAULT_TOL) -> None:
-        angles = self.angles.tolist()
-        limit = tol.parallel
-        for i, a in enumerate(angles):
-            for j in range(i + 1, len(angles)):
-                d = (a - angles[j]) % math.pi
-                if d < limit or math.pi - d < limit:
-                    raise ParallelLines(f"slopes {i} and {j} are parallel as lines")
+        """ParallelLines for the first pair that breaks the lines rule of
+        :func:`polyslope.slope_space.chart_stack`."""
+        # Imported here: slope_space imports this module.
+        from .slope_space import LINES, chart_stack
+        chart_stack(self.angles, tol).require(LINES)
 
 
 # Consecutive vertices closer than this fraction of the diameter coincide.
@@ -336,35 +333,15 @@ def winding_number(polygon: PolygonChain, point, tol: Tolerances = DEFAULT_TOL) 
     return int(winding_numbers(polygon.vertices, point, tol))
 
 
-def turning_sum(
-    system: SlopeSystem,
-    tol: Tolerances = DEFAULT_TOL,
-) -> tuple[float, int, int]:
-    """Cyclic sum of consecutive line angles, its multiple of pi, and the
-    number of right turns: the one loop over consecutive slopes.
-
-    Returns ``(t, k, right_turns)`` where ``t = k * pi``; k is an integer
-    between 1 and n - 1 for every valid system.  Each term is the angle
-    (b - a) mod pi in (0, pi) of the counterclockwise rotation taking the
-    line at a to the line at b; the constructor keeps consecutive lines
-    apart, so no term vanishes.  A pair turns right when the direction at b
-    is a clockwise rotation of that at a by less than pi, that is when
-    (b - a) mod 2pi >= pi.
-    """
-    angles = system.angles.tolist()
-    terms = []
-    right_turns = 0
-    for a, b in zip(angles, angles[1:] + angles[:1]):
-        terms.append((b - a) % math.pi)
-        right_turns += (b - a) % TWO_PI >= math.pi
-    t = sum(terms)
-    ratio = t / math.pi
-    k = round(ratio)
-    if abs(ratio - k) > tol.turn_integral * max(1.0, abs(ratio)):
-        raise NonIntegralTurn(f"angle sum {t!r} is not an integral multiple of pi")
-    if not 1 <= k <= system.n - 1:
-        raise NonIntegralTurn(f"turning number {k} outside {{1, ..., n - 1}}")
-    return float(t), int(k), right_turns
+def turning_sum(system: SlopeSystem, tol: Tolerances = DEFAULT_TOL) -> tuple[float, int, int]:
+    """The cyclic sum t = k * pi of consecutive line angles, k and the number of
+    right turns: the turning rule of :func:`polyslope.slope_space.chart_stack`."""
+    # Imported here: slope_space imports this module.
+    from .slope_space import INTEGRAL, RANGE, chart_stack, turning_rule
+    total, k, right_turns, off, outside = turning_rule(system.angles, tol)
+    if off or outside:
+        chart_stack(system.angles, tol).require(INTEGRAL, RANGE)
+    return float(total), int(k), int(right_turns)
 
 
 def signed_perimeters(vertices: np.ndarray, slope_angles, tol: Tolerances = DEFAULT_TOL):

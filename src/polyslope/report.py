@@ -298,8 +298,8 @@ def _family_angles(start, end, ts) -> tuple[np.ndarray, np.ndarray]:
     """Degrees of the family at each parameter in ``ts``, one row each, and
     their radians reduced as :class:`SlopeSystem` stores them."""
     t = np.asarray(ts, dtype=float)[:, None]
-    # An angle beyond the float range fails chart_stack's checks, and the
-    # scalar path then says what is wrong with it.
+    # An angle beyond the float range reduces to NaN: its row breaks the range
+    # rule, whose error is then a ValueError, as from SlopeSystem and build_chart.
     with np.errstate(over="ignore", invalid="ignore"):
         degrees = (1.0 - t) * np.asarray(start, dtype=float) + t * np.asarray(end, dtype=float)
         reduced = np.radians(degrees) % TWO_PI
@@ -307,27 +307,20 @@ def _family_angles(start, end, ts) -> tuple[np.ndarray, np.ndarray]:
     return degrees, reduced
 
 
-def _scalar_chart(degrees: np.ndarray, tol):
-    """Chart of a row that chart_stack rejects, by SlopeSystem and
-    build_chart: they raise for it what they raise for any slope system."""
-    return build_chart(SlopeSystem.from_degrees(degrees.tolist()), tol)
-
-
 def _family_rows(start, end, steps, tol) -> list[dict]:
     """One row per step, all charted by one chart_stack call.  Parallel
-    lines make a row invalid, with the scalar path's message as reason;
-    any other error it raises propagates."""
+    lines make a row invalid, with their message as reason; any other
+    broken rule raises its error."""
     ts = [i / (steps - 1) for i in range(steps)]
     degrees, reduced = _family_angles(start, end, ts)
-    perimeters, sums, ok = chart_stack(reduced, tol)
+    stack = chart_stack(reduced, tol)
+    perimeters, sums = stack.unit_perimeters, stack.perimeter_sums
     reasons = {}
-    for i in np.flatnonzero(~ok).tolist():
+    for i in np.flatnonzero(~stack.ok).tolist():
         try:
-            chart = _scalar_chart(degrees[i], tol)
+            stack.require(row=i)
         except ParallelLines as exc:
             reasons[i] = str(exc)
-        else:
-            perimeters[i], sums[i] = chart.unit_perimeters, chart.perimeter_sum
     exceptional_rows = exceptional_mask(perimeters, sums, tol).tolist()
     # The two critical points, of inradius +r and -r, have the area sign of sum p.
     indices = zip(*(sign_count_index(perimeters, sums, r).tolist() for r in (1.0, -1.0)))
@@ -372,11 +365,11 @@ def _midpoint_tree(lo: float, hi: float) -> list[float]:
 def _secant_path(lo: float, hi: float, flo: float, fhi: float) -> list[float]:
     """Midpoints of the halvings of (lo, hi), down to BRACKET_WIDTH, that keep
     the secant root of the bracket ends inside, with the arithmetic of one
-    halving; none when that root does not lie strictly inside (lo, hi)."""
+    halving; none when the ends define no root in [lo, hi]."""
     slope = fhi - flo
-    root = lo - flo * (hi - lo) / slope if slope else lo
+    root = lo - flo * (hi - lo) / slope if slope else math.nan
     mids = []
-    if lo < root < hi:
+    if lo <= root <= hi:
         while hi - lo > BRACKET_WIDTH:
             mid = 0.5 * (lo + hi)
             mids.append(mid)
@@ -400,20 +393,21 @@ def _bracket(start, end, lo: float, hi: float, flo: float, fhi: float, tol) -> d
     """
     while hi - lo > BRACKET_WIDTH:
         mids = _midpoint_tree(lo, hi) + _secant_path(lo, hi, flo, fhi)[BISECTION_DEPTH:]
-        degrees, reduced = _family_angles(start, end, mids)
-        _, sums, ok = chart_stack(reduced, tol)
+        _, reduced = _family_angles(start, end, mids)
+        stack = chart_stack(reduced, tol)
+        ok = stack.ok
         charted = {mid: row for row, mid in enumerate(mids)}
         mid = 0.5 * (lo + hi)
         while hi - lo > BRACKET_WIDTH and mid in charted:
             # Only the sign of sum p matters here; critical points next to
             # its root are nearly degenerate and their indices are not reported.
             row = charted[mid]
-            fmid = float(sums[row])
             if not ok[row]:
                 try:
-                    fmid = _scalar_chart(degrees[row], tol).perimeter_sum
+                    stack.require(row=row)
                 except ParallelLines:
                     return None
+            fmid = float(stack.perimeter_sums[row])
             if flo * fmid <= 0.0:
                 hi, fhi = mid, fmid
             else:

@@ -17,10 +17,17 @@ topology of the space.
 import functools
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
-from .errors import ReconstructionDegenerate, SignatureMismatch, SlopeMismatch
+from .errors import (
+    NonIntegralTurn,
+    ParallelLines,
+    ReconstructionDegenerate,
+    SignatureMismatch,
+    SlopeMismatch,
+)
 from .geometry import (
     TWO_PI,
     PolygonChain,
@@ -35,7 +42,6 @@ from .geometry import (
     require_distinct,
     signed_perimeter,
     signed_perimeters,
-    turning_sum,
 )
 from .tolerances import DEFAULT_TOL, Tolerances
 
@@ -51,8 +57,8 @@ class RadiiChart:
     line (closed forms in :func:`build_chart`), computed on first read.
     ``perimeter_sum`` is sum(p_i); ``angle_sum`` (the angle sum t),
     ``half_turns`` (the integer k with t = k * pi) and ``right_turns`` come
-    from :func:`turning_sum`.  Both critical points of the perimeter share
-    this turning data, as do all cyclic relabelings of the system.
+    from :func:`turning_rule`; every chart keeps the rules of :func:`chart_stack`.
+    Both critical points and all cyclic relabelings share this turning data.
     """
 
     system: SlopeSystem
@@ -98,21 +104,19 @@ class RadiiChart:
         constrained chart, so its unit perimeter divides every derivative of
         the implicit function and the roundoff of those derivatives grows
         with max|p| / |p_1|.  Critical points, their indices and gradient
-        vanishing are invariant under cyclic relabeling.  Computed on first
-        read, from the closed forms on all n relabelings at once.
+        vanishing are invariant under cyclic relabeling, as are the turning
+        data and so, by the signature law, the number of positive p_i.
+        Computed on first read, from the closed forms on all n relabelings.
         """
         n = self.n
         # Row k holds the angles of the system relabeled to start at slope k.
         rotations = self.system.angles[(np.arange(n)[:, None] + np.arange(n)) % n]
         perimeters = _unit_perimeters(rotations)
         k = int(np.argmin(np.max(np.abs(perimeters), axis=1) / np.abs(perimeters[:, 0])))
-        return _radii_chart(
-            self.system.rotated(k),
-            perimeters[k],
-            self.angle_sum,
-            self.half_turns,
-            self.right_turns,
-        )
+        chosen = perimeters[k]
+        chosen.setflags(write=False)
+        turning = self.angle_sum, self.half_turns, self.right_turns
+        return RadiiChart(self.system.rotated(k), chosen, float(np.sum(chosen)), *turning)
 
 
 @dataclass(frozen=True)
@@ -201,27 +205,23 @@ def unit_triangle(
     return triangle, signed_perimeter(triangle, system, tol)
 
 
-def _triangle_angles(angles: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """x = s_{i+1} - s_1, y = s_{i+2} - s_1 and y - x along the last axis,
-    y - x with one rounding."""
-    first = angles[..., :1]
-    return angles[..., 1:-1] - first, angles[..., 2:] - first, angles[..., 2:] - angles[..., 1:-1]
-
-
 def _unit_perimeters(angles: np.ndarray) -> np.ndarray:
     """p_i by the closed form of :func:`build_chart`, along the last axis.
 
     Triangle i turns by x, y - x and -y, so 2 * sum tan(turn / 2) equals the
     product form of p_i; products keep the relative accuracy that sums lose.
+    The x and y of all triangles are the angles s_k - s_1, one place apart.
     """
-    x, y, turn = _triangle_angles(angles)
-    return -2.0 * np.tan(0.5 * x) * np.tan(0.5 * turn) * np.tan(0.5 * y)
+    half = np.tan(0.5 * (angles[..., 1:] - angles[..., :1]))
+    turn = angles[..., 2:] - angles[..., 1:-1]
+    return -2.0 * half[..., :-1] * np.tan(0.5 * turn) * half[..., 1:]
 
 
 def _area_constants(angles: np.ndarray) -> np.ndarray:
     """c_i by the closed form of :func:`build_chart`, along the last axis."""
-    x, y, turn = _triangle_angles(angles)
-    return np.abs(np.sin(turn)) / (2.0 * np.abs(np.sin(x) * np.sin(y)))
+    sines = np.sin(angles[..., 1:] - angles[..., :1])
+    turn = angles[..., 2:] - angles[..., 1:-1]
+    return np.abs(np.sin(turn)) / (2.0 * np.abs(sines[..., :-1] * sines[..., 1:]))
 
 
 def build_chart(system: SlopeSystem, tol: Tolerances = DEFAULT_TOL) -> RadiiChart:
@@ -233,79 +233,107 @@ def build_chart(system: SlopeSystem, tol: Tolerances = DEFAULT_TOL) -> RadiiChar
         c_i = |sin(y-x)| / (2 |sin x sin y|)
 
     that is, twice the oriented area of the unit-inradius triangle and its
-    area over its squared apex height above e_1.  Raises ParallelLines for
-    parallel lines and SignatureMismatch if the number of positive
-    perimeters fails to equal k - 1.
+    area over its squared apex height above e_1.  The system is one row of
+    :func:`chart_stack`, and raises the error of the first rule it breaks.
     """
-    system.require_pairwise_nonparallel(tol)
-    turning = turning_sum(system, tol)
-    return _radii_chart(system, _unit_perimeters(system.angles), *turning)
+    stack = chart_stack(system.angles, tol)
+    stack.require()
+    perimeters, total, angle_sum, k, right_turns = stack[:5]
+    perimeters.setflags(write=False)
+    return RadiiChart(system, perimeters, float(total), float(angle_sum), int(k), int(right_turns))
+
+
+# The chart rules, in the order they are checked.
+LINES, INTEGRAL, RANGE, SIGNATURE = range(4)
 
 
 @functools.lru_cache(maxsize=None)
-def _line_pairs(n: int, parallel: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Slope pairs (i, j) that :func:`chart_stack` keeps apart as lines, and
-    the least gap of each: every pair i < j by ``parallel``, as
-    require_pairwise_nonparallel does, and consecutive pairs also by
-    ``DEFAULT_TOL.parallel``, as the constructor does, which takes the last
-    one as (n - 1, 0)."""
+def _slope_pairs(n: int, parallel: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Slope pairs (i, j) in the order the lines rule checks them, with the
+    least line gap of each: the consecutive pairs (i, i + 1 mod n) by
+    ``DEFAULT_TOL.parallel``, as :class:`SlopeSystem` does, then all i < j."""
+    ring = np.arange(n)
     first, second = np.triu_indices(n, 1)
-    limits = np.where(second - first == 1, max(parallel, DEFAULT_TOL.parallel), parallel)
-    return (
-        np.append(first, n - 1),
-        np.append(second, 0),
-        np.append(limits, DEFAULT_TOL.parallel),
-    )
+    limits = np.repeat([DEFAULT_TOL.parallel, parallel], [n, len(first)])
+    return np.append(ring, first), np.append((ring + 1) % n, second), limits
 
 
-def chart_stack(
-    angles: np.ndarray,
-    tol: Tolerances = DEFAULT_TOL,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Unit perimeters, their sums and a validity flag for each row of an
-    (m, n) stack of angles reduced as :class:`SlopeSystem` stores them.
+def _parallel_pairs(angles: np.ndarray, tol: Tolerances) -> np.ndarray:
+    """The lines rule along the last axis: which pairs of :func:`_slope_pairs`
+    have a :func:`line_gap` below their limit, as the constructor's loop tests."""
+    first, second, limits = _slope_pairs(angles.shape[-1], tol.parallel)
+    return line_gap(angles.take(first, -1), angles.take(second, -1)) < limits
 
-    A row is ok when it passes every check that ``SlopeSystem`` and
-    :func:`build_chart` make, with the same arithmetic: consecutive lines
-    apart by ``DEFAULT_TOL.parallel``, all pairs by ``tol.parallel``, an
-    integral angle sum k * pi with 1 <= k <= n - 1, and k - 1 positive p_i.
-    On an ok row p and sum p equal the chart's bit for bit; on any other
-    row they mean nothing, and the scalar path says what is wrong.  Every
-    test is a positive condition, so a row that is not finite fails it.
-    """
-    pi = math.pi
-    # Each check compares d = (a_i - a_j) mod pi and pi - d with its limit.
-    first, second, limits = _line_pairs(angles.shape[1], tol.parallel)
-    gaps = (angles[:, first] - angles[:, second]) % pi
-    ok = (np.minimum(gaps, pi - gaps) >= limits).all(axis=1)
-    # turning_sum adds (a_{i+1} - a_i) mod pi in order, as cumsum does; the
-    # terms are not negative, so the ratio is its own absolute value.
-    turns = np.concatenate((angles[:, 1:], angles[:, :1]), axis=1) - angles
-    ratio = np.cumsum(turns % pi, axis=1)[:, -1] / pi
-    k = np.rint(ratio)
-    ok &= np.abs(ratio - k) <= tol.turn_integral * np.maximum(1.0, ratio)
+
+def integral_ratio(ratio, tol: Tolerances = DEFAULT_TOL):
+    """The integers nearest ``ratio``, and whether each lies off its integer
+    by more than ``tol.turn_integral`` times max(1, |ratio|)."""
+    nearest = np.rint(ratio)
+    return nearest, np.abs(ratio - nearest) > tol.turn_integral * np.maximum(1.0, np.abs(ratio))
+
+
+def turning_rule(angles: np.ndarray, tol: Tolerances = DEFAULT_TOL):
+    """The turning rule along the last axis: t, the line turns (b - a) mod pi
+    of consecutive angles added in order; k, the integer nearest t / pi; the
+    right turns, where (b - a) mod 2pi >= pi; and the INTEGRAL and RANGE
+    masks, t / pi off k, and k outside 1..n - 1 (or NaN)."""
+    steps = _cycled(angles, 1, -1) - angles
+    total = np.add.accumulate(steps % math.pi, axis=-1)[..., -1]
+    k, off = integral_ratio(total / math.pi, tol)
+    right_turns = (steps % TWO_PI >= math.pi).sum(axis=-1)
+    return total, k, right_turns, off, ~((k >= 1) & (k <= angles.shape[-1] - 1))
+
+
+class ChartStack(NamedTuple):
+    """The chart rules on each row of an (..., n) angle stack: the chart
+    data of each row, its chart's bit for bit where it keeps every rule, and
+    ``broken``, the mask of the rows that break each rule, in rule order."""
+
+    unit_perimeters: np.ndarray
+    perimeter_sums: np.ndarray
+    angle_sums: np.ndarray
+    half_turns: np.ndarray
+    right_turns: np.ndarray
+    broken: tuple
+    angles: np.ndarray
+    tol: Tolerances
+
+    @property
+    def ok(self) -> np.ndarray:
+        return ~np.logical_or.reduce(self.broken)
+
+    def require(self, *rules: int, row=()) -> None:
+        """Raise the error of the first of ``rules`` (all by default) that a
+        row (the one row by default) breaks, working out the failing pair and
+        the message only here.  A NaN k raises ValueError, as round() does."""
+        rule = next((rule for rule in rules or range(4) if self.broken[rule][row]), None)
+        angles, k = self.angles[row], self.half_turns[row]
+        if rule == LINES:
+            first, second, _ = _slope_pairs(len(angles), self.tol.parallel)
+            at = int(np.argmax(_parallel_pairs(angles, self.tol)))
+            pair = f"slopes {first[at]} and {second[at]} are parallel as lines"
+            raise ParallelLines(f"consecutive {pair}" if at < len(angles) else pair)
+        if rule == INTEGRAL:
+            total = float(self.angle_sums[row])
+            raise NonIntegralTurn(f"angle sum {total!r} is not an integral multiple of pi")
+        if rule == RANGE:
+            raise NonIntegralTurn(f"turning number {int(k)} outside {{1, ..., n - 1}}")
+        if rule == SIGNATURE:
+            positive = np.count_nonzero(self.unit_perimeters[row] > 0)
+            raise SignatureMismatch(f"{positive} positive unit perimeters, expected {int(k) - 1}")
+
+
+def chart_stack(angles: np.ndarray, tol: Tolerances = DEFAULT_TOL) -> ChartStack:
+    """The one definition of a chart, on each row of an (..., n) stack of
+    angles reduced as :class:`SlopeSystem` stores them: lines apart (the
+    consecutive ones by ``DEFAULT_TOL.parallel``, all by ``tol.parallel``),
+    an angle sum k * pi with integral k in 1..n - 1, and k - 1 positive p_i."""
+    total, k, right_turns, off, outside = turning_rule(angles, tol)
     perimeters = _unit_perimeters(angles)
-    # k - 1 positive p_i out of n - 2 also puts k in 1..n - 1.
-    ok &= (perimeters > 0).sum(axis=1) == k - 1
-    return perimeters, perimeters.sum(axis=1), ok
-
-
-def _radii_chart(system, perimeters, angle_sum, half_turns, right_turns) -> RadiiChart:
-    """Chart of the given constants, after the signature check of :func:`build_chart`."""
-    positive = int(np.count_nonzero(perimeters > 0))
-    if positive != half_turns - 1:
-        raise SignatureMismatch(
-            f"{positive} positive unit perimeters, expected {half_turns - 1}"
-        )
-    perimeters.setflags(write=False)
-    return RadiiChart(
-        system=system,
-        unit_perimeters=perimeters,
-        perimeter_sum=float(np.sum(perimeters)),
-        angle_sum=angle_sum,
-        half_turns=half_turns,
-        right_turns=right_turns,
-    )
+    lines = _parallel_pairs(angles, tol).any(axis=-1)
+    broken = lines, off, outside, (perimeters > 0).sum(axis=-1) != k - 1
+    sums = perimeters.sum(axis=-1)
+    return ChartStack(perimeters, sums, total, k, right_turns, broken, angles, tol)
 
 
 def polygon_from_radii(

@@ -20,13 +20,19 @@ import numpy as np
 import pytest
 
 from polyslope import SlopeSystem, build_chart, report
-from polyslope.errors import InputSchemaError, PolyslopeError
+from polyslope.errors import InputSchemaError, NonIntegralTurn, ParallelLines, PolyslopeError
 from polyslope.geometry import TWO_PI
 from polyslope.report import BISECTION_DEPTH, BRACKET_WIDTH, _secant_path, family_report
 from polyslope.slope_space import chart_stack
 from polyslope.tolerances import DEFAULT_TOL
 
 import families as reference
+from test_geometry import (
+    reference_consecutive_check,
+    reference_pairwise_check,
+    reference_turn_counts,
+    reference_turning_sum,
+)
 from families import (
     BENCH_CROSSING,
     BENCH_F3,
@@ -253,9 +259,8 @@ def test_no_bracket_charts_more_stacks_than_its_midpoint_trees(compared):
     # halvings, so a bracket whose one-at-a-time loop charts h midpoints,
     # root or pole, takes at most ceil(h / BISECTION_DEPTH) stacks, as it did
     # when rounds charted the tree alone (10,069 in all when written); the
-    # secant path cut that to 6,932.  Some rounds, where the secant root
-    # rounds onto an end or the ends do not define one, chart the tree alone
-    # (66 when written).
+    # secant path cut that to 6,886.  A secant root that rounds onto a
+    # bracket end still gives a path, so no round charts the tree alone.
     results, tree_only = compared
     used = bound = 0
     for case, _, _, rounds, halvings in results:
@@ -264,7 +269,7 @@ def test_no_bracket_charts_more_stacks_than_its_midpoint_trees(compared):
             assert taken <= math.ceil(count / BISECTION_DEPTH), case
             used += taken
             bound += math.ceil(count / BISECTION_DEPTH)
-    assert used < 0.8 * bound and tree_only >= 30
+    assert used < 0.8 * bound and tree_only == 0
 
 
 def test_secant_path_keeps_the_secant_root_inside():
@@ -274,10 +279,17 @@ def test_secant_path_keeps_the_secant_root_inside():
         assert mid == 0.5 * (lo + hi)
         lo, hi = (lo, mid) if 1.0 / 3.0 < mid else (mid, hi)
     assert lo < 1.0 / 3.0 < hi and hi - lo <= BRACKET_WIDTH < 2.0 * (hi - lo)
-    # Ends whose difference overflows, whose secant root rounds onto an end,
-    # or that do not define one: the round charts the tree alone.
-    ends = [(1.5e308, -1.5e308), (1e-300, -1e300), (1.0, 0.0), (1.0, 1.0), (math.nan, 1.0)]
-    for flo, fhi in ends:
+    # Ends whose secant root rounds onto an end, as when their difference
+    # overflows: the path keeps that end.
+    for flo, fhi, root in [(1.5e308, -1.5e308, 0.25), (1e-300, -1e300, 0.25), (1.0, 0.0, 0.375)]:
+        lo, hi = 0.25, 0.375
+        path = _secant_path(lo, hi, flo, fhi)
+        for mid in path:
+            assert mid == 0.5 * (lo + hi)
+            lo, hi = (lo, mid) if root < mid else (mid, hi)
+        assert path and lo <= root <= hi and hi - lo <= BRACKET_WIDTH
+    # Ends that do not define a root: the round charts the tree alone.
+    for flo, fhi in [(1.0, 1.0), (math.nan, 1.0)]:
         assert _secant_path(0.25, 0.375, flo, fhi) == []
 
 
@@ -308,22 +320,59 @@ def planted_stack(rng, n, m):
     return angles
 
 
+def reference_chart_error(angles, perimeters, tol):
+    """The type and text of the error of the first chart rule a row breaks,
+    or None: the plain float loops of test_geometry, then a plain count of
+    the positive p_i."""
+    try:
+        reference_consecutive_check(angles)
+        reference_pairwise_check(angles, tol)
+        _, k = reference_turning_sum(angles, tol)
+    except (ParallelLines, NonIntegralTurn) as exc:
+        return type(exc).__name__, str(exc)
+    positive = 0
+    for p in perimeters:
+        positive += p > 0.0
+    if positive != k - 1:
+        return "SignatureMismatch", f"{positive} positive unit perimeters, expected {k - 1}"
+    return None
+
+
+def outcome_text(require, *args, **kwargs):
+    """None, or the type and text of the error that ``require`` raises."""
+    try:
+        require(*args, **kwargs)
+    except PolyslopeError as exc:
+        return type(exc).__name__, str(exc)
+    return None
+
+
 @pytest.mark.parametrize("scale", SCALES)
 def test_stack_rows_agree_with_build_chart(scale):
+    # Each row's decision and error against the plain loops; each accepted
+    # row's chart data, bit for bit, against its chart and the loops.
     tol = tolerances(scale)
     rng = np.random.default_rng(SCALES.index(scale))
     rejected = 0
     for n in range(3, 13):
         stack = planted_stack(rng, n, 60)
-        perimeters, sums, ok = chart_stack(stack, tol)
-        for row, flag, p, total in zip(stack, ok, perimeters, sums):
+        result = chart_stack(stack, tol)
+        for i, (row, flag) in enumerate(zip(stack.tolist(), result.ok)):
+            expected = reference_chart_error(row, result.unit_perimeters[i].tolist(), tol)
+            assert outcome_text(result.require, row=i) == expected
             try:
                 chart = build_chart(SlopeSystem.from_angles(row), tol)
-            except PolyslopeError:
+            except PolyslopeError as exc:
+                assert (type(exc).__name__, str(exc)) == expected
                 assert not flag
                 rejected += 1
                 continue
-            assert flag
-            assert np.array_equal(p, chart.unit_perimeters)
-            assert total == chart.perimeter_sum
+            assert flag and expected is None
+            assert np.array_equal(result.unit_perimeters[i], chart.unit_perimeters)
+            assert result.perimeter_sums[i] == chart.perimeter_sum
+            total, k = reference_turning_sum(row, tol)
+            right, _ = reference_turn_counts(row)
+            assert (result.angle_sums[i], result.half_turns[i]) == (total, k)
+            assert (chart.angle_sum, chart.half_turns) == (total, k)
+            assert result.right_turns[i] == chart.right_turns == right
     assert rejected >= 100

@@ -250,7 +250,10 @@ def reference_turning_sum(angles, tol):
         if line_gap(a, b) < tol.parallel:
             raise ParallelLines("line angle undefined for parallel lines")
         terms.append((b - a) % math.pi)
-    t = sum(terms)
+    # A plain sequential sum: sum() is compensated from Python 3.12 on.
+    t = 0.0
+    for term in terms:
+        t += term
     ratio = t / math.pi
     k = round(ratio)
     if abs(ratio - k) > tol.turn_integral * max(1.0, abs(ratio)):

@@ -34,11 +34,16 @@ from polyslope.geometry import (
     require_distinct,
     tangential_offsets,
     tangential_polygon,
-    turning_sum,
 )
 from polyslope.randomgen import random_slope_system, trial_rng
 from polyslope.report import BISECTION_DEPTH, cyclic_report, family_report, slopes_report
-from polyslope.slope_space import RadiiChart, _line_offsets, chart_stack, polygon_from_radii
+from polyslope.slope_space import (
+    RadiiChart,
+    _line_offsets,
+    chart_stack,
+    polygon_from_radii,
+    turning_rule,
+)
 from polyslope.sweeps import CHECKS
 from polyslope.tangential import constrained_perimeter, hessian_formula, well_conditioned_chart
 from polyslope.tolerances import DEFAULT_TOL
@@ -220,6 +225,19 @@ def test_family_report_charts_rows_and_midpoints_as_stacks(monkeypatch):
         assert stacks["chart_stack"] == 1 + 3
 
 
+def test_family_root_at_a_bracket_end_follows_the_secant_path(monkeypatch):
+    # The row t = 1/2 of this family has sum p exactly 0.  Once a halving
+    # makes it the bracket's end, the secant root is that end, and the path
+    # keeps it: the bracket takes two stacks where the trees alone take 8.
+    start = [203.401, 207.53, 322.02, 107.113, -14.118576482893687]
+    end = [203.401, 207.53, 322.02, 107.113, -12.118576482893687]
+    stacks = counted(monkeypatch, (chart_stack,))
+    report = family_report(start, end, 2)
+    assert stacks["chart_stack"] == 1 + 2
+    assert len(report["sign_changes"]) == 1
+    assert report == sequential_family_report(start, end, 2)
+
+
 def test_area_constants_on_first_read():
     chart = build_chart(SlopeSystem.from_degrees(SLOPES_7))
     assert "area_constants" not in vars(chart)
@@ -236,15 +254,16 @@ def test_angles_are_read_only_and_shared():
     assert angles.dtype == np.float64
 
 
-def test_slopes_report_runs_turning_sum_once(monkeypatch):
-    # turning_sum is the one loop over consecutive slopes: the report and
-    # both critical points read its angle sum and turn counts off the chart.
+def test_slopes_report_runs_the_turning_rule_once(monkeypatch):
+    # The turning rule of chart_stack is the one loop over consecutive
+    # slopes: the report and both critical points read its angle sum and
+    # turn counts off the chart.
     results = []
-    counts = counted(monkeypatch, (turning_sum,), results)
+    counts = counted(monkeypatch, (turning_rule,), results)
     report = slopes_report(SLOPES_7)
-    assert counts["turning_sum"] == 1
+    assert counts["turning_rule"] == 1
     assert not hasattr(geometry, "turn_counts")
-    total, half_turns, right_turns = results[0]
+    total, half_turns, right_turns = (x.tolist() for x in results[0][:3])
     turning = report["turning"]
     assert (turning["angle_sum_rad"], turning["half_turns"]) == (total, half_turns)
     assert (turning["right_turns"], turning["left_turns"]) == (right_turns, 7 - right_turns)
