@@ -4,7 +4,7 @@ Subcommands::
 
     polyslope slopes analyze FILE [--json] [--tol-scale X]
     polyslope cyclic analyze FILE [--json] [--tol-scale X]
-    polyslope sweep --seed S --trials T --n-min A --n-max B [--json]
+    polyslope sweep --seed S --trials T --n-min A --n-max B [--json] [--tol-scale X]
     polyslope family FILE --steps K [--json] [--tol-scale X]
     polyslope render FILE -o OUT.svg [--tol-scale X]
 
@@ -263,8 +263,10 @@ def build_parser() -> argparse.ArgumentParser:
             "--tol-scale",
             type=float,
             default=1.0,
-            help="multiply the tolerances echoed in each report by this finite "
-            "positive factor; fixed thresholds outside them are not scaled",
+            help="multiply by this positive factor the tolerances (1e-9) of parallel lines and of "
+            "the exceptional and bifurcation loci, not the eps bounds (worst measured): integral "
+            "sums 16 n max(1,|ratio|) (.34), on an edge 8 (1.7), edge on slope 256 (diameter + "
+            "max|x|)/length (38), chart laws 2048 sum|terms| (486), lengths 64 (sum l+max|x|) (.9)",
         )
 
     slopes = sub.add_parser("slopes", help="slope-system commands")

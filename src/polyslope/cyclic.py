@@ -37,9 +37,10 @@ from .geometry import (
     PolygonChain,
     SlopeSystem,
     _cycled,
+    integral_ratio,
     tangential_polygon,
 )
-from .slope_space import build_chart, integral_ratio
+from .slope_space import build_chart
 from .tangential import (
     ExceptionalSpace,
     morse_index_formula,
@@ -156,7 +157,7 @@ class DualityReport:
     identity_holds: bool
 
 
-def cyclic_invariants(cyclic: CyclicPolygon, tol: Tolerances = DEFAULT_TOL) -> CyclicInvariants:
+def cyclic_invariants(cyclic: CyclicPolygon) -> CyclicInvariants:
     """Orientation signs, half angles, edge count, winding and bifurcation sum.
 
     The winding number is accumulated from the signed arcs (arc if the edge
@@ -164,17 +165,19 @@ def cyclic_invariants(cyclic: CyclicPolygon, tol: Tolerances = DEFAULT_TOL) -> C
     it coincides with the geometric winding number around the center.
     """
     arcs = (_cycled(cyclic.phis) - cyclic.phis) % TWO_PI
-    orientations = np.where(arcs < math.pi, 1, -1)
+    forward = arcs < math.pi
+    orientations = np.where(forward, 1, -1)
     half_angles = np.minimum(arcs, TWO_PI - arcs) / 2.0
-    signed_arcs = np.where(orientations > 0, arcs, arcs - TWO_PI)
-    turns = float(np.sum(signed_arcs)) / TWO_PI
-    winding, off = integral_ratio(turns, tol)
+    turns = float(np.sum(np.where(forward, arcs, arcs - TWO_PI))) / TWO_PI
+    # The angle differences behind the arcs reach max|phi| / pi turns.
+    magnitude = max(1.0, max(map(abs, cyclic.phis.tolist())) / math.pi)
+    winding, off = integral_ratio(turns, cyclic.n * magnitude)
     if off:
         raise NotCritical(f"arc sum {turns!r} turns is not integral")
     return CyclicInvariants(
         orientations=orientations,
         half_angles=half_angles,
-        positive_edges=int(np.count_nonzero(orientations > 0)),
+        positive_edges=int(np.count_nonzero(forward)),
         winding=int(winding),
         bifurcation_sum=float(np.sum(orientations * np.tan(half_angles))),
     )
@@ -300,22 +303,19 @@ def _tangent_frame(w: np.ndarray, grad: np.ndarray) -> tuple[np.ndarray, np.ndar
     return vh[rank:].T, multipliers
 
 
-def area_criticality_residual(
-    polygon: PolygonChain,
-    lengths,
-    tol: Tolerances = DEFAULT_TOL,
-) -> float:
+def area_criticality_residual(polygon: PolygonChain, lengths) -> float:
     """Norm of the area gradient projected onto the closure tangent space.
 
     Vanishes exactly at cyclic configurations.  Raises LengthMismatch when
-    the vertices do not realize the given lengths.
+    the vertices do not realize the given lengths within 64 eps (sum l +
+    max|coordinate|), the roundoff of lengths read off the vertices.
     """
     lengths = np.asarray(lengths, dtype=float)
     actual = polygon.edge_lengths
     if lengths.shape != actual.shape:
         raise LengthMismatch("wrong number of edge lengths")
-    scale = max(1.0, float(np.sum(lengths)))
-    if float(np.max(np.abs(actual - lengths))) > tol.length_match * scale:
+    scale = float(np.sum(lengths)) + float(np.max(np.abs(polygon.vertices)))
+    if not float(np.max(np.abs(actual - lengths))) <= 64.0 * np.finfo(float).eps * scale:
         raise LengthMismatch("vertices do not realize the prescribed edge lengths")
     w = _edge_vectors(lengths, polygon.edge_angles)
     grad = _area_gradient(w, _head_differences(w))[1:]

@@ -33,6 +33,9 @@ from .errors import (
 from .tolerances import DEFAULT_TOL, Tolerances
 
 TWO_PI = 2.0 * math.pi
+EPS = float(np.finfo(float).eps)
+INTEGRAL_SUM = 16.0  # eps n max(1, |ratio|): n rounded terms, integral by construction
+ON_EDGE = 8.0  # eps hypot(cross, dot): the cross product deciding a side of an edge
 
 
 def left_normal(angle: float) -> np.ndarray:
@@ -60,6 +63,16 @@ def line_gap(a, b):
     """Angular distance between undirected lines (angles mod pi), elementwise."""
     d = (a - b) % math.pi
     return np.minimum(d, math.pi - d)
+
+
+def integral_ratio(ratio, terms: float):
+    """The integers nearest ``ratio``, a sum of ``terms`` rounded terms that is
+    integral by construction, and whether each is off by more than INTEGRAL_SUM
+    terms eps max(1, |ratio|).  A caller whose terms come from operands far
+    larger than the ratio's unit counts each term once per such unit."""
+    nearest = np.rint(ratio)
+    bound = INTEGRAL_SUM * terms * EPS
+    return nearest, np.abs(ratio - nearest) > bound * np.maximum(1.0, np.abs(ratio))
 
 
 def line_vertices(angles, offsets, tol: Tolerances = DEFAULT_TOL) -> np.ndarray:
@@ -296,30 +309,24 @@ def oriented_area(polygon: PolygonChain) -> float:
     return float(oriented_areas(polygon.vertices))
 
 
-def winding_numbers(vertices: np.ndarray, points, tol: Tolerances = DEFAULT_TOL) -> np.ndarray:
+def winding_numbers(vertices: np.ndarray, points) -> np.ndarray:
     """Winding numbers of a (..., m, 2) stack of vertex lists around (..., 2)
     points by summed signed angles, correct for self-intersecting polygons.
-    The first polygon to fail raises PointOnBoundary (its point on an edge
-    within tolerance) or NonIntegralTurn (angle sum off a multiple of 2*pi)."""
+    The first polygon to fail raises PointOnBoundary (its point on an edge)
+    or NonIntegralTurn (the angle sum off :func:`integral_ratio`'s rule)."""
     points = np.asarray(points, dtype=float)[..., None, :]
-    edges = _cycled(vertices, 1, -2) - vertices
-    # Distance from the point to each closed edge segment; PolygonChain
-    # rejects coincident vertices, so no edge has length zero.
-    along = ((points - vertices) * edges).sum(axis=-1) / (edges * edges).sum(axis=-1)
-    nearest = vertices + np.clip(along, 0.0, 1.0)[..., None] * edges
-    guard = tol.on_boundary * diameters(vertices)[..., None]
-    on_edge = np.linalg.norm(points - nearest, axis=-1) <= guard
-    if on_edge.any():
-        *row, i = np.unravel_index(np.argmax(on_edge), on_edge.shape)
-        point = np.broadcast_to(points, vertices.shape)[(*row, 0)]
-        raise PointOnBoundary(f"point {point.tolist()} lies on edge {i}")
     rel = vertices - points
     nxt = _cycled(rel, 1, -2)
     cross = rel[..., 0] * nxt[..., 1] - rel[..., 1] * nxt[..., 0]
     dot = np.einsum("...ij,...ij->...i", rel, nxt)
+    # Past an edge the angle nears +-pi, signed by cross, which errs by 2 eps hypot.
+    on_edge = (dot <= 0.0) & (np.abs(cross) <= ON_EDGE * EPS * np.hypot(cross, dot))
+    if on_edge.any():
+        *row, i = np.unravel_index(np.argmax(on_edge), on_edge.shape)
+        point = np.broadcast_to(points, vertices.shape)[(*row, 0)]
+        raise PointOnBoundary(f"point {point.tolist()} lies on edge {i}")
     turns = np.arctan2(cross, dot).sum(axis=-1) / TWO_PI
-    nearest = np.rint(turns)
-    off = np.abs(turns - nearest) >= tol.winding_residual
+    nearest, off = integral_ratio(turns, vertices.shape[-2])
     if off.any():
         row = np.unravel_index(np.argmax(off), off.shape)
         raise NonIntegralTurn(
@@ -328,20 +335,34 @@ def winding_numbers(vertices: np.ndarray, points, tol: Tolerances = DEFAULT_TOL)
     return nearest.astype(int)
 
 
-def winding_number(polygon: PolygonChain, point, tol: Tolerances = DEFAULT_TOL) -> int:
+def winding_number(polygon: PolygonChain, point) -> int:
     """Winding number of one polygon around ``point`` (:func:`winding_numbers`)."""
-    return int(winding_numbers(polygon.vertices, point, tol))
+    return int(winding_numbers(polygon.vertices, point))
 
 
-def turning_sum(system: SlopeSystem, tol: Tolerances = DEFAULT_TOL) -> tuple[float, int, int]:
+def turning_sum(system: SlopeSystem) -> tuple[float, int, int]:
     """The cyclic sum t = k * pi of consecutive line angles, k and the number of
     right turns: the turning rule of :func:`polyslope.slope_space.chart_stack`."""
     # Imported here: slope_space imports this module.
     from .slope_space import INTEGRAL, RANGE, chart_stack, turning_rule
-    total, k, right_turns, off, outside = turning_rule(system.angles, tol)
+    total, k, right_turns, off, outside = turning_rule(system.angles)
     if off or outside:
-        chart_stack(system.angles, tol).require(INTEGRAL, RANGE)
+        chart_stack(system.angles).require(INTEGRAL, RANGE)
     return float(total), int(k), int(right_turns)
+
+
+def edges_against_slopes(vertices: np.ndarray, slope_angles, tol: Tolerances):
+    """The edges of a (..., m, 2) vertex stack, edge i leaving vertex i, their
+    lengths and directions in [0, 2pi), and the mask of the edges off slope i
+    by more than ``tol.parallel`` plus 256 eps (diameter + max|coordinate|) /
+    length: the roundoff of a direction read off vertices that were built at
+    the polygon's scale and rounded at their own magnitude."""
+    edges = _cycled(vertices, 1, -2) - vertices
+    lengths = np.hypot(edges[..., 0], edges[..., 1])
+    angles = np.arctan2(edges[..., 1], edges[..., 0]) % TWO_PI
+    scales = diameters(vertices) + np.max(np.abs(vertices), axis=(-2, -1))
+    roundoff = 256.0 * EPS * scales[..., None] / lengths
+    return edges, lengths, angles, line_gap(angles, slope_angles) > tol.parallel + roundoff
 
 
 def signed_perimeters(vertices: np.ndarray, slope_angles, tol: Tolerances = DEFAULT_TOL):
@@ -350,19 +371,10 @@ def signed_perimeters(vertices: np.ndarray, slope_angles, tol: Tolerances = DEFA
 
     Edge ``i`` contributes +length when its traversal is codirected with
     slope ``i`` and -length otherwise.  Raises SlopeMismatch for the first
-    edge, in row-major order, that is not parallel to its slope within
-    ``tol.parallel`` plus the roundoff of its direction.  Vertices rounded
-    at the polygon's own scale leave the direction of an edge of length l
-    uncertain by eps * diameter / l.  The duals of 1600 seeded cyclic
-    polygons (n 4..9; random, star and next to the bifurcation locus) erred
-    by up to 38 times that; the allowance is 256 times.
+    edge, in row-major order, that :func:`edges_against_slopes` finds off
+    its slope.
     """
-    edges = _cycled(vertices, 1, -2) - vertices
-    lengths = np.hypot(edges[..., 0], edges[..., 1])
-    angles = np.arctan2(edges[..., 1], edges[..., 0]) % TWO_PI
-    turn = (angles - slope_angles) % math.pi
-    roundoff = 256.0 * np.finfo(float).eps * diameters(vertices)[..., None] / lengths
-    mismatched = np.minimum(turn, math.pi - turn) > tol.parallel + roundoff
+    edges, lengths, angles, mismatched = edges_against_slopes(vertices, slope_angles, tol)
     if mismatched.any():
         at = np.unravel_index(np.argmax(mismatched), mismatched.shape)
         slope = np.broadcast_to(slope_angles, angles.shape)[at]

@@ -201,7 +201,7 @@ def cyclic_report(
     tol: Tolerances = DEFAULT_TOL,
 ) -> dict:
     cyclic = CyclicPolygon.from_degrees(radius, phis_deg, center)
-    inv = cyclic_invariants(cyclic, tol)
+    inv = cyclic_invariants(cyclic)
     unresolved = "the coordinates cannot resolve the polygon at this radius and center"
     # Coordinates near the center round by eps |center|, which turns an edge
     # of length R by up to that over R.

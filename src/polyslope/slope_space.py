@@ -29,11 +29,14 @@ from .errors import (
     SlopeMismatch,
 )
 from .geometry import (
+    EPS,
     TWO_PI,
     PolygonChain,
     SlopeSystem,
     _cycled,
     edge_offsets,
+    edges_against_slopes,
+    integral_ratio,
     left_normal,
     line_gap,
     line_vertices,
@@ -265,21 +268,14 @@ def _parallel_pairs(angles: np.ndarray, tol: Tolerances) -> np.ndarray:
     return line_gap(angles.take(first, -1), angles.take(second, -1)) < limits
 
 
-def integral_ratio(ratio, tol: Tolerances = DEFAULT_TOL):
-    """The integers nearest ``ratio``, and whether each lies off its integer
-    by more than ``tol.turn_integral`` times max(1, |ratio|)."""
-    nearest = np.rint(ratio)
-    return nearest, np.abs(ratio - nearest) > tol.turn_integral * np.maximum(1.0, np.abs(ratio))
-
-
-def turning_rule(angles: np.ndarray, tol: Tolerances = DEFAULT_TOL):
+def turning_rule(angles: np.ndarray):
     """The turning rule along the last axis: t, the line turns (b - a) mod pi
     of consecutive angles added in order; k, the integer nearest t / pi; the
     right turns, where (b - a) mod 2pi >= pi; and the INTEGRAL and RANGE
     masks, t / pi off k, and k outside 1..n - 1 (or NaN)."""
     steps = _cycled(angles, 1, -1) - angles
     total = np.add.accumulate(steps % math.pi, axis=-1)[..., -1]
-    k, off = integral_ratio(total / math.pi, tol)
+    k, off = integral_ratio(total / math.pi, angles.shape[-1])
     right_turns = (steps % TWO_PI >= math.pi).sum(axis=-1)
     return total, k, right_turns, off, ~((k >= 1) & (k <= angles.shape[-1] - 1))
 
@@ -328,7 +324,7 @@ def chart_stack(angles: np.ndarray, tol: Tolerances = DEFAULT_TOL) -> ChartStack
     angles reduced as :class:`SlopeSystem` stores them: lines apart (the
     consecutive ones by ``DEFAULT_TOL.parallel``, all by ``tol.parallel``),
     an angle sum k * pi with integral k in 1..n - 1, and k - 1 positive p_i."""
-    total, k, right_turns, off, outside = turning_rule(angles, tol)
+    total, k, right_turns, off, outside = turning_rule(angles)
     perimeters = _unit_perimeters(angles)
     lines = _parallel_pairs(angles, tol).any(axis=-1)
     broken = lines, off, outside, (perimeters > 0).sum(axis=-1) != k - 1
@@ -365,17 +361,10 @@ def polygon_from_radii(
     if not np.all(np.isfinite(radii)):
         raise ValueError("radii must be finite")
     angles = chart.system.angles
-    gaps = np.sin(line_gap(angles[0], angles[2:-1]))
-    with np.errstate(divide="ignore"):
-        first_ill = int(np.append(1.0 / gaps > tol.condition_limit, True).argmax())
     # Circle i sits on e_1 and e_{i+1}, which must meet: line_vertices checks
-    # those pairs before the first ill-conditioned one, as it checks its own.
-    pairs = np.column_stack((angles[2 : 2 + first_ill], np.full(first_ill, angles[0])))
+    # those pairs as it checks its own.
+    pairs = np.column_stack((angles[2:-1], np.full(n - 3, angles[0])))
     line_vertices(pairs, np.zeros_like(pairs), tol)
-    if first_ill < n - 3:
-        raise ReconstructionDegenerate(
-            f"tangent construction for triangle {first_ill + 1} is ill-conditioned"
-        )
     rows = radii.reshape(-1, n - 2)
     theta = angles - angles[0]
     half = np.tan(0.5 * theta)
@@ -385,12 +374,12 @@ def polygon_from_radii(
     offsets = (centers[:, owner] + rows[:, owner] * half) * np.sin(-theta)
     vertices = line_vertices(angles, offsets, tol)
     require_distinct(vertices)
-    # The chart laws hold on every row, to tol.chart_check.
+    # The chart laws hold on every row, to their roundoff of 2048 eps sum|terms|.
     terms = np.stack((0.5 * chart.unit_perimeters * rows**2, chart.unit_perimeters * rows))
     perimeters = signed_perimeters(vertices, angles, tol)
     measured = np.stack((oriented_areas(vertices), perimeters))
     errors = np.abs(measured - np.sum(terms, axis=-1))
-    bounds = tol.chart_check * np.maximum(1.0, np.sum(np.abs(terms), axis=-1))
+    bounds = 2048.0 * EPS * np.sum(np.abs(terms), axis=-1)
     violated = (errors > bounds).any(axis=0)
     if violated.any():
         area_err, perim_err = errors[:, np.argmax(violated)].tolist()
@@ -405,8 +394,7 @@ def _line_offsets(chart: RadiiChart, vertices: np.ndarray, tol: Tolerances) -> n
     """:func:`polygon_line_offsets` of an (n, 2) vertex list, its edges read
     as :class:`PolygonChain` reads them."""
     angles = chart.system.angles
-    edges = _cycled(vertices) - vertices
-    mismatched = line_gap(np.arctan2(edges[:, 1], edges[:, 0]) % TWO_PI, angles) > tol.parallel
+    mismatched = edges_against_slopes(vertices, angles, tol)[3]
     if mismatched.any():
         i = int(np.argmax(mismatched))
         raise SlopeMismatch(f"edge {i} does not match slope {i}")

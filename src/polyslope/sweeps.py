@@ -183,7 +183,7 @@ def check_chart_identities(rng, n, tol):
     if not points:
         return rows
     scales = diameters(rebuilt).tolist()
-    windings = winding_numbers(rebuilt[1:], [point.incenter for point in points], tol).tolist()
+    windings = winding_numbers(rebuilt[1:], [point.incenter for point in points]).tolist()
     # The area is +-1, so its absolute and relative errors agree.
     bound = max(1e-10, TANGENTIAL_ROUNDOFF * _locus_roundoff(chart))
     for k, point in enumerate(points, 1):
@@ -215,7 +215,7 @@ def check_turning_signature(rng, n, tol):
     if n > 3:
         head = SlopeSystem.from_angles(angles[:-1])
         tail = SlopeSystem.from_angles(angles[[0, -2, -1]])
-        rhs = turning_sum(head, tol)[0] + turning_sum(tail, tol)[0] - math.pi
+        rhs = turning_sum(head)[0] + turning_sum(tail)[0] - math.pi
         rows.append(("turning recursion off", abs(total - rhs), 1e-9 * max(1.0, abs(total))))
     return rows
 
@@ -224,7 +224,7 @@ def check_dual_perimeter(rng, n, tol):
     """Dual signed perimeter equals 2R * bifurcation sum, to c eps 2R
     sum|tan alpha| with c = 1024; vanishing matches."""
     cyclic = random_cyclic_polygon(rng, n)
-    inv = cyclic_invariants(cyclic, tol)
+    inv = cyclic_invariants(cyclic)
     dual = dual_polygon(cyclic)
     measured = signed_perimeter(dual.polygon, dual.slopes, tol)
     expected = 2.0 * cyclic.radius * inv.bifurcation_sum
@@ -234,7 +234,7 @@ def check_dual_perimeter(rng, n, tol):
     dual_vanishes = abs(measured) < tol.bifurcation * scale
     chords = 2.0 * cyclic.radius * np.sin(inv.half_angles)
     chord_error = float(np.max(np.abs(cyclic.polygon.edge_lengths - chords)))
-    winding = winding_number(cyclic.polygon, cyclic.center, tol)
+    winding = winding_number(cyclic.polygon, cyclic.center)
     return [
         ("dual perimeter off 2RB", abs(measured - expected), dual_bound),
         ("bifurcation test off dual perimeter", int(bif != dual_vanishes), 0),
@@ -250,7 +250,7 @@ def check_cyclic_indices(rng, n, tol):
         cyclic = random_star_polygon(rng, n, turns)
     else:
         cyclic = random_cyclic_polygon(rng, n)
-    inv = cyclic_invariants(cyclic, tol)
+    inv = cyclic_invariants(cyclic)
     if bifurcation_test(inv, tol):
         return None
     report = duality_index_check(cyclic, inv, dual_slopes(cyclic), tol)

@@ -567,21 +567,35 @@ class TestReportHygiene:
                     assert value is None or isinstance(value, (int, str, bool))
 
     def test_tolerance_scaling_flag(self, tmp_path, capsys):
+        # --tol-scale multiplies the three modelling tolerances, and only them.
         path = write_json(tmp_path, "eq.json", {"angles_deg": [90, 210, 330]})
-        code, out, _ = run_cli(
-            capsys, "slopes", "analyze", path, "--json", "--tol-scale", "10"
-        )
-        assert code == 0
-        report = json.loads(out)
-        assert report["tolerances"]["parallel"] == pytest.approx(1e-8)
+        star = {"radius": 1.0, "phis_deg": [0, 144, 288, 72, 216]}
+        commands = [
+            ("slopes", "analyze", path),
+            ("cyclic", "analyze", write_json(tmp_path, "star.json", star)),
+            ("family", write_json(tmp_path, "family.json", FAMILY), "--steps", "5"),
+        ]
+        for command in commands:
+            code, out, _ = run_cli(capsys, *command, "--json", "--tol-scale", "10")
+            assert code == 0
+            assert json.loads(out)["tolerances"] == pytest.approx(
+                {"parallel": 1e-8, "exceptional": 1e-8, "bifurcation": 1e-8}
+            )
         for bad in ("nan", "inf", "0"):
             code, _, err = run_cli(capsys, "slopes", "analyze", path, "--tol-scale", bad)
             assert code == 2
             assert "positive finite" in err
 
     def test_tolerances_echoed_in_reports(self):
-        report = cyclic_report(1.0, [0, 144, 288, 72, 216])
-        assert report["tolerances"]["bifurcation"] == pytest.approx(1e-9)
+        reports = [
+            slopes_report([10, 80, 150, 230, 300]),
+            cyclic_report(1.0, [0, 144, 288, 72, 216]),
+            family_report(FAMILY["start_angles_deg"], FAMILY["end_angles_deg"], 5),
+        ]
+        for report in reports:
+            assert report["tolerances"] == {
+                "parallel": 1e-9, "exceptional": 1e-9, "bifurcation": 1e-9
+            }
 
     def test_scaled_tolerance_reaches_the_bifurcation_test(self):
         # |B| / sum|tan alpha| = 2.3e-8 lies between 1e-9 and 100 * 1e-9.

@@ -286,8 +286,15 @@ class TestCriticalityResidual:
 
     def test_length_mismatch_rejected(self):
         square = PolygonChain(np.array([[0.0, 0.0], [1.0, 0.0], [1.0, 1.0], [0.0, 1.0]]))
-        with pytest.raises(LengthMismatch):
-            area_criticality_residual(square, [1, 1, 1, 1.01])
+        for lengths in ([1, 1, 1, 1.01], [1, 1, 1, float("nan")]):
+            with pytest.raises(LengthMismatch):
+                area_criticality_residual(square, lengths)
+        # One length off by 1e-12 of their sum is caught.
+        for polygon in (square, PENTAGRAM.polygon):
+            lengths = polygon.edge_lengths.copy()
+            lengths[-1] += 1e-12 * float(np.sum(lengths))
+            with pytest.raises(LengthMismatch):
+                area_criticality_residual(polygon, lengths)
 
 
 class TestAreaIndex:

@@ -27,6 +27,7 @@ from polyslope import (
 from polyslope.geometry import (
     diameters,
     edge_offsets,
+    integral_ratio,
     left_normal,
     line_gap,
     line_vertices,
@@ -37,6 +38,8 @@ from polyslope.geometry import (
     tangential_polygon,
     winding_numbers,
 )
+
+EPS = float(np.finfo(float).eps)
 
 UNIT_SQUARE = PolygonChain(np.array([[0.0, 0.0], [1.0, 0.0], [1.0, 1.0], [0.0, 1.0]]))
 
@@ -124,8 +127,11 @@ class TestTurning:
 
         for _ in range(20):
             system = random_slope_system(rng, n)
-            _, k, _ = turning_sum(system)
+            total, k, _ = turning_sum(system)
             assert 1 <= k <= n - 1
+            # The integral rule keeps the sum and breaks it moved by 1e-12 pi.
+            assert not integral_ratio(total / math.pi, n)[1]
+            assert integral_ratio((total + 1e-12 * math.pi) / math.pi, n)[1]
 
     def test_recursion(self):
         rng = np.random.default_rng(5)
@@ -256,7 +262,7 @@ def reference_turning_sum(angles, tol):
         t += term
     ratio = t / math.pi
     k = round(ratio)
-    if abs(ratio - k) > tol.turn_integral * max(1.0, abs(ratio)):
+    if abs(ratio - k) > 16.0 * len(angles) * EPS * max(1.0, abs(ratio)):
         raise NonIntegralTurn(f"angle sum {t!r} is not an integral multiple of pi")
     if not 1 <= k <= len(angles) - 1:
         raise NonIntegralTurn(f"turning number {k} outside {{1, ..., n - 1}}")
@@ -375,7 +381,7 @@ class TestAngleArrayChecks:
                 seen.add("wrap-around boundary")
                 expected = outcome(reference_turning_sum, angles, DEFAULT_TOL)
             right, _ = reference_turn_counts(angles)
-            assert outcome(turning_sum, system, tol) == expected + (right,)
+            assert outcome(turning_sum, system) == expected + (right,)
             seen.add("turning")
         assert seen == {"consecutive", "ParallelLines", "turning", "wrap-around boundary"}
 
@@ -463,9 +469,10 @@ def reference_signed_perimeter(polygon, system, tol=DEFAULT_TOL):
     edges = polygon.edge_vectors
     angles = polygon.edge_angles
     total = 0.0
+    scale = polygon.diameter + float(np.max(np.abs(polygon.vertices)))
     for i, slope in enumerate(system.angles.tolist()):
         length = float(np.linalg.norm(edges[i]))
-        roundoff = 256.0 * np.finfo(float).eps * polygon.diameter / length
+        roundoff = 256.0 * EPS * scale / length
         if line_gap(angles[i], slope) > tol.parallel + roundoff:
             raise SlopeMismatch(
                 f"edge {i} at angle {float(angles[i])!r} is not parallel to slope {slope!r}"
@@ -476,26 +483,17 @@ def reference_signed_perimeter(polygon, system, tol=DEFAULT_TOL):
     return total
 
 
-def reference_point_segment_distance(point, a, b):
-    ab = b - a
-    denom = float(ab @ ab)
-    if denom == 0.0:
-        return float(np.linalg.norm(point - a))
-    t = float(np.clip((point - a) @ ab / denom, 0.0, 1.0))
-    return float(np.linalg.norm(point - (a + t * ab)))
-
-
-def reference_winding_number(polygon, point, tol=DEFAULT_TOL):
+def reference_winding_number(polygon, point):
     point = np.asarray(point, dtype=float)
-    verts = polygon.vertices
-    guard = tol.on_boundary * max(1.0, polygon.diameter)
-    for i in range(polygon.n):
-        if reference_point_segment_distance(point, verts[i], verts[(i + 1) % polygon.n]) <= guard:
-            raise PointOnBoundary(f"point {point.tolist()} lies on edge {i}")
-    rel = verts - point
+    rel = polygon.vertices - point
     nxt = np.roll(rel, -1, axis=0)
     cross = rel[:, 0] * nxt[:, 1] - rel[:, 1] * nxt[:, 0]
     dot = np.einsum("ij,ij->i", rel, nxt)
+    for i in range(polygon.n):
+        # Past edge i the signed angle is near +-pi, with the sign of a cross
+        # product that rounds by at most 2 eps hypot(cross, dot).
+        if dot[i] <= 0.0 and abs(cross[i]) <= 8.0 * EPS * math.hypot(cross[i], dot[i]):
+            raise PointOnBoundary(f"point {point.tolist()} lies on edge {i}")
     return round(float(np.sum(np.arctan2(cross, dot))) / (2 * math.pi))
 
 
@@ -576,16 +574,23 @@ class TestArrayKernels:
             assert str(batched.value) == str(expected.value)
             assert "edge 2 " in str(batched.value)
 
-    def test_point_on_boundary_names_first_edge(self):
-        for _, _, polygon in chart_polygons(42, 20):
-            # Vertex 2 ends edge 1 and starts edge 2.
-            point = polygon.vertices[2]
+    def test_point_on_an_edge_names_first_edge(self):
+        # Vertex 2 ends edge 1 and starts edge 2.
+        cases = [(polygon, polygon.vertices[2], 1) for _, _, polygon in chart_polygons(42, 20)]
+        # (0.9, 0.3) rounds off the line of edge 0, y = x / 3, by less than the
+        # cross product deciding its side can err: it counts as on the edge.
+        sliver = PolygonChain(np.array([[0.0, 0.0], [3.0, 1.0], [-1.0, 2.0]]))
+        cases.append((sliver, [0.9, 0.3], 0))
+        for polygon, point, edge in cases:
             with pytest.raises(PointOnBoundary) as expected:
                 reference_winding_number(polygon, point)
             with pytest.raises(PointOnBoundary) as batched:
                 winding_number(polygon, point)
             assert str(batched.value) == str(expected.value)
-            assert str(batched.value).endswith("edge 1")
+            assert str(batched.value).endswith(f"edge {edge}")
+        # A millionth of the edge's length off it, the sign is certain.
+        assert winding_number(sliver, [0.9, 0.3 + 3e-6]) == 1
+        assert winding_number(sliver, [0.9, 0.3 - 3e-6]) == 0
 
     def test_line_vertices_agree_with_intersections(self):
         # Stacks of four systems, n 3..14: every row against the loop, and
