@@ -41,12 +41,7 @@ from .geometry import (
     tangential_polygon,
 )
 from .slope_space import build_chart
-from .tangential import (
-    ExceptionalSpace,
-    morse_index_formula,
-    morse_index_sign_count,
-    tangential_critical_points,
-)
+from .tangential import morse_index_formula, sign_count_index, tangential_critical_points
 from .tolerances import DEFAULT_TOL, Tolerances
 
 
@@ -57,7 +52,12 @@ ANTIPODAL = 1e-6
 
 @dataclass(frozen=True, eq=False)
 class CyclicPolygon:
-    """Polygon inscribed in a circle: center, radius, vertex angles (radians)."""
+    """Polygon inscribed in a circle: center, radius, vertex angles (radians).
+
+    ``phis`` are reduced to [0, 2pi) as :class:`SlopeSystem` stores slopes
+    (a remainder that rounds up to 2pi is 0.0), so the vertices, from their
+    cos and sin, and the invariants, from their differences, read one polygon.
+    """
 
     center: np.ndarray
     radius: float
@@ -73,7 +73,8 @@ class CyclicPolygon:
         if phis.ndim != 1 or len(phis) < 3:
             raise ValueError("need at least three vertex angles")
         center = center.copy()
-        phis = phis.copy()
+        phis = phis % TWO_PI
+        phis[phis == TWO_PI] = 0.0
         center.setflags(write=False)
         phis.setflags(write=False)
         object.__setattr__(self, "center", center)
@@ -169,9 +170,7 @@ def cyclic_invariants(cyclic: CyclicPolygon) -> CyclicInvariants:
     orientations = np.where(forward, 1, -1)
     half_angles = np.minimum(arcs, TWO_PI - arcs) / 2.0
     turns = float(np.sum(np.where(forward, arcs, arcs - TWO_PI))) / TWO_PI
-    # The angle differences behind the arcs reach max|phi| / pi turns.
-    magnitude = max(1.0, max(map(abs, cyclic.phis.tolist())) / math.pi)
-    winding, off = integral_ratio(turns, cyclic.n * magnitude)
+    winding, off = integral_ratio(turns, cyclic.n)
     if off:
         raise NotCritical(f"arc sum {turns!r} turns is not integral")
     return CyclicInvariants(
@@ -222,28 +221,6 @@ def _rot90(vectors: np.ndarray) -> np.ndarray:
     return np.column_stack([-vectors[:, 1], vectors[:, 0]])
 
 
-def closure_residual(lengths: np.ndarray, thetas: np.ndarray) -> np.ndarray:
-    """Vector sum of the edges; zero exactly on closed polygons."""
-    return _edge_vectors(lengths, thetas).sum(axis=0)
-
-
-def closure_jacobian(lengths: np.ndarray, thetas: np.ndarray) -> np.ndarray:
-    """2 x n Jacobian of the closure residual in the angle chart."""
-    return _rot90(_edge_vectors(lengths, thetas)).T
-
-
-def chain_area(lengths: np.ndarray, thetas: np.ndarray) -> float:
-    """Shoelace area of the chain started at the origin and closed by a chord.
-
-    Agrees with the polygon area whenever the closure residual vanishes and
-    extends it smoothly off the constraint surface (the last edge drops out).
-    """
-    w = _edge_vectors(lengths, thetas)
-    verts = np.vstack([np.zeros(2), np.cumsum(w[:-1], axis=0)])
-    nxt = np.roll(verts, -1, axis=0)
-    return 0.5 * float(np.sum(verts[:, 0] * nxt[:, 1] - nxt[:, 0] * verts[:, 1]))
-
-
 def _head_differences(w: np.ndarray) -> np.ndarray:
     """Row j, for j < n - 1: the sum of w_i over i < j minus that over j < i <= n - 2."""
     head = w[:-1]
@@ -253,8 +230,10 @@ def _head_differences(w: np.ndarray) -> np.ndarray:
 
 
 def _area_gradient(w: np.ndarray, diff: np.ndarray) -> np.ndarray:
-    """:func:`chain_area_gradient` of the edge vectors w, diff their
-    :func:`_head_differences`."""
+    """Gradient, in all edge angles, of the shoelace area of the chain of
+    edge vectors w started at the origin and closed by a chord, diff their
+    :func:`_head_differences`.  The chord-closed area equals the polygon's
+    area where the edges close, and the last edge drops out of it."""
     wp = _rot90(w)[:-1]
     grad = np.zeros(len(w))
     grad[:-1] = 0.5 * (diff[:, 0] * wp[:, 1] - diff[:, 1] * wp[:, 0])
@@ -262,8 +241,8 @@ def _area_gradient(w: np.ndarray, diff: np.ndarray) -> np.ndarray:
 
 
 def _area_hessian(w: np.ndarray, diff: np.ndarray) -> np.ndarray:
-    """:func:`chain_area_hessian` of the edge vectors w, diff their
-    :func:`_head_differences`."""
+    """Hessian, in all edge angles, of the chord-closed area of
+    :func:`_area_gradient`."""
     n = len(w)
     x, y = w[:-1, 0], w[:-1, 1]
     # Off the diagonal, cross(w_j', w_k') equals cross(w_j, w_k).
@@ -272,18 +251,6 @@ def _area_hessian(w: np.ndarray, diff: np.ndarray) -> np.ndarray:
     hess[:-1, :-1] = upper + upper.T
     hess[np.arange(n - 1), np.arange(n - 1)] = -0.5 * (diff[:, 0] * y - diff[:, 1] * x)
     return hess
-
-
-def chain_area_gradient(lengths: np.ndarray, thetas: np.ndarray) -> np.ndarray:
-    """Gradient of the chord-closed area with respect to all edge angles."""
-    w = _edge_vectors(lengths, thetas)
-    return _area_gradient(w, _head_differences(w))
-
-
-def chain_area_hessian(lengths: np.ndarray, thetas: np.ndarray) -> np.ndarray:
-    """Hessian of the chord-closed area with respect to all edge angles."""
-    w = _edge_vectors(lengths, thetas)
-    return _area_hessian(w, _head_differences(w))
 
 
 def _tangent_frame(w: np.ndarray, grad: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -388,7 +355,7 @@ def duality_index_check(
     its result.  The dual polygon is tangential with positive inradius,
     hence (after the area normalization, which leaves the index unchanged)
     it is the positive critical point of the perimeter for its own slope
-    system; its index is the exact sign count of :func:`morse_index_sign_count`,
+    system; its index is the exact sign count of :func:`sign_count_index`,
     cross-checked against the turn/winding formula.  A dual slope system
     with parallel lines or an exceptional one has no such index, and the
     report says why in ``dual_note``.  Raises Bifurcating on the
@@ -402,13 +369,13 @@ def duality_index_check(
     mu_dual, note = None, None
     try:
         points = tangential_critical_points(build_chart(dual_slopes, tol), tol)
-        if isinstance(points, ExceptionalSpace):
+        if not points:
             raise Bifurcating("dual slope system is exceptional")
     except (ParallelLines, Bifurcating) as exc:
         note = f"dual perimeter index unavailable: {exc}"
     else:
-        positive = points[0] if points[0].inradius > 0 else points[1]
-        mu_dual = morse_index_sign_count(positive.chart, positive.inradius)
+        positive, chart = points[0], points[0].chart  # the point of inradius r > 0
+        mu_dual = int(sign_count_index(chart.unit_perimeters, chart.perimeter_sum, 1.0))
         if mu_dual != morse_index_formula(positive):
             raise DegenerateCritical("dual index routes disagree")
     return DualityReport(

@@ -50,6 +50,7 @@ class Bifurcating(PolyslopeError):
     """Index requested for a cyclic polygon on the bifurcation locus."""
 
 
+# Kept while perfbench/test_perfbench.py imports it.
 class DegenerateHessian(PolyslopeError):
     """A perimeter Hessian is singular.
 

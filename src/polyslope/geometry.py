@@ -247,15 +247,6 @@ class PolygonChain:
         e = self.edge_vectors
         return np.arctan2(e[:, 1], e[:, 0]) % TWO_PI
 
-    def translated(self, shift) -> "PolygonChain":
-        return PolygonChain(self.vertices + np.asarray(shift, dtype=float))
-
-    def scaled(self, factor: float) -> "PolygonChain":
-        return PolygonChain(self.vertices * float(factor))
-
-    def reversed_orientation(self) -> "PolygonChain":
-        return PolygonChain(self.vertices[::-1])
-
 
 def polygon_from_lines(
     angles: Sequence[float],

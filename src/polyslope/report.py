@@ -31,7 +31,6 @@ from .geometry import (
 )
 from .slope_space import build_chart, chart_stack, topology_report
 from .tangential import (
-    ExceptionalSpace,
     critical_gradient_norms,
     exceptional_mask,
     morse_index_eigen,
@@ -184,7 +183,7 @@ def slopes_report(angles_deg: list[float], tol: Tolerances = DEFAULT_TOL) -> dic
         },
     }
     points = tangential_critical_points(chart, tol)
-    if isinstance(points, ExceptionalSpace):
+    if not points:
         report["critical"] = {"exceptional": True, "points": []}
     else:
         report["critical"] = {

@@ -189,6 +189,7 @@ def tritangent_circle(angles, offsets) -> tuple[np.ndarray, float | np.ndarray]:
     return solution[..., :2], solution[..., 2]
 
 
+# Kept while perfbench/tracer.py traces it; no program path calls it.
 def unit_triangle(
     a: float,
     b: float,
@@ -391,28 +392,17 @@ def polygon_from_radii(
 
 
 def _line_offsets(chart: RadiiChart, vertices: np.ndarray, tol: Tolerances) -> np.ndarray:
-    """:func:`polygon_line_offsets` of an (n, 2) vertex list, its edges read
-    as :class:`PolygonChain` reads them."""
+    """Offsets of the edge lines of an (n, 2) vertex list against the chart's
+    slopes, its edges read as :class:`PolygonChain` reads them; SlopeMismatch
+    for a wrong edge count or for the first edge off its slope."""
+    if len(vertices) != chart.n:
+        raise SlopeMismatch(f"polygon has {len(vertices)} edges, chart expects {chart.n}")
     angles = chart.system.angles
     mismatched = edges_against_slopes(vertices, angles, tol)[3]
     if mismatched.any():
         i = int(np.argmax(mismatched))
         raise SlopeMismatch(f"edge {i} does not match slope {i}")
     return edge_offsets(vertices, angles)
-
-
-def polygon_line_offsets(
-    chart: RadiiChart,
-    polygon: PolygonChain,
-    tol: Tolerances = DEFAULT_TOL,
-) -> np.ndarray:
-    """Offsets of the polygon's edge lines against the chart's slope angles.
-
-    Raises SlopeMismatch for the first edge that is not parallel to its slope.
-    """
-    if polygon.n != chart.n:
-        raise SlopeMismatch(f"polygon has {polygon.n} edges, chart expects {chart.n}")
-    return _line_offsets(chart, polygon.vertices, tol)
 
 
 def decomposition_lines(n: int) -> np.ndarray:
@@ -433,7 +423,7 @@ def radii_of_polygon(
     tol: Tolerances = DEFAULT_TOL,
 ) -> np.ndarray:
     """Signed inradii of the polygon's decomposition triangles."""
-    return _decomposition_radii(chart, polygon_line_offsets(chart, polygon, tol))
+    return _decomposition_radii(chart, _line_offsets(chart, polygon.vertices, tol))
 
 
 def _decomposition_triangles(
@@ -454,7 +444,7 @@ def decomposition_polygons(
     """Triangles Q(e_1, e_{i+1}, e_{i+2}) built from the polygon's edge lines,
     as one (n - 2, 3, 2) stack of vertex lists, each checked as a
     :class:`PolygonChain` is."""
-    return _decomposition_triangles(chart, polygon_line_offsets(chart, polygon, tol), tol)
+    return _decomposition_triangles(chart, _line_offsets(chart, polygon.vertices, tol), tol)
 
 
 def _chart_coordinates(
@@ -485,7 +475,7 @@ def normalized_coordinates(
     oriented area.  For polygons of area +1 with a nonempty positive block
     the sphere-times-disc normalization of x is returned as well.
     """
-    offsets = polygon_line_offsets(chart, polygon, tol)
+    offsets = _line_offsets(chart, polygon.vertices, tol)
     return _chart_coordinates(chart, polygon.vertices, offsets)
 
 

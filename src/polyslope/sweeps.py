@@ -51,7 +51,6 @@ from .slope_space import (
     polygon_from_radii,
 )
 from .tangential import (
-    ExceptionalSpace,
     critical_gradient_norms,
     hessian_det_identity,
     hessian_errors,
@@ -74,13 +73,6 @@ TANGENTIAL_ROUNDOFF = 2048.0  # tangential area and perimeter; worst 122
 DUAL_PERIMETER_ROUNDOFF = 1024.0
 
 
-def _critical_points(chart, tol):
-    """The two tangential critical points of ``chart``; none when it is
-    exceptional, so that a point check has no rows and skips the draw."""
-    points = tangential_critical_points(chart, tol)
-    return () if isinstance(points, ExceptionalSpace) else points
-
-
 def _locus_roundoff(chart):
     """eps sum|p| / |sum p|, the roundoff of quantities that cancel to unit area."""
     scale = float(np.sum(np.abs(chart.unit_perimeters)))
@@ -90,7 +82,7 @@ def _locus_roundoff(chart):
 def check_critical_gradient(rng, n, tol):
     """Complex-step perimeter gradient vanishes at both critical points, to
     the roundoff bound of :func:`critical_gradient_norms` (c = 256)."""
-    points = _critical_points(build_chart(random_slope_system(rng, n), tol), tol)
+    points = tangential_critical_points(build_chart(random_slope_system(rng, n), tol), tol)
     if not points:
         return None
     return [("gradient norm", *row) for row in critical_gradient_norms(points)]
@@ -99,7 +91,7 @@ def check_critical_gradient(rng, n, tol):
 def check_hessian_difference(rng, n, tol):
     """Closed-form Hessian matches the hyper-dual Hessian to the roundoff
     bound of :func:`hessian_errors`, c eps max|H| sum|p| / |sum p| with c = 512."""
-    points = _critical_points(build_chart(random_slope_system(rng, n), tol), tol)
+    points = tangential_critical_points(build_chart(random_slope_system(rng, n), tol), tol)
     if not points:
         return None
     return [("hessian error", *row) for row in hessian_errors(points)]
@@ -110,7 +102,7 @@ def check_hessian_determinant(rng, n, tol):
     larger side, within max(1e-9, c eps sum|p| max|p| / (|sum p| |p_1|)),
     c = 512."""
     rows = []
-    for point in _critical_points(build_chart(random_slope_system(rng, n), tol), tol):
+    for point in tangential_critical_points(build_chart(random_slope_system(rng, n), tol), tol):
         lhs, rhs = hessian_det_identity(point)
         p = np.abs(point.chart.unit_perimeters)
         bound = max(1e-9, DETERMINANT_ROUNDOFF * _locus_roundoff(point.chart) * p.max() / p[0])
@@ -121,7 +113,7 @@ def check_hessian_determinant(rng, n, tol):
 
 def check_index_agreement(rng, n, tol):
     """Eigenvalue index equals the formula index; the two points complement."""
-    points = _critical_points(build_chart(random_slope_system(rng, n), tol), tol)
+    points = tangential_critical_points(build_chart(random_slope_system(rng, n), tol), tol)
     reports = [morse_index_eigen(point) for point in points]
     if not reports:
         return None
@@ -135,7 +127,8 @@ def check_index_agreement(rng, n, tol):
 def check_convex_indices(rng, n, tol):
     """Convex counterclockwise systems: index 0 at r>0 and n-3 at r<0."""
     rows = []
-    for point in _critical_points(build_chart(random_convex_slope_system(rng, n), tol), tol):
+    chart = build_chart(random_convex_slope_system(rng, n), tol)
+    for point in tangential_critical_points(chart, tol):
         expected = 0 if point.inradius > 0 else n - 3
         report = morse_index_eigen(point)
         error = max(abs(report.index_eigen - expected), abs(report.index_formula - expected))
@@ -149,7 +142,7 @@ def check_chart_identities(rng, n, tol):
     vertices, area, perimeter and winding against one stacked reconstruction."""
     chart = build_chart(random_slope_system(rng, n), tol)
     radii = random_radii(rng, n - 2)
-    points = _critical_points(chart, tol)
+    points = tangential_critical_points(chart, tol)
     # Row 0 holds the drawn radii, each further row a tangential point's r_i = r.
     stack = np.array([radii, *(np.full(n - 2, point.inradius) for point in points)])
     rebuilt = polygon_from_radii(chart, stack, tol)

@@ -18,7 +18,7 @@ import numpy as np
 from polyslope import CyclicPolygon, ParallelLines, PolyslopeError, SlopeSystem, build_chart
 from polyslope.cyclic import cyclic_invariants, dual_slopes, duality_index_check
 from polyslope.randomgen import MIN_LINE_SEPARATION, random_cyclic_polygon, random_slope_system
-from polyslope.tangential import exceptional, morse_index_sign_count
+from polyslope.tangential import exceptional_mask, sign_count_index
 from polyslope.tolerances import DEFAULT_TOL
 
 # Slope family with a perimeter-sum zero crossing between the endpoints;
@@ -94,14 +94,15 @@ def _sequential_step(start, end, t, tol):
         return step
     step["status"] = "ok"
     step["perimeter_sum"] = float(chart.perimeter_sum)
-    if exceptional(chart, tol):
+    p, total = chart.unit_perimeters, chart.perimeter_sum
+    if exceptional_mask(p, total, tol):
         step["exceptional"] = True
         step["critical_points"] = 0
     else:
         step["exceptional"] = False
         step["critical_points"] = 2
         step["area_sign"] = int(math.copysign(1.0, chart.perimeter_sum))
-        step["indices"] = [morse_index_sign_count(chart, r) for r in (1.0, -1.0)]
+        step["indices"] = [int(sign_count_index(p, total, r)) for r in (1.0, -1.0)]
     return step
 
 

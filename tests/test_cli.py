@@ -209,6 +209,17 @@ class TestCyclicAnalyze:
         assert indices["mu_dual_perimeter"] == 0
         assert indices["identity_holds"]
 
+    @pytest.mark.parametrize("angle", [1e17, 1e20, 1e100, 1e300, -1e20])
+    def test_huge_vertex_angle_keeps_the_identity(self, tmp_path, capsys, angle):
+        # The vertices take cos and sin of each angle and the invariants
+        # their differences: both read the angle reduced to [0, 2pi).
+        path = write_json(tmp_path, "huge.json", {"radius": 1, "phis_deg": [0, angle, 200]})
+        code, out, _ = run_cli(capsys, "cyclic", "analyze", path, "--json")
+        assert code == 0
+        report = json.loads(out)
+        assert report["indices"]["identity_holds"]
+        assert report["input"]["phis_rad"][1] == math.radians(angle) % (2.0 * math.pi)
+
     def test_pentagram_report(self, tmp_path, capsys):
         path = write_json(
             tmp_path, "penta.json", {"radius": 1, "phis_deg": [0, 144, 288, 72, 216]}

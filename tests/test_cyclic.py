@@ -27,18 +27,18 @@ from polyslope import (
     signed_perimeter,
     winding_number,
 )
-from polyslope.cyclic import (
+from polyslope.geometry import left_normals
+from polyslope.randomgen import random_cyclic_polygon, random_star_polygon
+from polyslope.report import cyclic_report
+from polyslope.sweeps import run_sweep
+
+from area_chart import (
     chain_area,
     chain_area_gradient,
     chain_area_hessian,
     closure_jacobian,
     closure_residual,
 )
-from polyslope.geometry import left_normals
-from polyslope.randomgen import random_cyclic_polygon, random_star_polygon
-from polyslope.report import cyclic_report
-from polyslope.sweeps import run_sweep
-
 from families import bif_family, bisect_bifurcation_root, duality, near_bifurcation_phis
 
 SQUARE = CyclicPolygon.from_degrees(1.0, [0, 90, 180, 270])

@@ -22,7 +22,6 @@ from polyslope import (
     CoincidentVertices,
     CyclicPolygon,
     DegenerateCritical,
-    ExceptionalSpace,
     NotCritical,
     PolygonChain,
     PolyslopeError,
@@ -37,16 +36,16 @@ from polyslope import (
     tangential_critical_points,
     winding_number,
 )
-from polyslope.cyclic import chain_area_gradient, chain_area_hessian, closure_jacobian
 from polyslope.geometry import left_normals, polygon_from_lines, tangential_polygon
 from polyslope.report import cyclic_report, slopes_report
 from polyslope.tangential import (
     COMPLEX_STEP,
     constrained_perimeter,
-    hessian_error,
     hessian_errors,
     hessian_fd_comparisons,
 )
+
+from area_chart import chain_area_gradient, chain_area_hessian, closure_jacobian
 
 COUNT = 1500
 
@@ -168,10 +167,7 @@ def test_critical_points_match_reconstruction():
             chart = build_chart(SlopeSystem.from_degrees(angles))
         except cli.INPUT_ERRORS:
             continue
-        critical = tangential_critical_points(chart)
-        if isinstance(critical, ExceptionalSpace):
-            continue
-        for point in critical:
+        for point in tangential_critical_points(chart):
             rebuilt = polygon_from_radii(chart, np.full(chart.n - 2, point.inradius))
             gap = np.max(np.abs(rebuilt.vertices - point.polygon.vertices))
             assert gap <= 1e-11 * rebuilt.diameter, angles
@@ -215,7 +211,7 @@ def one_point_at_a_time(angles):
     then the polygon by ``tangential_polygon``, whose checks raise."""
     chart = build_chart(SlopeSystem.from_degrees(angles))
     points = tangential_critical_points(chart)
-    if isinstance(points, ExceptionalSpace):
+    if not points:
         return []
     conditioned = chart.well_conditioned
     target = math.copysign(1.0, conditioned.perimeter_sum)
@@ -250,14 +246,15 @@ def test_stacked_hessians_equal_one_point_at_a_time(inputs):
             points = tangential_critical_points(build_chart(SlopeSystem.from_degrees(angles)))
         except cli.INPUT_ERRORS:
             continue
-        if isinstance(points, ExceptionalSpace) or points[0].n < 4:
+        if not points or points[0].n < 4:
             continue
         closed, exact = hessian_fd_comparisons(points)
         for k, point in enumerate(points):
             single_closed, single_exact = hessian_fd_comparisons((point,))
             assert np.array_equal(closed[k], single_closed[0]), angles
             assert np.array_equal(exact[k], single_exact[0]), angles
-        assert hessian_errors(points) == [hessian_error(point) for point in points], angles
+        singles = [hessian_errors((point,))[0] for point in points]
+        assert hessian_errors(points) == singles, angles
         points_checked += 2
     assert points_checked > 1500
 

@@ -9,7 +9,6 @@ from hypothesis import given, settings, strategies as st
 from polyslope import (
     DEFAULT_TOL,
     CoincidentVertices,
-    ExceptionalSpace,
     NonIntegralTurn,
     ParallelLines,
     PointOnBoundary,
@@ -62,7 +61,7 @@ class TestOrientedArea:
         assert oriented_area(UNIT_SQUARE) == pytest.approx(1.0)
 
     def test_reversed_square(self):
-        assert oriented_area(UNIT_SQUARE.reversed_orientation()) == pytest.approx(-1.0)
+        assert oriented_area(PolygonChain(UNIT_SQUARE.vertices[::-1])) == pytest.approx(-1.0)
 
     def test_bowtie_cancels(self):
         bowtie = PolygonChain(np.array([[0.0, 0.0], [1.0, 1.0], [1.0, 0.0], [0.0, 1.0]]))
@@ -73,14 +72,14 @@ class TestOrientedArea:
     def test_translation_invariance(self, polygon, dx, dy):
         # Shoelace roundoff scales with the squared coordinate magnitude.
         scale = max(1.0, polygon.diameter, abs(dx), abs(dy)) ** 2
-        moved = polygon.translated([dx, dy])
+        moved = PolygonChain(polygon.vertices + [dx, dy])
         assert abs(oriented_area(moved) - oriented_area(polygon)) <= 1e-12 * scale
 
     @settings(max_examples=60, deadline=None)
     @given(polygon_strategy())
     def test_reversal_negates(self, polygon):
         scale = max(1.0, polygon.diameter) ** 2
-        total = oriented_area(polygon) + oriented_area(polygon.reversed_orientation())
+        total = oriented_area(polygon) + oriented_area(PolygonChain(polygon.vertices[::-1]))
         assert abs(total) <= 1e-12 * scale
 
 
@@ -430,8 +429,6 @@ class TestAngleArrayChecks:
                 observed = (other.half_turns, other.right_turns, other.left_turns, other.winding)
                 assert observed == expected, angles
             critical = tangential_critical_points(chart, tol)
-            if isinstance(critical, ExceptionalSpace):
-                continue
             k, n = chart.half_turns, chart.n
             positive = int(chart.perimeter_sum > 0)
             for point in critical:

@@ -218,7 +218,10 @@ class TestStar:
                 old_rng = np.random.default_rng([seed, n, turns])
                 star = random_star_polygon(new_rng, n, turns)
                 phis, radius = old_star_polygon(old_rng, n, turns)
-                assert np.array_equal(star.phis, phis) and star.radius == radius
+                # CyclicPolygon stores each angle reduced to [0, 2pi).
+                reduced = phis % TWO_PI
+                reduced[reduced == TWO_PI] = 0.0
+                assert np.array_equal(star.phis, reduced) and star.radius == radius
                 assert new_rng.random() == old_rng.random()
 
     def test_unsupported_sizes_raise_before_drawing(self):

@@ -27,7 +27,7 @@ from polyslope import (
 )
 from polyslope.geometry import edge_offsets, left_normal, left_normals, line_gap
 from polyslope.randomgen import random_radii, random_slope_system
-from polyslope.slope_space import polygon_line_offsets
+from polyslope.slope_space import _line_offsets
 
 from test_geometry import EPS, outcome_text, reference_intersect_lines, reference_line_vertices
 
@@ -218,7 +218,7 @@ class TestReconstruction:
         chart = build_chart(random_slope_system(rng, 6))
         radii = random_radii(rng, 4)
         polygon = polygon_from_radii(chart, radii)
-        scaled = polygon.scaled(2.5)
+        scaled = PolygonChain(2.5 * polygon.vertices)
         assert np.allclose(radii_of_polygon(chart, scaled), 2.5 * radii, atol=1e-9)
 
 
@@ -278,7 +278,7 @@ class TestNormalizedCoordinates:
         radii = random_radii(rng, 5)
         polygon = polygon_from_radii(chart, radii)
         base = normalized_coordinates(chart, polygon).x
-        scaled = normalized_coordinates(chart, polygon.scaled(3.0)).x
+        scaled = normalized_coordinates(chart, PolygonChain(3.0 * polygon.vertices)).x
         assert np.allclose(scaled, 3.0 * base, atol=1e-9 * max(1.0, np.max(np.abs(base))))
 
     def test_unit_area_polygon_gets_sphere_normalization(self):
@@ -368,6 +368,11 @@ def reference_line_offsets(chart, polygon, tol=DEFAULT_TOL):
     return edge_offsets(polygon.vertices, angles)
 
 
+def line_offsets(chart, polygon):
+    """The offsets that every public wrapper reads, of one polygon."""
+    return _line_offsets(chart, polygon.vertices, DEFAULT_TOL)
+
+
 def reference_decomposition(chart, polygon, tol=DEFAULT_TOL):
     offsets = reference_line_offsets(chart, polygon, tol)
     angles = chart.system.angles
@@ -415,7 +420,7 @@ class TestStackedReconstruction:
     def test_triangles_offsets_and_coordinates_agree_with_loops(self):
         for chart, rows in stacked_draws(61, 200):
             polygon = polygon_from_radii(chart, rows[0])
-            offsets = polygon_line_offsets(chart, polygon)
+            offsets = line_offsets(chart, polygon)
             assert np.array_equal(offsets, reference_line_offsets(chart, polygon))
             triangles = decomposition_polygons(chart, polygon)
             assert triangles.shape == (chart.n - 2, 3, 2)
@@ -479,8 +484,14 @@ class TestStackedReconstruction:
             angles[[2, 4]] += 0.1
             other = build_chart(SlopeSystem.from_angles(angles))
             polygon = polygon_from_radii(chart, rows[0])
-            for func in (reference_line_offsets, polygon_line_offsets, decomposition_polygons,
+            for func in (reference_line_offsets, line_offsets, decomposition_polygons,
                          radii_of_polygon, normalized_coordinates):
                 assert outcome_text(func, other, polygon) == (
                     "SlopeMismatch", "edge 2 does not match slope 2"
+                )
+            short = PolygonChain(polygon.vertices[:-1])
+            for func in (line_offsets, decomposition_polygons, radii_of_polygon,
+                         normalized_coordinates):
+                assert outcome_text(func, chart, short) == (
+                    "SlopeMismatch", f"polygon has {chart.n - 1} edges, chart expects {chart.n}"
                 )
