@@ -18,16 +18,14 @@ from polyslope import (
     area_morse_index_formula,
     area_morse_index_numeric,
     bifurcation_test,
-    cyclic_invariants,
     dual_polygon,
-    dual_slopes,
     duality_index_check,
     signed_perimeter,
 )
 
 pentagram = CyclicPolygon.from_degrees(1.0, [0, 144, 288, 72, 216])
 
-inv = cyclic_invariants(pentagram)
+inv = pentagram.invariants
 print("pentagram on the unit circle")
 print("  edge orientations:", inv.orientations.tolist())
 print("  positive edges e =", inv.positive_edges, ", winding =", inv.winding)
@@ -53,7 +51,7 @@ print("  2 R B           :", round(2 * pentagram.radius * inv.bifurcation_sum, 6
 print("\nMorse indices")
 print("  area index (eigenvalues):", area_morse_index_numeric(pentagram))
 print("  area index (formula)    :", area_morse_index_formula(inv))
-report = duality_index_check(pentagram, inv, dual.slopes)
+report = duality_index_check(pentagram)
 print("  dual perimeter index    :", report.mu_dual_perimeter)
 print(
     f"  identity mu_area = n-3-mu_dual: {report.mu_area_numeric} = "
@@ -63,6 +61,6 @@ print(
 # A convex counterclockwise cyclic polygon maximizes the area, so its index
 # is the full dimension n - 3 and the dual index is 0.
 convex = CyclicPolygon.from_degrees(1.0, [5, 80, 140, 210, 290])
-report = duality_index_check(convex, cyclic_invariants(convex), dual_slopes(convex))
+report = duality_index_check(convex)
 print("\nconvex pentagon: area index", report.mu_area_numeric, end="")
 print(", dual index", report.mu_dual_perimeter, "->", report.identity_holds)

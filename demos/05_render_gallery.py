@@ -2,17 +2,20 @@
 Rendering figures
 =================
 
-Writes SVG figures next to this script: tangential critical points with
-their inscribed circles, and a cyclic polygon with its circumscribed circle
-and dual tangential polygon.
+Writes SVG figures into the directory given as the first argument, or next
+to this script without one: tangential critical points with their inscribed
+circles, and a cyclic polygon with its circumscribed circle and dual
+tangential polygon.
 """
 
 import pathlib
+import sys
 
 from polyslope.report import cyclic_report, slopes_report
 from polyslope.svgrender import render_cyclic_svg, render_slopes_svg
 
 here = pathlib.Path(__file__).resolve().parent
+directory = pathlib.Path(sys.argv[1]) if len(sys.argv) > 1 else here
 
 figures = {
     "pentagon_critical_points.svg": render_slopes_svg(
@@ -30,6 +33,6 @@ figures = {
 }
 
 for name, svg in figures.items():
-    path = here / name
+    path = directory / name
     path.write_text(svg + "\n", encoding="utf-8")
     print("wrote", path)

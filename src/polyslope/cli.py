@@ -19,7 +19,6 @@ import sys
 
 from .errors import (
     AntipodalVertices,
-    Bifurcating,
     CoincidentVertices,
     InputSchemaError,
     LengthMismatch,
@@ -51,7 +50,6 @@ INPUT_ERRORS = (
     CoincidentVertices,
     SlopeMismatch,
     LengthMismatch,
-    Bifurcating,
 )
 
 
@@ -263,10 +261,9 @@ def build_parser() -> argparse.ArgumentParser:
             "--tol-scale",
             type=float,
             default=1.0,
-            help="multiply by this positive factor the tolerances (1e-9) of parallel lines and of "
-            "the exceptional and bifurcation loci, not the eps bounds (worst measured): integral "
-            "sums 16 n max(1,|ratio|) (.34), on an edge 8 (1.7), edge on slope 256 (diameter + "
-            "max|x|)/length (38), chart laws 2048 sum|terms| (486), lengths 64 (sum l+max|x|) (.9)",
+            help="multiply by this positive factor the tolerances (1e-9) of parallel lines and "
+            "of the exceptional and bifurcation loci; the constructors keep consecutive lines "
+            "and cyclic vertices 1e-9 rad apart at any scale",
         )
 
     slopes = sub.add_parser("slopes", help="slope-system commands")

@@ -29,10 +29,12 @@ from .errors import (
     CoincidentVertices,
     DegenerateCritical,
     LengthMismatch,
+    NonIntegralTurn,
     NotCritical,
     ParallelLines,
 )
 from .geometry import (
+    EPS,
     TWO_PI,
     PolygonChain,
     SlopeSystem,
@@ -57,6 +59,7 @@ class CyclicPolygon:
     ``phis`` are reduced to [0, 2pi) as :class:`SlopeSystem` stores slopes
     (a remainder that rounds up to 2pi is 0.0), so the vertices, from their
     cos and sin, and the invariants, from their differences, read one polygon.
+    The invariants and the dual slopes are computed on first read and kept.
     """
 
     center: np.ndarray
@@ -108,6 +111,15 @@ class CyclicPolygon:
     @functools.cached_property
     def polygon(self) -> PolygonChain:
         return PolygonChain(self.vertices)
+
+    @functools.cached_property
+    def invariants(self) -> "CyclicInvariants":
+        return cyclic_invariants(self)
+
+    @functools.cached_property
+    def dual_slopes(self) -> SlopeSystem:
+        """Slopes of the :func:`dual_polygon`: the tangent directions phi + pi/2."""
+        return SlopeSystem.from_angles((self.phis + 0.5 * math.pi) % TWO_PI)
 
 
 def _circle_points(center, radius, phis) -> np.ndarray:
@@ -172,7 +184,7 @@ def cyclic_invariants(cyclic: CyclicPolygon) -> CyclicInvariants:
     turns = float(np.sum(np.where(forward, arcs, arcs - TWO_PI))) / TWO_PI
     winding, off = integral_ratio(turns, cyclic.n)
     if off:
-        raise NotCritical(f"arc sum {turns!r} turns is not integral")
+        raise NonIntegralTurn(f"arc sum {turns!r} turns is not integral")
     return CyclicInvariants(
         orientations=orientations,
         half_angles=half_angles,
@@ -188,11 +200,6 @@ def bifurcation_test(inv: CyclicInvariants, tol: Tolerances = DEFAULT_TOL) -> bo
     return abs(inv.bifurcation_sum) < tol.bifurcation * scale
 
 
-def dual_slopes(cyclic: CyclicPolygon) -> SlopeSystem:
-    """Slopes of the :func:`dual_polygon`: the tangent directions phi + pi/2."""
-    return SlopeSystem.from_angles((cyclic.phis + 0.5 * math.pi) % TWO_PI)
-
-
 def dual_polygon(cyclic: CyclicPolygon) -> DualPolygon:
     """Polygon of tangent lines at the vertices, circle kept on the left.
 
@@ -201,7 +208,7 @@ def dual_polygon(cyclic: CyclicPolygon) -> DualPolygon:
     signed inradius +R.  Consecutive tangents of a valid cyclic polygon
     always meet (non-antipodal consecutive vertices).
     """
-    slopes = dual_slopes(cyclic)
+    slopes = cyclic.dual_slopes
     return DualPolygon(
         polygon=tangential_polygon(slopes.angles, cyclic.center, cyclic.radius),
         slopes=slopes,
@@ -265,7 +272,7 @@ def _tangent_frame(w: np.ndarray, grad: np.ndarray) -> tuple[np.ndarray, np.ndar
     """
     jac = _rot90(w).T[:, 1:]
     u, s, vh = np.linalg.svd(jac)
-    rank = np.count_nonzero(s > s[0] * np.finfo(float).eps * max(jac.shape))
+    rank = np.count_nonzero(s > s[0] * EPS * max(jac.shape))
     multipliers = u[:, :rank] @ ((vh[:rank] @ grad) / s[:rank])
     return vh[rank:].T, multipliers
 
@@ -282,7 +289,7 @@ def area_criticality_residual(polygon: PolygonChain, lengths) -> float:
     if lengths.shape != actual.shape:
         raise LengthMismatch("wrong number of edge lengths")
     scale = float(np.sum(lengths)) + float(np.max(np.abs(polygon.vertices)))
-    if not float(np.max(np.abs(actual - lengths))) <= 64.0 * np.finfo(float).eps * scale:
+    if not float(np.max(np.abs(actual - lengths))) <= 64.0 * EPS * scale:
         raise LengthMismatch("vertices do not realize the prescribed edge lengths")
     w = _edge_vectors(lengths, polygon.edge_angles)
     grad = _area_gradient(w, _head_differences(w))[1:]
@@ -329,7 +336,7 @@ def area_morse_index_numeric(cyclic: CyclicPolygon) -> int:
     # The closure Hessian is diagonal: d^2 w_i / d theta_i^2 = -w_i.
     lagrangian = _area_hessian(w, diff)[1:, 1:] + np.diag(w[1:] @ multipliers)
     eigenvalues = np.linalg.eigvalsh(basis.T @ lagrangian @ basis)
-    bound = 500.0 * cyclic.n * np.finfo(float).eps * float(np.max(np.abs(lagrangian)))
+    bound = 500.0 * cyclic.n * EPS * float(np.max(np.abs(lagrangian)))
     if np.any(np.abs(eigenvalues) <= bound):
         raise DegenerateCritical(f"area Hessian eigenvalue within roundoff bound {bound!r}")
     return int(np.count_nonzero(eigenvalues < 0))
@@ -344,40 +351,41 @@ def area_morse_index_formula(inv: CyclicInvariants, tol: Tolerances = DEFAULT_TO
 
 
 def duality_index_check(
-    cyclic: CyclicPolygon,
-    invariants: CyclicInvariants,
-    dual_slopes: SlopeSystem,
-    tol: Tolerances = DEFAULT_TOL,
-) -> DualityReport:
-    """Area index versus dual perimeter index: mu_area = n - 3 - mu_dual.
+    cyclic: CyclicPolygon, tol: Tolerances = DEFAULT_TOL
+) -> DualityReport | None:
+    """Area index versus dual perimeter index: mu_area = n - 3 - mu_dual, or
+    None on the bifurcation locus, where the area Hessian is degenerate.
 
-    The one place that computes the cyclic indices; reports and sweeps read
-    its result.  The dual polygon is tangential with positive inradius,
-    hence (after the area normalization, which leaves the index unchanged)
-    it is the positive critical point of the perimeter for its own slope
-    system; its index is the exact sign count of :func:`sign_count_index`,
-    cross-checked against the turn/winding formula.  A dual slope system
-    with parallel lines or an exceptional one has no such index, and the
-    report says why in ``dual_note``.  Raises Bifurcating on the
-    bifurcation locus.  ``invariants`` are :func:`cyclic_invariants` of ``cyclic`` and
-    ``dual_slopes`` its :func:`dual_slopes`.
+    The one place that computes the cyclic indices, from the polygon's
+    :attr:`CyclicPolygon.invariants` and :attr:`CyclicPolygon.dual_slopes`;
+    reports and sweeps read its result.  The dual polygon is tangential with
+    positive inradius, hence (after the area normalization, which leaves the
+    index unchanged) it is the positive critical point of the perimeter for
+    its own slope system; its index is the exact sign count of
+    :func:`sign_count_index`, cross-checked against the turn/winding formula.
+    A dual slope system with parallel lines or an exceptional one has no
+    such index, and the report says why in ``dual_note``.
     """
     # The formula goes first: on the bifurcation locus it raises Bifurcating,
     # where the numeric route would only see a degenerate Hessian.
-    mu_formula = area_morse_index_formula(invariants, tol)
+    try:
+        mu_formula = area_morse_index_formula(cyclic.invariants, tol)
+    except Bifurcating:
+        return None
     mu_numeric = area_morse_index_numeric(cyclic)
     mu_dual, note = None, None
     try:
-        points = tangential_critical_points(build_chart(dual_slopes, tol), tol)
-        if not points:
-            raise Bifurcating("dual slope system is exceptional")
-    except (ParallelLines, Bifurcating) as exc:
-        note = f"dual perimeter index unavailable: {exc}"
-    else:
+        points = tangential_critical_points(build_chart(cyclic.dual_slopes, tol))
+        reason = "dual slope system is exceptional"
+    except ParallelLines as exc:
+        points, reason = (), str(exc)
+    if points:
         positive, chart = points[0], points[0].chart  # the point of inradius r > 0
         mu_dual = int(sign_count_index(chart.unit_perimeters, chart.perimeter_sum, 1.0))
         if mu_dual != morse_index_formula(positive):
             raise DegenerateCritical("dual index routes disagree")
+    else:
+        note = f"dual perimeter index unavailable: {reason}"
     return DualityReport(
         mu_area_numeric=mu_numeric,
         mu_area_formula=mu_formula,

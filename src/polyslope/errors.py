@@ -14,7 +14,9 @@ class PointOnBoundary(PolyslopeError):
 
 
 class NonIntegralTurn(PolyslopeError):
-    """Cyclic sum of line angles is not an integer multiple of pi."""
+    """A cyclic angle sum is off its integral multiple: the line turns of a
+    slope system (of pi, with k in 1..n - 1), winding angles or the arcs of a
+    cyclic polygon (of 2pi)."""
 
 
 class SlopeMismatch(PolyslopeError):
@@ -42,8 +44,10 @@ class LengthMismatch(PolyslopeError):
 
 
 class NotCritical(PolyslopeError):
-    """No real r_1 gives the requested area: the closed form in
-    :func:`polyslope.tangential.constrained_perimeter` has a negative radicand."""
+    """A point is not the critical point it is taken for: no real r_1 gives
+    the requested area in :func:`polyslope.tangential.constrained_perimeter`
+    (a negative radicand), or a cyclic polygon fails the criticality test of
+    :func:`polyslope.cyclic.area_morse_index_numeric`."""
 
 
 class Bifurcating(PolyslopeError):

@@ -15,14 +15,10 @@ import math
 
 import numpy as np
 
-from .cyclic import (
-    CyclicPolygon,
-    cyclic_invariants,
-    dual_slopes,
-    duality_index_check,
-)
-from .errors import Bifurcating, InputSchemaError, ParallelLines, SlopeMismatch
+from .cyclic import CyclicPolygon, duality_index_check
+from .errors import InputSchemaError, ParallelLines, SlopeMismatch
 from .geometry import (
+    EPS,
     TWO_PI,
     SlopeSystem,
     require_distinct,
@@ -182,7 +178,7 @@ def slopes_report(angles_deg: list[float], tol: Tolerances = DEFAULT_TOL) -> dic
             "positive_component": _component_dict(topology.positive_component),
         },
     }
-    points = tangential_critical_points(chart, tol)
+    points = tangential_critical_points(chart)
     if not points:
         report["critical"] = {"exceptional": True, "points": []}
     else:
@@ -200,11 +196,11 @@ def cyclic_report(
     tol: Tolerances = DEFAULT_TOL,
 ) -> dict:
     cyclic = CyclicPolygon.from_degrees(radius, phis_deg, center)
-    inv = cyclic_invariants(cyclic)
+    inv = cyclic.invariants
     unresolved = "the coordinates cannot resolve the polygon at this radius and center"
     # Coordinates near the center round by eps |center|, which turns an edge
     # of length R by up to that over R.
-    blur = float(np.finfo(float).eps * np.max(np.abs(cyclic.center)))
+    blur = float(EPS * np.max(np.abs(cyclic.center)))
     if blur > tol.parallel * cyclic.radius:
         raise InputSchemaError(
             f"{unresolved} (rounding of {blur!r} at the center exceeds "
@@ -217,7 +213,7 @@ def cyclic_report(
             # keeps short edges' digits.  Rounding about the center can merge
             # vertices or pull them apart, so both are checked as PolygonChain
             # checks them, in one stack: the first to fail raises.
-            slopes = dual_slopes(cyclic)
+            slopes = cyclic.dual_slopes
             offsets = tangential_offsets(slopes.angles, cyclic.radius)
             duals = np.stack((cyclic.center - offsets, 0.0 - offsets))
             require_distinct(duals)
@@ -231,10 +227,7 @@ def cyclic_report(
             # the coordinates are too coarse to resolve the polygon, as at a
             # subnormal radius.
             raise InputSchemaError(f"{unresolved} ({exc})") from exc
-    try:
-        check = duality_index_check(cyclic, inv, slopes, tol)
-    except Bifurcating:
-        check = None  # the area Hessian is degenerate: no index to report
+    check = duality_index_check(cyclic, tol)
     bifurcating = check is None
     report = {
         "kind": "cyclic",

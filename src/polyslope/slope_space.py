@@ -62,6 +62,9 @@ class RadiiChart:
     ``half_turns`` (the integer k with t = k * pi) and ``right_turns`` come
     from :func:`turning_rule`; every chart keeps the rules of :func:`chart_stack`.
     Both critical points and all cyclic relabelings share this turning data.
+    ``tol`` holds the tolerances the chart was decided at, which
+    :func:`build_chart` alone sets; the functions that read a chart decide
+    parallel lines and the exceptional locus by it.
     """
 
     system: SlopeSystem
@@ -70,6 +73,7 @@ class RadiiChart:
     angle_sum: float
     half_turns: int
     right_turns: int
+    tol: Tolerances
 
     @property
     def n(self) -> int:
@@ -119,7 +123,9 @@ class RadiiChart:
         chosen = perimeters[k]
         chosen.setflags(write=False)
         turning = self.angle_sum, self.half_turns, self.right_turns
-        return RadiiChart(self.system.rotated(k), chosen, float(np.sum(chosen)), *turning)
+        return RadiiChart(
+            self.system.rotated(k), chosen, float(np.sum(chosen)), *turning, self.tol
+        )
 
 
 @dataclass(frozen=True)
@@ -244,7 +250,8 @@ def build_chart(system: SlopeSystem, tol: Tolerances = DEFAULT_TOL) -> RadiiChar
     stack.require()
     perimeters, total, angle_sum, k, right_turns = stack[:5]
     perimeters.setflags(write=False)
-    return RadiiChart(system, perimeters, float(total), float(angle_sum), int(k), int(right_turns))
+    turning = float(angle_sum), int(k), int(right_turns)
+    return RadiiChart(system, perimeters, float(total), *turning, tol)
 
 
 # The chart rules, in the order they are checked.
@@ -333,11 +340,7 @@ def chart_stack(angles: np.ndarray, tol: Tolerances = DEFAULT_TOL) -> ChartStack
     return ChartStack(perimeters, sums, total, k, right_turns, broken, angles, tol)
 
 
-def polygon_from_radii(
-    chart: RadiiChart,
-    radii,
-    tol: Tolerances = DEFAULT_TOL,
-) -> PolygonChain | np.ndarray:
+def polygon_from_radii(chart: RadiiChart, radii) -> PolygonChain | np.ndarray:
     """Polygon whose decomposition triangles have the given signed inradii.
 
     The translation representative is canonical: the first edge line passes
@@ -361,11 +364,8 @@ def polygon_from_radii(
         raise ValueError(f"expected {n - 2} radii, got shape {radii.shape}")
     if not np.all(np.isfinite(radii)):
         raise ValueError("radii must be finite")
-    angles = chart.system.angles
-    # Circle i sits on e_1 and e_{i+1}, which must meet: line_vertices checks
-    # those pairs as it checks its own.
-    pairs = np.column_stack((angles[2:-1], np.full(n - 3, angles[0])))
-    line_vertices(pairs, np.zeros_like(pairs), tol)
+    # Circle i sits on e_1 and e_{i+1}, which the chart's lines rule holds apart.
+    angles, tol = chart.system.angles, chart.tol
     rows = radii.reshape(-1, n - 2)
     theta = angles - angles[0]
     half = np.tan(0.5 * theta)
@@ -391,14 +391,14 @@ def polygon_from_radii(
     return PolygonChain(vertices[0]) if radii.ndim == 1 else vertices
 
 
-def _line_offsets(chart: RadiiChart, vertices: np.ndarray, tol: Tolerances) -> np.ndarray:
+def _line_offsets(chart: RadiiChart, vertices: np.ndarray) -> np.ndarray:
     """Offsets of the edge lines of an (n, 2) vertex list against the chart's
     slopes, its edges read as :class:`PolygonChain` reads them; SlopeMismatch
     for a wrong edge count or for the first edge off its slope."""
     if len(vertices) != chart.n:
         raise SlopeMismatch(f"polygon has {len(vertices)} edges, chart expects {chart.n}")
     angles = chart.system.angles
-    mismatched = edges_against_slopes(vertices, angles, tol)[3]
+    mismatched = edges_against_slopes(vertices, angles, chart.tol)[3]
     if mismatched.any():
         i = int(np.argmax(mismatched))
         raise SlopeMismatch(f"edge {i} does not match slope {i}")
@@ -417,34 +417,24 @@ def _decomposition_radii(chart: RadiiChart, offsets: np.ndarray) -> np.ndarray:
     return radii
 
 
-def radii_of_polygon(
-    chart: RadiiChart,
-    polygon: PolygonChain,
-    tol: Tolerances = DEFAULT_TOL,
-) -> np.ndarray:
+def radii_of_polygon(chart: RadiiChart, polygon: PolygonChain) -> np.ndarray:
     """Signed inradii of the polygon's decomposition triangles."""
-    return _decomposition_radii(chart, _line_offsets(chart, polygon.vertices, tol))
+    return _decomposition_radii(chart, _line_offsets(chart, polygon.vertices))
 
 
-def _decomposition_triangles(
-    chart: RadiiChart, offsets: np.ndarray, tol: Tolerances
-) -> np.ndarray:
+def _decomposition_triangles(chart: RadiiChart, offsets: np.ndarray) -> np.ndarray:
     """:func:`decomposition_polygons` from the polygon's line offsets."""
     lines = decomposition_lines(chart.n)
-    vertices = line_vertices(chart.system.angles[lines], offsets[lines], tol)
+    vertices = line_vertices(chart.system.angles[lines], offsets[lines], chart.tol)
     require_distinct(vertices)
     return vertices
 
 
-def decomposition_polygons(
-    chart: RadiiChart,
-    polygon: PolygonChain,
-    tol: Tolerances = DEFAULT_TOL,
-) -> np.ndarray:
+def decomposition_polygons(chart: RadiiChart, polygon: PolygonChain) -> np.ndarray:
     """Triangles Q(e_1, e_{i+1}, e_{i+2}) built from the polygon's edge lines,
     as one (n - 2, 3, 2) stack of vertex lists, each checked as a
     :class:`PolygonChain` is."""
-    return _decomposition_triangles(chart, _line_offsets(chart, polygon.vertices, tol), tol)
+    return _decomposition_triangles(chart, _line_offsets(chart, polygon.vertices))
 
 
 def _chart_coordinates(
@@ -463,11 +453,7 @@ def _chart_coordinates(
     return ChartCoordinates(x=x, normalized=normalized)
 
 
-def normalized_coordinates(
-    chart: RadiiChart,
-    polygon: PolygonChain,
-    tol: Tolerances = DEFAULT_TOL,
-) -> ChartCoordinates:
+def normalized_coordinates(chart: RadiiChart, polygon: PolygonChain) -> ChartCoordinates:
     """Quadratic-form coordinates x of the polygon in the chart.
 
     x_i = sqrt(c_i) * (signed distance of v_{i+2} from the first edge line);
@@ -475,7 +461,7 @@ def normalized_coordinates(
     oriented area.  For polygons of area +1 with a nonempty positive block
     the sphere-times-disc normalization of x is returned as well.
     """
-    offsets = _line_offsets(chart, polygon.vertices, tol)
+    offsets = _line_offsets(chart, polygon.vertices)
     return _chart_coordinates(chart, polygon.vertices, offsets)
 
 

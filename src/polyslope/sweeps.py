@@ -14,15 +14,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .cyclic import (
-    bifurcation_test,
-    cyclic_invariants,
-    dual_polygon,
-    dual_slopes,
-    duality_index_check,
-)
+from .cyclic import bifurcation_test, dual_polygon, duality_index_check
 from .errors import PolyslopeError
 from .geometry import (
+    EPS,
     TWO_PI,
     SlopeSystem,
     diameters,
@@ -76,13 +71,13 @@ DUAL_PERIMETER_ROUNDOFF = 1024.0
 def _locus_roundoff(chart):
     """eps sum|p| / |sum p|, the roundoff of quantities that cancel to unit area."""
     scale = float(np.sum(np.abs(chart.unit_perimeters)))
-    return float(np.finfo(float).eps) * scale / abs(chart.perimeter_sum)
+    return EPS * scale / abs(chart.perimeter_sum)
 
 
 def check_critical_gradient(rng, n, tol):
     """Complex-step perimeter gradient vanishes at both critical points, to
     the roundoff bound of :func:`critical_gradient_norms` (c = 256)."""
-    points = tangential_critical_points(build_chart(random_slope_system(rng, n), tol), tol)
+    points = tangential_critical_points(build_chart(random_slope_system(rng, n), tol))
     if not points:
         return None
     return [("gradient norm", *row) for row in critical_gradient_norms(points)]
@@ -91,7 +86,7 @@ def check_critical_gradient(rng, n, tol):
 def check_hessian_difference(rng, n, tol):
     """Closed-form Hessian matches the hyper-dual Hessian to the roundoff
     bound of :func:`hessian_errors`, c eps max|H| sum|p| / |sum p| with c = 512."""
-    points = tangential_critical_points(build_chart(random_slope_system(rng, n), tol), tol)
+    points = tangential_critical_points(build_chart(random_slope_system(rng, n), tol))
     if not points:
         return None
     return [("hessian error", *row) for row in hessian_errors(points)]
@@ -102,7 +97,7 @@ def check_hessian_determinant(rng, n, tol):
     larger side, within max(1e-9, c eps sum|p| max|p| / (|sum p| |p_1|)),
     c = 512."""
     rows = []
-    for point in tangential_critical_points(build_chart(random_slope_system(rng, n), tol), tol):
+    for point in tangential_critical_points(build_chart(random_slope_system(rng, n), tol)):
         lhs, rhs = hessian_det_identity(point)
         p = np.abs(point.chart.unit_perimeters)
         bound = max(1e-9, DETERMINANT_ROUNDOFF * _locus_roundoff(point.chart) * p.max() / p[0])
@@ -113,7 +108,7 @@ def check_hessian_determinant(rng, n, tol):
 
 def check_index_agreement(rng, n, tol):
     """Eigenvalue index equals the formula index; the two points complement."""
-    points = tangential_critical_points(build_chart(random_slope_system(rng, n), tol), tol)
+    points = tangential_critical_points(build_chart(random_slope_system(rng, n), tol))
     reports = [morse_index_eigen(point) for point in points]
     if not reports:
         return None
@@ -128,7 +123,7 @@ def check_convex_indices(rng, n, tol):
     """Convex counterclockwise systems: index 0 at r>0 and n-3 at r<0."""
     rows = []
     chart = build_chart(random_convex_slope_system(rng, n), tol)
-    for point in tangential_critical_points(chart, tol):
+    for point in tangential_critical_points(chart):
         expected = 0 if point.inradius > 0 else n - 3
         report = morse_index_eigen(point)
         error = max(abs(report.index_eigen - expected), abs(report.index_formula - expected))
@@ -142,10 +137,10 @@ def check_chart_identities(rng, n, tol):
     vertices, area, perimeter and winding against one stacked reconstruction."""
     chart = build_chart(random_slope_system(rng, n), tol)
     radii = random_radii(rng, n - 2)
-    points = tangential_critical_points(chart, tol)
+    points = tangential_critical_points(chart)
     # Row 0 holds the drawn radii, each further row a tangential point's r_i = r.
     stack = np.array([radii, *(np.full(n - 2, point.inradius) for point in points)])
-    rebuilt = polygon_from_radii(chart, stack, tol)
+    rebuilt = polygon_from_radii(chart, stack)
     angles = chart.system.angles
     areas = oriented_areas(rebuilt).tolist()
     perimeters = signed_perimeters(rebuilt, angles, tol).tolist()
@@ -156,8 +151,8 @@ def check_chart_identities(rng, n, tol):
     area_scale = max(1.0, 0.5 * float(np.sum(np.abs(p) * radii**2)))
     perim_scale = max(1.0, float(np.sum(np.abs(p * radii))))
     # Row 0 is checked; its line offsets give the triangles, radii and coordinates.
-    offsets = _line_offsets(chart, rebuilt[0], tol)
-    triangles = _decomposition_triangles(chart, offsets, tol)
+    offsets = _line_offsets(chart, rebuilt[0])
+    triangles = _decomposition_triangles(chart, offsets)
     tri_area = sum(oriented_areas(triangles).tolist())
     tri_perim = sum(signed_perimeters(triangles, angles[decomposition_lines(n)], tol).tolist())
     recovered = _decomposition_radii(chart, offsets)
@@ -217,12 +212,12 @@ def check_dual_perimeter(rng, n, tol):
     """Dual signed perimeter equals 2R * bifurcation sum, to c eps 2R
     sum|tan alpha| with c = 1024; vanishing matches."""
     cyclic = random_cyclic_polygon(rng, n)
-    inv = cyclic_invariants(cyclic)
+    inv = cyclic.invariants
     dual = dual_polygon(cyclic)
     measured = signed_perimeter(dual.polygon, dual.slopes, tol)
     expected = 2.0 * cyclic.radius * inv.bifurcation_sum
     scale = 2.0 * cyclic.radius * float(np.sum(np.abs(np.tan(inv.half_angles))))
-    dual_bound = DUAL_PERIMETER_ROUNDOFF * float(np.finfo(float).eps) * scale
+    dual_bound = DUAL_PERIMETER_ROUNDOFF * EPS * scale
     bif = bifurcation_test(inv, tol)
     dual_vanishes = abs(measured) < tol.bifurcation * scale
     chords = 2.0 * cyclic.radius * np.sin(inv.half_angles)
@@ -243,10 +238,9 @@ def check_cyclic_indices(rng, n, tol):
         cyclic = random_star_polygon(rng, n, turns)
     else:
         cyclic = random_cyclic_polygon(rng, n)
-    inv = cyclic_invariants(cyclic)
-    if bifurcation_test(inv, tol):
+    report = duality_index_check(cyclic, tol)
+    if report is None:
         return None
-    report = duality_index_check(cyclic, inv, dual_slopes(cyclic), tol)
     numeric, dual = report.mu_area_numeric, report.mu_dual_perimeter
     return [
         ("area index numeric off formula", abs(numeric - report.mu_area_formula), 0),

@@ -19,6 +19,8 @@ exactly to rounding, by the complex step and by hyper-dual numbers.  The two
 points share their chart and differ only in the sign of r, so each check
 evaluates both in one stack (:func:`critical_gradient_norms`,
 :func:`hessian_errors`); a caller with one point passes a stack of one.
+Whether a chart is exceptional is decided at the tolerances it was built at,
+:attr:`RadiiChart.tol`, which its critical points read.
 """
 
 import functools
@@ -29,7 +31,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NotCritical
-from .geometry import PolygonChain, SlopeSystem, left_normal, tangential_polygon
+from .geometry import EPS, PolygonChain, SlopeSystem, left_normal, tangential_polygon
 from .slope_space import RadiiChart, build_chart
 from .tolerances import DEFAULT_TOL, Tolerances
 
@@ -101,20 +103,19 @@ def exceptional_mask(unit_perimeters, perimeter_sum, tol: Tolerances = DEFAULT_T
 
 def tangential_critical_points(
     source: SlopeSystem | RadiiChart,
-    tol: Tolerances = DEFAULT_TOL,
 ) -> tuple[()] | tuple[TangentialCritical, TangentialCritical]:
     """The two tangential critical points, (r > 0, r < 0), or none on the
-    exceptional locus (:func:`exceptional_mask`).
+    exceptional locus (:func:`exceptional_mask` at the chart's tolerances).
 
     The points are mutual point reflections: the inscribed circle of one has
     signed radius +r and the other -r, with r = sqrt(2 / |sum p_i|).  Both
     have area sign equal to the sign of sum p_i, and the winding number of
     both about their incenter is the turning number :attr:`RadiiChart.winding`.
-    A slope system is charted first.
+    A slope system is charted first, at ``DEFAULT_TOL``.
     """
     # The SlopeSystem branch stays while perfbench/test_perfbench.py passes one.
-    chart = source if isinstance(source, RadiiChart) else build_chart(source, tol)
-    if exceptional_mask(chart.unit_perimeters, chart.perimeter_sum, tol):
+    chart = source if isinstance(source, RadiiChart) else build_chart(source)
+    if exceptional_mask(chart.unit_perimeters, chart.perimeter_sum, chart.tol):
         return ()
     magnitude = math.sqrt(2.0 / abs(chart.perimeter_sum))
     first_normal = left_normal(chart.system.angles[0])
@@ -280,9 +281,7 @@ def _roundoff_scale(chart: RadiiChart) -> float:
     well-conditioned one: the inradius carries the roundoff of the first,
     the derivatives that of the second."""
     charts = (chart, chart.well_conditioned)
-    return float(np.finfo(float).eps) * max(
-        float(np.sum(np.abs(c.unit_perimeters))) for c in charts
-    )
+    return EPS * max(float(np.sum(np.abs(c.unit_perimeters))) for c in charts)
 
 
 COMPLEX_STEP = 1e-200

@@ -1,8 +1,9 @@
 """The three modelling tolerances, which decide on which locus a point sits:
 parallel lines, the exceptional locus of slope systems (no perimeter
 critical points) and the bifurcation locus of cyclic polygons.  A function
-taking ``tol`` reads them from it (``DEFAULT_TOL`` by default); reports echo
-it and ``--tol-scale`` multiplies all three.
+taking ``tol`` reads them from it (``DEFAULT_TOL`` by default), a function
+taking a chart from ``RadiiChart.tol``; reports echo them and ``--tol-scale``
+multiplies all three.
 
 Identities and oracles are checked against roundoff bounds in eps times the
 quantity's scale, which nothing scales; each with its reader and worst case:

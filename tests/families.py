@@ -16,7 +16,7 @@ import math
 import numpy as np
 
 from polyslope import CyclicPolygon, ParallelLines, PolyslopeError, SlopeSystem, build_chart
-from polyslope.cyclic import cyclic_invariants, dual_slopes, duality_index_check
+from polyslope.cyclic import cyclic_invariants
 from polyslope.randomgen import MIN_LINE_SEPARATION, random_cyclic_polygon, random_slope_system
 from polyslope.tangential import exceptional_mask, sign_count_index
 from polyslope.tolerances import DEFAULT_TOL
@@ -273,8 +273,3 @@ def near_bifurcation_phis(rng, n, low, high):
             if high == 0.0:
                 return moved(lo)
 
-
-def duality(cyclic):
-    """:func:`duality_index_check` of a cyclic polygon, its invariants and
-    its dual slopes."""
-    return duality_index_check(cyclic, cyclic_invariants(cyclic), dual_slopes(cyclic))

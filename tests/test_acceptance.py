@@ -25,7 +25,11 @@ from polyslope import (
     signed_perimeter,
     tangential_critical_points,
 )
-from polyslope.cyclic import area_morse_index_formula, area_morse_index_numeric
+from polyslope.cyclic import (
+    area_morse_index_formula,
+    area_morse_index_numeric,
+    duality_index_check,
+)
 from polyslope.errors import Bifurcating, DegenerateCritical
 from polyslope.randomgen import (
     random_convex_slope_system,
@@ -43,7 +47,6 @@ from families import (
     bif_family,
     bisect_bifurcation_root,
     bisect_family_root,
-    duality,
     family_perimeter_sum,
     family_system,
 )
@@ -347,7 +350,7 @@ def test_criterion_10_cyclic_index_and_duality():
         try:
             numeric = area_morse_index_numeric(cyclic)
             formula = area_morse_index_formula(inv)
-            report = duality(cyclic)
+            report = duality_index_check(cyclic)
         except (Bifurcating, DegenerateCritical) as exc:
             failures.append(f"trial {trial}: unexpected degeneracy ({exc})")
             continue

@@ -10,7 +10,8 @@ import numpy as np
 import pytest
 
 import polyslope
-from polyslope import SlopeSystem, build_chart
+import polyslope.cyclic as cyclic_module
+from polyslope import CyclicPolygon, SlopeSystem, build_chart, cyclic_invariants
 from polyslope.cli import _cross_check_failures, main
 from polyslope.report import (
     cyclic_report,
@@ -19,7 +20,7 @@ from polyslope.report import (
     validate_cyclic_input,
     validate_slopes_input,
 )
-from polyslope.errors import InputSchemaError, NotCritical
+from polyslope.errors import InputSchemaError, NonIntegralTurn, NotCritical
 from polyslope.sweeps import run_sweep
 from polyslope.tolerances import DEFAULT_TOL
 
@@ -172,6 +173,12 @@ class TestSlopesAnalyze:
         code, _, err = run_cli(capsys, "slopes", "analyze", path, "--tol-scale", "1000")
         assert code == 2
         assert "slopes 0 and 1 are parallel as lines" in err
+        # 1e-8 degrees (1.7e-10 rad) clears the scaled 1e-12 but not the
+        # constructor's 1e-9, which holds consecutive lines at any scale.
+        for angles, expected in (([0, 1e-8, 120, 240], 2), ([0, 120, 1e-8, 240], 0)):
+            path = write_json(tmp_path, "near.json", {"angles_deg": angles})
+            code, _, err = run_cli(capsys, "slopes", "analyze", path, "--tol-scale", "1e-3")
+            assert code == expected, (angles, err)
 
 
 class TestCyclicAnalyze:
@@ -328,6 +335,16 @@ class TestCyclicAnalyze:
     def test_json_roundtrip_lossless(self):
         report = cyclic_report(1.0, [0, 144, 288, 72, 216])
         assert json.loads(json.dumps(report)) == report
+
+    def test_non_integral_arc_sum_is_a_cross_check_failure(self, tmp_path, capsys, monkeypatch):
+        # A planted arc sum off its integral number of turns.
+        monkeypatch.setattr(cyclic_module, "integral_ratio", lambda ratio, terms: (ratio, True))
+        with pytest.raises(NonIntegralTurn, match="turns is not integral"):
+            cyclic_invariants(CyclicPolygon.from_degrees(1.0, [0, 144, 288, 72, 216]))
+        path = write_json(tmp_path, "star.json", {"radius": 1, "phis_deg": [0, 144, 288, 72, 216]})
+        code, _, err = run_cli(capsys, "cyclic", "analyze", path)
+        assert code == 3
+        assert err.startswith("cross-check failure: arc sum ")
 
     def test_invalid_radius_exit_code(self, tmp_path, capsys):
         for payload in (

@@ -23,6 +23,7 @@ from polyslope import (
     bifurcation_test,
     cyclic_invariants,
     dual_polygon,
+    duality_index_check,
     radii_of_polygon,
     signed_perimeter,
     winding_number,
@@ -39,7 +40,7 @@ from area_chart import (
     closure_jacobian,
     closure_residual,
 )
-from families import bif_family, bisect_bifurcation_root, duality, near_bifurcation_phis
+from families import bif_family, bisect_bifurcation_root, near_bifurcation_phis
 
 SQUARE = CyclicPolygon.from_degrees(1.0, [0, 90, 180, 270])
 SQUARE_REVERSED = CyclicPolygon.from_degrees(1.0, [270, 180, 90, 0])
@@ -339,7 +340,7 @@ class TestAreaIndex:
 
 class TestDuality:
     def test_pentagram_duality(self):
-        report = duality(PENTAGRAM)
+        report = duality_index_check(PENTAGRAM)
         assert report.mu_area_numeric == 0
         assert report.mu_area_formula == 0
         assert report.mu_dual_perimeter == 2
@@ -353,7 +354,7 @@ class TestDuality:
                 inv = cyclic_invariants(cyclic)
                 if inv.positive_edges == n and inv.winding == 1:
                     break
-            report = duality(cyclic)
+            report = duality_index_check(cyclic)
             assert report.mu_area_numeric == n - 3
             assert report.mu_dual_perimeter == 0
             assert report.identity_holds
@@ -366,7 +367,7 @@ class TestDuality:
         assert inv.winding == -2
         assert area_morse_index_numeric(reversed_star) == 2
         assert area_morse_index_formula(inv) == 2
-        report = duality(reversed_star)
+        report = duality_index_check(reversed_star)
         assert report.mu_dual_perimeter == 0
         assert report.identity_holds
 
@@ -393,18 +394,17 @@ class TestDuality:
                 cyclic = random_cyclic_polygon(rng, int(rng.integers(4, 8)))
             if bifurcation_test(cyclic_invariants(cyclic)):
                 continue
-            report = duality(cyclic)
+            report = duality_index_check(cyclic)
             assert report.identity_holds
         assert stars >= 10
 
     def test_bifurcating_input_rejected(self):
         root = bisect_bifurcation_root()
-        with pytest.raises(Bifurcating):
-            duality(bif_family(root))
+        assert duality_index_check(bif_family(root)) is None
 
     def test_square_dual_index_unavailable(self):
         # The tangent lines at opposite vertices of the square are parallel.
-        report = duality(SQUARE)
+        report = duality_index_check(SQUARE)
         assert report.mu_area_numeric == report.mu_area_formula == 1
         assert report.mu_dual_perimeter is None
         assert report.dual_note == (

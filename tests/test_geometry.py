@@ -428,7 +428,7 @@ class TestAngleArrayChecks:
             for other in relabelings:
                 observed = (other.half_turns, other.right_turns, other.left_turns, other.winding)
                 assert observed == expected, angles
-            critical = tangential_critical_points(chart, tol)
+            critical = tangential_critical_points(chart)
             k, n = chart.half_turns, chart.n
             positive = int(chart.perimeter_sum > 0)
             for point in critical:

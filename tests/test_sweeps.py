@@ -17,6 +17,7 @@ import pytest
 
 import polyslope.sweeps as sweeps
 from polyslope.cli import main
+import polyslope.cyclic as cyclic_module
 from polyslope.cyclic import cyclic_invariants, duality_index_check
 from polyslope.geometry import oriented_area, signed_perimeter
 from polyslope.randomgen import trial_rng
@@ -85,10 +86,10 @@ def perturbed_determinant(point):
 
 
 def perturbed_points(field):
-    def points(chart, tol):
+    def points(chart):
         return tuple(
             dataclasses.replace(point, **{field: getattr(point, field) * (1.0 + 1e-6)})
-            for point in tangential_critical_points(chart, tol)
+            for point in tangential_critical_points(chart)
         )
 
     return points
@@ -117,8 +118,8 @@ def shifted(kernel, *fields):
     return shift
 
 
-def withheld(cyclic, invariants, slopes, tol):
-    report = duality_index_check(cyclic, invariants, slopes, tol)
+def withheld(cyclic, tol):
+    report = duality_index_check(cyclic, tol)
     return dataclasses.replace(report, mu_dual_perimeter=None, dual_note="planted")
 
 
@@ -176,8 +177,9 @@ def odd_right_turns(system, tol):
 def test_perturbed_closed_form_fails(monkeypatch, capsys, check_index, name, value, label):
     # A closed form off by one part in a million, or a planted defect in
     # what a check compares, fails every trial of the check's own stream:
-    # the roundoff bounds stay below that on its draws.
-    monkeypatch.setattr(sweeps, name, value)
+    # the roundoff bounds stay below that on its draws.  The invariants are
+    # read through CyclicPolygon.invariants, which calls the cyclic module's.
+    monkeypatch.setattr(cyclic_module if name == "cyclic_invariants" else sweeps, name, value)
     assert_fails_every_trial(check_index, label, capsys)
 
 
@@ -239,11 +241,11 @@ def plant_on_result(monkeypatch, name, perturb):
     monkeypatch.setattr(sweeps, name, lambda *args: perturb(original(*args)))
 
 
-def offset_incenters(chart, tol):
+def offset_incenters(chart):
     # Each closed-form polygon moves with its incenter, by 1e-6 |r|.
     return tuple(
         dataclasses.replace(point, incenter=point.incenter * OFF)
-        for point in tangential_critical_points(chart, tol)
+        for point in tangential_critical_points(chart)
     )
 
 

@@ -28,7 +28,7 @@ from polyslope.tangential import (
     well_conditioned_chart,
 )
 
-from families import bisect_family_root, family_system
+from families import bisect_family_root, family_system, near_exceptional_system
 
 EQUILATERAL = SlopeSystem.from_degrees([90, 210, 330])
 
@@ -108,6 +108,18 @@ class TestCriticalPoints:
         for t in (root - 1e-3, root + 1e-3):
             points = tangential_critical_points(family_system(t))
             assert len(points) == 2
+
+    def test_chart_decides_at_its_own_tolerances(self):
+        # With 1e-9 < |sum p| / sum|p| < 1e-6 a system is exceptional at a
+        # thousand times the default tolerances and not at the defaults.
+        rng = np.random.default_rng(24)
+        loose = DEFAULT_TOL.scaled(1e3)
+        for _ in range(10):
+            system = near_exceptional_system(rng, int(rng.integers(4, 10)), 1e-9, 1e-6).system
+            chart = build_chart(system, loose)
+            assert tangential_critical_points(chart) == ()
+            assert len(tangential_critical_points(build_chart(system))) == 2
+            assert chart.tol is chart.well_conditioned.tol is loose
 
 
 class TestGradient:
