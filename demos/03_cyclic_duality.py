@@ -20,7 +20,6 @@ from polyslope import (
     bifurcation_test,
     dual_polygon,
     duality_index_check,
-    signed_perimeter,
 )
 
 pentagram = CyclicPolygon.from_degrees(1.0, [0, 144, 288, 72, 216])
@@ -40,10 +39,9 @@ print("  area criticality residual:", f"{residual:.2e}")
 
 # The dual polygon: tangent lines at the vertices, circle kept on the left.
 dual = dual_polygon(pentagram)
-perimeter = signed_perimeter(dual.polygon, dual.slopes)
 print("\ndual tangential polygon")
-print("  vertices:\n", np.round(dual.polygon.vertices, 4))
-print("  signed perimeter:", round(perimeter, 6))
+print("  vertices:\n", np.round(dual.vertices, 4))
+print("  signed perimeter:", round(dual.signed_perimeter, 6))
 print("  2 R B           :", round(2 * pentagram.radius * inv.bifurcation_sum, 6))
 
 # Both routes to the area index, plus the duality identity

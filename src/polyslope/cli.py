@@ -263,7 +263,8 @@ def build_parser() -> argparse.ArgumentParser:
             default=1.0,
             help="multiply by this positive factor the tolerances (1e-9) of parallel lines and "
             "of the exceptional and bifurcation loci; the constructors keep consecutive lines "
-            "and cyclic vertices 1e-9 rad apart at any scale",
+            "and cyclic vertices 1e-9 rad apart at any scale, and the bifurcation band stays "
+            "1e-9 wide or wider, as the numeric area index resolves no narrower (n 4..9)",
         )
 
     slopes = sub.add_parser("slopes", help="slope-system commands")

@@ -28,10 +28,12 @@ from .errors import (
     Bifurcating,
     CoincidentVertices,
     DegenerateCritical,
+    InputSchemaError,
     LengthMismatch,
     NonIntegralTurn,
     NotCritical,
     ParallelLines,
+    SlopeMismatch,
 )
 from .geometry import (
     EPS,
@@ -40,7 +42,8 @@ from .geometry import (
     SlopeSystem,
     _cycled,
     integral_ratio,
-    tangential_polygon,
+    signed_perimeters,
+    tangential_polygons,
 )
 from .slope_space import build_chart
 from .tangential import morse_index_formula, sign_count_index, tangential_critical_points
@@ -50,6 +53,14 @@ from .tolerances import DEFAULT_TOL, Tolerances
 # Consecutive vertices are antipodal when their half central angle lies within
 # this many radians of pi/2; their tangent lines are then nearly parallel.
 ANTIPODAL = 1e-6
+
+# Floor of the bifurcation band in |B| / sum|tan alpha|: below it the bound
+# 500 n eps max|L| of area_morse_index_numeric can trip.  On 4,320 polygons
+# of families.near_bifurcation_phis (n 4..9, ratios 1e-14 to 3e-9) it tripped
+# on 1,737, all below 8.6e-11; from ratio 1e-12 up, min|eigenvalue| was at
+# least 1.8e12 ratio n eps max|L|, so it can trip below 2.8e-10.  The floor
+# is 3.6 times that; 4 times would pass the default 1e-9, left as it is.
+B_RESOLUTION = 1e-9
 
 
 @dataclass(frozen=True, eq=False)
@@ -104,13 +115,9 @@ class CyclicPolygon:
     def n(self) -> int:
         return len(self.phis)
 
-    @property
-    def vertices(self) -> np.ndarray:
-        return _circle_points(self.center, self.radius, self.phis)
-
     @functools.cached_property
     def polygon(self) -> PolygonChain:
-        return PolygonChain(self.vertices)
+        return PolygonChain(_circle_points(self.center, self.radius, self.phis))
 
     @functools.cached_property
     def invariants(self) -> "CyclicInvariants":
@@ -133,8 +140,9 @@ class CyclicInvariants:
     ``orientations[i]`` is +1 when the center lies left of the directed edge,
     ``half_angles[i]`` is half the unoriented central angle of edge i,
     ``positive_edges`` counts the +1 entries, ``winding`` is the winding
-    number around the center, and ``bifurcation_sum`` is the signed sum of
-    tangents of the half angles.
+    number around the center, ``bifurcation_sum`` is the signed sum of
+    tangents of the half angles and ``tangent_scale`` the sum of their
+    absolute values, the scale the bifurcation band is measured in.
     """
 
     orientations: np.ndarray
@@ -142,15 +150,21 @@ class CyclicInvariants:
     positive_edges: int
     winding: int
     bifurcation_sum: float
+    tangent_scale: float
 
 
 @dataclass(frozen=True, eq=False)
 class DualPolygon:
-    """Tangential polygon cut out by the tangent lines at the cyclic vertices;
-    its incircle is the circumscribed circle of the cyclic polygon."""
+    """Tangential polygon of the tangent lines at the cyclic vertices, about the
+    circle's center, and its signed perimeter; ``polygon`` is built on first read."""
 
-    polygon: PolygonChain
+    vertices: np.ndarray
     slopes: SlopeSystem
+    signed_perimeter: float
+
+    @functools.cached_property
+    def polygon(self) -> PolygonChain:
+        return PolygonChain(self.vertices)
 
 
 @dataclass(frozen=True, eq=False)
@@ -185,34 +199,56 @@ def cyclic_invariants(cyclic: CyclicPolygon) -> CyclicInvariants:
     winding, off = integral_ratio(turns, cyclic.n)
     if off:
         raise NonIntegralTurn(f"arc sum {turns!r} turns is not integral")
+    tangents = np.tan(half_angles)
     return CyclicInvariants(
         orientations=orientations,
         half_angles=half_angles,
         positive_edges=int(np.count_nonzero(forward)),
         winding=int(winding),
-        bifurcation_sum=float(np.sum(orientations * np.tan(half_angles))),
+        bifurcation_sum=float(np.sum(orientations * tangents)),
+        tangent_scale=float(np.sum(np.abs(tangents))),
     )
+
+
+def within_bifurcation_band(value: float, scale: float, tol: Tolerances) -> bool:
+    """The bifurcation band: |value| < max(tol.bifurcation, B_RESOLUTION) * scale."""
+    return abs(value) < max(tol.bifurcation, B_RESOLUTION) * scale
 
 
 def bifurcation_test(inv: CyclicInvariants, tol: Tolerances = DEFAULT_TOL) -> bool:
-    """Whether the signed tangent sum vanishes within tolerance."""
-    scale = float(np.sum(np.abs(np.tan(inv.half_angles))))
-    return abs(inv.bifurcation_sum) < tol.bifurcation * scale
+    """Whether B vanishes within the bifurcation band, measured in sum|tan alpha|."""
+    return within_bifurcation_band(inv.bifurcation_sum, inv.tangent_scale, tol)
 
 
-def dual_polygon(cyclic: CyclicPolygon) -> DualPolygon:
-    """Polygon of tangent lines at the vertices, circle kept on the left.
-
-    The tangent at vertex angle phi runs at direction phi + pi/2, so the dual
-    is :func:`tangential_polygon` of those directions about the center with
-    signed inradius +R.  Consecutive tangents of a valid cyclic polygon
-    always meet (non-antipodal consecutive vertices).
-    """
+def dual_polygon(cyclic: CyclicPolygon, tol: Tolerances = DEFAULT_TOL) -> DualPolygon:
+    """Polygon of the tangent lines at the vertices, circle kept on the left,
+    about the center, where rounding can merge vertices or part them, and
+    about the origin, where its perimeter keeps short edges' digits: one
+    checked stack.  Coordinates too coarse for it, or out of float range,
+    raise InputSchemaError."""
+    unresolved = "the coordinates cannot resolve the polygon at this radius and center"
+    # Coordinates near the center round by eps |center|, which turns an edge
+    # of length R by up to that over R.
+    blur = float(EPS * np.max(np.abs(cyclic.center)))
+    if blur > tol.parallel * cyclic.radius:
+        raise InputSchemaError(
+            f"{unresolved} (rounding of {blur!r} at the center exceeds "
+            f"{tol.parallel!r} times the radius)"
+        )
     slopes = cyclic.dual_slopes
-    return DualPolygon(
-        polygon=tangential_polygon(slopes.angles, cyclic.center, cyclic.radius),
-        slopes=slopes,
-    )
+    with np.errstate(over="raise"):
+        try:
+            centers, radii = (cyclic.center, (0.0, 0.0)), (cyclic.radius, cyclic.radius)
+            duals = tangential_polygons(slopes.angles, centers, radii)
+            perimeter = signed_perimeters(duals[1], slopes.angles, tol)
+        except FloatingPointError as exc:
+            raise InputSchemaError(f"the dual polygon overflows the float range ({exc})") from exc
+        except SlopeMismatch as exc:
+            # Built from exact slopes, each edge allowed the roundoff of its own
+            # scale, an edge leaves its slope only where, as at a subnormal
+            # radius, the coordinates are too coarse.
+            raise InputSchemaError(f"{unresolved} ({exc})") from exc
+    return DualPolygon(vertices=duals[0], slopes=slopes, signed_perimeter=float(perimeter))
 
 
 # ---------------------------------------------------------------------------
@@ -343,18 +379,23 @@ def area_morse_index_numeric(cyclic: CyclicPolygon) -> int:
 
 
 def area_morse_index_formula(inv: CyclicInvariants, tol: Tolerances = DEFAULT_TOL) -> int:
-    """Morse index of the area from edge counts, winding, and the tangent sum."""
+    """Morse index of the area from edge counts, winding, and the tangent sum;
+    Bifurcating on the bifurcation locus (:func:`bifurcation_test`)."""
     if bifurcation_test(inv, tol):
         raise Bifurcating("index undefined on the bifurcation locus")
-    correction = 0 if inv.bifurcation_sum > 0 else 1
-    return inv.positive_edges - 1 - 2 * inv.winding - correction
+    return _formula_index(inv)
+
+
+def _formula_index(inv: CyclicInvariants) -> int:
+    return inv.positive_edges - 1 - 2 * inv.winding - (0 if inv.bifurcation_sum > 0 else 1)
 
 
 def duality_index_check(
     cyclic: CyclicPolygon, tol: Tolerances = DEFAULT_TOL
 ) -> DualityReport | None:
     """Area index versus dual perimeter index: mu_area = n - 3 - mu_dual, or
-    None on the bifurcation locus, where the area Hessian is degenerate.
+    None on the bifurcation locus (:func:`bifurcation_test`), where the area
+    Hessian is degenerate.
 
     The one place that computes the cyclic indices, from the polygon's
     :attr:`CyclicPolygon.invariants` and :attr:`CyclicPolygon.dual_slopes`;
@@ -366,12 +407,11 @@ def duality_index_check(
     A dual slope system with parallel lines or an exceptional one has no
     such index, and the report says why in ``dual_note``.
     """
-    # The formula goes first: on the bifurcation locus it raises Bifurcating,
-    # where the numeric route would only see a degenerate Hessian.
-    try:
-        mu_formula = area_morse_index_formula(cyclic.invariants, tol)
-    except Bifurcating:
+    # The test goes first: on the bifurcation locus the numeric route would
+    # only see a degenerate Hessian.
+    if bifurcation_test(cyclic.invariants, tol):
         return None
+    mu_formula = _formula_index(cyclic.invariants)
     mu_numeric = area_morse_index_numeric(cyclic)
     mu_dual, note = None, None
     try:

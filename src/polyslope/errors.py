@@ -65,11 +65,13 @@ class DegenerateHessian(PolyslopeError):
 
 
 class DegenerateCritical(PolyslopeError):
-    """An area Hessian eigenvalue is zero within its roundoff bound.
+    """An area Hessian eigenvalue is zero within its roundoff bound, or the
+    dual index routes of :func:`polyslope.cyclic.duality_index_check` disagree.
 
     The bound is derived from machine epsilon (see
     :func:`polyslope.cyclic.area_morse_index_numeric`), so only a polygon on
-    the bifurcation locus, to working precision, raises it.
+    the bifurcation locus, to working precision, raises it; up to n = 9 the
+    bifurcation band withholds such polygons' indices first.
     """
 
 

@@ -281,6 +281,14 @@ def tangential_polygon(angles: Sequence[float], center, inradius: float) -> Poly
     return PolygonChain(center - tangential_offsets(angles, inradius))
 
 
+def tangential_polygons(angles: Sequence[float], centers, inradii) -> np.ndarray:
+    """Stack of :func:`tangential_polygon` vertex lists, one per row of (K, 2)
+    ``centers`` and (K,) ``inradii``, checked at once: the first to fail raises."""
+    vertices = np.asarray(centers, dtype=float)[:, None] - tangential_offsets(angles, inradii)
+    require_distinct(vertices)
+    return vertices
+
+
 def edge_offsets(vertices: np.ndarray, angles: Sequence[float]) -> np.ndarray:
     """Line offsets of the edges of an (n, 2) vertex list, edge i leaving
     vertex i, measured against the given angles."""

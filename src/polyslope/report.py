@@ -15,16 +15,9 @@ import math
 
 import numpy as np
 
-from .cyclic import CyclicPolygon, duality_index_check
-from .errors import InputSchemaError, ParallelLines, SlopeMismatch
-from .geometry import (
-    EPS,
-    TWO_PI,
-    SlopeSystem,
-    require_distinct,
-    signed_perimeters,
-    tangential_offsets,
-)
+from .cyclic import CyclicPolygon, dual_polygon, duality_index_check
+from .errors import InputSchemaError, ParallelLines
+from .geometry import TWO_PI, SlopeSystem, tangential_polygons
 from .slope_space import build_chart, chart_stack, topology_report
 from .tangential import (
     critical_gradient_norms,
@@ -113,16 +106,12 @@ def _component_dict(shape) -> dict:
 
 def _critical_point_dicts(points) -> list[dict]:
     """The report entries of the two critical points of one chart.  Their
-    gradients are one complex stack and their polygons one vertex stack,
-    each row from that point's own incenter and inradius, checked at once as
-    PolygonChain checks each: the first polygon to fail raises."""
+    gradients are one complex stack and their polygons one vertex stack."""
     chart = points[0].chart
     reports = [morse_index_eigen(point) for point in points]
     gradients = critical_gradient_norms(points)
-    centers = np.array([point.incenter for point in points])
-    radii = [point.inradius for point in points]
-    vertices = centers[:, None] - tangential_offsets(chart.system.angles, radii)
-    require_distinct(vertices)
+    centers, radii = [point.incenter for point in points], [point.inradius for point in points]
+    vertices = tangential_polygons(chart.system.angles, centers, radii)
     return [
         {
             "inradius": float(point.inradius),
@@ -197,38 +186,8 @@ def cyclic_report(
 ) -> dict:
     cyclic = CyclicPolygon.from_degrees(radius, phis_deg, center)
     inv = cyclic.invariants
-    unresolved = "the coordinates cannot resolve the polygon at this radius and center"
-    # Coordinates near the center round by eps |center|, which turns an edge
-    # of length R by up to that over R.
-    blur = float(EPS * np.max(np.abs(cyclic.center)))
-    if blur > tol.parallel * cyclic.radius:
-        raise InputSchemaError(
-            f"{unresolved} (rounding of {blur!r} at the center exceeds "
-            f"{tol.parallel!r} times the radius)"
-        )
-    with np.errstate(over="raise"):
-        try:
-            # One tangential construction gives the dual polygon about the
-            # center, which is reported, and about the origin, whose perimeter
-            # keeps short edges' digits.  Rounding about the center can merge
-            # vertices or pull them apart, so both are checked as PolygonChain
-            # checks them, in one stack: the first to fail raises.
-            slopes = cyclic.dual_slopes
-            offsets = tangential_offsets(slopes.angles, cyclic.radius)
-            duals = np.stack((cyclic.center - offsets, 0.0 - offsets))
-            require_distinct(duals)
-            dual_perimeter = signed_perimeters(duals[1], slopes.angles, tol)
-            twice_radius_sum = float(2.0 * np.float64(radius) * inv.bifurcation_sum)
-        except FloatingPointError as exc:
-            raise InputSchemaError(f"the dual polygon overflows the float range ({exc})") from exc
-        except SlopeMismatch as exc:
-            # The dual is built from exact slopes and each edge is allowed the
-            # roundoff of its own scale, so an edge leaves its slope only where
-            # the coordinates are too coarse to resolve the polygon, as at a
-            # subnormal radius.
-            raise InputSchemaError(f"{unresolved} ({exc})") from exc
+    dual = dual_polygon(cyclic, tol)
     check = duality_index_check(cyclic, tol)
-    bifurcating = check is None
     report = {
         "kind": "cyclic",
         "input": {
@@ -246,31 +205,29 @@ def cyclic_report(
             "winding": int(inv.winding),
             "bifurcation_sum": float(inv.bifurcation_sum),
         },
-        "bifurcating": bool(bifurcating),
+        "bifurcating": check is None,
         "dual": {
-            "slope_angles_deg": [math.degrees(a) for a in slopes.angles.tolist()],
-            "vertices": duals[0].tolist(),
-            "signed_perimeter": float(dual_perimeter),
-            "twice_radius_times_sum": twice_radius_sum,
+            "slope_angles_deg": [math.degrees(a) for a in dual.slopes.angles.tolist()],
+            "vertices": dual.vertices.tolist(),
+            "signed_perimeter": dual.signed_perimeter,
+            "twice_radius_times_sum": 2.0 * cyclic.radius * inv.bifurcation_sum,
             "inradius": float(radius),
         },
     }
-    if bifurcating:
+    if check is None:
         report["indices"] = {
             "withheld": True,
             "reason": "bifurcating polygon: the area Hessian is degenerate",
         }
         return report
-    indices: dict = {
+    report["indices"] = {
         "withheld": False,
         "mu_area_numeric": check.mu_area_numeric,
         "mu_area_formula": check.mu_area_formula,
         "mu_dual_perimeter": check.mu_dual_perimeter,
+        **({} if check.dual_note is None else {"dual_note": check.dual_note}),
+        "identity_holds": check.identity_holds,
     }
-    if check.dual_note is not None:
-        indices["dual_note"] = check.dual_note
-    indices["identity_holds"] = check.identity_holds
-    report["indices"] = indices
     return report
 
 

@@ -324,12 +324,11 @@ def critical_gradient_norm(point: TangentialCritical) -> tuple[float, float]:
     return critical_gradient_norms((point,))[0]
 
 
-def hessian_fd_comparisons(points: Sequence[TangentialCritical]) -> tuple[np.ndarray, np.ndarray]:
+def hyperdual_hessians(points: Sequence[TangentialCritical]) -> tuple[np.ndarray, np.ndarray]:
     """Closed-form and hyper-dual Hessians in the well-conditioned chart, as
     two (K, m, m) stacks, one matrix per critical point of one chart.
 
-    The second stack is hyper-dual, not a finite difference as the name
-    says: row (j, k), j <= k, of each point's block of one hyper-dual stack
+    Row (j, k), j <= k, of each point's block of one hyper-dual stack
     evaluates the perimeter at x + e1 e_j + e2 e_k, whose e1e2 part is H_jk.
     It never reads :func:`hessian_formula`, so it stays an independent oracle.
     """
@@ -354,8 +353,8 @@ def hessian_fd_comparisons(points: Sequence[TangentialCritical]) -> tuple[np.nda
 
 
 def hessian_fd_comparison(point: TangentialCritical) -> tuple[np.ndarray, np.ndarray]:
-    """:func:`hessian_fd_comparisons` of one point: its two (m, m) Hessians."""
-    closed, exact = hessian_fd_comparisons((point,))
+    """:func:`hyperdual_hessians` of one point: its two (m, m) Hessians."""
+    closed, exact = hyperdual_hessians((point,))
     return closed[0], exact[0]
 
 
@@ -368,7 +367,7 @@ def hessian_errors(points: Sequence[TangentialCritical]) -> list[tuple[float, fl
     28 on sweep seeds 0..399, 19 on the fuzz set and 4.2 next to the
     exceptional locus.  The bound is 512 units."""
     chart = _shared_chart(points)
-    closed, exact = hessian_fd_comparisons(points)
+    closed, exact = hyperdual_hessians(points)
     roundoff = _roundoff_scale(chart)
     errors = []
     for c, e in zip(closed, exact):

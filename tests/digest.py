@@ -15,10 +15,11 @@ result, or ``Type: message`` of the error it raises.  The sets:
 * ``cyclic at C``: cyclic reports of radius 1 on the fuzz vertex angles
   about the center C;
 * ``family``: the family reports of ``test_family.families()``;
-* ``near bifurcation``: cyclic reports of ``families.near_bifurcation_phis``
-  polygons, on the bifurcation locus, inside its band and just outside it.
+* ``near bifurcation xF``: cyclic reports of ``families.near_bifurcation_phis``
+  polygons, on the bifurcation locus, inside its band and just outside it,
+  at tolerance scale F (the set at scale 1 is named without it).
 
-It takes about 50 s on a 2-core machine.
+It takes about 60 s on a 2-core machine.
 """
 
 import hashlib
@@ -34,6 +35,8 @@ import test_fuzz
 from families import near_bifurcation_phis
 
 SCALES = (1.0, 1e-3, 1e3)
+# Scales of the near-bifurcation set: below 1 the band meets its floor.
+BIFURCATION_SCALES = (1.0, 1e-3, 1e-6)
 CENTERS = ((0.0, 0.0), (0.5, -2.0))
 # |B| / sum|tan alpha| bands of the near-bifurcation polygons: roots to
 # working precision, inside the default band, and just outside it.
@@ -77,7 +80,11 @@ def sets():
         outcome(family_report, start, end, steps, test_family.tolerances(scale))
         for start, end, steps, scale in test_family.families()
     )
-    yield "near bifurcation", (outcome(cyclic_report, 1.0, p) for p in near_bifurcation_inputs())
+    near = list(near_bifurcation_inputs())
+    for factor in BIFURCATION_SCALES:
+        tol = test_family.tolerances(factor)
+        name = "near bifurcation" + ("" if factor == 1.0 else f" x{factor:g}")
+        yield name, (outcome(cyclic_report, 1.0, p, (0.0, 0.0), tol) for p in near)
 
 
 if __name__ == "__main__":

@@ -229,7 +229,7 @@ def bisect_bifurcation_root(width=1e-15) -> float:
 def _tangent_sum(phis_deg):
     """B, sum|tan alpha| and the edge orientations of the unit-circle polygon."""
     inv = cyclic_invariants(CyclicPolygon.from_degrees(1.0, phis_deg))
-    return inv.bifurcation_sum, float(np.sum(np.abs(np.tan(inv.half_angles)))), inv.orientations
+    return inv.bifurcation_sum, inv.tangent_scale, inv.orientations
 
 
 def near_bifurcation_phis(rng, n, low, high):

@@ -300,7 +300,7 @@ def test_criterion_09_dual_perimeter():
         dual = dual_polygon(cyclic)
         measured = signed_perimeter(dual.polygon, dual.slopes)
         expected = 2.0 * cyclic.radius * inv.bifurcation_sum
-        scale = 2.0 * cyclic.radius * float(np.sum(np.abs(np.tan(inv.half_angles))))
+        scale = 2.0 * cyclic.radius * inv.tangent_scale
         if abs(measured - expected) > 1e-9 * scale:
             failures.append(f"trial {trial}: perimeter law off (n={n})")
         if bifurcation_test(inv) != (abs(measured) < 1e-9 * scale):
@@ -310,7 +310,7 @@ def test_criterion_09_dual_perimeter():
     cyclic = bif_family(root)
     inv = cyclic_invariants(cyclic)
     dual = dual_polygon(cyclic)
-    scale = 2.0 * cyclic.radius * float(np.sum(np.abs(np.tan(inv.half_angles))))
+    scale = 2.0 * cyclic.radius * inv.tangent_scale
     if not bifurcation_test(inv):
         failures.append("bifurcation root not detected")
     if abs(signed_perimeter(dual.polygon, dual.slopes)) >= 1e-9 * scale:

@@ -256,6 +256,24 @@ class TestCyclicAnalyze:
         assert report["indices"]["withheld"] is True
         assert "reason" in report["indices"]
 
+    @pytest.mark.parametrize("scale", ["1e-3", "1e-6"])
+    def test_narrow_bifurcation_band_still_withholds_indices(self, tmp_path, capsys, scale):
+        # |B| / sum|tan alpha| = 4.1e-12: a scaled band this narrow would call
+        # the polygon generic, and the numeric area index would then find its
+        # Hessian degenerate within its roundoff bound.  The band stops at
+        # cyclic.B_RESOLUTION.
+        payload = {
+            "radius": 1,
+            "phis_deg": [199.3001929341539, 370.4806124749298, 289.30200604432025,
+                         236.93571792049863, 65.77029186038448, 140.20161008857127],
+        }
+        path = write_json(tmp_path, "narrow.json", payload)
+        code, out, err = run_cli(capsys, "cyclic", "analyze", path, "--json", "--tol-scale", scale)
+        assert code == 0, err
+        report = json.loads(out)
+        assert report["bifurcating"] is True
+        assert report["indices"]["withheld"] is True
+
     def test_large_radius_keeps_indices(self, tmp_path, capsys):
         # The indices depend on the vertex angles alone; squared edge lengths
         # of these radii overflow a float.

@@ -123,8 +123,10 @@ class TestDualPolygon:
             dual = dual_polygon(cyclic)
             measured = signed_perimeter(dual.polygon, dual.slopes)
             expected = 2.0 * cyclic.radius * inv.bifurcation_sum
-            scale = 2.0 * cyclic.radius * float(np.sum(np.abs(np.tan(inv.half_angles))))
+            assert inv.tangent_scale == pytest.approx(np.sum(np.abs(np.tan(inv.half_angles))))
+            scale = 2.0 * cyclic.radius * inv.tangent_scale
             assert abs(measured - expected) <= 1e-9 * scale
+            assert dual.signed_perimeter == pytest.approx(measured, rel=0, abs=1e-12 * scale)
 
     def test_report_checks_the_dual_about_the_origin_too(self):
         # Vertices 0 and 2 lie 3e-10 degrees apart, so dual vertices 1 and 2
@@ -146,7 +148,7 @@ class TestBifurcation:
         inv = cyclic_invariants(cyclic)
         assert bifurcation_test(inv)
         dual = dual_polygon(cyclic)
-        scale = 2.0 * cyclic.radius * float(np.sum(np.abs(np.tan(inv.half_angles))))
+        scale = 2.0 * cyclic.radius * inv.tangent_scale
         assert abs(signed_perimeter(dual.polygon, dual.slopes)) < 1e-9 * scale
         with pytest.raises(DegenerateCritical):
             area_morse_index_numeric(cyclic)

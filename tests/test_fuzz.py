@@ -42,7 +42,7 @@ from polyslope.tangential import (
     COMPLEX_STEP,
     constrained_perimeter,
     hessian_errors,
-    hessian_fd_comparisons,
+    hyperdual_hessians,
 )
 
 from area_chart import chain_area_gradient, chain_area_hessian, closure_jacobian
@@ -248,9 +248,9 @@ def test_stacked_hessians_equal_one_point_at_a_time(inputs):
             continue
         if not points or points[0].n < 4:
             continue
-        closed, exact = hessian_fd_comparisons(points)
+        closed, exact = hyperdual_hessians(points)
         for k, point in enumerate(points):
-            single_closed, single_exact = hessian_fd_comparisons((point,))
+            single_closed, single_exact = hyperdual_hessians((point,))
             assert np.array_equal(closed[k], single_closed[0]), angles
             assert np.array_equal(exact[k], single_exact[0]), angles
         singles = [hessian_errors((point,))[0] for point in points]

@@ -19,7 +19,7 @@ import polyslope.sweeps as sweeps
 from polyslope.cli import main
 import polyslope.cyclic as cyclic_module
 from polyslope.cyclic import cyclic_invariants, duality_index_check
-from polyslope.geometry import oriented_area, signed_perimeter
+from polyslope.geometry import oriented_area, signed_perimeter, signed_perimeters
 from polyslope.randomgen import trial_rng
 from polyslope.slope_space import build_chart, polygon_from_radii
 from polyslope.tangential import (
@@ -104,8 +104,8 @@ def nan_error(kernel):
     return nan
 
 
-def perturbed_perimeter(polygon, system, tol):
-    return signed_perimeter(polygon, system, tol) * (1.0 + 1e-6)
+def perturbed_perimeter(vertices, slope_angles, tol):
+    return signed_perimeters(vertices, slope_angles, tol) * (1.0 + 1e-6)
 
 
 def shifted(kernel, *fields):
@@ -127,10 +127,16 @@ def offset_tangent_sum(cyclic):
     # B off by a millionth of sum|tan a|, far above the dual perimeter's
     # bound of 1024 eps sum|tan a|, however small B itself is.
     invariants = cyclic_invariants(cyclic)
-    scale = float(np.sum(np.abs(np.tan(invariants.half_angles))))
     return dataclasses.replace(
-        invariants, bifurcation_sum=invariants.bifurcation_sum + 1e-6 * scale
+        invariants,
+        bifurcation_sum=invariants.bifurcation_sum + 1e-6 * invariants.tangent_scale,
     )
+
+
+def zero_tangent_sum(cyclic):
+    # B planted on the bifurcation locus; the dual's perimeter, measured on
+    # the polygon, stays off it on the generic draws.
+    return dataclasses.replace(cyclic_invariants(cyclic), bifurcation_sum=0.0)
 
 
 def odd_right_turns(system, tol):
@@ -161,7 +167,14 @@ def odd_right_turns(system, tol):
         (4, "morse_index_eigen", shifted(morse_index_eigen, "index_eigen"), "convex index off"),
         (6, "build_chart", odd_right_turns, "turn parity off"),
         (7, "cyclic_invariants", offset_tangent_sum, "dual perimeter off 2RB"),
-        (7, "signed_perimeter", perturbed_perimeter, "dual perimeter off 2RB"),
+        (7, "cyclic_invariants", zero_tangent_sum, "bifurcation test off dual perimeter"),
+        pytest.param(
+            7,
+            "signed_perimeters",
+            perturbed_perimeter,
+            "dual perimeter off 2RB",
+            id="7-signed_perimeter-perturbed_perimeter-dual perimeter off 2RB",
+        ),
         (
             8,
             "duality_index_check",
@@ -178,8 +191,10 @@ def test_perturbed_closed_form_fails(monkeypatch, capsys, check_index, name, val
     # A closed form off by one part in a million, or a planted defect in
     # what a check compares, fails every trial of the check's own stream:
     # the roundoff bounds stay below that on its draws.  The invariants are
-    # read through CyclicPolygon.invariants, which calls the cyclic module's.
-    monkeypatch.setattr(cyclic_module if name == "cyclic_invariants" else sweeps, name, value)
+    # read through CyclicPolygon.invariants, which calls the cyclic module's,
+    # and the dual's perimeter is measured in cyclic.dual_polygon.
+    in_cyclic = name in ("cyclic_invariants", "signed_perimeters")
+    monkeypatch.setattr(cyclic_module if in_cyclic else sweeps, name, value)
     assert_fails_every_trial(check_index, label, capsys)
 
 
