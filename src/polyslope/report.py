@@ -233,14 +233,16 @@ def cyclic_report(
 
 # A bisection round charts, in one chart_stack call, the 2**depth - 1
 # midpoints that the next depth halvings can visit and those of the halvings
-# along the secant root.  The tree holds a bracket to ceil(halvings / depth)
-# rounds whatever the secant root does; the path brings a root bracket of 37
-# halvings from 8 rounds to 3 or 4.  On the benchmark's n = 6 crossing
-# (2-core VM) a round took about 110 us with the tree alone (31 rows) and
-# 145 us with the path (up to 63 rows); the bracket took 0.9-1.0 ms in 8
-# rounds and 0.5-0.6 ms in 3.
+# along the estimated root.  The tree holds a bracket to ceil(halvings /
+# depth) rounds whatever the estimate does; the path brings a root bracket of
+# 37 halvings from 8 rounds to 2 or 3.  On the 120 brackets of the
+# benchmark's analyze seeds 0-2 (crossings of n = 4 and 6), rounds number 291
+# against 393 along the secant root of the bracket ends alone, and the 90
+# crossing families took 692 us each against 860 us (medians of 15
+# interleaved passes, 2-core VM).
 BISECTION_DEPTH = 5
 BRACKET_WIDTH = 1e-12
+INTERPOLATION_POINTS = 4
 
 
 def _family_angles(start, end, ts) -> tuple[np.ndarray, np.ndarray]:
@@ -311,12 +313,35 @@ def _midpoint_tree(lo: float, hi: float) -> list[float]:
     return mids
 
 
-def _secant_path(lo: float, hi: float, flo: float, fhi: float) -> list[float]:
+def _estimated_root(known) -> float:
+    """The root of sum p by inverse interpolation: the Lagrange polynomial of
+    t in sum p through the known (t, sum p) of least |sum p|, at most
+    INTERPOLATION_POINTS of them, at sum p = 0.  NaN where two of them share
+    a value of sum p; in float arithmetic, so it neither raises nor warns."""
+    points = sorted(known, key=lambda point: abs(point[1]))[:INTERPOLATION_POINTS]
+    values = [f for _, f in points]
+    if len(set(values)) < len(values):
+        return math.nan
+    root = 0.0
+    for j, (t, f) in enumerate(points):
+        weight = t
+        for m, g in enumerate(values):
+            if m != j:
+                weight *= g / (g - f)
+        root += weight
+    return root
+
+
+def _estimated_path(lo: float, hi: float, flo: float, fhi: float, known) -> list[float]:
     """Midpoints of the halvings of (lo, hi), down to BRACKET_WIDTH, that keep
-    the secant root of the bracket ends inside, with the arithmetic of one
-    halving; none when the ends define no root in [lo, hi]."""
-    slope = fhi - flo
-    root = lo - flo * (hi - lo) / slope if slope else math.nan
+    an estimated root of sum p inside, with the arithmetic of one halving.
+    The estimate is :func:`_estimated_root` of the known values, or the
+    secant root of the bracket ends where that is not finite or lies outside
+    [lo, hi]; none when the ends define no root in [lo, hi] either."""
+    root = _estimated_root(known)
+    if not lo <= root <= hi:
+        slope = fhi - flo
+        root = lo - flo * (hi - lo) / slope if slope else math.nan
     mids = []
     if lo <= root <= hi:
         while hi - lo > BRACKET_WIDTH:
@@ -329,19 +354,23 @@ def _secant_path(lo: float, hi: float, flo: float, fhi: float) -> list[float]:
     return mids
 
 
-def _bracket(start, end, lo: float, hi: float, flo: float, fhi: float, tol) -> dict | None:
+def _bracket(
+    start, end, lo: float, hi: float, flo: float, fhi: float, tol, known
+) -> dict | None:
     """Bisect a sign change of sum p between lo and hi to BRACKET_WIDTH.
 
     Each halving keeps the half (lo, mid) when flo * f(mid) <= 0 and
     (mid, hi) otherwise.  A round charts, in one call, the midpoints of the
     next BISECTION_DEPTH halvings and those of the halvings that follow the
-    secant root of f(lo) and f(hi), and walks on while its next midpoint was
-    charted, found by value: the walk visits the midpoints of the one-at-a-
-    time loop, at least BISECTION_DEPTH of them a round.  Reaching parallel
-    lines means a pole, not a root: None.
+    estimated root of :func:`_estimated_path`, from the (t, sum p) values
+    ``known`` beforehand and every midpoint walked since, and walks on while
+    its next midpoint was charted, found by value: the walk visits the
+    midpoints of the one-at-a-time loop, at least BISECTION_DEPTH of them a
+    round.  Reaching parallel lines means a pole, not a root: None.
     """
+    known = list(known)
     while hi - lo > BRACKET_WIDTH:
-        mids = _midpoint_tree(lo, hi) + _secant_path(lo, hi, flo, fhi)[BISECTION_DEPTH:]
+        mids = _midpoint_tree(lo, hi) + _estimated_path(lo, hi, flo, fhi, known)[BISECTION_DEPTH:]
         _, reduced = _family_angles(start, end, mids)
         stack = chart_stack(reduced, tol)
         ok = stack.ok
@@ -357,6 +386,7 @@ def _bracket(start, end, lo: float, hi: float, flo: float, fhi: float, tol) -> d
                 except ParallelLines:
                     return None
             fmid = float(stack.perimeter_sums[row])
+            known.append((mid, fmid))
             if flo * fmid <= 0.0:
                 hi, fhi = mid, fmid
             else:
@@ -389,13 +419,19 @@ def family_report(
         raise InputSchemaError("family needs at least 2 steps")
     rows = _family_rows(start, end, steps, tol)
     brackets = []
-    for a, b in zip(rows[:-1], rows[1:]):
+    for i, (a, b) in enumerate(zip(rows[:-1], rows[1:])):
         if a.get("status") != "ok" or b.get("status") != "ok":
             continue
         pa, pb = a["perimeter_sum"], b["perimeter_sum"]
         if pa == 0.0 or pa * pb >= 0.0:
             continue
-        bracket = _bracket(start, end, a["t"], b["t"], pa, pb, tol)
+        # The ok rows within two steps of rows i and i + 1 start the estimates.
+        known = [
+            (row["t"], row["perimeter_sum"])
+            for row in rows[max(i - 2, 0):i + 4]
+            if row["status"] == "ok"
+        ]
+        bracket = _bracket(start, end, a["t"], b["t"], pa, pb, tol, known)
         if bracket is not None:
             brackets.append(bracket)
     return {

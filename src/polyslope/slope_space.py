@@ -340,24 +340,11 @@ def chart_stack(angles: np.ndarray, tol: Tolerances = DEFAULT_TOL) -> ChartStack
     return ChartStack(perimeters, sums, total, k, right_turns, broken, angles, tol)
 
 
-def polygon_from_radii(chart: RadiiChart, radii) -> PolygonChain | np.ndarray:
-    """Polygon whose decomposition triangles have the given signed inradii.
-
-    The translation representative is canonical: the first edge line passes
-    through the origin and the center of the first decomposition circle
-    projects onto the origin along that line.  Edge lines are placed
-    sequentially: the circle of triangle i is tangent to e_1 and e_{i+1} on
-    the matching sides, and e_{i+2} is the matching-side tangent with slope
-    s_{i+2}.  A zero radius makes the three lines concurrent.  With theta_k
-    the angle from s_1 to s_k and T_k = tan(theta_k / 2), line k crosses e_1
-    at t_k u_1 and circle i is centered at c_i u_1 + r_i n_1, where t_k =
-    c_i + r_i T_k for each triangle i that has line k.  So c_0 = 0, centers
-    step by (r_{i-1} - r_i) T_{i+1}, and line k has offset -t_k sin(theta_k).
-
-    ``radii`` may also be a (K, n - 2) stack, one polygon per row, built at
-    once: the result is then the (K, n, 2) stack of their vertices, each row
-    checked as a single polygon is, and a failing check names the first row.
-    """
+def _reconstruction(chart: RadiiChart, radii) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """:func:`polygon_from_radii` of one row or a (K, n - 2) stack of radii as
+    the (K, n, 2) vertex stack, with the (K,) oriented areas and signed
+    perimeters that its check of the chart laws measured.  Measuring the
+    signed perimeters holds every edge of every row to its slope."""
     radii = np.asarray(radii, dtype=float)
     n = chart.n
     if radii.shape[-1:] != (n - 2,) or radii.ndim > 2:
@@ -377,8 +364,7 @@ def polygon_from_radii(chart: RadiiChart, radii) -> PolygonChain | np.ndarray:
     require_distinct(vertices)
     # The chart laws hold on every row, to their roundoff of 2048 eps sum|terms|.
     terms = np.stack((0.5 * chart.unit_perimeters * rows**2, chart.unit_perimeters * rows))
-    perimeters = signed_perimeters(vertices, angles, tol)
-    measured = np.stack((oriented_areas(vertices), perimeters))
+    measured = np.stack((oriented_areas(vertices), signed_perimeters(vertices, angles, tol)))
     errors = np.abs(measured - np.sum(terms, axis=-1))
     bounds = 2048.0 * EPS * np.sum(np.abs(terms), axis=-1)
     violated = (errors > bounds).any(axis=0)
@@ -388,7 +374,32 @@ def polygon_from_radii(chart: RadiiChart, radii) -> PolygonChain | np.ndarray:
             f"reconstruction violates chart laws (area error {area_err!r}, "
             f"perimeter error {perim_err!r})"
         )
-    return PolygonChain(vertices[0]) if radii.ndim == 1 else vertices
+    return vertices, measured[0], measured[1]
+
+
+def polygon_from_radii(chart: RadiiChart, radii) -> PolygonChain | np.ndarray:
+    """Polygon whose decomposition triangles have the given signed inradii.
+
+    The translation representative is canonical: the first edge line passes
+    through the origin and the center of the first decomposition circle
+    projects onto the origin along that line.  Edge lines are placed
+    sequentially: the circle of triangle i is tangent to e_1 and e_{i+1} on
+    the matching sides, and e_{i+2} is the matching-side tangent with slope
+    s_{i+2}.  A zero radius makes the three lines concurrent.  With theta_k
+    the angle from s_1 to s_k and T_k = tan(theta_k / 2), line k crosses e_1
+    at t_k u_1 and circle i is centered at c_i u_1 + r_i n_1, where t_k =
+    c_i + r_i T_k for each triangle i that has line k.  So c_0 = 0, centers
+    step by (r_{i-1} - r_i) T_{i+1}, and line k has offset -t_k sin(theta_k).
+
+    ``radii`` may also be a (K, n - 2) stack, one polygon per row, built at
+    once: the result is then the (K, n, 2) stack of their vertices, each row
+    checked as a single polygon is, and a failing check names the first row.
+    The kernel :func:`_reconstruction` also returns the areas and signed
+    perimeters its check of the chart laws measured; the chart-identity
+    sweep reads them from there.
+    """
+    vertices, _, _ = _reconstruction(chart, radii)
+    return PolygonChain(vertices[0]) if np.ndim(radii) == 1 else vertices
 
 
 def _line_offsets(chart: RadiiChart, vertices: np.ndarray) -> np.ndarray:
@@ -438,16 +449,16 @@ def decomposition_polygons(chart: RadiiChart, polygon: PolygonChain) -> np.ndarr
 
 
 def _chart_coordinates(
-    chart: RadiiChart, vertices: np.ndarray, offsets: np.ndarray
+    chart: RadiiChart, vertices: np.ndarray, offsets: np.ndarray, area: float
 ) -> ChartCoordinates:
-    """:func:`normalized_coordinates` of an (n, 2) vertex list and its line offsets."""
+    """:func:`normalized_coordinates` of an (n, 2) vertex list, its line
+    offsets and its oriented area."""
     heights = vertices[2:] @ left_normal(chart.system.angles[0]) - offsets[0]
     x = np.sqrt(chart.area_constants) * heights
     normalized = None
     mask = chart.positive_mask
     if np.any(mask):
         positive_norm_sq = float(np.sum(x[mask] ** 2))
-        area = float(oriented_areas(vertices))
         if positive_norm_sq > 0.0 and abs(area - 1.0) <= 1e-9 * max(1.0, abs(area)):
             normalized = x / math.sqrt(positive_norm_sq)
     return ChartCoordinates(x=x, normalized=normalized)
@@ -461,8 +472,9 @@ def normalized_coordinates(chart: RadiiChart, polygon: PolygonChain) -> ChartCoo
     oriented area.  For polygons of area +1 with a nonempty positive block
     the sphere-times-disc normalization of x is returned as well.
     """
-    offsets = _line_offsets(chart, polygon.vertices)
-    return _chart_coordinates(chart, polygon.vertices, offsets)
+    vertices = polygon.vertices
+    area = float(oriented_areas(vertices))
+    return _chart_coordinates(chart, vertices, _line_offsets(chart, vertices), area)
 
 
 def topology_report(chart: RadiiChart) -> TopologyReport:

@@ -22,8 +22,10 @@ from .geometry import (
     TWO_PI,
     SlopeSystem,
     diameters,
+    edge_offsets,
     oriented_areas,
     signed_perimeters,
+    tangential_polygons,
     turning_sum,
     winding_number,
     winding_numbers,
@@ -40,10 +42,9 @@ from .slope_space import (
     _chart_coordinates,
     _decomposition_radii,
     _decomposition_triangles,
-    _line_offsets,
+    _reconstruction,
     build_chart,
     decomposition_lines,
-    polygon_from_radii,
 )
 from .tangential import (
     critical_gradient_norms,
@@ -139,24 +140,25 @@ def check_chart_identities(rng, n, tol):
     radii = random_radii(rng, n - 2)
     points = tangential_critical_points(chart)
     # Row 0 holds the drawn radii, each further row a tangential point's r_i = r.
+    # The reconstruction measures every row's area and signed perimeter, and
+    # so holds each edge to its slope.
     stack = np.array([radii, *(np.full(n - 2, point.inradius) for point in points)])
-    rebuilt = polygon_from_radii(chart, stack)
+    rebuilt, areas, perimeters = _reconstruction(chart, stack)
+    areas, perimeters = areas.tolist(), perimeters.tolist()
     angles = chart.system.angles
-    areas = oriented_areas(rebuilt).tolist()
-    perimeters = signed_perimeters(rebuilt, angles, tol).tolist()
     p = chart.unit_perimeters
     area, perim = areas[0], perimeters[0]
     area_sum = 0.5 * float(np.sum(p * radii**2))
     perim_sum = float(np.sum(p * radii))
     area_scale = max(1.0, 0.5 * float(np.sum(np.abs(p) * radii**2)))
     perim_scale = max(1.0, float(np.sum(np.abs(p * radii))))
-    # Row 0 is checked; its line offsets give the triangles, radii and coordinates.
-    offsets = _line_offsets(chart, rebuilt[0])
+    # Row 0's line offsets give the triangles, radii and coordinates.
+    offsets = edge_offsets(rebuilt[0], angles)
     triangles = _decomposition_triangles(chart, offsets)
     tri_area = sum(oriented_areas(triangles).tolist())
     tri_perim = sum(signed_perimeters(triangles, angles[decomposition_lines(n)], tol).tolist())
     recovered = _decomposition_radii(chart, offsets)
-    coords = _chart_coordinates(chart, rebuilt[0], offsets)
+    coords = _chart_coordinates(chart, rebuilt[0], offsets, area)
     mask = chart.positive_mask
     quadratic = float(np.sum(coords.x[mask] ** 2) - np.sum(coords.x[~mask] ** 2))
     radii_scale = max(1.0, float(np.max(np.abs(radii))))
@@ -171,11 +173,13 @@ def check_chart_identities(rng, n, tol):
     if not points:
         return rows
     scales = diameters(rebuilt).tolist()
-    windings = winding_numbers(rebuilt[1:], [point.incenter for point in points]).tolist()
+    incenters = [point.incenter for point in points]
+    polygons = tangential_polygons(angles, incenters, [point.inradius for point in points])
+    windings = winding_numbers(rebuilt[1:], incenters).tolist()
     # The area is +-1, so its absolute and relative errors agree.
     bound = max(1e-10, TANGENTIAL_ROUNDOFF * _locus_roundoff(chart))
-    for k, point in enumerate(points, 1):
-        gap = float(np.max(np.abs(rebuilt[k] - point.polygon.vertices)))
+    for k, (point, polygon) in enumerate(zip(points, polygons), 1):
+        gap = float(np.max(np.abs(rebuilt[k] - polygon)))
         rows += [
             ("tangential vertices off", gap, 1e-10 * scales[k]),
             ("tangential area off", abs(areas[k] - point.area), bound),

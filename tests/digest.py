@@ -10,6 +10,9 @@ digests with its parent's.  Each output is the JSON of a report or sweep
 result, or ``Type: message`` of the error it raises.  The sets:
 
 * ``sweep``: ``run_sweep(s, 20)`` for s = 0..399;
+* ``sweep rows``: the ``(n, rows)`` outcome of every check, or its error,
+  on the streams of those sweeps, ``trial_rng(s, check, trial)`` for
+  trial = 0..19, so a passing row whose error or bound moves shows too;
 * ``slopes xF``: slopes reports on the fuzz slope systems and the
   near-parallel fuzz lists of ``test_fuzz`` at tolerance scale F;
 * ``cyclic at C``: cyclic reports of radius 1 on the fuzz vertex angles
@@ -19,7 +22,7 @@ result, or ``Type: message`` of the error it raises.  The sets:
   polygons, on the bifurcation locus, inside its band and just outside it,
   at tolerance scale F (the set at scale 1 is named without it).
 
-It takes about 60 s on a 2-core machine.
+It takes about 90 s on a 2-core machine.
 """
 
 import hashlib
@@ -27,8 +30,10 @@ import json
 
 import numpy as np
 
+from polyslope.randomgen import trial_rng
 from polyslope.report import cyclic_report, family_report, slopes_report
-from polyslope.sweeps import run_sweep
+from polyslope.sweeps import CHECKS, run_sweep
+from polyslope.tolerances import DEFAULT_TOL
 
 import test_family
 import test_fuzz
@@ -51,6 +56,15 @@ def outcome(make, *args) -> str:
         return f"{type(exc).__name__}: {exc}"
 
 
+def check_outcome(check, rng) -> str:
+    """The repr of a sweep check's outcome with the sweep's defaults, or the
+    type and message of its error."""
+    try:
+        return repr(check(rng, (4, 9), DEFAULT_TOL))
+    except Exception as exc:  # an error is an output too
+        return f"{type(exc).__name__}: {exc}"
+
+
 def digest(outcomes) -> tuple[int, str]:
     """How many outcomes, and the SHA-256 of their lines."""
     sha, count = hashlib.sha256(), 0
@@ -69,6 +83,12 @@ def near_bifurcation_inputs():
 
 def sets():
     yield "sweep", (outcome(lambda s: run_sweep(s, 20).to_dict(), s) for s in range(400))
+    yield "sweep rows", (
+        check_outcome(check, trial_rng(s, index, trial))
+        for s in range(400)
+        for index, (_, check) in enumerate(CHECKS)
+        for trial in range(20)
+    )
     slopes = test_fuzz.ANGLES[:test_fuzz.COUNT] + test_fuzz.NEAR_PARALLEL
     for factor in SCALES:
         tol = test_family.tolerances(factor)

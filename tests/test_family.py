@@ -22,7 +22,13 @@ import pytest
 from polyslope import SlopeSystem, build_chart, report
 from polyslope.errors import InputSchemaError, NonIntegralTurn, ParallelLines, PolyslopeError
 from polyslope.geometry import TWO_PI
-from polyslope.report import BISECTION_DEPTH, BRACKET_WIDTH, _secant_path, family_report
+from polyslope.report import (
+    BISECTION_DEPTH,
+    BRACKET_WIDTH,
+    _estimated_path,
+    _estimated_root,
+    family_report,
+)
 from polyslope.slope_space import chart_stack
 from polyslope.tolerances import DEFAULT_TOL
 
@@ -194,14 +200,14 @@ def compared():
     Also the number of rounds that charted the midpoint tree alone."""
     stacks, rounds, halvings, results, tree_only = [0], [], [], [], [0]
     stack, bracket, sequential = report.chart_stack, report._bracket, reference.sequential_bracket
-    secant_path = report._secant_path
+    estimated_path = report._estimated_path
 
     def counted_stack(*args):
         stacks[0] += 1
         return stack(*args)
 
     def counted_path(*args):
-        path = secant_path(*args)
+        path = estimated_path(*args)
         tree_only[0] += not path
         return path
 
@@ -219,7 +225,7 @@ def compared():
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(report, "chart_stack", counted_stack)
         patch.setattr(report, "_bracket", counted_bracket)
-        patch.setattr(report, "_secant_path", counted_path)
+        patch.setattr(report, "_estimated_path", counted_path)
         patch.setattr(reference, "sequential_bracket", counted_sequential)
         for start, end, steps, scale in families():
             tol = tolerances(scale)
@@ -258,9 +264,11 @@ def test_no_bracket_charts_more_stacks_than_its_midpoint_trees(compared):
     # Each round charts the midpoint tree of the next BISECTION_DEPTH
     # halvings, so a bracket whose one-at-a-time loop charts h midpoints,
     # root or pole, takes at most ceil(h / BISECTION_DEPTH) stacks, as it did
-    # when rounds charted the tree alone (10,069 in all when written); the
-    # secant path cut that to 6,886.  A secant root that rounds onto a
-    # bracket end still gives a path, so no round charts the tree alone.
+    # when rounds charted the tree alone (10,069 in all when written).  The
+    # path of the secant root of the bracket ends cut that to 6,886, and the
+    # path of the interpolated root to 6,315, with no bracket taking more
+    # rounds than along the secant.  An estimate that falls on a bracket end
+    # still gives a path, so no round charts the tree alone.
     results, tree_only = compared
     used = bound = 0
     for case, _, _, rounds, halvings in results:
@@ -269,28 +277,65 @@ def test_no_bracket_charts_more_stacks_than_its_midpoint_trees(compared):
             assert taken <= math.ceil(count / BISECTION_DEPTH), case
             used += taken
             bound += math.ceil(count / BISECTION_DEPTH)
-    assert used < 0.8 * bound and tree_only == 0
+    assert used < 0.66 * bound and tree_only == 0
 
 
-def test_secant_path_keeps_the_secant_root_inside():
-    lo, hi = 0.25, 0.375
-    path = _secant_path(lo, hi, 2.0, -1.0)  # the secant root is 1/3
+def walked(path, lo, hi, root):
+    """The bracket that the halvings of ``path`` leave around ``root``, each
+    at the midpoint of the bracket before it."""
     for mid in path:
         assert mid == 0.5 * (lo + hi)
-        lo, hi = (lo, mid) if 1.0 / 3.0 < mid else (mid, hi)
-    assert lo < 1.0 / 3.0 < hi and hi - lo <= BRACKET_WIDTH < 2.0 * (hi - lo)
+        lo, hi = (lo, mid) if root < mid else (mid, hi)
+    return lo, hi
+
+
+def test_estimated_path_keeps_the_estimated_root_inside():
+    # Points of sum p = 1 - 3t + t**3 / 2: the inverse interpolation through
+    # the four of least |sum p| lands inside (0.25, 0.375), off the secant
+    # root of the ends, and the path keeps it inside down to BRACKET_WIDTH.
+    def f(t):
+        return 1.0 - 3.0 * t + 0.5 * t**3
+
+    known = [(t, f(t)) for t in (0.0, 0.125, 0.25, 0.375, 0.5, 0.625)]
+    lo, hi = 0.25, 0.375
+    root = _estimated_root(known)
+    secant = lo - f(lo) * (hi - lo) / (f(hi) - f(lo))
+    assert lo < root < hi and abs(root - secant) > 1e-4
+    lo, hi = walked(_estimated_path(lo, hi, f(lo), f(hi), known), lo, hi, root)
+    assert lo < root < hi and hi - lo <= BRACKET_WIDTH < 2.0 * (hi - lo)
+    # A known point with sum p = 0 is the estimate, even at a bracket end.
+    assert _estimated_root([(0.25, 2.0), (0.375, 0.0), (0.5, -1.0)]) == 0.375
+
+
+@pytest.mark.parametrize(
+    "known",
+    [
+        [(1e300, 1.0), (1e300, 1.0 + 2.0**-52)],  # weights overflow to inf - inf
+        [(0.0, 1.0), (1.0, math.nan)],  # NaN
+        [(0.0, 1.0), (1.0, 2.0), (2.0, 2.0)],  # two points share a value
+        [(0.0, 3.0), (1.0, 1.0)],  # the root lies outside the bracket
+    ],
+)
+def test_failed_estimate_falls_back_to_the_secant_root(known):
+    # Ends with sum p 2 and -1 put the secant root at 1/3; the estimator
+    # neither raises nor warns (warnings are errors here).
+    lo, hi = 0.25, 0.375
+    assert not lo <= _estimated_root(known) <= hi
+    lo, hi = walked(_estimated_path(lo, hi, 2.0, -1.0, known), lo, hi, 1.0 / 3.0)
+    assert lo < 1.0 / 3.0 < hi and hi - lo <= BRACKET_WIDTH
+
+
+def test_secant_root_on_an_end_keeps_that_end():
     # Ends whose secant root rounds onto an end, as when their difference
     # overflows: the path keeps that end.
     for flo, fhi, root in [(1.5e308, -1.5e308, 0.25), (1e-300, -1e300, 0.25), (1.0, 0.0, 0.375)]:
         lo, hi = 0.25, 0.375
-        path = _secant_path(lo, hi, flo, fhi)
-        for mid in path:
-            assert mid == 0.5 * (lo + hi)
-            lo, hi = (lo, mid) if root < mid else (mid, hi)
+        path = _estimated_path(lo, hi, flo, fhi, [(math.nan, math.nan)])
+        lo, hi = walked(path, lo, hi, root)
         assert path and lo <= root <= hi and hi - lo <= BRACKET_WIDTH
     # Ends that do not define a root: the round charts the tree alone.
     for flo, fhi in [(1.0, 1.0), (math.nan, 1.0)]:
-        assert _secant_path(0.25, 0.375, flo, fhi) == []
+        assert _estimated_path(0.25, 0.375, flo, fhi, [(0.25, flo), (0.375, fhi)]) == []
 
 
 def test_poles_are_not_bracketed():

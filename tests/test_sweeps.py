@@ -267,6 +267,14 @@ def offset_incenters(chart):
 # Each comparison of the chart-identity check, by its row's label, and a planted
 # defect of one part in a million on one side of it.
 PLANTED = {
+    # The reconstruction's measured areas or signed perimeters, once its own
+    # check of the chart laws has passed.
+    "quadratic area law off": lambda m: plant_on_result(
+        m, "_reconstruction", lambda r: (r[0], r[1] * OFF, r[2])
+    ),
+    "linear perimeter law off": lambda m: plant_on_result(
+        m, "_reconstruction", lambda r: (r[0], r[1], r[2] * OFF)
+    ),
     "area additivity off": lambda m: plant_on_triangles(m, "oriented_areas"),
     "perimeter additivity off": lambda m: plant_on_triangles(m, "signed_perimeters"),
     "radii roundtrip off": lambda m: plant_on_result(m, "_decomposition_radii", lambda r: r * OFF),

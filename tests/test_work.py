@@ -11,7 +11,9 @@ slopes once.  Counters wrap functions such as
 stay here as oracles: the family rows against the critical points' own
 indices, the shared chart against a fresh ``build_chart`` per relabeling.
 A family charts its rows and bisection midpoints as angle stacks and builds
-no chart unless a row is invalid.
+no chart unless a row is invalid.  A chart-identity trial reads the areas
+and signed perimeters that its reconstruction measured, and builds the
+tangential points' polygons as one vertex stack.
 """
 
 import math
@@ -30,6 +32,7 @@ from polyslope import (
 from polyslope import geometry
 from polyslope.cyclic import bifurcation_test, cyclic_invariants
 from polyslope.geometry import (
+    oriented_areas,
     require_distinct,
     tangential_offsets,
     tangential_polygon,
@@ -39,6 +42,7 @@ from polyslope.report import BISECTION_DEPTH, cyclic_report, family_report, slop
 from polyslope.slope_space import (
     RadiiChart,
     _line_offsets,
+    _reconstruction,
     chart_stack,
     polygon_from_radii,
     turning_rule,
@@ -197,11 +201,12 @@ def test_family_rows_match_critical_points():
 def test_family_report_charts_rows_and_midpoints_as_stacks(monkeypatch):
     # With no invalid row, one chart_stack call charts the rows, and no
     # RadiiChart is built.  Each bisection round charts the midpoint tree of
-    # BISECTION_DEPTH halvings and the path of the secant root, so these
-    # brackets take three stacks where the trees alone took one per
-    # BISECTION_DEPTH halvings, rounded up (eight).  The reference builds one
-    # chart per row and per midpoint, so its count less the rows is the
-    # number of halvings.
+    # BISECTION_DEPTH halvings and the path of the root estimated from the
+    # rows near the sign change and the midpoints walked, so these brackets
+    # take two or three stacks (three each along the secant root of the
+    # bracket ends) where the trees alone took one per BISECTION_DEPTH
+    # halvings, rounded up (eight).  The reference builds one chart per row
+    # and per midpoint, so its count less the rows is the number of halvings.
     made = [0]
     init = RadiiChart.__init__
 
@@ -211,7 +216,8 @@ def test_family_report_charts_rows_and_midpoints_as_stacks(monkeypatch):
 
     monkeypatch.setattr(RadiiChart, "__init__", counted_init)
     stacks = counted(monkeypatch, (chart_stack,))
-    for start, end in ((FAMILY_START, FAMILY_END), BENCH_F3, BENCH_CROSSING):
+    brackets = (((FAMILY_START, FAMILY_END), 2), (BENCH_F3, 3), (BENCH_CROSSING, 2))
+    for (start, end), rounds in brackets:
         made[0] = 0
         sequential_family_report(start, end, 11)
         halvings = made[0] - 11
@@ -221,13 +227,13 @@ def test_family_report_charts_rows_and_midpoints_as_stacks(monkeypatch):
         assert len(report["sign_changes"]) == 1
         assert made[0] == 0
         assert math.ceil(halvings / BISECTION_DEPTH) == 8
-        assert stacks["chart_stack"] == 1 + 3
+        assert stacks["chart_stack"] == 1 + rounds
 
 
-def test_family_root_at_a_bracket_end_follows_the_secant_path(monkeypatch):
+def test_family_root_at_a_bracket_end_follows_the_estimated_path(monkeypatch):
     # The row t = 1/2 of this family has sum p exactly 0.  Once a halving
-    # makes it the bracket's end, the secant root is that end, and the path
-    # keeps it: the bracket takes two stacks where the trees alone take 8.
+    # makes it the bracket's end, the interpolated root is that end, and the
+    # path keeps it: the bracket takes two stacks where the trees alone take 8.
     start = [203.401, 207.53, 322.02, 107.113, -14.118576482893687]
     end = [203.401, 207.53, 322.02, 107.113, -12.118576482893687]
     stacks = counted(monkeypatch, (chart_stack,))
@@ -320,25 +326,36 @@ def test_cyclic_report_computes_invariants_and_dual_once(monkeypatch):
 
 def test_chart_identity_trial_reconstructs_one_stack(monkeypatch):
     # One chart, one reconstruction of three rows (one when the drawn system
-    # is exceptional), and no SlopeSystem but the drawn one.  The drawn row's
-    # line offsets are computed once, and vertices are checked once for the
-    # reconstruction, once for the triangles and once for each tangential
-    # point's closed-form polygon, not again for the drawn row.
+    # is exceptional), and no SlopeSystem but the drawn one.  The trial reads
+    # the areas and signed perimeters that the reconstruction measured, and
+    # the drawn row's line offsets off its vertices: the reconstruction has
+    # held every edge to its slope.  Vertices are checked once for the
+    # reconstruction, once for the triangles and once for the stack of the
+    # tangential points' closed-form polygons.
     index, check = next((i, c) for i, (n, c) in enumerate(CHECKS) if n == "chart_identities")
     results = []
-    counts = counted(monkeypatch, (build_chart, polygon_from_radii), results)
-    checks = counted(monkeypatch, (_line_offsets, require_distinct))
+    counts = counted(monkeypatch, (build_chart, _reconstruction, polygon_from_radii), results)
+    checks = counted(monkeypatch, (_line_offsets, require_distinct, oriented_areas))
     systems = counted_systems(monkeypatch)
 
     def trial(rng, n_range, rows):
-        counts["build_chart"] = counts["polygon_from_radii"] = systems[0] = 0
-        checks["_line_offsets"] = checks["require_distinct"] = 0
+        for name in counts:
+            counts[name] = 0
+        for name in checks:
+            checks[name] = 0
+        systems[0] = 0
         results.clear()
         _, checked = check(rng, n_range, DEFAULT_TOL)
         assert all(error <= bound for _, error, bound in checked), checked
-        assert counts == {"build_chart": 1, "polygon_from_radii": 1}
-        assert checks == {"_line_offsets": 1, "require_distinct": rows + 1}
-        assert results[-1].shape[0] == rows
+        assert counts == {"build_chart": 1, "_reconstruction": 1, "polygon_from_radii": 0}
+        # Areas: the reconstruction's, and the decomposition triangles'.
+        assert checks == {
+            "_line_offsets": 0,
+            "require_distinct": 2 + (rows > 1),
+            "oriented_areas": 2,
+        }
+        vertices, areas, perimeters = results[-1]
+        assert vertices.shape[0] == areas.shape[0] == perimeters.shape[0] == rows
         return systems[0]
 
     for t in range(20):
