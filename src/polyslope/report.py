@@ -22,7 +22,7 @@ from .slope_space import build_chart, chart_stack, topology_report
 from .tangential import (
     critical_gradient_norms,
     exceptional_mask,
-    morse_index_eigen,
+    index_reports,
     sign_count_index,
     tangential_critical_points,
 )
@@ -106,9 +106,10 @@ def _component_dict(shape) -> dict:
 
 def _critical_point_dicts(points) -> list[dict]:
     """The report entries of the two critical points of one chart.  Their
-    gradients are one complex stack and their polygons one vertex stack."""
+    Hessians are one stack, their gradients one complex stack and their
+    polygons one vertex stack."""
     chart = points[0].chart
-    reports = [morse_index_eigen(point) for point in points]
+    reports = index_reports(points)
     gradients = critical_gradient_norms(points)
     centers, radii = [point.incenter for point in points], [point.inradius for point in points]
     vertices = tangential_polygons(chart.system.angles, centers, radii)

@@ -115,9 +115,7 @@ class RadiiChart:
         data and so, by the signature law, the number of positive p_i.
         Computed on first read, from the closed forms on all n relabelings.
         """
-        n = self.n
-        # Row k holds the angles of the system relabeled to start at slope k.
-        rotations = self.system.angles[(np.arange(n)[:, None] + np.arange(n)) % n]
+        rotations = self.system.angles[_rotation_index(self.n)]
         perimeters = _unit_perimeters(rotations)
         k = int(np.argmin(np.max(np.abs(perimeters), axis=1) / np.abs(perimeters[:, 0])))
         chosen = perimeters[k]
@@ -126,6 +124,14 @@ class RadiiChart:
         return RadiiChart(
             self.system.rotated(k), chosen, float(np.sum(chosen)), *turning, self.tol
         )
+
+
+@functools.lru_cache(maxsize=None)
+def _rotation_index(n: int) -> np.ndarray:
+    """Row k holds the indices of n slopes relabeled to start at slope k."""
+    index = (np.arange(n)[:, None] + np.arange(n)) % n
+    index.setflags(write=False)
+    return index
 
 
 @dataclass(frozen=True)

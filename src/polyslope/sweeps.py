@@ -48,9 +48,9 @@ from .slope_space import (
 )
 from .tangential import (
     critical_gradient_norms,
-    hessian_det_identity,
+    hessian_det_identities,
     hessian_errors,
-    morse_index_eigen,
+    index_reports,
     tangential_critical_points,
 )
 from .tolerances import DEFAULT_TOL, Tolerances
@@ -97,22 +97,24 @@ def check_hessian_determinant(rng, n, tol):
     """r**(n-3) det H equals the closed product formula, relative to the
     larger side, within max(1e-9, c eps sum|p| max|p| / (|sum p| |p_1|)),
     c = 512."""
-    rows = []
-    for point in tangential_critical_points(build_chart(random_slope_system(rng, n), tol)):
-        lhs, rhs = hessian_det_identity(point)
-        p = np.abs(point.chart.unit_perimeters)
-        bound = max(1e-9, DETERMINANT_ROUNDOFF * _locus_roundoff(point.chart) * p.max() / p[0])
-        scaled = bound * max(abs(lhs), abs(rhs))
-        rows.append(("determinant identity off", abs(lhs - rhs), scaled))
-    return rows or None
+    points = tangential_critical_points(build_chart(random_slope_system(rng, n), tol))
+    if not points:
+        return None
+    chart = points[0].chart
+    p = np.abs(chart.unit_perimeters)
+    bound = max(1e-9, DETERMINANT_ROUNDOFF * _locus_roundoff(chart) * p.max() / p[0])
+    return [
+        ("determinant identity off", abs(lhs - rhs), bound * max(abs(lhs), abs(rhs)))
+        for lhs, rhs in hessian_det_identities(points)
+    ]
 
 
 def check_index_agreement(rng, n, tol):
     """Eigenvalue index equals the formula index; the two points complement."""
     points = tangential_critical_points(build_chart(random_slope_system(rng, n), tol))
-    reports = [morse_index_eigen(point) for point in points]
-    if not reports:
+    if not points:
         return None
+    reports = index_reports(points)
     total = sum(report.index_eigen for report in reports)
     return [
         *(("index mismatch", abs(r.index_eigen - r.index_formula), 0) for r in reports),
@@ -122,14 +124,15 @@ def check_index_agreement(rng, n, tol):
 
 def check_convex_indices(rng, n, tol):
     """Convex counterclockwise systems: index 0 at r>0 and n-3 at r<0."""
+    points = tangential_critical_points(build_chart(random_convex_slope_system(rng, n), tol))
+    if not points:
+        return None
     rows = []
-    chart = build_chart(random_convex_slope_system(rng, n), tol)
-    for point in tangential_critical_points(chart):
+    for point, report in zip(points, index_reports(points)):
         expected = 0 if point.inradius > 0 else n - 3
-        report = morse_index_eigen(point)
         error = max(abs(report.index_eigen - expected), abs(report.index_formula - expected))
         rows.append(("convex index off", error, 0))
-    return rows or None
+    return rows
 
 
 def check_chart_identities(rng, n, tol):

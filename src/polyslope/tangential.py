@@ -17,7 +17,8 @@ combinatorial turn/winding formula.  On the unit-area slice r_1 is a closed
 form in the free radii, so the gradient and the Hessian there are checked
 exactly to rounding, by the complex step and by hyper-dual numbers.  The two
 points share their chart and differ only in the sign of r, so each check
-evaluates both in one stack (:func:`critical_gradient_norms`,
+evaluates both in one stack (:func:`index_reports`,
+:func:`hessian_det_identities`, :func:`critical_gradient_norms`,
 :func:`hessian_errors`); a caller with one point passes a stack of one.
 Whether a chart is exceptional is decided at the tolerances it was built at,
 :attr:`RadiiChart.tol`, which its critical points read.
@@ -71,7 +72,7 @@ class IndexReport:
 
     ``index_eigen`` is the number of negative Hessian eigenvalues, counted
     exactly from the signs of the unit perimeters (see
-    :func:`morse_index_eigen`); ``index_formula`` is the turn/winding
+    :func:`index_reports`); ``index_formula`` is the turn/winding
     formula value.  ``eigenvalues`` are the floating-point eigenvalues of
     the Hessian, reported for inspection; they decide nothing.
     """
@@ -133,20 +134,37 @@ def tangential_critical_points(
     )
 
 
-def hessian_det_identity(point: TangentialCritical) -> tuple[float, float]:
-    """Both sides of the determinant identity for the perimeter Hessian.
+def _shared_chart(points: Sequence[TangentialCritical]) -> RadiiChart:
+    """The chart of every point in ``points``, which a stack evaluates at once."""
+    chart = points[0].chart
+    if any(point.chart is not chart for point in points):
+        raise ValueError("stacked critical points must share one chart")
+    return chart
+
+
+def hessian_det_identities(points: Sequence[TangentialCritical]) -> list[tuple[float, float]]:
+    """Both sides of the determinant identity for the perimeter Hessian, one
+    pair per critical point of one chart.
 
     r**(n-3) det H equals (-p_2 Pi / p_1) * prod_{i>=3} (-p_i); requires
-    n >= 4 so the Hessian is nonempty.  Returns (lhs, rhs) without comparing
-    them: the caller decides how close the two sides must be.
+    n >= 4 so the Hessian is nonempty.  The points' Hessians are one stack
+    with one determinant call.  Returns (lhs, rhs) without comparing them:
+    the caller decides how close the two sides must be.
     """
-    n = point.n
+    chart = _shared_chart(points)
+    n = chart.n
     if n < 4:
         raise ValueError("determinant identity needs n >= 4")
-    p = point.chart.unit_perimeters
-    lhs = point.inradius ** (n - 3) * float(np.linalg.det(point.hessian))
-    rhs = (-p[1] * point.chart.perimeter_sum / p[0]) * float(np.prod(-p[2:]))
-    return lhs, rhs
+    p = chart.unit_perimeters
+    radii = [point.inradius for point in points]
+    dets = np.linalg.det(hessian_formula(p, np.array(radii))).tolist()
+    rhs = (-p[1] * chart.perimeter_sum / p[0]) * float(np.prod(-p[2:]))
+    return [(inradius ** (n - 3) * det, rhs) for inradius, det in zip(radii, dets)]
+
+
+def hessian_det_identity(point: TangentialCritical) -> tuple[float, float]:
+    """:func:`hessian_det_identities` of one point."""
+    return hessian_det_identities((point,))[0]
 
 
 def morse_index_formula(point: TangentialCritical) -> int:
@@ -180,19 +198,28 @@ def sign_count_index(unit_perimeters: np.ndarray, perimeter_sum, inradius: float
     return negatives if inradius < 0 else p.shape[-1] - 1 - negatives
 
 
+def index_reports(points: Sequence[TangentialCritical]) -> list[IndexReport]:
+    """Morse index of each critical point of one chart from the inertia of
+    its Hessian (see :func:`sign_count_index`), with the turn/winding formula
+    as its cross-check and the Hessian's eigenvalues for inspection.  The
+    points' Hessians are one stack with one eigenvalue call."""
+    chart = _shared_chart(points)
+    radii = np.array([point.inradius for point in points])
+    eigenvalues = np.linalg.eigvalsh(hessian_formula(chart.unit_perimeters, radii))
+    reports = []
+    for point, values in zip(points, eigenvalues):
+        index = int(sign_count_index(chart.unit_perimeters, chart.perimeter_sum, point.inradius))
+        formula = morse_index_formula(point)
+        report = IndexReport(
+            index_eigen=index, index_formula=formula, eigenvalues=values, agreement=index == formula
+        )
+        reports.append(report)
+    return reports
+
+
 def morse_index_eigen(point: TangentialCritical) -> IndexReport:
-    """Morse index from the inertia of the Hessian (see
-    :func:`sign_count_index`), with the turn/winding formula as its
-    cross-check and the Hessian's eigenvalues for inspection."""
-    chart = point.chart
-    index = int(sign_count_index(chart.unit_perimeters, chart.perimeter_sum, point.inradius))
-    formula = morse_index_formula(point)
-    return IndexReport(
-        index_eigen=index,
-        index_formula=formula,
-        eigenvalues=np.linalg.eigvalsh(point.hessian),
-        agreement=index == formula,
-    )
+    """:func:`index_reports` of one point."""
+    return index_reports((point,))[0]
 
 
 # ---------------------------------------------------------------------------
@@ -268,14 +295,6 @@ def constrained_perimeter(chart: RadiiChart, free_radii, target_area: float, bra
     return root * (p[0] * sign) + (x * p[1:]).sum(axis=-1)
 
 
-def _shared_chart(points: Sequence[TangentialCritical]) -> RadiiChart:
-    """The chart of every point in ``points``, which a stack evaluates at once."""
-    chart = points[0].chart
-    if any(point.chart is not chart for point in points):
-        raise ValueError("stacked critical points must share one chart")
-    return chart
-
-
 def _roundoff_scale(chart: RadiiChart) -> float:
     """eps sum|p|, sum|p| the larger in the points' chart and the
     well-conditioned one: the inradius carries the roundoff of the first,
@@ -285,6 +304,14 @@ def _roundoff_scale(chart: RadiiChart) -> float:
 
 
 COMPLEX_STEP = 1e-200
+
+
+@functools.lru_cache(maxsize=None)
+def _complex_steps(m: int) -> np.ndarray:
+    """The (m, m) rows i h e_j, h = ``COMPLEX_STEP``, built once per size."""
+    steps = 1j * COMPLEX_STEP * np.eye(m)
+    steps.setflags(write=False)
+    return steps
 
 
 def critical_gradient_norms(points: Sequence[TangentialCritical]) -> list[tuple[float, float]]:
@@ -311,12 +338,12 @@ def critical_gradient_norms(points: Sequence[TangentialCritical]) -> list[tuple[
     conditioned = chart.well_conditioned
     m = chart.n - 3
     radii = np.array([point.inradius for point in points])
-    rows = (radii[:, None, None] + 1j * COMPLEX_STEP * np.eye(m)).reshape(len(radii) * m, m)
+    rows = (radii[:, None, None] + _complex_steps(m)).reshape(len(radii) * m, m)
     target = math.copysign(1.0, conditioned.perimeter_sum)
     values = constrained_perimeter(conditioned, rows, target, np.repeat(radii, m))
     grads = values.imag.reshape(len(points), m) / COMPLEX_STEP
     bound = 256.0 * _roundoff_scale(chart)
-    return [(float(np.linalg.norm(grad)), bound) for grad in grads]
+    return [(math.sqrt(grad.dot(grad)), bound) for grad in grads]
 
 
 def critical_gradient_norm(point: TangentialCritical) -> tuple[float, float]:

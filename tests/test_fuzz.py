@@ -41,8 +41,11 @@ from polyslope.report import cyclic_report, slopes_report
 from polyslope.tangential import (
     COMPLEX_STEP,
     constrained_perimeter,
+    hessian_det_identities,
     hessian_errors,
+    hessian_formula,
     hyperdual_hessians,
+    morse_index_formula,
 )
 
 from area_chart import chain_area_gradient, chain_area_hessian, closure_jacobian
@@ -199,16 +202,19 @@ def outcome(route, *args):
 
 
 def stacked_points(angles):
-    """Each critical point's gradient norm, bound and vertices as the report
-    gives them, from one stack per quantity."""
+    """Each critical point's eigenvalues, indices, gradient norm, bound and
+    vertices as the report gives them, from one stack per quantity."""
     points = slopes_report(angles)["critical"]["points"]
-    return [(p["gradient_norm"], p["gradient_bound"], p["vertices"]) for p in points]
+    fields = ("eigenvalues", "index_eigen", "index_formula", "gradient_norm", "gradient_bound")
+    return [(*(p[field] for field in fields), p["vertices"]) for p in points]
 
 
 def one_point_at_a_time(angles):
     """The same, one point at a time in the order the report once took: the
-    gradient, by the one-row call and by a complex stack with a scalar branch,
-    then the polygon by ``tangential_polygon``, whose checks raise."""
+    eigenvalues of the point's own Hessian, the sign count and the formula
+    index; the gradient, by the one-row call and by a complex stack with a
+    scalar branch; then the polygon by ``tangential_polygon``, whose checks
+    raise."""
     chart = build_chart(SlopeSystem.from_degrees(angles))
     points = tangential_critical_points(chart)
     if not points:
@@ -217,12 +223,16 @@ def one_point_at_a_time(angles):
     target = math.copysign(1.0, conditioned.perimeter_sum)
     rows = []
     for point in points:
+        hessian = hessian_formula(chart.unit_perimeters, point.inradius)
+        eigenvalues = np.linalg.eigvalsh(hessian).tolist()
+        index = int(sign_count_index(chart.unit_perimeters, chart.perimeter_sum, point.inradius))
+        formula = morse_index_formula(point)
         norm, bound = critical_gradient_norm(point)
         free = point.inradius + 1j * COMPLEX_STEP * np.eye(chart.n - 3)
         grad = constrained_perimeter(conditioned, free, target, point.inradius).imag
         assert norm == float(np.linalg.norm(grad / COMPLEX_STEP))
         polygon = tangential_polygon(chart.system.angles, point.incenter, point.inradius)
-        rows.append((norm, bound, polygon.vertices.tolist()))
+        rows.append((eigenvalues, index, formula, norm, bound, polygon.vertices.tolist()))
     return rows
 
 
@@ -255,6 +265,9 @@ def test_stacked_hessians_equal_one_point_at_a_time(inputs):
             assert np.array_equal(exact[k], single_exact[0]), angles
         singles = [hessian_errors((point,))[0] for point in points]
         assert hessian_errors(points) == singles, angles
+        lhs = [lhs for lhs, _ in hessian_det_identities(points)]
+        dets = [point.inradius ** (point.n - 3) * np.linalg.det(point.hessian) for point in points]
+        assert lhs == dets, angles
         points_checked += 2
     assert points_checked > 1500
 

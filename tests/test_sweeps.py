@@ -24,9 +24,10 @@ from polyslope.randomgen import trial_rng
 from polyslope.slope_space import build_chart, polygon_from_radii
 from polyslope.tangential import (
     critical_gradient_norms,
+    hessian_det_identities,
     hessian_det_identity,
     hessian_errors,
-    morse_index_eigen,
+    index_reports,
     tangential_critical_points,
 )
 from polyslope.tolerances import DEFAULT_TOL
@@ -80,9 +81,8 @@ def test_tangential_area_and_perimeter_pass_next_to_the_locus(monkeypatch, near_
     assert over_fixed_bound > 0
 
 
-def perturbed_determinant(point):
-    lhs, rhs = hessian_det_identity(point)
-    return lhs, rhs * (1.0 + 1e-6)
+def perturbed_determinant(points):
+    return [(lhs, rhs * (1.0 + 1e-6)) for lhs, rhs in hessian_det_identities(points)]
 
 
 def perturbed_points(field):
@@ -109,11 +109,15 @@ def perturbed_perimeter(vertices, slope_angles, tol):
 
 
 def shifted(kernel, *fields):
-    """``kernel``'s report with each integer field one more."""
+    """``kernel``'s report, or each of its list of reports, with each integer
+    field one more."""
+
+    def one(report):
+        return dataclasses.replace(report, **{f: getattr(report, f) + 1 for f in fields})
 
     def shift(*args):
-        report = kernel(*args)
-        return dataclasses.replace(report, **{f: getattr(report, f) + 1 for f in fields})
+        result = kernel(*args)
+        return [one(report) for report in result] if isinstance(result, list) else one(result)
 
     return shift
 
@@ -147,7 +151,14 @@ def odd_right_turns(system, tol):
 @pytest.mark.parametrize(
     "check_index, name, value, label",
     [
-        (2, "hessian_det_identity", perturbed_determinant, "determinant identity off"),
+        # The stacked kernels keep the ids of the one-point kernels they replaced.
+        pytest.param(
+            2,
+            "hessian_det_identities",
+            perturbed_determinant,
+            "determinant identity off",
+            id="2-hessian_det_identity-perturbed_determinant-determinant identity off",
+        ),
         (5, "tangential_critical_points", perturbed_points("area"), "tangential area off"),
         (
             5,
@@ -157,14 +168,27 @@ def odd_right_turns(system, tol):
         ),
         (0, "tangential_critical_points", perturbed_points("inradius"), "gradient norm"),
         (1, "tangential_critical_points", perturbed_points("inradius"), "hessian error"),
-        (3, "morse_index_eigen", shifted(morse_index_eigen, "index_formula"), "index mismatch"),
-        (
+        pytest.param(
             3,
-            "morse_index_eigen",
-            shifted(morse_index_eigen, "index_eigen", "index_formula"),
-            "index sum off n-3",
+            "index_reports",
+            shifted(index_reports, "index_formula"),
+            "index mismatch",
+            id="3-morse_index_eigen-shift-index mismatch",
         ),
-        (4, "morse_index_eigen", shifted(morse_index_eigen, "index_eigen"), "convex index off"),
+        pytest.param(
+            3,
+            "index_reports",
+            shifted(index_reports, "index_eigen", "index_formula"),
+            "index sum off n-3",
+            id="3-morse_index_eigen-shift-index sum off n-3",
+        ),
+        pytest.param(
+            4,
+            "index_reports",
+            shifted(index_reports, "index_eigen"),
+            "convex index off",
+            id="4-morse_index_eigen-shift-convex index off",
+        ),
         (6, "build_chart", odd_right_turns, "turn parity off"),
         (7, "cyclic_invariants", offset_tangent_sum, "dual perimeter off 2RB"),
         (7, "cyclic_invariants", zero_tangent_sum, "bifurcation test off dual perimeter"),

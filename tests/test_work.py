@@ -3,11 +3,14 @@
 Each critical point builds its polygon and Hessian on first read, and each
 chart its area constants and well-conditioned relabeling.  A slopes report
 takes its angle sum from its chart and builds both critical points' polygons
-as one vertex stack from one ``tangential_offsets`` call, and their gradients
-as one complex stack; a cyclic report computes its invariants and its dual
-slopes once.  Counters wrap functions such as
-``geometry.tangential_polygon`` and ``slope_space.build_chart`` in every
-``polyslope`` module that holds them.  The routes these shortcuts replace
+as one vertex stack from one ``tangential_offsets`` call, their gradients
+as one complex stack, and their Hessians as one closed-form stack with one
+eigenvalue call; the index-agreement and determinant trials read the same
+stack, with one eigenvalue or determinant call, and no point's own Hessian.
+A cyclic report computes its invariants and its dual slopes once.  Counters
+wrap functions such as ``geometry.tangential_polygon`` and
+``slope_space.build_chart`` in every ``polyslope`` module that holds them,
+and ``numpy.linalg``'s ``eigvalsh`` and ``det``.  The routes these shortcuts replace
 stay here as oracles: the family rows against the critical points' own
 indices, the shared chart against a fresh ``build_chart`` per relabeling.
 A family charts its rows and bisection midpoints as angle stacks and builds
@@ -25,6 +28,7 @@ import pytest
 
 from polyslope import (
     SlopeSystem,
+    TangentialCritical,
     build_chart,
     morse_index_eigen,
     tangential_critical_points,
@@ -127,6 +131,48 @@ def test_index_hessian_and_gradient_checks_build_no_polygon(calls, name):
         assert check(trial_rng(1, index, trial), (4, 9), DEFAULT_TOL) is not None
     assert calls["tangential_polygon"] == 0
     assert calls["build_chart"] == 20
+
+
+def counted_linalg(monkeypatch, names):
+    """Counts of calls to each ``numpy.linalg`` function in ``names``."""
+    counts = dict.fromkeys(names, 0)
+    for name in names:
+
+        def wrapper(*args, _original=getattr(np.linalg, name), _name=name, **kwargs):
+            counts[_name] += 1
+            return _original(*args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, name, wrapper)
+    return counts
+
+
+@pytest.mark.parametrize("name", ["slopes_report", "index_agreement", "hessian_determinant"])
+def test_both_hessians_are_one_stack(monkeypatch, name):
+    # H(-r) = -H(r): one closed-form stack holds both points' Hessians, and
+    # one eigvalsh (or det) call reads it.  No point builds its own Hessian.
+    formulas = counted(monkeypatch, (hessian_formula,))
+    linalg = counted_linalg(monkeypatch, ("eigvalsh", "det"))
+    reads = []
+
+    def read_hessian(point):
+        reads.append(point)
+        return hessian_formula(point.chart.unit_perimeters, point.inradius)
+
+    monkeypatch.setattr(TangentialCritical, "hessian", property(read_hessian))
+    if name == "slopes_report":
+        runs = [lambda: slopes_report(SLOPES_7)]
+    else:
+        index, check = next((i, c) for i, (n, c) in enumerate(CHECKS) if n == name)
+        runs = [
+            lambda t=t: check(trial_rng(1, index, t), (4, 9), DEFAULT_TOL) for t in range(20)
+        ]
+    determinant = name == "hessian_determinant"
+    for run in runs:
+        formulas["hessian_formula"] = linalg["eigvalsh"] = linalg["det"] = 0
+        assert run() is not None
+        assert formulas == {"hessian_formula": 1}
+        assert linalg == {"eigvalsh": int(not determinant), "det": int(determinant)}
+    assert reads == []
 
 
 def test_polygon_and_hessian_on_first_read():
