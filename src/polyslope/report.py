@@ -232,18 +232,7 @@ def cyclic_report(
     return report
 
 
-# A bisection round charts, in one chart_stack call, the 2**depth - 1
-# midpoints that the next depth halvings can visit and those of the halvings
-# along the estimated root.  The tree holds a bracket to ceil(halvings /
-# depth) rounds whatever the estimate does; the path brings a root bracket of
-# 37 halvings from 8 rounds to 2 or 3.  On the 120 brackets of the
-# benchmark's analyze seeds 0-2 (crossings of n = 4 and 6), rounds number 291
-# against 393 along the secant root of the bracket ends alone, and the 90
-# crossing families took 692 us each against 860 us (medians of 15
-# interleaved passes, 2-core VM).
-BISECTION_DEPTH = 5
 BRACKET_WIDTH = 1e-12
-INTERPOLATION_POINTS = 4
 
 
 def _family_angles(start, end, ts) -> tuple[np.ndarray, np.ndarray]:
@@ -298,101 +287,53 @@ def _family_rows(start, end, steps, tol) -> list[dict]:
     return rows
 
 
-def _midpoint_tree(lo: float, hi: float) -> list[float]:
-    """Midpoints of the bisection tree below (lo, hi), BISECTION_DEPTH levels
-    deep: each halves its interval at 0.5 * (lo + hi), the arithmetic of one
-    halving."""
-    intervals = [(lo, hi)]
-    mids = []
-    for _ in range(BISECTION_DEPTH):
-        level = []
-        for a, b in intervals:
-            mid = 0.5 * (a + b)
-            mids.append(mid)
-            level += ((a, mid), (mid, b))
-        intervals = level
-    return mids
+def _turn_sum(start, end, t: float) -> float:
+    """Sum of tan(tau_i / 2) over the turns tau_i = s_{i+1} - s_i of the
+    family at t, in plain floats.  The product form of p_i telescopes, so
+    this is half of sum p; each angle is reduced as :class:`SlopeSystem`
+    stores it before differencing."""
+    angles = [math.radians((1.0 - t) * a + t * b) % TWO_PI for a, b in zip(start, end)]
+    return sum(math.tan(0.5 * (b - a)) for a, b in zip(angles, angles[1:] + angles[:1]))
 
 
-def _estimated_root(known) -> float:
-    """The root of sum p by inverse interpolation: the Lagrange polynomial of
-    t in sum p through the known (t, sum p) of least |sum p|, at most
-    INTERPOLATION_POINTS of them, at sum p = 0.  NaN where two of them share
-    a value of sum p; in float arithmetic, so it neither raises nor warns."""
-    points = sorted(known, key=lambda point: abs(point[1]))[:INTERPOLATION_POINTS]
-    values = [f for _, f in points]
-    if len(set(values)) < len(values):
-        return math.nan
-    root = 0.0
-    for j, (t, f) in enumerate(points):
-        weight = t
-        for m, g in enumerate(values):
-            if m != j:
-                weight *= g / (g - f)
-        root += weight
-    return root
-
-
-def _estimated_path(lo: float, hi: float, flo: float, fhi: float, known) -> list[float]:
-    """Midpoints of the halvings of (lo, hi), down to BRACKET_WIDTH, that keep
-    an estimated root of sum p inside, with the arithmetic of one halving.
-    The estimate is :func:`_estimated_root` of the known values, or the
-    secant root of the bracket ends where that is not finite or lies outside
-    [lo, hi]; none when the ends define no root in [lo, hi] either."""
-    root = _estimated_root(known)
-    if not lo <= root <= hi:
-        slope = fhi - flo
-        root = lo - flo * (hi - lo) / slope if slope else math.nan
-    mids = []
-    if lo <= root <= hi:
-        while hi - lo > BRACKET_WIDTH:
-            mid = 0.5 * (lo + hi)
-            mids.append(mid)
-            if root < mid:
-                hi = mid
-            else:
-                lo = mid
-    return mids
-
-
-def _bracket(
-    start, end, lo: float, hi: float, flo: float, fhi: float, tol, known
-) -> dict | None:
+def _bracket(start, end, lo: float, hi: float, flo: float, tol) -> dict | None:
     """Bisect a sign change of sum p between lo and hi to BRACKET_WIDTH.
 
     Each halving keeps the half (lo, mid) when flo * f(mid) <= 0 and
-    (mid, hi) otherwise.  A round charts, in one call, the midpoints of the
-    next BISECTION_DEPTH halvings and those of the halvings that follow the
-    estimated root of :func:`_estimated_path`, from the (t, sum p) values
-    ``known`` beforehand and every midpoint walked since, and walks on while
-    its next midpoint was charted, found by value: the walk visits the
-    midpoints of the one-at-a-time loop, at least BISECTION_DEPTH of them a
-    round.  Reaching parallel lines means a pole, not a root: None.
+    (mid, hi) otherwise, where f is the chart's sum p.  A round predicts
+    the halvings down to BRACKET_WIDTH by the sign of :func:`_turn_sum`,
+    charts their midpoints in one call, and replays them with the chart's
+    sums up to the first halving the chart decides otherwise; the next
+    round predicts from there.  So the chart decides every halving, and the
+    prediction only picks the rows charted.  Reaching parallel lines means
+    a pole, not a root: None.
     """
-    known = list(known)
     while hi - lo > BRACKET_WIDTH:
-        mids = _midpoint_tree(lo, hi) + _estimated_path(lo, hi, flo, fhi, known)[BISECTION_DEPTH:]
-        _, reduced = _family_angles(start, end, mids)
+        predicted, a, b = [], lo, hi
+        while b - a > BRACKET_WIDTH:
+            mid = 0.5 * (a + b)
+            keeps_low = flo * _turn_sum(start, end, mid) <= 0.0
+            predicted.append((mid, keeps_low))
+            a, b = (a, mid) if keeps_low else (mid, b)
+        _, reduced = _family_angles(start, end, [mid for mid, _ in predicted])
         stack = chart_stack(reduced, tol)
-        ok = stack.ok
-        charted = {mid: row for row, mid in enumerate(mids)}
-        mid = 0.5 * (lo + hi)
-        while hi - lo > BRACKET_WIDTH and mid in charted:
+        ok, sums = stack.ok.tolist(), stack.perimeter_sums.tolist()
+        for row, (mid, keeps_low) in enumerate(predicted):
             # Only the sign of sum p matters here; critical points next to
             # its root are nearly degenerate and their indices are not reported.
-            row = charted[mid]
             if not ok[row]:
                 try:
                     stack.require(row=row)
                 except ParallelLines:
                     return None
-            fmid = float(stack.perimeter_sums[row])
-            known.append((mid, fmid))
-            if flo * fmid <= 0.0:
-                hi, fhi = mid, fmid
+            fmid = sums[row]
+            charted_low = flo * fmid <= 0.0
+            if charted_low:
+                hi = mid
             else:
                 lo, flo = mid, fmid
-            mid = 0.5 * (lo + hi)
+            if charted_low != keeps_low:
+                break
     degrees, _ = _family_angles(start, end, [0.5 * (lo + hi)])
     return {
         "t_low": float(lo),
@@ -420,19 +361,13 @@ def family_report(
         raise InputSchemaError("family needs at least 2 steps")
     rows = _family_rows(start, end, steps, tol)
     brackets = []
-    for i, (a, b) in enumerate(zip(rows[:-1], rows[1:])):
+    for a, b in zip(rows[:-1], rows[1:]):
         if a.get("status") != "ok" or b.get("status") != "ok":
             continue
         pa, pb = a["perimeter_sum"], b["perimeter_sum"]
         if pa == 0.0 or pa * pb >= 0.0:
             continue
-        # The ok rows within two steps of rows i and i + 1 start the estimates.
-        known = [
-            (row["t"], row["perimeter_sum"])
-            for row in rows[max(i - 2, 0):i + 4]
-            if row["status"] == "ok"
-        ]
-        bracket = _bracket(start, end, a["t"], b["t"], pa, pb, tol, known)
+        bracket = _bracket(start, end, a["t"], b["t"], pa, tol)
         if bracket is not None:
             brackets.append(bracket)
     return {

@@ -1,16 +1,19 @@
 """The family report against its one-row-at-a-time reference.
 
 ``family_report`` charts its rows and bisection midpoints as angle stacks
-(``slope_space.chart_stack``).  Each bisection round charts the midpoint
-tree of the next few halvings and the halvings that follow the secant root
-of the bracket ends, and walks them.  ``families.sequential_family_report``
-is the route it replaced: one ``SlopeSystem`` and one ``build_chart`` per
-row and per midpoint.  Both must give the same JSON, byte for byte, on
-families that reach every branch: random families, poles, invalid rows at
-grid points, scaled tolerances, two steps, crossings shaped like the
-benchmark's, and roots on a grid row or one float beside it, where the
-secant root can round onto a bracket end.  No bracket may take more stacks
-than the midpoint trees alone would.
+(``slope_space.chart_stack``).  Each bisection round predicts the halvings
+by the sign of the turn sum, sum tan(tau_i / 2), which is half of sum p,
+charts their midpoints as one stack, and replays them with the chart's sums
+up to the first halving the chart decides otherwise.
+``families.sequential_family_report`` is the route it replaced: one
+``SlopeSystem`` and one ``build_chart`` per row and per midpoint.  Both
+must give the same JSON, byte for byte, on families that reach every
+branch: random families, poles, invalid rows at grid points, scaled
+tolerances, two steps, crossings shaped like the benchmark's, and roots on
+a grid row or one float beside it.  They must still do so when the turn sum
+is negated or constant, so the prediction never decides.  No bracket may
+take more than two stacks on these families, nor more than the midpoint
+trees of the earlier rounds took.
 """
 
 import json
@@ -22,13 +25,7 @@ import pytest
 from polyslope import SlopeSystem, build_chart, report
 from polyslope.errors import InputSchemaError, NonIntegralTurn, ParallelLines, PolyslopeError
 from polyslope.geometry import TWO_PI
-from polyslope.report import (
-    BISECTION_DEPTH,
-    BRACKET_WIDTH,
-    _estimated_path,
-    _estimated_root,
-    family_report,
-)
+from polyslope.report import family_report
 from polyslope.slope_space import chart_stack
 from polyslope.tolerances import DEFAULT_TOL
 
@@ -63,6 +60,8 @@ EXTREME = [
     ([1.7e308, 0.0, 100.0], [1.7976931348623157e308, 10.0, 200.0]),
 ]
 SCALES = (1.0, 1e-3, 1e3, 1e6)
+# The families compared at every step count and tolerance scale.
+FIXED = [(FAMILY_START, FAMILY_END), BENCH_F3, BENCH_CROSSING, POLE, *PARALLEL_ROWS, *EXTREME]
 
 
 def tolerances(scale):
@@ -142,8 +141,8 @@ def root_families():
     above with their moved slope k on a float next to the root or one float
     further out: as an end, as the row t = 1/2, and as the end opposite a
     system with slope k 1e-6 degrees off parallel to another, whose |sum p|
-    is about 1e8.  The secant root of such ends can round onto one of them,
-    and the round then charts the midpoint tree alone."""
+    is about 1e8.  Next to such a root the turn sum and the chart's sum p
+    can differ in sign."""
     for start, end in ((FAMILY_START, FAMILY_END), BENCH_F3, BENCH_CROSSING):
         k = next(i for i, (a, b) in enumerate(zip(start, end)) if a != b)
         below, above = sign_change_degrees(start, end, k)
@@ -166,8 +165,7 @@ def root_families():
 
 def families():
     """(start, end, steps, tolerance scale) of every family compared."""
-    fixed = [(FAMILY_START, FAMILY_END), BENCH_F3, BENCH_CROSSING, POLE, *PARALLEL_ROWS, *EXTREME]
-    for start, end in fixed:
+    for start, end in FIXED:
         for steps in (2, 3, 11, 21):
             for scale in SCALES:
                 yield start, end, steps, scale
@@ -192,24 +190,16 @@ def families():
             yield start, end, steps, 1.0
 
 
-@pytest.fixture(scope="module")
-def compared():
+def counted_reports(families):
     """For each family: the outcome of each route, the chart_stack calls of
     each bracket of family_report, and the midpoints the one-at-a-time loop
-    charts for each bracket; both routes bracket the same rows in order.
-    Also the number of rounds that charted the midpoint tree alone."""
-    stacks, rounds, halvings, results, tree_only = [0], [], [], [], [0]
+    charts for each bracket; both routes bracket the same rows in order."""
+    stacks, rounds, halvings, results = [0], [], [], []
     stack, bracket, sequential = report.chart_stack, report._bracket, reference.sequential_bracket
-    estimated_path = report._estimated_path
 
     def counted_stack(*args):
         stacks[0] += 1
         return stack(*args)
-
-    def counted_path(*args):
-        path = estimated_path(*args)
-        tree_only[0] += not path
-        return path
 
     def counted_bracket(*args):
         before = stacks[0]
@@ -225,9 +215,8 @@ def compared():
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(report, "chart_stack", counted_stack)
         patch.setattr(report, "_bracket", counted_bracket)
-        patch.setattr(report, "_estimated_path", counted_path)
         patch.setattr(reference, "sequential_bracket", counted_sequential)
-        for start, end, steps, scale in families():
+        for start, end, steps, scale in families:
             tol = tolerances(scale)
             first = len(rounds), len(halvings)
             expected = outcome(sequential_family_report, start, end, steps, tol)
@@ -235,14 +224,18 @@ def compared():
             results.append(
                 ((start, end, steps), expected, actual, rounds[first[0]:], halvings[first[1]:])
             )
-    return results, tree_only[0]
+    return results
+
+
+@pytest.fixture(scope="module")
+def compared():
+    return counted_reports(families())
 
 
 def test_reports_equal_the_sequential_reference(compared):
-    results, _ = compared
-    assert len(results) >= 1000
+    assert len(compared) >= 1000
     brackets = poles = invalid = 0
-    for case, expected, actual, _, _ in results:
+    for case, expected, actual, _, _ in compared:
         assert actual == expected, case
         if not expected.startswith("{"):
             continue
@@ -260,82 +253,90 @@ def test_reports_equal_the_sequential_reference(compared):
     assert brackets >= 300 and poles >= 300 and invalid >= 100
 
 
+# The depth of the midpoint trees that bisection rounds once charted: a
+# bracket whose one-at-a-time loop charts h midpoints took ceil(h / 5)
+# stacks with the trees alone (10,069 in all on these families).
+TREE_DEPTH = 5
+
+
 def test_no_bracket_charts_more_stacks_than_its_midpoint_trees(compared):
-    # Each round charts the midpoint tree of the next BISECTION_DEPTH
-    # halvings, so a bracket whose one-at-a-time loop charts h midpoints,
-    # root or pole, takes at most ceil(h / BISECTION_DEPTH) stacks, as it did
-    # when rounds charted the tree alone (10,069 in all when written).  The
-    # path of the secant root of the bracket ends cut that to 6,886, and the
-    # path of the interpolated root to 6,315, with no bracket taking more
-    # rounds than along the secant.  An estimate that falls on a bracket end
-    # still gives a path, so no round charts the tree alone.
-    results, tree_only = compared
+    # A round charts the halvings that the turn sum predicts, down to the
+    # bracket width, so a bracket takes one stack per halving the chart
+    # decides otherwise, plus one.  On these families no bracket took more
+    # than 2, and all took 1,673 in all, where the midpoint trees with the
+    # interpolated root's path took 6,315.
     used = bound = 0
-    for case, _, _, rounds, halvings in results:
+    for case, _, _, rounds, halvings in compared:
         assert len(rounds) == len(halvings), case
         for taken, count in zip(rounds, halvings):
-            assert taken <= math.ceil(count / BISECTION_DEPTH), case
+            assert taken <= min(2, math.ceil(count / TREE_DEPTH)), case
             used += taken
-            bound += math.ceil(count / BISECTION_DEPTH)
-    assert used < 0.66 * bound and tree_only == 0
-
-
-def walked(path, lo, hi, root):
-    """The bracket that the halvings of ``path`` leave around ``root``, each
-    at the midpoint of the bracket before it."""
-    for mid in path:
-        assert mid == 0.5 * (lo + hi)
-        lo, hi = (lo, mid) if root < mid else (mid, hi)
-    return lo, hi
-
-
-def test_estimated_path_keeps_the_estimated_root_inside():
-    # Points of sum p = 1 - 3t + t**3 / 2: the inverse interpolation through
-    # the four of least |sum p| lands inside (0.25, 0.375), off the secant
-    # root of the ends, and the path keeps it inside down to BRACKET_WIDTH.
-    def f(t):
-        return 1.0 - 3.0 * t + 0.5 * t**3
-
-    known = [(t, f(t)) for t in (0.0, 0.125, 0.25, 0.375, 0.5, 0.625)]
-    lo, hi = 0.25, 0.375
-    root = _estimated_root(known)
-    secant = lo - f(lo) * (hi - lo) / (f(hi) - f(lo))
-    assert lo < root < hi and abs(root - secant) > 1e-4
-    lo, hi = walked(_estimated_path(lo, hi, f(lo), f(hi), known), lo, hi, root)
-    assert lo < root < hi and hi - lo <= BRACKET_WIDTH < 2.0 * (hi - lo)
-    # A known point with sum p = 0 is the estimate, even at a bracket end.
-    assert _estimated_root([(0.25, 2.0), (0.375, 0.0), (0.5, -1.0)]) == 0.375
+            bound += math.ceil(count / TREE_DEPTH)
+    assert used < 0.66 * bound and used <= 1700
 
 
 @pytest.mark.parametrize(
-    "known",
+    "predictor",
     [
-        [(1e300, 1.0), (1e300, 1.0 + 2.0**-52)],  # weights overflow to inf - inf
-        [(0.0, 1.0), (1.0, math.nan)],  # NaN
-        [(0.0, 1.0), (1.0, 2.0), (2.0, 2.0)],  # two points share a value
-        [(0.0, 3.0), (1.0, 1.0)],  # the root lies outside the bracket
+        lambda start, end, t, turn_sum=report._turn_sum: -turn_sum(start, end, t),
+        lambda start, end, t: 0.0,  # every halving predicted to keep (lo, mid)
+        lambda start, end, t: math.nan,  # every halving predicted to keep (mid, hi)
     ],
+    ids=["negated", "zero", "nan"],
 )
-def test_failed_estimate_falls_back_to_the_secant_root(known):
-    # Ends with sum p 2 and -1 put the secant root at 1/3; the estimator
-    # neither raises nor warns (warnings are errors here).
-    lo, hi = 0.25, 0.375
-    assert not lo <= _estimated_root(known) <= hi
-    lo, hi = walked(_estimated_path(lo, hi, 2.0, -1.0, known), lo, hi, 1.0 / 3.0)
-    assert lo < 1.0 / 3.0 < hi and hi - lo <= BRACKET_WIDTH
+def test_the_turn_sum_only_picks_the_rows_charted(monkeypatch, predictor):
+    # With a wrong prediction the chart still decides every halving and
+    # every pole: the same reports, byte for byte, with more stacks.
+    cases = [(start, end, steps, 1.0) for start, end in FIXED for steps in (2, 3, 11, 21)]
+    right = counted_reports(cases)
+    monkeypatch.setattr(report, "_turn_sum", predictor)
+    wrong = counted_reports(cases)
+    used = mispredicted = 0
+    for (case, expected, actual, rounds, _), (_, _, again, more, _) in zip(right, wrong):
+        assert actual == again == expected, case
+        assert all(a <= b for a, b in zip(rounds, more)), case
+        used += sum(rounds)
+        mispredicted += sum(more)
+    assert mispredicted > used > 0
 
 
-def test_secant_root_on_an_end_keeps_that_end():
-    # Ends whose secant root rounds onto an end, as when their difference
-    # overflows: the path keeps that end.
-    for flo, fhi, root in [(1.5e308, -1.5e308, 0.25), (1e-300, -1e300, 0.25), (1.0, 0.0, 0.375)]:
-        lo, hi = 0.25, 0.375
-        path = _estimated_path(lo, hi, flo, fhi, [(math.nan, math.nan)])
-        lo, hi = walked(path, lo, hi, root)
-        assert path and lo <= root <= hi and hi - lo <= BRACKET_WIDTH
-    # Ends that do not define a root: the round charts the tree alone.
-    for flo, fhi in [(1.0, 1.0), (math.nan, 1.0)]:
-        assert _estimated_path(0.25, 0.375, flo, fhi, [(0.25, flo), (0.375, fhi)]) == []
+def turn_sum_cases(name):
+    """(start, end, t): 400 random families at a random t, or one of the
+    EXTREME families at 21 steps."""
+    if name == "random":
+        rng = np.random.default_rng(29)
+        for _ in range(400):
+            n = int(rng.integers(3, 13))
+            start, end = rng.uniform(0.0, 360.0, (2, n)).tolist()
+            yield start, end, float(rng.uniform())
+    else:
+        start, end = EXTREME[name == "huge"]
+        for i in range(21):
+            yield start, end, i / 20
+
+
+# |2 T - sum p| / (eps sum|p|) on these cases: 228 at most on the random
+# families and 446 on the tiny one when written, from angle differences
+# next to a pole of the tangent.
+TURN_SUM_EPS = 2048
+
+
+@pytest.mark.parametrize("name", ["random", "tiny", "huge"])
+def test_twice_the_turn_sum_is_the_perimeter_sum(name):
+    # At 1.7e308 degrees a difference of unreduced radians loses the other
+    # angle entirely (near 1e16 eps sum|p| when written), so each angle is
+    # reduced before differencing.
+    checked = cases = 0
+    for start, end, t in turn_sum_cases(name):
+        cases += 1
+        try:
+            chart = build_chart(SlopeSystem.from_degrees(interpolated(start, end, t)))
+        except PolyslopeError:
+            continue
+        bound = TURN_SUM_EPS * np.finfo(float).eps * np.abs(chart.unit_perimeters).sum()
+        assert abs(2.0 * report._turn_sum(start, end, t) - chart.perimeter_sum) <= bound
+        checked += 1
+    assert checked >= 0.9 * cases
 
 
 def test_poles_are_not_bracketed():

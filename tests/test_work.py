@@ -13,8 +13,9 @@ wrap functions such as ``geometry.tangential_polygon`` and
 and ``numpy.linalg``'s ``eigvalsh`` and ``det``.  The routes these shortcuts replace
 stay here as oracles: the family rows against the critical points' own
 indices, the shared chart against a fresh ``build_chart`` per relabeling.
-A family charts its rows and bisection midpoints as angle stacks and builds
-no chart unless a row is invalid.  A chart-identity trial reads the areas
+A family charts its rows as one angle stack, and each bracket the
+midpoints that the turn sum predicts as one more, and builds no chart
+unless a row is invalid.  A chart-identity trial reads the areas
 and signed perimeters that its reconstruction measured, and builds the
 tangential points' polygons as one vertex stack.
 """
@@ -42,7 +43,7 @@ from polyslope.geometry import (
     tangential_polygon,
 )
 from polyslope.randomgen import random_slope_system, trial_rng
-from polyslope.report import BISECTION_DEPTH, cyclic_report, family_report, slopes_report
+from polyslope.report import cyclic_report, family_report, slopes_report
 from polyslope.slope_space import (
     RadiiChart,
     _line_offsets,
@@ -246,13 +247,11 @@ def test_family_rows_match_critical_points():
 
 def test_family_report_charts_rows_and_midpoints_as_stacks(monkeypatch):
     # With no invalid row, one chart_stack call charts the rows, and no
-    # RadiiChart is built.  Each bisection round charts the midpoint tree of
-    # BISECTION_DEPTH halvings and the path of the root estimated from the
-    # rows near the sign change and the midpoints walked, so these brackets
-    # take two or three stacks (three each along the secant root of the
-    # bracket ends) where the trees alone took one per BISECTION_DEPTH
-    # halvings, rounded up (eight).  The reference builds one chart per row
-    # and per midpoint, so its count less the rows is the number of halvings.
+    # RadiiChart is built.  Each bracket charts the halvings that the turn
+    # sum predicts as one more stack, and the chart confirms them all, where
+    # the midpoint trees of earlier rounds took one stack per five halvings,
+    # rounded up (eight).  The reference builds one chart per row and per
+    # midpoint, so its count less the rows is the number of halvings.
     made = [0]
     init = RadiiChart.__init__
 
@@ -262,8 +261,7 @@ def test_family_report_charts_rows_and_midpoints_as_stacks(monkeypatch):
 
     monkeypatch.setattr(RadiiChart, "__init__", counted_init)
     stacks = counted(monkeypatch, (chart_stack,))
-    brackets = (((FAMILY_START, FAMILY_END), 2), (BENCH_F3, 3), (BENCH_CROSSING, 2))
-    for (start, end), rounds in brackets:
+    for start, end in ((FAMILY_START, FAMILY_END), BENCH_F3, BENCH_CROSSING):
         made[0] = 0
         sequential_family_report(start, end, 11)
         halvings = made[0] - 11
@@ -272,14 +270,16 @@ def test_family_report_charts_rows_and_midpoints_as_stacks(monkeypatch):
         assert all(row["status"] == "ok" for row in report["rows"])
         assert len(report["sign_changes"]) == 1
         assert made[0] == 0
-        assert math.ceil(halvings / BISECTION_DEPTH) == 8
-        assert stacks["chart_stack"] == 1 + rounds
+        assert math.ceil(halvings / 5) == 8
+        assert stacks["chart_stack"] == 1 + 1
 
 
-def test_family_root_at_a_bracket_end_follows_the_estimated_path(monkeypatch):
-    # The row t = 1/2 of this family has sum p exactly 0.  Once a halving
-    # makes it the bracket's end, the interpolated root is that end, and the
-    # path keeps it: the bracket takes two stacks where the trees alone take 8.
+def test_family_root_at_a_bracket_end_takes_two_stacks(monkeypatch):
+    # The row t = 1/2 of this family has sum p exactly 0, where the turn sum
+    # is 8.9e-16: the chart keeps (lo, 1/2) against the prediction, and the
+    # first round stops there.  From then on every halving keeps (mid, hi),
+    # as the turn sum predicts, so the bracket takes two stacks, as many as
+    # along the interpolated root and where the midpoint trees took 8.
     start = [203.401, 207.53, 322.02, 107.113, -14.118576482893687]
     end = [203.401, 207.53, 322.02, 107.113, -12.118576482893687]
     stacks = counted(monkeypatch, (chart_stack,))
