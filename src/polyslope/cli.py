@@ -8,49 +8,29 @@ Subcommands::
     polyslope family FILE --steps K [--json] [--tol-scale X]
     polyslope render FILE -o OUT.svg [--tol-scale X]
 
-Exit codes: 0 success, 2 input/validation error, 3 property or cross-check
-failure.  Any other exception is a fault of the library and propagates
-with its traceback.  Output is deterministic for identical inputs and seeds.
+``slopes analyze``, ``cyclic analyze`` and ``family`` run one command,
+:func:`cmd_analyze`, which reads the input kind from the parser and the
+report from :func:`polyslope.report.analyze`; ``render`` detects the kind
+and calls the same function.
+
+Exit codes: 0 success, 2 input error (an :class:`~polyslope.errors.InputError`
+or an ``OSError``), 3 property or cross-check failure (any other
+:class:`~polyslope.errors.PolyslopeError`, or a report whose cross-checks
+fail).  Any other exception is a fault of the library and propagates with
+its traceback.  Output is deterministic for identical inputs and seeds.
 """
 
 import argparse
 import json
 import sys
 
-from .errors import (
-    AntipodalVertices,
-    CoincidentVertices,
-    InputSchemaError,
-    LengthMismatch,
-    ParallelLines,
-    PolyslopeError,
-    SlopeMismatch,
-)
-from .report import (
-    cyclic_report,
-    detect_kind,
-    family_report,
-    load_input_file,
-    slopes_report,
-    validate_cyclic_input,
-    validate_family_input,
-    validate_slopes_input,
-)
+from .errors import InputError, InputSchemaError, PolyslopeError
+from .report import analyze, detect_kind, load_input_file
 from .tolerances import DEFAULT_TOL
 
 EXIT_OK = 0
 EXIT_INPUT = 2
 EXIT_PROPERTY = 3
-
-# Errors attributable to the input data rather than internal inconsistency.
-INPUT_ERRORS = (
-    InputSchemaError,
-    ParallelLines,
-    AntipodalVertices,
-    CoincidentVertices,
-    SlopeMismatch,
-    LengthMismatch,
-)
 
 
 def _tolerances(args):
@@ -59,13 +39,6 @@ def _tolerances(args):
         return DEFAULT_TOL if scale == 1.0 else DEFAULT_TOL.scaled(scale)
     except ValueError as exc:
         raise InputSchemaError(f"--tol-scale: {exc}") from exc
-
-
-def _emit(report: dict, as_json: bool, text_formatter) -> None:
-    if as_json:
-        print(json.dumps(report))
-    else:
-        print(text_formatter(report))
 
 
 def _format_slopes_text(report: dict) -> str:
@@ -175,19 +148,20 @@ def _cross_check_failures(report: dict) -> list[str]:
     return problems
 
 
-def cmd_slopes_analyze(args) -> int:
+def cmd_analyze(args) -> int:
+    """``slopes analyze``, ``cyclic analyze`` and ``family``: the parser
+    sets ``args.kind``."""
     data = load_input_file(args.file)
-    angles = validate_slopes_input(data)
-    report = slopes_report(angles, _tolerances(args))
-    _emit(report, args.json, _format_slopes_text)
-    return EXIT_PROPERTY if _cross_check_failures(report) else EXIT_OK
-
-
-def cmd_cyclic_analyze(args) -> int:
-    data = load_input_file(args.file)
-    radius, phis, center = validate_cyclic_input(data)
-    report = cyclic_report(radius, phis, center, _tolerances(args))
-    _emit(report, args.json, _format_cyclic_text)
+    report = analyze(args.kind, data, _tolerances(args), getattr(args, "steps", None))
+    if args.json:
+        print(json.dumps(report))
+    else:
+        text = {
+            "slopes": _format_slopes_text,
+            "cyclic": _format_cyclic_text,
+            "family": _format_family_text,
+        }
+        print(text[args.kind](report))
     return EXIT_PROPERTY if _cross_check_failures(report) else EXIT_OK
 
 
@@ -218,28 +192,16 @@ def cmd_sweep(args) -> int:
     return EXIT_PROPERTY if result.total_failed else EXIT_OK
 
 
-def cmd_family(args) -> int:
-    data = load_input_file(args.file)
-    start, end = validate_family_input(data)
-    report = family_report(start, end, args.steps, _tolerances(args))
-    _emit(report, args.json, _format_family_text)
-    return EXIT_OK
-
-
 def cmd_render(args) -> int:
     from .svgrender import render_cyclic_svg, render_slopes_svg
 
     data = load_input_file(args.file)
     kind = detect_kind(data)
     tol = _tolerances(args)
-    if kind == "slopes":
-        report = slopes_report(validate_slopes_input(data), tol)
-        svg = render_slopes_svg(report)
-    elif kind == "cyclic":
-        radius, phis, center = validate_cyclic_input(data)
-        svg = render_cyclic_svg(cyclic_report(radius, phis, center, tol))
-    else:
+    if kind == "family":
         raise InputSchemaError("render expects a slopes or cyclic input file")
+    render = render_slopes_svg if kind == "slopes" else render_cyclic_svg
+    svg = render(analyze(kind, data, tol))
     with open(args.output, "w", encoding="utf-8") as handle:
         handle.write(svg + "\n")
     print(f"wrote {args.output}")
@@ -272,14 +234,14 @@ def build_parser() -> argparse.ArgumentParser:
     slopes_analyze = slopes_sub.add_parser("analyze", help="full analysis of a slopes file")
     slopes_analyze.add_argument("file")
     common(slopes_analyze)
-    slopes_analyze.set_defaults(func=cmd_slopes_analyze)
+    slopes_analyze.set_defaults(func=cmd_analyze, kind="slopes")
 
     cyclic = sub.add_parser("cyclic", help="cyclic-polygon commands")
     cyclic_sub = cyclic.add_subparsers(dest="subcommand", required=True)
     cyclic_analyze = cyclic_sub.add_parser("analyze", help="full analysis of a cyclic file")
     cyclic_analyze.add_argument("file")
     common(cyclic_analyze)
-    cyclic_analyze.set_defaults(func=cmd_cyclic_analyze)
+    cyclic_analyze.set_defaults(func=cmd_analyze, kind="cyclic")
 
     sweep = sub.add_parser("sweep", help="randomized invariant sweep")
     sweep.add_argument("--seed", type=int, default=1)
@@ -293,7 +255,7 @@ def build_parser() -> argparse.ArgumentParser:
     family.add_argument("file")
     family.add_argument("--steps", type=int, default=11)
     common(family)
-    family.set_defaults(func=cmd_family)
+    family.set_defaults(func=cmd_analyze, kind="family")
 
     render = sub.add_parser("render", help="render an input file to SVG")
     render.add_argument("file")
@@ -309,7 +271,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (*INPUT_ERRORS, OSError) as exc:
+    except (InputError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
     except PolyslopeError as exc:

@@ -338,9 +338,10 @@ def area_morse_index_numeric(cyclic: CyclicPolygon) -> int:
 
     Builds the projected Hessian B^T L B, L = H_area - lambda . H_closure, in
     the frozen-first-angle chart, with least-squares Lagrange multipliers,
-    and counts its negative eigenvalues.  The edge vectors are built once for
-    the gradient and the Hessian, and one SVD of the constraint Jacobian
-    gives both B and the multipliers (:func:`_tangent_frame`).  An
+    and counts its negative eigenvalues.  The edge vectors, read once off the
+    vertices, serve the gradient and the Hessian, and one SVD of the
+    constraint Jacobian gives both B and the multipliers
+    (:func:`_tangent_frame`).  An
     eigenvalue within the roundoff bound 500 * n * eps * max|L| of zero
     raises DegenerateCritical (the bifurcation signature).  The bound is
     relative to L, not to the projected matrix, which is 1 x 1 at n = 4.  Its constant is measured on seeded
@@ -353,13 +354,12 @@ def area_morse_index_numeric(cyclic: CyclicPolygon) -> int:
     on the unit circle about the origin: the edge lengths stay of order one
     whatever the radius, and their squares cannot overflow.  Its vertex
     angles are those of ``cyclic``, whose constructor has kept them apart,
-    so its edges are read off the vertices as :class:`PolygonChain` reads
-    them, without that class's check.
+    so its edges are the differences of its vertices, as :class:`PolygonChain`
+    reads them, without that class's check.
     """
     vertices = _circle_points(np.zeros(2), 1.0, cyclic.phis)
-    edges = _cycled(vertices) - vertices
-    lengths = np.hypot(edges[:, 0], edges[:, 1])
-    w = _edge_vectors(lengths, np.arctan2(edges[:, 1], edges[:, 0]) % TWO_PI)
+    w = _cycled(vertices) - vertices
+    lengths = np.hypot(w[:, 0], w[:, 1])
     diff = _head_differences(w)
     grad = _area_gradient(w, diff)[1:]
     basis, multipliers = _tangent_frame(w, grad)

@@ -5,7 +5,13 @@ class PolyslopeError(Exception):
     """Base class for all library-specific errors."""
 
 
-class ParallelLines(PolyslopeError):
+class InputError(PolyslopeError):
+    """The input is at fault: it breaks its schema or describes no valid
+    slope system or polygon.  The command line exits 2 on it; every other
+    :class:`PolyslopeError` is a failed property or cross-check (exit 3)."""
+
+
+class ParallelLines(InputError):
     """Two slope lines coincide modulo pi within tolerance."""
 
 
@@ -19,7 +25,7 @@ class NonIntegralTurn(PolyslopeError):
     cyclic polygon (of 2pi)."""
 
 
-class SlopeMismatch(PolyslopeError):
+class SlopeMismatch(InputError):
     """A polygon edge is not parallel to its declared slope."""
 
 
@@ -31,15 +37,15 @@ class ReconstructionDegenerate(PolyslopeError):
     """Polygon reconstruction hit an ill-conditioned or inconsistent step."""
 
 
-class CoincidentVertices(PolyslopeError):
+class CoincidentVertices(InputError):
     """Consecutive vertices coincide within tolerance."""
 
 
-class AntipodalVertices(PolyslopeError):
+class AntipodalVertices(InputError):
     """Consecutive vertices of a cyclic polygon are antipodal within tolerance."""
 
 
-class LengthMismatch(PolyslopeError):
+class LengthMismatch(InputError):
     """Vertices do not realize the prescribed edge lengths."""
 
 
@@ -75,5 +81,5 @@ class DegenerateCritical(PolyslopeError):
     """
 
 
-class InputSchemaError(PolyslopeError):
+class InputSchemaError(InputError):
     """An input file or command-line value does not match its documented schema."""

@@ -291,8 +291,9 @@ def _turn_sum(start, end, t: float) -> float:
     """Sum of tan(tau_i / 2) over the turns tau_i = s_{i+1} - s_i of the
     family at t, in plain floats.  The product form of p_i telescopes, so
     this is half of sum p; each angle is reduced as :class:`SlopeSystem`
-    stores it before differencing."""
-    angles = [math.radians((1.0 - t) * a + t * b) % TWO_PI for a, b in zip(start, end)]
+    stores it before differencing: a remainder that rounds up to 2 pi is 0."""
+    reduced = (math.radians((1.0 - t) * a + t * b) % TWO_PI for a, b in zip(start, end))
+    angles = [0.0 if x == TWO_PI else x for x in reduced]
     return sum(math.tan(0.5 * (b - a)) for a, b in zip(angles, angles[1:] + angles[:1]))
 
 
@@ -381,3 +382,16 @@ def family_report(
         "rows": rows,
         "sign_changes": brackets,
     }
+
+
+def analyze(kind: str, data: dict, tol: Tolerances = DEFAULT_TOL, steps: int = 11) -> dict:
+    """The report of an input file's ``data`` read as ``kind``, "slopes",
+    "cyclic" or "family" (``steps`` rows).  A fault of the data raises an
+    :class:`~polyslope.errors.InputError`."""
+    if kind == "slopes":
+        return slopes_report(validate_slopes_input(data), tol)
+    if kind == "cyclic":
+        return cyclic_report(*validate_cyclic_input(data), tol)
+    if kind == "family":
+        return family_report(*validate_family_input(data), steps, tol)
+    raise ValueError(f"unknown input kind {kind!r}")

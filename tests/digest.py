@@ -2,9 +2,10 @@
 
 Run from the root of a checkout:
 
-    PYTHONPATH=src python3 tests/digest.py
+    PYTHONPATH=src python3 tests/digest.py [SET ...]
 
-Two checkouts that print the same digests give the same bytes on every
+With set names as arguments (quoted where they hold spaces) it runs only
+those sets.  Two checkouts that print the same digests give the same bytes on every
 input below; a change that claims to leave all outputs alone compares its
 digests with its parent's.  Each output is the JSON of a report or sweep
 result, or ``Type: message`` of the error it raises.  The sets:
@@ -20,16 +21,28 @@ result, or ``Type: message`` of the error it raises.  The sets:
 * ``family``: the family reports of ``test_family.families()``;
 * ``near bifurcation xF``: cyclic reports of ``families.near_bifurcation_phis``
   polygons, on the bifurcation locus, inside its band and just outside it,
-  at tolerance scale F (the set at scale 1 is named without it).
+  at tolerance scale F (the set at scale 1 is named without it);
+* ``cli``: ``cli.main`` run in this process on fuzz inputs of each
+  subcommand, text and ``--json``, with and without ``--tol-scale``, on
+  renders of each kind, every ``--help``, and the usage, file, schema and
+  option errors.  Each invocation hashes as the JSON of its exit code,
+  stdout, stderr and the SVG it wrote, with the temporary directory
+  written ``<tmp>``.
 
-It takes about 90 s on a 2-core machine.
+It takes about 90 s on a 2-core machine; the ``cli`` set alone about 9 s.
 """
 
+import contextlib
 import hashlib
+import io
 import json
+import os
+import sys
+import tempfile
 
 import numpy as np
 
+from polyslope import cli
 from polyslope.randomgen import trial_rng
 from polyslope.report import cyclic_report, family_report, slopes_report
 from polyslope.sweeps import CHECKS, run_sweep
@@ -46,6 +59,20 @@ CENTERS = ((0.0, 0.0), (0.5, -2.0))
 # |B| / sum|tan alpha| bands of the near-bifurcation polygons: roots to
 # working precision, inside the default band, and just outside it.
 BIFURCATION_BANDS = ((0.0, 0.0), (1e-12, 1e-10), (1e-9, 1e-7))
+# A near-bifurcating cyclic 20-gon whose area index fails its roundoff bound.
+TWENTY_GON = [
+    184.30025685609274, 206.21740213744292, 15.028148676640019, 131.66832039705557,
+    264.76044164346916, 339.18546486296907, 101.74227288767634, 76.35476859323035,
+    106.49198321013189, 278.35609349368804, 23.135425637224472, 66.3398258699735,
+    52.29599125304753, 35.108398530703596, 150.99585256637053, 357.514914136018,
+    56.47385095278773, 335.7125208741396, 300.11357911029353, 123.9620304498942,
+]
+# Flags of each analyze invocation of the cli set.
+CLI_FLAGS = ((), ("--json",), ("--tol-scale", "1000"), ("--json", "--tol-scale", "1000"))
+HELP = (
+    (), ("slopes",), ("slopes", "analyze"), ("cyclic",), ("cyclic", "analyze"),
+    ("sweep",), ("family",), ("render",),
+)
 
 
 def outcome(make, *args) -> str:
@@ -81,6 +108,133 @@ def near_bifurcation_inputs():
             yield near_bifurcation_phis(rng, int(rng.integers(4, 8)), low, high)
 
 
+def cli_outcome(argv, tmp) -> str:
+    """The JSON of the exit code, stdout, stderr and the SVG written to
+    ``tmp/out.svg`` of ``cli.main(argv)``, with ``tmp`` written ``<tmp>``.
+    A ``SystemExit`` (help, usage errors) gives its code, any other error
+    its type and message."""
+    out, err = io.StringIO(), io.StringIO()
+    try:
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            try:
+                code = cli.main(argv)
+            except SystemExit as exc:
+                code = exc.code
+    except Exception as exc:  # an error is an output too
+        code = f"{type(exc).__name__}: {exc}"
+    svg_path, svg = os.path.join(tmp, "out.svg"), None
+    if os.path.exists(svg_path):
+        with open(svg_path, encoding="utf-8") as handle:
+            svg = handle.read()
+        os.remove(svg_path)
+    return json.dumps([code, out.getvalue(), err.getvalue(), svg]).replace(tmp, "<tmp>")
+
+
+def cli_outcomes():
+    os.environ["COLUMNS"] = "80"  # argparse wraps its help to this width
+    with tempfile.TemporaryDirectory() as tmp:
+
+        def run(*argv):
+            return cli_outcome(list(argv), tmp)
+
+        def write(payload):
+            if isinstance(payload, dict):
+                payload = json.dumps(payload)
+            path = os.path.join(tmp, "input.json")
+            with open(path, "wb") as handle:
+                handle.write(payload if isinstance(payload, bytes) else payload.encode())
+            return path
+
+        svg = os.path.join(tmp, "out.svg")
+        for command in HELP:
+            yield run(*command, "--help")
+        count = 150
+        for angles in test_fuzz.ANGLES[:count] + test_fuzz.NEAR_PARALLEL[:count // 3]:
+            path = write({"angles_deg": angles})
+            for flags in CLI_FLAGS:
+                yield run("slopes", "analyze", path, *flags)
+        for phis, center in zip(test_fuzz.ANGLES[test_fuzz.COUNT:][:count], CENTERS * count):
+            path = write({"radius": 1.0, "phis_deg": phis, "center": list(center)})
+            for flags in CLI_FLAGS:
+                yield run("cyclic", "analyze", path, *flags)
+        for start, end, steps, scale in list(test_family.families())[::5]:
+            path = write({"start_angles_deg": start, "end_angles_deg": end})
+            flags = ["--steps", str(steps)] + ([] if scale == 1.0 else ["--tol-scale", repr(scale)])
+            yield run("family", path, *flags)
+            yield run("family", path, *flags, "--json")
+        renders = (
+            [{"angles_deg": a} for a in test_fuzz.ANGLES[:8]]
+            + [{"radius": 2.0, "phis_deg": p} for p in test_fuzz.ANGLES[test_fuzz.COUNT:][:8]]
+            + [{"start_angles_deg": s, "end_angles_deg": e} for s, e in test_family.FIXED[:2]]
+        )
+        # Inputs that fail a cross-check at the default tolerances (exit 3).
+        renders += [
+            {"angles_deg": [0.08750000000000001, 0.1, 180.0, 180.05]},
+            {"radius": 1, "phis_deg": TWENTY_GON},
+        ]
+        for payload in renders:
+            path = write(payload)
+            yield run("render", path, "-o", svg)
+            yield run("render", path, "-o", svg, "--tol-scale", "1000")
+        for command, payload in zip((("slopes", "analyze"), ("cyclic", "analyze")), renders[-2:]):
+            path = write(payload)
+            yield run(*command, path)
+            yield run(*command, path, "--json")
+        for seed in range(4):
+            yield run("sweep", "--seed", str(seed), "--trials", "3")
+            yield run("sweep", "--seed", str(seed), "--trials", "3", "--json")
+        yield run("sweep", "--seed", "7", "--trials", "2", "--n-min", "3", "--n-max", "12",
+                  "--tol-scale", "10")
+        # Errors: usage, file, schema and option values.
+        analyze = (("slopes", "analyze"), ("cyclic", "analyze"), ("family",))
+        commands = analyze + (("render", "-o", svg),)
+        for argv in ((), ("slopes",), ("sweep", "--bogus"), ("render", write({}))):
+            yield run(*argv)
+        invalid = ("{", b"\xff\xfe{", "1" * 5000, "[1, 2]", '{"angles_deg": [1e999, 0, 1]}')
+        for payload in invalid + ({}, {"other": 1}):
+            path = write(payload)
+            for command in commands:
+                yield run(*command, path)
+        schema = (
+            {"angles_deg": [0, 1]},
+            {"angles_deg": [0, 1, "x"]},
+            {"angles_deg": [0, 90, 180]},
+            {"angles_deg": "0, 90, 200"},
+            {"phis_deg": [0, 90, 200]},
+            {"radius": -1, "phis_deg": [0, 90, 200]},
+            {"radius": 1, "phis_deg": [0, 90, 200], "center": [0]},
+            {"radius": 1, "phis_deg": [0, 90, 90]},
+            {"radius": 1, "phis_deg": [0, 90, 270]},
+            {"start_angles_deg": [0, 90, 200], "end_angles_deg": [0, 90]},
+            {"start_angles_deg": [0, 90, 200]},
+        )
+        for payload in schema:
+            path = write(payload)
+            for command in commands:
+                yield run(*command, path)
+        path = write({"start_angles_deg": [0, 90, 200], "end_angles_deg": [0, 95, 200]})
+        yield run("family", path, "--steps", "1")
+        missing = os.path.join(tmp, "missing.json")
+        for command in commands:
+            yield run(*command, missing)
+        yield run("render", write({"angles_deg": [90, 210, 330]}), "-o",
+                  os.path.join(tmp, "no", "out.svg"))
+        valid = (
+            (("slopes", "analyze"), {"angles_deg": [90, 210, 330]}),
+            (("cyclic", "analyze"), {"radius": 1, "phis_deg": [0, 144, 288, 72, 216]}),
+            (("family",), {"start_angles_deg": [0, 90, 200], "end_angles_deg": [0, 95, 200]}),
+            (commands[3], {"angles_deg": [90, 210, 330]}),
+            (commands[3], {"start_angles_deg": [0, 90, 200], "end_angles_deg": [0, 95, 200]}),
+        )
+        for command, payload in valid:
+            path = write(payload)
+            for bad in ("-1", "0", "nan", "inf"):
+                yield run(*command, path, "--tol-scale", bad)
+        for flags in (("--seed", "-1"), ("--trials", "-1"), ("--n-min", "9", "--n-max", "4"),
+                      ("--n-min", "1", "--n-max", "2"), ("--tol-scale", "-1")):
+            yield run("sweep", "--trials", "1", *flags)
+
+
 def sets():
     yield "sweep", (outcome(lambda s: run_sweep(s, 20).to_dict(), s) for s in range(400))
     yield "sweep rows", (
@@ -105,9 +259,16 @@ def sets():
         tol = test_family.tolerances(factor)
         name = "near bifurcation" + ("" if factor == 1.0 else f" x{factor:g}")
         yield name, (outcome(cyclic_report, 1.0, p, (0.0, 0.0), tol) for p in near)
+    yield "cli", cli_outcomes()
 
 
 if __name__ == "__main__":
+    wanted = set(sys.argv[1:])
     for name, outcomes in sets():
+        if wanted and name not in wanted:
+            continue
+        wanted.discard(name)
         count, hexdigest = digest(outcomes)
         print(f"{name:<22} {count:>6}  {hexdigest}", flush=True)
+    if wanted:
+        sys.exit(f"no such set: {', '.join(sorted(wanted))}")

@@ -14,13 +14,20 @@ import polyslope.cyclic as cyclic_module
 from polyslope import CyclicPolygon, SlopeSystem, build_chart, cyclic_invariants
 from polyslope.cli import _cross_check_failures, main
 from polyslope.report import (
+    analyze,
     cyclic_report,
     family_report,
     slopes_report,
     validate_cyclic_input,
     validate_slopes_input,
 )
-from polyslope.errors import InputSchemaError, NonIntegralTurn, NotCritical
+from polyslope.errors import (
+    InputError,
+    InputSchemaError,
+    NonIntegralTurn,
+    NotCritical,
+    ParallelLines,
+)
 from polyslope.sweeps import run_sweep
 from polyslope.tolerances import DEFAULT_TOL
 
@@ -682,6 +689,19 @@ class TestValidation:
         with pytest.raises(InputSchemaError):
             validate_cyclic_input({"radius": 1, "phis_deg": [0, 90, 200], "center": [0]})
 
+    def test_analyze_reads_each_kind(self):
+        slopes = {"angles_deg": [90, 210, 330]}
+        cyclic = {"radius": 2.0, "phis_deg": [0, 144, 288, 72, 216], "center": [1, 0]}
+        assert analyze("slopes", slopes) == slopes_report([90, 210, 330])
+        assert analyze("cyclic", cyclic) == cyclic_report(2.0, cyclic["phis_deg"], (1.0, 0.0))
+        assert analyze("family", FAMILY, steps=5) == family_report(
+            FAMILY["start_angles_deg"], FAMILY["end_angles_deg"], 5
+        )
+        with pytest.raises(InputSchemaError, match="missing field 'radius'"):
+            analyze("cyclic", slopes)
+        with pytest.raises(ValueError, match="unknown input kind"):
+            analyze("lengths", slopes)
+
 
 class TestErrorClasses:
     def test_internal_value_error_is_not_an_input_error(self, tmp_path, monkeypatch):
@@ -690,10 +710,56 @@ class TestErrorClasses:
         def broken_report(angles, tol):
             raise np.linalg.LinAlgError("SVD did not converge")
 
-        monkeypatch.setattr("polyslope.cli.slopes_report", broken_report)
+        monkeypatch.setattr("polyslope.report.slopes_report", broken_report)
         path = write_json(tmp_path, "eq.json", {"angles_deg": [90, 210, 330]})
         with pytest.raises(np.linalg.LinAlgError):
             main(["slopes", "analyze", path])
+
+    def test_exactly_the_input_faults_are_input_errors(self):
+        input_faults = {
+            "InputSchemaError",
+            "ParallelLines",
+            "AntipodalVertices",
+            "CoincidentVertices",
+            "SlopeMismatch",
+            "LengthMismatch",
+        }
+        library_faults = {
+            "NonIntegralTurn",
+            "SignatureMismatch",
+            "ReconstructionDegenerate",
+            "NotCritical",
+            "Bifurcating",
+            "DegenerateCritical",
+            "PointOnBoundary",
+            "DegenerateHessian",
+        }
+        assert polyslope.InputError is InputError
+        classes = {
+            name: value
+            for name, value in vars(polyslope.errors).items()
+            if isinstance(value, type) and issubclass(value, polyslope.PolyslopeError)
+        }
+        assert set(classes) == input_faults | library_faults | {"PolyslopeError", "InputError"}
+        subclasses = {name for name, cls in classes.items() if issubclass(cls, InputError)}
+        assert subclasses == input_faults | {"InputError"}
+        for name in input_faults | library_faults:
+            assert getattr(polyslope, name) is classes[name]
+
+    @pytest.mark.parametrize(
+        "error, code",
+        [(ParallelLines("injected"), 2), (InputError("injected"), 2), (NotCritical("injected"), 3)],
+    )
+    def test_exit_code_follows_the_error_class(self, tmp_path, capsys, monkeypatch, error, code):
+        def raising_report(angles, tol):
+            raise error
+
+        monkeypatch.setattr("polyslope.report.slopes_report", raising_report)
+        path = write_json(tmp_path, "eq.json", {"angles_deg": [90, 210, 330]})
+        for command in (["slopes", "analyze", path], ["render", path, "-o", str(tmp_path / "f.svg")]):
+            assert run_cli(capsys, *command) == (
+                code, "", ("error: " if code == 2 else "cross-check failure: ") + "injected\n"
+            )
 
     def test_unreadable_file_and_negative_seed_exit_code(self, tmp_path, capsys):
         path = tmp_path / "binary.json"

@@ -415,18 +415,19 @@ class TestDuality:
         assert report.identity_holds
 
     def test_each_index_computed_once(self, monkeypatch):
-        # One SVD frame and one set of edge vectors per index; the frame's
-        # SVD gives the multipliers, so no least-squares solve runs.
+        # One SVD frame per index, whose SVD gives the multipliers, so no
+        # least-squares solve runs; the edge vectors are the vertex
+        # differences, not rebuilt from lengths and angles.
         numeric = count_calls(monkeypatch, cyclic_module, "area_morse_index_numeric")
         frames = count_calls(monkeypatch, cyclic_module, "_tangent_frame")
         edges = count_calls(monkeypatch, cyclic_module, "_edge_vectors")
         solves, lstsq = [], np.linalg.lstsq
         monkeypatch.setattr(np.linalg, "lstsq", lambda *a, **k: solves.append(1) or lstsq(*a, **k))
         cyclic_report(1.0, [0, 144, 288, 72, 216])
-        assert (len(numeric), len(frames), len(edges), len(solves)) == (1, 1, 1, 0)
+        assert (len(numeric), len(frames), len(edges), len(solves)) == (1, 1, 0, 0)
         result = run_sweep(1, 20)
         tally = next(t for t in result.tallies if t.name == "cyclic_indices")
         assert tally.passed + tally.failed > 0
         assert len(numeric) - 1 == len(frames) - 1 == tally.passed + tally.failed
-        assert len(edges) == len(numeric)
+        assert len(edges) == 0
         assert len(solves) == 0

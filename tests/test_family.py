@@ -339,6 +339,16 @@ def test_twice_the_turn_sum_is_the_perimeter_sum(name):
     assert checked >= 0.9 * cases
 
 
+@pytest.mark.parametrize("name", ["tiny", "huge"])
+def test_the_turn_sum_reads_the_angles_as_charted(name):
+    # -1e-300 degrees reduces to 2 pi in floats; the chart stores it as 0.0,
+    # so must the turn sum.
+    for start, end, t in turn_sum_cases(name):
+        angles = report._family_angles(start, end, [t])[1][0].tolist()
+        turns = zip(angles, angles[1:] + angles[:1])
+        assert report._turn_sum(start, end, t) == sum(math.tan(0.5 * (b - a)) for a, b in turns)
+
+
 def test_poles_are_not_bracketed():
     start, end = POLE
     report = family_report(start, end, 11)

@@ -22,6 +22,7 @@ from polyslope import (
     CoincidentVertices,
     CyclicPolygon,
     DegenerateCritical,
+    InputError,
     NotCritical,
     PolygonChain,
     PolyslopeError,
@@ -91,7 +92,7 @@ def run_fuzz(make_report, inputs):
     for i, angles in inputs:
         try:
             report = make_report(angles)
-        except cli.INPUT_ERRORS:
+        except InputError:
             continue
         except Exception as exc:  # any other error is a fault of the library
             problems.append(f"input {i}: {type(exc).__name__}: {exc}")
@@ -168,7 +169,7 @@ def test_critical_points_match_reconstruction():
     for angles in ANGLES[:COUNT]:
         try:
             chart = build_chart(SlopeSystem.from_degrees(angles))
-        except cli.INPUT_ERRORS:
+        except InputError:
             continue
         for point in tangential_critical_points(chart):
             rebuilt = polygon_from_radii(chart, np.full(chart.n - 2, point.inradius))
@@ -254,7 +255,7 @@ def test_stacked_hessians_equal_one_point_at_a_time(inputs):
     for angles in inputs:
         try:
             points = tangential_critical_points(build_chart(SlopeSystem.from_degrees(angles)))
-        except cli.INPUT_ERRORS:
+        except InputError:
             continue
         if not points or points[0].n < 4:
             continue
@@ -317,7 +318,7 @@ def test_area_index_equals_lstsq_reference(inputs):
     for phis in inputs:
         try:
             cyclic = CyclicPolygon.from_degrees(1.0, phis)
-        except cli.INPUT_ERRORS:
+        except InputError:
             continue
         assert area_morse_index_numeric(cyclic) == lstsq_area_index(cyclic), phis
         indices += 1
