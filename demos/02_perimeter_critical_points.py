@@ -5,9 +5,9 @@ Critical points of the signed perimeter
 On the unit-area slice of a slope system's polygon space, the signed
 perimeter has exactly two critical points (or none): the two tangential
 polygons, whose edge lines all touch one circle from a common side.  This
-script constructs them, checks the gradient really vanishes, compares the
-closed-form Hessian against hyper-dual differentiation, and computes the
-Morse index two independent ways.
+script constructs them, checks in edge space that the gradient really
+vanishes, compares the closed-form Hessian against the area form pulled back
+from edge space, and computes the Morse index two independent ways.
 """
 
 import numpy as np
@@ -30,16 +30,16 @@ for point in points:
     print(f"  perimeter {point.perimeter:+.6f}, area {point.area:+.1f}")
     print(f"  incenter {np.round(point.incenter, 6)}, winding {point.chart.winding}")
 
-    # The perimeter gradient in the constrained chart vanishes here: its
-    # complex-step norm stays under the bound set by roundoff.
+    # The polygon's signed edge lengths l make the Lagrangian gradient
+    # 1 - Q l / r vanish on the closure space, under the roundoff bound.
     norm, bound = critical_gradient_norm(point)
     print(f"  gradient norm: {norm:.2e} (bound {bound:.2e})")
 
-    # Closed-form Hessian vs the hyper-dual Hessian of the constrained
-    # perimeter, both exact up to rounding.
-    closed, exact = hessian_fd_comparison(point)
-    err = np.max(np.abs(exact - closed)) / np.max(np.abs(closed))
-    print(f"  Hessian vs hyper-dual: max deviation {err:.2e} of scale")
+    # Closed-form Hessian vs -G^T Q G / r, the area form pulled back to the
+    # free radii, both exact up to rounding.
+    closed, edge = hessian_fd_comparison(point)
+    err = np.max(np.abs(edge - closed)) / np.max(np.abs(closed))
+    print(f"  Hessian vs edge space: max deviation {err:.2e} of scale")
 
     # Determinant identity: r^(n-3) det H is an explicit product.
     lhs, rhs = hessian_det_identity(point)

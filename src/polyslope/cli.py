@@ -10,8 +10,8 @@ Subcommands::
 
 ``slopes analyze``, ``cyclic analyze`` and ``family`` run one command,
 :func:`cmd_analyze`, which reads the input kind from the parser and the
-report from :func:`polyslope.report.analyze`; ``render`` detects the kind
-and calls the same function.
+report from :func:`polyslope.report.analyze`; ``render`` detects the kind,
+calls the same function and exits as the analysis does.
 
 Exit codes: 0 success, 2 input error (an :class:`~polyslope.errors.InputError`
 or an ``OSError``), 3 property or cross-check failure (any other
@@ -138,9 +138,11 @@ def _cross_check_failures(report: dict) -> list[str]:
         for point in report["critical"].get("points", []):
             if not point["agreement"]:
                 problems.append("index disagreement")
-            # The sweep runner's rule: a NaN norm fails.
+            # The sweep runner's rule: a NaN error fails.
             if not point["gradient_norm"] <= point["gradient_bound"]:
                 problems.append("gradient check failed")
+            if not point["area_error"] <= point["area_bound"]:
+                problems.append("area check failed")
     elif report["kind"] == "cyclic":
         indices = report["indices"]
         if not indices.get("withheld") and not indices.get("identity_holds", True):
@@ -201,11 +203,11 @@ def cmd_render(args) -> int:
     if kind == "family":
         raise InputSchemaError("render expects a slopes or cyclic input file")
     render = render_slopes_svg if kind == "slopes" else render_cyclic_svg
-    svg = render(analyze(kind, data, tol))
+    report = analyze(kind, data, tol)
     with open(args.output, "w", encoding="utf-8") as handle:
-        handle.write(svg + "\n")
+        handle.write(render(report) + "\n")
     print(f"wrote {args.output}")
-    return EXIT_OK
+    return EXIT_PROPERTY if _cross_check_failures(report) else EXIT_OK
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -50,10 +50,10 @@ class LengthMismatch(InputError):
 
 
 class NotCritical(PolyslopeError):
-    """A point is not the critical point it is taken for: no real r_1 gives
-    the requested area in :func:`polyslope.tangential.constrained_perimeter`
-    (a negative radicand), or a cyclic polygon fails the criticality test of
-    :func:`polyslope.cyclic.area_morse_index_numeric`."""
+    """A point is not the critical point it is taken for: a cyclic polygon fails
+    :func:`polyslope.cyclic.area_morse_index_numeric`'s criticality test, or no
+    real r_1 gives the area asked of :func:`polyslope.tangential.constrained_perimeter`.
+    A slopes report raises none: its edge-space checks are cross-checks."""
 
 
 class Bifurcating(PolyslopeError):

@@ -295,6 +295,20 @@ def edge_offsets(vertices: np.ndarray, angles: Sequence[float]) -> np.ndarray:
     return np.einsum("ij,ij->i", left_normals(angles), vertices)
 
 
+def edge_lengths_along(vertices: np.ndarray, angles) -> np.ndarray:
+    """Signed lengths l_i = (v_{i+1} - v_i) . u_i of the edges of a (..., n, 2)
+    vertex stack along the directions u_i at ``angles``, one row per polygon."""
+    edges = _cycled(vertices, 1, -2) - vertices
+    return edges[..., 0] * np.cos(angles) + edges[..., 1] * np.sin(angles)
+
+
+def area_form(angles: np.ndarray) -> np.ndarray:
+    """The (n, n) matrix Q with oriented area 1/2 l^T Q l for the polygon of
+    edges l_i u_i: Q_ij = 1/2 cross(u_i, u_j) sign(j - i), zero diagonal."""
+    order = np.arange(len(angles))
+    return 0.5 * np.sin(angles - angles[:, None]) * np.sign(order - order[:, None])
+
+
 def oriented_areas(vertices: np.ndarray) -> np.ndarray:
     """Shoelace areas of a (..., m, 2) stack of vertex lists, signed by
     orientation: the integral of the winding number over the plane, so

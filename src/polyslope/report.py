@@ -20,11 +20,11 @@ from .errors import InputSchemaError, ParallelLines
 from .geometry import TWO_PI, SlopeSystem, tangential_polygons
 from .slope_space import build_chart, chart_stack, topology_report
 from .tangential import (
-    critical_gradient_norms,
     exceptional_mask,
     index_reports,
     sign_count_index,
     tangential_critical_points,
+    tangential_residual,
 )
 from .tolerances import DEFAULT_TOL, Tolerances
 
@@ -106,13 +106,13 @@ def _component_dict(shape) -> dict:
 
 def _critical_point_dicts(points) -> list[dict]:
     """The report entries of the two critical points of one chart.  Their
-    Hessians are one stack, their gradients one complex stack and their
-    polygons one vertex stack."""
+    Hessians are one stack and their polygons one vertex stack; the first
+    polygon's edge-space checks serve both, whose edges differ in sign."""
     chart = points[0].chart
     reports = index_reports(points)
-    gradients = critical_gradient_norms(points)
     centers, radii = [point.incenter for point in points], [point.inradius for point in points]
     vertices = tangential_polygons(chart.system.angles, centers, radii)
+    norm, bound, area_error, area_bound = tangential_residual(chart, vertices[0], radii[0])
     return [
         {
             "inradius": float(point.inradius),
@@ -122,17 +122,17 @@ def _critical_point_dicts(points) -> list[dict]:
             "winding": int(chart.winding),
             "right_turns": int(chart.right_turns),
             "left_turns": int(chart.left_turns),
-            "gradient_norm": float(gradient_norm),
-            "gradient_bound": float(gradient_bound),
+            "gradient_norm": norm,
+            "gradient_bound": bound,
+            "area_error": area_error,
+            "area_bound": area_bound,
             "eigenvalues": report.eigenvalues.tolist(),
             "index_eigen": int(report.index_eigen),
             "index_formula": int(report.index_formula),
             "agreement": bool(report.agreement),
             "vertices": polygon.tolist(),
         }
-        for point, report, (gradient_norm, gradient_bound), polygon in zip(
-            points, reports, gradients, vertices
-        )
+        for point, report, polygon in zip(points, reports, vertices)
     ]
 
 

@@ -103,36 +103,6 @@ class RadiiChart:
         constants.setflags(write=False)
         return constants
 
-    @functools.cached_property
-    def well_conditioned(self) -> "RadiiChart":
-        """This chart in the cyclic relabeling that minimizes max|p| / |p_1|.
-
-        The first decomposition triangle owns the implicit coordinate of the
-        constrained chart, so its unit perimeter divides every derivative of
-        the implicit function and the roundoff of those derivatives grows
-        with max|p| / |p_1|.  Critical points, their indices and gradient
-        vanishing are invariant under cyclic relabeling, as are the turning
-        data and so, by the signature law, the number of positive p_i.
-        Computed on first read, from the closed forms on all n relabelings.
-        """
-        rotations = self.system.angles[_rotation_index(self.n)]
-        perimeters = _unit_perimeters(rotations)
-        k = int(np.argmin(np.max(np.abs(perimeters), axis=1) / np.abs(perimeters[:, 0])))
-        chosen = perimeters[k]
-        chosen.setflags(write=False)
-        turning = self.angle_sum, self.half_turns, self.right_turns
-        return RadiiChart(
-            self.system.rotated(k), chosen, float(np.sum(chosen)), *turning, self.tol
-        )
-
-
-@functools.lru_cache(maxsize=None)
-def _rotation_index(n: int) -> np.ndarray:
-    """Row k holds the indices of n slopes relabeled to start at slope k."""
-    index = (np.arange(n)[:, None] + np.arange(n)) % n
-    index.setflags(write=False)
-    return index
-
 
 @dataclass(frozen=True)
 class ComponentShape:
@@ -346,6 +316,19 @@ def chart_stack(angles: np.ndarray, tol: Tolerances = DEFAULT_TOL) -> ChartStack
     return ChartStack(perimeters, sums, total, k, right_turns, broken, angles, tol)
 
 
+def _radii_offsets(angles: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """Edge-line offsets, (K, n), of :func:`polygon_from_radii` for a (K, n - 2)
+    stack of radii; linear, so a row may also be a direction in radii space."""
+    # Circle i sits on e_1 and e_{i+1}, which the chart's lines rule holds apart.
+    n = angles.shape[-1]
+    theta = angles - angles[0]
+    half = np.tan(0.5 * theta)
+    centers = np.cumsum(-np.diff(rows, axis=1, prepend=rows[:, :1]) * half[1:-1], axis=1)
+    # t_k comes from triangle max(k - 2, 0); sin(theta_0) = 0 keeps e_1 at 0.
+    owner = np.maximum(np.arange(-2, n - 2), 0)
+    return (centers[:, owner] + rows[:, owner] * half) * np.sin(-theta)
+
+
 def _reconstruction(chart: RadiiChart, radii) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """:func:`polygon_from_radii` of one row or a (K, n - 2) stack of radii as
     the (K, n, 2) vertex stack, with the (K,) oriented areas and signed
@@ -357,16 +340,9 @@ def _reconstruction(chart: RadiiChart, radii) -> tuple[np.ndarray, np.ndarray, n
         raise ValueError(f"expected {n - 2} radii, got shape {radii.shape}")
     if not np.all(np.isfinite(radii)):
         raise ValueError("radii must be finite")
-    # Circle i sits on e_1 and e_{i+1}, which the chart's lines rule holds apart.
     angles, tol = chart.system.angles, chart.tol
     rows = radii.reshape(-1, n - 2)
-    theta = angles - angles[0]
-    half = np.tan(0.5 * theta)
-    centers = np.cumsum(-np.diff(rows, axis=1, prepend=rows[:, :1]) * half[1:-1], axis=1)
-    # t_k comes from triangle max(k - 2, 0); sin(theta_0) = 0 keeps e_1 at 0.
-    owner = np.maximum(np.arange(-2, n - 2), 0)
-    offsets = (centers[:, owner] + rows[:, owner] * half) * np.sin(-theta)
-    vertices = line_vertices(angles, offsets, tol)
+    vertices = line_vertices(angles, _radii_offsets(angles, rows), tol)
     require_distinct(vertices)
     # The chart laws hold on every row, to their roundoff of 2048 eps sum|terms|.
     terms = np.stack((0.5 * chart.unit_perimeters * rows**2, chart.unit_perimeters * rows))

@@ -47,20 +47,21 @@ from .slope_space import (
     decomposition_lines,
 )
 from .tangential import (
-    critical_gradient_norms,
+    edge_hessians,
     hessian_det_identities,
-    hessian_errors,
     index_reports,
     tangential_critical_points,
+    tangential_residual,
 )
 from .tolerances import DEFAULT_TOL, Tolerances
 
 # Roundoff bounds, in units of eps sum|p| / |sum p|, of comparisons that cancel
-# toward the exceptional locus: 17 to 30 times the worst error on sweep seeds
+# toward the exceptional locus: 13 to 30 times the worst error on sweep seeds
 # 0..399 and next to the locus, never tighter than the fixed bounds they
 # replaced.  The determinant also loses max|p| / |p_1|, the drawn chart's
 # conditioning: without that factor its error reached 2.9e4, on a heavy tail.
 DETERMINANT_ROUNDOFF = 512.0  # r**(n-3) det H, times max|p| / |p_1|; worst 17
+HESSIAN_ROUNDOFF = 1024.0  # edge-space Hessian, times max|H| max|p| / |p_1|; worst 78
 TANGENTIAL_ROUNDOFF = 2048.0  # tangential area and perimeter; worst 122
 # The dual's signed perimeter against 2R B, in units of eps 2R sum|tan alpha|:
 # the worst error was 48 units on sweep seeds 0..399 and 60 on seeds
@@ -76,21 +77,29 @@ def _locus_roundoff(chart):
 
 
 def check_critical_gradient(rng, n, tol):
-    """Complex-step perimeter gradient vanishes at both critical points, to
-    the roundoff bound of :func:`critical_gradient_norms` (c = 256)."""
+    """A slopes report's edge-space checks (:func:`tangential_residual`) on
+    the r > 0 polygon, which serve both points: gradient and shoelace area."""
     points = tangential_critical_points(build_chart(random_slope_system(rng, n), tol))
     if not points:
         return None
-    return [("gradient norm", *row) for row in critical_gradient_norms(points)]
+    point = points[0]
+    vertices = tangential_polygons(point.chart.system.angles, [point.incenter], [point.inradius])
+    residual = tangential_residual(point.chart, vertices[0], point.inradius)
+    return [("gradient norm", *residual[:2]), ("shoelace area off", *residual[2:])]
 
 
 def check_hessian_difference(rng, n, tol):
-    """Closed-form Hessian matches the hyper-dual Hessian to the roundoff
-    bound of :func:`hessian_errors`, c eps max|H| sum|p| / |sum p| with c = 512."""
+    """Closed-form Hessian matches the edge-space one of :func:`edge_hessians`
+    to c eps max|H| sum|p| max|p| / (|sum p| |p_1|), c = 1024."""
     points = tangential_critical_points(build_chart(random_slope_system(rng, n), tol))
     if not points:
         return None
-    return [("hessian error", *row) for row in hessian_errors(points)]
+    p = np.abs(points[0].chart.unit_perimeters)
+    bound = HESSIAN_ROUNDOFF * _locus_roundoff(points[0].chart) * p.max() / p[0]
+    closed, edge = edge_hessians(points)
+    errors = np.max(np.abs(edge - closed), axis=(1, 2)).tolist()
+    bounds = (bound * np.max(np.abs(closed), axis=(1, 2))).tolist()
+    return [("hessian error", error, bound) for error, bound in zip(errors, bounds)]
 
 
 def check_hessian_determinant(rng, n, tol):

@@ -13,27 +13,35 @@ r sum p_i, the area sign(sum p_i) and the winding number, with the radii
 reconstruction :func:`polygon_from_radii` as their oracle in tests and
 sweeps.  The Morse index is produced two independent ways: exactly, from
 the signs of the p_i (inertia of the Hessian's bordered matrix), and by the
-combinatorial turn/winding formula.  On the unit-area slice r_1 is a closed
-form in the free radii, so the gradient and the Hessian there are checked
-exactly to rounding, by the complex step and by hyper-dual numbers.  The two
-points share their chart and differ only in the sign of r, so each check
-evaluates both in one stack (:func:`index_reports`,
-:func:`hessian_det_identities`, :func:`critical_gradient_norms`,
-:func:`hessian_errors`); a caller with one point passes a stack of one.
-Whether a chart is exceptional is decided at the tolerances it was built at,
-:attr:`RadiiChart.tol`, which its critical points read.
+combinatorial turn/winding formula.  The points are checked in edge space,
+where a polygon is its signed edge lengths l, closure U l = 0 is linear, the
+perimeter is sum l and the area 1/2 l^T Q l (:func:`tangential_residual`,
+:func:`edge_hessians`).  The two points share their chart and differ only in
+the sign of r, so each check evaluates both at once; a caller with one point
+passes a stack of one.  Whether a chart is exceptional is decided at the
+tolerances it was built at, :attr:`RadiiChart.tol`, which its points read.
 """
 
 import functools
 import math
 from collections.abc import Sequence
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .errors import NotCritical
-from .geometry import EPS, PolygonChain, SlopeSystem, left_normal, tangential_polygon
-from .slope_space import RadiiChart, build_chart
+from .geometry import (
+    EPS,
+    PolygonChain,
+    SlopeSystem,
+    _cycled,
+    area_form,
+    edge_lengths_along,
+    left_normal,
+    line_vertices,
+    tangential_polygon,
+)
+from .slope_space import RadiiChart, _radii_offsets, _unit_perimeters, build_chart
 from .tolerances import DEFAULT_TOL, Tolerances
 
 
@@ -222,182 +230,98 @@ def morse_index_eigen(point: TangentialCritical) -> IndexReport:
     return index_reports((point,))[0]
 
 
-# ---------------------------------------------------------------------------
-# Constrained chart: free radii x = (r_2, ..., r_{n-2}), with r_1 recovered in
-# closed form from the unit-area constraint.  Exact derivatives of the
-# perimeter there check the closed-form Hessian and the vanishing gradient.
-# ---------------------------------------------------------------------------
+# Roundoff bounds of the edge-space checks, in eps times their scales
+# (worst cases in tolerances.py).
+RESIDUAL_ROUNDOFF = 64.0
+AREA_ROUNDOFF = 16.0
+
+
+def tangential_residual(chart: RadiiChart, vertices: np.ndarray, inradius: float):
+    """(gradient_norm, gradient_bound, area_error, area_bound) of the (n, 2)
+    ``vertices`` reported as the critical point of inradius r in ``chart``.
+
+    With l_i = (v_{i+1} - v_i) . u_i, the Lagrangian gradient g = 1 - Q l / r
+    vanishes on ker U; Gram-Schmidt on the directions measured from slope 1,
+    exact for nearby slopes, projects it there without squaring cond(U).  Its
+    bound is c n eps (1 + sum_ij |Q_ij| (|l_j| + max|v|) / |r|), c = 64.  The
+    area error is |shoelace(v) - sign(sum p)|, within c' eps (1/2 sum(|x_i
+    y_{i+1}| + |x_{i+1} y_i|) + max|v| sum|l| + n sum|p| / |sum p|), c' = 16.
+    Any p makes every r critical, so only the area sees a wrong sum p.  The
+    other point has edges -l and inradius -r: the same numbers serve it.
+    """
+    angles, n = chart.system.angles, chart.n
+    form = area_form(angles)
+    lengths = edge_lengths_along(vertices, angles)
+    gradient = 1.0 - form @ lengths / inradius
+    first, second = np.cos(angles - angles[0]), np.sin(angles - angles[0])
+    first /= math.sqrt(first @ first)
+    second -= (first @ second) * first
+    second /= math.sqrt(second @ second)
+    residual = gradient - (first @ gradient) * first - (second @ gradient) * second
+    size = np.abs(vertices).max()
+    spread = (np.abs(form) @ (np.abs(lengths) + size)).sum() / abs(inradius)
+    ahead, behind = (vertices * _cycled(vertices)[:, ::-1]).T
+    locus = n * np.abs(chart.unit_perimeters).sum() / abs(chart.perimeter_sum)
+    area_scale = 0.5 * (np.abs(ahead) + np.abs(behind)).sum() + size * np.abs(lengths).sum() + locus
+    area_error = abs(0.5 * (ahead - behind).sum() - math.copysign(1.0, chart.perimeter_sum))
+    gradient_bound = RESIDUAL_ROUNDOFF * n * EPS * (1.0 + spread)
+    norm = math.sqrt(residual @ residual)
+    return norm, float(gradient_bound), float(area_error), float(AREA_ROUNDOFF * EPS * area_scale)
+
+
+# Kept while perfbench/tracer.py traces it; demo 02 calls it.
+def critical_gradient_norm(point: TangentialCritical) -> tuple[float, float]:
+    """The gradient norm and bound of :func:`tangential_residual` at one point."""
+    return tangential_residual(point.chart, point.polygon.vertices, point.inradius)[:2]
+
+
+def edge_hessians(points: Sequence[TangentialCritical]) -> tuple[np.ndarray, np.ndarray]:
+    """Closed-form and edge-space Hessians of the perimeter in the free radii,
+    as two (K, m, m) stacks, one matrix per critical point of one chart.
+
+    The edge-space one is -G^T Q G / r, G = M J: J = [-p_{2..} / p_1; I] spans
+    the unit-area slice's tangent, and M maps its columns to edge lengths by
+    :func:`~polyslope.slope_space.polygon_from_radii`'s offsets; one G serves all."""
+    chart = _shared_chart(points)
+    angles, p = chart.system.angles, chart.unit_perimeters
+    tangent = np.vstack((-p[1:] / p[0], np.eye(chart.n - 3)))
+    lines = line_vertices(angles, _radii_offsets(angles, tangent.T), chart.tol)
+    moves = edge_lengths_along(lines, angles)
+    form = moves @ area_form(angles) @ moves.T
+    radii = np.array([point.inradius for point in points])
+    return hessian_formula(p, radii), -form / radii[:, None, None]
+
+
+# Kept while perfbench/tracer.py traces it; demo 02 calls it.
+def hessian_fd_comparison(point: TangentialCritical) -> tuple[np.ndarray, np.ndarray]:
+    """:func:`edge_hessians` of one point: its two (m, m) Hessians."""
+    return tuple(stack[0] for stack in edge_hessians((point,)))
 
 
 # Kept while perfbench/tracer.py traces it; no program path calls it.
 def well_conditioned_chart(system: SlopeSystem, tol: Tolerances = DEFAULT_TOL) -> RadiiChart:
-    """The chart of ``system`` in its well-conditioned relabeling.
-
-    Same as ``build_chart(system, tol).well_conditioned``; callers that
-    already hold a chart read its :attr:`RadiiChart.well_conditioned`, which
-    is built once per chart.
-    """
-    return build_chart(system, tol).well_conditioned
-
-
-class _HyperDual:
-    """Arrays of hyper-dual numbers a + b e1 + c e2 + d e1e2, e1**2 = e2**2 = 0.
-
-    The e1e2 part of f(x + e1 u + e2 v) is the second derivative of f along
-    u and v, exact to rounding (Fike and Alonso, AIAA 2011-886).  Only the
-    arithmetic of :func:`constrained_perimeter` is defined.
-    """
-
-    def __init__(self, *parts):
-        self.parts = parts
-
-    def __add__(self, other):
-        other = other.parts if isinstance(other, _HyperDual) else (other, 0.0, 0.0, 0.0)
-        return _HyperDual(*(x + y for x, y in zip(self.parts, other)))
-
-    def __mul__(self, other):
-        if not isinstance(other, _HyperDual):
-            return _HyperDual(*(x * other for x in self.parts))
-        (a, b, c, d), (e, f, g, h) = self.parts, other.parts
-        return _HyperDual(a * e, a * f + b * e, a * g + c * e, a * h + b * g + c * f + d * e)
-
-    def sum(self, axis):
-        return _HyperDual(*(x.sum(axis=axis) for x in self.parts))
-
-    def sqrt(self):
-        a, b, c, d = self.parts
-        root = np.sqrt(a)
-        half = 0.5 / root
-        return _HyperDual(root, b * half, c * half, (d - b * c / (2.0 * a)) * half)
+    """The chart of ``system`` in the cyclic relabeling that minimizes
+    max|p| / |p_1|, by which :func:`constrained_perimeter`'s r_1 divides."""
+    chart = build_chart(system, tol)
+    n = chart.n
+    perimeters = _unit_perimeters(system.angles[(np.arange(n)[:, None] + np.arange(n)) % n])
+    k = int(np.argmin(np.max(np.abs(perimeters), axis=1) / np.abs(perimeters[:, 0])))
+    chosen = perimeters[k]
+    chosen.setflags(write=False)
+    total = float(np.sum(chosen))
+    return replace(chart, system=system.rotated(k), unit_perimeters=chosen, perimeter_sum=total)
 
 
+# Kept while perfbench/tracer.py traces it; no program path calls it.
 def constrained_perimeter(chart: RadiiChart, free_radii, target_area: float, branch):
-    """Perimeter p_1 r_1 + sum_{j>=2} p_j x_j at the free radii x = (r_2, ..., r_{n-2}).
-
-    r_1 = sign(branch) sqrt((2 A - sum_{j>=2} p_j x_j**2) / p_1) solves the
-    area law 0.5 sum p_i r_i**2 = A in closed form; the square root is the
-    one non-polynomial step.  ``free_radii`` is one point or a (K, m) stack,
-    real, complex or hyper-dual, with one result per point; ``branch`` is
-    one number, or an array of one per point.  A negative radicand leaves
-    no real r_1 and raises NotCritical.
-    """
+    """Perimeter p_1 r_1 + sum_{j>=2} p_j x_j at the free radii x = (r_2, ..., r_{n-2}),
+    one point or a (K, m) stack, with r_1 = sign(branch) sqrt((2 A - sum_{j>=2}
+    p_j x_j**2) / p_1) from the area law.  ``branch`` is one number or one per
+    point.  A negative radicand leaves no real r_1 and raises NotCritical."""
     p = chart.unit_perimeters
-    x = free_radii if isinstance(free_radii, _HyperDual) else np.asarray(free_radii)
-    # Each product keeps x on the left, where a hyper-dual stack defines it.
+    x = np.asarray(free_radii, dtype=float)
     radicand = (x * x * p[1:]).sum(axis=-1) * (-1.0 / p[0]) + 2.0 * target_area / p[0]
-    hyperdual = isinstance(radicand, _HyperDual)
-    value = np.real(radicand.parts[0] if hyperdual else radicand)
-    if np.any(value < 0):
-        worst = float(np.min(value))
+    if np.any(radicand < 0):
+        worst = float(np.min(radicand))
         raise NotCritical(f"no real r_1 gives area {target_area!r}: radicand {worst!r}")
-    root = radicand.sqrt() if hyperdual else np.sqrt(radicand)
-    sign = np.copysign(1.0, branch)
-    return root * (p[0] * sign) + (x * p[1:]).sum(axis=-1)
-
-
-def _roundoff_scale(chart: RadiiChart) -> float:
-    """eps sum|p|, sum|p| the larger in the points' chart and the
-    well-conditioned one: the inradius carries the roundoff of the first,
-    the derivatives that of the second."""
-    charts = (chart, chart.well_conditioned)
-    return EPS * max(float(np.sum(np.abs(c.unit_perimeters))) for c in charts)
-
-
-COMPLEX_STEP = 1e-200
-
-
-@functools.lru_cache(maxsize=None)
-def _complex_steps(m: int) -> np.ndarray:
-    """The (m, m) rows i h e_j, h = ``COMPLEX_STEP``, built once per size."""
-    steps = 1j * COMPLEX_STEP * np.eye(m)
-    steps.setflags(write=False)
-    return steps
-
-
-def critical_gradient_norms(points: Sequence[TangentialCritical]) -> list[tuple[float, float]]:
-    """Complex-step gradient norm of the perimeter at critical points of one
-    chart, and its bound, one pair per point.
-
-    In the well-conditioned chart, row j of point k's block of one complex
-    stack gives Im P(x_k + i h e_j) / h, h = ``COMPLEX_STEP``: the j-th
-    partial derivative at x_k = (r_k, ..., r_k), exact to rounding, with no
-    difference to cancel (Squire and Trapp, SIAM Review 40, 1998).  Each
-    point reads only its own inradius, so both points of
-    :func:`tangential_critical_points` are one stack.  The norm at a
-    tangential point is roundoff; in units of :func:`_roundoff_scale` it
-    reached 14 on sweep seeds 0..399, 7.1 on the fuzz set and 2.6 next to
-    the exceptional locus.  The bound is 256 units.
-
-    The gradient vanishes at x = (r, ..., r) for any p, so where the
-    well-conditioned relabeling is the identity (319 of 1,378 fuzz systems)
-    the oracle, reading the p that placed the points, sees no error in the
-    chart constants, only its own rounding: at most 0.0046 of the bound
-    there, 0.028 elsewhere.
-    """
-    chart = _shared_chart(points)
-    conditioned = chart.well_conditioned
-    m = chart.n - 3
-    radii = np.array([point.inradius for point in points])
-    rows = (radii[:, None, None] + _complex_steps(m)).reshape(len(radii) * m, m)
-    target = math.copysign(1.0, conditioned.perimeter_sum)
-    values = constrained_perimeter(conditioned, rows, target, np.repeat(radii, m))
-    grads = values.imag.reshape(len(points), m) / COMPLEX_STEP
-    bound = 256.0 * _roundoff_scale(chart)
-    return [(math.sqrt(grad.dot(grad)), bound) for grad in grads]
-
-
-def critical_gradient_norm(point: TangentialCritical) -> tuple[float, float]:
-    """:func:`critical_gradient_norms` of one point."""
-    return critical_gradient_norms((point,))[0]
-
-
-def hyperdual_hessians(points: Sequence[TangentialCritical]) -> tuple[np.ndarray, np.ndarray]:
-    """Closed-form and hyper-dual Hessians in the well-conditioned chart, as
-    two (K, m, m) stacks, one matrix per critical point of one chart.
-
-    Row (j, k), j <= k, of each point's block of one hyper-dual stack
-    evaluates the perimeter at x + e1 e_j + e2 e_k, whose e1e2 part is H_jk.
-    It never reads :func:`hessian_formula`, so it stays an independent oracle.
-    """
-    chart = _shared_chart(points).well_conditioned
-    m = chart.n - 3
-    j, k = np.triu_indices(m)
-    units = np.eye(m)
-    radii = np.array([point.inradius for point in points])
-    count = len(points)
-    branches = np.repeat(radii, len(j))
-    rows = _HyperDual(
-        np.repeat(branches, m).reshape(len(branches), m),
-        np.tile(units[j], (count, 1)),
-        np.tile(units[k], (count, 1)),
-        np.zeros((count * len(j), m)),
-    )
-    target = math.copysign(1.0, chart.perimeter_sum)
-    values = constrained_perimeter(chart, rows, target, branches).parts[3]
-    exact = np.empty((count, m, m))
-    exact[:, j, k] = exact[:, k, j] = values.reshape(count, len(j))
-    return hessian_formula(chart.unit_perimeters, radii), exact
-
-
-def hessian_fd_comparison(point: TangentialCritical) -> tuple[np.ndarray, np.ndarray]:
-    """:func:`hyperdual_hessians` of one point: its two (m, m) Hessians."""
-    closed, exact = hyperdual_hessians((point,))
-    return closed[0], exact[0]
-
-
-def hessian_errors(points: Sequence[TangentialCritical]) -> list[tuple[float, float]]:
-    """Largest entry of |hyper-dual - closed-form Hessian|, and its bound, one
-    pair per critical point of one chart; n >= 4.
-
-    The radicand of r_1 cancels terms sum|p| / |sum p| times its size.  In
-    units of max|H| / |sum p| times :func:`_roundoff_scale` the error reached
-    28 on sweep seeds 0..399, 19 on the fuzz set and 4.2 next to the
-    exceptional locus.  The bound is 512 units."""
-    chart = _shared_chart(points)
-    closed, exact = hyperdual_hessians(points)
-    roundoff = _roundoff_scale(chart)
-    errors = []
-    for c, e in zip(closed, exact):
-        scale = float(np.max(np.abs(c))) / abs(chart.perimeter_sum)
-        errors.append((float(np.max(np.abs(e - c))), 512.0 * scale * roundoff))
-    return errors
+    return np.sqrt(radicand) * (p[0] * np.copysign(1.0, branch)) + (x * p[1:]).sum(axis=-1)

@@ -2,8 +2,8 @@
 
 Run with ``pytest tests/test_acceptance.py -v -s`` to see the per-criterion
 lines as they complete.  Every tolerance is pinned here, except that
-criterion 3 reads the sweep's determinant bound; the random draws are
-seeded, so the suite is deterministic.
+criteria 2 and 3 read the sweep's Hessian and determinant bounds; the random
+draws are seeded, so the suite is deterministic.
 """
 
 import json
@@ -16,7 +16,6 @@ from polyslope import (
     SlopeSystem,
     bifurcation_test,
     build_chart,
-    critical_gradient_norm,
     cyclic_invariants,
     dual_polygon,
     hessian_det_identity,
@@ -40,8 +39,9 @@ from polyslope.randomgen import (
     trial_rng,
 )
 from polyslope.slope_space import decomposition_polygons, polygon_from_radii
-from polyslope.sweeps import DETERMINANT_ROUNDOFF, run_sweep
-from polyslope.tangential import hessian_errors
+from polyslope.geometry import EPS
+from polyslope.sweeps import DETERMINANT_ROUNDOFF, HESSIAN_ROUNDOFF, run_sweep
+from polyslope.tangential import edge_hessians, tangential_residual
 
 from families import (
     bif_family,
@@ -74,13 +74,17 @@ def test_criterion_01_critical_point_gradients():
             continue
         checked += 1
         for point in points:
-            norm, bound = critical_gradient_norm(point)
-            if norm >= bound:
+            norm, bound, area_error, area_bound = tangential_residual(
+                chart, point.polygon.vertices, point.inradius
+            )
+            if not norm < bound:
                 failures.append(f"trial {trial}: gradient norm {norm:.3e} >= {bound:.3e} (n={n})")
+            if not area_error <= area_bound:
+                failures.append(f"trial {trial}: area off {area_error:.3e} > {area_bound:.3e}")
     verdict(
         1,
-        f"complex-step gradient under its roundoff bound 256 eps sum|p| at both "
-        f"critical points ({checked} systems, n in [4,9])",
+        f"edge-space gradient and shoelace area within their roundoff bounds at "
+        f"both critical points ({checked} systems, n in [4,9])",
         failures,
     )
     assert checked >= 990
@@ -97,14 +101,17 @@ def test_criterion_02_hessian_closed_form():
         if not points:
             continue
         checked += 1
-        for point in points:
-            error, bound = hessian_errors((point,))[0]
-            if error > bound:
+        p = np.abs(chart.unit_perimeters)
+        unit = HESSIAN_ROUNDOFF * EPS * p.sum() * p.max() / (abs(chart.perimeter_sum) * p[0])
+        for closed, edge in zip(*edge_hessians(points)):
+            error, bound = np.max(np.abs(edge - closed)), unit * np.max(np.abs(closed))
+            if not error <= bound:
                 failures.append(f"trial {trial}: entrywise error {error:.3e} > {bound:.3e} (n={n})")
     verdict(
         2,
-        "closed-form Hessian matches the hyper-dual Hessian within its roundoff "
-        f"bound 512 eps max|H| sum|p| / |sum p| ({checked} systems, n in [4,8])",
+        "closed-form Hessian matches the edge-space Hessian within its roundoff bound "
+        f"{HESSIAN_ROUNDOFF:g} eps max|H| sum|p| max|p| / (|sum p| |p_1|) "
+        f"({checked} systems, n in [4,8])",
         failures,
     )
     assert checked == 200

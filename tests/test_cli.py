@@ -94,8 +94,8 @@ class TestSlopesAnalyze:
 
     def test_gradient_check_in_well_conditioned_chart(self, tmp_path, capsys):
         # Relabeling for the largest |p_1| left other |p_i| 360 times larger,
-        # and a finite-difference gradient there read 1.8e-5 at true critical
-        # points.  The well-conditioned chart keeps the complex-step gradient
+        # and a finite-difference gradient in that chart read 1.8e-5 at true
+        # critical points.  The edge-space gradient reads no chart and stays
         # at roundoff.
         angles = [
             244.5523834453095,
@@ -116,9 +116,37 @@ class TestSlopesAnalyze:
 
     def test_nan_gradient_norm_fails_cross_check(self):
         # The sweep runner's rule, not gradient_norm >= bound: a NaN fails.
-        point = {"agreement": True, "gradient_norm": math.nan, "gradient_bound": 1e-12}
+        point = {
+            "agreement": True,
+            "gradient_norm": math.nan,
+            "gradient_bound": 1e-12,
+            "area_error": 0.0,
+            "area_bound": 1e-12,
+        }
         report = {"kind": "slopes", "critical": {"points": [point]}}
         assert _cross_check_failures(report) == ["gradient check failed"]
+
+    def test_nan_area_error_fails_cross_check(self):
+        point = {
+            "agreement": True,
+            "gradient_norm": 0.0,
+            "gradient_bound": 1e-12,
+            "area_error": math.nan,
+            "area_bound": 1e-12,
+        }
+        report = {"kind": "slopes", "critical": {"points": [point]}}
+        assert _cross_check_failures(report) == ["area check failed"]
+
+    def test_relabeling_keeps_the_exit_code(self, tmp_path, capsys):
+        # Lines within 0.01 degrees of one direction: the two labelings'
+        # inradii differ in the twelfth digit, and 300-bit arithmetic puts
+        # them 3.0e-12 and 9.1e-13 off.  The area check sees both, whichever
+        # relabeling the chart would be best conditioned in.
+        codes = []
+        for angles in ([-0.01, 0.0, 0.0075, 0.01, 0.005], [0.0, 0.0075, 0.01, 0.005, 359.99]):
+            path = write_json(tmp_path, "near.json", {"angles_deg": angles})
+            codes.append(run_cli(capsys, "slopes", "analyze", path)[0])
+        assert codes[0] == codes[1]
 
     @pytest.mark.parametrize(
         "angles",
@@ -568,6 +596,25 @@ class TestFamily:
 
 
 class TestRender:
+    def test_render_exits_as_the_analysis(self, tmp_path, capsys):
+        # Sum p / sum|p| is -8.5e-10 in 300-bit arithmetic: exceptional, though
+        # the chart puts it outside the band.  Its reported polygon's
+        # gradient residual is 640 times its bound.
+        angles = [
+            82.37296368693613,
+            262.3729612294919,
+            262.37295261122074,
+            82.3729630048502,
+            82.37296087848776,
+            262.372960367739,
+            262.3729632461403,
+        ]
+        path = write_json(tmp_path, "exceptional.json", {"angles_deg": angles})
+        out_path = tmp_path / "exceptional.svg"
+        assert run_cli(capsys, "slopes", "analyze", path)[0] == 3
+        assert run_cli(capsys, "render", path, "-o", str(out_path))[0] == 3
+        assert out_path.read_text().startswith("<svg")
+
     def test_render_slopes(self, tmp_path, capsys):
         path = write_json(tmp_path, "eq.json", {"angles_deg": [90, 210, 330]})
         out_path = tmp_path / "eq.svg"

@@ -12,7 +12,6 @@ they also check the stacked kernels bit for bit against one point at a time.
 """
 
 import functools
-import math
 
 import numpy as np
 import pytest
@@ -40,13 +39,11 @@ from polyslope import (
 from polyslope.geometry import left_normals, polygon_from_lines, tangential_polygon
 from polyslope.report import cyclic_report, slopes_report
 from polyslope.tangential import (
-    COMPLEX_STEP,
-    constrained_perimeter,
+    edge_hessians,
     hessian_det_identities,
-    hessian_errors,
     hessian_formula,
-    hyperdual_hessians,
     morse_index_formula,
+    tangential_residual,
 )
 
 from area_chart import chain_area_gradient, chain_area_hessian, closure_jacobian
@@ -203,37 +200,37 @@ def outcome(route, *args):
 
 
 def stacked_points(angles):
-    """Each critical point's eigenvalues, indices, gradient norm, bound and
-    vertices as the report gives them, from one stack per quantity."""
+    """Each critical point's eigenvalues, indices, edge-space checks and
+    vertices as the report gives them, from one stack per quantity and one
+    evaluation of the checks."""
     points = slopes_report(angles)["critical"]["points"]
-    fields = ("eigenvalues", "index_eigen", "index_formula", "gradient_norm", "gradient_bound")
+    fields = (
+        "eigenvalues", "index_eigen", "index_formula",
+        "gradient_norm", "gradient_bound", "area_error", "area_bound",
+    )
     return [(*(p[field] for field in fields), p["vertices"]) for p in points]
 
 
 def one_point_at_a_time(angles):
     """The same, one point at a time in the order the report once took: the
     eigenvalues of the point's own Hessian, the sign count and the formula
-    index; the gradient, by the one-row call and by a complex stack with a
-    scalar branch; then the polygon by ``tangential_polygon``, whose checks
-    raise."""
+    index; the polygon by ``tangential_polygon``, whose checks raise; then
+    the edge-space checks on that point's own polygon and inradius, by the
+    one-point call too."""
     chart = build_chart(SlopeSystem.from_degrees(angles))
     points = tangential_critical_points(chart)
     if not points:
         return []
-    conditioned = chart.well_conditioned
-    target = math.copysign(1.0, conditioned.perimeter_sum)
     rows = []
     for point in points:
         hessian = hessian_formula(chart.unit_perimeters, point.inradius)
         eigenvalues = np.linalg.eigvalsh(hessian).tolist()
         index = int(sign_count_index(chart.unit_perimeters, chart.perimeter_sum, point.inradius))
         formula = morse_index_formula(point)
-        norm, bound = critical_gradient_norm(point)
-        free = point.inradius + 1j * COMPLEX_STEP * np.eye(chart.n - 3)
-        grad = constrained_perimeter(conditioned, free, target, point.inradius).imag
-        assert norm == float(np.linalg.norm(grad / COMPLEX_STEP))
         polygon = tangential_polygon(chart.system.angles, point.incenter, point.inradius)
-        rows.append((eigenvalues, index, formula, norm, bound, polygon.vertices.tolist()))
+        residual = tangential_residual(chart, polygon.vertices, point.inradius)
+        assert critical_gradient_norm(point) == residual[:2]
+        rows.append((eigenvalues, index, formula, *residual, polygon.vertices.tolist()))
     return rows
 
 
@@ -259,13 +256,11 @@ def test_stacked_hessians_equal_one_point_at_a_time(inputs):
             continue
         if not points or points[0].n < 4:
             continue
-        closed, exact = hyperdual_hessians(points)
+        closed, edge = edge_hessians(points)
         for k, point in enumerate(points):
-            single_closed, single_exact = hyperdual_hessians((point,))
+            single_closed, single_edge = edge_hessians((point,))
             assert np.array_equal(closed[k], single_closed[0]), angles
-            assert np.array_equal(exact[k], single_exact[0]), angles
-        singles = [hessian_errors((point,))[0] for point in points]
-        assert hessian_errors(points) == singles, angles
+            assert np.array_equal(edge[k], single_edge[0]), angles
         lhs = [lhs for lhs, _ in hessian_det_identities(points)]
         dets = [point.inradius ** (point.n - 3) * np.linalg.det(point.hessian) for point in points]
         assert lhs == dets, angles

@@ -24,7 +24,9 @@ from polyslope import (
     winding_number,
 )
 from polyslope.geometry import (
+    area_form,
     diameters,
+    edge_lengths_along,
     edge_offsets,
     integral_ratio,
     left_normal,
@@ -37,6 +39,7 @@ from polyslope.geometry import (
     tangential_polygon,
     winding_numbers,
 )
+from polyslope.tangential import well_conditioned_chart
 
 EPS = float(np.finfo(float).eps)
 
@@ -81,6 +84,19 @@ class TestOrientedArea:
         scale = max(1.0, polygon.diameter) ** 2
         total = oriented_area(polygon) + oriented_area(PolygonChain(polygon.vertices[::-1]))
         assert abs(total) <= 1e-12 * scale
+
+    @settings(max_examples=60, deadline=None)
+    @given(polygon_strategy())
+    def test_area_form_of_edge_lengths(self, polygon):
+        # Each edge along its own direction: l_i is its length, and the area
+        # form of the edge lengths is the shoelace area.
+        angles = polygon.edge_angles
+        lengths = edge_lengths_along(polygon.vertices, angles)
+        assert np.allclose(lengths, polygon.edge_lengths, rtol=1e-12, atol=0.0)
+        form = area_form(angles)
+        assert np.array_equal(form, form.T) and not form.diagonal().any()
+        scale = max(1.0, polygon.diameter) ** 2
+        assert abs(0.5 * lengths @ form @ lengths - oriented_area(polygon)) <= 1e-12 * scale
 
 
 class TestWindingNumber:
@@ -417,7 +433,7 @@ class TestAngleArrayChecks:
             angles = chart.system.angles.tolist()
             right, left = reference_turn_counts(angles)
             expected = (chart.half_turns, right, left, reference_winding(angles))
-            relabelings = [chart, chart.well_conditioned]
+            relabelings = [chart, well_conditioned_chart(chart.system, tol)]
             for shift in range(1, chart.n):
                 try:
                     relabelings.append(build_chart(chart.system.rotated(shift), tol))

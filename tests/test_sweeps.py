@@ -16,19 +16,26 @@ import numpy as np
 import pytest
 
 import polyslope.sweeps as sweeps
+import polyslope.tangential as tangential_module
 from polyslope.cli import main
 import polyslope.cyclic as cyclic_module
 from polyslope.cyclic import cyclic_invariants, duality_index_check
-from polyslope.geometry import oriented_area, signed_perimeter, signed_perimeters
+from polyslope.geometry import (
+    oriented_area,
+    signed_perimeter,
+    signed_perimeters,
+    tangential_polygons,
+)
 from polyslope.randomgen import trial_rng
 from polyslope.slope_space import build_chart, polygon_from_radii
 from polyslope.tangential import (
-    critical_gradient_norms,
+    edge_hessians,
     hessian_det_identities,
     hessian_det_identity,
-    hessian_errors,
+    hessian_formula,
     index_reports,
     tangential_critical_points,
+    tangential_residual,
 )
 from polyslope.tolerances import DEFAULT_TOL
 
@@ -81,6 +88,14 @@ def test_tangential_area_and_perimeter_pass_next_to_the_locus(monkeypatch, near_
     assert over_fixed_bound > 0
 
 
+def test_edge_space_checks_pass_next_to_the_locus(monkeypatch, near_locus):
+    # Every relabeling, as for the determinant: the residual and area bounds
+    # read no chart conditioning, the Hessian bound reads max|p| / |p_1|.
+    for chart in (build_chart(c.system.rotated(k)) for c in near_locus for k in range(c.n)):
+        assert run_on(monkeypatch, "critical_gradient", chart) == []
+        assert run_on(monkeypatch, "hessian_difference", chart) == []
+
+
 def perturbed_determinant(points):
     return [(lhs, rhs * (1.0 + 1e-6)) for lhs, rhs in hessian_det_identities(points)]
 
@@ -95,13 +110,30 @@ def perturbed_points(field):
     return points
 
 
-def nan_error(kernel):
-    """``kernel``'s (error, bound) rows, one per point, with NaN errors."""
+def nan_residual(*args):
+    """:func:`tangential_residual` with NaN errors."""
+    _, gradient_bound, _, area_bound = tangential_residual(*args)
+    return math.nan, gradient_bound, math.nan, area_bound
 
-    def nan(points):
-        return [(math.nan, bound) for _, bound in kernel(points)]
 
-    return nan
+def nan_hessians(points):
+    """:func:`edge_hessians` with NaN edge-space entries."""
+    closed, edge = edge_hessians(points)
+    return closed, edge * math.nan
+
+
+def inflated_polygons(angles, centers, inradii):
+    """:func:`tangential_polygons` built at inradii a millionth larger than
+    the points', which the oracle reads."""
+    return tangential_polygons(angles, centers, np.asarray(inradii) * (1.0 + 1e-6))
+
+
+def perturbed_hessian(unit_perimeters, inradius, off=1e-6):
+    """:func:`hessian_formula` with its largest entry off by ``off``, relative."""
+    hessian = hessian_formula(unit_perimeters, inradius)
+    flat = hessian.reshape(len(hessian), -1)
+    flat[:, np.argmax(np.abs(flat[0]))] *= 1.0 + off
+    return hessian
 
 
 def perturbed_perimeter(vertices, slope_angles, tol):
@@ -166,8 +198,12 @@ def odd_right_turns(system, tol):
             perturbed_points("perimeter"),
             "tangential perimeter off",
         ),
-        (0, "tangential_critical_points", perturbed_points("inradius"), "gradient norm"),
-        (1, "tangential_critical_points", perturbed_points("inradius"), "hessian error"),
+        # A wrong inradius builds a polygon tangential at that inradius, of the
+        # wrong area; a polygon tangential at another inradius than the one
+        # read is not critical.
+        (0, "tangential_critical_points", perturbed_points("inradius"), "shoelace area off"),
+        (0, "tangential_polygons", inflated_polygons, "gradient norm"),
+        (1, "hessian_formula", perturbed_hessian, "hessian error"),
         pytest.param(
             3,
             "index_reports",
@@ -206,9 +242,23 @@ def odd_right_turns(system, tol):
             "area index numeric off formula",
         ),
         (8, "duality_index_check", withheld, "dual index withheld"),
-        # A NaN error fails: the runner's rule is error <= bound.
-        (0, "critical_gradient_norms", nan_error(critical_gradient_norms), "gradient norm"),
-        (1, "hessian_errors", nan_error(hessian_errors), "hessian error"),
+        # A NaN error fails: the runner's rule is error <= bound.  The
+        # edge-space oracles keep the ids of the derivative oracles they replaced.
+        pytest.param(
+            0,
+            "tangential_residual",
+            nan_residual,
+            "gradient norm",
+            id="0-critical_gradient_norms-nan-gradient norm",
+        ),
+        (0, "tangential_residual", nan_residual, "shoelace area off"),
+        pytest.param(
+            1,
+            "edge_hessians",
+            nan_hessians,
+            "hessian error",
+            id="1-hessian_errors-nan-hessian error",
+        ),
     ],
 )
 def test_perturbed_closed_form_fails(monkeypatch, capsys, check_index, name, value, label):
@@ -216,10 +266,24 @@ def test_perturbed_closed_form_fails(monkeypatch, capsys, check_index, name, val
     # what a check compares, fails every trial of the check's own stream:
     # the roundoff bounds stay below that on its draws.  The invariants are
     # read through CyclicPolygon.invariants, which calls the cyclic module's,
-    # and the dual's perimeter is measured in cyclic.dual_polygon.
-    in_cyclic = name in ("cyclic_invariants", "signed_perimeters")
-    monkeypatch.setattr(cyclic_module if in_cyclic else sweeps, name, value)
+    # the dual's perimeter is measured in cyclic.dual_polygon, and the
+    # closed-form Hessian is read in tangential.edge_hessians.
+    modules = {"cyclic_invariants": cyclic_module, "signed_perimeters": cyclic_module}
+    modules["hessian_formula"] = tangential_module
+    monkeypatch.setattr(modules.get(name, sweeps), name, value)
     assert_fails_every_trial(check_index, label, capsys)
+
+
+def test_hessian_entry_off_by_a_billionth_fails(monkeypatch):
+    # The check resolves one entry off by 1e-9 of itself on every trial of
+    # its stream.
+    monkeypatch.setattr(
+        tangential_module, "hessian_formula", lambda p, r: perturbed_hessian(p, r, 1e-9)
+    )
+    check = dict(sweeps.CHECKS)["hessian_difference"]
+    for trial in range(20):
+        outcome = check(trial_rng(1, 1, trial), (3, 12), DEFAULT_TOL)
+        assert failing_labels(outcome) == ["hessian error", "hessian error"], (trial, outcome)
 
 
 def assert_fails_every_trial(check_index, label, capsys):

@@ -1,5 +1,6 @@
 """Tests for perimeter critical points, Hessians, and Morse indices."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -17,14 +18,14 @@ from polyslope import (
     morse_index_formula,
     tangential_critical_points,
 )
-from polyslope.geometry import left_normals
+from polyslope.geometry import area_form, edge_lengths_along, left_normals, line_vertices
 from polyslope.randomgen import random_convex_slope_system, random_slope_system, trial_rng
+from polyslope.slope_space import _radii_offsets, polygon_from_radii
+from polyslope.sweeps import check_hessian_difference
 from polyslope.tangential import (
-    COMPLEX_STEP,
-    _HyperDual,
     constrained_perimeter,
-    critical_gradient_norms,
-    hessian_errors,
+    edge_hessians,
+    tangential_residual,
     well_conditioned_chart,
 )
 
@@ -33,25 +34,22 @@ from families import bisect_family_root, family_system, near_exceptional_system
 EQUILATERAL = SlopeSystem.from_degrees([90, 210, 330])
 
 
-def complex_step_gradient(chart, free_radii, target_area, branch):
-    """Gradient of the constrained perimeter at any free radii, one complex
-    row per direction, as :func:`critical_gradient_norm` takes it."""
+def pulled_back_derivatives(chart, free_radii, target_area, branch):
+    """Gradient and Hessian of the constrained perimeter at any free radii x,
+    pulled back from edge space.  With r_1 from the area law, l = M r the
+    signed edge lengths and G = M J the edge moves along the slice, where
+    J = [-p_{2..} x / (p_1 r_1); I], the gradient is G^T (1 - Q l / r_1) and
+    the Hessian -G^T Q G / r_1: the multiplier 1 / r_1 makes the
+    Lagrangian stationary in r_1, the one radius the slice bends in."""
+    p, angles = chart.unit_perimeters, chart.system.angles
     free = np.asarray(free_radii, dtype=float)
-    rows = free + 1j * COMPLEX_STEP * np.eye(len(free))
-    return constrained_perimeter(chart, rows, target_area, branch).imag / COMPLEX_STEP
-
-
-def hyperdual_hessian(chart, free_radii, target_area, branch):
-    """Hessian of the constrained perimeter at any free radii, one hyper-dual
-    row per pair j <= k, as :func:`hessian_fd_comparison` takes it."""
-    free = np.asarray(free_radii, dtype=float)
-    m = len(free)
-    j, k = np.triu_indices(m)
-    units = np.eye(m)
-    rows = _HyperDual(np.tile(free, (len(j), 1)), units[j], units[k], 0.0 * units[j])
-    hessian = np.empty((m, m))
-    hessian[j, k] = hessian[k, j] = constrained_perimeter(chart, rows, target_area, branch).parts[3]
-    return hessian
+    first = math.copysign(math.sqrt((2.0 * target_area - np.sum(p[1:] * free**2)) / p[0]), branch)
+    lines = line_vertices(angles, _radii_offsets(angles, np.eye(chart.n - 2)), chart.tol)
+    edge_map = edge_lengths_along(lines, angles).T
+    moves = edge_map @ np.vstack((-p[1:] * free / (p[0] * first), np.eye(len(free))))
+    form = area_form(angles)
+    lengths = edge_map @ np.concatenate(([first], free))
+    return moves.T @ (1.0 - form @ lengths / first), -moves.T @ form @ moves / first
 
 
 class TestCriticalPoints:
@@ -119,7 +117,7 @@ class TestCriticalPoints:
             chart = build_chart(system, loose)
             assert tangential_critical_points(chart) == ()
             assert len(tangential_critical_points(build_chart(system))) == 2
-            assert chart.tol is chart.well_conditioned.tol is loose
+            assert chart.tol is well_conditioned_chart(system, loose).tol is loose
 
 
 class TestGradient:
@@ -133,14 +131,11 @@ class TestGradient:
                 norm, bound = critical_gradient_norm(point)
                 assert norm < bound
 
-    def test_stack_takes_points_of_one_chart(self):
-        rng = np.random.default_rng(27)
-        first, second = (tangential_critical_points(random_slope_system(rng, 6)) for _ in "ab")
-        assert len(critical_gradient_norms(first)) == 2
-        with pytest.raises(ValueError, match="share one chart"):
-            critical_gradient_norms((first[0], second[1]))
-
     def test_large_away_from_critical_points(self):
+        # A polygon of the slice with one free radius moved 30 %: its
+        # residual read with the point's inradius is far above the bound,
+        # and the edge-space gradient pulled back to the free radii is the
+        # finite-difference one.
         rng = np.random.default_rng(23)
         for _ in range(20):
             n = int(rng.integers(4, 9))
@@ -153,16 +148,75 @@ class TestGradient:
             free = np.full(n - 3, point.inradius)
             free[0] *= 1.3
             target = math.copysign(1.0, chart.perimeter_sum)
-            grad = complex_step_gradient(chart, free, target, point.inradius)
+            grad, _ = pulled_back_derivatives(chart, free, target, point.inradius)
             fd = reference_gradient_fd(
                 chart, free, target, point.inradius, 1e-6 * abs(point.inradius)
             )
             scale = float(np.sum(np.abs(chart.unit_perimeters))) * abs(point.inradius)
             assert float(np.linalg.norm(grad)) > 1e-3 * scale
             assert float(np.linalg.norm(grad - fd)) < 1e-6 * scale
+            first = reference_solve_first_radius(chart, free, target, point.inradius)
+            moved = polygon_from_radii(chart, np.concatenate(([first], free)))
+            norm, bound, _, _ = tangential_residual(chart, moved.vertices, point.inradius)
+            assert norm > 1e6 * bound
+
+
+class TestEdgeSpaceChecks:
+    def test_both_points_read_the_same_residual(self):
+        rng = np.random.default_rng(43)
+        for _ in range(40):
+            points = tangential_critical_points(random_slope_system(rng, int(rng.integers(3, 13))))
+            residuals = [
+                tangential_residual(point.chart, point.polygon.vertices, point.inradius)
+                for point in points
+            ]
+            assert residuals[:1] == residuals[1:]
+            for norm, bound, area_error, area_bound in residuals:
+                assert norm <= bound and area_error <= area_bound
+
+    def test_wrong_first_unit_perimeter_fails_the_area_check(self):
+        # p_1 off by 1e-12 of itself on systems whose best relabeling is the
+        # identity, where a gradient in that relabeling saw no error: every
+        # radius r is critical for any p, but the polygon of r misses unit area.
+        rng = np.random.default_rng(44)
+        checked = 0
+        while checked < 40:
+            system = random_slope_system(rng, int(rng.integers(4, 13)))
+            chart = build_chart(system)
+            best = well_conditioned_chart(system).system
+            if best != system or not tangential_critical_points(chart):
+                continue
+            p = chart.unit_perimeters * np.append(1.0 + 1e-12, np.ones(chart.n - 3))
+            planted = dataclasses.replace(chart, unit_perimeters=p, perimeter_sum=float(p.sum()))
+            point = tangential_critical_points(planted)[0]
+            norm, bound, area_error, area_bound = tangential_residual(
+                planted, point.polygon.vertices, point.inradius
+            )
+            assert norm <= bound and not area_error <= area_bound
+            checked += 1
+
+    def test_moved_vertex_fails_the_area_check(self):
+        rng = np.random.default_rng(45)
+        for _ in range(40):
+            points = tangential_critical_points(random_slope_system(rng, int(rng.integers(3, 13))))
+            if not points:
+                continue
+            vertices = points[0].polygon.vertices.copy()
+            vertices[int(rng.integers(len(vertices))), 0] += 1e-9 * points[0].polygon.diameter
+            _, _, area_error, area_bound = tangential_residual(
+                points[0].chart, vertices, points[0].inradius
+            )
+            assert not area_error <= area_bound
 
 
 class TestHessian:
+    def test_stack_takes_points_of_one_chart(self):
+        rng = np.random.default_rng(27)
+        first, second = (tangential_critical_points(random_slope_system(rng, 6)) for _ in "ab")
+        assert all(len(stack) == 2 for stack in edge_hessians(first))
+        with pytest.raises(ValueError, match="share one chart"):
+            edge_hessians((first[0], second[1]))
+
     def test_empty_for_triangles(self):
         points = tangential_critical_points(EQUILATERAL)
         assert points[0].hessian.shape == (0, 0)
@@ -199,7 +253,7 @@ class TestHessian:
         rng = np.random.default_rng(25)
         for _ in range(15):
             n = int(rng.integers(4, 9))
-            chart = build_chart(random_slope_system(rng, n))
+            chart = well_conditioned_chart(random_slope_system(rng, n))
             points = tangential_critical_points(chart)
             for point in points:
                 closed, _ = hessian_fd_comparison(point)
@@ -215,7 +269,7 @@ class TestHessian:
         # topping out at 4e-3 failed the 1e-5 bound.
         rng = trial_rng(38, 1, 11)
         n = int(rng.integers(4, 9))
-        chart = build_chart(random_slope_system(rng, n))
+        chart = well_conditioned_chart(random_slope_system(rng, n))
         assert n == 5
         for point in tangential_critical_points(chart):
             closed, _ = hessian_fd_comparison(point)
@@ -223,8 +277,9 @@ class TestHessian:
             scale = float(np.max(np.abs(closed)))
             rel = np.abs(fd - closed) / np.maximum(np.abs(closed), 1e-2 * scale)
             assert float(np.max(rel)) < 1e-5
-            error, bound = hessian_errors((point,))[0]
-            assert error <= bound
+        rng = trial_rng(38, 1, 11)
+        rows = check_hessian_difference(rng, int(rng.integers(4, 9)), DEFAULT_TOL)
+        assert all(error <= bound for _, error, bound in rows)
 
     def test_determinant_identity_small_cases(self):
         rng = np.random.default_rng(26)
@@ -352,8 +407,8 @@ class TestConstrainedChart:
         assert area == pytest.approx(target, abs=1e-12)
 
     def test_wrong_area_sign_raises(self):
-        # The wrong area sign leaves no real r_1: the closed form, on real,
-        # complex and hyper-dual radii, and the Newton twin below refuse it.
+        # The wrong area sign leaves no real r_1: the closed form and the
+        # Newton twin below refuse it.
         # At x = r the radicand is r**2 - 4 sgn(sum p) / p_1, negative exactly
         # when p_1 has the sign of sum p and |p_1| < 2 |sum p|.
         rng = np.random.default_rng(35)
@@ -366,13 +421,7 @@ class TestConstrainedChart:
         target = math.copysign(1.0, total)
         assert point.inradius**2 - 4.0 * target / p1 < 0
         args = (np.full(3, point.inradius), -target, point.inradius)
-        oracles = (
-            constrained_perimeter,
-            complex_step_gradient,
-            hyperdual_hessian,
-            reference_solve_first_radius,
-        )
-        for oracle in oracles:
+        for oracle in (constrained_perimeter, reference_solve_first_radius):
             with pytest.raises(NotCritical):
                 oracle(chart, *args)
 
@@ -486,7 +535,7 @@ class TestExactDerivatives:
             for point in tangential_critical_points(chart):
                 r = point.inradius
                 free = np.full(n - 3, r)
-                grad = complex_step_gradient(chart, free, target, r)
+                grad, _ = pulled_back_derivatives(chart, free, target, r)
                 fd = reference_gradient_fd(chart, free, target, r, GRADIENT_FD_STEP * abs(r))
                 gradient_bound = max(1e-6, 16.0 * eps * scale / GRADIENT_FD_STEP)
                 assert float(np.linalg.norm(grad - fd)) < gradient_bound
@@ -499,7 +548,7 @@ class TestExactDerivatives:
 
     def test_agree_with_scalar_finite_differences_off_critical_points(self):
         # Away from a critical point neither derivative has a closed form to
-        # meet, so the twin checks the complex and hyper-dual arithmetic.
+        # meet, so the twin checks the edge-space pull-back itself.
         rng = np.random.default_rng(36)
         for _ in range(10):
             n = int(rng.integers(4, 9))
@@ -510,12 +559,11 @@ class TestExactDerivatives:
             target = math.copysign(1.0, chart.perimeter_sum)
             r = points[0].inradius
             free = r * rng.uniform(0.9, 1.1, n - 3)
-            grad = complex_step_gradient(chart, free, target, r)
+            grad, exact = pulled_back_derivatives(chart, free, target, r)
             fd = reference_gradient_fd(chart, free, target, r, GRADIENT_FD_STEP * abs(r))
             # The twin's roundoff is about eps sum|p| / GRADIENT_FD_STEP.
             noise = 16.0 * np.finfo(float).eps * float(np.sum(np.abs(chart.unit_perimeters)))
             assert float(np.max(np.abs(grad - fd))) < noise / GRADIENT_FD_STEP
-            exact = hyperdual_hessian(chart, free, target, r)
             coarse, fine = (
                 reference_hessian_fd(chart, free, target, r, step * abs(r)) for step in (4e-3, 2e-3)
             )

@@ -1,18 +1,19 @@
 """What the reports and the sweep checks build, and how often.
 
 Each critical point builds its polygon and Hessian on first read, and each
-chart its area constants and well-conditioned relabeling.  A slopes report
-takes its angle sum from its chart and builds both critical points' polygons
-as one vertex stack from one ``tangential_offsets`` call, their gradients
-as one complex stack, and their Hessians as one closed-form stack with one
-eigenvalue call; the index-agreement and determinant trials read the same
-stack, with one eigenvalue or determinant call, and no point's own Hessian.
+chart its area constants.  A slopes report takes its angle sum from its
+chart and builds both critical points' polygons as one vertex stack from one
+``tangential_offsets`` call, checks them by one edge-space residual, and
+builds their Hessians as one closed-form stack with one eigenvalue call; the
+index-agreement and determinant trials read the same stack, with one
+eigenvalue or determinant call, and no point's own Hessian.
 A cyclic report computes its invariants and its dual slopes once.  Counters
 wrap functions such as ``geometry.tangential_polygon`` and
 ``slope_space.build_chart`` in every ``polyslope`` module that holds them,
 and ``numpy.linalg``'s ``eigvalsh`` and ``det``.  The routes these shortcuts replace
 stay here as oracles: the family rows against the critical points' own
-indices, the shared chart against a fresh ``build_chart`` per relabeling.
+indices, the well-conditioned chart against a fresh ``build_chart`` per
+relabeling.
 A family charts its rows as one angle stack, and each bracket the
 midpoints that the turn sum predicts as one more, and builds no chart
 unless a row is invalid.  A chart-identity trial reads the areas
@@ -53,7 +54,7 @@ from polyslope.slope_space import (
     turning_rule,
 )
 from polyslope.sweeps import CHECKS
-from polyslope.tangential import constrained_perimeter, hessian_formula, well_conditioned_chart
+from polyslope.tangential import hessian_formula, tangential_residual, well_conditioned_chart
 from polyslope.tolerances import DEFAULT_TOL
 
 from families import (
@@ -102,16 +103,16 @@ SLOPES_7 = [10.0, 62.0, 131.0, 175.0, 228.0, 281.0, 333.0]
 
 def test_slopes_report_builds_one_chart_and_one_vertex_stack(monkeypatch, calls):
     # Both points' polygons come from one call with the stack of their radii,
-    # and both gradients from one evaluation of the constrained perimeter.
+    # and both points' edge-space checks from one residual.
     offsets = []
     stacks = counted(monkeypatch, (tangential_offsets,), offsets)
-    gradients = counted(monkeypatch, (constrained_perimeter,))
+    residuals = counted(monkeypatch, (tangential_residual,))
     report = slopes_report(SLOPES_7)
     assert not report["critical"]["exceptional"]
-    assert calls["build_chart"] <= 2
+    assert calls["build_chart"] == 1
     assert calls["tangential_polygon"] == 0
     assert stacks == {"tangential_offsets": 1}
-    assert gradients == {"constrained_perimeter": 1}
+    assert residuals == {"tangential_residual": 1}
     assert offsets[0].shape == (2, 7, 2)
 
 
@@ -126,12 +127,16 @@ def test_family_report_builds_no_polygon(calls):
     ["critical_gradient", "hessian_difference", "hessian_determinant",
      "index_agreement", "convex_indices"],
 )
-def test_index_hessian_and_gradient_checks_build_no_polygon(calls, name):
+def test_index_hessian_and_gradient_checks_build_no_polygon(monkeypatch, calls, name):
+    # The gradient trial reads one vertex list, of the r > 0 point, and no
+    # PolygonChain; the others build no vertices at all.
+    stacks = counted(monkeypatch, (tangential_offsets,))
     index, check = next((i, c) for i, (n, c) in enumerate(CHECKS) if n == name)
     for trial in range(20):
         assert check(trial_rng(1, index, trial), (4, 9), DEFAULT_TOL) is not None
     assert calls["tangential_polygon"] == 0
     assert calls["build_chart"] == 20
+    assert stacks == {"tangential_offsets": 20 if name == "critical_gradient" else 0}
 
 
 def counted_linalg(monkeypatch, names):
@@ -196,12 +201,12 @@ def reference_well_conditioned(system):
 
 
 def test_well_conditioned_chart_is_shared_and_equal_to_reference():
+    # The relabeling shares its chart's turning data, computed once.
     rng = np.random.default_rng(41)
     for _ in range(60):
         system = random_slope_system(rng, int(rng.integers(3, 15)))
         chart = build_chart(system)
-        shared = chart.well_conditioned
-        assert shared is chart.well_conditioned
+        shared = well_conditioned_chart(system)
         expected = reference_well_conditioned(system)
         assert np.array_equal(shared.system.angles, expected.system.angles)
         assert np.array_equal(shared.unit_perimeters, expected.unit_perimeters)
@@ -211,8 +216,6 @@ def test_well_conditioned_chart_is_shared_and_equal_to_reference():
         assert shared.right_turns == expected.right_turns == chart.right_turns
         assert shared.angle_sum == chart.angle_sum
         assert not shared.unit_perimeters.flags.writeable
-        public = well_conditioned_chart(system)
-        assert np.array_equal(public.unit_perimeters, expected.unit_perimeters)
 
 
 def check_family_rows(report):
