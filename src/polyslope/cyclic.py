@@ -14,12 +14,14 @@ The area index is computed numerically on the space of polygons with fixed
 edge lengths, charted by edge direction angles with the first angle frozen:
 the closure condition is the constraint, and one SVD of its Jacobian at the
 critical point gives both the least-squares Lagrange multipliers and the
-orthonormal basis of its null space that the Hessian is projected onto.
+orthonormal basis of its null space that the Lagrangian, assembled in place
+from the edge vectors, is projected onto.  The dual perimeter index is read
+off the chart of the dual slopes.
 """
 
 import functools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -41,12 +43,13 @@ from .geometry import (
     PolygonChain,
     SlopeSystem,
     _cycled,
+    half_signs,
     integral_ratio,
     signed_perimeters,
     tangential_polygons,
 )
 from .slope_space import build_chart
-from .tangential import morse_index_formula, sign_count_index, tangential_critical_points
+from .tangential import exceptional_mask, sign_count_index, turn_formula_index
 from .tolerances import DEFAULT_TOL, Tolerances
 
 
@@ -70,12 +73,14 @@ class CyclicPolygon:
     ``phis`` are reduced to [0, 2pi) as :class:`SlopeSystem` stores slopes
     (a remainder that rounds up to 2pi is 0.0), so the vertices, from their
     cos and sin, and the invariants, from their differences, read one polygon.
-    The invariants and the dual slopes are computed on first read and kept.
+    ``arcs[i]``, from vertex i to i + 1 in [0, 2pi), is kept from the check;
+    the invariants and the dual slopes are computed on first read and kept.
     """
 
     center: np.ndarray
     radius: float
     phis: np.ndarray
+    arcs: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         center = np.asarray(self.center, dtype=float)
@@ -95,13 +100,16 @@ class CyclicPolygon:
         object.__setattr__(self, "radius", float(self.radius))
         object.__setattr__(self, "phis", phis)
         arcs = (_cycled(phis) - phis) % TWO_PI
-        for i, arc in enumerate(arcs):
-            if min(arc, TWO_PI - arc) < DEFAULT_TOL.parallel:
-                raise CoincidentVertices(f"vertices {i} and {(i + 1) % len(phis)} coincide")
-            if abs(arc - math.pi) <= 2.0 * ANTIPODAL:
-                raise AntipodalVertices(
-                    f"vertices {i} and {(i + 1) % len(phis)} are antipodal"
-                )
+        arcs.setflags(write=False)
+        object.__setattr__(self, "arcs", arcs)
+        coincident = np.minimum(arcs, TWO_PI - arcs) < DEFAULT_TOL.parallel
+        faults = coincident | (np.abs(arcs - math.pi) <= 2.0 * ANTIPODAL)
+        if faults.any():
+            i = int(np.argmax(faults))
+            pair = f"vertices {i} and {(i + 1) % len(phis)}"
+            if coincident[i]:
+                raise CoincidentVertices(f"{pair} coincide")
+            raise AntipodalVertices(f"{pair} are antipodal")
 
     @classmethod
     def from_degrees(cls, radius: float, phis_deg, center=(0.0, 0.0)) -> "CyclicPolygon":
@@ -117,7 +125,8 @@ class CyclicPolygon:
 
     @functools.cached_property
     def polygon(self) -> PolygonChain:
-        return PolygonChain(_circle_points(self.center, self.radius, self.phis))
+        unit = np.column_stack([np.cos(self.phis), np.sin(self.phis)])
+        return PolygonChain(self.center + self.radius * unit)
 
     @functools.cached_property
     def invariants(self) -> "CyclicInvariants":
@@ -127,10 +136,6 @@ class CyclicPolygon:
     def dual_slopes(self) -> SlopeSystem:
         """Slopes of the :func:`dual_polygon`: the tangent directions phi + pi/2."""
         return SlopeSystem.from_angles((self.phis + 0.5 * math.pi) % TWO_PI)
-
-
-def _circle_points(center, radius, phis) -> np.ndarray:
-    return center + radius * np.column_stack([np.cos(phis), np.sin(phis)])
 
 
 @dataclass(frozen=True, eq=False)
@@ -191,7 +196,7 @@ def cyclic_invariants(cyclic: CyclicPolygon) -> CyclicInvariants:
     is positively oriented, arc - 2*pi otherwise) and must come out integral;
     it coincides with the geometric winding number around the center.
     """
-    arcs = (_cycled(cyclic.phis) - cyclic.phis) % TWO_PI
+    arcs = cyclic.arcs
     forward = arcs < math.pi
     orientations = np.where(forward, 1, -1)
     half_angles = np.minimum(arcs, TWO_PI - arcs) / 2.0
@@ -256,61 +261,36 @@ def dual_polygon(cyclic: CyclicPolygon, tol: Tolerances = DEFAULT_TOL) -> DualPo
 # ---------------------------------------------------------------------------
 
 
-def _edge_vectors(lengths: np.ndarray, thetas: np.ndarray) -> np.ndarray:
-    return lengths[:, None] * np.column_stack([np.cos(thetas), np.sin(thetas)])
-
-
-def _rot90(vectors: np.ndarray) -> np.ndarray:
-    return np.column_stack([-vectors[:, 1], vectors[:, 0]])
-
-
 def _head_differences(w: np.ndarray) -> np.ndarray:
     """Row j, for j < n - 1: the sum of w_i over i < j minus that over j < i <= n - 2."""
     head = w[:-1]
-    prefix = np.vstack([np.zeros(2), np.cumsum(head[:-1], axis=0)])
+    prefix = np.zeros_like(head)
+    np.cumsum(head[:-1], axis=0, out=prefix[1:])
     after = head.sum(axis=0) - prefix - head
     return prefix - after
 
 
-def _area_gradient(w: np.ndarray, diff: np.ndarray) -> np.ndarray:
-    """Gradient, in all edge angles, of the shoelace area of the chain of
-    edge vectors w started at the origin and closed by a chord, diff their
-    :func:`_head_differences`.  The chord-closed area equals the polygon's
-    area where the edges close, and the last edge drops out of it."""
-    wp = _rot90(w)[:-1]
-    grad = np.zeros(len(w))
-    grad[:-1] = 0.5 * (diff[:, 0] * wp[:, 1] - diff[:, 1] * wp[:, 0])
-    return grad
+def _critical_frame(w: np.ndarray):
+    """(residual, diff, basis, multipliers) of the area at the chain of edge
+    vectors w in the free angles theta_2, ..., theta_n.
 
-
-def _area_hessian(w: np.ndarray, diff: np.ndarray) -> np.ndarray:
-    """Hessian, in all edge angles, of the chord-closed area of
-    :func:`_area_gradient`."""
-    n = len(w)
-    x, y = w[:-1, 0], w[:-1, 1]
-    # Off the diagonal, cross(w_j', w_k') equals cross(w_j, w_k).
-    upper = np.triu(0.5 * (np.outer(x, y) - np.outer(y, x)), 1)
-    hess = np.zeros((n, n))
-    hess[:-1, :-1] = upper + upper.T
-    hess[np.arange(n - 1), np.arange(n - 1)] = -0.5 * (diff[:, 0] * y - diff[:, 1] * x)
-    return hess
-
-
-def _tangent_frame(w: np.ndarray, grad: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Null-space basis of the closure Jacobian J on the free angles, and the
-    Lagrange multipliers of ``grad``, from one SVD J = U S V^T.
-
-    w are the edge vectors and ``grad`` the area gradient in the free angles.
-    The rank is cut at max(s) * eps * max(shape).  The basis is the trailing
-    right singular vectors; the multipliers lambda = U S^+ V^T grad are the
-    least-squares solution of J^T lambda = grad of least norm, the solve an
-    SVD gives (Golub and Van Loan, Matrix Computations, sec. 5.5).
+    The area is that of the chain started at the origin and closed by a
+    chord, the polygon's where the edges close; the last edge drops out of
+    it.  ``diff`` is rows 2..n-1 of :func:`_head_differences`.  One SVD
+    J = U S V^T of the closure Jacobian, rank cut at max(s) eps max(shape),
+    gives the null-space basis and the least-squares multipliers
+    lambda = U S^+ V^T grad of least norm (Golub and Van Loan, Matrix
+    Computations, sec. 5.5); the residual is the gradient's norm on the basis.
     """
-    jac = _rot90(w).T[:, 1:]
-    u, s, vh = np.linalg.svd(jac)
-    rank = np.count_nonzero(s > s[0] * EPS * max(jac.shape))
+    diff = _head_differences(w)[1:]
+    x, y = w[1:, 0], w[1:, 1]
+    grad = np.zeros(len(x))
+    grad[:-1] = 0.5 * (diff[:, 0] * x[:-1] + diff[:, 1] * y[:-1])
+    u, s, vh = np.linalg.svd(np.array([-y, x]))
+    rank = np.count_nonzero(s > s[0] * EPS * len(x))
     multipliers = u[:, :rank] @ ((vh[:rank] @ grad) / s[:rank])
-    return vh[rank:].T, multipliers
+    projected = vh[rank:] @ grad
+    return math.sqrt(projected.dot(projected)), diff, vh[rank:].T, multipliers
 
 
 def area_criticality_residual(polygon: PolygonChain, lengths) -> float:
@@ -327,10 +307,8 @@ def area_criticality_residual(polygon: PolygonChain, lengths) -> float:
     scale = float(np.sum(lengths)) + float(np.max(np.abs(polygon.vertices)))
     if not float(np.max(np.abs(actual - lengths))) <= 64.0 * EPS * scale:
         raise LengthMismatch("vertices do not realize the prescribed edge lengths")
-    w = _edge_vectors(lengths, polygon.edge_angles)
-    grad = _area_gradient(w, _head_differences(w))[1:]
-    basis, _ = _tangent_frame(w, grad)
-    return float(np.linalg.norm(basis.T @ grad))
+    thetas = polygon.edge_angles
+    return _critical_frame(lengths[:, None] * np.column_stack([np.cos(thetas), np.sin(thetas)]))[0]
 
 
 def area_morse_index_numeric(cyclic: CyclicPolygon) -> int:
@@ -341,7 +319,10 @@ def area_morse_index_numeric(cyclic: CyclicPolygon) -> int:
     and counts its negative eigenvalues.  The edge vectors, read once off the
     vertices, serve the gradient and the Hessian, and one SVD of the
     constraint Jacobian gives both B and the multipliers
-    (:func:`_tangent_frame`).  An
+    (:func:`_critical_frame`).  L is assembled in place: off its diagonal,
+    d^2 A / d theta_j d theta_k = 1/2 cross(w_j, w_k) sign(k - j) for
+    j, k < n (the shared :func:`~polyslope.geometry.half_signs` table), and
+    the closure Hessian is diagonal, d^2 w_i / d theta_i^2 = -w_i.  An
     eigenvalue within the roundoff bound 500 * n * eps * max|L| of zero
     raises DegenerateCritical (the bifurcation signature).  The bound is
     relative to L, not to the projected matrix, which is 1 x 1 at n = 4.  Its constant is measured on seeded
@@ -357,23 +338,24 @@ def area_morse_index_numeric(cyclic: CyclicPolygon) -> int:
     so its edges are the differences of its vertices, as :class:`PolygonChain`
     reads them, without that class's check.
     """
-    vertices = _circle_points(np.zeros(2), 1.0, cyclic.phis)
+    vertices = np.array([np.cos(cyclic.phis), np.sin(cyclic.phis)]).T
     w = _cycled(vertices) - vertices
-    lengths = np.hypot(w[:, 0], w[:, 1])
-    diff = _head_differences(w)
-    grad = _area_gradient(w, diff)[1:]
-    basis, multipliers = _tangent_frame(w, grad)
-    scale = max(1.0, float(np.sum(lengths)) ** 2)
-    residual = float(np.linalg.norm(basis.T @ grad))
+    residual, diff, basis, multipliers = _critical_frame(w)
+    scale = max(1.0, float(np.hypot(w[:, 0], w[:, 1]).sum()) ** 2)
     if residual > 1e-8 * scale:
         raise NotCritical(f"cyclic polygon fails the criticality test ({residual!r})")
     if basis.shape[1] == 0:
         return 0  # a triangle is rigid: the area has no direction to move in
-    # The closure Hessian is diagonal: d^2 w_i / d theta_i^2 = -w_i.
-    lagrangian = _area_hessian(w, diff)[1:, 1:] + np.diag(w[1:] @ multipliers)
+    m = len(diff)  # the free angles but the last, which the area does not see
+    x, y = w[1:-1, 0], w[1:-1, 1]
+    lagrangian = np.zeros((m + 1, m + 1))
+    np.multiply(x[:, None] * y - y[:, None] * x, half_signs(m), out=lagrangian[:-1, :-1])
+    diagonal = w[1:] @ multipliers
+    diagonal[:-1] -= 0.5 * (diff[:, 0] * y - diff[:, 1] * x)
+    lagrangian.flat[:: m + 2] = diagonal
     eigenvalues = np.linalg.eigvalsh(basis.T @ lagrangian @ basis)
-    bound = 500.0 * cyclic.n * EPS * float(np.max(np.abs(lagrangian)))
-    if np.any(np.abs(eigenvalues) <= bound):
+    bound = 500.0 * cyclic.n * EPS * float(np.abs(lagrangian).max())
+    if (np.abs(eigenvalues) <= bound).any():
         raise DegenerateCritical(f"area Hessian eigenvalue within roundoff bound {bound!r}")
     return int(np.count_nonzero(eigenvalues < 0))
 
@@ -402,10 +384,11 @@ def duality_index_check(
     reports and sweeps read its result.  The dual polygon is tangential with
     positive inradius, hence (after the area normalization, which leaves the
     index unchanged) it is the positive critical point of the perimeter for
-    its own slope system; its index is the exact sign count of
-    :func:`sign_count_index`, cross-checked against the turn/winding formula.
-    A dual slope system with parallel lines or an exceptional one has no
-    such index, and the report says why in ``dual_note``.
+    its own slope system; its index is read off that system's chart, by the
+    exact sign count of :func:`sign_count_index`, and cross-checked against
+    the turn/winding formula :func:`turn_formula_index`.  A dual slope system
+    with parallel lines or an exceptional one has no such index, and the
+    report says why in ``dual_note``.
     """
     # The test goes first: on the bifurcation locus the numeric route would
     # only see a degenerate Hessian.
@@ -415,17 +398,17 @@ def duality_index_check(
     mu_numeric = area_morse_index_numeric(cyclic)
     mu_dual, note = None, None
     try:
-        points = tangential_critical_points(build_chart(cyclic.dual_slopes, tol))
+        chart = build_chart(cyclic.dual_slopes, tol)
         reason = "dual slope system is exceptional"
     except ParallelLines as exc:
-        points, reason = (), str(exc)
-    if points:
-        positive, chart = points[0], points[0].chart  # the point of inradius r > 0
-        mu_dual = int(sign_count_index(chart.unit_perimeters, chart.perimeter_sum, 1.0))
-        if mu_dual != morse_index_formula(positive):
-            raise DegenerateCritical("dual index routes disagree")
-    else:
+        chart, reason = None, str(exc)
+    if chart is None or exceptional_mask(chart.unit_perimeters, chart.perimeter_sum, tol):
         note = f"dual perimeter index unavailable: {reason}"
+    else:
+        # The dual polygon is the critical point of inradius r > 0.
+        mu_dual = chart.n - 3 - int(sign_count_index(chart.unit_perimeters, chart.perimeter_sum))
+        if mu_dual != turn_formula_index(chart, 1.0):
+            raise DegenerateCritical("dual index routes disagree")
     return DualityReport(
         mu_area_numeric=mu_numeric,
         mu_area_formula=mu_formula,

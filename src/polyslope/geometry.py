@@ -302,11 +302,19 @@ def edge_lengths_along(vertices: np.ndarray, angles) -> np.ndarray:
     return edges[..., 0] * np.cos(angles) + edges[..., 1] * np.sin(angles)
 
 
+@functools.lru_cache(maxsize=None)
+def half_signs(n: int) -> np.ndarray:
+    """The read-only (n, n) table 1/2 sign(j - i), shared by every caller."""
+    order = np.arange(n)
+    table = 0.5 * np.sign(order - order[:, None])
+    table.setflags(write=False)
+    return table
+
+
 def area_form(angles: np.ndarray) -> np.ndarray:
     """The (n, n) matrix Q with oriented area 1/2 l^T Q l for the polygon of
     edges l_i u_i: Q_ij = 1/2 cross(u_i, u_j) sign(j - i), zero diagonal."""
-    order = np.arange(len(angles))
-    return 0.5 * np.sin(angles - angles[:, None]) * np.sign(order - order[:, None])
+    return np.sin(angles - angles[:, None]) * half_signs(len(angles))
 
 
 def oriented_areas(vertices: np.ndarray) -> np.ndarray:

@@ -264,7 +264,8 @@ def _family_rows(start, end, steps, tol) -> list[dict]:
             reasons[i] = str(exc)
     exceptional_rows = exceptional_mask(perimeters, sums, tol).tolist()
     # The two critical points, of inradius +r and -r, have the area sign of sum p.
-    indices = zip(*(sign_count_index(perimeters, sums, r).tolist() for r in (1.0, -1.0)))
+    negatives = sign_count_index(perimeters, sums)
+    indices = zip((len(start) - 3 - negatives).tolist(), negatives.tolist())
     rows = []
     for i, (t, angles, total, index_pair) in enumerate(
         zip(ts, degrees.tolist(), sums.tolist(), indices)

@@ -175,19 +175,24 @@ def hessian_det_identity(point: TangentialCritical) -> tuple[float, float]:
     return hessian_det_identities((point,))[0]
 
 
-def morse_index_formula(point: TangentialCritical) -> int:
-    """Morse index from turn counts, winding and perimeter sign alone."""
-    chart = point.chart
-    perimeter_positive = 1 if point.perimeter > 0 else 0
-    if point.inradius > 0:
+def turn_formula_index(chart: RadiiChart, inradius: float) -> int:
+    """Morse index from turn counts, winding and perimeter sign alone, of the
+    critical point of ``chart`` of inradius sign(inradius), perimeter r sum p."""
+    perimeter_positive = 1 if inradius * chart.perimeter_sum > 0 else 0
+    if inradius > 0:
         return chart.right_turns - 1 + 2 * chart.winding - perimeter_positive
     return chart.left_turns - 1 - 2 * chart.winding - perimeter_positive
 
 
-def sign_count_index(unit_perimeters: np.ndarray, perimeter_sum, inradius: float):
-    """Negative eigenvalues of the Hessian at the critical point of signed
-    inradius ``inradius``, decided by signs alone, along the last axis of a
-    stack of unit perimeters.
+def morse_index_formula(point: TangentialCritical) -> int:
+    """:func:`turn_formula_index` of one point."""
+    return turn_formula_index(point.chart, point.inradius)
+
+
+def sign_count_index(unit_perimeters: np.ndarray, perimeter_sum):
+    """Negative eigenvalues of the Hessian at the critical point of inradius
+    r < 0, decided by signs alone, along the last axis of a stack of unit
+    perimeters; the point of r > 0 has n - 3 minus that many.
 
     With t = (p_2, ..., p_{n-2}) and D = diag(t) the Hessian is
     H = -(D + t t^T / p_1) / r.  The bordered matrix [[-p_1, t^T], [t, D]]
@@ -202,21 +207,22 @@ def sign_count_index(unit_perimeters: np.ndarray, perimeter_sum, inradius: float
     eigenvalue threshold decides it.
     """
     p = unit_perimeters
-    negatives = (p[..., 1:] < 0).sum(axis=-1) + (perimeter_sum > 0) - (p[..., 0] > 0)
-    return negatives if inradius < 0 else p.shape[-1] - 1 - negatives
+    return (p[..., 1:] < 0).sum(axis=-1) + (perimeter_sum > 0) - (p[..., 0] > 0)
 
 
 def index_reports(points: Sequence[TangentialCritical]) -> list[IndexReport]:
     """Morse index of each critical point of one chart from the inertia of
     its Hessian (see :func:`sign_count_index`), with the turn/winding formula
     as its cross-check and the Hessian's eigenvalues for inspection.  The
-    points' Hessians are one stack with one eigenvalue call."""
+    points' Hessians are one stack with one eigenvalue call, and the count
+    is taken once for the chart."""
     chart = _shared_chart(points)
     radii = np.array([point.inradius for point in points])
     eigenvalues = np.linalg.eigvalsh(hessian_formula(chart.unit_perimeters, radii))
+    negatives = int(sign_count_index(chart.unit_perimeters, chart.perimeter_sum))
     reports = []
     for point, values in zip(points, eigenvalues):
-        index = int(sign_count_index(chart.unit_perimeters, chart.perimeter_sum, point.inradius))
+        index = negatives if point.inradius < 0 else chart.n - 3 - negatives
         formula = morse_index_formula(point)
         report = IndexReport(
             index_eigen=index, index_formula=formula, eigenvalues=values, agreement=index == formula

@@ -1,12 +1,65 @@
 """The edge-angle chart of polygons with fixed edge lengths, as functions of
-(lengths, thetas): the references through which the tests check
-``cyclic._area_gradient`` and ``_area_hessian`` and the closure Jacobian,
-against central differences of :func:`chain_area` and :func:`closure_residual`.
+(lengths, thetas): the area gradient and Hessian of the chord-closed chain in
+all edge angles, the closure Jacobian, and the SVD frame on the free angles.
+The tests check them against loops and central differences of
+:func:`chain_area` and :func:`closure_residual`, and
+``cyclic.area_morse_index_numeric``, which assembles its Lagrangian in place,
+against them.
 """
 
 import numpy as np
 
-from polyslope.cyclic import _area_gradient, _area_hessian, _edge_vectors, _head_differences, _rot90
+from polyslope.cyclic import _head_differences
+from polyslope.errors import DegenerateCritical, NotCritical
+from polyslope.geometry import EPS
+
+
+def _edge_vectors(lengths: np.ndarray, thetas: np.ndarray) -> np.ndarray:
+    return lengths[:, None] * np.column_stack([np.cos(thetas), np.sin(thetas)])
+
+
+def _rot90(vectors: np.ndarray) -> np.ndarray:
+    return np.column_stack([-vectors[:, 1], vectors[:, 0]])
+
+
+def _area_gradient(w: np.ndarray, diff: np.ndarray) -> np.ndarray:
+    """Gradient, in all edge angles, of the shoelace area of the chain of
+    edge vectors w started at the origin and closed by a chord, diff their
+    ``_head_differences``.  The chord-closed area equals the polygon's
+    area where the edges close, and the last edge drops out of it."""
+    wp = _rot90(w)[:-1]
+    grad = np.zeros(len(w))
+    grad[:-1] = 0.5 * (diff[:, 0] * wp[:, 1] - diff[:, 1] * wp[:, 0])
+    return grad
+
+
+def _area_hessian(w: np.ndarray, diff: np.ndarray) -> np.ndarray:
+    """Hessian, in all edge angles, of the chord-closed area of
+    :func:`_area_gradient`."""
+    n = len(w)
+    x, y = w[:-1, 0], w[:-1, 1]
+    # Off the diagonal, cross(w_j', w_k') equals cross(w_j, w_k).
+    upper = np.triu(0.5 * (np.outer(x, y) - np.outer(y, x)), 1)
+    hess = np.zeros((n, n))
+    hess[:-1, :-1] = upper + upper.T
+    hess[np.arange(n - 1), np.arange(n - 1)] = -0.5 * (diff[:, 0] * y - diff[:, 1] * x)
+    return hess
+
+
+def _tangent_frame(w: np.ndarray, grad: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Null-space basis of the closure Jacobian J on the free angles, and the
+    Lagrange multipliers of ``grad``, from one SVD J = U S V^T.
+
+    w are the edge vectors and ``grad`` the area gradient in the free angles.
+    The rank is cut at max(s) * eps * max(shape).  The basis is the trailing
+    right singular vectors; the multipliers lambda = U S^+ V^T grad are the
+    least-squares solution of J^T lambda = grad of least norm.
+    """
+    jac = _rot90(w).T[:, 1:]
+    u, s, vh = np.linalg.svd(jac)
+    rank = np.count_nonzero(s > s[0] * EPS * max(jac.shape))
+    multipliers = u[:, :rank] @ ((vh[:rank] @ grad) / s[:rank])
+    return vh[rank:].T, multipliers
 
 
 def closure_residual(lengths: np.ndarray, thetas: np.ndarray) -> np.ndarray:
@@ -41,3 +94,28 @@ def chain_area_hessian(lengths: np.ndarray, thetas: np.ndarray) -> np.ndarray:
     """Hessian of the chord-closed area with respect to all edge angles."""
     w = _edge_vectors(lengths, thetas)
     return _area_hessian(w, _head_differences(w))
+
+
+def reference_area_eigenvalues(phis: np.ndarray) -> np.ndarray:
+    """The projected Lagrangian eigenvalues that ``area_morse_index_numeric``
+    counts at the vertex angles ``phis`` (radians) on the unit circle, none
+    for a triangle, with its two errors and their messages.  The Lagrangian
+    is the full-angle :func:`_area_hessian` sliced to the free angles plus the
+    diagonal closure term, on :func:`_tangent_frame`'s basis and multipliers."""
+    vertices = np.column_stack([np.cos(phis), np.sin(phis)])
+    w = np.roll(vertices, -1, axis=0) - vertices
+    diff = _head_differences(w)
+    grad = _area_gradient(w, diff)[1:]
+    basis, multipliers = _tangent_frame(w, grad)
+    scale = max(1.0, float(np.sum(np.hypot(w[:, 0], w[:, 1]))) ** 2)
+    residual = float(np.linalg.norm(basis.T @ grad))
+    if residual > 1e-8 * scale:
+        raise NotCritical(f"cyclic polygon fails the criticality test ({residual!r})")
+    if basis.shape[1] == 0:
+        return np.zeros(0)
+    lagrangian = _area_hessian(w, diff)[1:, 1:] + np.diag(w[1:] @ multipliers)
+    eigenvalues = np.linalg.eigvalsh(basis.T @ lagrangian @ basis)
+    bound = 500.0 * len(phis) * EPS * float(np.max(np.abs(lagrangian)))
+    if np.any(np.abs(eigenvalues) <= bound):
+        raise DegenerateCritical(f"area Hessian eigenvalue within roundoff bound {bound!r}")
+    return eigenvalues

@@ -102,7 +102,8 @@ def _sequential_step(start, end, t, tol):
         step["exceptional"] = False
         step["critical_points"] = 2
         step["area_sign"] = int(math.copysign(1.0, chart.perimeter_sum))
-        step["indices"] = [int(sign_count_index(p, total, r)) for r in (1.0, -1.0)]
+        negatives = int(sign_count_index(p, total))
+        step["indices"] = [chart.n - 3 - negatives, negatives]
     return step
 
 

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 import polyslope.cyclic as cyclic_module
+import polyslope.tangential as tangential_module
 
 from polyslope import (
     AntipodalVertices,
@@ -29,6 +30,7 @@ from polyslope import (
     winding_number,
 )
 from polyslope.geometry import left_normals
+from polyslope.tolerances import DEFAULT_TOL
 from polyslope.randomgen import random_cyclic_polygon, random_star_polygon
 from polyslope.report import cyclic_report
 from polyslope.sweeps import run_sweep
@@ -96,6 +98,42 @@ class TestInvariants:
             CyclicPolygon.from_degrees(1.0, [0, 180.0, 240])
         with pytest.raises(ValueError):
             CyclicPolygon.from_degrees(-1.0, [0, 90, 200])
+
+    def test_vectorized_validation_matches_edge_loop(self):
+        # The arcs are checked in one pass; the first failing edge, and its
+        # error and message, are those of a loop over the edges in order.
+        def loop_outcome(phis):
+            arcs = (np.roll(phis, -1) - phis) % (2.0 * math.pi)
+            for i, arc in enumerate(arcs.tolist()):
+                pair = f"vertices {i} and {(i + 1) % len(phis)}"
+                if min(arc, 2.0 * math.pi - arc) < DEFAULT_TOL.parallel:
+                    return CoincidentVertices, f"{pair} coincide"
+                if abs(arc - math.pi) <= 2.0 * cyclic_module.ANTIPODAL:
+                    return AntipodalVertices, f"{pair} are antipodal"
+            return None
+
+        rng = np.random.default_rng(51)
+        outcomes = set()
+        for _ in range(400):
+            phis = rng.uniform(0.0, 360.0, int(rng.integers(3, 9)))
+            for i in rng.choice(len(phis), size=int(rng.integers(0, 3)), replace=False):
+                gap = rng.choice((0.0, 1e-13, 1e-5)) * rng.choice((-1.0, 1.0))
+                phis[i] = phis[i - 1] + 180.0 * int(rng.integers(0, 2)) + gap
+            try:
+                cyclic = CyclicPolygon.from_degrees(1.0, phis)
+            except (CoincidentVertices, AntipodalVertices) as exc:
+                outcome = (type(exc), str(exc))
+            else:
+                outcome = None
+                assert not cyclic.arcs.flags.writeable
+                assert np.array_equal(
+                    cyclic.arcs, (np.roll(cyclic.phis, -1) - cyclic.phis) % (2.0 * math.pi)
+                )
+            reduced = np.radians(phis) % (2.0 * math.pi)
+            reduced[reduced == 2.0 * math.pi] = 0.0
+            assert outcome == loop_outcome(reduced), phis
+            outcomes.add(None if outcome is None else outcome[0])
+        assert outcomes == {None, CoincidentVertices, AntipodalVertices}
 
 
 class TestDualPolygon:
@@ -416,18 +454,18 @@ class TestDuality:
 
     def test_each_index_computed_once(self, monkeypatch):
         # One SVD frame per index, whose SVD gives the multipliers, so no
-        # least-squares solve runs; the edge vectors are the vertex
-        # differences, not rebuilt from lengths and angles.
+        # least-squares solve runs, and whose edges are the vertex
+        # differences; the dual index is read off one chart of the dual
+        # slopes, and no critical point is built for it.
         numeric = count_calls(monkeypatch, cyclic_module, "area_morse_index_numeric")
-        frames = count_calls(monkeypatch, cyclic_module, "_tangent_frame")
-        edges = count_calls(monkeypatch, cyclic_module, "_edge_vectors")
+        frames = count_calls(monkeypatch, cyclic_module, "_critical_frame")
+        points = count_calls(monkeypatch, tangential_module, "tangential_critical_points")
         solves, lstsq = [], np.linalg.lstsq
         monkeypatch.setattr(np.linalg, "lstsq", lambda *a, **k: solves.append(1) or lstsq(*a, **k))
         cyclic_report(1.0, [0, 144, 288, 72, 216])
-        assert (len(numeric), len(frames), len(edges), len(solves)) == (1, 1, 0, 0)
+        assert (len(numeric), len(frames), len(points), len(solves)) == (1, 1, 0, 0)
         result = run_sweep(1, 20)
         tally = next(t for t in result.tallies if t.name == "cyclic_indices")
         assert tally.passed + tally.failed > 0
         assert len(numeric) - 1 == len(frames) - 1 == tally.passed + tally.failed
-        assert len(edges) == 0
         assert len(solves) == 0

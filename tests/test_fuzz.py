@@ -46,7 +46,13 @@ from polyslope.tangential import (
     tangential_residual,
 )
 
-from area_chart import chain_area_gradient, chain_area_hessian, closure_jacobian
+from area_chart import (
+    chain_area_gradient,
+    chain_area_hessian,
+    closure_jacobian,
+    reference_area_eigenvalues,
+)
+from families import near_bifurcation_phis
 
 COUNT = 1500
 
@@ -318,3 +324,54 @@ def test_area_index_equals_lstsq_reference(inputs):
         assert area_morse_index_numeric(cyclic) == lstsq_area_index(cyclic), phis
         indices += 1
     assert indices > 900
+
+
+def near_bifurcation_sets():
+    """Vertex angles of near-bifurcating cyclic polygons, ten in each band of
+    |B| / sum|tan alpha|: roots to working precision, inside the default
+    band and just outside it."""
+    rng = np.random.default_rng(33)
+    bands = ((0.0, 0.0), (1e-12, 1e-10), (1e-9, 1e-7))
+    return [
+        near_bifurcation_phis(rng, int(rng.integers(4, 8)), *band)
+        for band in bands
+        for _ in range(10)
+    ]
+
+
+@pytest.mark.parametrize(
+    ("inputs", "kinds"),
+    [
+        (lambda: ANGLES[COUNT:], {0, 1}),
+        (near_bifurcation_sets, {1, "DegenerateCritical"}),
+        (lambda: [[10.0, 130.0, 250.0]], {0}),
+    ],
+    ids=["fuzz", "near_bifurcation", "triangle"],
+)
+def test_area_index_equals_full_hessian_reference(monkeypatch, inputs, kinds):
+    # The Lagrangian assembled in place gives the reference's projected
+    # eigenvalues bit for bit, and where either raises, the same error.
+    # ``kinds`` are the outcomes the set must reach: eigvalsh calls per
+    # index (none for a triangle) or the errors' names.
+    seen, eigvalsh = [], np.linalg.eigvalsh
+    monkeypatch.setattr(np.linalg, "eigvalsh", lambda a: seen.append(eigvalsh(a)) or seen[-1])
+    outcomes = set()
+    for phis in inputs():
+        try:
+            cyclic = CyclicPolygon.from_degrees(1.0, phis)
+        except InputError:
+            continue
+        try:
+            expected = reference_area_eigenvalues(cyclic.phis)
+        except (NotCritical, DegenerateCritical) as exc:
+            with pytest.raises(type(exc)) as raised:
+                area_morse_index_numeric(cyclic)
+            assert type(raised.value) is type(exc) and str(raised.value) == str(exc), phis
+            outcomes.add(type(exc).__name__)
+            continue
+        seen.clear()
+        index = area_morse_index_numeric(cyclic)
+        assert (seen[0] if seen else np.zeros(0)).tobytes() == expected.tobytes(), phis
+        assert index == np.count_nonzero(expected < 0)
+        outcomes.add(len(seen))
+    assert outcomes == kinds

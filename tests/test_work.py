@@ -7,7 +7,8 @@ chart and builds both critical points' polygons as one vertex stack from one
 builds their Hessians as one closed-form stack with one eigenvalue call; the
 index-agreement and determinant trials read the same stack, with one
 eigenvalue or determinant call, and no point's own Hessian.
-A cyclic report computes its invariants and its dual slopes once.  Counters
+A cyclic report computes its invariants and its dual slopes once, and its
+indices with one SVD, one eigenvalue call and one chart.  Counters
 wrap functions such as ``geometry.tangential_polygon`` and
 ``slope_space.build_chart`` in every ``polyslope`` module that holds them,
 and ``numpy.linalg``'s ``eigvalsh`` and ``det``.  The routes these shortcuts replace
@@ -371,6 +372,30 @@ def test_cyclic_report_computes_invariants_and_dual_once(monkeypatch):
         "require_distinct": 1,
     }
     assert systems[0] == 1
+
+
+@pytest.mark.parametrize(
+    "phis", [[0.0, 70.0, 150.0, 220.0, 290.0], [0.0, 144.0, 288.0, 72.0, 216.0]]
+)
+def test_cyclic_report_makes_one_svd_eigvalsh_and_chart(monkeypatch, phis):
+    # The numeric area index takes one SVD frame and one eigenvalue call; the
+    # dual index is read off one chart of the dual slopes, whose critical
+    # point of r > 0 is the dual polygon, so no TangentialCritical is built.
+    linalg = counted_linalg(monkeypatch, ("svd", "eigvalsh"))
+    charts = counted(monkeypatch, (build_chart,))
+    made = [0]
+    init = TangentialCritical.__init__
+
+    def counted_init(self, *args, **kwargs):
+        made[0] += 1
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(TangentialCritical, "__init__", counted_init)
+    report = cyclic_report(1.0, phis)
+    assert report["indices"]["mu_dual_perimeter"] is not None
+    assert linalg == {"svd": 1, "eigvalsh": 1}
+    assert charts == {"build_chart": 1}
+    assert made[0] == 0
 
 
 def test_chart_identity_trial_reconstructs_one_stack(monkeypatch):
