@@ -12,11 +12,11 @@ which ties the two Morse theories together.
 
 The area index is computed numerically on the space of polygons with fixed
 edge lengths, charted by edge direction angles with the first angle frozen:
-the closure condition is the constraint, and one SVD of its Jacobian at the
-critical point gives both the least-squares Lagrange multipliers and the
-orthonormal basis of its null space that the Lagrangian, assembled in place
-from the edge vectors, is projected onto.  The dual perimeter index is read
-off the chart of the dual slopes.
+the closure condition is the constraint, one SVD of its Jacobian gives the
+orthonormal basis of its null space (``geometry.closure_basis``), and the
+Lagrangian of the polygon's area, assembled in place from the edge vectors
+with the closure multiplier in closed form, is projected onto it.  The dual
+perimeter index is read off the chart of the dual slopes.
 """
 
 import functools
@@ -43,6 +43,7 @@ from .geometry import (
     PolygonChain,
     SlopeSystem,
     _cycled,
+    closure_basis,
     half_signs,
     integral_ratio,
     signed_perimeters,
@@ -261,36 +262,13 @@ def dual_polygon(cyclic: CyclicPolygon, tol: Tolerances = DEFAULT_TOL) -> DualPo
 # ---------------------------------------------------------------------------
 
 
-def _head_differences(w: np.ndarray) -> np.ndarray:
-    """Row j, for j < n - 1: the sum of w_i over i < j minus that over j < i <= n - 2."""
-    head = w[:-1]
-    prefix = np.zeros_like(head)
-    np.cumsum(head[:-1], axis=0, out=prefix[1:])
-    after = head.sum(axis=0) - prefix - head
-    return prefix - after
-
-
-def _critical_frame(w: np.ndarray):
-    """(residual, diff, basis, multipliers) of the area at the chain of edge
-    vectors w in the free angles theta_2, ..., theta_n.
-
-    The area is that of the chain started at the origin and closed by a
-    chord, the polygon's where the edges close; the last edge drops out of
-    it.  ``diff`` is rows 2..n-1 of :func:`_head_differences`.  One SVD
-    J = U S V^T of the closure Jacobian, rank cut at max(s) eps max(shape),
-    gives the null-space basis and the least-squares multipliers
-    lambda = U S^+ V^T grad of least norm (Golub and Van Loan, Matrix
-    Computations, sec. 5.5); the residual is the gradient's norm on the basis.
-    """
-    diff = _head_differences(w)[1:]
-    x, y = w[1:, 0], w[1:, 1]
-    grad = np.zeros(len(x))
-    grad[:-1] = 0.5 * (diff[:, 0] * x[:-1] + diff[:, 1] * y[:-1])
-    u, s, vh = np.linalg.svd(np.array([-y, x]))
-    rank = np.count_nonzero(s > s[0] * EPS * len(x))
-    multipliers = u[:, :rank] @ ((vh[:rank] @ grad) / s[:rank])
-    projected = vh[rank:] @ grad
-    return math.sqrt(projected.dot(projected)), diff, vh[rank:].T, multipliers
+def _area_residual(w: np.ndarray, basis: np.ndarray) -> float:
+    """Norm on ``basis`` of the gradient, in theta_2, ..., theta_n, of the area
+    1/2 sum_{j<k} cross(w_j, w_k) of the edge vectors w: its entry k is
+    1/2 w_k . (sum_{j<k} w_j - sum_{j>k} w_j), from one cumulative sum."""
+    ahead = np.cumsum(w, axis=0)
+    projected = (w * (ahead - 0.5 * (w + ahead[-1]))).sum(axis=1)[1:] @ basis
+    return math.sqrt(projected @ projected)
 
 
 def area_criticality_residual(polygon: PolygonChain, lengths) -> float:
@@ -308,28 +286,32 @@ def area_criticality_residual(polygon: PolygonChain, lengths) -> float:
     if not float(np.max(np.abs(actual - lengths))) <= 64.0 * EPS * scale:
         raise LengthMismatch("vertices do not realize the prescribed edge lengths")
     thetas = polygon.edge_angles
-    return _critical_frame(lengths[:, None] * np.column_stack([np.cos(thetas), np.sin(thetas)]))[0]
+    w = lengths[:, None] * np.column_stack([np.cos(thetas), np.sin(thetas)])
+    return _area_residual(w, closure_basis(w[1:].T))
 
 
 def area_morse_index_numeric(cyclic: CyclicPolygon) -> int:
     """Morse index of the area at the cyclic configuration, by eigenvalue count.
 
-    Builds the projected Hessian B^T L B, L = H_area - lambda . H_closure, in
-    the frozen-first-angle chart, with least-squares Lagrange multipliers,
-    and counts its negative eigenvalues.  The edge vectors, read once off the
-    vertices, serve the gradient and the Hessian, and one SVD of the
-    constraint Jacobian gives both B and the multipliers
-    (:func:`_critical_frame`).  L is assembled in place: off its diagonal,
-    d^2 A / d theta_j d theta_k = 1/2 cross(w_j, w_k) sign(k - j) for
-    j, k < n (the shared :func:`~polyslope.geometry.half_signs` table), and
-    the closure Hessian is diagonal, d^2 w_i / d theta_i^2 = -w_i.  An
-    eigenvalue within the roundoff bound 500 * n * eps * max|L| of zero
-    raises DegenerateCritical (the bifurcation signature).  The bound is
-    relative to L, not to the projected matrix, which is 1 x 1 at n = 4.  Its constant is measured on seeded
-    random polygons, n 4..9: at 360 bifurcation roots bisected to adjacent
-    floats, min|eigenvalue| was at most 27 n eps max|L|; on 360 polygons with
-    1e-9 <= |B| / sum|tan alpha| <= 1e-7, at least 1.0e4 n eps max|L|.  The
-    constant sits about twenty times from each.
+    Projects the Lagrangian L = H_area - lambda . H_closure in the free
+    angles theta_2, ..., theta_n (the first is frozen) onto the null space of
+    the closure Jacobian, :func:`~polyslope.geometry.closure_basis` of the
+    edge vectors, and counts its negative eigenvalues.  The area is the
+    polygon's own, 1/2 sum_{j<k} cross(w_j, w_k), and L is assembled in
+    place: off its diagonal, d^2 A / d theta_j d theta_k = 1/2 cross(w_j,
+    w_k) sign(k - j) (the shared :func:`~polyslope.geometry.half_signs`
+    table).  On a circle about c the area gradient is -w_k . (v_1 - c) =
+    lambda . J w_k, so the closure multiplier is lambda = -J (v_1 - c) in
+    closed form, and with d^2 w_k / d theta_k^2 = -w_k the diagonal comes to
+    cross(v_{k+1} - c, v_k - c) = -R^2 sin(arc_k): no multiplier is solved
+    for.  An eigenvalue within the roundoff bound 500 * n * eps * max|L| of
+    zero raises DegenerateCritical (the bifurcation signature).  The bound
+    is relative to L, not to the projected matrix, which is 1 x 1 at n = 4.
+    Its constant is measured on two seeded samples of random polygons, 60
+    per n for n 4..9: at bifurcation roots bisected to adjacent floats,
+    min|eigenvalue| was at most 20 n eps max|L|; with 1e-9 <= |B| /
+    sum|tan alpha| <= 1e-7, at least 6.2e3 n eps max|L|.  The constant sits
+    25 and 12 times from them.
 
     The index depends on the vertex angles alone, so the polygon is rebuilt
     on the unit circle about the origin: the edge lengths stay of order one
@@ -339,20 +321,18 @@ def area_morse_index_numeric(cyclic: CyclicPolygon) -> int:
     reads them, without that class's check.
     """
     vertices = np.array([np.cos(cyclic.phis), np.sin(cyclic.phis)]).T
-    w = _cycled(vertices) - vertices
-    residual, diff, basis, multipliers = _critical_frame(w)
+    ahead = _cycled(vertices)
+    w = ahead - vertices
+    basis = closure_basis(w[1:].T)
+    residual = _area_residual(w, basis)
     scale = max(1.0, float(np.hypot(w[:, 0], w[:, 1]).sum()) ** 2)
     if residual > 1e-8 * scale:
         raise NotCritical(f"cyclic polygon fails the criticality test ({residual!r})")
     if basis.shape[1] == 0:
         return 0  # a triangle is rigid: the area has no direction to move in
-    m = len(diff)  # the free angles but the last, which the area does not see
-    x, y = w[1:-1, 0], w[1:-1, 1]
-    lagrangian = np.zeros((m + 1, m + 1))
-    np.multiply(x[:, None] * y - y[:, None] * x, half_signs(m), out=lagrangian[:-1, :-1])
-    diagonal = w[1:] @ multipliers
-    diagonal[:-1] -= 0.5 * (diff[:, 0] * y - diff[:, 1] * x)
-    lagrangian.flat[:: m + 2] = diagonal
+    x, y = w[1:, 0], w[1:, 1]
+    lagrangian = (x[:, None] * y - y[:, None] * x) * half_signs(cyclic.n - 1)
+    lagrangian.flat[:: cyclic.n] = ahead[1:, 0] * vertices[1:, 1] - ahead[1:, 1] * vertices[1:, 0]
     eigenvalues = np.linalg.eigvalsh(basis.T @ lagrangian @ basis)
     bound = 500.0 * cyclic.n * EPS * float(np.abs(lagrangian).max())
     if (np.abs(eigenvalues) <= bound).any():

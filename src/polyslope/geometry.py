@@ -317,6 +317,16 @@ def area_form(angles: np.ndarray) -> np.ndarray:
     return np.sin(angles - angles[:, None]) * half_signs(len(angles))
 
 
+def closure_basis(constraints) -> np.ndarray:
+    """Orthonormal basis, one column per vector, of the null space of a (k, n)
+    constraint matrix: the trailing right singular vectors of one SVD, its
+    rank cut at max(s) eps max(k, n) (Golub and Van Loan, Matrix
+    Computations, sec. 5.5), which does not square its conditioning."""
+    constraints = np.asarray(constraints, dtype=float)
+    _, s, vh = np.linalg.svd(constraints)
+    return vh[np.count_nonzero(s > s[0] * EPS * max(constraints.shape)) :].T
+
+
 def oriented_areas(vertices: np.ndarray) -> np.ndarray:
     """Shoelace areas of a (..., m, 2) stack of vertex lists, signed by
     orientation: the integral of the winding number over the plane, so

@@ -36,6 +36,7 @@ from .geometry import (
     SlopeSystem,
     _cycled,
     area_form,
+    closure_basis,
     edge_lengths_along,
     left_normal,
     line_vertices,
@@ -247,11 +248,12 @@ def tangential_residual(chart: RadiiChart, vertices: np.ndarray, inradius: float
     ``vertices`` reported as the critical point of inradius r in ``chart``.
 
     With l_i = (v_{i+1} - v_i) . u_i, the Lagrangian gradient g = 1 - Q l / r
-    vanishes on ker U; Gram-Schmidt on the directions measured from slope 1,
-    exact for nearby slopes, projects it there without squaring cond(U).  Its
-    bound is c n eps (1 + sum_ij |Q_ij| (|l_j| + max|v|) / |r|), c = 64.  The
-    area error is |shoelace(v) - sign(sum p)|, within c' eps (1/2 sum(|x_i
-    y_{i+1}| + |x_{i+1} y_i|) + max|v| sum|l| + n sum|p| / |sum p|), c' = 16.
+    vanishes on ker U; :func:`~polyslope.geometry.closure_basis` of the
+    directions measured from slope 1, exact for nearby slopes, projects it
+    there without squaring cond(U).  Its bound is c n eps (1 + sum_ij |Q_ij|
+    (|l_j| + max|v|) / |r|), c = 64.  The area error is |shoelace(v) -
+    sign(sum p)|, within c' eps (1/2 sum(|x_i y_{i+1}| + |x_{i+1} y_i|) +
+    max|v| sum|l| + n sum|p| / |sum p|), c' = 16.
     Any p makes every r critical, so only the area sees a wrong sum p.  The
     other point has edges -l and inradius -r: the same numbers serve it.
     """
@@ -259,11 +261,8 @@ def tangential_residual(chart: RadiiChart, vertices: np.ndarray, inradius: float
     form = area_form(angles)
     lengths = edge_lengths_along(vertices, angles)
     gradient = 1.0 - form @ lengths / inradius
-    first, second = np.cos(angles - angles[0]), np.sin(angles - angles[0])
-    first /= math.sqrt(first @ first)
-    second -= (first @ second) * first
-    second /= math.sqrt(second @ second)
-    residual = gradient - (first @ gradient) * first - (second @ gradient) * second
+    shifted = angles - angles[0]
+    residual = gradient @ closure_basis((np.cos(shifted), np.sin(shifted)))
     size = np.abs(vertices).max()
     spread = (np.abs(form) @ (np.abs(lengths) + size)).sum() / abs(inradius)
     ahead, behind = (vertices * _cycled(vertices)[:, ::-1]).T
@@ -275,7 +274,7 @@ def tangential_residual(chart: RadiiChart, vertices: np.ndarray, inradius: float
     return norm, float(gradient_bound), float(area_error), float(AREA_ROUNDOFF * EPS * area_scale)
 
 
-# Kept while perfbench/tracer.py traces it; demo 02 calls it.
+# Kept while perfbench/tracer.py traces it; no program path calls it.
 def critical_gradient_norm(point: TangentialCritical) -> tuple[float, float]:
     """The gradient norm and bound of :func:`tangential_residual` at one point."""
     return tangential_residual(point.chart, point.polygon.vertices, point.inradius)[:2]
@@ -298,7 +297,7 @@ def edge_hessians(points: Sequence[TangentialCritical]) -> tuple[np.ndarray, np.
     return hessian_formula(p, radii), -form / radii[:, None, None]
 
 
-# Kept while perfbench/tracer.py traces it; demo 02 calls it.
+# Kept while perfbench/tracer.py traces it; no program path calls it.
 def hessian_fd_comparison(point: TangentialCritical) -> tuple[np.ndarray, np.ndarray]:
     """:func:`edge_hessians` of one point: its two (m, m) Hessians."""
     return tuple(stack[0] for stack in edge_hessians((point,)))

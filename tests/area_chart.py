@@ -1,17 +1,28 @@
 """The edge-angle chart of polygons with fixed edge lengths, as functions of
 (lengths, thetas): the area gradient and Hessian of the chord-closed chain in
-all edge angles, the closure Jacobian, and the SVD frame on the free angles.
-The tests check them against loops and central differences of
-:func:`chain_area` and :func:`closure_residual`, and
-``cyclic.area_morse_index_numeric``, which assembles its Lagrangian in place,
-against them.
+all edge angles, and the closure Jacobian, which the tests check against
+loops and central differences of :func:`chain_area` and
+:func:`closure_residual`.  Two references of the projected area Lagrangian
+that ``cyclic.area_morse_index_numeric`` counts: the polygon's own area with
+its closure multiplier in closed form, assembled from full matrices, which
+the program matches bit for bit (:func:`closed_form_area_eigenvalues`), and
+the chord-closed chain with least-squares multipliers, which it matches
+within roundoff (:func:`reference_area_eigenvalues`).
 """
 
 import numpy as np
 
-from polyslope.cyclic import _head_differences
 from polyslope.errors import DegenerateCritical, NotCritical
 from polyslope.geometry import EPS
+
+
+def _head_differences(w: np.ndarray) -> np.ndarray:
+    """Row j, for j < n - 1: the sum of w_i over i < j minus that over j < i <= n - 2."""
+    head = w[:-1]
+    prefix = np.zeros_like(head)
+    np.cumsum(head[:-1], axis=0, out=prefix[1:])
+    after = head.sum(axis=0) - prefix - head
+    return prefix - after
 
 
 def _edge_vectors(lengths: np.ndarray, thetas: np.ndarray) -> np.ndarray:
@@ -96,26 +107,61 @@ def chain_area_hessian(lengths: np.ndarray, thetas: np.ndarray) -> np.ndarray:
     return _area_hessian(w, _head_differences(w))
 
 
-def reference_area_eigenvalues(phis: np.ndarray) -> np.ndarray:
-    """The projected Lagrangian eigenvalues that ``area_morse_index_numeric``
-    counts at the vertex angles ``phis`` (radians) on the unit circle, none
-    for a triangle, with its two errors and their messages.  The Lagrangian
-    is the full-angle :func:`_area_hessian` sliced to the free angles plus the
-    diagonal closure term, on :func:`_tangent_frame`'s basis and multipliers."""
+def _unit_polygon(phis: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Vertices at the angles ``phis`` on the unit circle, and their edges."""
     vertices = np.column_stack([np.cos(phis), np.sin(phis)])
-    w = np.roll(vertices, -1, axis=0) - vertices
-    diff = _head_differences(w)
-    grad = _area_gradient(w, diff)[1:]
-    basis, multipliers = _tangent_frame(w, grad)
+    return vertices, np.roll(vertices, -1, axis=0) - vertices
+
+
+def _projected_eigenvalues(w, grad, basis, lagrangian) -> tuple[np.ndarray, float]:
+    """The eigenvalues of basis^T L basis, none for a triangle, with the
+    criticality test, the roundoff bound 500 n eps max|L| and the two errors
+    and messages of ``area_morse_index_numeric``; and the unit n eps max|L|."""
+    n = len(w)
     scale = max(1.0, float(np.sum(np.hypot(w[:, 0], w[:, 1]))) ** 2)
     residual = float(np.linalg.norm(basis.T @ grad))
     if residual > 1e-8 * scale:
         raise NotCritical(f"cyclic polygon fails the criticality test ({residual!r})")
+    unit = n * EPS * float(np.max(np.abs(lagrangian)))
     if basis.shape[1] == 0:
-        return np.zeros(0)
-    lagrangian = _area_hessian(w, diff)[1:, 1:] + np.diag(w[1:] @ multipliers)
+        return np.zeros(0), unit
     eigenvalues = np.linalg.eigvalsh(basis.T @ lagrangian @ basis)
-    bound = 500.0 * len(phis) * EPS * float(np.max(np.abs(lagrangian)))
+    bound = 500.0 * n * EPS * float(np.max(np.abs(lagrangian)))
     if np.any(np.abs(eigenvalues) <= bound):
         raise DegenerateCritical(f"area Hessian eigenvalue within roundoff bound {bound!r}")
-    return eigenvalues
+    return eigenvalues, unit
+
+
+def reference_area_eigenvalues(phis: np.ndarray) -> tuple[np.ndarray, float]:
+    """:func:`_projected_eigenvalues` at the vertex angles ``phis`` (radians)
+    on the unit circle, of the chord-closed chain: the full-angle
+    :func:`_area_hessian` sliced to the free angles plus the diagonal closure
+    term, on :func:`_tangent_frame`'s basis and least-squares multipliers."""
+    _, w = _unit_polygon(phis)
+    diff = _head_differences(w)
+    grad = _area_gradient(w, diff)[1:]
+    basis, multipliers = _tangent_frame(w, grad)
+    lagrangian = _area_hessian(w, diff)[1:, 1:] + np.diag(w[1:] @ multipliers)
+    return _projected_eigenvalues(w, grad, basis, lagrangian)
+
+
+def closed_form_area_eigenvalues(phis: np.ndarray) -> tuple[np.ndarray, float]:
+    """:func:`_projected_eigenvalues` at the vertex angles ``phis`` (radians)
+    on the unit circle, of the polygon's own area 1/2 sum_{j<k} cross(w_j,
+    w_k) in the free angles.  Its gradient takes the sums before and after
+    each edge; on the unit circle its closure multiplier is -J v_1, so the
+    Lagrangian is 1/2 cross(w_j, w_k) sign(k - j) off the diagonal and
+    cross(v_{k+1}, v_k) on it, on the null-space basis of the constraint
+    matrix w[1:]^T from one SVD, rank cut at max(s) eps max(shape)."""
+    vertices, w = _unit_polygon(phis)
+    before = np.cumsum(w, axis=0) - w
+    after = np.cumsum(w[::-1], axis=0)[::-1] - w
+    grad = 0.5 * np.sum(w * (before - after), axis=1)[1:]
+    constraints = w[1:].T
+    _, s, vh = np.linalg.svd(constraints)
+    basis = vh[np.count_nonzero(s > s[0] * EPS * max(constraints.shape)) :].T
+    x, y = constraints
+    upper = np.triu(0.5 * (np.outer(x, y) - np.outer(y, x)), 1)
+    ahead = np.roll(vertices, -1, axis=0)[1:]
+    diagonal = ahead[:, 0] * vertices[1:, 1] - ahead[:, 1] * vertices[1:, 0]
+    return _projected_eigenvalues(w, grad, basis, upper + upper.T + np.diag(diagonal))

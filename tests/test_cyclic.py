@@ -453,12 +453,14 @@ class TestDuality:
         assert report.identity_holds
 
     def test_each_index_computed_once(self, monkeypatch):
-        # One SVD frame per index, whose SVD gives the multipliers, so no
-        # least-squares solve runs, and whose edges are the vertex
-        # differences; the dual index is read off one chart of the dual
-        # slopes, and no critical point is built for it.
+        # One closure basis per index, of the edges that are the vertex
+        # differences, and no least-squares solve: the multiplier is in
+        # closed form.  The dual index is read off one chart of the dual
+        # slopes, and no critical point is built for it.  The slope checks'
+        # residuals take closure bases too, so only the area index's count.
         numeric = count_calls(monkeypatch, cyclic_module, "area_morse_index_numeric")
-        frames = count_calls(monkeypatch, cyclic_module, "_critical_frame")
+        frames, basis = [], cyclic_module.closure_basis
+        monkeypatch.setattr(cyclic_module, "closure_basis", lambda a: frames.append(1) or basis(a))
         points = count_calls(monkeypatch, tangential_module, "tangential_critical_points")
         solves, lstsq = [], np.linalg.lstsq
         monkeypatch.setattr(np.linalg, "lstsq", lambda *a, **k: solves.append(1) or lstsq(*a, **k))

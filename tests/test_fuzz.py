@@ -8,7 +8,10 @@ the command line's cross-checks, or one of its documented input errors.
 The same draws check the closed forms of the tangential polygons against
 their geometric oracles, the radii reconstruction and tangent-line intersections.
 With 1500 lists that put lines within 1e-8 to 1e-3 degrees of parallel,
-they also check the stacked kernels bit for bit against one point at a time.
+they also check the stacked kernels bit for bit against one point at a time,
+and each charted system's index against the inertia of its area form on the
+edge-space tangent.  The cyclic area index is held to the references of
+``area_chart`` on the fuzz polygons and near-bifurcating ones.
 """
 
 import functools
@@ -36,7 +39,15 @@ from polyslope import (
     tangential_critical_points,
     winding_number,
 )
-from polyslope.geometry import left_normals, polygon_from_lines, tangential_polygon
+from polyslope import tangential
+from polyslope.geometry import (
+    area_form,
+    closure_basis,
+    edge_lengths_along,
+    left_normals,
+    polygon_from_lines,
+    tangential_polygon,
+)
 from polyslope.report import cyclic_report, slopes_report
 from polyslope.tangential import (
     edge_hessians,
@@ -49,6 +60,7 @@ from polyslope.tangential import (
 from area_chart import (
     chain_area_gradient,
     chain_area_hessian,
+    closed_form_area_eigenvalues,
     closure_jacobian,
     reference_area_eigenvalues,
 )
@@ -274,6 +286,36 @@ def test_stacked_hessians_equal_one_point_at_a_time(inputs):
     assert points_checked > 1500
 
 
+def test_edge_space_inertia_equals_sign_count():
+    # The index without the chart's closed forms: the area form -Q / r of
+    # the r > 0 point on T = ker U ∩ (Q l)^perp, at the edge lengths l of its
+    # vertices, has n - 3 - sign_count_index negative eigenvalues, each at
+    # least 500 n eps max|Q| / |r| from zero (3.6e5 at worst when measured).
+    points = 0
+    for angles in ANGLES[:COUNT] + NEAR_PARALLEL:
+        try:
+            chart = build_chart(SlopeSystem.from_degrees(angles))
+            critical = tangential_critical_points(chart)
+            if not critical:
+                continue
+            vertices = critical[0].polygon.vertices
+        except InputError:
+            continue
+        slopes, inradius = chart.system.angles, critical[0].inradius
+        form = area_form(slopes)
+        shifted = slopes - slopes[0]
+        lengths = edge_lengths_along(vertices, slopes)
+        basis = closure_basis((np.cos(shifted), np.sin(shifted), form @ lengths))
+        eigenvalues = np.linalg.eigvalsh(basis.T @ (-form / inradius) @ basis)
+        counted = tangential.sign_count_index(chart.unit_perimeters, chart.perimeter_sum)
+        assert len(eigenvalues) == chart.n - 3, angles
+        assert np.count_nonzero(eigenvalues < 0) == chart.n - 3 - counted, angles
+        unit = chart.n * np.finfo(float).eps * np.abs(form).max() / abs(inradius)
+        assert np.all(np.abs(eigenvalues) >= 500.0 * unit), angles
+        points += 1
+    assert points > 2000
+
+
 def test_clustered_slopes_raise_coincident_vertices():
     # Five lines within 3e-5 degrees of parallel: vertices 2 and 3 of the
     # tangential polygons lie closer than COINCIDENT times their diameter.
@@ -290,8 +332,9 @@ def test_clustered_slopes_raise_coincident_vertices():
 
 def lstsq_area_index(cyclic):
     """The area index with least-squares multipliers from ``np.linalg.lstsq``
-    and the null-space basis from its own SVD: the reference of
-    :func:`area_morse_index_numeric`, whose one SVD gives both."""
+    of the chord-closed chain and the null-space basis from its own SVD: a
+    reference of :func:`area_morse_index_numeric`, whose multiplier is in
+    closed form."""
     polygon = PolygonChain(np.column_stack([np.cos(cyclic.phis), np.sin(cyclic.phis)]))
     lengths, thetas = polygon.edge_lengths, polygon.edge_angles
     jac = closure_jacobian(lengths, thetas)[:, 1:]
@@ -339,7 +382,7 @@ def near_bifurcation_sets():
     ]
 
 
-@pytest.mark.parametrize(
+AREA_SETS = pytest.mark.parametrize(
     ("inputs", "kinds"),
     [
         (lambda: ANGLES[COUNT:], {0, 1}),
@@ -348,11 +391,15 @@ def near_bifurcation_sets():
     ],
     ids=["fuzz", "near_bifurcation", "triangle"],
 )
+
+
+@AREA_SETS
 def test_area_index_equals_full_hessian_reference(monkeypatch, inputs, kinds):
-    # The Lagrangian assembled in place gives the reference's projected
-    # eigenvalues bit for bit, and where either raises, the same error.
-    # ``kinds`` are the outcomes the set must reach: eigvalsh calls per
-    # index (none for a triangle) or the errors' names.
+    # The Lagrangian assembled in place gives the projected eigenvalues of
+    # the closed-form reference, assembled from full matrices, bit for bit,
+    # and where either raises, the same error.  ``kinds`` are the outcomes
+    # the set must reach: eigvalsh calls per index (none for a triangle) or
+    # the errors' names.
     seen, eigvalsh = [], np.linalg.eigvalsh
     monkeypatch.setattr(np.linalg, "eigvalsh", lambda a: seen.append(eigvalsh(a)) or seen[-1])
     outcomes = set()
@@ -362,7 +409,7 @@ def test_area_index_equals_full_hessian_reference(monkeypatch, inputs, kinds):
         except InputError:
             continue
         try:
-            expected = reference_area_eigenvalues(cyclic.phis)
+            expected, _ = closed_form_area_eigenvalues(cyclic.phis)
         except (NotCritical, DegenerateCritical) as exc:
             with pytest.raises(type(exc)) as raised:
                 area_morse_index_numeric(cyclic)
@@ -374,4 +421,36 @@ def test_area_index_equals_full_hessian_reference(monkeypatch, inputs, kinds):
         assert (seen[0] if seen else np.zeros(0)).tobytes() == expected.tobytes(), phis
         assert index == np.count_nonzero(expected < 0)
         outcomes.add(len(seen))
+    assert outcomes == kinds
+
+
+@AREA_SETS
+def test_area_index_near_chord_closed_reference(monkeypatch, inputs, kinds):
+    # Against the chord-closed chain with least-squares multipliers, a
+    # different Lagrangian with the same restriction to the closure space:
+    # the same index or error type as it and as lstsq_area_index, and
+    # eigenvalues within 8 n eps max|L| of its own.
+    seen, eigvalsh = [], np.linalg.eigvalsh
+    monkeypatch.setattr(np.linalg, "eigvalsh", lambda a: seen.append(eigvalsh(a)) or seen[-1])
+    outcomes = set()
+    for phis in inputs():
+        try:
+            cyclic = CyclicPolygon.from_degrees(1.0, phis)
+        except InputError:
+            continue
+        try:
+            expected, unit = reference_area_eigenvalues(cyclic.phis)
+        except (NotCritical, DegenerateCritical) as exc:
+            for route in (area_morse_index_numeric, lstsq_area_index):
+                with pytest.raises(type(exc)):
+                    route(cyclic)
+            outcomes.add(type(exc).__name__)
+            continue
+        seen.clear()
+        index = area_morse_index_numeric(cyclic)
+        calls = len(seen)
+        program = seen[0] if seen else np.zeros(0)
+        assert index == lstsq_area_index(cyclic) == np.count_nonzero(expected < 0), phis
+        assert np.all(np.abs(program - expected) <= 8.0 * unit), phis
+        outcomes.add(calls)
     assert outcomes == kinds

@@ -3,8 +3,9 @@
 Each critical point builds its polygon and Hessian on first read, and each
 chart its area constants.  A slopes report takes its angle sum from its
 chart and builds both critical points' polygons as one vertex stack from one
-``tangential_offsets`` call, checks them by one edge-space residual, and
-builds their Hessians as one closed-form stack with one eigenvalue call; the
+``tangential_offsets`` call, checks them by one edge-space residual on one
+SVD's closure basis, and builds their Hessians as one closed-form stack with
+one eigenvalue call; the
 index-agreement and determinant trials read the same stack, with one
 eigenvalue or determinant call, and no point's own Hessian.
 A cyclic report computes its invariants and its dual slopes once, and its
@@ -151,6 +152,14 @@ def counted_linalg(monkeypatch, names):
 
         monkeypatch.setattr(np.linalg, name, wrapper)
     return counts
+
+
+def test_slopes_report_makes_one_svd_and_eigvalsh(monkeypatch):
+    # One closure basis for the edge-space residual, one eigenvalue call for
+    # the Hessian stack.
+    linalg = counted_linalg(monkeypatch, ("svd", "eigvalsh"))
+    assert not slopes_report(SLOPES_7)["critical"]["exceptional"]
+    assert linalg == {"svd": 1, "eigvalsh": 1}
 
 
 @pytest.mark.parametrize("name", ["slopes_report", "index_agreement", "hessian_determinant"])
@@ -378,9 +387,10 @@ def test_cyclic_report_computes_invariants_and_dual_once(monkeypatch):
     "phis", [[0.0, 70.0, 150.0, 220.0, 290.0], [0.0, 144.0, 288.0, 72.0, 216.0]]
 )
 def test_cyclic_report_makes_one_svd_eigvalsh_and_chart(monkeypatch, phis):
-    # The numeric area index takes one SVD frame and one eigenvalue call; the
-    # dual index is read off one chart of the dual slopes, whose critical
-    # point of r > 0 is the dual polygon, so no TangentialCritical is built.
+    # The numeric area index takes one closure basis and one eigenvalue
+    # call; the dual index is read off one chart of the dual slopes, whose
+    # critical point of r > 0 is the dual polygon, so no TangentialCritical
+    # is built.
     linalg = counted_linalg(monkeypatch, ("svd", "eigvalsh"))
     charts = counted(monkeypatch, (build_chart,))
     made = [0]
