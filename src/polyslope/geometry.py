@@ -93,8 +93,10 @@ def line_vertices(angles, offsets, tol: Tolerances = DEFAULT_TOL) -> np.ndarray:
     cos, sin = np.cos(angles), np.sin(angles)
     offsets_before = _cycled(offsets, -1, -1)
     x = (cos * offsets_before - _cycled(cos, -1, -1) * offsets) / det
-    y = (sin * offsets_before - _cycled(sin, -1, -1) * offsets) / det
-    return np.stack((x, y), axis=-1)
+    vertices = np.empty(x.shape + (2,))
+    vertices[..., 0] = x
+    vertices[..., 1] = (sin * offsets_before - _cycled(sin, -1, -1) * offsets) / det
+    return vertices
 
 
 class SlopeSystem:
@@ -191,15 +193,27 @@ def diameters(vertices: np.ndarray) -> np.ndarray:
     return np.hypot(spread[..., 0], spread[..., 1])
 
 
-def require_distinct(vertices: np.ndarray) -> None:
-    """The check of :class:`PolygonChain` on a (..., m, 2) vertex stack: the first
-    polygon with an edge of at most ``COINCIDENT`` times its diameter raises."""
-    edges = _cycled(vertices, 1, -2) - vertices
-    lengths = np.hypot(edges[..., 0], edges[..., 1])
-    short = (lengths <= COINCIDENT * diameters(vertices)[..., None]).any(axis=-1)
+def _edge_pass(vertices: np.ndarray):
+    """One pass over a (..., m, 2) vertex stack: its cycled vertices (vertex
+    i + 1 in place i), its edges, edge i leaving vertex i, their lengths, and
+    the stack's diameters."""
+    following = _cycled(vertices, 1, -2)
+    edges = following - vertices
+    return following, edges, np.hypot(edges[..., 0], edges[..., 1]), diameters(vertices)
+
+
+def _require_long(lengths: np.ndarray, sizes: np.ndarray) -> None:
+    """:func:`require_distinct` on a stack's edge lengths and diameters."""
+    short = (lengths <= COINCIDENT * sizes[..., None]).any(axis=-1)
     if short.any():
         bad = int(np.argmin(lengths[np.unravel_index(np.argmax(short), short.shape)]))
         raise CoincidentVertices(f"vertices {bad} and {(bad + 1) % lengths.shape[-1]} coincide")
+
+
+def require_distinct(vertices: np.ndarray) -> None:
+    """The check of :class:`PolygonChain` on a (..., m, 2) vertex stack: the first
+    polygon with an edge of at most ``COINCIDENT`` times its diameter raises."""
+    _require_long(*_edge_pass(vertices)[2:])
 
 
 @dataclass(frozen=True, eq=False)
@@ -327,12 +341,16 @@ def closure_basis(constraints) -> np.ndarray:
     return vh[np.count_nonzero(s > s[0] * EPS * max(constraints.shape)) :].T
 
 
+def _shoelace(v: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """:func:`oriented_areas` of a vertex stack ``v`` and its cycled vertices ``w``."""
+    return 0.5 * (v[..., 0] * w[..., 1] - w[..., 0] * v[..., 1]).sum(axis=-1)
+
+
 def oriented_areas(vertices: np.ndarray) -> np.ndarray:
     """Shoelace areas of a (..., m, 2) stack of vertex lists, signed by
     orientation: the integral of the winding number over the plane, so
     self-intersecting polygons are handled consistently."""
-    v, w = vertices, _cycled(vertices, 1, -2)
-    return 0.5 * (v[..., 0] * w[..., 1] - w[..., 0] * v[..., 1]).sum(axis=-1)
+    return _shoelace(vertices, _cycled(vertices, 1, -2))
 
 
 def oriented_area(polygon: PolygonChain) -> float:
@@ -382,30 +400,28 @@ def turning_sum(system: SlopeSystem) -> tuple[float, int, int]:
     return float(total), int(k), int(right_turns)
 
 
-def edges_against_slopes(vertices: np.ndarray, slope_angles, tol: Tolerances):
-    """The edges of a (..., m, 2) vertex stack, edge i leaving vertex i, their
-    lengths and directions in [0, 2pi), and the mask of the edges off slope i
-    by more than ``tol.parallel`` plus 256 eps (diameter + max|coordinate|) /
-    length: the roundoff of a direction read off vertices that were built at
-    the polygon's scale and rounded at their own magnitude."""
-    edges = _cycled(vertices, 1, -2) - vertices
-    lengths = np.hypot(edges[..., 0], edges[..., 1])
+def _slope_rule(vertices, edges, lengths, sizes, slope_angles, tol: Tolerances):
+    """The directions in [0, 2pi) of the edges of a (..., m, 2) vertex stack
+    (from :func:`_edge_pass`) and the mask of the edges
+    off slope i by more than ``tol.parallel`` plus 256 eps (diameter +
+    max|coordinate|) / length: the roundoff of a direction read off vertices
+    that were built at the polygon's scale and rounded at their own magnitude."""
     angles = np.arctan2(edges[..., 1], edges[..., 0]) % TWO_PI
-    scales = diameters(vertices) + np.max(np.abs(vertices), axis=(-2, -1))
+    scales = sizes + np.max(np.abs(vertices), axis=(-2, -1))
     roundoff = 256.0 * EPS * scales[..., None] / lengths
-    return edges, lengths, angles, line_gap(angles, slope_angles) > tol.parallel + roundoff
+    return angles, line_gap(angles, slope_angles) > tol.parallel + roundoff
 
 
-def signed_perimeters(vertices: np.ndarray, slope_angles, tol: Tolerances = DEFAULT_TOL):
-    """Edge lengths summed with signs against the declared slope directions,
-    for a (..., m, 2) vertex stack and slope angles of shape (..., m) or (m,).
+def edges_against_slopes(vertices: np.ndarray, slope_angles, tol: Tolerances) -> np.ndarray:
+    """The mask of the edges of a (..., m, 2) vertex stack, edge i leaving
+    vertex i, that :func:`_slope_rule` finds off slope i."""
+    return _slope_rule(vertices, *_edge_pass(vertices)[1:], slope_angles, tol)[1]
 
-    Edge ``i`` contributes +length when its traversal is codirected with
-    slope ``i`` and -length otherwise.  Raises SlopeMismatch for the first
-    edge, in row-major order, that :func:`edges_against_slopes` finds off
-    its slope.
-    """
-    edges, lengths, angles, mismatched = edges_against_slopes(vertices, slope_angles, tol)
+
+def _signed_lengths(vertices, edges, lengths, sizes, slope_angles, tol: Tolerances):
+    """The edge lengths of :func:`signed_perimeters`, each signed by its slope,
+    from the stack's :func:`_edge_pass`."""
+    angles, mismatched = _slope_rule(vertices, edges, lengths, sizes, slope_angles, tol)
     if mismatched.any():
         at = np.unravel_index(np.argmax(mismatched), mismatched.shape)
         slope = np.broadcast_to(slope_angles, angles.shape)[at]
@@ -414,7 +430,30 @@ def signed_perimeters(vertices: np.ndarray, slope_angles, tol: Tolerances = DEFA
             f"{float(slope)!r}"
         )
     codirected = edges[..., 0] * np.cos(slope_angles) + edges[..., 1] * np.sin(slope_angles) > 0.0
-    return np.where(codirected, lengths, -lengths).sum(axis=-1)
+    return np.where(codirected, lengths, -lengths)
+
+
+def signed_perimeters(vertices: np.ndarray, slope_angles, tol: Tolerances = DEFAULT_TOL):
+    """Edge lengths summed with signs against the declared slope directions,
+    for a (..., m, 2) vertex stack and slope angles of shape (..., m) or (m,).
+
+    Edge ``i`` contributes +length when its traversal is codirected with
+    slope ``i`` and -length otherwise.  Raises SlopeMismatch for the first
+    edge, in row-major order, that :func:`_slope_rule` finds off its slope.
+    """
+    return _signed_lengths(vertices, *_edge_pass(vertices)[1:], slope_angles, tol).sum(axis=-1)
+
+
+def polygon_measures(vertices: np.ndarray, slope_angles, tol: Tolerances = DEFAULT_TOL):
+    """The (...) :func:`oriented_areas`, :func:`signed_perimeters` and
+    :func:`diameters` of a (..., m, 2) vertex stack, bit for bit, from one
+    pass over its edges.  The first polygon that :func:`require_distinct`
+    rejects raises as there, then the first edge off its slope as in
+    :func:`signed_perimeters`."""
+    following, edges, lengths, sizes = _edge_pass(vertices)
+    _require_long(lengths, sizes)
+    signed = _signed_lengths(vertices, edges, lengths, sizes, slope_angles, tol)
+    return _shoelace(vertices, following), signed.sum(axis=-1), sizes
 
 
 def signed_perimeter(

@@ -42,9 +42,9 @@ from .geometry import (
     line_vertices,
     oriented_areas,
     polygon_from_lines,
+    polygon_measures,
     require_distinct,
     signed_perimeter,
-    signed_perimeters,
 )
 from .tolerances import DEFAULT_TOL, Tolerances
 
@@ -161,7 +161,10 @@ def tritangent_circle(angles, offsets) -> tuple[np.ndarray, float | np.ndarray]:
     """
     angles = np.asarray(angles, dtype=float)
     rhs = np.asarray(offsets, dtype=float)
-    matrix = np.stack((-np.sin(angles), np.cos(angles), -np.ones_like(angles)), axis=-1)
+    matrix = np.empty(angles.shape + (3,))
+    matrix[..., 0] = -np.sin(angles)
+    matrix[..., 1] = np.cos(angles)
+    matrix[..., 2] = -1.0
     try:
         solution = np.linalg.solve(matrix, rhs[..., None])[..., 0]
     except np.linalg.LinAlgError as exc:
@@ -316,24 +319,38 @@ def chart_stack(angles: np.ndarray, tol: Tolerances = DEFAULT_TOL) -> ChartStack
     return ChartStack(perimeters, sums, total, k, right_turns, broken, angles, tol)
 
 
+@functools.lru_cache(maxsize=None)
+def _owners(n: int) -> np.ndarray:
+    """The read-only index max(k - 2, 0) of the triangle that places line k."""
+    owner = np.maximum(np.arange(-2, n - 2), 0)
+    owner.setflags(write=False)
+    return owner
+
+
 def _radii_offsets(angles: np.ndarray, rows: np.ndarray) -> np.ndarray:
     """Edge-line offsets, (K, n), of :func:`polygon_from_radii` for a (K, n - 2)
     stack of radii; linear, so a row may also be a direction in radii space."""
     # Circle i sits on e_1 and e_{i+1}, which the chart's lines rule holds apart.
-    n = angles.shape[-1]
     theta = angles - angles[0]
     half = np.tan(0.5 * theta)
-    centers = np.cumsum(-np.diff(rows, axis=1, prepend=rows[:, :1]) * half[1:-1], axis=1)
+    # Centers step by (r_{i-1} - r_i) T_{i+1} from c_0 = 0.
+    steps = np.empty_like(rows)
+    steps[:, 0] = 0.0
+    np.subtract(rows[:, 1:], rows[:, :-1], out=steps[:, 1:])
+    centers = np.cumsum(steps * -half[1:-1], axis=1)
     # t_k comes from triangle max(k - 2, 0); sin(theta_0) = 0 keeps e_1 at 0.
-    owner = np.maximum(np.arange(-2, n - 2), 0)
+    owner = _owners(angles.shape[-1])
     return (centers[:, owner] + rows[:, owner] * half) * np.sin(-theta)
 
 
-def _reconstruction(chart: RadiiChart, radii) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def _reconstruction(
+    chart: RadiiChart, radii
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """:func:`polygon_from_radii` of one row or a (K, n - 2) stack of radii as
-    the (K, n, 2) vertex stack, with the (K,) oriented areas and signed
-    perimeters that its check of the chart laws measured.  Measuring the
-    signed perimeters holds every edge of every row to its slope."""
+    the (K, n, 2) vertex stack, with the (K,) oriented areas, signed
+    perimeters and diameters that :func:`polygon_measures` took of it in one
+    edge pass for the check of the chart laws.  Measuring the signed
+    perimeters holds every edge of every row to its slope."""
     radii = np.asarray(radii, dtype=float)
     n = chart.n
     if radii.shape[-1:] != (n - 2,) or radii.ndim > 2:
@@ -343,10 +360,10 @@ def _reconstruction(chart: RadiiChart, radii) -> tuple[np.ndarray, np.ndarray, n
     angles, tol = chart.system.angles, chart.tol
     rows = radii.reshape(-1, n - 2)
     vertices = line_vertices(angles, _radii_offsets(angles, rows), tol)
-    require_distinct(vertices)
+    areas, perimeters, sizes = polygon_measures(vertices, angles, tol)
     # The chart laws hold on every row, to their roundoff of 2048 eps sum|terms|.
     terms = np.stack((0.5 * chart.unit_perimeters * rows**2, chart.unit_perimeters * rows))
-    measured = np.stack((oriented_areas(vertices), signed_perimeters(vertices, angles, tol)))
+    measured = np.stack((areas, perimeters))
     errors = np.abs(measured - np.sum(terms, axis=-1))
     bounds = 2048.0 * EPS * np.sum(np.abs(terms), axis=-1)
     violated = (errors > bounds).any(axis=0)
@@ -356,7 +373,7 @@ def _reconstruction(chart: RadiiChart, radii) -> tuple[np.ndarray, np.ndarray, n
             f"reconstruction violates chart laws (area error {area_err!r}, "
             f"perimeter error {perim_err!r})"
         )
-    return vertices, measured[0], measured[1]
+    return vertices, areas, perimeters, sizes
 
 
 def polygon_from_radii(chart: RadiiChart, radii) -> PolygonChain | np.ndarray:
@@ -376,11 +393,12 @@ def polygon_from_radii(chart: RadiiChart, radii) -> PolygonChain | np.ndarray:
     ``radii`` may also be a (K, n - 2) stack, one polygon per row, built at
     once: the result is then the (K, n, 2) stack of their vertices, each row
     checked as a single polygon is, and a failing check names the first row.
-    The kernel :func:`_reconstruction` also returns the areas and signed
-    perimeters its check of the chart laws measured; the chart-identity
-    sweep reads them from there.
+    The kernel :func:`_reconstruction` also returns the oriented areas,
+    signed perimeters and diameters that its check of the chart laws
+    measured in one edge pass (:func:`polygon_measures`); the
+    chart-identity sweep reads them from there.
     """
-    vertices, _, _ = _reconstruction(chart, radii)
+    vertices = _reconstruction(chart, radii)[0]
     return PolygonChain(vertices[0]) if np.ndim(radii) == 1 else vertices
 
 
@@ -391,16 +409,20 @@ def _line_offsets(chart: RadiiChart, vertices: np.ndarray) -> np.ndarray:
     if len(vertices) != chart.n:
         raise SlopeMismatch(f"polygon has {len(vertices)} edges, chart expects {chart.n}")
     angles = chart.system.angles
-    mismatched = edges_against_slopes(vertices, angles, chart.tol)[3]
+    mismatched = edges_against_slopes(vertices, angles, chart.tol)
     if mismatched.any():
         i = int(np.argmax(mismatched))
         raise SlopeMismatch(f"edge {i} does not match slope {i}")
     return edge_offsets(vertices, angles)
 
 
+@functools.lru_cache(maxsize=None)
 def decomposition_lines(n: int) -> np.ndarray:
-    """Row i indexes the lines (0, i + 1, i + 2) of decomposition triangle i."""
-    return np.arange(1, n - 1)[:, None] * [0, 1, 1] + [0, 0, 1]
+    """The read-only (n - 2, 3) table whose row i indexes the lines
+    (0, i + 1, i + 2) of decomposition triangle i, shared by every caller."""
+    lines = np.arange(1, n - 1)[:, None] * [0, 1, 1] + [0, 0, 1]
+    lines.setflags(write=False)
+    return lines
 
 
 def _decomposition_radii(chart: RadiiChart, offsets: np.ndarray) -> np.ndarray:
@@ -416,18 +438,19 @@ def radii_of_polygon(chart: RadiiChart, polygon: PolygonChain) -> np.ndarray:
 
 
 def _decomposition_triangles(chart: RadiiChart, offsets: np.ndarray) -> np.ndarray:
-    """:func:`decomposition_polygons` from the polygon's line offsets."""
+    """:func:`decomposition_polygons` from the polygon's line offsets, its
+    vertices not yet checked."""
     lines = decomposition_lines(chart.n)
-    vertices = line_vertices(chart.system.angles[lines], offsets[lines], chart.tol)
-    require_distinct(vertices)
-    return vertices
+    return line_vertices(chart.system.angles[lines], offsets[lines], chart.tol)
 
 
 def decomposition_polygons(chart: RadiiChart, polygon: PolygonChain) -> np.ndarray:
     """Triangles Q(e_1, e_{i+1}, e_{i+2}) built from the polygon's edge lines,
     as one (n - 2, 3, 2) stack of vertex lists, each checked as a
     :class:`PolygonChain` is."""
-    return _decomposition_triangles(chart, _line_offsets(chart, polygon.vertices))
+    vertices = _decomposition_triangles(chart, _line_offsets(chart, polygon.vertices))
+    require_distinct(vertices)
+    return vertices
 
 
 def _chart_coordinates(

@@ -21,10 +21,8 @@ from .geometry import (
     EPS,
     TWO_PI,
     SlopeSystem,
-    diameters,
     edge_offsets,
-    oriented_areas,
-    signed_perimeters,
+    polygon_measures,
     tangential_polygons,
     turning_sum,
     winding_number,
@@ -152,10 +150,10 @@ def check_chart_identities(rng, n, tol):
     radii = random_radii(rng, n - 2)
     points = tangential_critical_points(chart)
     # Row 0 holds the drawn radii, each further row a tangential point's r_i = r.
-    # The reconstruction measures every row's area and signed perimeter, and
-    # so holds each edge to its slope.
+    # The reconstruction measures every row's area, signed perimeter and
+    # diameter in one edge pass, and so holds each edge to its slope.
     stack = np.array([radii, *(np.full(n - 2, point.inradius) for point in points)])
-    rebuilt, areas, perimeters = _reconstruction(chart, stack)
+    rebuilt, areas, perimeters, sizes = _reconstruction(chart, stack)
     areas, perimeters = areas.tolist(), perimeters.tolist()
     angles = chart.system.angles
     p = chart.unit_perimeters
@@ -167,8 +165,8 @@ def check_chart_identities(rng, n, tol):
     # Row 0's line offsets give the triangles, radii and coordinates.
     offsets = edge_offsets(rebuilt[0], angles)
     triangles = _decomposition_triangles(chart, offsets)
-    tri_area = sum(oriented_areas(triangles).tolist())
-    tri_perim = sum(signed_perimeters(triangles, angles[decomposition_lines(n)], tol).tolist())
+    tri_areas, tri_perims, _ = polygon_measures(triangles, angles[decomposition_lines(n)], tol)
+    tri_area, tri_perim = sum(tri_areas.tolist()), sum(tri_perims.tolist())
     recovered = _decomposition_radii(chart, offsets)
     coords = _chart_coordinates(chart, rebuilt[0], offsets, area)
     mask = chart.positive_mask
@@ -184,14 +182,14 @@ def check_chart_identities(rng, n, tol):
     ]
     if not points:
         return rows
-    scales = diameters(rebuilt).tolist()
+    scales = sizes.tolist()
     incenters = [point.incenter for point in points]
     polygons = tangential_polygons(angles, incenters, [point.inradius for point in points])
+    gaps = np.max(np.abs(rebuilt[1:] - polygons), axis=(-2, -1)).tolist()
     windings = winding_numbers(rebuilt[1:], incenters).tolist()
     # The area is +-1, so its absolute and relative errors agree.
     bound = max(1e-10, TANGENTIAL_ROUNDOFF * _locus_roundoff(chart))
-    for k, (point, polygon) in enumerate(zip(points, polygons), 1):
-        gap = float(np.max(np.abs(rebuilt[k] - polygon)))
+    for k, (point, gap) in enumerate(zip(points, gaps), 1):
         rows += [
             ("tangential vertices off", gap, 1e-10 * scales[k]),
             ("tangential area off", abs(areas[k] - point.area), bound),

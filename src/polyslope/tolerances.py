@@ -12,10 +12,13 @@ integral sums, 16 n max(1, |ratio|) (``geometry.integral_ratio``; 0.34 on
 14,500 turning and arc sums, n 3..60, and the windings of sweeps and tests);
 a point on an edge, 8 hypot(cross, dot) (``geometry.winding_numbers``; the
 cross product errs by 1.7, 2 at most); an edge off its slope, ``parallel`` plus 256
-(diameter + max|coordinate|) / length (``geometry.edges_against_slopes``; 38
-on 1,600 cyclic duals, 16 on sweep seeds 0..399); the chart laws, 2048
-sum|terms| (``slope_space.polygon_from_radii``; 55 on sweep seeds 0..399, 486
-on the tests' fuzz systems); edge lengths, 64 (sum l + max|coordinate|)
+(diameter + max|coordinate|) / length (``geometry._slope_rule``, which
+``signed_perimeters``, ``polygon_measures`` and ``edges_against_slopes``
+share; 38 on 1,600 cyclic duals, 16 on sweep seeds 0..399); the chart laws,
+2048 sum|terms| (``slope_space._reconstruction``, the kernel of
+``polygon_from_radii``, on the areas and signed perimeters of
+``geometry.polygon_measures``; 55 on sweep seeds 0..399, 486 on the tests'
+fuzz systems); edge lengths, 64 (sum l + max|coordinate|)
 (``cyclic.area_criticality_residual``; 0.9 on 4,000 cyclic polygons); a
 tangential polygon's Lagrangian gradient on the closure space, 64 n (1 +
 sum_ij |Q_ij| (|l_j| + max|v|) / |r|) (``tangential.tangential_residual``;

@@ -34,6 +34,7 @@ from polyslope.geometry import (
     line_vertices,
     oriented_areas,
     polygon_from_lines,
+    polygon_measures,
     require_distinct,
     signed_perimeters,
     tangential_polygon,
@@ -650,6 +651,13 @@ class TestArrayKernels:
             assert winding_numbers(stack, points).tolist() == [
                 winding_number(c, p) for c, p in zip(chains, points)
             ]
+            # One edge pass gives all three measures, with the slopes as one
+            # row or one row per polygon.
+            for slopes in (system.angles, np.array([system.angles] * 3)):
+                areas, perimeters, sizes = polygon_measures(stack, slopes)
+                assert areas.tolist() == oriented_areas(stack).tolist()
+                assert perimeters.tolist() == signed_perimeters(stack, slopes).tolist()
+                assert sizes.tolist() == diameters(stack).tolist()
 
     def test_stacks_name_the_first_failing_row(self):
         for _, system, polygon in chart_polygons(46, 20):
@@ -663,6 +671,7 @@ class TestArrayKernels:
             expected = outcome_text(reference_signed_perimeter, polygon, bad)
             assert expected[0] == "SlopeMismatch"
             assert outcome_text(signed_perimeters, np.array([good] * 3), slopes) == expected
+            assert outcome_text(polygon_measures, np.array([good] * 3), slopes) == expected
             # Vertex 2 ends edge 1 and starts edge 2.
             points = np.array([good.mean(axis=0), good[2], good[3]])
             expected = outcome_text(reference_winding_number, polygon, good[2])
@@ -673,6 +682,13 @@ class TestArrayKernels:
             expected = outcome_text(PolygonChain, doubled)
             assert expected == ("CoincidentVertices", "vertices 2 and 3 coincide")
             assert outcome_text(require_distinct, np.array([good, doubled, doubled[::-1]])) == (
+                expected
+            )
+            # The kernel checks distinct vertices first: a coincident row
+            # raises before an off-slope row that precedes it.
+            stack = np.array([good, doubled, doubled[::-1]])
+            assert outcome_text(polygon_measures, stack, system.angles) == expected
+            assert outcome_text(polygon_measures, np.array([good, good, doubled]), slopes) == (
                 expected
             )
 

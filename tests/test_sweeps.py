@@ -321,22 +321,25 @@ def test_every_check_returns_concrete_rows():
 OFF = 1.0 + 1e-6
 
 
-def plant_on_triangles(monkeypatch, name):
-    """sweeps.<name> off by one part in a million on the decomposition
-    triangles alone: the stack that _decomposition_triangles returned last."""
+def plant_on_triangles(monkeypatch, part):
+    """Measure ``part`` of sweeps.polygon_measures (0 areas, 1 signed
+    perimeters) off by one part in a million on the decomposition triangles
+    alone: the stack that _decomposition_triangles returned last."""
     made = []
-    decompose, kernel = sweeps._decomposition_triangles, getattr(sweeps, name)
+    decompose, kernel = sweeps._decomposition_triangles, sweeps.polygon_measures
 
     def recorded(*args):
         made.append(decompose(*args))
         return made[-1]
 
     def planted(vertices, *args):
-        value = kernel(vertices, *args)
-        return value * OFF if made and vertices is made[-1] else value
+        measures = list(kernel(vertices, *args))
+        if made and vertices is made[-1]:
+            measures[part] = measures[part] * OFF
+        return tuple(measures)
 
     monkeypatch.setattr(sweeps, "_decomposition_triangles", recorded)
-    monkeypatch.setattr(sweeps, name, planted)
+    monkeypatch.setattr(sweeps, "polygon_measures", planted)
 
 
 def plant_on_result(monkeypatch, name, perturb):
@@ -358,13 +361,13 @@ PLANTED = {
     # The reconstruction's measured areas or signed perimeters, once its own
     # check of the chart laws has passed.
     "quadratic area law off": lambda m: plant_on_result(
-        m, "_reconstruction", lambda r: (r[0], r[1] * OFF, r[2])
+        m, "_reconstruction", lambda r: (r[0], r[1] * OFF, *r[2:])
     ),
     "linear perimeter law off": lambda m: plant_on_result(
-        m, "_reconstruction", lambda r: (r[0], r[1], r[2] * OFF)
+        m, "_reconstruction", lambda r: (*r[:2], r[2] * OFF, r[3])
     ),
-    "area additivity off": lambda m: plant_on_triangles(m, "oriented_areas"),
-    "perimeter additivity off": lambda m: plant_on_triangles(m, "signed_perimeters"),
+    "area additivity off": lambda m: plant_on_triangles(m, 0),
+    "perimeter additivity off": lambda m: plant_on_triangles(m, 1),
     "radii roundtrip off": lambda m: plant_on_result(m, "_decomposition_radii", lambda r: r * OFF),
     "coordinate quadratic form off": lambda m: plant_on_result(
         m, "_chart_coordinates", lambda c: dataclasses.replace(c, x=c.x * OFF)

@@ -18,9 +18,10 @@ indices, the well-conditioned chart against a fresh ``build_chart`` per
 relabeling.
 A family charts its rows as one angle stack, and each bracket the
 midpoints that the turn sum predicts as one more, and builds no chart
-unless a row is invalid.  A chart-identity trial reads the areas
-and signed perimeters that its reconstruction measured, and builds the
-tangential points' polygons as one vertex stack.
+unless a row is invalid.  A chart-identity trial reads the areas,
+signed perimeters and diameters that its reconstruction measured, measures
+each vertex stack in one edge pass, and builds the tangential points'
+polygons as one vertex stack.
 """
 
 import math
@@ -42,6 +43,7 @@ from polyslope.cyclic import bifurcation_test, cyclic_invariants
 from polyslope.geometry import (
     oriented_areas,
     require_distinct,
+    signed_perimeters,
     tangential_offsets,
     tangential_polygon,
 )
@@ -49,6 +51,7 @@ from polyslope.randomgen import random_slope_system, trial_rng
 from polyslope.report import cyclic_report, family_report, slopes_report
 from polyslope.slope_space import (
     RadiiChart,
+    _decomposition_triangles,
     _line_offsets,
     _reconstruction,
     chart_stack,
@@ -411,15 +414,27 @@ def test_cyclic_report_makes_one_svd_eigvalsh_and_chart(monkeypatch, phis):
 def test_chart_identity_trial_reconstructs_one_stack(monkeypatch):
     # One chart, one reconstruction of three rows (one when the drawn system
     # is exceptional), and no SlopeSystem but the drawn one.  The trial reads
-    # the areas and signed perimeters that the reconstruction measured, and
-    # the drawn row's line offsets off its vertices: the reconstruction has
-    # held every edge to its slope.  Vertices are checked once for the
-    # reconstruction, once for the triangles and once for the stack of the
+    # the areas, signed perimeters and diameters that the reconstruction
+    # measured, and the drawn row's line offsets off its vertices: the
+    # reconstruction has held every edge to its slope.  One polygon_measures
+    # call measures the reconstruction's stack and one the triangles' stack,
+    # each with one diameters call; nothing else measures either stack.  The
+    # one vertex check, with the third diameters call, is that of the
     # tangential points' closed-form polygons.
     index, check = next((i, c) for i, (n, c) in enumerate(CHECKS) if n == "chart_identities")
-    results = []
+    results, triangles = [], []
     counts = counted(monkeypatch, (build_chart, _reconstruction, polygon_from_radii), results)
-    checks = counted(monkeypatch, (_line_offsets, require_distinct, oriented_areas))
+    counted(monkeypatch, (_decomposition_triangles,), triangles)
+    measures = (geometry.polygon_measures, oriented_areas, signed_perimeters, geometry.diameters)
+    checks = counted(monkeypatch, (_line_offsets, require_distinct, *measures))
+    measured = []
+    kernel = sweeps.polygon_measures
+
+    def recorded(vertices, *args):
+        measured.append(vertices)
+        return kernel(vertices, *args)
+
+    monkeypatch.setattr(sweeps, "polygon_measures", recorded)
     systems = counted_systems(monkeypatch)
 
     def trial(rng, n_range, rows):
@@ -429,17 +444,24 @@ def test_chart_identity_trial_reconstructs_one_stack(monkeypatch):
             checks[name] = 0
         systems[0] = 0
         results.clear()
+        triangles.clear()
+        measured.clear()
         _, checked = check(rng, n_range, DEFAULT_TOL)
         assert all(error <= bound for _, error, bound in checked), checked
         assert counts == {"build_chart": 1, "_reconstruction": 1, "polygon_from_radii": 0}
-        # Areas: the reconstruction's, and the decomposition triangles'.
         assert checks == {
             "_line_offsets": 0,
-            "require_distinct": 2 + (rows > 1),
-            "oriented_areas": 2,
+            "require_distinct": int(rows > 1),
+            "polygon_measures": 2,
+            "oriented_areas": 0,
+            "signed_perimeters": 0,
+            "diameters": 2 + (rows > 1),
         }
-        vertices, areas, perimeters = results[-1]
-        assert vertices.shape[0] == areas.shape[0] == perimeters.shape[0] == rows
+        vertices, areas, perimeters, sizes = results[-1]
+        assert vertices.shape[0] == areas.shape[0] == perimeters.shape[0] == sizes.shape[0] == rows
+        # The sweep's own call measures the triangles; the other, inside the
+        # reconstruction, its stack.
+        assert len(triangles) == len(measured) == 1 and measured[0] is triangles[0]
         return systems[0]
 
     for t in range(20):
