@@ -407,7 +407,7 @@ def _slope_rule(vertices, edges, lengths, sizes, slope_angles, tol: Tolerances):
     max|coordinate|) / length: the roundoff of a direction read off vertices
     that were built at the polygon's scale and rounded at their own magnitude."""
     angles = np.arctan2(edges[..., 1], edges[..., 0]) % TWO_PI
-    scales = sizes + np.max(np.abs(vertices), axis=(-2, -1))
+    scales = sizes + np.abs(vertices).max(axis=(-2, -1))
     roundoff = 256.0 * EPS * scales[..., None] / lengths
     return angles, line_gap(angles, slope_angles) > tol.parallel + roundoff
 

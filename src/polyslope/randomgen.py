@@ -26,7 +26,7 @@ import math
 import numpy as np
 
 from .cyclic import CyclicPolygon
-from .geometry import SlopeSystem, TWO_PI
+from .geometry import TWO_PI, SlopeSystem, _cycled
 
 MIN_LINE_SEPARATION = math.radians(3.0)
 ANTIPODAL_MARGIN = math.radians(4.0)
@@ -85,7 +85,7 @@ def random_cyclic_polygon(rng: np.random.Generator, n: int) -> CyclicPolygon:
     while True:
         directions = _spaced_lines(rng, n) + math.pi * rng.integers(0, 2, n)
         phis = rng.permutation(directions)
-        arcs = (np.roll(phis, -1) - phis) % TWO_PI
+        arcs = (_cycled(phis) - phis) % TWO_PI
         if np.min(np.abs(arcs - math.pi)) >= ANTIPODAL_MARGIN:
             return CyclicPolygon(np.zeros(2), float(rng.uniform(0.5, 2.0)), phis)
 

@@ -156,22 +156,34 @@ def tritangent_circle(angles, offsets) -> tuple[np.ndarray, float | np.ndarray]:
     they give the same point.  The signed radius is positive in the all-left
     case and negative in the all-right case.
 
+    Cramer's rule solves the system.  With the half turns h_j = (a_{j+1} -
+    a_j) / 2 its determinant is the product 4 sin h_1 sin h_2 sin h_3, zero
+    only for two codirected lines (ReconstructionDegenerate).  Offset d_j
+    enters through the turn of lines j + 1 and j + 2, with the minors
+    sin 2h_{j+1} for rho and u_{j+2} - u_{j+1} = 2 sin h_{j+1} n(a_{j+1} +
+    h_{j+1}) for the center: small sines stay factors, as in p_i.
+
     ``angles`` and ``offsets`` may be stacked with shape (..., 3); the result
     then has shapes (..., 2) and (...), one circle per triple.
     """
     angles = np.asarray(angles, dtype=float)
-    rhs = np.asarray(offsets, dtype=float)
-    matrix = np.empty(angles.shape + (3,))
-    matrix[..., 0] = -np.sin(angles)
-    matrix[..., 1] = np.cos(angles)
-    matrix[..., 2] = -1.0
-    try:
-        solution = np.linalg.solve(matrix, rhs[..., None])[..., 0]
-    except np.linalg.LinAlgError as exc:
-        raise ReconstructionDegenerate("no one-side tritangent circle found") from exc
-    if solution.ndim == 1:
-        return solution[:2], float(solution[2])
-    return solution[..., :2], solution[..., 2]
+    if angles.shape[-1:] != (3,):
+        raise ValueError(f"expected the angles of three lines, got shape {angles.shape}")
+    # -h, so that the center's minors need no negation.
+    half = 0.5 * (angles - _cycled(angles, 1, -1))
+    sines = np.sin(half)
+    det = sines[..., 0] * sines[..., 1] * sines[..., 2]
+    if np.count_nonzero(det) < det.size:
+        raise ReconstructionDegenerate("no one-side tritangent circle found")
+    # d_{j-1} sin h_j / (2 prod sin h), the weight of turn j.
+    weights = 0.5 * _cycled(np.asarray(offsets, dtype=float), -1, -1) * sines / det[..., None]
+    middle = half - angles
+    x, y, rho = weights * np.sin(middle), weights * np.cos(middle), weights * np.cos(half)
+    center = np.empty(angles.shape[:-1] + (2,))
+    center[..., 0] = x[..., 0] + x[..., 1] + x[..., 2]
+    center[..., 1] = y[..., 0] + y[..., 1] + y[..., 2]
+    rho = rho[..., 0] + rho[..., 1] + rho[..., 2]
+    return (center, float(rho)) if angles.ndim == 1 else (center, rho)
 
 
 # Kept while perfbench/tracer.py traces it; no program path calls it.
@@ -337,43 +349,40 @@ def _radii_offsets(angles: np.ndarray, rows: np.ndarray) -> np.ndarray:
     steps = np.empty_like(rows)
     steps[:, 0] = 0.0
     np.subtract(rows[:, 1:], rows[:, :-1], out=steps[:, 1:])
-    centers = np.cumsum(steps * -half[1:-1], axis=1)
+    centers = (steps * -half[1:-1]).cumsum(axis=1)
     # t_k comes from triangle max(k - 2, 0); sin(theta_0) = 0 keeps e_1 at 0.
     owner = _owners(angles.shape[-1])
     return (centers[:, owner] + rows[:, owner] * half) * np.sin(-theta)
 
 
-def _reconstruction(
-    chart: RadiiChart, radii
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+def _reconstruction(chart: RadiiChart, radii) -> tuple[np.ndarray, ...]:
     """:func:`polygon_from_radii` of one row or a (K, n - 2) stack of radii as
-    the (K, n, 2) vertex stack, with the (K,) oriented areas, signed
-    perimeters and diameters that :func:`polygon_measures` took of it in one
-    edge pass for the check of the chart laws.  Measuring the signed
-    perimeters holds every edge of every row to its slope."""
+    the (K, n, 2) vertex stack, with what its check of the chart laws built:
+    the (K,) oriented areas, signed perimeters and diameters that one edge
+    pass of :func:`polygon_measures` took (holding every edge to its slope),
+    and the (2, K) law sums (1/2 sum p r**2, sum p r) and sums of |terms|."""
     radii = np.asarray(radii, dtype=float)
     n = chart.n
     if radii.shape[-1:] != (n - 2,) or radii.ndim > 2:
         raise ValueError(f"expected {n - 2} radii, got shape {radii.shape}")
-    if not np.all(np.isfinite(radii)):
+    if not np.isfinite(radii).all():
         raise ValueError("radii must be finite")
     angles, tol = chart.system.angles, chart.tol
     rows = radii.reshape(-1, n - 2)
     vertices = line_vertices(angles, _radii_offsets(angles, rows), tol)
     areas, perimeters, sizes = polygon_measures(vertices, angles, tol)
     # The chart laws hold on every row, to their roundoff of 2048 eps sum|terms|.
-    terms = np.stack((0.5 * chart.unit_perimeters * rows**2, chart.unit_perimeters * rows))
-    measured = np.stack((areas, perimeters))
-    errors = np.abs(measured - np.sum(terms, axis=-1))
-    bounds = 2048.0 * EPS * np.sum(np.abs(terms), axis=-1)
-    violated = (errors > bounds).any(axis=0)
+    terms = np.array((0.5 * chart.unit_perimeters * rows**2, chart.unit_perimeters * rows))
+    sums, scales = terms.sum(axis=-1), np.abs(terms).sum(axis=-1)
+    errors = np.abs(np.array((areas, perimeters)) - sums)
+    violated = (errors > 2048.0 * EPS * scales).any(axis=0)
     if violated.any():
         area_err, perim_err = errors[:, np.argmax(violated)].tolist()
         raise ReconstructionDegenerate(
             f"reconstruction violates chart laws (area error {area_err!r}, "
             f"perimeter error {perim_err!r})"
         )
-    return vertices, areas, perimeters, sizes
+    return vertices, areas, perimeters, sizes, sums, scales
 
 
 def polygon_from_radii(chart: RadiiChart, radii) -> PolygonChain | np.ndarray:
@@ -395,8 +404,8 @@ def polygon_from_radii(chart: RadiiChart, radii) -> PolygonChain | np.ndarray:
     checked as a single polygon is, and a failing check names the first row.
     The kernel :func:`_reconstruction` also returns the oriented areas,
     signed perimeters and diameters that its check of the chart laws
-    measured in one edge pass (:func:`polygon_measures`); the
-    chart-identity sweep reads them from there.
+    measured in one edge pass (:func:`polygon_measures`), and the law sums
+    it held them to; the chart-identity sweep reads them from there.
     """
     vertices = _reconstruction(chart, radii)[0]
     return PolygonChain(vertices[0]) if np.ndim(radii) == 1 else vertices
@@ -425,48 +434,29 @@ def decomposition_lines(n: int) -> np.ndarray:
     return lines
 
 
-def _decomposition_radii(chart: RadiiChart, offsets: np.ndarray) -> np.ndarray:
-    """:func:`radii_of_polygon` from the polygon's line offsets."""
-    lines = decomposition_lines(chart.n)
-    _, radii = tritangent_circle(chart.system.angles[lines], offsets[lines])
-    return radii
-
-
 def radii_of_polygon(chart: RadiiChart, polygon: PolygonChain) -> np.ndarray:
     """Signed inradii of the polygon's decomposition triangles."""
-    return _decomposition_radii(chart, _line_offsets(chart, polygon.vertices))
-
-
-def _decomposition_triangles(chart: RadiiChart, offsets: np.ndarray) -> np.ndarray:
-    """:func:`decomposition_polygons` from the polygon's line offsets, its
-    vertices not yet checked."""
     lines = decomposition_lines(chart.n)
-    return line_vertices(chart.system.angles[lines], offsets[lines], chart.tol)
+    offsets = _line_offsets(chart, polygon.vertices)[lines]
+    return tritangent_circle(chart.system.angles[lines], offsets)[1]
 
 
 def decomposition_polygons(chart: RadiiChart, polygon: PolygonChain) -> np.ndarray:
     """Triangles Q(e_1, e_{i+1}, e_{i+2}) built from the polygon's edge lines,
     as one (n - 2, 3, 2) stack of vertex lists, each checked as a
     :class:`PolygonChain` is."""
-    vertices = _decomposition_triangles(chart, _line_offsets(chart, polygon.vertices))
+    lines = decomposition_lines(chart.n)
+    offsets = _line_offsets(chart, polygon.vertices)[lines]
+    vertices = line_vertices(chart.system.angles[lines], offsets, chart.tol)
     require_distinct(vertices)
     return vertices
 
 
-def _chart_coordinates(
-    chart: RadiiChart, vertices: np.ndarray, offsets: np.ndarray, area: float
-) -> ChartCoordinates:
-    """:func:`normalized_coordinates` of an (n, 2) vertex list, its line
-    offsets and its oriented area."""
-    heights = vertices[2:] @ left_normal(chart.system.angles[0]) - offsets[0]
-    x = np.sqrt(chart.area_constants) * heights
-    normalized = None
-    mask = chart.positive_mask
-    if np.any(mask):
-        positive_norm_sq = float(np.sum(x[mask] ** 2))
-        if positive_norm_sq > 0.0 and abs(area - 1.0) <= 1e-9 * max(1.0, abs(area)):
-            normalized = x / math.sqrt(positive_norm_sq)
-    return ChartCoordinates(x=x, normalized=normalized)
+def _chart_coordinates(chart: RadiiChart, vertices: np.ndarray, offset: float) -> np.ndarray:
+    """The coordinates x of :func:`normalized_coordinates` of an (n, 2)
+    vertex list whose first edge line has the given offset."""
+    heights = vertices[2:] @ left_normal(chart.system.angles[0]) - offset
+    return np.sqrt(chart.area_constants) * heights
 
 
 def normalized_coordinates(chart: RadiiChart, polygon: PolygonChain) -> ChartCoordinates:
@@ -474,12 +464,19 @@ def normalized_coordinates(chart: RadiiChart, polygon: PolygonChain) -> ChartCoo
 
     x_i = sqrt(c_i) * (signed distance of v_{i+2} from the first edge line);
     the signed sum of squares split by the perimeter signs reproduces the
-    oriented area.  For polygons of area +1 with a nonempty positive block
-    the sphere-times-disc normalization of x is returned as well.
+    oriented area.  For polygons of area +1 with a nonempty positive block it
+    also returns x over the norm of that block, on the sphere-times-disc.
     """
     vertices = polygon.vertices
     area = float(oriented_areas(vertices))
-    return _chart_coordinates(chart, vertices, _line_offsets(chart, vertices), area)
+    x = _chart_coordinates(chart, vertices, _line_offsets(chart, vertices)[0])
+    normalized = None
+    mask = chart.positive_mask
+    if np.any(mask):
+        positive_norm_sq = float(np.sum(x[mask] ** 2))
+        if positive_norm_sq > 0.0 and abs(area - 1.0) <= 1e-9 * max(1.0, abs(area)):
+            normalized = x / math.sqrt(positive_norm_sq)
+    return ChartCoordinates(x=x, normalized=normalized)
 
 
 def topology_report(chart: RadiiChart) -> TopologyReport:

@@ -21,7 +21,9 @@ from .geometry import (
     EPS,
     TWO_PI,
     SlopeSystem,
+    _cycled,
     edge_offsets,
+    line_vertices,
     polygon_measures,
     tangential_polygons,
     turning_sum,
@@ -38,11 +40,10 @@ from .randomgen import (
 )
 from .slope_space import (
     _chart_coordinates,
-    _decomposition_radii,
-    _decomposition_triangles,
     _reconstruction,
     build_chart,
     decomposition_lines,
+    tritangent_circle,
 )
 from .tangential import (
     edge_hessians,
@@ -70,7 +71,7 @@ DUAL_PERIMETER_ROUNDOFF = 1024.0
 
 def _locus_roundoff(chart):
     """eps sum|p| / |sum p|, the roundoff of quantities that cancel to unit area."""
-    scale = float(np.sum(np.abs(chart.unit_perimeters)))
+    scale = float(np.abs(chart.unit_perimeters).sum())
     return EPS * scale / abs(chart.perimeter_sum)
 
 
@@ -151,47 +152,46 @@ def check_chart_identities(rng, n, tol):
     points = tangential_critical_points(chart)
     # Row 0 holds the drawn radii, each further row a tangential point's r_i = r.
     # The reconstruction measures every row's area, signed perimeter and
-    # diameter in one edge pass, and so holds each edge to its slope.
-    stack = np.array([radii, *(np.full(n - 2, point.inradius) for point in points)])
-    rebuilt, areas, perimeters, sizes = _reconstruction(chart, stack)
+    # diameter in one edge pass, holding each edge to its slope, and returns
+    # the chart-law sums (and sums of |terms|) it checked them by.
+    stack = np.empty((1 + len(points), n - 2))
+    stack[0], stack[1:] = radii, np.reshape([point.inradius for point in points], (-1, 1))
+    rebuilt, areas, perimeters, sizes, sums, scales = _reconstruction(chart, stack)
     areas, perimeters = areas.tolist(), perimeters.tolist()
-    angles = chart.system.angles
-    p = chart.unit_perimeters
     area, perim = areas[0], perimeters[0]
-    area_sum = 0.5 * float(np.sum(p * radii**2))
-    perim_sum = float(np.sum(p * radii))
-    area_scale = max(1.0, 0.5 * float(np.sum(np.abs(p) * radii**2)))
-    perim_scale = max(1.0, float(np.sum(np.abs(p * radii))))
+    area_sum, perim_sum = sums[:, 0].tolist()
+    area_scale, perim_scale = np.maximum(1.0, scales[:, 0]).tolist()
     # Row 0's line offsets give the triangles, radii and coordinates.
-    offsets = edge_offsets(rebuilt[0], angles)
-    triangles = _decomposition_triangles(chart, offsets)
-    tri_areas, tri_perims, _ = polygon_measures(triangles, angles[decomposition_lines(n)], tol)
+    angles = chart.system.angles
+    lines = decomposition_lines(n)
+    triples, offsets = angles[lines], edge_offsets(rebuilt[0], angles)[lines]
+    triangles = line_vertices(triples, offsets, tol)
+    tri_areas, tri_perims, _ = polygon_measures(triangles, triples, tol)
     tri_area, tri_perim = sum(tri_areas.tolist()), sum(tri_perims.tolist())
-    recovered = _decomposition_radii(chart, offsets)
-    coords = _chart_coordinates(chart, rebuilt[0], offsets, area)
-    mask = chart.positive_mask
-    quadratic = float(np.sum(coords.x[mask] ** 2) - np.sum(coords.x[~mask] ** 2))
-    radii_scale = max(1.0, float(np.max(np.abs(radii))))
+    recovered = tritangent_circle(triples, offsets)[1]
+    x = _chart_coordinates(chart, rebuilt[0], offsets[0, 0])
+    quadratic = float(np.sign(chart.unit_perimeters) * x @ x)
+    radii_scale = max(1.0, float(np.abs(radii).max()))
     rows = [
         ("quadratic area law off", abs(area - area_sum), 1e-10 * area_scale),
         ("linear perimeter law off", abs(perim - perim_sum), 1e-10 * perim_scale),
         ("area additivity off", abs(tri_area - area), 1e-10 * area_scale),
         ("perimeter additivity off", abs(tri_perim - perim), 1e-10 * perim_scale),
-        ("radii roundtrip off", float(np.max(np.abs(recovered - radii))), 1e-9 * radii_scale),
+        ("radii roundtrip off", float(np.abs(recovered - radii).max()), 1e-9 * radii_scale),
         ("coordinate quadratic form off", abs(quadratic - area), 1e-9 * area_scale),
     ]
     if not points:
         return rows
-    scales = sizes.tolist()
+    sizes = sizes.tolist()
     incenters = [point.incenter for point in points]
     polygons = tangential_polygons(angles, incenters, [point.inradius for point in points])
-    gaps = np.max(np.abs(rebuilt[1:] - polygons), axis=(-2, -1)).tolist()
+    gaps = np.abs(rebuilt[1:] - polygons).max(axis=(-2, -1)).tolist()
     windings = winding_numbers(rebuilt[1:], incenters).tolist()
     # The area is +-1, so its absolute and relative errors agree.
     bound = max(1e-10, TANGENTIAL_ROUNDOFF * _locus_roundoff(chart))
     for k, (point, gap) in enumerate(zip(points, gaps), 1):
         rows += [
-            ("tangential vertices off", gap, 1e-10 * scales[k]),
+            ("tangential vertices off", gap, 1e-10 * sizes[k]),
             ("tangential area off", abs(areas[k] - point.area), bound),
             ("tangential perimeter off", abs(perimeters[k] / point.perimeter - 1.0), bound),
             ("tangential winding off", abs(windings[k - 1] - chart.winding), 0),
@@ -207,7 +207,7 @@ def check_turning_signature(rng, n, tol):
     chart = build_chart(system, tol)
     total, k, right = chart.angle_sum, chart.half_turns, chart.right_turns
     angles = system.angles
-    turns = (np.roll(angles, -1) - angles + math.pi) % TWO_PI - math.pi
+    turns = (_cycled(angles) - angles + math.pi) % TWO_PI - math.pi
     winding = round(float(np.sum(turns)) / TWO_PI)
     rows = [
         ("turning multiple out of range", max(1 - k, k - (n - 1), 0), 0),

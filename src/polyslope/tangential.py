@@ -11,10 +11,12 @@ constrained radii chart has the closed form
 indexed by the free radii j, k = 2..n-2.  So are the vertices, the perimeter
 r sum p_i, the area sign(sum p_i) and the winding number, with the radii
 reconstruction :func:`polygon_from_radii` as their oracle in tests and
-sweeps.  The Morse index is produced two independent ways: exactly, from
-the signs of the p_i (inertia of the Hessian's bordered matrix), and by the
-combinatorial turn/winding formula.  The points are checked in edge space,
-where a polygon is its signed edge lengths l, closure U l = 0 is linear, the
+sweeps.  The Morse index is produced two ways, exactly from the signs of the
+p_i (inertia of the Hessian's bordered matrix) and by the turn/winding
+formula, which are not independent: under the signature law of
+:func:`build_chart` both are k - 1 - [sum p > 0] at r > 0, so they cannot
+disagree on a valid chart.  The points are checked in edge space, where a
+polygon is its signed edge lengths l, closure U l = 0 is linear, the
 perimeter is sum l and the area 1/2 l^T Q l (:func:`tangential_residual`,
 :func:`edge_hessians`).  The two points share their chart and differ only in
 the sign of r, so each check evaluates both at once; a caller with one point
@@ -77,7 +79,7 @@ class TangentialCritical:
 
 @dataclass(frozen=True, eq=False)
 class IndexReport:
-    """Morse index of a tangential point, computed two independent ways.
+    """Morse index of a tangential point by two routes that always agree.
 
     ``index_eigen`` is the number of negative Hessian eigenvalues, counted
     exactly from the signs of the unit perimeters (see

@@ -27,12 +27,22 @@ result, or ``Type: message`` of the error it raises.  The sets:
   renders of each kind, every ``--help``, and the usage, file, schema and
   option errors.  Each invocation hashes as the JSON of its exit code,
   stdout, stderr and the SVG it wrote, with the temporary directory
-  written ``<tmp>``.
+  written ``<tmp>``;
+* ``kernels``: one line per chart kernel, ``kernels: NAME``, over the raw
+  bytes of its float64 results (or the type and message of its error) on
+  3,000 seeded charts, n 3..14, each with a drawn, a unit and a zero row
+  of radii and a row r_i = r per tangential point: ``_reconstruction``
+  (vertices, areas, signed perimeters, diameters), ``polygon_measures``,
+  ``tangential_polygons``, ``decomposition_polygons`` and
+  ``tritangent_circle``.  A kernel change that claims byte identity
+  compares these lines with its parent's (``tests/digest.py kernels``).
 
-It takes about 90 s on a 2-core machine; the ``cli`` set alone about 9 s.
+It takes about 90 s on a 2-core machine; the ``cli`` set alone about 9 s,
+the ``kernels`` set about 8 s.
 """
 
 import contextlib
+import functools
 import hashlib
 import io
 import json
@@ -43,9 +53,18 @@ import tempfile
 import numpy as np
 
 from polyslope import cli
-from polyslope.randomgen import trial_rng
+from polyslope.geometry import PolygonChain, edge_offsets, polygon_measures, tangential_polygons
+from polyslope.randomgen import random_radii, random_slope_system, trial_rng
 from polyslope.report import cyclic_report, family_report, slopes_report
+from polyslope.slope_space import (
+    _reconstruction,
+    build_chart,
+    decomposition_lines,
+    decomposition_polygons,
+    tritangent_circle,
+)
 from polyslope.sweeps import CHECKS, run_sweep
+from polyslope.tangential import tangential_critical_points
 from polyslope.tolerances import DEFAULT_TOL
 
 import test_family
@@ -69,6 +88,10 @@ TWENTY_GON = [
 ]
 # Flags of each analyze invocation of the cli set.
 CLI_FLAGS = ((), ("--json",), ("--tol-scale", "1000"), ("--json", "--tol-scale", "1000"))
+KERNELS = (
+    "_reconstruction", "polygon_measures", "tangential_polygons", "decomposition_polygons",
+    "tritangent_circle",
+)
 HELP = (
     (), ("slopes",), ("slopes", "analyze"), ("cyclic",), ("cyclic", "analyze"),
     ("sweep",), ("family",), ("render",),
@@ -93,12 +116,66 @@ def check_outcome(check, rng) -> str:
 
 
 def digest(outcomes) -> tuple[int, str]:
-    """How many outcomes, and the SHA-256 of their lines."""
+    """How many outcomes, and the SHA-256 of their lines (bytes as they are)."""
     sha, count = hashlib.sha256(), 0
     for line in outcomes:
-        sha.update(line.encode() + b"\n")
+        sha.update(line if isinstance(line, bytes) else line.encode() + b"\n")
         count += 1
     return count, sha.hexdigest()
+
+
+def raw(make, *args) -> bytes:
+    """The raw float64 bytes of the array or tuple of arrays that
+    ``make(*args)`` returns, or the type and message of its error."""
+    try:
+        result = make(*args)
+    except Exception as exc:  # an error is an output too
+        return f"{type(exc).__name__}: {exc}\n".encode()
+    arrays = result if isinstance(result, tuple) else (result,)
+    return b"".join(np.asarray(array, dtype=float).tobytes() for array in arrays)
+
+
+@functools.cache
+def kernel_inputs() -> list:
+    """(chart, radii rows, tangential points) of 3,000 seeded charts, n 3..14:
+    the drawn and unit rows, then one row per tangential point."""
+    rng = np.random.default_rng(3000)
+    inputs = []
+    for _ in range(3000):
+        n = int(rng.integers(3, 15))
+        chart = build_chart(random_slope_system(rng, n))
+        points = tangential_critical_points(chart)
+        rows = [random_radii(rng, n - 2), np.ones(n - 2)]
+        rows += [np.full(n - 2, point.inradius) for point in points]
+        inputs.append((chart, np.array(rows), points))
+    return inputs
+
+
+def kernel_outcomes(kernel):
+    """The raw bytes of ``kernel`` on each chart of :func:`kernel_inputs`."""
+    for chart, rows, points in kernel_inputs():
+        angles, tol = chart.system.angles, chart.tol
+        n = chart.n
+        if kernel == "_reconstruction":
+            yield raw(lambda: _reconstruction(chart, rows)[:4])
+            yield raw(lambda: _reconstruction(chart, np.zeros(n - 2))[:4])
+            continue
+        vertices = _reconstruction(chart, rows)[0]
+        lines = decomposition_lines(n)
+        if kernel == "polygon_measures":
+            yield raw(polygon_measures, vertices, angles, tol)
+            triangles = decomposition_polygons(chart, PolygonChain(vertices[0]))
+            yield raw(polygon_measures, triangles, angles[lines], tol)
+        elif kernel == "tangential_polygons":
+            centers = [point.incenter for point in points]
+            yield raw(tangential_polygons, angles, centers, [p.inradius for p in points])
+        elif kernel == "decomposition_polygons":
+            for row in vertices[:2]:
+                yield raw(decomposition_polygons, chart, PolygonChain(row))
+        elif kernel == "tritangent_circle":
+            offsets = edge_offsets(vertices[0], angles)[lines]
+            yield raw(tritangent_circle, angles[lines], offsets)
+            yield raw(tritangent_circle, angles[lines], np.zeros_like(offsets))
 
 
 def near_bifurcation_inputs():
@@ -260,15 +337,18 @@ def sets():
         name = "near bifurcation" + ("" if factor == 1.0 else f" x{factor:g}")
         yield name, (outcome(cyclic_report, 1.0, p, (0.0, 0.0), tol) for p in near)
     yield "cli", cli_outcomes()
+    for kernel in KERNELS:
+        yield f"kernels: {kernel}", kernel_outcomes(kernel)
 
 
 if __name__ == "__main__":
-    wanted = set(sys.argv[1:])
+    wanted, found = set(sys.argv[1:]), set()
     for name, outcomes in sets():
-        if wanted and name not in wanted:
+        names = {name, name.split(":")[0]}  # "kernels" names every "kernels: NAME" set
+        if wanted and not names & wanted:
             continue
-        wanted.discard(name)
+        found |= names
         count, hexdigest = digest(outcomes)
-        print(f"{name:<22} {count:>6}  {hexdigest}", flush=True)
-    if wanted:
-        sys.exit(f"no such set: {', '.join(sorted(wanted))}")
+        print(f"{name:<32} {count:>6}  {hexdigest}", flush=True)
+    if wanted - found:
+        sys.exit(f"no such set: {', '.join(sorted(wanted - found))}")

@@ -103,6 +103,39 @@ class TestTritangentCircle:
         centers, radii = tritangent_circle(*map(np.array, zip(*triples)))
         assert np.array_equal(np.column_stack((centers, radii)), np.array(singles))
 
+    def test_cramer_rule_matches_a_linear_solve(self):
+        # The closed form against LAPACK's solve of the same system, on
+        # random triples, with two antiparallel lines, and with two lines
+        # near codirected, where the solve loses what the product form of
+        # the determinant keeps: relative to the solution's size, within
+        # 1e-9 on the first two and 1e-6 on the last.
+        rng = np.random.default_rng(31)
+        for case, rtol in ((0, 1e-9), (1, 1e-9), (2, 1e-6)):
+            angles = rng.uniform(0.0, 2 * math.pi, (2000, 3))
+            offsets = rng.uniform(-2.0, 2.0, (2000, 3))
+            if case == 1:
+                angles[:, 1] = (angles[:, 0] + math.pi) % (2 * math.pi)
+            if case == 2:
+                angles[:, 1] = angles[:, 0] + rng.uniform(-1e-3, 1e-3, 2000)
+            matrix = np.stack((-np.sin(angles), np.cos(angles), -np.ones_like(angles)), -1)
+            expected = np.linalg.solve(matrix, offsets[..., None])[..., 0]
+            centers, radii = tritangent_circle(angles, offsets)
+            solution = np.column_stack((centers, radii))
+            scale = np.max(np.abs(expected), axis=-1, keepdims=True)
+            assert np.all(np.abs(solution - expected) <= rtol * scale), case
+
+    def test_codirected_lines_and_other_shapes_raise(self):
+        # Two codirected lines: the determinant's product has a zero factor.
+        for angles in ((0.3, 0.3, 2.0), (1.0, 4.0, 1.0), (5.0, 5.0, 5.0)):
+            with pytest.raises(ReconstructionDegenerate, match="no one-side tritangent"):
+                tritangent_circle(angles, (0.0, 1.0, -1.0))
+        stacked = np.array([[0.1, 2.0, 4.0], [0.3, 0.3, 2.0]])
+        with pytest.raises(ReconstructionDegenerate, match="no one-side tritangent"):
+            tritangent_circle(stacked, np.zeros((2, 3)))
+        for angles in ((0.1, 2.0), (0.1, 2.0, 4.0, 5.0), [[0.1, 2.0, 4.0, 5.0]]):
+            with pytest.raises(ValueError, match="angles of three lines"):
+                tritangent_circle(angles, np.zeros(np.shape(angles)))
+
 
 class TestBuildChart:
     def test_single_triangle_chart(self):
@@ -479,3 +512,30 @@ class TestStackedReconstruction:
                 assert outcome_text(func, chart, short) == (
                     "SlopeMismatch", f"polygon has {chart.n - 1} edges, chart expects {chart.n}"
                 )
+
+
+# test_fuzz.ANGLES[1213] and its third random_radii draw from default_rng(2022)
+# (three draws per system of ANGLES[:1500], in order): lines 0.03 degrees apart.
+CLOSE_LINES_DEG = [
+    206.3134055379558, 92.62433426327802, 303.3954487849579, 194.49230083259678,
+    26.347069107721047, 239.37387029719463, 236.70852701137147, 241.76483646884785,
+    176.84724818166103, 136.04824434078003, 331.2605926148774, 143.28217034516686,
+]
+CLOSE_LINES_RADII = [
+    0.15154366470482383, 0.9593459299314757, -1.4888316758217743, 1.545187042728716,
+    1.0548873237645702, 1.8588762830338945, 0.8412576551031421, 0.2408392238783077,
+    -0.10738011477053178, 1.366529302762621,
+]
+
+
+@pytest.mark.xfail(
+    strict=True,
+    raises=ReconstructionDegenerate,
+    reason="the chart-law bound 2048 eps sum|terms| does not grow with 1/sin(least line gap)",
+)
+def test_valid_chart_with_close_lines_reconstructs():
+    # A valid chart and finite radii: the polygon exists.  Its area misses
+    # the quadratic law by 1.17e-8, 3,359 units of eps sum|terms|.
+    chart = build_chart(SlopeSystem.from_degrees(CLOSE_LINES_DEG))
+    polygon = polygon_from_radii(chart, CLOSE_LINES_RADII)
+    assert polygon.n == len(CLOSE_LINES_DEG)

@@ -324,12 +324,12 @@ OFF = 1.0 + 1e-6
 def plant_on_triangles(monkeypatch, part):
     """Measure ``part`` of sweeps.polygon_measures (0 areas, 1 signed
     perimeters) off by one part in a million on the decomposition triangles
-    alone: the stack that _decomposition_triangles returned last."""
+    alone: the stack that the sweep's line_vertices built last."""
     made = []
-    decompose, kernel = sweeps._decomposition_triangles, sweeps.polygon_measures
+    build, kernel = sweeps.line_vertices, sweeps.polygon_measures
 
     def recorded(*args):
-        made.append(decompose(*args))
+        made.append(build(*args))
         return made[-1]
 
     def planted(vertices, *args):
@@ -338,7 +338,7 @@ def plant_on_triangles(monkeypatch, part):
             measures[part] = measures[part] * OFF
         return tuple(measures)
 
-    monkeypatch.setattr(sweeps, "_decomposition_triangles", recorded)
+    monkeypatch.setattr(sweeps, "line_vertices", recorded)
     monkeypatch.setattr(sweeps, "polygon_measures", planted)
 
 
@@ -364,13 +364,15 @@ PLANTED = {
         m, "_reconstruction", lambda r: (r[0], r[1] * OFF, *r[2:])
     ),
     "linear perimeter law off": lambda m: plant_on_result(
-        m, "_reconstruction", lambda r: (*r[:2], r[2] * OFF, r[3])
+        m, "_reconstruction", lambda r: (*r[:2], r[2] * OFF, *r[3:])
     ),
     "area additivity off": lambda m: plant_on_triangles(m, 0),
     "perimeter additivity off": lambda m: plant_on_triangles(m, 1),
-    "radii roundtrip off": lambda m: plant_on_result(m, "_decomposition_radii", lambda r: r * OFF),
+    "radii roundtrip off": lambda m: plant_on_result(
+        m, "tritangent_circle", lambda r: (r[0], r[1] * OFF)
+    ),
     "coordinate quadratic form off": lambda m: plant_on_result(
-        m, "_chart_coordinates", lambda c: dataclasses.replace(c, x=c.x * OFF)
+        m, "_chart_coordinates", lambda x: x * OFF
     ),
     "tangential vertices off": lambda m: m.setattr(
         sweeps, "tangential_critical_points", offset_incenters
@@ -383,6 +385,19 @@ def test_planted_chart_identity_defect_fails(monkeypatch, capsys, label):
     # Every comparison of the stacked chart-identity check still fails each
     # trial of its stream when one side is off by one part in a million.
     PLANTED[label](monkeypatch)
+    assert_fails_every_trial(5, label, capsys)
+
+
+@pytest.mark.parametrize("law, label", enumerate(list(PLANTED)[:2]))
+def test_planted_law_sum_fails(monkeypatch, capsys, law, label):
+    # The other side of the two chart-law rows: the sums that the
+    # reconstruction returned, once its own check has passed.
+    def off_sum(result):
+        sums = result[4].copy()
+        sums[law] *= OFF
+        return (*result[:4], sums, result[5])
+
+    plant_on_result(monkeypatch, "_reconstruction", off_sum)
     assert_fails_every_trial(5, label, capsys)
 
 

@@ -19,9 +19,10 @@ relabeling.
 A family charts its rows as one angle stack, and each bracket the
 midpoints that the turn sum predicts as one more, and builds no chart
 unless a row is invalid.  A chart-identity trial reads the areas,
-signed perimeters and diameters that its reconstruction measured, measures
-each vertex stack in one edge pass, and builds the tangential points'
-polygons as one vertex stack.
+signed perimeters, diameters and chart-law sums that its reconstruction
+returned, measures each vertex stack in one edge pass, recovers the radii
+with one closed-form tritangent_circle call and no linear solve, and builds
+the tangential points' polygons as one vertex stack.
 """
 
 import math
@@ -51,11 +52,11 @@ from polyslope.randomgen import random_slope_system, trial_rng
 from polyslope.report import cyclic_report, family_report, slopes_report
 from polyslope.slope_space import (
     RadiiChart,
-    _decomposition_triangles,
     _line_offsets,
     _reconstruction,
     chart_stack,
     polygon_from_radii,
+    tritangent_circle,
     turning_rule,
 )
 from polyslope.sweeps import CHECKS
@@ -414,19 +415,21 @@ def test_cyclic_report_makes_one_svd_eigvalsh_and_chart(monkeypatch, phis):
 def test_chart_identity_trial_reconstructs_one_stack(monkeypatch):
     # One chart, one reconstruction of three rows (one when the drawn system
     # is exceptional), and no SlopeSystem but the drawn one.  The trial reads
-    # the areas, signed perimeters and diameters that the reconstruction
-    # measured, and the drawn row's line offsets off its vertices: the
-    # reconstruction has held every edge to its slope.  One polygon_measures
-    # call measures the reconstruction's stack and one the triangles' stack,
-    # each with one diameters call; nothing else measures either stack.  The
-    # one vertex check, with the third diameters call, is that of the
-    # tangential points' closed-form polygons.
+    # the areas, signed perimeters, diameters and chart-law sums that the
+    # reconstruction returned, and the drawn row's line offsets off its
+    # vertices: the reconstruction has held every edge to its slope.  One
+    # polygon_measures call measures the reconstruction's stack and one the
+    # triangles' stack, each with one diameters call; nothing else measures
+    # either stack.  The one vertex check, with the third diameters call, is
+    # that of the tangential points' closed-form polygons.  The triangles'
+    # radii are one tritangent_circle call in closed form: no linear solve.
     index, check = next((i, c) for i, (n, c) in enumerate(CHECKS) if n == "chart_identities")
-    results, triangles = [], []
+    results, vertices_made = [], []
     counts = counted(monkeypatch, (build_chart, _reconstruction, polygon_from_radii), results)
-    counted(monkeypatch, (_decomposition_triangles,), triangles)
+    counted(monkeypatch, (geometry.line_vertices,), vertices_made)
     measures = (geometry.polygon_measures, oriented_areas, signed_perimeters, geometry.diameters)
-    checks = counted(monkeypatch, (_line_offsets, require_distinct, *measures))
+    checks = counted(monkeypatch, (_line_offsets, require_distinct, tritangent_circle, *measures))
+    linalg = counted_linalg(monkeypatch, ("solve",))
     measured = []
     kernel = sweeps.polygon_measures
 
@@ -438,13 +441,12 @@ def test_chart_identity_trial_reconstructs_one_stack(monkeypatch):
     systems = counted_systems(monkeypatch)
 
     def trial(rng, n_range, rows):
-        for name in counts:
-            counts[name] = 0
-        for name in checks:
-            checks[name] = 0
+        for tally in (counts, checks, linalg):
+            for name in tally:
+                tally[name] = 0
         systems[0] = 0
         results.clear()
-        triangles.clear()
+        vertices_made.clear()
         measured.clear()
         _, checked = check(rng, n_range, DEFAULT_TOL)
         assert all(error <= bound for _, error, bound in checked), checked
@@ -452,16 +454,20 @@ def test_chart_identity_trial_reconstructs_one_stack(monkeypatch):
         assert checks == {
             "_line_offsets": 0,
             "require_distinct": int(rows > 1),
+            "tritangent_circle": 1,
             "polygon_measures": 2,
             "oriented_areas": 0,
             "signed_perimeters": 0,
             "diameters": 2 + (rows > 1),
         }
-        vertices, areas, perimeters, sizes = results[-1]
+        assert linalg == {"solve": 0}
+        vertices, areas, perimeters, sizes, sums, scales = results[-1]
         assert vertices.shape[0] == areas.shape[0] == perimeters.shape[0] == sizes.shape[0] == rows
-        # The sweep's own call measures the triangles; the other, inside the
-        # reconstruction, its stack.
-        assert len(triangles) == len(measured) == 1 and measured[0] is triangles[0]
+        assert sums.shape == scales.shape == (2, rows)
+        # The reconstruction's lines, then the triangles' lines, which the
+        # sweep's own polygon_measures call measures.
+        assert len(vertices_made) == 2 and vertices_made[0] is vertices
+        assert len(measured) == 1 and measured[0] is vertices_made[1]
         return systems[0]
 
     for t in range(20):
