@@ -7,7 +7,9 @@ perimeter has exactly two critical points (or none): the two tangential
 polygons, whose edge lines all touch one circle from a common side.  This
 script constructs them, checks in edge space that the gradient really
 vanishes, compares the closed-form Hessian against the area form pulled back
-from edge space, and computes the Morse index two independent ways.
+from edge space, and gives the Morse index by its formula in the half turns
+k and the sign of the perimeter sum, checked by an independent count: the
+negative eigenvalues of the area form on the edge-space tangent.
 """
 
 import numpy as np
@@ -26,7 +28,8 @@ points = tangential_critical_points(build_chart(system))
 # Both points share one chart, so each check takes them as one stack.
 closed, edge = edge_hessians(points)
 identities = hessian_det_identities(points)
-reports = index_reports(points)
+# The index count reads the first point's polygon; the other has edges -l.
+reports = index_reports(points, points[0].polygon.vertices)
 
 for k, point in enumerate(points):
     print(f"tangential point with signed inradius r = {point.inradius:+.6f}")
@@ -47,12 +50,12 @@ for k, point in enumerate(points):
     lhs, rhs = identities[k]
     print(f"  determinant identity: {lhs:.6f} = {rhs:.6f}")
 
-    # Morse index: the exact count from the signs of p agrees with the
-    # combinatorial formula from turn counts, winding, and the perimeter sign.
+    # Morse index: k - 1 - [sum p > 0] at r > 0, n - k - 2 + [sum p > 0] at
+    # r < 0, against the inertia of -Q / r on the edge-space tangent.
     report = reports[k]
     print(
-        f"  Morse index: sign count gives {report.index_eigen}, "
-        f"formula gives {report.index_formula} (agree: {report.agreement})"
+        f"  Morse index: formula gives {report.index_formula}, "
+        f"edge-space inertia gives {report.index_eigen} (agree: {report.agreement})"
     )
     print("  eigenvalues:", np.round(report.eigenvalues, 4))
     print()

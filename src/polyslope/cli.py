@@ -96,14 +96,10 @@ def _format_cyclic_text(report: dict) -> str:
     if indices.get("withheld"):
         lines.append(f"  indices withheld: {indices['reason']}")
     else:
-        dual_part = (
-            f", dual perimeter index {indices['mu_dual_perimeter']}"
-            if indices.get("mu_dual_perimeter") is not None
-            else f" ({indices.get('dual_note', 'dual index unavailable')})"
-        )
         lines.append(
             f"  area index: numeric {indices['mu_area_numeric']}, "
-            f"formula {indices['mu_area_formula']}{dual_part}, "
+            f"formula {indices['mu_area_formula']}, "
+            f"dual perimeter index {indices['mu_dual_perimeter']}, "
             f"identity {'holds' if indices['identity_holds'] else 'FAILS'}"
         )
     return "\n".join(lines)

@@ -16,7 +16,8 @@ the closure condition is the constraint, one SVD of its Jacobian gives the
 orthonormal basis of its null space (``geometry.closure_basis``), and the
 Lagrangian of the polygon's area, assembled in place from the edge vectors
 with the closure multiplier in closed form, is projected onto it.  The dual
-perimeter index is read off the chart of the dual slopes.
+perimeter index is the formula of :func:`~polyslope.tangential.index_pair`
+at the dual slopes' half turns and the sign of B.
 """
 
 import functools
@@ -34,7 +35,6 @@ from .errors import (
     LengthMismatch,
     NonIntegralTurn,
     NotCritical,
-    ParallelLines,
     SlopeMismatch,
 )
 from .geometry import (
@@ -49,8 +49,8 @@ from .geometry import (
     signed_perimeters,
     tangential_polygons,
 )
-from .slope_space import build_chart
-from .tangential import exceptional_mask, sign_count_index, turn_formula_index
+from .slope_space import turning_rule
+from .tangential import index_pair
 from .tolerances import DEFAULT_TOL, Tolerances
 
 
@@ -178,15 +178,14 @@ class DualityReport:
     """The area index by both routes, and the dual perimeter index.
 
     ``mu_area_numeric`` comes from the Lagrangian Hessian, ``mu_area_formula``
-    from the edge counts and winding.  Without a dual index (parallel or
-    exceptional dual slopes) ``mu_dual_perimeter`` is None, ``dual_note``
-    says why and ``identity_holds`` compares the two area routes alone.
+    from the edge counts and winding, ``mu_dual_perimeter`` from the dual
+    slopes' half turns and the sign of B.  ``identity_holds`` says that the
+    area routes agree and complement the dual index to n - 3.
     """
 
     mu_area_numeric: int
     mu_area_formula: int
-    mu_dual_perimeter: int | None
-    dual_note: str | None
+    mu_dual_perimeter: int
     identity_holds: bool
 
 
@@ -201,7 +200,7 @@ def cyclic_invariants(cyclic: CyclicPolygon) -> CyclicInvariants:
     forward = arcs < math.pi
     orientations = np.where(forward, 1, -1)
     half_angles = np.minimum(arcs, TWO_PI - arcs) / 2.0
-    turns = float(np.sum(np.where(forward, arcs, arcs - TWO_PI))) / TWO_PI
+    turns = float(np.where(forward, arcs, arcs - TWO_PI).sum()) / TWO_PI
     winding, off = integral_ratio(turns, cyclic.n)
     if off:
         raise NonIntegralTurn(f"arc sum {turns!r} turns is not integral")
@@ -211,8 +210,8 @@ def cyclic_invariants(cyclic: CyclicPolygon) -> CyclicInvariants:
         half_angles=half_angles,
         positive_edges=int(np.count_nonzero(forward)),
         winding=int(winding),
-        bifurcation_sum=float(np.sum(orientations * tangents)),
-        tangent_scale=float(np.sum(np.abs(tangents))),
+        bifurcation_sum=float((orientations * tangents).sum()),
+        tangent_scale=float(np.abs(tangents).sum()),
     )
 
 
@@ -235,7 +234,7 @@ def dual_polygon(cyclic: CyclicPolygon, tol: Tolerances = DEFAULT_TOL) -> DualPo
     unresolved = "the coordinates cannot resolve the polygon at this radius and center"
     # Coordinates near the center round by eps |center|, which turns an edge
     # of length R by up to that over R.
-    blur = float(EPS * np.max(np.abs(cyclic.center)))
+    blur = float(EPS * np.abs(cyclic.center).max())
     if blur > tol.parallel * cyclic.radius:
         raise InputSchemaError(
             f"{unresolved} (rounding of {blur!r} at the center exceeds "
@@ -282,8 +281,8 @@ def area_criticality_residual(polygon: PolygonChain, lengths) -> float:
     actual = polygon.edge_lengths
     if lengths.shape != actual.shape:
         raise LengthMismatch("wrong number of edge lengths")
-    scale = float(np.sum(lengths)) + float(np.max(np.abs(polygon.vertices)))
-    if not float(np.max(np.abs(actual - lengths))) <= 64.0 * EPS * scale:
+    scale = float(lengths.sum()) + float(np.abs(polygon.vertices).max())
+    if not float(np.abs(actual - lengths).max()) <= 64.0 * EPS * scale:
         raise LengthMismatch("vertices do not realize the prescribed edge lengths")
     thetas = polygon.edge_angles
     w = lengths[:, None] * np.column_stack([np.cos(thetas), np.sin(thetas)])
@@ -361,39 +360,22 @@ def duality_index_check(
 
     The one place that computes the cyclic indices, from the polygon's
     :attr:`CyclicPolygon.invariants` and :attr:`CyclicPolygon.dual_slopes`;
-    reports and sweeps read its result.  The dual polygon is tangential with
-    positive inradius, hence (after the area normalization, which leaves the
-    index unchanged) it is the positive critical point of the perimeter for
-    its own slope system; its index is read off that system's chart, by the
-    exact sign count of :func:`sign_count_index`, and cross-checked against
-    the turn/winding formula :func:`turn_formula_index`.  A dual slope system
-    with parallel lines or an exceptional one has no such index, and the
-    report says why in ``dual_note``.
+    reports and sweeps read its result.  The dual polygon, tangential with
+    inradius R > 0, is (after the area normalization, which leaves the index
+    unchanged) the critical point of r > 0 of its own slopes, whose sum p
+    has the sign of its perimeter 2RB: :func:`~polyslope.tangential.index_pair`
+    gives its index from their half turns k and the sign of B, with no
+    chart, so parallel dual lines, as the square's, have one.  The identity
+    then reads k = n - e + 2w, e the positive edges: an identity of the arcs.
     """
     # The test goes first: on the bifurcation locus the numeric route would
     # only see a degenerate Hessian.
-    if bifurcation_test(cyclic.invariants, tol):
+    inv = cyclic.invariants
+    if bifurcation_test(inv, tol):
         return None
-    mu_formula = _formula_index(cyclic.invariants)
+    mu_formula = _formula_index(inv)
     mu_numeric = area_morse_index_numeric(cyclic)
-    mu_dual, note = None, None
-    try:
-        chart = build_chart(cyclic.dual_slopes, tol)
-        reason = "dual slope system is exceptional"
-    except ParallelLines as exc:
-        chart, reason = None, str(exc)
-    if chart is None or exceptional_mask(chart.unit_perimeters, chart.perimeter_sum, tol):
-        note = f"dual perimeter index unavailable: {reason}"
-    else:
-        # The dual polygon is the critical point of inradius r > 0.
-        mu_dual = chart.n - 3 - int(sign_count_index(chart.unit_perimeters, chart.perimeter_sum))
-        if mu_dual != turn_formula_index(chart, 1.0):
-            raise DegenerateCritical("dual index routes disagree")
-    return DualityReport(
-        mu_area_numeric=mu_numeric,
-        mu_area_formula=mu_formula,
-        mu_dual_perimeter=mu_dual,
-        dual_note=note,
-        identity_holds=mu_numeric == mu_formula
-        and (mu_dual is None or mu_formula == cyclic.n - 3 - mu_dual),
-    )
+    half_turns = int(turning_rule(cyclic.dual_slopes.angles)[1])
+    mu_dual = int(index_pair(cyclic.n, half_turns, inv.bifurcation_sum)[0])
+    identity = mu_numeric == mu_formula == cyclic.n - 3 - mu_dual
+    return DualityReport(mu_numeric, mu_formula, mu_dual, identity)

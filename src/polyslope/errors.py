@@ -64,15 +64,14 @@ class Bifurcating(PolyslopeError):
 class DegenerateHessian(PolyslopeError):
     """A perimeter Hessian is singular.
 
-    No library routine raises it: the perimeter Morse index is an exact
-    sign count, and the Hessian is singular only on the exceptional locus,
-    which has no critical points.
+    No library routine raises it: the perimeter Morse index is a formula of
+    n, k and the sign of sum p, and the Hessian is singular only on the
+    exceptional locus, which has no critical points.
     """
 
 
 class DegenerateCritical(PolyslopeError):
-    """An area Hessian eigenvalue is zero within its roundoff bound, or the
-    dual index routes of :func:`polyslope.cyclic.duality_index_check` disagree.
+    """An area Hessian eigenvalue is zero within its roundoff bound.
 
     The bound is derived from machine epsilon (see
     :func:`polyslope.cyclic.area_morse_index_numeric`), so only a polygon on

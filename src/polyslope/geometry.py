@@ -46,7 +46,10 @@ def left_normal(angle: float) -> np.ndarray:
 def left_normals(angles) -> np.ndarray:
     """Left unit normals of the directions at ``angles``, one row per angle."""
     angles = np.asarray(angles, dtype=float)
-    return np.column_stack((-np.sin(angles), np.cos(angles)))
+    normals = np.empty(angles.shape + (2,))
+    normals[..., 0] = -np.sin(angles)
+    normals[..., 1] = np.cos(angles)
+    return normals
 
 
 @functools.lru_cache(maxsize=None)

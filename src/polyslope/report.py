@@ -21,8 +21,8 @@ from .geometry import TWO_PI, SlopeSystem, tangential_polygons
 from .slope_space import build_chart, chart_stack, topology_report
 from .tangential import (
     exceptional_mask,
+    index_pair,
     index_reports,
-    sign_count_index,
     tangential_critical_points,
     tangential_residual,
 )
@@ -107,11 +107,12 @@ def _component_dict(shape) -> dict:
 def _critical_point_dicts(points) -> list[dict]:
     """The report entries of the two critical points of one chart.  Their
     Hessians are one stack and their polygons one vertex stack; the first
-    polygon's edge-space checks serve both, whose edges differ in sign."""
+    polygon's edge-space checks and index count serve both, whose edges
+    differ in sign."""
     chart = points[0].chart
-    reports = index_reports(points)
     centers, radii = [point.incenter for point in points], [point.inradius for point in points]
     vertices = tangential_polygons(chart.system.angles, centers, radii)
+    reports = index_reports(points, vertices[0])
     norm, bound, area_error, area_bound = tangential_residual(chart, vertices[0], radii[0])
     return [
         {
@@ -226,7 +227,6 @@ def cyclic_report(
         "mu_area_numeric": check.mu_area_numeric,
         "mu_area_formula": check.mu_area_formula,
         "mu_dual_perimeter": check.mu_dual_perimeter,
-        **({} if check.dual_note is None else {"dual_note": check.dual_note}),
         "identity_holds": check.identity_holds,
     }
     return report
@@ -263,11 +263,11 @@ def _family_rows(start, end, steps, tol) -> list[dict]:
         except ParallelLines as exc:
             reasons[i] = str(exc)
     exceptional_rows = exceptional_mask(perimeters, sums, tol).tolist()
-    # The two critical points, of inradius +r and -r, have the area sign of sum p.
-    negatives = sign_count_index(perimeters, sums)
-    indices = zip((len(start) - 3 - negatives).tolist(), negatives.tolist())
+    # The two critical points, of inradius +r and -r, have the area sign of
+    # sum p.  Each row's k is a float, NaN where an angle left the float range.
+    indices = zip(*(mu.tolist() for mu in index_pair(len(start), stack.half_turns, sums)))
     rows = []
-    for i, (t, angles, total, index_pair) in enumerate(
+    for i, (t, angles, total, pair) in enumerate(
         zip(ts, degrees.tolist(), sums.tolist(), indices)
     ):
         step = {"t": t, "angles_deg": angles}
@@ -283,7 +283,7 @@ def _family_rows(start, end, steps, tol) -> list[dict]:
             else:
                 step["critical_points"] = 2
                 step["area_sign"] = int(math.copysign(1.0, total))
-                step["indices"] = list(index_pair)
+                step["indices"] = [int(mu) for mu in pair]
         rows.append(step)
     return rows
 

@@ -34,6 +34,7 @@ from .geometry import (
     PolygonChain,
     SlopeSystem,
     _cycled,
+    closure_basis,
     edge_offsets,
     edges_against_slopes,
     integral_ratio,
@@ -102,6 +103,15 @@ class RadiiChart:
         constants = _area_constants(self.system.angles)
         constants.setflags(write=False)
         return constants
+
+    @functools.cached_property
+    def closure_space(self) -> np.ndarray:
+        """Orthonormal basis of ker U, the edge lengths l with sum l_i u_i = 0,
+        on first read: ``closure_basis`` of the directions from slope 1."""
+        shifted = self.system.angles - self.system.angles[0]
+        basis = closure_basis((np.cos(shifted), np.sin(shifted)))
+        basis.setflags(write=False)
+        return basis
 
 
 @dataclass(frozen=True)
@@ -472,8 +482,8 @@ def normalized_coordinates(chart: RadiiChart, polygon: PolygonChain) -> ChartCoo
     x = _chart_coordinates(chart, vertices, _line_offsets(chart, vertices)[0])
     normalized = None
     mask = chart.positive_mask
-    if np.any(mask):
-        positive_norm_sq = float(np.sum(x[mask] ** 2))
+    if mask.any():
+        positive_norm_sq = float((x[mask] ** 2).sum())
         if positive_norm_sq > 0.0 and abs(area - 1.0) <= 1e-9 * max(1.0, abs(area)):
             normalized = x / math.sqrt(positive_norm_sq)
     return ChartCoordinates(x=x, normalized=normalized)

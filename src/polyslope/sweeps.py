@@ -22,9 +22,11 @@ from .geometry import (
     TWO_PI,
     SlopeSystem,
     _cycled,
+    area_form,
     edge_offsets,
     line_vertices,
     polygon_measures,
+    tangential_offsets,
     tangential_polygons,
     turning_sum,
     winding_number,
@@ -43,6 +45,7 @@ from .slope_space import (
     _reconstruction,
     build_chart,
     decomposition_lines,
+    topology_report,
     tritangent_circle,
 )
 from .tangential import (
@@ -96,8 +99,8 @@ def check_hessian_difference(rng, n, tol):
     p = np.abs(points[0].chart.unit_perimeters)
     bound = HESSIAN_ROUNDOFF * _locus_roundoff(points[0].chart) * p.max() / p[0]
     closed, edge = edge_hessians(points)
-    errors = np.max(np.abs(edge - closed), axis=(1, 2)).tolist()
-    bounds = (bound * np.max(np.abs(closed), axis=(1, 2))).tolist()
+    errors = np.abs(edge - closed).max(axis=(1, 2)).tolist()
+    bounds = (bound * np.abs(closed).max(axis=(1, 2))).tolist()
     return [("hessian error", error, bound) for error, bound in zip(errors, bounds)]
 
 
@@ -117,17 +120,30 @@ def check_hessian_determinant(rng, n, tol):
     ]
 
 
+def _index_reports(points):
+    """:func:`index_reports` at the first point's closed-form vertices."""
+    offsets = tangential_offsets(points[0].chart.system.angles, points[0].inradius)
+    return index_reports(points, points[0].incenter - offsets)
+
+
 def check_index_agreement(rng, n, tol):
-    """Eigenvalue index equals the formula index; the two points complement."""
-    points = tangential_critical_points(build_chart(random_slope_system(rng, n), tol))
+    """The formula index equals the edge-space inertia and agrees with it,
+    and the area form's inertia on ker U equals the positive component's
+    (sphere_dim + 1, disc_dim), that is (k - 1, n - k - 1)."""
+    chart = build_chart(random_slope_system(rng, n), tol)
+    points = tangential_critical_points(chart)
     if not points:
         return None
-    reports = index_reports(points)
-    total = sum(report.index_eigen for report in reports)
-    return [
-        *(("index mismatch", abs(r.index_eigen - r.index_formula), 0) for r in reports),
-        ("index sum off n-3", abs(total - (n - 3)), 0),
+    basis = chart.closure_space
+    signature = np.linalg.eigvalsh(basis.T @ area_form(chart.system.angles) @ basis)
+    positive = topology_report(chart).positive_component
+    positives, negatives = int((signature > 0).sum()), int((signature < 0).sum())
+    off = abs(positives - positive.sphere_dim - 1) + abs(negatives - positive.disc_dim)
+    rows = [
+        ("index mismatch", max(abs(r.index_eigen - r.index_formula), int(not r.agreement)), 0)
+        for r in _index_reports(points)
     ]
+    return rows + [("area signature off topology", off, 0)]
 
 
 def check_convex_indices(rng, n, tol):
@@ -136,7 +152,7 @@ def check_convex_indices(rng, n, tol):
     if not points:
         return None
     rows = []
-    for point, report in zip(points, index_reports(points)):
+    for point, report in zip(points, _index_reports(points)):
         expected = 0 if point.inradius > 0 else n - 3
         error = max(abs(report.index_eigen - expected), abs(report.index_formula - expected))
         rows.append(("convex index off", error, 0))
@@ -208,7 +224,7 @@ def check_turning_signature(rng, n, tol):
     total, k, right = chart.angle_sum, chart.half_turns, chart.right_turns
     angles = system.angles
     turns = (_cycled(angles) - angles + math.pi) % TWO_PI - math.pi
-    winding = round(float(np.sum(turns)) / TWO_PI)
+    winding = round(float(turns.sum()) / TWO_PI)
     rows = [
         ("turning multiple out of range", max(1 - k, k - (n - 1), 0), 0),
         ("turn parity off", (k - right) % 2, 0),
@@ -235,7 +251,7 @@ def check_dual_perimeter(rng, n, tol):
     bif = bifurcation_test(inv, tol)
     dual_vanishes = within_bifurcation_band(measured, scale, tol)
     chords = 2.0 * cyclic.radius * np.sin(inv.half_angles)
-    chord_error = float(np.max(np.abs(cyclic.polygon.edge_lengths - chords)))
+    chord_error = float(np.abs(cyclic.polygon.edge_lengths - chords).max())
     winding = winding_number(cyclic.polygon, cyclic.center)
     return [
         ("dual perimeter off 2RB", abs(measured - expected), dual_bound),
@@ -246,7 +262,8 @@ def check_dual_perimeter(rng, n, tol):
 
 
 def check_cyclic_indices(rng, n, tol):
-    """Numeric area index equals the formula and the duality identity holds."""
+    """Numeric area index equals the formula, and the dual index complements
+    it to n - 3: the identity k_dual = n - e + 2w of the arcs."""
     if n in (5, 7) and rng.random() < 0.25:
         turns = 2 if n == 5 else int(rng.integers(2, 4))
         cyclic = random_star_polygon(rng, n, turns)
@@ -258,9 +275,7 @@ def check_cyclic_indices(rng, n, tol):
     numeric, dual = report.mu_area_numeric, report.mu_dual_perimeter
     return [
         ("area index numeric off formula", abs(numeric - report.mu_area_formula), 0),
-        ("dual index withheld", 1, 0)
-        if dual is None
-        else ("duality identity off", abs(numeric - (n - 3 - dual)), 0),
+        ("duality identity off", abs(numeric - (n - 3 - dual)), 0),
     ]
 
 

@@ -11,17 +11,16 @@ constrained radii chart has the closed form
 indexed by the free radii j, k = 2..n-2.  So are the vertices, the perimeter
 r sum p_i, the area sign(sum p_i) and the winding number, with the radii
 reconstruction :func:`polygon_from_radii` as their oracle in tests and
-sweeps.  The Morse index is produced two ways, exactly from the signs of the
-p_i (inertia of the Hessian's bordered matrix) and by the turn/winding
-formula, which are not independent: under the signature law of
-:func:`build_chart` both are k - 1 - [sum p > 0] at r > 0, so they cannot
-disagree on a valid chart.  The points are checked in edge space, where a
-polygon is its signed edge lengths l, closure U l = 0 is linear, the
-perimeter is sum l and the area 1/2 l^T Q l (:func:`tangential_residual`,
-:func:`edge_hessians`).  The two points share their chart and differ only in
-the sign of r, so each check evaluates both at once; a caller with one point
-passes a stack of one.  Whether a chart is exceptional is decided at the
-tolerances it was built at, :attr:`RadiiChart.tol`, which its points read.
+sweeps.  The points are checked in edge space, where a polygon is its
+signed edge lengths l, closure U l = 0 is linear, the perimeter is sum l
+and the area 1/2 l^T Q l (:func:`tangential_residual`, :func:`edge_hessians`).
+The Morse index is one formula in n, k and the sign of sum p
+(:func:`index_pair`), checked by the inertia of the area form on the
+edge-space tangent at the reported vertices (:func:`index_reports`).  The
+two points share their chart and differ only in the sign of r, so each
+check evaluates both at once; a caller with one point passes a stack of
+one.  Whether a chart is exceptional is decided at the tolerances it was
+built at, :attr:`RadiiChart.tol`, which its points read.
 """
 
 import functools
@@ -79,14 +78,11 @@ class TangentialCritical:
 
 @dataclass(frozen=True, eq=False)
 class IndexReport:
-    """Morse index of a tangential point by two routes that always agree.
-
-    ``index_eigen`` is the number of negative Hessian eigenvalues, counted
-    exactly from the signs of the unit perimeters (see
-    :func:`index_reports`); ``index_formula`` is the turn/winding
-    formula value.  ``eigenvalues`` are the floating-point eigenvalues of
-    the Hessian, reported for inspection; they decide nothing.
-    """
+    """Morse index of a tangential point: ``index_formula`` by
+    :func:`index_pair`, ``index_eigen`` by the edge-space inertia at the
+    reported vertices, and ``agreement`` of the two within roundoff (see
+    :func:`index_reports`).  ``eigenvalues`` are the closed-form Hessian's,
+    reported for inspection; they decide nothing."""
 
     index_eigen: int
     index_formula: int
@@ -178,65 +174,59 @@ def hessian_det_identity(point: TangentialCritical) -> tuple[float, float]:
     return hessian_det_identities((point,))[0]
 
 
-def turn_formula_index(chart: RadiiChart, inradius: float) -> int:
-    """Morse index from turn counts, winding and perimeter sign alone, of the
-    critical point of ``chart`` of inradius sign(inradius), perimeter r sum p."""
-    perimeter_positive = 1 if inradius * chart.perimeter_sum > 0 else 0
-    if inradius > 0:
-        return chart.right_turns - 1 + 2 * chart.winding - perimeter_positive
-    return chart.left_turns - 1 - 2 * chart.winding - perimeter_positive
+def index_pair(n, k, perimeter_sum):
+    """(mu(r > 0), mu(r < 0)) = (k - 1 - [sum p > 0], n - k - 2 + [sum p > 0])
+    for n slopes, k half turns and unit perimeter sum ``perimeter_sum``,
+    each a scalar or a stack.  Proof: Q has signature (k - 1, n - k - 1) on
+    ker U, and the point of inradius r has edges r t with 1/2 t^T Q t =
+    sum p / 2, so -Q / r on the Q-orthogonal complement of t counts it.
+    The point of positive perimeter has its component's sphere dimension as
+    index, the other point its disc dimension (``topology_report``)."""
+    positive = perimeter_sum > 0
+    return k - 1 - positive, n - k - 2 + positive
 
 
-def morse_index_formula(point: TangentialCritical) -> int:
-    """:func:`turn_formula_index` of one point."""
-    return turn_formula_index(point.chart, point.inradius)
+INERTIA_ROUNDOFF = 500.0  # the edge-space inertia's, in n eps max|Q| / |r| (tolerances.py)
 
 
-def sign_count_index(unit_perimeters: np.ndarray, perimeter_sum):
-    """Negative eigenvalues of the Hessian at the critical point of inradius
-    r < 0, decided by signs alone, along the last axis of a stack of unit
-    perimeters; the point of r > 0 has n - 3 minus that many.
-
-    With t = (p_2, ..., p_{n-2}) and D = diag(t) the Hessian is
-    H = -(D + t t^T / p_1) / r.  The bordered matrix [[-p_1, t^T], [t, D]]
-    has the Schur complements D + t t^T / p_1 (of -p_1) and -sum p (of D),
-    so inertia additivity (Haynsworth, 1968) counts
-
-        neg(D + t t^T / p_1) = #{j >= 2 : p_j < 0} + [sum p > 0] - [p_1 > 0].
-
-    H has that many negative eigenvalues at r < 0 and n - 3 minus that many
-    at r > 0 (Sylvester's law of inertia); it is singular only where
-    sum p = 0, which has no critical points.  The count is exact, so no
-    eigenvalue threshold decides it.
-    """
-    p = unit_perimeters
-    return (p[..., 1:] < 0).sum(axis=-1) + (perimeter_sum > 0) - (p[..., 0] > 0)
+def _edge_space_inertia(chart: RadiiChart, vertices: np.ndarray, inradius: float):
+    """How many eigenvalues of -Q / r on T = ker U ∩ (Q l)^perp, at the edges l
+    of the (n, 2) ``vertices`` of the point of inradius r, lie below -b, 0
+    and b, b = INERTIA_ROUNDOFF n eps max|Q| / |r|.  T is B times the closure
+    basis of (Q l)^T B, with B the chart's ``closure_space``; no p enters."""
+    angles, basis = chart.system.angles, chart.closure_space
+    form = area_form(angles)
+    normal = form @ edge_lengths_along(vertices, angles) @ basis
+    tangent = basis @ closure_basis(normal[None])
+    eigenvalues = np.linalg.eigvalsh(tangent.T @ form @ tangent / -inradius)
+    bound = INERTIA_ROUNDOFF * chart.n * EPS * np.abs(form).max() / abs(inradius)
+    return np.searchsorted(eigenvalues, (-bound, 0.0, bound))
 
 
-def index_reports(points: Sequence[TangentialCritical]) -> list[IndexReport]:
-    """Morse index of each critical point of one chart from the inertia of
-    its Hessian (see :func:`sign_count_index`), with the turn/winding formula
-    as its cross-check and the Hessian's eigenvalues for inspection.  The
-    points' Hessians are one stack with one eigenvalue call, and the count
-    is taken once for the chart."""
-    chart = _shared_chart(points)
+def index_reports(points: Sequence[TangentialCritical], vertices) -> list[IndexReport]:
+    """Morse index of each critical point of one chart by :func:`index_pair`,
+    against the edge-space inertia at ``vertices``, the first point's polygon.
+    A point of the other sign has edges -l and reads the complement
+    n - 3 - count.  An eigenvalue within the roundoff bound may take either
+    sign, so the formula agrees when it is a count those signs allow.  The
+    points' Hessians are one stack with one eigenvalue call."""
+    chart, first = _shared_chart(points), points[0].inradius
     radii = np.array([point.inradius for point in points])
     eigenvalues = np.linalg.eigvalsh(hessian_formula(chart.unit_perimeters, radii))
-    negatives = int(sign_count_index(chart.unit_perimeters, chart.perimeter_sum))
+    counts = _edge_space_inertia(chart, vertices, first)
+    formulas = index_pair(chart.n, chart.half_turns, chart.perimeter_sum)
     reports = []
     for point, values in zip(points, eigenvalues):
-        index = negatives if point.inradius < 0 else chart.n - 3 - negatives
-        formula = morse_index_formula(point)
-        report = IndexReport(
-            index_eigen=index, index_formula=formula, eigenvalues=values, agreement=index == formula
-        )
-        reports.append(report)
+        same = (point.inradius > 0) == (first > 0)
+        fewest, index, most = (counts if same else chart.n - 3 - counts[::-1]).tolist()
+        formula = int(formulas[0] if point.inradius > 0 else formulas[1])
+        reports.append(IndexReport(index, formula, values, fewest <= formula <= most))
     return reports
 
 
 def morse_index_eigen(point: TangentialCritical) -> IndexReport:
-    """:func:`index_reports` of one point."""
-    return index_reports((point,))[0]
+    """:func:`index_reports` of one point, at its own polygon."""
+    return index_reports((point,), point.polygon.vertices)[0]
 
 
 # Roundoff bounds of the edge-space checks, in eps times their scales
@@ -250,8 +240,8 @@ def tangential_residual(chart: RadiiChart, vertices: np.ndarray, inradius: float
     ``vertices`` reported as the critical point of inradius r in ``chart``.
 
     With l_i = (v_{i+1} - v_i) . u_i, the Lagrangian gradient g = 1 - Q l / r
-    vanishes on ker U; :func:`~polyslope.geometry.closure_basis` of the
-    directions measured from slope 1, exact for nearby slopes, projects it
+    vanishes on ker U; the chart's orthonormal basis of ker U,
+    :attr:`~polyslope.slope_space.RadiiChart.closure_space`, projects it
     there without squaring cond(U).  Its bound is c n eps (1 + sum_ij |Q_ij|
     (|l_j| + max|v|) / |r|), c = 64.  The area error is |shoelace(v) -
     sign(sum p)|, within c' eps (1/2 sum(|x_i y_{i+1}| + |x_{i+1} y_i|) +
@@ -263,8 +253,7 @@ def tangential_residual(chart: RadiiChart, vertices: np.ndarray, inradius: float
     form = area_form(angles)
     lengths = edge_lengths_along(vertices, angles)
     gradient = 1.0 - form @ lengths / inradius
-    shifted = angles - angles[0]
-    residual = gradient @ closure_basis((np.cos(shifted), np.sin(shifted)))
+    residual = gradient @ chart.closure_space
     size = np.abs(vertices).max()
     spread = (np.abs(form) @ (np.abs(lengths) + size)).sum() / abs(inradius)
     ahead, behind = (vertices * _cycled(vertices)[:, ::-1]).T

@@ -25,8 +25,13 @@ tangential polygon's Lagrangian gradient on the closure space, 64 n (1 +
 sum_ij |Q_ij| (|l_j| + max|v|) / |r|) (``tangential.tangential_residual``;
 0.45 on sweep seeds 0..399, 0.26 on the fuzz slope systems); its shoelace
 area against the reported one, 16 (1/2 sum(|x_i y_{i+1}| + |x_{i+1} y_i|) +
-max|v| sum|l| + n sum|p| / |sum p|) (the same; 1.23 and 1.46).  The
-constructors' checks and the other roundoff bounds are fixed as well.
+max|v| sum|l| + n sum|p| / |sum p|) (the same; 1.23 and 1.46); the Morse
+index's eigenvalues of -Q / r on the edge-space tangent, 500 n max|Q| / |r|
+(``tangential.INERTIA_ROUNDOFF``; the least 3.6e5 on the 2,385 fuzz and
+near-parallel slope systems, 7.2e10 on the index trials of sweep seeds
+0..399; within it either sign counts, as at 0.19 on [0, 120, 1e-8, 240]
+degrees at scale 1e-3, next to the exceptional locus).  The constructors'
+checks and the other roundoff bounds are fixed as well.
 """
 
 import dataclasses

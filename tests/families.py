@@ -18,7 +18,7 @@ import numpy as np
 from polyslope import CyclicPolygon, ParallelLines, PolyslopeError, SlopeSystem, build_chart
 from polyslope.cyclic import cyclic_invariants
 from polyslope.randomgen import MIN_LINE_SEPARATION, random_cyclic_polygon, random_slope_system
-from polyslope.tangential import exceptional_mask, sign_count_index
+from polyslope.tangential import exceptional_mask
 from polyslope.tolerances import DEFAULT_TOL
 
 # Slope family with a perimeter-sum zero crossing between the endpoints;
@@ -83,6 +83,12 @@ def interpolated(start, end, t):
     return [(1.0 - t) * a + t * b for a, b in zip(start, end)]
 
 
+def negative_count(p, perimeter_sum) -> int:
+    """Negative eigenvalues of the Hessian -(D + t t^T / p_1) / r at r < 0,
+    from the signs of p: the index of the critical point of inradius -r."""
+    return sum(x < 0 for x in p[1:]) + (perimeter_sum > 0) - (p[0] > 0)
+
+
 def _sequential_step(start, end, t, tol):
     angles = interpolated(start, end, t)
     step = {"t": float(t), "angles_deg": [float(a) for a in angles]}
@@ -102,7 +108,7 @@ def _sequential_step(start, end, t, tol):
         step["exceptional"] = False
         step["critical_points"] = 2
         step["area_sign"] = int(math.copysign(1.0, chart.perimeter_sum))
-        negatives = int(sign_count_index(p, total))
+        negatives = int(negative_count(p.tolist(), total))
         step["indices"] = [chart.n - 3 - negatives, negatives]
     return step
 

@@ -232,16 +232,16 @@ class TestCyclicAnalyze:
         indices = report["indices"]
         assert indices["mu_area_numeric"] == indices["mu_area_formula"] == 1
         assert indices["identity_holds"]
-        # Opposite tangent lines of the square are parallel: no dual index.
+        # Opposite tangent lines of the square are parallel, so its dual
+        # slopes have no chart, but the dual index needs none.
         assert list(indices) == [
             "withheld",
             "mu_area_numeric",
             "mu_area_formula",
             "mu_dual_perimeter",
-            "dual_note",
             "identity_holds",
         ]
-        assert indices["mu_dual_perimeter"] is None
+        assert indices["mu_dual_perimeter"] == 0
         # A triangle with fixed edge lengths is rigid, so every index is 0.
         path = write_json(tmp_path, "tri.json", {"radius": 1, "phis_deg": [0, 120, 240]})
         code, out, _ = run_cli(capsys, "cyclic", "analyze", path, "--json")

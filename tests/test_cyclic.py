@@ -17,6 +17,7 @@ from polyslope import (
     build_chart,
     DegenerateCritical,
     LengthMismatch,
+    ParallelLines,
     PolygonChain,
     area_criticality_residual,
     area_morse_index_formula,
@@ -42,7 +43,7 @@ from area_chart import (
     closure_jacobian,
     closure_residual,
 )
-from families import bif_family, bisect_bifurcation_root, near_bifurcation_phis
+from families import bif_family, bisect_bifurcation_root, near_bifurcation_phis, negative_count
 
 SQUARE = CyclicPolygon.from_degrees(1.0, [0, 90, 180, 270])
 SQUARE_REVERSED = CyclicPolygon.from_degrees(1.0, [270, 180, 90, 0])
@@ -442,22 +443,56 @@ class TestDuality:
         root = bisect_bifurcation_root()
         assert duality_index_check(bif_family(root)) is None
 
-    def test_square_dual_index_unavailable(self):
-        # The tangent lines at opposite vertices of the square are parallel.
+    def test_square_dual_index_is_zero(self):
+        # The tangent lines at opposite vertices of the square are parallel,
+        # so its dual slopes have no chart; the index needs none.
         report = duality_index_check(SQUARE)
         assert report.mu_area_numeric == report.mu_area_formula == 1
-        assert report.mu_dual_perimeter is None
-        assert report.dual_note == (
-            "dual perimeter index unavailable: slopes 0 and 2 are parallel as lines"
-        )
+        assert report.mu_dual_perimeter == 0
         assert report.identity_holds
+
+    def test_square_report_gets_dual_index_zero(self):
+        indices = cyclic_report(1, [0, 90, 180, 270])["indices"]
+        assert indices["mu_dual_perimeter"] == 0
+        assert "dual_note" not in indices
+        assert indices["identity_holds"] is True
+
+    def test_dual_index_equals_the_dual_chart_sign_count(self):
+        # Where the dual slopes have a chart, its point of r > 0 is the dual
+        # polygon, whose index n - 3 - neg the signs of its p give.  The
+        # polygons with a non-consecutive antipodal pair have none.
+        rng = np.random.default_rng(50)
+        charted = parallel = 0
+        for trial in range(300):
+            if trial % 3 == 2:
+                cyclic = random_star_polygon(rng, 5 if trial % 2 else 7, 2)
+            elif trial % 10 == 1:
+                n = 2 * int(rng.integers(2, 5))
+                phis = rng.uniform(0.0, 360.0, n // 2)
+                cyclic = CyclicPolygon.from_degrees(1.0, np.append(phis, phis + 180.0))
+            else:
+                cyclic = random_cyclic_polygon(rng, int(rng.integers(4, 10)))
+            report = duality_index_check(cyclic)
+            if report is None:
+                continue
+            assert report.identity_holds
+            try:
+                chart = build_chart(cyclic.dual_slopes)
+            except ParallelLines:
+                parallel += 1
+                continue
+            neg = negative_count(chart.unit_perimeters.tolist(), chart.perimeter_sum)
+            assert report.mu_dual_perimeter == cyclic.n - 3 - neg
+            charted += 1
+        assert charted > 150 and parallel > 10
 
     def test_each_index_computed_once(self, monkeypatch):
         # One closure basis per index, of the edges that are the vertex
         # differences, and no least-squares solve: the multiplier is in
-        # closed form.  The dual index is read off one chart of the dual
-        # slopes, and no critical point is built for it.  The slope checks'
-        # residuals take closure bases too, so only the area index's count.
+        # closed form.  The dual index is the formula at the dual slopes'
+        # half turns, and no critical point is built for it.  The slope
+        # checks' residuals take closure bases too, so only the area index's
+        # count.
         numeric = count_calls(monkeypatch, cyclic_module, "area_morse_index_numeric")
         frames, basis = [], cyclic_module.closure_basis
         monkeypatch.setattr(cyclic_module, "closure_basis", lambda a: frames.append(1) or basis(a))

@@ -33,6 +33,7 @@ from polyslope import (
     build_chart,
     critical_gradient_norm,
     dual_polygon,
+    morse_index_eigen,
     oriented_area,
     polygon_from_radii,
     signed_perimeter,
@@ -40,20 +41,12 @@ from polyslope import (
     winding_number,
 )
 from polyslope import tangential
-from polyslope.geometry import (
-    area_form,
-    closure_basis,
-    edge_lengths_along,
-    left_normals,
-    polygon_from_lines,
-    tangential_polygon,
-)
+from polyslope.geometry import left_normals, polygon_from_lines, tangential_polygon
 from polyslope.report import cyclic_report, slopes_report
 from polyslope.tangential import (
     edge_hessians,
     hessian_det_identities,
     hessian_formula,
-    morse_index_formula,
     tangential_residual,
 )
 
@@ -230,10 +223,11 @@ def stacked_points(angles):
 
 
 def one_point_at_a_time(angles):
-    """The same, one point at a time in the order the report once took: the
-    eigenvalues of the point's own Hessian, the sign count and the formula
-    index; the polygon by ``tangential_polygon``, whose checks raise; then
-    the edge-space checks on that point's own polygon and inradius, by the
+    """The same, one point at a time: the eigenvalues of the point's own
+    Hessian; the indices of the one-point call, whose count is taken at the
+    point's own polygon, where the report takes the other point's complement;
+    the polygon by ``tangential_polygon``, whose checks raise; then the
+    edge-space checks on that point's own polygon and inradius, by the
     one-point call too."""
     chart = build_chart(SlopeSystem.from_degrees(angles))
     points = tangential_critical_points(chart)
@@ -243,9 +237,9 @@ def one_point_at_a_time(angles):
     for point in points:
         hessian = hessian_formula(chart.unit_perimeters, point.inradius)
         eigenvalues = np.linalg.eigvalsh(hessian).tolist()
-        index = int(sign_count_index(chart.unit_perimeters, chart.perimeter_sum, point.inradius))
-        formula = morse_index_formula(point)
         polygon = tangential_polygon(chart.system.angles, point.incenter, point.inradius)
+        report = morse_index_eigen(point)
+        index, formula = report.index_eigen, report.index_formula
         residual = tangential_residual(chart, polygon.vertices, point.inradius)
         assert critical_gradient_norm(point) == residual[:2]
         rows.append((eigenvalues, index, formula, *residual, polygon.vertices.tolist()))
@@ -286,34 +280,33 @@ def test_stacked_hessians_equal_one_point_at_a_time(inputs):
     assert points_checked > 1500
 
 
-def test_edge_space_inertia_equals_sign_count():
-    # The index without the chart's closed forms: the area form -Q / r of
-    # the r > 0 point on T = ker U ∩ (Q l)^perp, at the edge lengths l of its
-    # vertices, has n - 3 - sign_count_index negative eigenvalues, each at
-    # least 500 n eps max|Q| / |r| from zero (3.6e5 at worst when measured).
-    points = 0
+def test_edge_space_inertia_equals_sign_count(monkeypatch):
+    # The report's index is the inertia of the area form -Q / r on
+    # T = ker U ∩ (Q l)^perp at the edge lengths l of its vertices, which
+    # reads no p: it equals the sign count of the chart's p, each eigenvalue
+    # outside the bound 500 n eps max|Q| / |r| of zero, so that the fewest
+    # and the most negative eigenvalues that roundoff allows are one count.
+    counts, inertia = [], tangential._edge_space_inertia
+    monkeypatch.setattr(
+        tangential, "_edge_space_inertia", lambda *a: counts.append(inertia(*a)) or counts[-1]
+    )
+    reports = 0
     for angles in ANGLES[:COUNT] + NEAR_PARALLEL:
         try:
-            chart = build_chart(SlopeSystem.from_degrees(angles))
-            critical = tangential_critical_points(chart)
-            if not critical:
-                continue
-            vertices = critical[0].polygon.vertices
+            report = slopes_report(angles)
         except InputError:
             continue
-        slopes, inradius = chart.system.angles, critical[0].inradius
-        form = area_form(slopes)
-        shifted = slopes - slopes[0]
-        lengths = edge_lengths_along(vertices, slopes)
-        basis = closure_basis((np.cos(shifted), np.sin(shifted), form @ lengths))
-        eigenvalues = np.linalg.eigvalsh(basis.T @ (-form / inradius) @ basis)
-        counted = tangential.sign_count_index(chart.unit_perimeters, chart.perimeter_sum)
-        assert len(eigenvalues) == chart.n - 3, angles
-        assert np.count_nonzero(eigenvalues < 0) == chart.n - 3 - counted, angles
-        unit = chart.n * np.finfo(float).eps * np.abs(form).max() / abs(inradius)
-        assert np.all(np.abs(eigenvalues) >= 500.0 * unit), angles
-        points += 1
-    assert points > 2000
+        chart = report["chart"]
+        for point in report["critical"]["points"]:
+            expected = sign_count_index(
+                chart["unit_perimeters"], chart["perimeter_sum"], point["inradius"]
+            )
+            assert point["index_eigen"] == expected, angles
+            assert point["agreement"], angles
+        reports += bool(report["critical"]["points"])
+    assert reports > 2000
+    assert len(counts) == reports
+    assert all(fewest == most for fewest, _, most in counts)
 
 
 def test_clustered_slopes_raise_coincident_vertices():

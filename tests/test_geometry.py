@@ -16,7 +16,7 @@ from polyslope import (
     SlopeMismatch,
     SlopeSystem,
     build_chart,
-    morse_index_formula,
+    index_pair,
     oriented_area,
     signed_perimeter,
     tangential_critical_points,
@@ -427,8 +427,9 @@ class TestAngleArrayChecks:
 
     def test_chart_turning_data_matches_references(self):
         # Every relabeling of a system shares its turn counts and winding,
-        # and the turn/winding index formula reduces to k and the sign of
-        # sum p.
+        # and the turn/winding index formula, RT - 1 + 2w - [P > 0] at r > 0
+        # and LT - 1 - 2w - [P > 0] at r < 0 with the reference counts,
+        # reduces to index_pair's k and sign of sum p.
         points = 0
         for chart, tol in twin_and_fuzz_charts():
             angles = chart.system.angles.tolist()
@@ -446,11 +447,11 @@ class TestAngleArrayChecks:
                 observed = (other.half_turns, other.right_turns, other.left_turns, other.winding)
                 assert observed == expected, angles
             critical = tangential_critical_points(chart)
-            k, n = chart.half_turns, chart.n
-            positive = int(chart.perimeter_sum > 0)
-            for point in critical:
-                index = k - 1 - positive if point.inradius > 0 else n - 2 - k + positive
-                assert morse_index_formula(point) == index, angles
+            winding = expected[3]
+            pair = index_pair(chart.n, chart.half_turns, chart.perimeter_sum)
+            for point, index in zip(critical, pair):
+                turns = right + 2 * winding if point.inradius > 0 else left - 2 * winding
+                assert index == turns - 1 - (point.perimeter > 0), angles
                 points += 1
         assert points >= 2 * 2500
 

@@ -27,7 +27,7 @@ from polyslope.geometry import (
     tangential_polygons,
 )
 from polyslope.randomgen import trial_rng
-from polyslope.slope_space import build_chart, polygon_from_radii
+from polyslope.slope_space import ComponentShape, build_chart, polygon_from_radii, topology_report
 from polyslope.tangential import (
     edge_hessians,
     hessian_det_identities,
@@ -154,9 +154,12 @@ def shifted(kernel, *fields):
     return shift
 
 
-def withheld(cyclic, tol):
-    report = duality_index_check(cyclic, tol)
-    return dataclasses.replace(report, mu_dual_perimeter=None, dual_note="planted")
+def shifted_sphere(chart):
+    """:func:`topology_report` with the positive component's sphere one
+    dimension larger, its area signature one more positive."""
+    topology = topology_report(chart)
+    sphere, disc = topology.positive_component.sphere_dim, topology.positive_component.disc_dim
+    return dataclasses.replace(topology, positive_component=ComponentShape(sphere + 1, disc))
 
 
 def offset_tangent_sum(cyclic):
@@ -211,13 +214,7 @@ def odd_right_turns(system, tol):
             "index mismatch",
             id="3-morse_index_eigen-shift-index mismatch",
         ),
-        pytest.param(
-            3,
-            "index_reports",
-            shifted(index_reports, "index_eigen", "index_formula"),
-            "index sum off n-3",
-            id="3-morse_index_eigen-shift-index sum off n-3",
-        ),
+        (3, "topology_report", shifted_sphere, "area signature off topology"),
         pytest.param(
             4,
             "index_reports",
@@ -241,7 +238,12 @@ def odd_right_turns(system, tol):
             shifted(duality_index_check, "mu_area_numeric"),
             "area index numeric off formula",
         ),
-        (8, "duality_index_check", withheld, "dual index withheld"),
+        (
+            8,
+            "duality_index_check",
+            shifted(duality_index_check, "mu_dual_perimeter"),
+            "duality identity off",
+        ),
         # A NaN error fails: the runner's rule is error <= bound.  The
         # edge-space oracles keep the ids of the derivative oracles they replaced.
         pytest.param(

@@ -15,16 +15,19 @@ from polyslope import (
     hessian_det_identity,
     hessian_fd_comparison,
     morse_index_eigen,
-    morse_index_formula,
     tangential_critical_points,
 )
 from polyslope.geometry import area_form, edge_lengths_along, left_normals, line_vertices
 from polyslope.randomgen import random_convex_slope_system, random_slope_system, trial_rng
 from polyslope.slope_space import _radii_offsets, polygon_from_radii
+import polyslope.tangential as tangential_module
 from polyslope.sweeps import check_hessian_difference
 from polyslope.tangential import (
+    _edge_space_inertia,
     constrained_perimeter,
     edge_hessians,
+    index_pair,
+    index_reports,
     tangential_residual,
     well_conditioned_chart,
 )
@@ -353,7 +356,7 @@ class TestMorseIndex:
                 assert rotated == base
 
     def test_minor_signs_count_negative_eigenvalues(self):
-        # Two oracles for the sign count, computed here from the Hessian:
+        # Two oracles for the index, computed here from the closed-form Hessian:
         # Jacobi's rule (sign changes along 1 and the leading principal
         # minors) and the floating-point eigenvalue count.
         rng = np.random.default_rng(31)
@@ -383,11 +386,31 @@ class TestMorseIndex:
                 continue
             point = points[0] if points[0].inradius > 0 else points[1]
             if chart.right_turns == 1 and chart.winding == 1 and point.perimeter > 0:
-                assert morse_index_formula(point) == 1
-                assert morse_index_eigen(point).index_eigen == 1
+                report = morse_index_eigen(point)
+                assert report.index_formula == report.index_eigen == 1
                 found = True
                 break
         assert found
+
+
+    def test_count_within_roundoff_allows_either_index(self, monkeypatch):
+        # Next to the exceptional locus, with two lines 1e-8 degrees apart,
+        # the vertices cannot resolve the area form on T: its one eigenvalue
+        # lies within the roundoff bound, so the count may be 0 or 1 and the
+        # formula agrees.  A formula one more is outside that range at r > 0
+        # and inside it at r < 0; on a resolved system it is outside at both.
+        chart = build_chart(SlopeSystem.from_degrees([0, 120, 1e-8, 240]), DEFAULT_TOL.scaled(1e-3))
+        points = tangential_critical_points(chart)
+        vertices = points[0].polygon.vertices
+        assert _edge_space_inertia(chart, vertices, points[0].inradius).tolist() == [0, 1, 1]
+        assert [report.agreement for report in index_reports(points, vertices)] == [True, True]
+        resolved = tangential_critical_points(SlopeSystem.from_degrees([10, 80, 150, 230, 300]))
+        monkeypatch.setattr(
+            tangential_module, "index_pair", lambda *a: tuple(mu + 1 for mu in index_pair(*a))
+        )
+        assert [report.agreement for report in index_reports(points, vertices)] == [False, True]
+        reports = index_reports(resolved, resolved[0].polygon.vertices)
+        assert [report.agreement for report in reports] == [False, False]
 
 
 class TestConstrainedChart:

@@ -3,13 +3,14 @@
 Each critical point builds its polygon and Hessian on first read, and each
 chart its area constants.  A slopes report takes its angle sum from its
 chart and builds both critical points' polygons as one vertex stack from one
-``tangential_offsets`` call, checks them by one edge-space residual on one
-SVD's closure basis, and builds their Hessians as one closed-form stack with
-one eigenvalue call; the
+``tangential_offsets`` call, checks them by one edge-space residual and
+counts their index by one edge-space inertia on the chart's one closure
+basis, and builds their Hessians as one closed-form stack with one
+eigenvalue call; the
 index-agreement and determinant trials read the same stack, with one
 eigenvalue or determinant call, and no point's own Hessian.
 A cyclic report computes its invariants and its dual slopes once, and its
-indices with one SVD, one eigenvalue call and one chart.  Counters
+indices with one SVD, one eigenvalue call and no chart.  Counters
 wrap functions such as ``geometry.tangential_polygon`` and
 ``slope_space.build_chart`` in every ``polyslope`` module that holds them,
 and ``numpy.linalg``'s ``eigvalsh`` and ``det``.  The routes these shortcuts replace
@@ -134,15 +135,16 @@ def test_family_report_builds_no_polygon(calls):
      "index_agreement", "convex_indices"],
 )
 def test_index_hessian_and_gradient_checks_build_no_polygon(monkeypatch, calls, name):
-    # The gradient trial reads one vertex list, of the r > 0 point, and no
-    # PolygonChain; the others build no vertices at all.
+    # The gradient and index trials read one vertex list, of the r > 0
+    # point, and no PolygonChain; the others build no vertices at all.
     stacks = counted(monkeypatch, (tangential_offsets,))
     index, check = next((i, c) for i, (n, c) in enumerate(CHECKS) if n == name)
     for trial in range(20):
         assert check(trial_rng(1, index, trial), (4, 9), DEFAULT_TOL) is not None
     assert calls["tangential_polygon"] == 0
     assert calls["build_chart"] == 20
-    assert stacks == {"tangential_offsets": 20 if name == "critical_gradient" else 0}
+    reads_vertices = name in ("critical_gradient", "index_agreement", "convex_indices")
+    assert stacks == {"tangential_offsets": 20 if reads_vertices else 0}
 
 
 def counted_linalg(monkeypatch, names):
@@ -158,18 +160,21 @@ def counted_linalg(monkeypatch, names):
     return counts
 
 
-def test_slopes_report_makes_one_svd_and_eigvalsh(monkeypatch):
-    # One closure basis for the edge-space residual, one eigenvalue call for
-    # the Hessian stack.
+def test_slopes_report_makes_two_svds_and_two_eigvalsh_calls(monkeypatch):
+    # One closure basis of ker U for the edge-space residual and the index
+    # count, one of the tangent T within it; one eigenvalue call for the
+    # Hessian stack and one for the inertia on T.
     linalg = counted_linalg(monkeypatch, ("svd", "eigvalsh"))
     assert not slopes_report(SLOPES_7)["critical"]["exceptional"]
-    assert linalg == {"svd": 1, "eigvalsh": 1}
+    assert linalg == {"svd": 2, "eigvalsh": 2}
 
 
 @pytest.mark.parametrize("name", ["slopes_report", "index_agreement", "hessian_determinant"])
 def test_both_hessians_are_one_stack(monkeypatch, name):
     # H(-r) = -H(r): one closed-form stack holds both points' Hessians, and
     # one eigvalsh (or det) call reads it.  No point builds its own Hessian.
+    # The edge-space inertia takes one more eigvalsh call, and the index
+    # trial's area signature one more.
     formulas = counted(monkeypatch, (hessian_formula,))
     linalg = counted_linalg(monkeypatch, ("eigvalsh", "det"))
     reads = []
@@ -187,11 +192,12 @@ def test_both_hessians_are_one_stack(monkeypatch, name):
             lambda t=t: check(trial_rng(1, index, t), (4, 9), DEFAULT_TOL) for t in range(20)
         ]
     determinant = name == "hessian_determinant"
+    eigvalsh = {"slopes_report": 2, "index_agreement": 3, "hessian_determinant": 0}[name]
     for run in runs:
         formulas["hessian_formula"] = linalg["eigvalsh"] = linalg["det"] = 0
         assert run() is not None
         assert formulas == {"hessian_formula": 1}
-        assert linalg == {"eigvalsh": int(not determinant), "det": int(determinant)}
+        assert linalg == {"eigvalsh": eigvalsh, "det": int(determinant)}
     assert reads == []
 
 
@@ -390,13 +396,12 @@ def test_cyclic_report_computes_invariants_and_dual_once(monkeypatch):
 @pytest.mark.parametrize(
     "phis", [[0.0, 70.0, 150.0, 220.0, 290.0], [0.0, 144.0, 288.0, 72.0, 216.0]]
 )
-def test_cyclic_report_makes_one_svd_eigvalsh_and_chart(monkeypatch, phis):
+def test_cyclic_report_makes_one_svd_and_eigvalsh_and_no_chart(monkeypatch, phis):
     # The numeric area index takes one closure basis and one eigenvalue
-    # call; the dual index is read off one chart of the dual slopes, whose
-    # critical point of r > 0 is the dual polygon, so no TangentialCritical
-    # is built.
+    # call; the dual index is the formula at the dual slopes' half turns,
+    # from one turning rule and no chart, and no TangentialCritical is built.
     linalg = counted_linalg(monkeypatch, ("svd", "eigvalsh"))
-    charts = counted(monkeypatch, (build_chart,))
+    charts = counted(monkeypatch, (build_chart, chart_stack, turning_rule))
     made = [0]
     init = TangentialCritical.__init__
 
@@ -408,7 +413,7 @@ def test_cyclic_report_makes_one_svd_eigvalsh_and_chart(monkeypatch, phis):
     report = cyclic_report(1.0, phis)
     assert report["indices"]["mu_dual_perimeter"] is not None
     assert linalg == {"svd": 1, "eigvalsh": 1}
-    assert charts == {"build_chart": 1}
+    assert charts == {"build_chart": 0, "chart_stack": 0, "turning_rule": 1}
     assert made[0] == 0
 
 
