@@ -279,29 +279,25 @@ def polygon_from_lines(
     return PolygonChain(line_vertices(angles, offsets, tol))
 
 
-def tangential_offsets(angles: Sequence[float], inradius) -> np.ndarray:
-    """X, the polygon of the lines at ``angles`` tangent to the circle about c
-    of signed radius r (r > 0: circle left of every line) being c - X.  Row
-    i + 1 (edges i, i + 1) is (r / cos(tau_i / 2)) n(phi_i + tau_i / 2), with
-    tau_i = (phi_{i+1} - phi_i) mod 2pi and n the left normal.  ``inradius``
-    may be a (K,) stack of radii: the result is then the (K, n, 2) stack of
-    their offsets, each row equal to that of its radius alone."""
-    angles = np.asarray(angles, dtype=float)
-    half = 0.5 * ((_cycled(angles) - angles) % TWO_PI)
-    scales = np.asarray(inradius, dtype=float)[..., None] / np.cos(half)
-    return _cycled(scales[..., None] * left_normals(angles + half), -1, -2)
-
-
-def tangential_polygon(angles: Sequence[float], center, inradius: float) -> PolygonChain:
-    """Polygon of the lines tangent to a circle (:func:`tangential_offsets`),
-    its one-row call."""
-    return PolygonChain(center - tangential_offsets(angles, inradius))
-
-
 def tangential_polygons(angles: Sequence[float], centers, inradii) -> np.ndarray:
-    """Stack of :func:`tangential_polygon` vertex lists, one per row of (K, 2)
-    ``centers`` and (K,) ``inradii``, checked at once: the first to fail raises."""
-    vertices = np.asarray(centers, dtype=float)[:, None] - tangential_offsets(angles, inradii)
+    """The (K, n, 2) vertex lists of the lines at ``angles`` tangent to the
+    circles of (K, 2) ``centers`` c and (K,) signed ``inradii`` r (r > 0:
+    circle left of every line), checked at once by :func:`require_distinct`.
+    Edge i is r t_i u_i, t_i = tan(tau_{i-1} / 2) + tan(tau_i / 2), tau_i =
+    (phi_{i+1} - phi_i) mod 2pi, from v_1 = (c - r n_1) - r tan(tau_n / 2) u_1,
+    by one cumulative sum for every row.  At c = r n_1 the tangent point
+    c - r n_1 of line 1 is exactly 0, and the polygon of -r is the exact
+    point reflection of that of r."""
+    angles = np.asarray(angles, dtype=float)
+    halves = np.tan(0.5 * ((_cycled(angles) - angles) % TWO_PI))
+    # steps[0] runs from the tangent point of line 1 to v_1, steps[i] along edge i.
+    steps = np.empty(angles.shape + (2,))
+    steps[:, 0], steps[:, 1] = np.cos(angles), np.sin(angles)
+    steps[1:] = steps[:-1] * (_cycled(halves, -1)[:-1] + halves[:-1])[:, None]
+    steps[0] *= -halves[-1]
+    inradii = np.asarray(inradii, dtype=float)
+    starts = np.asarray(centers, dtype=float) - inradii[:, None] * left_normal(angles[0])
+    vertices = starts[:, None] + inradii[:, None, None] * steps.cumsum(axis=0)
     require_distinct(vertices)
     return vertices
 

@@ -34,6 +34,7 @@ from .geometry import (
     PolygonChain,
     SlopeSystem,
     _cycled,
+    area_form,
     closure_basis,
     edge_offsets,
     edges_against_slopes,
@@ -112,6 +113,13 @@ class RadiiChart:
         basis = closure_basis((np.cos(shifted), np.sin(shifted)))
         basis.setflags(write=False)
         return basis
+
+    @functools.cached_property
+    def area_form(self) -> np.ndarray:
+        """Q of :func:`~polyslope.geometry.area_form` at the slopes, on first read."""
+        form = area_form(self.system.angles)
+        form.setflags(write=False)
+        return form
 
 
 @dataclass(frozen=True)

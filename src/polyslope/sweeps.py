@@ -22,11 +22,9 @@ from .geometry import (
     TWO_PI,
     SlopeSystem,
     _cycled,
-    area_form,
     edge_offsets,
     line_vertices,
     polygon_measures,
-    tangential_offsets,
     tangential_polygons,
     turning_sum,
     winding_number,
@@ -120,12 +118,6 @@ def check_hessian_determinant(rng, n, tol):
     ]
 
 
-def _index_reports(points):
-    """:func:`index_reports` at the first point's closed-form vertices."""
-    offsets = tangential_offsets(points[0].chart.system.angles, points[0].inradius)
-    return index_reports(points, points[0].incenter - offsets)
-
-
 def check_index_agreement(rng, n, tol):
     """The formula index equals the edge-space inertia and agrees with it,
     and the area form's inertia on ker U equals the positive component's
@@ -135,13 +127,14 @@ def check_index_agreement(rng, n, tol):
     if not points:
         return None
     basis = chart.closure_space
-    signature = np.linalg.eigvalsh(basis.T @ area_form(chart.system.angles) @ basis)
+    signature = np.linalg.eigvalsh(basis.T @ chart.area_form @ basis)
     positive = topology_report(chart).positive_component
     positives, negatives = int((signature > 0).sum()), int((signature < 0).sum())
     off = abs(positives - positive.sphere_dim - 1) + abs(negatives - positive.disc_dim)
+    vertices = tangential_polygons(chart.system.angles, [points[0].incenter], [points[0].inradius])
     rows = [
         ("index mismatch", max(abs(r.index_eigen - r.index_formula), int(not r.agreement)), 0)
-        for r in _index_reports(points)
+        for r in index_reports(points, vertices[0])
     ]
     return rows + [("area signature off topology", off, 0)]
 
@@ -151,8 +144,10 @@ def check_convex_indices(rng, n, tol):
     points = tangential_critical_points(build_chart(random_convex_slope_system(rng, n), tol))
     if not points:
         return None
+    first = points[0]
+    vertices = tangential_polygons(first.chart.system.angles, [first.incenter], [first.inradius])
     rows = []
-    for point, report in zip(points, _index_reports(points)):
+    for point, report in zip(points, index_reports(points, vertices[0])):
         expected = 0 if point.inradius > 0 else n - 3
         error = max(abs(report.index_eigen - expected), abs(report.index_formula - expected))
         rows.append(("convex index off", error, 0))

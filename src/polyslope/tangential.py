@@ -8,7 +8,8 @@ constrained radii chart has the closed form
 
     H_jj = -(p_j / (r p_1)) (p_1 + p_j),   H_jk = -p_j p_k / (r p_1),
 
-indexed by the free radii j, k = 2..n-2.  So are the vertices, the perimeter
+indexed by the free radii j, k = 2..n-2.  So are the vertices, edge i being
+r t_i u_i (:func:`~polyslope.geometry.tangential_polygons`), the perimeter
 r sum p_i, the area sign(sum p_i) and the winding number, with the radii
 reconstruction :func:`polygon_from_radii` as their oracle in tests and
 sweeps.  The points are checked in edge space, where a polygon is its
@@ -36,12 +37,11 @@ from .geometry import (
     PolygonChain,
     SlopeSystem,
     _cycled,
-    area_form,
     closure_basis,
     edge_lengths_along,
     left_normal,
     line_vertices,
-    tangential_polygon,
+    tangential_polygons,
 )
 from .slope_space import RadiiChart, _radii_offsets, _unit_perimeters, build_chart
 from .tolerances import DEFAULT_TOL, Tolerances
@@ -51,8 +51,9 @@ from .tolerances import DEFAULT_TOL, Tolerances
 class TangentialCritical:
     """A tangential critical point of the perimeter, every field in closed form.
 
-    ``polygon`` and ``hessian`` are computed on first read and then kept, so
-    a caller that needs only the index or the perimeter builds neither.
+    ``polygon`` (a one-row :func:`~polyslope.geometry.tangential_polygons`)
+    and ``hessian`` are computed on first read and then kept, so a caller
+    that needs only the index or the perimeter builds neither.
     The winding number and turn counts are the chart's, shared by both
     points.
     """
@@ -69,7 +70,8 @@ class TangentialCritical:
 
     @functools.cached_property
     def polygon(self) -> PolygonChain:
-        return tangential_polygon(self.chart.system.angles, self.incenter, self.inradius)
+        angles = self.chart.system.angles
+        return PolygonChain(tangential_polygons(angles, [self.incenter], [self.inradius])[0])
 
     @functools.cached_property
     def hessian(self) -> np.ndarray:
@@ -194,8 +196,7 @@ def _edge_space_inertia(chart: RadiiChart, vertices: np.ndarray, inradius: float
     of the (n, 2) ``vertices`` of the point of inradius r, lie below -b, 0
     and b, b = INERTIA_ROUNDOFF n eps max|Q| / |r|.  T is B times the closure
     basis of (Q l)^T B, with B the chart's ``closure_space``; no p enters."""
-    angles, basis = chart.system.angles, chart.closure_space
-    form = area_form(angles)
+    angles, basis, form = chart.system.angles, chart.closure_space, chart.area_form
     normal = form @ edge_lengths_along(vertices, angles) @ basis
     tangent = basis @ closure_basis(normal[None])
     eigenvalues = np.linalg.eigvalsh(tangent.T @ form @ tangent / -inradius)
@@ -249,8 +250,7 @@ def tangential_residual(chart: RadiiChart, vertices: np.ndarray, inradius: float
     Any p makes every r critical, so only the area sees a wrong sum p.  The
     other point has edges -l and inradius -r: the same numbers serve it.
     """
-    angles, n = chart.system.angles, chart.n
-    form = area_form(angles)
+    angles, n, form = chart.system.angles, chart.n, chart.area_form
     lengths = edge_lengths_along(vertices, angles)
     gradient = 1.0 - form @ lengths / inradius
     residual = gradient @ chart.closure_space
@@ -283,7 +283,7 @@ def edge_hessians(points: Sequence[TangentialCritical]) -> tuple[np.ndarray, np.
     tangent = np.vstack((-p[1:] / p[0], np.eye(chart.n - 3)))
     lines = line_vertices(angles, _radii_offsets(angles, tangent.T), chart.tol)
     moves = edge_lengths_along(lines, angles)
-    form = moves @ area_form(angles) @ moves.T
+    form = moves @ chart.area_form @ moves.T
     radii = np.array([point.inradius for point in points])
     return hessian_formula(p, radii), -form / radii[:, None, None]
 

@@ -140,13 +140,14 @@ class TestSlopesAnalyze:
     def test_relabeling_keeps_the_exit_code(self, tmp_path, capsys):
         # Lines within 0.01 degrees of one direction: the two labelings'
         # inradii differ in the twelfth digit, and 300-bit arithmetic puts
-        # them 3.0e-12 and 9.1e-13 off.  The area check sees both, whichever
-        # relabeling the chart would be best conditioned in.
+        # them 3.0e-12 and 9.1e-13 off.  Both labelings pass the area check
+        # on vertices placed edge by edge, whichever relabeling the chart
+        # would be best conditioned in.
         codes = []
         for angles in ([-0.01, 0.0, 0.0075, 0.01, 0.005], [0.0, 0.0075, 0.01, 0.005, 359.99]):
             path = write_json(tmp_path, "near.json", {"angles_deg": angles})
             codes.append(run_cli(capsys, "slopes", "analyze", path)[0])
-        assert codes[0] == codes[1]
+        assert codes == [0, 0]
 
     @pytest.mark.parametrize(
         "angles",
@@ -172,6 +173,21 @@ class TestSlopesAnalyze:
                 61.12662513124438,
                 251.19025050753893,
             ],
+            # Lines within 0.01 degrees of one direction, inradius 1.5e6, in
+            # both labelings: vertices placed as the incenter less an offset
+            # of size r failed the area check at 4.1 and 8.9 times its bound.
+            [-0.01, 0.0, 0.0075, 0.01, 0.005],
+            [0.0, 0.0075, 0.01, 0.005, 359.99],
+            # Triangles of lines within 1e-4 degrees of each other, whose
+            # incenter-less-offset vertices failed the area check.
+            [138.5124280394045, 138.51239816942805, 138.51240029398917],
+            [185.70849854671943, 185.70857258914373, 185.70849832725736],
+            [255.33411567285947, 255.33411544148802, 255.33411918764142],
+            [249.1066491210609, 249.10664894870678, 249.10681117533895],
+            [58.93013292021045, 58.93013260250535, 58.93011686657539],
+            [254.1495848121794, 254.18015053609315, 254.14958507426925],
+            [181.55837620812662, 181.55839308247855, 181.55839292702578],
+            [15.339250285765324, 15.339246150011302, 15.339247005128653],
         ],
     )
     def test_badly_scaled_system_passes(self, tmp_path, capsys, angles):

@@ -41,7 +41,7 @@ from polyslope import (
     winding_number,
 )
 from polyslope import tangential
-from polyslope.geometry import left_normals, polygon_from_lines, tangential_polygon
+from polyslope.geometry import left_normals, polygon_from_lines, tangential_polygons
 from polyslope.report import cyclic_report, slopes_report
 from polyslope.tangential import (
     edge_hessians,
@@ -226,7 +226,7 @@ def one_point_at_a_time(angles):
     """The same, one point at a time: the eigenvalues of the point's own
     Hessian; the indices of the one-point call, whose count is taken at the
     point's own polygon, where the report takes the other point's complement;
-    the polygon by ``tangential_polygon``, whose checks raise; then the
+    the polygon by a one-row ``tangential_polygons``, whose check raises; then the
     edge-space checks on that point's own polygon and inradius, by the
     one-point call too."""
     chart = build_chart(SlopeSystem.from_degrees(angles))
@@ -237,12 +237,12 @@ def one_point_at_a_time(angles):
     for point in points:
         hessian = hessian_formula(chart.unit_perimeters, point.inradius)
         eigenvalues = np.linalg.eigvalsh(hessian).tolist()
-        polygon = tangential_polygon(chart.system.angles, point.incenter, point.inradius)
+        vertices = tangential_polygons(chart.system.angles, [point.incenter], [point.inradius])[0]
         report = morse_index_eigen(point)
         index, formula = report.index_eigen, report.index_formula
-        residual = tangential_residual(chart, polygon.vertices, point.inradius)
+        residual = tangential_residual(chart, vertices, point.inradius)
         assert critical_gradient_norm(point) == residual[:2]
-        rows.append((eigenvalues, index, formula, *residual, polygon.vertices.tolist()))
+        rows.append((eigenvalues, index, formula, *residual, vertices.tolist()))
     return rows
 
 

@@ -37,7 +37,7 @@ from polyslope.geometry import (
     polygon_measures,
     require_distinct,
     signed_perimeters,
-    tangential_polygon,
+    tangential_polygons,
     winding_numbers,
 )
 from polyslope.tangential import well_conditioned_chart
@@ -727,6 +727,7 @@ def mpmath_tangential_vertices(angles, center, inradius):
 
 class TestTangentialPolygon:
     def test_matches_mpmath_intersections(self):
+        # One row of the edge-form stack against the corners of its lines.
         # Unfiltered: uniform angles, so nearly parallel and nearly
         # antiparallel neighbours (far corners) occur.
         rng = np.random.default_rng(50)
@@ -735,7 +736,30 @@ class TestTangentialPolygon:
             angles = rng.uniform(0.0, 2.0 * math.pi, n)
             center = rng.uniform(-2.0, 2.0, 2)
             inradius = rng.choice([-1.0, 1.0]) * rng.uniform(0.1, 2.0)
-            polygon = tangential_polygon(angles, center, inradius)
+            vertices = tangential_polygons(angles, [center], [inradius])[0]
             expected = mpmath_tangential_vertices(angles, center, inradius)
-            gap = float(np.max(np.abs(polygon.vertices - expected)))
-            assert gap <= 1e-12 * polygon.diameter
+            gap = float(np.max(np.abs(vertices - expected)))
+            assert gap <= 1e-12 * float(diameters(vertices))
+
+    def test_points_of_a_chart_are_exact_reflections(self):
+        # At the canonical incenter c = r n_1 the tangent point of line 1 is
+        # exactly 0, so the polygon of -r is that of r negated, bit for bit,
+        # and its first vertex is r tan(tau_n / 2) behind 0 along u_1.
+        rng = np.random.default_rng(51)
+        for _ in range(200):
+            angles = rng.uniform(0.0, 360.0, int(rng.integers(3, 15))).tolist()
+            try:
+                chart = build_chart(SlopeSystem.from_degrees(angles))
+            except ParallelLines:
+                continue
+            points = tangential_critical_points(chart)
+            if not points:
+                continue
+            centers = [point.incenter for point in points]
+            radii = [point.inradius for point in points]
+            vertices = tangential_polygons(chart.system.angles, centers, radii)
+            assert np.array_equal(vertices[1], -vertices[0]), angles
+            phi = chart.system.angles
+            back = -radii[0] * math.tan(0.5 * ((phi[0] - phi[-1]) % (2.0 * math.pi)))
+            first = back * np.array([math.cos(phi[0]), math.sin(phi[0])])
+            assert np.allclose(vertices[0, 0], first, rtol=1e-14, atol=0.0), angles

@@ -1,17 +1,17 @@
 """What the reports and the sweep checks build, and how often.
 
 Each critical point builds its polygon and Hessian on first read, and each
-chart its area constants.  A slopes report takes its angle sum from its
-chart and builds both critical points' polygons as one vertex stack from one
-``tangential_offsets`` call, checks them by one edge-space residual and
-counts their index by one edge-space inertia on the chart's one closure
-basis, and builds their Hessians as one closed-form stack with one
+chart its area constants and area form.  A slopes report takes its angle
+sum from its chart and builds both critical points' polygons as one vertex
+stack from one ``tangential_polygons`` call, checks them by one edge-space
+residual and counts their index by one edge-space inertia on the chart's
+one closure basis and one area form, and builds their Hessians as one closed-form stack with one
 eigenvalue call; the
 index-agreement and determinant trials read the same stack, with one
 eigenvalue or determinant call, and no point's own Hessian.
 A cyclic report computes its invariants and its dual slopes once, and its
 indices with one SVD, one eigenvalue call and no chart.  Counters
-wrap functions such as ``geometry.tangential_polygon`` and
+wrap functions such as ``geometry.tangential_polygons`` and
 ``slope_space.build_chart`` in every ``polyslope`` module that holds them,
 and ``numpy.linalg``'s ``eigvalsh`` and ``det``.  The routes these shortcuts replace
 stay here as oracles: the family rows against the critical points' own
@@ -34,6 +34,7 @@ import numpy as np
 import pytest
 
 from polyslope import (
+    PolygonChain,
     SlopeSystem,
     TangentialCritical,
     build_chart,
@@ -43,11 +44,11 @@ from polyslope import (
 from polyslope import geometry
 from polyslope.cyclic import bifurcation_test, cyclic_invariants
 from polyslope.geometry import (
+    area_form,
     oriented_areas,
     require_distinct,
     signed_perimeters,
-    tangential_offsets,
-    tangential_polygon,
+    tangential_polygons,
 )
 from polyslope.randomgen import random_slope_system, trial_rng
 from polyslope.report import cyclic_report, family_report, slopes_report
@@ -101,32 +102,31 @@ def counted(monkeypatch, originals, results=None):
 
 @pytest.fixture
 def calls(monkeypatch):
-    """Counts of calls to build_chart and tangential_polygon, by name."""
-    return counted(monkeypatch, (build_chart, tangential_polygon))
+    """Counts of calls to build_chart and tangential_polygons, by name."""
+    return counted(monkeypatch, (build_chart, tangential_polygons))
 
 
 SLOPES_7 = [10.0, 62.0, 131.0, 175.0, 228.0, 281.0, 333.0]
 
 
-def test_slopes_report_builds_one_chart_and_one_vertex_stack(monkeypatch, calls):
+def test_slopes_report_builds_one_chart_and_one_vertex_stack(monkeypatch):
     # Both points' polygons come from one call with the stack of their radii,
-    # and both points' edge-space checks from one residual.
-    offsets = []
-    stacks = counted(monkeypatch, (tangential_offsets,), offsets)
-    residuals = counted(monkeypatch, (tangential_residual,))
+    # and both points' edge-space checks from one residual.  The residual and
+    # the edge-space inertia read the chart's one area form.
+    results = []
+    calls = counted(monkeypatch, (build_chart, tangential_polygons), results)
+    shared = counted(monkeypatch, (tangential_residual, area_form))
     report = slopes_report(SLOPES_7)
     assert not report["critical"]["exceptional"]
-    assert calls["build_chart"] == 1
-    assert calls["tangential_polygon"] == 0
-    assert stacks == {"tangential_offsets": 1}
-    assert residuals == {"tangential_residual": 1}
-    assert offsets[0].shape == (2, 7, 2)
+    assert calls == {"build_chart": 1, "tangential_polygons": 1}
+    assert shared == {"tangential_residual": 1, "area_form": 1}
+    assert results[-1].shape == (2, 7, 2)
 
 
 def test_family_report_builds_no_polygon(calls):
     report = family_report(FAMILY_START, FAMILY_END, 11)
     assert any(row.get("critical_points") == 2 for row in report["rows"])
-    assert calls["tangential_polygon"] == 0
+    assert calls["tangential_polygons"] == 0
 
 
 @pytest.mark.parametrize(
@@ -134,17 +134,29 @@ def test_family_report_builds_no_polygon(calls):
     ["critical_gradient", "hessian_difference", "hessian_determinant",
      "index_agreement", "convex_indices"],
 )
-def test_index_hessian_and_gradient_checks_build_no_polygon(monkeypatch, calls, name):
+def test_index_hessian_and_gradient_checks_build_no_polygon(monkeypatch, name):
     # The gradient and index trials read one vertex list, of the r > 0
-    # point, and no PolygonChain; the others build no vertices at all.
-    stacks = counted(monkeypatch, (tangential_offsets,))
+    # point, and no PolygonChain; the others build no vertices at all.  Each
+    # trial that reads the area form builds it once, on its chart.
+    stacks = []
+    calls = counted(monkeypatch, (build_chart, tangential_polygons), stacks)
+    forms = counted(monkeypatch, (area_form,))
+    chains = [0]
+    post_init = PolygonChain.__post_init__
+
+    def counted_post_init(self):
+        chains[0] += 1
+        post_init(self)
+
+    monkeypatch.setattr(PolygonChain, "__post_init__", counted_post_init)
     index, check = next((i, c) for i, (n, c) in enumerate(CHECKS) if n == name)
     for trial in range(20):
         assert check(trial_rng(1, index, trial), (4, 9), DEFAULT_TOL) is not None
-    assert calls["tangential_polygon"] == 0
-    assert calls["build_chart"] == 20
     reads_vertices = name in ("critical_gradient", "index_agreement", "convex_indices")
-    assert stacks == {"tangential_offsets": 20 if reads_vertices else 0}
+    assert calls == {"build_chart": 20, "tangential_polygons": 20 if reads_vertices else 0}
+    assert forms == {"area_form": 0 if name == "hessian_determinant" else 20}
+    assert all(len(stack) == 1 for stack in stacks if isinstance(stack, np.ndarray))
+    assert chains == [0]
 
 
 def counted_linalg(monkeypatch, names):
@@ -207,8 +219,8 @@ def test_polygon_and_hessian_on_first_read():
         assert "polygon" not in vars(point) and "hessian" not in vars(point)
         polygon = point.polygon
         assert polygon is point.polygon
-        expected = tangential_polygon(chart.system.angles, point.incenter, point.inradius)
-        assert np.array_equal(polygon.vertices, expected.vertices)
+        expected = tangential_polygons(chart.system.angles, [point.incenter], [point.inradius])
+        assert np.array_equal(polygon.vertices, expected[0])
         assert point.hessian is point.hessian
         assert np.array_equal(point.hessian, hessian_formula(chart.unit_perimeters, point.inradius))
 
@@ -320,6 +332,15 @@ def test_area_constants_on_first_read():
     assert not constants.flags.writeable
 
 
+def test_area_form_on_first_read():
+    chart = build_chart(SlopeSystem.from_degrees(SLOPES_7))
+    assert "area_form" not in vars(chart)
+    form = chart.area_form
+    assert form is chart.area_form
+    assert not form.flags.writeable
+    assert np.array_equal(form, area_form(chart.system.angles))
+
+
 def test_angles_are_read_only_and_shared():
     system = SlopeSystem.from_degrees(SLOPES_7)
     angles = system.angles
@@ -377,8 +398,7 @@ def test_cyclic_report_computes_invariants_and_dual_once(monkeypatch):
     # area index, whose vertex angles the CyclicPolygon has checked, gets none.
     counts = counted(
         monkeypatch,
-        (cyclic_invariants, bifurcation_test, tangential_offsets, tangential_polygon,
-         require_distinct),
+        (cyclic_invariants, bifurcation_test, tangential_polygons, require_distinct),
     )
     systems = counted_systems(monkeypatch)
     report = cyclic_report(1.0, [0.0, 70.0, 150.0, 220.0, 290.0])
@@ -386,8 +406,7 @@ def test_cyclic_report_computes_invariants_and_dual_once(monkeypatch):
     assert counts == {
         "cyclic_invariants": 1,
         "bifurcation_test": 1,
-        "tangential_offsets": 1,
-        "tangential_polygon": 0,
+        "tangential_polygons": 1,
         "require_distinct": 1,
     }
     assert systems[0] == 1
