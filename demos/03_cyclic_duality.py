@@ -5,9 +5,11 @@ Cyclic polygons and the index duality
 A cyclic polygon (vertices on a circle) is exactly a critical point of the
 oriented area among polygons with the same edge lengths.  Tangent lines at
 its vertices cut out a dual tangential polygon whose signed perimeter is
-proportional to the signed tangent sum of the half central angles.  The Morse
-index of the area and the Morse index of the dual's perimeter add up to
-n - 3.  The pentagram makes all of this concrete.
+proportional to the signed tangent sum of the half central angles, and whose
+slopes turn by the arcs.  The Morse index of the area and the Morse index of
+the dual's perimeter add up to n - 3, so the dual's turns and the sign of
+the tangent sum give the area index; counting the eigenvalues of the area
+Hessian checks it.  The pentagram makes all of this concrete.
 """
 
 import numpy as np
@@ -28,6 +30,7 @@ inv = pentagram.invariants
 print("pentagram on the unit circle")
 print("  edge orientations:", inv.orientations.tolist())
 print("  positive edges e =", inv.positive_edges, ", winding =", inv.winding)
+print("  dual slopes: k =", inv.dual_half_turns, "half turns, winding = (k - (n - e)) / 2")
 print("  tangent sum B =", round(inv.bifurcation_sum, 6))
 print("  bifurcating:", bifurcation_test(inv))
 
@@ -44,15 +47,15 @@ print("  vertices:\n", np.round(dual.vertices, 4))
 print("  signed perimeter:", round(dual.signed_perimeter, 6))
 print("  2 R B           :", round(2 * pentagram.radius * inv.bifurcation_sum, 6))
 
-# Both routes to the area index, plus the duality identity
-# mu_area = n - 3 - mu_dual.
+# The area index by duality, mu_area = n - 3 - mu_dual, with mu_dual =
+# k - 1 - [B > 0] from the dual slopes, checked by the eigenvalue count.
 print("\nMorse indices")
-print("  area index (eigenvalues):", area_morse_index_numeric(pentagram))
-print("  area index (formula)    :", area_morse_index_formula(inv))
 report = duality_index_check(pentagram)
 print("  dual perimeter index    :", report.mu_dual_perimeter)
+print("  area index (formula)    :", area_morse_index_formula(inv))
+print("  area index (eigenvalues):", area_morse_index_numeric(pentagram))
 print(
-    f"  identity mu_area = n-3-mu_dual: {report.mu_area_numeric} = "
+    f"  check mu_numeric = n-3-mu_dual: {report.mu_area_numeric} = "
     f"{pentagram.n - 3} - {report.mu_dual_perimeter} -> {report.identity_holds}"
 )
 

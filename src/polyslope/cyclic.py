@@ -15,9 +15,9 @@ edge lengths, charted by edge direction angles with the first angle frozen:
 the closure condition is the constraint, one SVD of its Jacobian gives the
 orthonormal basis of its null space (``geometry.closure_basis``), and the
 Lagrangian of the polygon's area, assembled in place from the edge vectors
-with the closure multiplier in closed form, is projected onto it.  The dual
-perimeter index is the formula of :func:`~polyslope.tangential.index_pair`
-at the dual slopes' half turns and the sign of B.
+with the closure multiplier in closed form, is projected onto it.  It checks
+the formula n - 3 - mu_dual, mu_dual the dual's perimeter index by
+:func:`~polyslope.tangential.index_pair` from the dual slopes' turns and B.
 """
 
 import functools
@@ -33,7 +33,6 @@ from .errors import (
     DegenerateCritical,
     InputSchemaError,
     LengthMismatch,
-    NonIntegralTurn,
     NotCritical,
     SlopeMismatch,
 )
@@ -45,11 +44,11 @@ from .geometry import (
     _cycled,
     closure_basis,
     half_signs,
-    integral_ratio,
     signed_perimeters,
     tangential_polygons,
+    turn_tangents,
+    turning_sum,
 )
-from .slope_space import turning_rule
 from .tangential import index_pair
 from .tolerances import DEFAULT_TOL, Tolerances
 
@@ -86,12 +85,12 @@ class CyclicPolygon:
     def __post_init__(self):
         center = np.asarray(self.center, dtype=float)
         phis = np.asarray(self.phis, dtype=float)
-        if center.shape != (2,):
-            raise ValueError("center must be a point")
-        if float(self.radius) <= 0:
-            raise ValueError("radius must be positive")
-        if phis.ndim != 1 or len(phis) < 3:
-            raise ValueError("need at least three vertex angles")
+        if center.shape != (2,) or not np.isfinite(center).all():
+            raise ValueError("center must be a finite point")
+        if not 0.0 < float(self.radius) < math.inf:
+            raise ValueError("radius must be positive and finite")
+        if phis.ndim != 1 or len(phis) < 3 or not np.isfinite(phis).all():
+            raise ValueError("need at least three finite vertex angles")
         center = center.copy()
         phis = phis % TWO_PI
         phis[phis == TWO_PI] = 0.0
@@ -145,15 +144,16 @@ class CyclicInvariants:
 
     ``orientations[i]`` is +1 when the center lies left of the directed edge,
     ``half_angles[i]`` is half the unoriented central angle of edge i,
-    ``positive_edges`` counts the +1 entries, ``winding`` is the winding
-    number around the center, ``bifurcation_sum`` is the signed sum of
-    tangents of the half angles and ``tangent_scale`` the sum of their
-    absolute values, the scale the bifurcation band is measured in.
+    ``positive_edges`` counts the +1 entries, ``dual_half_turns`` is the dual
+    slopes' k, ``winding`` the winding number around the center, B
+    (``bifurcation_sum``) the signed sum of tangents of the half angles and
+    ``tangent_scale`` the sum of their absolute values, the band's scale.
     """
 
     orientations: np.ndarray
     half_angles: np.ndarray
     positive_edges: int
+    dual_half_turns: int
     winding: int
     bifurcation_sum: float
     tangent_scale: float
@@ -177,10 +177,10 @@ class DualPolygon:
 class DualityReport:
     """The area index by both routes, and the dual perimeter index.
 
-    ``mu_area_numeric`` comes from the Lagrangian Hessian, ``mu_area_formula``
-    from the edge counts and winding, ``mu_dual_perimeter`` from the dual
-    slopes' half turns and the sign of B.  ``identity_holds`` says that the
-    area routes agree and complement the dual index to n - 3.
+    ``mu_dual_perimeter`` comes from the dual slopes' half turns and the
+    sign of B, ``mu_area_formula`` is n - 3 less it, and ``mu_area_numeric``
+    comes from the Lagrangian Hessian.  ``identity_holds`` says that the
+    numeric index equals the formula, the one independent check.
     """
 
     mu_area_numeric: int
@@ -190,27 +190,23 @@ class DualityReport:
 
 
 def cyclic_invariants(cyclic: CyclicPolygon) -> CyclicInvariants:
-    """Orientation signs, half angles, edge count, winding and bifurcation sum.
-
-    The winding number is accumulated from the signed arcs (arc if the edge
-    is positively oriented, arc - 2*pi otherwise) and must come out integral;
-    it coincides with the geometric winding number around the center.
+    """Orientation signs, half angles and edge count, and the turn data of
+    the dual slopes phi + pi/2, whose turns are the arcs: eps_i tan(alpha_i)
+    is the turn tangent tan(arc_i / 2), so B is the dual's turn sum, and k
+    and the right turns RT (the arcs past pi) come from its turning rule
+    (:func:`~polyslope.geometry.turning_sum`), so the winding is (k - RT) / 2.
     """
     arcs = cyclic.arcs
     forward = arcs < math.pi
-    orientations = np.where(forward, 1, -1)
-    half_angles = np.minimum(arcs, TWO_PI - arcs) / 2.0
-    turns = float(np.where(forward, arcs, arcs - TWO_PI).sum()) / TWO_PI
-    winding, off = integral_ratio(turns, cyclic.n)
-    if off:
-        raise NonIntegralTurn(f"arc sum {turns!r} turns is not integral")
-    tangents = np.tan(half_angles)
+    tangents = turn_tangents(cyclic.phis)
+    _, k, right_turns = turning_sum(cyclic.dual_slopes)
     return CyclicInvariants(
-        orientations=orientations,
-        half_angles=half_angles,
+        orientations=np.where(forward, 1, -1),
+        half_angles=np.minimum(arcs, TWO_PI - arcs) / 2.0,
         positive_edges=int(np.count_nonzero(forward)),
-        winding=int(winding),
-        bifurcation_sum=float((orientations * tangents).sum()),
+        dual_half_turns=k,
+        winding=(k - right_turns) // 2,
+        bifurcation_sum=float(tangents.sum()),
         tangent_scale=float(np.abs(tangents).sum()),
     )
 
@@ -340,42 +336,39 @@ def area_morse_index_numeric(cyclic: CyclicPolygon) -> int:
 
 
 def area_morse_index_formula(inv: CyclicInvariants, tol: Tolerances = DEFAULT_TOL) -> int:
-    """Morse index of the area from edge counts, winding, and the tangent sum;
-    Bifurcating on the bifurcation locus (:func:`bifurcation_test`)."""
+    """Morse index of the area by duality, n - 3 - mu_dual; Bifurcating on
+    the bifurcation locus (:func:`bifurcation_test`).  The dual polygon, of
+    inradius R > 0, is the critical point of r > 0 of its own slopes, whose
+    sum p has the sign of its perimeter 2RB, so mu_dual = k - 1 - [B > 0]
+    (:func:`~polyslope.tangential.index_pair`), with no chart: parallel dual
+    lines, as the square's, have one.  The dual turns right at the n - e
+    arcs past pi, e the positive edges, and w = (k - n + e) / 2, so the index
+    n - 3 - mu_dual = n - 2 - k + [B > 0] is e - 1 - 2w - [B <= 0].
+    """
     if bifurcation_test(inv, tol):
         raise Bifurcating("index undefined on the bifurcation locus")
-    return _formula_index(inv)
-
-
-def _formula_index(inv: CyclicInvariants) -> int:
-    return inv.positive_edges - 1 - 2 * inv.winding - (0 if inv.bifurcation_sum > 0 else 1)
+    n = len(inv.orientations)
+    return n - 3 - int(index_pair(n, inv.dual_half_turns, inv.bifurcation_sum)[0])
 
 
 def duality_index_check(
     cyclic: CyclicPolygon, tol: Tolerances = DEFAULT_TOL
 ) -> DualityReport | None:
-    """Area index versus dual perimeter index: mu_area = n - 3 - mu_dual, or
-    None on the bifurcation locus (:func:`bifurcation_test`), where the area
-    Hessian is degenerate.
+    """The area index by duality (:func:`area_morse_index_formula`), checked
+    by the numeric index, or None on the bifurcation locus
+    (:func:`bifurcation_test`), where the area Hessian is degenerate.
 
     The one place that computes the cyclic indices, from the polygon's
-    :attr:`CyclicPolygon.invariants` and :attr:`CyclicPolygon.dual_slopes`;
-    reports and sweeps read its result.  The dual polygon, tangential with
-    inradius R > 0, is (after the area normalization, which leaves the index
-    unchanged) the critical point of r > 0 of its own slopes, whose sum p
-    has the sign of its perimeter 2RB: :func:`~polyslope.tangential.index_pair`
-    gives its index from their half turns k and the sign of B, with no
-    chart, so parallel dual lines, as the square's, have one.  The identity
-    then reads k = n - e + 2w, e the positive edges: an identity of the arcs.
+    :attr:`CyclicPolygon.invariants`, whose turn data are the dual slopes';
+    reports and sweeps read its result.  The numeric Lagrangian index is the
+    one independent check of the formula, as the edge-space inertia is of
+    the slope side's.
     """
     # The test goes first: on the bifurcation locus the numeric route would
     # only see a degenerate Hessian.
-    inv = cyclic.invariants
-    if bifurcation_test(inv, tol):
+    try:
+        formula = area_morse_index_formula(cyclic.invariants, tol)
+    except Bifurcating:
         return None
-    mu_formula = _formula_index(inv)
-    mu_numeric = area_morse_index_numeric(cyclic)
-    half_turns = int(turning_rule(cyclic.dual_slopes.angles)[1])
-    mu_dual = int(index_pair(cyclic.n, half_turns, inv.bifurcation_sum)[0])
-    identity = mu_numeric == mu_formula == cyclic.n - 3 - mu_dual
-    return DualityReport(mu_numeric, mu_formula, mu_dual, identity)
+    numeric = area_morse_index_numeric(cyclic)
+    return DualityReport(numeric, formula, cyclic.n - 3 - formula, numeric == formula)

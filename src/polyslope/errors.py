@@ -21,8 +21,8 @@ class PointOnBoundary(PolyslopeError):
 
 class NonIntegralTurn(PolyslopeError):
     """A cyclic angle sum is off its integral multiple: the line turns of a
-    slope system (of pi, with k in 1..n - 1), winding angles or the arcs of a
-    cyclic polygon (of 2pi)."""
+    slope system, a cyclic polygon's dual slopes too (of pi, with k in
+    1..n - 1), or winding angles (of 2pi)."""
 
 
 class SlopeMismatch(InputError):

@@ -78,6 +78,15 @@ def integral_ratio(ratio, terms: float):
     return nearest, np.abs(ratio - nearest) > bound * np.maximum(1.0, np.abs(ratio))
 
 
+def turn_tangents(angles) -> np.ndarray:
+    """tan(tau_i / 2) of the turns tau_i = s_{i+1} - s_i of consecutive angles
+    along the last axis, cyclically: the one computation of a turn tangent.
+    tan(x / 2) has period 2pi, so the raw differences need no reduction mod
+    2pi, which would add the rounding of 2pi to every negative one."""
+    angles = np.asarray(angles, dtype=float)
+    return np.tan(0.5 * (_cycled(angles, 1, -1) - angles))
+
+
 def line_vertices(angles, offsets, tol: Tolerances = DEFAULT_TOL) -> np.ndarray:
     """Vertices ``v_i = e_{i-1} ^ e_i`` of the directed lines (angles, offsets)
     along the last axis of (..., m) stacks, shape (..., m, 2).  Raises
@@ -283,13 +292,13 @@ def tangential_polygons(angles: Sequence[float], centers, inradii) -> np.ndarray
     """The (K, n, 2) vertex lists of the lines at ``angles`` tangent to the
     circles of (K, 2) ``centers`` c and (K,) signed ``inradii`` r (r > 0:
     circle left of every line), checked at once by :func:`require_distinct`.
-    Edge i is r t_i u_i, t_i = tan(tau_{i-1} / 2) + tan(tau_i / 2), tau_i =
-    (phi_{i+1} - phi_i) mod 2pi, from v_1 = (c - r n_1) - r tan(tau_n / 2) u_1,
-    by one cumulative sum for every row.  At c = r n_1 the tangent point
-    c - r n_1 of line 1 is exactly 0, and the polygon of -r is the exact
-    point reflection of that of r."""
+    Edge i is r t_i u_i, t_i = tan(tau_{i-1} / 2) + tan(tau_i / 2) of the
+    turns tau_i = phi_{i+1} - phi_i (:func:`turn_tangents`), from v_1 =
+    (c - r n_1) - r tan(tau_n / 2) u_1, by one cumulative sum for every
+    row.  At c = r n_1 the tangent point c - r n_1 of line 1 is exactly 0,
+    and the polygon of -r is the exact point reflection of that of r."""
     angles = np.asarray(angles, dtype=float)
-    halves = np.tan(0.5 * ((_cycled(angles) - angles) % TWO_PI))
+    halves = turn_tangents(angles)
     # steps[0] runs from the tangent point of line 1 to v_1, steps[i] along edge i.
     steps = np.empty(angles.shape + (2,))
     steps[:, 0], steps[:, 1] = np.cos(angles), np.sin(angles)

@@ -47,6 +47,7 @@ from .geometry import (
     polygon_measures,
     require_distinct,
     signed_perimeter,
+    turn_tangents,
 )
 from .tolerances import DEFAULT_TOL, Tolerances
 
@@ -232,8 +233,8 @@ def _unit_perimeters(angles: np.ndarray) -> np.ndarray:
     The x and y of all triangles are the angles s_k - s_1, one place apart.
     """
     half = np.tan(0.5 * (angles[..., 1:] - angles[..., :1]))
-    turn = angles[..., 2:] - angles[..., 1:-1]
-    return -2.0 * half[..., :-1] * np.tan(0.5 * turn) * half[..., 1:]
+    turns = turn_tangents(angles[..., 1:])[..., :-1]
+    return -2.0 * half[..., :-1] * turns * half[..., 1:]
 
 
 def _area_constants(angles: np.ndarray) -> np.ndarray:

@@ -31,8 +31,9 @@ result, or ``Type: message`` of the error it raises.  The sets:
 * ``kernels``: one line per chart kernel, ``kernels: NAME``, over the raw
   bytes of its float64 results (or the type and message of its error) on
   3,000 seeded charts, n 3..14, each with a drawn, a unit and a zero row
-  of radii and a row r_i = r per tangential point: ``_reconstruction``
-  (vertices, areas, signed perimeters, diameters), ``polygon_measures``,
+  of radii and a row r_i = r per tangential point: ``_unit_perimeters``
+  (the p_i of the chart's angles), ``_reconstruction`` (vertices, areas,
+  signed perimeters, diameters), ``polygon_measures``,
   ``tangential_polygons``, ``decomposition_polygons`` and
   ``tritangent_circle``.  A kernel change that claims byte identity
   compares these lines with its parent's (``tests/digest.py kernels``).
@@ -58,6 +59,7 @@ from polyslope.randomgen import random_radii, random_slope_system, trial_rng
 from polyslope.report import cyclic_report, family_report, slopes_report
 from polyslope.slope_space import (
     _reconstruction,
+    _unit_perimeters,
     build_chart,
     decomposition_lines,
     decomposition_polygons,
@@ -89,8 +91,8 @@ TWENTY_GON = [
 # Flags of each analyze invocation of the cli set.
 CLI_FLAGS = ((), ("--json",), ("--tol-scale", "1000"), ("--json", "--tol-scale", "1000"))
 KERNELS = (
-    "_reconstruction", "polygon_measures", "tangential_polygons", "decomposition_polygons",
-    "tritangent_circle",
+    "_unit_perimeters", "_reconstruction", "polygon_measures", "tangential_polygons",
+    "decomposition_polygons", "tritangent_circle",
 )
 HELP = (
     (), ("slopes",), ("slopes", "analyze"), ("cyclic",), ("cyclic", "analyze"),
@@ -156,6 +158,9 @@ def kernel_outcomes(kernel):
     for chart, rows, points in kernel_inputs():
         angles, tol = chart.system.angles, chart.tol
         n = chart.n
+        if kernel == "_unit_perimeters":
+            yield raw(_unit_perimeters, angles)
+            continue
         if kernel == "_reconstruction":
             yield raw(lambda: _reconstruction(chart, rows)[:4])
             yield raw(lambda: _reconstruction(chart, np.zeros(n - 2))[:4])

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 import polyslope
-import polyslope.cyclic as cyclic_module
+import polyslope.slope_space as slope_space_module
 from polyslope import CyclicPolygon, SlopeSystem, build_chart, cyclic_invariants
 from polyslope.cli import _cross_check_failures, main
 from polyslope.report import (
@@ -188,6 +188,10 @@ class TestSlopesAnalyze:
             [254.1495848121794, 254.18015053609315, 254.14958507426925],
             [181.55837620812662, 181.55839308247855, 181.55839292702578],
             [15.339250285765324, 15.339246150011302, 15.339247005128653],
+            # test_fuzz.NEAR_PARALLEL[623], antiparallel lines 4.2e-6 degrees
+            # apart: its turn tangents reduced mod 2pi carried the rounding
+            # of 2pi and failed the gradient check at 1,836 times its bound.
+            [152.44834745433707, 332.4483432288859, 152.4483525259444],
         ],
     )
     def test_badly_scaled_system_passes(self, tmp_path, capsys, angles):
@@ -405,15 +409,20 @@ class TestCyclicAnalyze:
         report = cyclic_report(1.0, [0, 144, 288, 72, 216])
         assert json.loads(json.dumps(report)) == report
 
-    def test_non_integral_arc_sum_is_a_cross_check_failure(self, tmp_path, capsys, monkeypatch):
-        # A planted arc sum off its integral number of turns.
-        monkeypatch.setattr(cyclic_module, "integral_ratio", lambda ratio, terms: (ratio, True))
-        with pytest.raises(NonIntegralTurn, match="turns is not integral"):
+    def test_non_integral_dual_turn_sum_is_a_cross_check_failure(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        # A planted turn sum of the dual slopes off its integral multiple of pi.
+        def off(ratio, terms):
+            return ratio, np.full(np.shape(ratio), True)
+
+        monkeypatch.setattr(slope_space_module, "integral_ratio", off)
+        with pytest.raises(NonIntegralTurn, match="is not an integral multiple of pi"):
             cyclic_invariants(CyclicPolygon.from_degrees(1.0, [0, 144, 288, 72, 216]))
         path = write_json(tmp_path, "star.json", {"radius": 1, "phis_deg": [0, 144, 288, 72, 216]})
         code, _, err = run_cli(capsys, "cyclic", "analyze", path)
         assert code == 3
-        assert err.startswith("cross-check failure: arc sum ")
+        assert err.startswith("cross-check failure: angle sum ")
 
     def test_invalid_radius_exit_code(self, tmp_path, capsys):
         for payload in (

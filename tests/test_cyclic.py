@@ -32,7 +32,7 @@ from polyslope import (
 )
 from polyslope.geometry import left_normals
 from polyslope.tolerances import DEFAULT_TOL
-from polyslope.randomgen import random_cyclic_polygon, random_star_polygon
+from polyslope.randomgen import STAR_SIZES, random_cyclic_polygon, random_star_polygon
 from polyslope.report import cyclic_report
 from polyslope.sweeps import run_sweep
 
@@ -43,6 +43,7 @@ from area_chart import (
     closure_jacobian,
     closure_residual,
 )
+import test_fuzz
 from families import bif_family, bisect_bifurcation_root, near_bifurcation_phis, negative_count
 
 SQUARE = CyclicPolygon.from_degrees(1.0, [0, 90, 180, 270])
@@ -99,6 +100,16 @@ class TestInvariants:
             CyclicPolygon.from_degrees(1.0, [0, 180.0, 240])
         with pytest.raises(ValueError):
             CyclicPolygon.from_degrees(-1.0, [0, 90, 200])
+        # Non-finite values, which the command line rejects first.
+        for radius, phis, center in (
+            (math.nan, [0, 90, 200], (0, 0)),
+            (math.inf, [0, 90, 200], (0, 0)),
+            (1.0, [0, math.nan, 200], (0, 0)),
+            (1.0, [0, 90, math.inf], (0, 0)),
+            (1.0, [0, 90, 200], (math.nan, 0)),
+        ):
+            with pytest.raises(ValueError, match="finite"):
+                CyclicPolygon.from_degrees(radius, phis, center)
 
     def test_vectorized_validation_matches_edge_loop(self):
         # The arcs are checked in one pass; the first failing edge, and its
@@ -377,6 +388,40 @@ class TestAreaIndex:
             if bifurcation_test(inv):
                 continue
             assert area_morse_index_numeric(cyclic) == area_morse_index_formula(inv)
+
+    def test_dual_turn_data_equal_the_arc_accounting(self):
+        # The invariants' former route, kept as the oracle of their dual turn
+        # data and of the index by duality: the signed arcs (the arc on a
+        # positive edge, the arc less 2pi on a negative one) add up to 2pi w,
+        # the dual turns k = n - e + 2w half turns, and the index is
+        # e - 1 - 2w - [B <= 0] with B = sum eps tan(alpha).
+        rng = np.random.default_rng(52)
+        polygons = []
+        for phis in test_fuzz.ANGLES[test_fuzz.COUNT :]:
+            try:
+                polygons.append(CyclicPolygon.from_degrees(1.0, phis))
+            except (CoincidentVertices, AntipodalVertices):
+                pass
+        polygons += [random_cyclic_polygon(rng, int(rng.integers(4, 13))) for _ in range(2000)]
+        for n in rng.choice(STAR_SIZES, 600).tolist():
+            polygons.append(random_star_polygon(rng, n, int(rng.integers(2, n - 1))))
+        indexed = 0
+        for cyclic in polygons:
+            inv = cyclic_invariants(cyclic)
+            arcs, n = cyclic.arcs, cyclic.n
+            forward = arcs < math.pi
+            turns = float(np.where(forward, arcs, arcs - 2.0 * math.pi).sum()) / (2.0 * math.pi)
+            winding, e = round(turns), int(forward.sum())
+            assert abs(turns - winding) < 1e-9
+            assert (inv.winding, inv.positive_edges) == (winding, e), cyclic.phis
+            assert inv.dual_half_turns == n - e + 2 * winding, cyclic.phis
+            tangents = np.tan(np.minimum(arcs, 2.0 * math.pi - arcs) / 2.0)
+            b = float((np.where(forward, 1.0, -1.0) * tangents).sum())
+            if bifurcation_test(inv):
+                continue
+            assert area_morse_index_formula(inv) == e - 1 - 2 * winding - (b <= 0), cyclic.phis
+            indexed += 1
+        assert len(polygons) >= 4000 and indexed > 3900
 
 
 class TestDuality:

@@ -760,6 +760,6 @@ class TestTangentialPolygon:
             vertices = tangential_polygons(chart.system.angles, centers, radii)
             assert np.array_equal(vertices[1], -vertices[0]), angles
             phi = chart.system.angles
-            back = -radii[0] * math.tan(0.5 * ((phi[0] - phi[-1]) % (2.0 * math.pi)))
+            back = -radii[0] * math.tan(0.5 * (phi[0] - phi[-1]))
             first = back * np.array([math.cos(phi[0]), math.sin(phi[0])])
             assert np.allclose(vertices[0, 0], first, rtol=1e-14, atol=0.0), angles

@@ -33,6 +33,7 @@ from polyslope.tangential import (
     hessian_det_identities,
     hessian_det_identity,
     hessian_formula,
+    index_pair,
     index_reports,
     tangential_critical_points,
     tangential_residual,
@@ -162,6 +163,12 @@ def shifted_sphere(chart):
     return dataclasses.replace(topology, positive_component=ComponentShape(sphere + 1, disc))
 
 
+def shifted_dual_index(n, k, perimeter_sum):
+    """:func:`index_pair` with mu(r > 0), the dual perimeter index, one more."""
+    first, second = index_pair(n, k, perimeter_sum)
+    return first + 1, second - 1
+
+
 def offset_tangent_sum(cyclic):
     # B off by a millionth of sum|tan a|, far above the dual perimeter's
     # bound of 1024 eps sum|tan a|, however small B itself is.
@@ -238,12 +245,7 @@ def odd_right_turns(system, tol):
             shifted(duality_index_check, "mu_area_numeric"),
             "area index numeric off formula",
         ),
-        (
-            8,
-            "duality_index_check",
-            shifted(duality_index_check, "mu_dual_perimeter"),
-            "duality identity off",
-        ),
+        (8, "index_pair", shifted_dual_index, "area index numeric off formula"),
         # A NaN error fails: the runner's rule is error <= bound.  The
         # edge-space oracles keep the ids of the derivative oracles they replaced.
         pytest.param(
@@ -268,9 +270,10 @@ def test_perturbed_closed_form_fails(monkeypatch, capsys, check_index, name, val
     # what a check compares, fails every trial of the check's own stream:
     # the roundoff bounds stay below that on its draws.  The invariants are
     # read through CyclicPolygon.invariants, which calls the cyclic module's,
-    # the dual's perimeter is measured in cyclic.dual_polygon, and the
-    # closed-form Hessian is read in tangential.edge_hessians.
-    modules = {"cyclic_invariants": cyclic_module, "signed_perimeters": cyclic_module}
+    # the dual's perimeter is measured in cyclic.dual_polygon, the dual's
+    # index read in cyclic.area_morse_index_formula, and the closed-form
+    # Hessian in tangential.edge_hessians.
+    modules = dict.fromkeys(("cyclic_invariants", "signed_perimeters", "index_pair"), cyclic_module)
     modules["hessian_formula"] = tangential_module
     monkeypatch.setattr(modules.get(name, sweeps), name, value)
     assert_fails_every_trial(check_index, label, capsys)
