@@ -128,22 +128,37 @@ def _format_family_text(report: dict) -> str:
     return "\n".join(lines)
 
 
+FORMATS = {"slopes": _format_slopes_text, "cyclic": _format_cyclic_text, "family": _format_family_text}
+
+
 def _cross_check_failures(report: dict) -> list[str]:
+    """Each failed cross-check of a report, with its error and bound."""
     problems = []
     if report["kind"] == "slopes":
         for point in report["critical"].get("points", []):
+            side = "(r > 0)" if point["inradius"] > 0 else "(r < 0)"
             if not point["agreement"]:
-                problems.append("index disagreement")
+                eigen, formula = point["index_eigen"], point["index_formula"]
+                problems.append(f"index {eigen} disagrees with formula {formula} {side}")
             # The sweep runner's rule: a NaN error fails.
-            if not point["gradient_norm"] <= point["gradient_bound"]:
-                problems.append("gradient check failed")
-            if not point["area_error"] <= point["area_bound"]:
-                problems.append("area check failed")
+            for error, bound in (("gradient_norm", "gradient_bound"), ("area_error", "area_bound")):
+                if not point[error] <= point[bound]:
+                    label, value, limit = error.replace("_", " "), point[error], point[bound]
+                    problems.append(f"{label} {value:.1e} over bound {limit:.1e} {side}")
     elif report["kind"] == "cyclic":
         indices = report["indices"]
         if not indices.get("withheld") and not indices.get("identity_holds", True):
-            problems.append("index identity failed")
+            numeric, formula = indices["mu_area_numeric"], indices["mu_area_formula"]
+            problems.append(f"area index {numeric} disagrees with formula {formula}")
     return problems
+
+
+def _exit_code(report: dict) -> int:
+    """EXIT_PROPERTY, each failed cross-check on stderr as a raised one, or EXIT_OK."""
+    failures = _cross_check_failures(report)
+    for failure in failures:
+        print(f"cross-check failure: {failure}", file=sys.stderr)
+    return EXIT_PROPERTY if failures else EXIT_OK
 
 
 def cmd_analyze(args) -> int:
@@ -151,16 +166,8 @@ def cmd_analyze(args) -> int:
     sets ``args.kind``."""
     data = load_input_file(args.file)
     report = analyze(args.kind, data, _tolerances(args), getattr(args, "steps", None))
-    if args.json:
-        print(json.dumps(report))
-    else:
-        text = {
-            "slopes": _format_slopes_text,
-            "cyclic": _format_cyclic_text,
-            "family": _format_family_text,
-        }
-        print(text[args.kind](report))
-    return EXIT_PROPERTY if _cross_check_failures(report) else EXIT_OK
+    print(json.dumps(report) if args.json else FORMATS[args.kind](report))
+    return _exit_code(report)
 
 
 def cmd_sweep(args) -> int:
@@ -183,10 +190,7 @@ def cmd_sweep(args) -> int:
             f"--n-min {args.n_min} and --n-max {args.n_max} admit no polygon size "
             "that any check draws"
         )
-    if args.json:
-        print(json.dumps(result.to_dict()))
-    else:
-        print(result.format_text())
+    print(json.dumps(result.to_dict()) if args.json else result.format_text())
     return EXIT_PROPERTY if result.total_failed else EXIT_OK
 
 
@@ -203,7 +207,7 @@ def cmd_render(args) -> int:
     with open(args.output, "w", encoding="utf-8") as handle:
         handle.write(render(report) + "\n")
     print(f"wrote {args.output}")
-    return EXIT_PROPERTY if _cross_check_failures(report) else EXIT_OK
+    return _exit_code(report)
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -193,7 +193,7 @@ def cyclic_invariants(cyclic: CyclicPolygon) -> CyclicInvariants:
     """Orientation signs, half angles and edge count, and the turn data of
     the dual slopes phi + pi/2, whose turns are the arcs: eps_i tan(alpha_i)
     is the turn tangent tan(arc_i / 2), so B is the dual's turn sum, and k
-    and the right turns RT (the arcs past pi) come from its turning rule
+    and the right turns RT (the arcs past pi) are its turning rule's integers
     (:func:`~polyslope.geometry.turning_sum`), so the winding is (k - RT) / 2.
     """
     arcs = cyclic.arcs

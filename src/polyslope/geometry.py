@@ -35,6 +35,7 @@ from .tolerances import DEFAULT_TOL, Tolerances
 TWO_PI = 2.0 * math.pi
 EPS = float(np.finfo(float).eps)
 INTEGRAL_SUM = 16.0  # eps n max(1, |ratio|): n rounded terms, integral by construction
+NOT_FINITE = "slope angles must be finite"
 ON_EDGE = 8.0  # eps hypot(cross, dot): the cross product deciding a side of an edge
 
 
@@ -68,11 +69,10 @@ def line_gap(a, b):
     return np.minimum(d, math.pi - d)
 
 
-def integral_ratio(ratio, terms: float):
+def integral_ratio(ratio, terms: int):
     """The integers nearest ``ratio``, a sum of ``terms`` rounded terms that is
-    integral by construction, and whether each is off by more than INTEGRAL_SUM
-    terms eps max(1, |ratio|).  A caller whose terms come from operands far
-    larger than the ratio's unit counts each term once per such unit."""
+    integral by construction (the windings of :func:`winding_numbers`), and
+    whether each is off by more than INTEGRAL_SUM terms eps max(1, |ratio|)."""
     nearest = np.rint(ratio)
     bound = INTEGRAL_SUM * terms * EPS
     return nearest, np.abs(ratio - nearest) > bound * np.maximum(1.0, np.abs(ratio))
@@ -398,14 +398,15 @@ def winding_number(polygon: PolygonChain, point) -> int:
 
 
 def turning_sum(system: SlopeSystem) -> tuple[float, int, int]:
-    """The cyclic sum t = k * pi of consecutive line angles, k and the number of
-    right turns: the turning rule of :func:`polyslope.slope_space.chart_stack`."""
+    """The cyclic sum k * pi of the line turns, k and the number of right
+    turns: :func:`polyslope.slope_space.turning_rule` on the system's angles.
+    A NaN angle raises ValueError, as the finite rule of a chart does."""
     # Imported here: slope_space imports this module.
-    from .slope_space import INTEGRAL, RANGE, chart_stack, turning_rule
-    total, k, right_turns, off, outside = turning_rule(system.angles)
-    if off or outside:
-        chart_stack(system.angles).require(INTEGRAL, RANGE)
-    return float(total), int(k), int(right_turns)
+    from .slope_space import turning_rule
+    if not np.isfinite(system.angles).all():
+        raise ValueError(NOT_FINITE)
+    k, right_turns = (int(x) for x in turning_rule(system.angles))
+    return k * math.pi, k, right_turns
 
 
 def _slope_rule(vertices, edges, lengths, sizes, slope_angles, tol: Tolerances):

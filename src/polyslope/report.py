@@ -239,8 +239,8 @@ def _family_angles(start, end, ts) -> tuple[np.ndarray, np.ndarray]:
     """Degrees of the family at each parameter in ``ts``, one row each, and
     their radians reduced as :class:`SlopeSystem` stores them."""
     t = np.asarray(ts, dtype=float)[:, None]
-    # An angle beyond the float range reduces to NaN: its row breaks the range
-    # rule, whose error is then a ValueError, as from SlopeSystem and build_chart.
+    # An angle beyond the float range reduces to NaN: its row breaks the
+    # finite rule, whose error is a ValueError, as from build_chart.
     with np.errstate(over="ignore", invalid="ignore"):
         degrees = (1.0 - t) * np.asarray(start, dtype=float) + t * np.asarray(end, dtype=float)
         reduced = np.radians(degrees) % TWO_PI
@@ -263,8 +263,7 @@ def _family_rows(start, end, steps, tol) -> list[dict]:
         except ParallelLines as exc:
             reasons[i] = str(exc)
     exceptional_rows = exceptional_mask(perimeters, sums, tol).tolist()
-    # The two critical points, of inradius +r and -r, have the area sign of
-    # sum p.  Each row's k is a float, NaN where an angle left the float range.
+    # The two critical points, of inradius +r and -r, have the area sign of sum p.
     indices = zip(*(mu.tolist() for mu in index_pair(len(start), stack.half_turns, sums)))
     rows = []
     for i, (t, angles, total, pair) in enumerate(
@@ -283,7 +282,7 @@ def _family_rows(start, end, steps, tol) -> list[dict]:
             else:
                 step["critical_points"] = 2
                 step["area_sign"] = int(math.copysign(1.0, total))
-                step["indices"] = [int(mu) for mu in pair]
+                step["indices"] = list(pair)
         rows.append(step)
     return rows
 

@@ -22,7 +22,6 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import (
-    NonIntegralTurn,
     ParallelLines,
     ReconstructionDegenerate,
     SignatureMismatch,
@@ -30,7 +29,7 @@ from .errors import (
 )
 from .geometry import (
     EPS,
-    TWO_PI,
+    NOT_FINITE,
     PolygonChain,
     SlopeSystem,
     _cycled,
@@ -38,7 +37,6 @@ from .geometry import (
     closure_basis,
     edge_offsets,
     edges_against_slopes,
-    integral_ratio,
     left_normal,
     line_gap,
     line_vertices,
@@ -61,10 +59,10 @@ class RadiiChart:
     +1; ``area_constants[i]`` is the positive constant c_i relating the
     triangle's area to the squared distance of its apex from the first edge
     line (closed forms in :func:`build_chart`), computed on first read.
-    ``perimeter_sum`` is sum(p_i); ``angle_sum`` (the angle sum t),
-    ``half_turns`` (the integer k with t = k * pi) and ``right_turns`` come
-    from :func:`turning_rule`; every chart keeps the rules of :func:`chart_stack`.
-    Both critical points and all cyclic relabelings share this turning data.
+    ``perimeter_sum`` is sum(p_i); ``half_turns`` (the integer k of the
+    angle sum k * pi) and ``right_turns`` come from :func:`turning_rule`;
+    every chart keeps the rules of :func:`chart_stack`.  Both critical
+    points and all cyclic relabelings share this turning data.
     ``tol`` holds the tolerances the chart was decided at, which
     :func:`build_chart` alone sets; the functions that read a chart decide
     parallel lines and the exceptional locus by it.
@@ -73,7 +71,6 @@ class RadiiChart:
     system: SlopeSystem
     unit_perimeters: np.ndarray
     perimeter_sum: float
-    angle_sum: float
     half_turns: int
     right_turns: int
     tol: Tolerances
@@ -83,17 +80,20 @@ class RadiiChart:
         return self.system.n
 
     @property
+    def angle_sum(self) -> float:
+        """The sum k * pi of the line turns (s_{i+1} - s_i) mod pi."""
+        return self.half_turns * math.pi
+
+    @property
     def left_turns(self) -> int:
         return self.n - self.right_turns
 
     @property
     def winding(self) -> int:
-        """Turning number of every polygon of the system, w = (k - RT) / 2.
-
-        With d_i = (a_{i+1} - a_i) mod 2pi and sum d_i = 2pi m, the line
-        turns give k pi = 2pi m - pi RT and the turns wrapped to (-pi, pi)
-        give 2pi w = 2pi m - 2pi RT.
-        """
+        """Turning number of every polygon of the system, w = (k - RT) / 2:
+        wrapped to (-pi, pi), the turns of :func:`turning_rule` add 2pi for
+        each f_i = -2 and -2pi for each f_i = 1 to sum tau_i = 0, and k - RT
+        is twice that count."""
         return (self.half_turns - self.right_turns) // 2
 
     @property
@@ -258,14 +258,13 @@ def build_chart(system: SlopeSystem, tol: Tolerances = DEFAULT_TOL) -> RadiiChar
     """
     stack = chart_stack(system.angles, tol)
     stack.require()
-    perimeters, total, angle_sum, k, right_turns = stack[:5]
+    perimeters, total, k, right_turns = stack[:4]
     perimeters.setflags(write=False)
-    turning = float(angle_sum), int(k), int(right_turns)
-    return RadiiChart(system, perimeters, float(total), *turning, tol)
+    return RadiiChart(system, perimeters, float(total), int(k), int(right_turns), tol)
 
 
 # The chart rules, in the order they are checked.
-LINES, INTEGRAL, RANGE, SIGNATURE = range(4)
+LINES, FINITE, SIGNATURE = range(3)
 
 
 @functools.lru_cache(maxsize=None)
@@ -286,16 +285,18 @@ def _parallel_pairs(angles: np.ndarray, tol: Tolerances) -> np.ndarray:
     return line_gap(angles.take(first, -1), angles.take(second, -1)) < limits
 
 
+# For t in (-2pi, 2pi), floor(t / pi) + 2 counts those at or below t.
+_PI_MULTIPLES = np.array([-math.pi, 0.0, math.pi])
+
+
 def turning_rule(angles: np.ndarray):
-    """The turning rule along the last axis: t, the line turns (b - a) mod pi
-    of consecutive angles added in order; k, the integer nearest t / pi; the
-    right turns, where (b - a) mod 2pi >= pi; and the INTEGRAL and RANGE
-    masks, t / pi off k, and k outside 1..n - 1 (or NaN)."""
+    """The integers k = -sum f_i and RT = #{odd f_i} along the last axis of
+    angles in [0, 2pi), from the floors f_i = floor(tau_i / pi) of the turns
+    tau_i = s_{i+1} - s_i.  As sum tau_i = 0, the line turns tau_i - f_i pi,
+    each in (0, pi) where the lines rule holds, add up to k pi, 0 < k < n."""
     steps = _cycled(angles, 1, -1) - angles
-    total = np.add.accumulate(steps % math.pi, axis=-1)[..., -1]
-    k, off = integral_ratio(total / math.pi, angles.shape[-1])
-    right_turns = (steps % TWO_PI >= math.pi).sum(axis=-1)
-    return total, k, right_turns, off, ~((k >= 1) & (k <= angles.shape[-1] - 1))
+    floors = np.searchsorted(_PI_MULTIPLES, steps, side="right") - 2
+    return -floors.sum(axis=-1), (floors & 1).sum(axis=-1)
 
 
 class ChartStack(NamedTuple):
@@ -305,7 +306,6 @@ class ChartStack(NamedTuple):
 
     unit_perimeters: np.ndarray
     perimeter_sums: np.ndarray
-    angle_sums: np.ndarray
     half_turns: np.ndarray
     right_turns: np.ndarray
     broken: tuple
@@ -319,19 +319,16 @@ class ChartStack(NamedTuple):
     def require(self, *rules: int, row=()) -> None:
         """Raise the error of the first of ``rules`` (all by default) that a
         row (the one row by default) breaks, working out the failing pair and
-        the message only here.  A NaN k raises ValueError, as round() does."""
-        rule = next((rule for rule in rules or range(4) if self.broken[rule][row]), None)
+        the message only here.  A NaN or infinite angle raises ValueError."""
+        rule = next((rule for rule in rules or range(3) if self.broken[rule][row]), None)
         angles, k = self.angles[row], self.half_turns[row]
         if rule == LINES:
             first, second, _ = _slope_pairs(len(angles), self.tol.parallel)
             at = int(np.argmax(_parallel_pairs(angles, self.tol)))
             pair = f"slopes {first[at]} and {second[at]} are parallel as lines"
             raise ParallelLines(f"consecutive {pair}" if at < len(angles) else pair)
-        if rule == INTEGRAL:
-            total = float(self.angle_sums[row])
-            raise NonIntegralTurn(f"angle sum {total!r} is not an integral multiple of pi")
-        if rule == RANGE:
-            raise NonIntegralTurn(f"turning number {int(k)} outside {{1, ..., n - 1}}")
+        if rule == FINITE:
+            raise ValueError(NOT_FINITE)
         if rule == SIGNATURE:
             positive = np.count_nonzero(self.unit_perimeters[row] > 0)
             raise SignatureMismatch(f"{positive} positive unit perimeters, expected {int(k) - 1}")
@@ -341,13 +338,13 @@ def chart_stack(angles: np.ndarray, tol: Tolerances = DEFAULT_TOL) -> ChartStack
     """The one definition of a chart, on each row of an (..., n) stack of
     angles reduced as :class:`SlopeSystem` stores them: lines apart (the
     consecutive ones by ``DEFAULT_TOL.parallel``, all by ``tol.parallel``),
-    an angle sum k * pi with integral k in 1..n - 1, and k - 1 positive p_i."""
-    total, k, right_turns, off, outside = turning_rule(angles)
+    finite angles, and k - 1 positive p_i for the k of :func:`turning_rule`."""
+    k, right_turns = turning_rule(angles)
     perimeters = _unit_perimeters(angles)
     lines = _parallel_pairs(angles, tol).any(axis=-1)
-    broken = lines, off, outside, (perimeters > 0).sum(axis=-1) != k - 1
+    broken = lines, ~np.isfinite(angles).all(axis=-1), (perimeters > 0).sum(axis=-1) != k - 1
     sums = perimeters.sum(axis=-1)
-    return ChartStack(perimeters, sums, total, k, right_turns, broken, angles, tol)
+    return ChartStack(perimeters, sums, k, right_turns, broken, angles, tol)
 
 
 @functools.lru_cache(maxsize=None)

@@ -19,14 +19,13 @@ from .cyclic import bifurcation_test, dual_polygon, duality_index_check, within_
 from .errors import PolyslopeError
 from .geometry import (
     EPS,
+    INTEGRAL_SUM,
     TWO_PI,
-    SlopeSystem,
     _cycled,
     edge_offsets,
     line_vertices,
     polygon_measures,
     tangential_polygons,
-    turning_sum,
     winding_number,
     winding_numbers,
 )
@@ -211,26 +210,23 @@ def check_chart_identities(rng, n, tol):
 
 
 def check_turning_signature(rng, n, tol):
-    """Signature law, turning recursion, the parity of the right turns, and
-    the chart's winding against the sum of turns wrapped to (-pi, pi)."""
+    """Signature law, the parity of the right turns, the chart's winding
+    against the sum of turns wrapped to (-pi, pi), and its angle sum k pi
+    against the line turns (s_{i+1} - s_i) mod pi summed in floats."""
     system = random_slope_system(rng, n)
     # build_chart raises SignatureMismatch when the sign count is off.
     chart = build_chart(system, tol)
-    total, k, right = chart.angle_sum, chart.half_turns, chart.right_turns
-    angles = system.angles
-    turns = (_cycled(angles) - angles + math.pi) % TWO_PI - math.pi
-    winding = round(float(turns.sum()) / TWO_PI)
-    rows = [
+    k, right = chart.half_turns, chart.right_turns
+    steps = _cycled(system.angles) - system.angles
+    line_turns = float((steps % math.pi).sum())
+    winding = round(float(((steps + math.pi) % TWO_PI - math.pi).sum()) / TWO_PI)
+    bound = INTEGRAL_SUM * n * EPS * max(1, k) * math.pi
+    return [
         ("turning multiple out of range", max(1 - k, k - (n - 1), 0), 0),
         ("turn parity off", (k - right) % 2, 0),
         ("chart winding off wrapped turns", abs(chart.winding - winding), 0),
+        ("angle sum off its line turns", abs(chart.angle_sum - line_turns), bound),
     ]
-    if n > 3:
-        head = SlopeSystem.from_angles(angles[:-1])
-        tail = SlopeSystem.from_angles(angles[[0, -2, -1]])
-        rhs = turning_sum(head)[0] + turning_sum(tail)[0] - math.pi
-        rows.append(("turning recursion off", abs(total - rhs), 1e-9 * max(1.0, abs(total))))
-    return rows
 
 
 def check_dual_perimeter(rng, n, tol):

@@ -191,36 +191,37 @@ def index_pair(n, k, perimeter_sum):
 INERTIA_ROUNDOFF = 500.0  # the edge-space inertia's, in n eps max|Q| / |r| (tolerances.py)
 
 
-def _edge_space_inertia(chart: RadiiChart, vertices: np.ndarray, inradius: float):
-    """How many eigenvalues of -Q / r on T = ker U ∩ (Q l)^perp, at the edges l
-    of the (n, 2) ``vertices`` of the point of inradius r, lie below -b, 0
-    and b, b = INERTIA_ROUNDOFF n eps max|Q| / |r|.  T is B times the closure
-    basis of (Q l)^T B, with B the chart's ``closure_space``; no p enters."""
+def _edge_space_form(chart: RadiiChart, vertices: np.ndarray, inradius: float):
+    """-Q / r on T = ker U ∩ (Q l)^perp at the edges l of the (n, 2) ``vertices``
+    of the point of inradius r, and b = INERTIA_ROUNDOFF n eps max|Q| / |r|.
+    T is B times the closure basis of (Q l)^T B, with B the chart's
+    ``closure_space``; no p enters."""
     angles, basis, form = chart.system.angles, chart.closure_space, chart.area_form
     normal = form @ edge_lengths_along(vertices, angles) @ basis
     tangent = basis @ closure_basis(normal[None])
-    eigenvalues = np.linalg.eigvalsh(tangent.T @ form @ tangent / -inradius)
     bound = INERTIA_ROUNDOFF * chart.n * EPS * np.abs(form).max() / abs(inradius)
-    return np.searchsorted(eigenvalues, (-bound, 0.0, bound))
+    return tangent.T @ form @ tangent / -inradius, bound
 
 
 def index_reports(points: Sequence[TangentialCritical], vertices) -> list[IndexReport]:
     """Morse index of each critical point of one chart by :func:`index_pair`,
-    against the edge-space inertia at ``vertices``, the first point's polygon.
-    A point of the other sign has edges -l and reads the complement
-    n - 3 - count.  An eigenvalue within the roundoff bound may take either
-    sign, so the formula agrees when it is a count those signs allow.  The
-    points' Hessians are one stack with one eigenvalue call."""
+    against the edge-space inertia at ``vertices``, the first point's polygon:
+    how many eigenvalues of :func:`_edge_space_form` lie below -b, 0 and b.
+    A point of the other sign has edges -l and reads n - 3 - count.  Within
+    b an eigenvalue may take either sign, so the formula agrees when it is a
+    count those signs allow.  One eigenvalue call reads that form and the
+    points' Hessians as one stack."""
     chart, first = _shared_chart(points), points[0].inradius
-    radii = np.array([point.inradius for point in points])
-    eigenvalues = np.linalg.eigvalsh(hessian_formula(chart.unit_perimeters, radii))
-    counts = _edge_space_inertia(chart, vertices, first)
+    form, bound = _edge_space_form(chart, vertices, first)
+    hessians = hessian_formula(chart.unit_perimeters, np.array([p.inradius for p in points]))
+    inertia, *eigenvalues = np.linalg.eigvalsh(np.concatenate((form[None], hessians)))
+    counts = np.searchsorted(inertia, (-bound, 0.0, bound))
     formulas = index_pair(chart.n, chart.half_turns, chart.perimeter_sum)
     reports = []
     for point, values in zip(points, eigenvalues):
         same = (point.inradius > 0) == (first > 0)
         fewest, index, most = (counts if same else chart.n - 3 - counts[::-1]).tolist()
-        formula = int(formulas[0] if point.inradius > 0 else formulas[1])
+        formula = formulas[0] if point.inradius > 0 else formulas[1]
         reports.append(IndexReport(index, formula, values, fewest <= formula <= most))
     return reports
 

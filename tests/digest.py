@@ -2,12 +2,14 @@
 
 Run from the root of a checkout:
 
-    PYTHONPATH=src python3 tests/digest.py [SET ...]
+    PYTHONPATH=src python3 tests/digest.py [--dump DIR] [SET ...]
 
 With set names as arguments (quoted where they hold spaces) it runs only
-those sets.  Two checkouts that print the same digests give the same bytes on every
-input below; a change that claims to leave all outputs alone compares its
-digests with its parent's.  Each output is the JSON of a report or sweep
+those sets.  ``--dump DIR`` also writes each set's outcome lines to
+``DIR/<set>.txt`` (raw bytes as hex, one outcome a line), so the dumps of
+two checkouts can be diffed line by line.  Two checkouts that print the
+same digests give the same bytes on every input below; a change that
+claims to leave all outputs alone compares its digests with its parent's.  Each output is the JSON of a report or sweep
 result, or ``Type: message`` of the error it raises.  The sets:
 
 * ``sweep``: ``run_sweep(s, 20)`` for s = 0..399;
@@ -42,6 +44,7 @@ It takes about 90 s on a 2-core machine; the ``cli`` set alone about 9 s,
 the ``kernels`` set about 8 s.
 """
 
+import argparse
 import contextlib
 import functools
 import hashlib
@@ -117,11 +120,14 @@ def check_outcome(check, rng) -> str:
         return f"{type(exc).__name__}: {exc}"
 
 
-def digest(outcomes) -> tuple[int, str]:
-    """How many outcomes, and the SHA-256 of their lines (bytes as they are)."""
+def digest(outcomes, dump=None) -> tuple[int, str]:
+    """How many outcomes, and the SHA-256 of their lines (bytes as they are),
+    each also written to the text file ``dump`` when it is given."""
     sha, count = hashlib.sha256(), 0
     for line in outcomes:
         sha.update(line if isinstance(line, bytes) else line.encode() + b"\n")
+        if dump:
+            dump.write((line.hex() if isinstance(line, bytes) else line) + "\n")
         count += 1
     return count, sha.hexdigest()
 
@@ -347,13 +353,21 @@ def sets():
 
 
 if __name__ == "__main__":
-    wanted, found = set(sys.argv[1:]), set()
+    parser = argparse.ArgumentParser(description="Digests of the program's outputs.")
+    parser.add_argument("sets", nargs="*", metavar="SET")
+    parser.add_argument("--dump", metavar="DIR", help="write each set's lines to DIR/<set>.txt")
+    args = parser.parse_args()
+    wanted, found = set(args.sets), set()
+    if args.dump:
+        os.makedirs(args.dump, exist_ok=True)
     for name, outcomes in sets():
         names = {name, name.split(":")[0]}  # "kernels" names every "kernels: NAME" set
         if wanted and not names & wanted:
             continue
         found |= names
-        count, hexdigest = digest(outcomes)
+        path = os.path.join(args.dump, f"{name}.txt") if args.dump else None
+        with open(path, "w", encoding="utf-8") if path else contextlib.nullcontext() as dump:
+            count, hexdigest = digest(outcomes, dump)
         print(f"{name:<32} {count:>6}  {hexdigest}", flush=True)
     if wanted - found:
         sys.exit(f"no such set: {', '.join(sorted(wanted - found))}")

@@ -10,9 +10,9 @@ import numpy as np
 import pytest
 
 import polyslope
-import polyslope.slope_space as slope_space_module
-from polyslope import CyclicPolygon, SlopeSystem, build_chart, cyclic_invariants
-from polyslope.cli import _cross_check_failures, main
+import polyslope.geometry as geometry_module
+from polyslope import CyclicPolygon, SlopeSystem, build_chart, cyclic_invariants, winding_number
+from polyslope.cli import _cross_check_failures, _format_slopes_text, main
 from polyslope.report import (
     analyze,
     cyclic_report,
@@ -30,6 +30,8 @@ from polyslope.errors import (
 )
 from polyslope.sweeps import run_sweep
 from polyslope.tolerances import DEFAULT_TOL
+
+from test_fuzz import NEAR_PARALLEL
 
 FAMILY = {
     "start_angles_deg": [0.0, 150.0, 72.0, 290.0],
@@ -117,6 +119,7 @@ class TestSlopesAnalyze:
     def test_nan_gradient_norm_fails_cross_check(self):
         # The sweep runner's rule, not gradient_norm >= bound: a NaN fails.
         point = {
+            "inradius": 1.0,
             "agreement": True,
             "gradient_norm": math.nan,
             "gradient_bound": 1e-12,
@@ -124,10 +127,11 @@ class TestSlopesAnalyze:
             "area_bound": 1e-12,
         }
         report = {"kind": "slopes", "critical": {"points": [point]}}
-        assert _cross_check_failures(report) == ["gradient check failed"]
+        assert _cross_check_failures(report) == ["gradient norm nan over bound 1.0e-12 (r > 0)"]
 
     def test_nan_area_error_fails_cross_check(self):
         point = {
+            "inradius": -1.0,
             "agreement": True,
             "gradient_norm": 0.0,
             "gradient_bound": 1e-12,
@@ -135,7 +139,38 @@ class TestSlopesAnalyze:
             "area_bound": 1e-12,
         }
         report = {"kind": "slopes", "critical": {"points": [point]}}
-        assert _cross_check_failures(report) == ["area check failed"]
+        assert _cross_check_failures(report) == ["area error nan over bound 1.0e-12 (r < 0)"]
+
+    @pytest.mark.parametrize(
+        "angles, reason",
+        [
+            # E4: exceptional at 300 bits, so its reported polygon is not critical.
+            (
+                [
+                    82.37296368693613,
+                    262.3729612294919,
+                    262.37295261122074,
+                    82.3729630048502,
+                    82.37296087848776,
+                    262.372960367739,
+                    262.3729632461403,
+                ],
+                "gradient norm 3.4e-08 over bound 5.3e-11",
+            ),
+            # Its sum p is 9.1e-6 relative off.
+            (NEAR_PARALLEL[947], "area error 9.1e-06 over bound 1.5e-07"),
+        ],
+        ids=["E4", "near-parallel-947"],
+    )
+    def test_text_mode_failure_says_why(self, tmp_path, capsys, angles, reason):
+        # A failed cross-check prints each failure to stderr, with its error
+        # over its bound, for both points, whose edge-space checks are one;
+        # stdout is the report as it was, in text mode and with --json.
+        path = write_json(tmp_path, "fails.json", {"angles_deg": angles})
+        report = slopes_report(angles)
+        expected = "".join(f"cross-check failure: {reason} ({r})\n" for r in ("r > 0", "r < 0"))
+        for flags, text in (((), _format_slopes_text(report)), (("--json",), json.dumps(report))):
+            assert run_cli(capsys, "slopes", "analyze", path, *flags) == (3, text + "\n", expected)
 
     def test_relabeling_keeps_the_exit_code(self, tmp_path, capsys):
         # Lines within 0.01 degrees of one direction: the two labelings'
@@ -409,20 +444,24 @@ class TestCyclicAnalyze:
         report = cyclic_report(1.0, [0, 144, 288, 72, 216])
         assert json.loads(json.dumps(report)) == report
 
-    def test_non_integral_dual_turn_sum_is_a_cross_check_failure(
+    def test_off_integral_rule_fails_the_windings_not_the_dual_turns(
         self, tmp_path, capsys, monkeypatch
     ):
-        # A planted turn sum of the dual slopes off its integral multiple of pi.
+        # The integral rule stays for the windings, sums of real angles; the
+        # dual slopes' k and right turns are integer floors that read none.
         def off(ratio, terms):
-            return ratio, np.full(np.shape(ratio), True)
+            return np.rint(ratio), np.full(np.shape(ratio), True)
 
-        monkeypatch.setattr(slope_space_module, "integral_ratio", off)
-        with pytest.raises(NonIntegralTurn, match="is not an integral multiple of pi"):
-            cyclic_invariants(CyclicPolygon.from_degrees(1.0, [0, 144, 288, 72, 216]))
+        monkeypatch.setattr(geometry_module, "integral_ratio", off)
+        star = CyclicPolygon.from_degrees(1.0, [0, 144, 288, 72, 216])
+        with pytest.raises(NonIntegralTurn, match="^winding residual"):
+            winding_number(star.polygon, star.center)
+        assert cyclic_invariants(star).winding == 2
         path = write_json(tmp_path, "star.json", {"radius": 1, "phis_deg": [0, 144, 288, 72, 216]})
-        code, _, err = run_cli(capsys, "cyclic", "analyze", path)
+        assert run_cli(capsys, "cyclic", "analyze", path)[0] == 0
+        code, out, _ = run_cli(capsys, "sweep", "--seed", "1", "--trials", "2")
         assert code == 3
-        assert err.startswith("cross-check failure: angle sum ")
+        assert "dual_perimeter raised NonIntegralTurn: winding residual" in out
 
     def test_invalid_radius_exit_code(self, tmp_path, capsys):
         for payload in (

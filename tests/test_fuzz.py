@@ -286,10 +286,14 @@ def test_edge_space_inertia_equals_sign_count(monkeypatch):
     # reads no p: it equals the sign count of the chart's p, each eigenvalue
     # outside the bound 500 n eps max|Q| / |r| of zero, so that the fewest
     # and the most negative eigenvalues that roundoff allows are one count.
-    counts, inertia = [], tangential._edge_space_inertia
-    monkeypatch.setattr(
-        tangential, "_edge_space_inertia", lambda *a: counts.append(inertia(*a)) or counts[-1]
-    )
+    counts, edge_space_form = [], tangential._edge_space_form
+
+    def counted_form(*args):
+        form, bound = edge_space_form(*args)
+        counts.append(np.searchsorted(np.linalg.eigvalsh(form), (-bound, 0.0, bound)))
+        return form, bound
+
+    monkeypatch.setattr(tangential, "_edge_space_form", counted_form)
     reports = 0
     for angles in ANGLES[:COUNT] + NEAR_PARALLEL:
         try:

@@ -40,6 +40,7 @@ from polyslope.geometry import (
     tangential_polygons,
     winding_numbers,
 )
+from polyslope.slope_space import LINES, chart_stack, turning_rule
 from polyslope.tangential import well_conditioned_chart
 
 EPS = float(np.finfo(float).eps)
@@ -183,6 +184,71 @@ class TestTurnCounts:
             chart = build_chart(random_slope_system(rng, n))
             assert chart.right_turns + chart.left_turns == n
             assert chart.half_turns == chart.right_turns + 2 * chart.winding
+
+
+@st.composite
+def angle_lists(draw):
+    """n = 3..12 angles in radians from a drawn seed: uniform in (-7, 7), or
+    within 10^U(-8, 0) degrees of one direction or of its opposite."""
+    n = draw(st.integers(3, 12))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    if draw(st.booleans()):
+        return rng.uniform(-7.0, 7.0, n).tolist()
+    spread = math.radians(10.0 ** rng.uniform(-8.0, 0.0))
+    opposite = math.pi * rng.integers(0, 2, n)
+    offsets = opposite + spread * rng.uniform(-1.0, 1.0, n)
+    return (rng.uniform(0.0, 2.0 * math.pi) + offsets).tolist()
+
+
+def turning_property(rule):
+    """The hypothesis test that ``rule``, on every drawn list that keeps the
+    lines rule, gives the k and right turns of the plain float loops, with
+    k in 1..n - 1 and k - RT even."""
+
+    @settings(derandomize=True, max_examples=300, deadline=None, database=None)
+    @given(angle_lists())
+    def holds(angles):
+        try:
+            system = SlopeSystem.from_angles(angles)
+        except ParallelLines:
+            return
+        if chart_stack(system.angles).broken[LINES]:
+            return
+        n = len(angles)
+        k, right = (int(x) for x in rule(system.angles))
+        assert k == reference_turning_sum(angles, DEFAULT_TOL)[1]
+        assert right == reference_turn_counts(angles)[0]
+        assert 1 <= k <= n - 1 and (k - right) % 2 == 0
+
+    return holds
+
+
+def floor_one_off(angles):
+    """The turning rule with the first floor one more: k one less, and the
+    parity of that floor flipped."""
+    floors = (np.roll(angles, -1) - angles) // math.pi
+    floors[0] += 1
+    return -floors.sum(), np.count_nonzero(floors % 2)
+
+
+class TestTurningRule:
+    def test_floors_give_the_float_loops_k_and_right_turns(self):
+        turning_property(turning_rule)()
+
+    def test_a_floor_one_off_breaks_the_property(self):
+        with pytest.raises(AssertionError):
+            turning_property(floor_one_off)()
+
+    def test_nan_angle_raises_value_error(self):
+        # The finite rule; the command line rejects non-finite input first.
+        system = SlopeSystem.from_angles([math.nan, 1.0, 2.0])
+        for call in (
+            lambda: build_chart(system),
+            lambda: turning_sum(system),
+            lambda: chart_stack(system.angles).require(),
+        ):
+            with pytest.raises(ValueError, match="^slope angles must be finite$"):
+                call()
 
 
 class TestSignedPerimeter:
@@ -385,8 +451,9 @@ class TestAngleArrayChecks:
                 assert outcome(build_chart, system, tol) == pairwise
                 seen.add("ParallelLines")
                 continue
-            expected = outcome(reference_turning_sum, angles, tol)
-            if expected[0] == "ParallelLines":
+            try:
+                total, k = reference_turning_sum(angles, tol)
+            except ParallelLines:
                 # The reference measures the wrap-around pair as
                 # (a_n - a_1) mod pi and the pairwise check as (a_1 - a_n)
                 # mod pi; within rounding of tol.parallel they can decide
@@ -395,9 +462,13 @@ class TestAngleArrayChecks:
                 first, *_, last = reduced(angles)
                 assert abs(line_gap(first, last) - tol.parallel) <= ROUNDING_OF_PI
                 seen.add("wrap-around boundary")
-                expected = outcome(reference_turning_sum, angles, DEFAULT_TOL)
+                total, k = reference_turning_sum(angles, DEFAULT_TOL)
+            # k and the right turns exactly; the angle sum k pi within the
+            # roundoff of the reference's float sum of the line turns.
             right, _ = reference_turn_counts(angles)
-            assert outcome(turning_sum, system) == expected + (right,)
+            angle_sum, *counts = turning_sum(system)
+            assert counts == [k, right]
+            assert abs(angle_sum - total) <= 16.0 * len(angles) * EPS * max(1, k) * math.pi
             seen.add("turning")
         assert seen == {"consecutive", "ParallelLines", "turning", "wrap-around boundary"}
 

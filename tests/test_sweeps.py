@@ -190,6 +190,11 @@ def odd_right_turns(system, tol):
     return dataclasses.replace(chart, right_turns=chart.right_turns + 1)
 
 
+def half_turn_off(system, tol):
+    chart = build_chart(system, tol)
+    return dataclasses.replace(chart, half_turns=chart.half_turns + 1)
+
+
 @pytest.mark.parametrize(
     "check_index, name, value, label",
     [
@@ -230,6 +235,7 @@ def odd_right_turns(system, tol):
             id="4-morse_index_eigen-shift-convex index off",
         ),
         (6, "build_chart", odd_right_turns, "turn parity off"),
+        (6, "build_chart", half_turn_off, "angle sum off its line turns"),
         (7, "cyclic_invariants", offset_tangent_sum, "dual perimeter off 2RB"),
         (7, "cyclic_invariants", zero_tangent_sum, "bifurcation test off dual perimeter"),
         pytest.param(

@@ -23,7 +23,7 @@ from polyslope.slope_space import _radii_offsets, polygon_from_radii
 import polyslope.tangential as tangential_module
 from polyslope.sweeps import check_hessian_difference
 from polyslope.tangential import (
-    _edge_space_inertia,
+    _edge_space_form,
     constrained_perimeter,
     edge_hessians,
     index_pair,
@@ -402,7 +402,9 @@ class TestMorseIndex:
         chart = build_chart(SlopeSystem.from_degrees([0, 120, 1e-8, 240]), DEFAULT_TOL.scaled(1e-3))
         points = tangential_critical_points(chart)
         vertices = points[0].polygon.vertices
-        assert _edge_space_inertia(chart, vertices, points[0].inradius).tolist() == [0, 1, 1]
+        form, bound = _edge_space_form(chart, vertices, points[0].inradius)
+        counts = np.searchsorted(np.linalg.eigvalsh(form), (-bound, 0.0, bound))
+        assert counts.tolist() == [0, 1, 1]
         assert [report.agreement for report in index_reports(points, vertices)] == [True, True]
         resolved = tangential_critical_points(SlopeSystem.from_degrees([10, 80, 150, 230, 300]))
         monkeypatch.setattr(

@@ -172,21 +172,26 @@ def counted_linalg(monkeypatch, names):
     return counts
 
 
-def test_slopes_report_makes_two_svds_and_two_eigvalsh_calls(monkeypatch):
+@pytest.mark.parametrize("angles", [SLOPES_7, [90, 210, 330]], ids=["n7", "n3"])
+def test_slopes_report_makes_two_svds_and_one_eigvalsh_call(monkeypatch, angles):
     # One closure basis of ker U for the edge-space residual and the index
     # count, one of the tangent T within it; one eigenvalue call for the
-    # Hessian stack and one for the inertia on T.
-    linalg = counted_linalg(monkeypatch, ("svd", "eigvalsh"))
-    assert not slopes_report(SLOPES_7)["critical"]["exceptional"]
-    assert linalg == {"svd": 2, "eigvalsh": 2}
+    # stack of the form on T and both points' Hessians, each (n - 3) square:
+    # (3, 0, 0) for a triangle.
+    linalg = counted_linalg(monkeypatch, ("svd",))
+    shapes, eigvalsh = [], np.linalg.eigvalsh
+    monkeypatch.setattr(np.linalg, "eigvalsh", lambda a: shapes.append(a.shape) or eigvalsh(a))
+    assert not slopes_report(angles)["critical"]["exceptional"]
+    assert linalg == {"svd": 2}
+    assert shapes == [(3, len(angles) - 3, len(angles) - 3)]
 
 
 @pytest.mark.parametrize("name", ["slopes_report", "index_agreement", "hessian_determinant"])
 def test_both_hessians_are_one_stack(monkeypatch, name):
     # H(-r) = -H(r): one closed-form stack holds both points' Hessians, and
-    # one eigvalsh (or det) call reads it.  No point builds its own Hessian.
-    # The edge-space inertia takes one more eigvalsh call, and the index
-    # trial's area signature one more.
+    # one eigvalsh (or det) call reads it, with the edge-space form of the
+    # inertia.  No point builds its own Hessian.  The index trial's area
+    # signature takes one more eigvalsh call.
     formulas = counted(monkeypatch, (hessian_formula,))
     linalg = counted_linalg(monkeypatch, ("eigvalsh", "det"))
     reads = []
@@ -204,7 +209,7 @@ def test_both_hessians_are_one_stack(monkeypatch, name):
             lambda t=t: check(trial_rng(1, index, t), (4, 9), DEFAULT_TOL) for t in range(20)
         ]
     determinant = name == "hessian_determinant"
-    eigvalsh = {"slopes_report": 2, "index_agreement": 3, "hessian_determinant": 0}[name]
+    eigvalsh = {"slopes_report": 1, "index_agreement": 2, "hessian_determinant": 0}[name]
     for run in runs:
         formulas["hessian_formula"] = linalg["eigvalsh"] = linalg["det"] = 0
         assert run() is not None
@@ -351,16 +356,16 @@ def test_angles_are_read_only_and_shared():
 
 def test_slopes_report_runs_the_turning_rule_once(monkeypatch):
     # The turning rule of chart_stack is the one loop over consecutive
-    # slopes: the report and both critical points read its angle sum and
-    # turn counts off the chart.
+    # slopes: the report and both critical points read its k and turn
+    # counts, and the angle sum k pi, off the chart.
     results = []
     counts = counted(monkeypatch, (turning_rule,), results)
     report = slopes_report(SLOPES_7)
     assert counts["turning_rule"] == 1
     assert not hasattr(geometry, "turn_counts")
-    total, half_turns, right_turns = (x.tolist() for x in results[0][:3])
+    half_turns, right_turns = (int(x) for x in results[0])
     turning = report["turning"]
-    assert (turning["angle_sum_rad"], turning["half_turns"]) == (total, half_turns)
+    assert (turning["angle_sum_rad"], turning["half_turns"]) == (half_turns * math.pi, half_turns)
     assert (turning["right_turns"], turning["left_turns"]) == (right_turns, 7 - right_turns)
     for point in report["critical"]["points"]:
         assert (point["right_turns"], point["left_turns"]) == (right_turns, 7 - right_turns)
