@@ -38,7 +38,7 @@ class ReconstructionDegenerate(PolyslopeError):
 
 
 class CoincidentVertices(InputError):
-    """Consecutive vertices coincide within tolerance."""
+    """Consecutive vertices of an input or a checked PolygonChain coincide within tolerance."""
 
 
 class AntipodalVertices(InputError):

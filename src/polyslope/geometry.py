@@ -87,6 +87,20 @@ def turn_tangents(angles) -> np.ndarray:
     return np.tan(0.5 * (_cycled(angles, 1, -1) - angles))
 
 
+# For t in (-2pi, 2pi), floor(t / pi) + 2 counts those at or below t.
+_PI_MULTIPLES = np.array([-math.pi, 0.0, math.pi])
+
+
+def turning_rule(angles: np.ndarray):
+    """The integers k = -sum f_i and RT = #{odd f_i} along the last axis of
+    angles in [0, 2pi), from the floors f_i = floor(tau_i / pi) of the turns
+    tau_i = s_{i+1} - s_i.  As sum tau_i = 0, the line turns tau_i - f_i pi,
+    each in (0, pi) where the lines rule holds, add up to k pi, 0 < k < n."""
+    steps = _cycled(angles, 1, -1) - angles
+    floors = np.searchsorted(_PI_MULTIPLES, steps, side="right") - 2
+    return -floors.sum(axis=-1), (floors & 1).sum(axis=-1)
+
+
 def line_vertices(angles, offsets, tol: Tolerances = DEFAULT_TOL) -> np.ndarray:
     """Vertices ``v_i = e_{i-1} ^ e_i`` of the directed lines (angles, offsets)
     along the last axis of (..., m) stacks, shape (..., m, 2).  Raises
@@ -291,7 +305,8 @@ def polygon_from_lines(
 def tangential_polygons(angles: Sequence[float], centers, inradii) -> np.ndarray:
     """The (K, n, 2) vertex lists of the lines at ``angles`` tangent to the
     circles of (K, 2) ``centers`` c and (K,) signed ``inradii`` r (r > 0:
-    circle left of every line), checked at once by :func:`require_distinct`.
+    circle left of every line), unchecked: t_i = 0 where s_{i+1} = s_{i-1}, as
+    at a fold of a cyclic dual, is a zero edge of a valid configuration.
     Edge i is r t_i u_i, t_i = tan(tau_{i-1} / 2) + tan(tau_i / 2) of the
     turns tau_i = phi_{i+1} - phi_i (:func:`turn_tangents`), from v_1 =
     (c - r n_1) - r tan(tau_n / 2) u_1, by one cumulative sum for every
@@ -306,9 +321,7 @@ def tangential_polygons(angles: Sequence[float], centers, inradii) -> np.ndarray
     steps[0] *= -halves[-1]
     inradii = np.asarray(inradii, dtype=float)
     starts = np.asarray(centers, dtype=float) - inradii[:, None] * left_normal(angles[0])
-    vertices = starts[:, None] + inradii[:, None, None] * steps.cumsum(axis=0)
-    require_distinct(vertices)
-    return vertices
+    return starts[:, None] + inradii[:, None, None] * steps.cumsum(axis=0)
 
 
 def edge_offsets(vertices: np.ndarray, angles: Sequence[float]) -> np.ndarray:
@@ -399,10 +412,8 @@ def winding_number(polygon: PolygonChain, point) -> int:
 
 def turning_sum(system: SlopeSystem) -> tuple[float, int, int]:
     """The cyclic sum k * pi of the line turns, k and the number of right
-    turns: :func:`polyslope.slope_space.turning_rule` on the system's angles.
+    turns: :func:`turning_rule` on the system's angles.
     A NaN angle raises ValueError, as the finite rule of a chart does."""
-    # Imported here: slope_space imports this module.
-    from .slope_space import turning_rule
     if not np.isfinite(system.angles).all():
         raise ValueError(NOT_FINITE)
     k, right_turns = (int(x) for x in turning_rule(system.angles))
@@ -414,10 +425,12 @@ def _slope_rule(vertices, edges, lengths, sizes, slope_angles, tol: Tolerances):
     (from :func:`_edge_pass`) and the mask of the edges
     off slope i by more than ``tol.parallel`` plus 256 eps (diameter +
     max|coordinate|) / length: the roundoff of a direction read off vertices
-    that were built at the polygon's scale and rounded at their own magnitude."""
+    that were built at the polygon's scale and rounded at their own magnitude
+    (not finite on a zero edge, which lies along any slope)."""
     angles = np.arctan2(edges[..., 1], edges[..., 0]) % TWO_PI
     scales = sizes + np.abs(vertices).max(axis=(-2, -1))
-    roundoff = 256.0 * EPS * scales[..., None] / lengths
+    with np.errstate(divide="ignore", invalid="ignore"):
+        roundoff = 256.0 * EPS * scales[..., None] / lengths
     return angles, line_gap(angles, slope_angles) > tol.parallel + roundoff
 
 

@@ -46,6 +46,7 @@ from .geometry import (
     require_distinct,
     signed_perimeter,
     turn_tangents,
+    turning_rule,
 )
 from .tolerances import DEFAULT_TOL, Tolerances
 
@@ -283,20 +284,6 @@ def _parallel_pairs(angles: np.ndarray, tol: Tolerances) -> np.ndarray:
     have a :func:`line_gap` below their limit, as the constructor's loop tests."""
     first, second, limits = _slope_pairs(angles.shape[-1], tol.parallel)
     return line_gap(angles.take(first, -1), angles.take(second, -1)) < limits
-
-
-# For t in (-2pi, 2pi), floor(t / pi) + 2 counts those at or below t.
-_PI_MULTIPLES = np.array([-math.pi, 0.0, math.pi])
-
-
-def turning_rule(angles: np.ndarray):
-    """The integers k = -sum f_i and RT = #{odd f_i} along the last axis of
-    angles in [0, 2pi), from the floors f_i = floor(tau_i / pi) of the turns
-    tau_i = s_{i+1} - s_i.  As sum tau_i = 0, the line turns tau_i - f_i pi,
-    each in (0, pi) where the lines rule holds, add up to k pi, 0 < k < n."""
-    steps = _cycled(angles, 1, -1) - angles
-    floors = np.searchsorted(_PI_MULTIPLES, steps, side="right") - 2
-    return -floors.sum(axis=-1), (floors & 1).sum(axis=-1)
 
 
 class ChartStack(NamedTuple):

@@ -82,8 +82,7 @@ def check_critical_gradient(rng, n, tol):
     if not points:
         return None
     point = points[0]
-    vertices = tangential_polygons(point.chart.system.angles, [point.incenter], [point.inradius])
-    residual = tangential_residual(point.chart, vertices[0], point.inradius)
+    residual = tangential_residual(point.chart, point.vertices, point.inradius)
     return [("gradient norm", *residual[:2]), ("shoelace area off", *residual[2:])]
 
 
@@ -130,10 +129,9 @@ def check_index_agreement(rng, n, tol):
     positive = topology_report(chart).positive_component
     positives, negatives = int((signature > 0).sum()), int((signature < 0).sum())
     off = abs(positives - positive.sphere_dim - 1) + abs(negatives - positive.disc_dim)
-    vertices = tangential_polygons(chart.system.angles, [points[0].incenter], [points[0].inradius])
     rows = [
         ("index mismatch", max(abs(r.index_eigen - r.index_formula), int(not r.agreement)), 0)
-        for r in index_reports(points, vertices[0])
+        for r in index_reports(points, points[0].vertices)
     ]
     return rows + [("area signature off topology", off, 0)]
 
@@ -143,10 +141,8 @@ def check_convex_indices(rng, n, tol):
     points = tangential_critical_points(build_chart(random_convex_slope_system(rng, n), tol))
     if not points:
         return None
-    first = points[0]
-    vertices = tangential_polygons(first.chart.system.angles, [first.incenter], [first.inradius])
     rows = []
-    for point, report in zip(points, index_reports(points, vertices[0])):
+    for point, report in zip(points, index_reports(points, points[0].vertices)):
         expected = 0 if point.inradius > 0 else n - 3
         error = max(abs(report.index_eigen - expected), abs(report.index_formula - expected))
         rows.append(("convex index off", error, 0))

@@ -51,9 +51,10 @@ from .tolerances import DEFAULT_TOL, Tolerances
 class TangentialCritical:
     """A tangential critical point of the perimeter, every field in closed form.
 
-    ``polygon`` (a one-row :func:`~polyslope.geometry.tangential_polygons`)
+    ``vertices`` (a one-row :func:`~polyslope.geometry.tangential_polygons`),
+    ``polygon`` (their checked :class:`PolygonChain`, where a zero edge raises)
     and ``hessian`` are computed on first read and then kept, so a caller
-    that needs only the index or the perimeter builds neither.
+    that needs only the index or the perimeter builds none.
     The winding number and turn counts are the chart's, shared by both
     points.
     """
@@ -69,9 +70,12 @@ class TangentialCritical:
         return self.chart.n
 
     @functools.cached_property
+    def vertices(self) -> np.ndarray:
+        return tangential_polygons(self.chart.system.angles, [self.incenter], [self.inradius])[0]
+
+    @functools.cached_property
     def polygon(self) -> PolygonChain:
-        angles = self.chart.system.angles
-        return PolygonChain(tangential_polygons(angles, [self.incenter], [self.inradius])[0])
+        return PolygonChain(self.vertices)
 
     @functools.cached_property
     def hessian(self) -> np.ndarray:
@@ -227,8 +231,8 @@ def index_reports(points: Sequence[TangentialCritical], vertices) -> list[IndexR
 
 
 def morse_index_eigen(point: TangentialCritical) -> IndexReport:
-    """:func:`index_reports` of one point, at its own polygon."""
-    return index_reports((point,), point.polygon.vertices)[0]
+    """:func:`index_reports` of one point, at its own vertices."""
+    return index_reports((point,), point.vertices)[0]
 
 
 # Roundoff bounds of the edge-space checks, in eps times their scales
@@ -269,7 +273,7 @@ def tangential_residual(chart: RadiiChart, vertices: np.ndarray, inradius: float
 # Kept while perfbench/tracer.py traces it; no program path calls it.
 def critical_gradient_norm(point: TangentialCritical) -> tuple[float, float]:
     """The gradient norm and bound of :func:`tangential_residual` at one point."""
-    return tangential_residual(point.chart, point.polygon.vertices, point.inradius)[:2]
+    return tangential_residual(point.chart, point.vertices, point.inradius)[:2]
 
 
 def edge_hessians(points: Sequence[TangentialCritical]) -> tuple[np.ndarray, np.ndarray]:

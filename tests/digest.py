@@ -26,10 +26,11 @@ result, or ``Type: message`` of the error it raises.  The sets:
   at tolerance scale F (the set at scale 1 is named without it);
 * ``cli``: ``cli.main`` run in this process on fuzz inputs of each
   subcommand, text and ``--json``, with and without ``--tol-scale``, on
-  renders of each kind, every ``--help``, and the usage, file, schema and
-  option errors.  Each invocation hashes as the JSON of its exit code,
-  stdout, stderr and the SVG it wrote, with the temporary directory
-  written ``<tmp>``;
+  renders of each kind, on ``EDGE_CASES`` (inputs that exit 3, or sit next
+  to what the checks resolve, and a fold), every ``--help``, and the usage,
+  file, schema and option errors.  Each invocation hashes as the JSON of
+  its exit code, stdout, stderr and the SVG it wrote, with the temporary
+  directory written ``<tmp>``;
 * ``kernels``: one line per chart kernel, ``kernels: NAME``, over the raw
   bytes of its float64 results (or the type and message of its error) on
   3,000 seeded charts, n 3..14, each with a drawn, a unit and a zero row
@@ -74,7 +75,7 @@ from polyslope.tolerances import DEFAULT_TOL
 
 import test_family
 import test_fuzz
-from families import near_bifurcation_phis
+from families import FOLD_PENTAGON, near_bifurcation_phis
 
 SCALES = (1.0, 1e-3, 1e3)
 # Scales of the near-bifurcation set: below 1 the band meets its floor.
@@ -91,6 +92,27 @@ TWENTY_GON = [
     52.29599125304753, 35.108398530703596, 150.99585256637053, 357.514914136018,
     56.47385095278773, 335.7125208741396, 300.11357911029353, 123.9620304498942,
 ]
+# Inputs of the cli set at the edge of what the program resolves, each
+# analyzed, in text and --json, and rendered.  E1 exits 0 with its inradius
+# 1.3e-13 off, which no check resolves.  The 20-gon fails its area index's
+# roundoff bound, and E4 and test_fuzz.NEAR_PARALLEL[947] their gradient and
+# area checks: each exits 3 with its reasons on stderr.  The fold pentagon's
+# dual has a zero edge.
+EDGE_CASES = (
+    (("slopes", "analyze"), {"angles_deg": [0.08750000000000001, 0.1, 180.0, 180.05]}),
+    (("cyclic", "analyze"), {"radius": 1, "phis_deg": TWENTY_GON}),
+    (
+        ("slopes", "analyze"),
+        {
+            "angles_deg": [
+                82.37296368693613, 262.3729612294919, 262.37295261122074, 82.3729630048502,
+                82.37296087848776, 262.372960367739, 262.3729632461403,
+            ],
+        },
+    ),
+    (("slopes", "analyze"), {"angles_deg": test_fuzz.NEAR_PARALLEL[947]}),
+    (("cyclic", "analyze"), {"radius": 1, "phis_deg": FOLD_PENTAGON}),
+)
 # Flags of each analyze invocation of the cli set.
 CLI_FLAGS = ((), ("--json",), ("--tol-scale", "1000"), ("--json", "--tol-scale", "1000"))
 KERNELS = (
@@ -255,16 +277,12 @@ def cli_outcomes():
             + [{"radius": 2.0, "phis_deg": p} for p in test_fuzz.ANGLES[test_fuzz.COUNT:][:8]]
             + [{"start_angles_deg": s, "end_angles_deg": e} for s, e in test_family.FIXED[:2]]
         )
-        # Inputs that fail a cross-check at the default tolerances (exit 3).
-        renders += [
-            {"angles_deg": [0.08750000000000001, 0.1, 180.0, 180.05]},
-            {"radius": 1, "phis_deg": TWENTY_GON},
-        ]
+        renders += [payload for _, payload in EDGE_CASES]
         for payload in renders:
             path = write(payload)
             yield run("render", path, "-o", svg)
             yield run("render", path, "-o", svg, "--tol-scale", "1000")
-        for command, payload in zip((("slopes", "analyze"), ("cyclic", "analyze")), renders[-2:]):
+        for command, payload in EDGE_CASES:
             path = write(payload)
             yield run(*command, path)
             yield run(*command, path, "--json")

@@ -4,8 +4,9 @@ The slope family crosses the perimeter-sum zero (exceptional locus); the
 cyclic family crosses the bifurcation locus.  Both stay valid along the whole
 parameter interval, so bisection to the root is safe.  Seeded cyclic
 polygons next to, or on, the bifurcation locus come from
-:func:`near_bifurcation_phis`, and seeded slope systems next to the
-exceptional locus from :func:`near_exceptional_system`.
+:func:`near_bifurcation_phis`, folded ones from :func:`folded_phis`, and
+seeded slope systems next to the exceptional locus from
+:func:`near_exceptional_system`.
 :func:`sequential_family_report` is the reference route of the family report
 and :func:`sequential_bracket` that of one bisection; ``BENCH_F3`` and
 ``BENCH_CROSSING`` are the benchmark's crossing families.
@@ -15,7 +16,14 @@ import math
 
 import numpy as np
 
-from polyslope import CyclicPolygon, ParallelLines, PolyslopeError, SlopeSystem, build_chart
+from polyslope import (
+    CyclicPolygon,
+    InputError,
+    ParallelLines,
+    PolyslopeError,
+    SlopeSystem,
+    build_chart,
+)
 from polyslope.cyclic import cyclic_invariants
 from polyslope.randomgen import MIN_LINE_SEPARATION, random_cyclic_polygon, random_slope_system
 from polyslope.tangential import exceptional_mask
@@ -280,3 +288,32 @@ def near_bifurcation_phis(rng, n, low, high):
             if high == 0.0:
                 return moved(lo)
 
+
+# Vertex angles in degrees of two folded cyclic polygons.  The pentagon has
+# one fold, v_1 = v_3, B = 6.46 and area index 1.  In the quadrilateral,
+# v_1 = v_3 makes two folds, at v_2 and at v_0, and B = 0 exactly: it is one
+# of the roots that :func:`near_bifurcation_phis` draws for the digest's
+# near-bifurcation sets (seed 24).
+FOLD_PENTAGON = [10.0, 100.0, 170.0, 100.0, 250.0]
+FOLD_QUADRILATERAL = [
+    271.72180168247394, 123.73311108438979, 142.8761740602928, 123.73311108438979,
+]
+
+
+def folded_phis(rng, near=False):
+    """Vertex angles in degrees of a random cyclic n-gon, n in 4..9, with
+    one or more folds v_i = v_{i+2}, a chord walked there and back.  With
+    ``near`` each fold's second vertex is moved off by a gap log-uniform in
+    1e-13..1e-3 degrees, either way.  Draws that the constructor rejects
+    (consecutive vertices coincident or antipodal) are drawn again."""
+    while True:
+        n = int(rng.integers(4, 10))
+        phis = rng.uniform(0.0, 360.0, n)
+        for i in rng.choice(n, size=int(rng.integers(1, n // 2 + 1)), replace=False):
+            gap = 10.0 ** rng.uniform(-13.0, -3.0) * rng.choice((-1.0, 1.0)) if near else 0.0
+            phis[(i + 2) % n] = phis[i] + gap
+        try:
+            CyclicPolygon.from_degrees(1.0, phis)
+        except InputError:
+            continue
+        return phis.tolist()

@@ -31,6 +31,7 @@ from polyslope.errors import (
 from polyslope.sweeps import run_sweep
 from polyslope.tolerances import DEFAULT_TOL
 
+from families import FOLD_PENTAGON, FOLD_QUADRILATERAL
 from test_fuzz import NEAR_PARALLEL
 
 FAMILY = {
@@ -305,6 +306,25 @@ class TestCyclicAnalyze:
         assert indices["mu_area_numeric"] == indices["mu_area_formula"] == 0
         assert indices["mu_dual_perimeter"] == 0
         assert indices["identity_holds"]
+
+    @pytest.mark.parametrize(
+        "phis, bifurcating", [(FOLD_PENTAGON, False), (FOLD_QUADRILATERAL, True)],
+        ids=["pentagon", "quadrilateral"],
+    )
+    def test_folds_exit_zero(self, tmp_path, capsys, phis, bifurcating):
+        # A fold v_i = v_{i+2} makes a zero edge of the dual, not an input
+        # error: analysis and render both exit 0 with nothing on stderr.
+        path = write_json(tmp_path, "fold.json", {"radius": 1, "phis_deg": phis})
+        code, out, err = run_cli(capsys, "cyclic", "analyze", path, "--json")
+        assert (code, err) == (0, "")
+        report = json.loads(out)
+        assert report["bifurcating"] is bifurcating
+        if not bifurcating:
+            assert report["indices"]["identity_holds"]
+            assert report["indices"]["mu_area_numeric"] == 1
+        out_path = tmp_path / "fold.svg"
+        assert run_cli(capsys, "render", path, "-o", str(out_path))[::2] == (0, "")
+        assert "dual tangential polygon" in out_path.read_text()
 
     @pytest.mark.parametrize("angle", [1e17, 1e20, 1e100, 1e300, -1e20])
     def test_huge_vertex_angle_keeps_the_identity(self, tmp_path, capsys, angle):

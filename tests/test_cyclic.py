@@ -1,5 +1,6 @@
 """Tests for cyclic polygons, duality, and the area Morse index."""
 
+import collections
 import math
 import sys
 
@@ -16,6 +17,7 @@ from polyslope import (
     CyclicPolygon,
     build_chart,
     DegenerateCritical,
+    InputError,
     LengthMismatch,
     ParallelLines,
     PolygonChain,
@@ -30,7 +32,8 @@ from polyslope import (
     signed_perimeter,
     winding_number,
 )
-from polyslope.geometry import left_normals
+from polyslope import cli
+from polyslope.geometry import left_normals, signed_perimeters, tangential_polygons
 from polyslope.tolerances import DEFAULT_TOL
 from polyslope.randomgen import STAR_SIZES, random_cyclic_polygon, random_star_polygon
 from polyslope.report import cyclic_report
@@ -44,7 +47,15 @@ from area_chart import (
     closure_residual,
 )
 import test_fuzz
-from families import bif_family, bisect_bifurcation_root, near_bifurcation_phis, negative_count
+from families import (
+    FOLD_PENTAGON,
+    FOLD_QUADRILATERAL,
+    bif_family,
+    bisect_bifurcation_root,
+    folded_phis,
+    near_bifurcation_phis,
+    negative_count,
+)
 
 SQUARE = CyclicPolygon.from_degrees(1.0, [0, 90, 180, 270])
 SQUARE_REVERSED = CyclicPolygon.from_degrees(1.0, [270, 180, 90, 0])
@@ -179,12 +190,78 @@ class TestDualPolygon:
             assert dual.signed_perimeter == pytest.approx(measured, rel=0, abs=1e-12 * scale)
 
     def test_report_checks_the_dual_about_the_origin_too(self):
-        # Vertices 0 and 2 lie 3e-10 degrees apart, so dual vertices 1 and 2
-        # are 6e-12 apart, under 1e-12 times the diameter.  About this center
-        # rounding pulls them a float of 16412 apart, and only the polygon
-        # about the origin, which gives the perimeter, still sees them coincide.
-        with pytest.raises(CoincidentVertices, match="vertices 1 and 2 coincide"):
-            cyclic_report(1.0, [0.0, 100.0, 3e-10, 200.0], (16412.523127055625, 0.0))
+        # Vertices 0 and 2 lie 3e-10 degrees apart, a fold to within 6e-12:
+        # the dual's edge 1 is that long, under 1e-12 times the diameter, and
+        # B is in the band.  About this center rounding moves that edge's
+        # ends by a float of 16412, and a perimeter read there is 1.2e-12 off
+        # 2RB.  The report's is read about the origin, within 1e-15 of 2RB.
+        phis, center = [0.0, 100.0, 3e-10, 200.0], (16412.523127055625, 0.0)
+        report = cyclic_report(1.0, phis, center)
+        assert report["bifurcating"] and report["indices"]["withheld"]
+        dual = report["dual"]
+        slopes = CyclicPolygon.from_degrees(1.0, phis, center).dual_slopes.angles
+        about_origin = tangential_polygons(slopes, [(0.0, 0.0)], [1.0])
+        assert dual["signed_perimeter"] == float(signed_perimeters(about_origin, slopes)[0])
+        twice = dual["twice_radius_times_sum"]
+        assert abs(dual["signed_perimeter"] - twice) < 1e-15
+        assert abs(float(signed_perimeters(np.array(dual["vertices"]), slopes)) - twice) > 1e-13
+
+
+class TestFolds:
+    """A fold v_i = v_{i+2} is a valid cyclic polygon, whose dual has the
+    zero edge t_{i+1} = tan(arc_i / 2) + tan(arc_{i+1} / 2) = 0: it gets a
+    report, and only a checked PolygonChain of the dual raises on it."""
+
+    def test_fold_pentagon_holds_its_identity(self):
+        report = cyclic_report(1.0, FOLD_PENTAGON)
+        assert not report["bifurcating"]
+        indices = report["indices"]
+        assert indices["identity_holds"]
+        assert indices["mu_area_numeric"] == indices["mu_area_formula"] == 1
+        vertices = report["dual"]["vertices"]
+        assert vertices[2] == vertices[3]
+        dual = dual_polygon(CyclicPolygon.from_degrees(1.0, FOLD_PENTAGON))
+        with pytest.raises(CoincidentVertices, match="^vertices 2 and 3 coincide$"):
+            dual.polygon
+
+    def test_fold_quadrilateral_bifurcates(self):
+        report = cyclic_report(1.0, FOLD_QUADRILATERAL)
+        assert report["bifurcating"] and report["indices"]["withheld"]
+        assert report["invariants"]["bifurcation_sum"] == 0.0
+
+    def test_folds_and_near_folds_get_reports(self):
+        # 160 folded and 160 near-folded polygons, each about two centers:
+        # every one gets a report that passes the command line's checks, and
+        # over 30 of each kind, folded or near, bifurcate and hold the identity.
+        rng = np.random.default_rng(3)
+        outcomes = collections.Counter()
+        for near in [False, True] * 160:
+            phis = folded_phis(rng, near)
+            for center in ((0.0, 0.0), (0.5, -2.0)):
+                report = cyclic_report(1.0, phis, center)
+                assert cli._cross_check_failures(report) == [], (phis, center)
+                outcomes[near, report["bifurcating"]] += 1
+        assert all(outcomes[near, bifurcating] > 30 for near in (0, 1) for bifurcating in (0, 1))
+
+    def test_every_folded_quadrilateral_bifurcates(self):
+        # One coincidence v_i = v_{i+2} of a quadrilateral is two folds, so
+        # both pairs of arcs cancel and B = 0: exactly where the sum adds
+        # each pair in turn (i = 0 or 2), within roundoff where it does not.
+        rng = np.random.default_rng(4)
+        for _ in range(100):
+            phis = rng.uniform(0.0, 360.0, 4)
+            i = int(rng.integers(4))
+            phis[(i + 2) % 4] = phis[i]
+            try:
+                cyclic = CyclicPolygon.from_degrees(1.0, phis)
+            except InputError:
+                continue
+            inv = cyclic_invariants(cyclic)
+            assert bifurcation_test(inv)
+            bound = 0.0 if i % 2 == 0 else 4.0 * np.finfo(float).eps * inv.tangent_scale
+            assert abs(inv.bifurcation_sum) <= bound, phis.tolist()
+            report = cyclic_report(1.0, phis.tolist(), (0.5, -2.0))
+            assert report["bifurcating"] and cli._cross_check_failures(report) == []
 
 
 class TestBifurcation:

@@ -21,11 +21,11 @@ import pytest
 
 from polyslope import cli
 from polyslope import (
-    CoincidentVertices,
     CyclicPolygon,
     DegenerateCritical,
     InputError,
     NotCritical,
+    ParallelLines,
     PolygonChain,
     PolyslopeError,
     SlopeSystem,
@@ -41,7 +41,13 @@ from polyslope import (
     winding_number,
 )
 from polyslope import tangential
-from polyslope.geometry import left_normals, polygon_from_lines, tangential_polygons
+from polyslope.geometry import (
+    COINCIDENT,
+    diameters,
+    left_normals,
+    polygon_from_lines,
+    tangential_polygons,
+)
 from polyslope.report import cyclic_report, slopes_report
 from polyslope.tangential import (
     edge_hessians,
@@ -49,6 +55,7 @@ from polyslope.tangential import (
     hessian_formula,
     tangential_residual,
 )
+from polyslope.tolerances import DEFAULT_TOL
 
 from area_chart import (
     chain_area_gradient,
@@ -226,9 +233,9 @@ def one_point_at_a_time(angles):
     """The same, one point at a time: the eigenvalues of the point's own
     Hessian; the indices of the one-point call, whose count is taken at the
     point's own polygon, where the report takes the other point's complement;
-    the polygon by a one-row ``tangential_polygons``, whose check raises; then the
-    edge-space checks on that point's own polygon and inradius, by the
-    one-point call too."""
+    the polygon by a one-row ``tangential_polygons``, unchecked as the report's
+    stack is; then the edge-space checks on that point's own polygon and
+    inradius, by the one-point call too."""
     chart = build_chart(SlopeSystem.from_degrees(angles))
     points = tangential_critical_points(chart)
     if not points:
@@ -313,9 +320,19 @@ def test_edge_space_inertia_equals_sign_count(monkeypatch):
     assert all(fewest == most for fewest, _, most in counts)
 
 
-def test_clustered_slopes_raise_coincident_vertices():
+def short_edges(report) -> bool:
+    """Whether the first tangential polygon of a slopes report has an edge
+    of at most COINCIDENT times its diameter: zero to working precision."""
+    vertices = np.array(report["critical"]["points"][0]["vertices"])
+    lengths = np.hypot(*(np.roll(vertices, -1, axis=0) - vertices).T)
+    return bool(lengths.min() <= COINCIDENT * diameters(vertices))
+
+
+def test_clustered_slopes_get_a_report():
     # Five lines within 3e-5 degrees of parallel: vertices 2 and 3 of the
-    # tangential polygons lie closer than COINCIDENT times their diameter.
+    # tangential polygons lie closer than COINCIDENT times their diameter,
+    # an edge that is zero to working precision.  It is an edge all the
+    # same: both points pass their gradient, area and index checks.
     angles = [
         422.7802954517007,
         422.7802826944762,
@@ -323,8 +340,34 @@ def test_clustered_slopes_raise_coincident_vertices():
         422.7802766411455,
         242.78030749507516,
     ]
-    with pytest.raises(CoincidentVertices, match="^vertices 2 and 3 coincide$"):
-        slopes_report(angles)
+    points = slopes_report(angles)["critical"]["points"]
+    assert len(points) == 2
+    vertices = np.array(points[0]["vertices"])
+    assert np.hypot(*(vertices[3] - vertices[2])) <= COINCIDENT * diameters(vertices)
+    for point in points:
+        assert point["gradient_norm"] <= point["gradient_bound"]
+        assert point["area_error"] <= point["area_bound"]
+        assert point["agreement"] and point["index_eigen"] == point["index_formula"]
+
+
+@pytest.mark.parametrize("scale, least", [(1.0, 80), (1e-3, 150)])
+def test_slope_lists_with_zero_edges_get_reports(scale, least):
+    # Lines clustered about one direction or its opposite give tangential
+    # polygons with an edge of at most COINCIDENT times their diameter: 87
+    # of the fuzz lists at scale 1 and 160 at 1e-3.  Each gets a report that
+    # passes every cross-check, and no fuzz list gets an input error but
+    # parallel lines.
+    tol = DEFAULT_TOL if scale == 1.0 else DEFAULT_TOL.scaled(scale)
+    short = 0
+    for angles in ANGLES[:COUNT] + NEAR_PARALLEL:
+        try:
+            report = slopes_report(angles, tol)
+        except ParallelLines:
+            continue
+        if report["critical"]["points"] and short_edges(report):
+            assert cli._cross_check_failures(report) == [], angles
+            short += 1
+    assert short > least
 
 
 def lstsq_area_index(cyclic):

@@ -277,10 +277,11 @@ def test_perturbed_closed_form_fails(monkeypatch, capsys, check_index, name, val
     # the roundoff bounds stay below that on its draws.  The invariants are
     # read through CyclicPolygon.invariants, which calls the cyclic module's,
     # the dual's perimeter is measured in cyclic.dual_polygon, the dual's
-    # index read in cyclic.area_morse_index_formula, and the closed-form
-    # Hessian in tangential.edge_hessians.
+    # index read in cyclic.area_morse_index_formula, the closed-form
+    # Hessian in tangential.edge_hessians, and a point's vertices built by
+    # TangentialCritical.vertices.
     modules = dict.fromkeys(("cyclic_invariants", "signed_perimeters", "index_pair"), cyclic_module)
-    modules["hessian_formula"] = tangential_module
+    modules["hessian_formula"] = modules["tangential_polygons"] = tangential_module
     monkeypatch.setattr(modules.get(name, sweeps), name, value)
     assert_fails_every_trial(check_index, label, capsys)
 

@@ -221,10 +221,11 @@ def test_both_hessians_are_one_stack(monkeypatch, name):
 def test_polygon_and_hessian_on_first_read():
     chart = build_chart(SlopeSystem.from_degrees(SLOPES_7))
     for point in tangential_critical_points(chart):
-        assert "polygon" not in vars(point) and "hessian" not in vars(point)
+        assert not {"vertices", "polygon", "hessian"} & set(vars(point))
         polygon = point.polygon
-        assert polygon is point.polygon
+        assert polygon is point.polygon and point.vertices is point.vertices
         expected = tangential_polygons(chart.system.angles, [point.incenter], [point.inradius])
+        assert np.array_equal(point.vertices, expected[0])
         assert np.array_equal(polygon.vertices, expected[0])
         assert point.hessian is point.hessian
         assert np.array_equal(point.hessian, hessian_formula(chart.unit_perimeters, point.inradius))
@@ -398,9 +399,10 @@ def counted_systems(monkeypatch):
 
 def test_cyclic_report_computes_invariants_and_dual_once(monkeypatch):
     # One tangential construction gives both the reported dual vertices and
-    # the polygon about the origin that the perimeter is read from; one
-    # vertex check covers both, and the unit-circle polygon of the numeric
-    # area index, whose vertex angles the CyclicPolygon has checked, gets none.
+    # the polygon about the origin that the perimeter is read from.  No
+    # vertex check runs: a fold of the input is a zero edge of the dual, and
+    # the unit-circle polygon of the numeric area index has vertex angles
+    # that the CyclicPolygon has checked.
     counts = counted(
         monkeypatch,
         (cyclic_invariants, bifurcation_test, tangential_polygons, require_distinct),
@@ -412,7 +414,7 @@ def test_cyclic_report_computes_invariants_and_dual_once(monkeypatch):
         "cyclic_invariants": 1,
         "bifurcation_test": 1,
         "tangential_polygons": 1,
-        "require_distinct": 1,
+        "require_distinct": 0,
     }
     assert systems[0] == 1
 
@@ -449,9 +451,10 @@ def test_chart_identity_trial_reconstructs_one_stack(monkeypatch):
     # vertices: the reconstruction has held every edge to its slope.  One
     # polygon_measures call measures the reconstruction's stack and one the
     # triangles' stack, each with one diameters call; nothing else measures
-    # either stack.  The one vertex check, with the third diameters call, is
-    # that of the tangential points' closed-form polygons.  The triangles'
-    # radii are one tritangent_circle call in closed form: no linear solve.
+    # either stack, and no vertex check runs: the tangential points'
+    # closed-form polygons are compared with the reconstruction unchecked.
+    # The triangles' radii are one tritangent_circle call in closed form: no
+    # linear solve.
     index, check = next((i, c) for i, (n, c) in enumerate(CHECKS) if n == "chart_identities")
     results, vertices_made = [], []
     counts = counted(monkeypatch, (build_chart, _reconstruction, polygon_from_radii), results)
@@ -482,12 +485,12 @@ def test_chart_identity_trial_reconstructs_one_stack(monkeypatch):
         assert counts == {"build_chart": 1, "_reconstruction": 1, "polygon_from_radii": 0}
         assert checks == {
             "_line_offsets": 0,
-            "require_distinct": int(rows > 1),
+            "require_distinct": 0,
             "tritangent_circle": 1,
             "polygon_measures": 2,
             "oriented_areas": 0,
             "signed_perimeters": 0,
-            "diameters": 2 + (rows > 1),
+            "diameters": 2,
         }
         assert linalg == {"solve": 0}
         vertices, areas, perimeters, sizes, sums, scales = results[-1]
