@@ -162,7 +162,7 @@ class CyclicInvariants:
 @dataclass(frozen=True, eq=False)
 class DualPolygon:
     """Tangent-line polygon of the cyclic vertices about the circle's center, its signed
-    perimeter, and ``polygon``, their checked PolygonChain (a zero edge raises) on first read."""
+    perimeter, and ``polygon``, their PolygonChain (a fold's zero edge too) on first read."""
 
     vertices: np.ndarray
     slopes: SlopeSystem
@@ -224,8 +224,8 @@ def bifurcation_test(inv: CyclicInvariants, tol: Tolerances = DEFAULT_TOL) -> bo
 def dual_polygon(cyclic: CyclicPolygon, tol: Tolerances = DEFAULT_TOL) -> DualPolygon:
     """Polygon of the tangent lines at the vertices, circle kept on the left,
     about the center, and about the origin, where its perimeter keeps short
-    edges' digits: one stack, whose vertices are not checked, as a fold of
-    ``cyclic`` is a zero edge of its dual.  Coordinates too coarse for it,
+    edges' digits: one stack, in which a fold of ``cyclic`` is a zero edge
+    of its dual.  Coordinates too coarse for it,
     or out of float range, raise InputSchemaError."""
     unresolved = "the coordinates cannot resolve the polygon at this radius and center"
     # Coordinates near the center round by eps |center|, which turns an edge

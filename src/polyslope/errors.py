@@ -38,7 +38,9 @@ class ReconstructionDegenerate(PolyslopeError):
 
 
 class CoincidentVertices(InputError):
-    """Consecutive vertices of an input or a checked PolygonChain coincide within tolerance."""
+    """Consecutive vertices of a cyclic polygon coincide within tolerance: its
+    dual would have two consecutive parallel slopes.  A zero edge of any other
+    polygon is an edge."""
 
 
 class AntipodalVertices(InputError):

@@ -24,7 +24,6 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .errors import (
-    CoincidentVertices,
     NonIntegralTurn,
     ParallelLines,
     PointOnBoundary,
@@ -209,10 +208,6 @@ class SlopeSystem:
         chart_stack(self.angles, tol).require(LINES)
 
 
-# Consecutive vertices closer than this fraction of the diameter coincide.
-COINCIDENT = 1e-12
-
-
 def diameters(vertices: np.ndarray) -> np.ndarray:
     """Bounding-box diagonals of a (..., m, 2) stack of vertex lists."""
     spread = vertices.max(axis=-2) - vertices.min(axis=-2)
@@ -228,27 +223,15 @@ def _edge_pass(vertices: np.ndarray):
     return following, edges, np.hypot(edges[..., 0], edges[..., 1]), diameters(vertices)
 
 
-def _require_long(lengths: np.ndarray, sizes: np.ndarray) -> None:
-    """:func:`require_distinct` on a stack's edge lengths and diameters."""
-    short = (lengths <= COINCIDENT * sizes[..., None]).any(axis=-1)
-    if short.any():
-        bad = int(np.argmin(lengths[np.unravel_index(np.argmax(short), short.shape)]))
-        raise CoincidentVertices(f"vertices {bad} and {(bad + 1) % lengths.shape[-1]} coincide")
-
-
-def require_distinct(vertices: np.ndarray) -> None:
-    """The check of :class:`PolygonChain` on a (..., m, 2) vertex stack: the first
-    polygon with an edge of at most ``COINCIDENT`` times its diameter raises."""
-    _require_long(*_edge_pass(vertices)[2:])
-
-
 @dataclass(frozen=True, eq=False)
 class PolygonChain:
     """Oriented closed broken line given by its vertex list.
 
-    The vertex list is cyclic; consecutive vertices must be distinct.
-    Self-intersection and zero total area are allowed.  Edge data and the
-    diameter are computed on first read and kept.
+    The vertex list is cyclic and its coordinates finite.  Consecutive
+    vertices may coincide: a zero edge, as on the hyperplanes l_j = 0 of the
+    configuration space, lies along any slope.  Self-intersection and zero
+    total area are allowed.  Edge data and the diameter are computed on
+    first read and kept.
     """
 
     vertices: np.ndarray
@@ -259,10 +242,11 @@ class PolygonChain:
             raise ValueError("vertices must be an (n, 2) array")
         if len(verts) < 3:
             raise ValueError("a polygon needs at least three vertices")
+        if not np.isfinite(verts).all():
+            raise ValueError("vertices must be finite")
         verts = verts.copy()
         verts.setflags(write=False)
         object.__setattr__(self, "vertices", verts)
-        require_distinct(verts)
 
     @property
     def n(self) -> int:
@@ -469,11 +453,9 @@ def signed_perimeters(vertices: np.ndarray, slope_angles, tol: Tolerances = DEFA
 def polygon_measures(vertices: np.ndarray, slope_angles, tol: Tolerances = DEFAULT_TOL):
     """The (...) :func:`oriented_areas`, :func:`signed_perimeters` and
     :func:`diameters` of a (..., m, 2) vertex stack, bit for bit, from one
-    pass over its edges.  The first polygon that :func:`require_distinct`
-    rejects raises as there, then the first edge off its slope as in
-    :func:`signed_perimeters`."""
+    pass over its edges.  The first edge off its slope raises as in
+    :func:`signed_perimeters`; a zero edge lies along any slope."""
     following, edges, lengths, sizes = _edge_pass(vertices)
-    _require_long(lengths, sizes)
     signed = _signed_lengths(vertices, edges, lengths, sizes, slope_angles, tol)
     return _shoelace(vertices, following), signed.sum(axis=-1), sizes
 

@@ -43,7 +43,6 @@ from .geometry import (
     oriented_areas,
     polygon_from_lines,
     polygon_measures,
-    require_distinct,
     signed_perimeter,
     turn_tangents,
     turning_rule,
@@ -446,13 +445,11 @@ def radii_of_polygon(chart: RadiiChart, polygon: PolygonChain) -> np.ndarray:
 
 def decomposition_polygons(chart: RadiiChart, polygon: PolygonChain) -> np.ndarray:
     """Triangles Q(e_1, e_{i+1}, e_{i+2}) built from the polygon's edge lines,
-    as one (n - 2, 3, 2) stack of vertex lists, each checked as a
-    :class:`PolygonChain` is."""
+    as one (n - 2, 3, 2) stack of vertex lists; triangle i of a zero radius
+    r_i is, to roundoff, the point of its three concurrent lines."""
     lines = decomposition_lines(chart.n)
     offsets = _line_offsets(chart, polygon.vertices)[lines]
-    vertices = line_vertices(chart.system.angles[lines], offsets, chart.tol)
-    require_distinct(vertices)
-    return vertices
+    return line_vertices(chart.system.angles[lines], offsets, chart.tol)
 
 
 def _chart_coordinates(chart: RadiiChart, vertices: np.ndarray, offset: float) -> np.ndarray:

@@ -52,7 +52,7 @@ class TangentialCritical:
     """A tangential critical point of the perimeter, every field in closed form.
 
     ``vertices`` (a one-row :func:`~polyslope.geometry.tangential_polygons`),
-    ``polygon`` (their checked :class:`PolygonChain`, where a zero edge raises)
+    ``polygon`` (their :class:`PolygonChain`, a zero edge included)
     and ``hessian`` are computed on first read and then kept, so a caller
     that needs only the index or the perimeter builds none.
     The winding number and turn counts are the chart's, shared by both

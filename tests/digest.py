@@ -33,12 +33,13 @@ result, or ``Type: message`` of the error it raises.  The sets:
   directory written ``<tmp>``;
 * ``kernels``: one line per chart kernel, ``kernels: NAME``, over the raw
   bytes of its float64 results (or the type and message of its error) on
-  3,000 seeded charts, n 3..14, each with a drawn, a unit and a zero row
-  of radii and a row r_i = r per tangential point: ``_unit_perimeters``
-  (the p_i of the chart's angles), ``_reconstruction`` (vertices, areas,
-  signed perimeters, diameters), ``polygon_measures``,
-  ``tangential_polygons``, ``decomposition_polygons`` and
-  ``tritangent_circle``.  A kernel change that claims byte identity
+  3,000 seeded charts, n 3..14, each with a drawn, a unit, a first-axis
+  (r = e_1, whose polygon has zero edges) and a zero row of radii and a
+  row r_i = r per tangential point: ``_unit_perimeters`` (the p_i of the
+  chart's angles), ``_reconstruction`` (vertices, areas, signed
+  perimeters, diameters), ``polygon_measures``, ``tangential_polygons``,
+  ``decomposition_polygons`` and ``tritangent_circle`` (the last two on
+  the drawn, unit and first-axis rows).  A kernel change that claims byte identity
   compares these lines with its parent's (``tests/digest.py kernels``).
 
 It takes about 90 s on a 2-core machine; the ``cli`` set alone about 9 s,
@@ -168,14 +169,14 @@ def raw(make, *args) -> bytes:
 @functools.cache
 def kernel_inputs() -> list:
     """(chart, radii rows, tangential points) of 3,000 seeded charts, n 3..14:
-    the drawn and unit rows, then one row per tangential point."""
+    the drawn, unit and first-axis rows, then one row per tangential point."""
     rng = np.random.default_rng(3000)
     inputs = []
     for _ in range(3000):
         n = int(rng.integers(3, 15))
         chart = build_chart(random_slope_system(rng, n))
         points = tangential_critical_points(chart)
-        rows = [random_radii(rng, n - 2), np.ones(n - 2)]
+        rows = [random_radii(rng, n - 2), np.ones(n - 2), np.eye(n - 2)[0]]
         rows += [np.full(n - 2, point.inradius) for point in points]
         inputs.append((chart, np.array(rows), points))
     return inputs
@@ -203,12 +204,12 @@ def kernel_outcomes(kernel):
             centers = [point.incenter for point in points]
             yield raw(tangential_polygons, angles, centers, [p.inradius for p in points])
         elif kernel == "decomposition_polygons":
-            for row in vertices[:2]:
+            for row in vertices[:3]:
                 yield raw(decomposition_polygons, chart, PolygonChain(row))
         elif kernel == "tritangent_circle":
-            offsets = edge_offsets(vertices[0], angles)[lines]
-            yield raw(tritangent_circle, angles[lines], offsets)
-            yield raw(tritangent_circle, angles[lines], np.zeros_like(offsets))
+            for row in vertices[:3]:
+                yield raw(tritangent_circle, angles[lines], edge_offsets(row, angles)[lines])
+            yield raw(tritangent_circle, angles[lines], np.zeros((n - 2, 3)))
 
 
 def near_bifurcation_inputs():

@@ -210,7 +210,7 @@ class TestDualPolygon:
 class TestFolds:
     """A fold v_i = v_{i+2} is a valid cyclic polygon, whose dual has the
     zero edge t_{i+1} = tan(arc_i / 2) + tan(arc_{i+1} / 2) = 0: it gets a
-    report, and only a checked PolygonChain of the dual raises on it."""
+    report, and the dual, zero edge and all, is a PolygonChain."""
 
     def test_fold_pentagon_holds_its_identity(self):
         report = cyclic_report(1.0, FOLD_PENTAGON)
@@ -221,8 +221,10 @@ class TestFolds:
         vertices = report["dual"]["vertices"]
         assert vertices[2] == vertices[3]
         dual = dual_polygon(CyclicPolygon.from_degrees(1.0, FOLD_PENTAGON))
-        with pytest.raises(CoincidentVertices, match="^vertices 2 and 3 coincide$"):
-            dual.polygon
+        assert dual.polygon.edge_lengths[2] == 0.0
+        # About the origin, the center here, the chain's signed perimeter is
+        # the dual's own, bit for bit.
+        assert signed_perimeter(dual.polygon, dual.slopes) == dual.signed_perimeter
 
     def test_fold_quadrilateral_bifurcates(self):
         report = cyclic_report(1.0, FOLD_QUADRILATERAL)

@@ -42,7 +42,6 @@ from polyslope import (
 )
 from polyslope import tangential
 from polyslope.geometry import (
-    COINCIDENT,
     diameters,
     left_normals,
     polygon_from_lines,
@@ -320,17 +319,22 @@ def test_edge_space_inertia_equals_sign_count(monkeypatch):
     assert all(fewest == most for fewest, _, most in counts)
 
 
+# An edge of at most this fraction of its polygon's diameter is zero to
+# working precision.
+ZERO_EDGE = 1e-12
+
+
 def short_edges(report) -> bool:
     """Whether the first tangential polygon of a slopes report has an edge
-    of at most COINCIDENT times its diameter: zero to working precision."""
+    of at most ZERO_EDGE times its diameter: zero to working precision."""
     vertices = np.array(report["critical"]["points"][0]["vertices"])
     lengths = np.hypot(*(np.roll(vertices, -1, axis=0) - vertices).T)
-    return bool(lengths.min() <= COINCIDENT * diameters(vertices))
+    return bool(lengths.min() <= ZERO_EDGE * diameters(vertices))
 
 
 def test_clustered_slopes_get_a_report():
     # Five lines within 3e-5 degrees of parallel: vertices 2 and 3 of the
-    # tangential polygons lie closer than COINCIDENT times their diameter,
+    # tangential polygons lie closer than ZERO_EDGE times their diameter,
     # an edge that is zero to working precision.  It is an edge all the
     # same: both points pass their gradient, area and index checks.
     angles = [
@@ -343,7 +347,7 @@ def test_clustered_slopes_get_a_report():
     points = slopes_report(angles)["critical"]["points"]
     assert len(points) == 2
     vertices = np.array(points[0]["vertices"])
-    assert np.hypot(*(vertices[3] - vertices[2])) <= COINCIDENT * diameters(vertices)
+    assert np.hypot(*(vertices[3] - vertices[2])) <= ZERO_EDGE * diameters(vertices)
     for point in points:
         assert point["gradient_norm"] <= point["gradient_bound"]
         assert point["area_error"] <= point["area_bound"]
@@ -353,7 +357,7 @@ def test_clustered_slopes_get_a_report():
 @pytest.mark.parametrize("scale, least", [(1.0, 80), (1e-3, 150)])
 def test_slope_lists_with_zero_edges_get_reports(scale, least):
     # Lines clustered about one direction or its opposite give tangential
-    # polygons with an edge of at most COINCIDENT times their diameter: 87
+    # polygons with an edge of at most ZERO_EDGE times their diameter: 87
     # of the fuzz lists at scale 1 and 160 at 1e-3.  Each gets a report that
     # passes every cross-check, and no fuzz list gets an input error but
     # parallel lines.

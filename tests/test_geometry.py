@@ -8,7 +8,6 @@ from hypothesis import given, settings, strategies as st
 
 from polyslope import (
     DEFAULT_TOL,
-    CoincidentVertices,
     NonIntegralTurn,
     ParallelLines,
     PointOnBoundary,
@@ -35,7 +34,6 @@ from polyslope.geometry import (
     oriented_areas,
     polygon_from_lines,
     polygon_measures,
-    require_distinct,
     signed_perimeters,
     tangential_polygons,
     winding_numbers,
@@ -291,9 +289,38 @@ class TestConstruction:
         with pytest.raises(ParallelLines):
             system.require_pairwise_nonparallel()
 
-    def test_coincident_vertices_rejected(self):
-        with pytest.raises(CoincidentVertices):
-            PolygonChain(np.array([[0.0, 0.0], [0.0, 0.0], [1.0, 1.0]]))
+    def test_repeated_vertex_measures_as_without_it(self):
+        # A zero edge lies along any slope: repeating vertex j inserts edge j
+        # of length 0 under a slope drawn at random, and the area, signed
+        # perimeter and winding numbers stay those of the polygon without it,
+        # to the roundoff of sums that gained one term.
+        for rng, system, polygon in chart_polygons(47, 300):
+            j = int(rng.integers(polygon.n))
+            vertices = polygon.vertices
+            repeated = PolygonChain(np.insert(vertices, j, vertices[j], axis=0))
+            slopes = SlopeSystem.from_angles(
+                np.insert(system.angles, j, rng.uniform(0.0, 2.0 * math.pi))
+            )
+            assert repeated.edge_lengths[j] == 0.0
+            size = float(np.max(np.abs(vertices)))
+            bound = 4.0 * repeated.n * EPS
+            assert abs(oriented_area(repeated) - oriented_area(polygon)) <= bound * size**2
+            assert abs(
+                signed_perimeter(repeated, slopes) - signed_perimeter(polygon, system)
+            ) <= bound * float(np.sum(polygon.edge_lengths))
+            for point in rng.uniform(vertices.min(axis=0), vertices.max(axis=0), (4, 2)):
+                assert winding_number(repeated, point) == winding_number(polygon, point)
+            assert outcome_text(winding_number, repeated, vertices[j]) == outcome_text(
+                winding_number, polygon, vertices[j]
+            )
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("vertex, coordinate", [(0, 0), (0, 1), (2, 0), (2, 1)])
+    def test_non_finite_vertices_rejected(self, value, vertex, coordinate):
+        vertices = UNIT_SQUARE.vertices.copy()
+        vertices[vertex, coordinate] = value
+        with pytest.raises(ValueError, match="^vertices must be finite$"):
+            PolygonChain(vertices)
 
     def test_too_few_vertices_rejected(self):
         with pytest.raises(ValueError):
@@ -708,13 +735,14 @@ class TestArrayKernels:
         assert outcome_text(line_vertices, angles[2], offsets[2]) == expected
 
     def test_stacks_measure_each_polygon_as_one(self):
-        # A polygon, its point reflection and a dilation share the slopes:
-        # each stacked row gives the one-polygon value bit for bit.
+        # A polygon, its point reflection, a dilation and the zero polygon,
+        # every edge of which is zero, share the slopes: each stacked row
+        # gives the one-polygon value bit for bit.
         for rng, system, polygon in chart_polygons(45, 80):
-            stack = np.array([polygon.vertices, -polygon.vertices, 2.5 * polygon.vertices])
+            vertices = polygon.vertices
+            stack = np.array([vertices, -vertices, 2.5 * vertices, np.zeros_like(vertices)])
             chains = [PolygonChain(v) for v in stack]
-            points = rng.uniform(stack.min(axis=1), stack.max(axis=1))
-            require_distinct(stack)
+            points = rng.uniform(stack.min(axis=(0, 1)), stack.max(axis=(0, 1)), (4, 2))
             assert oriented_areas(stack).tolist() == [oriented_area(c) for c in chains]
             assert signed_perimeters(stack, system.angles).tolist() == [
                 signed_perimeter(c, system) for c in chains
@@ -725,7 +753,7 @@ class TestArrayKernels:
             ]
             # One edge pass gives all three measures, with the slopes as one
             # row or one row per polygon.
-            for slopes in (system.angles, np.array([system.angles] * 3)):
+            for slopes in (system.angles, np.array([system.angles] * 4)):
                 areas, perimeters, sizes = polygon_measures(stack, slopes)
                 assert areas.tolist() == oriented_areas(stack).tolist()
                 assert perimeters.tolist() == signed_perimeters(stack, slopes).tolist()
@@ -749,20 +777,14 @@ class TestArrayKernels:
             expected = outcome_text(reference_winding_number, polygon, good[2])
             assert expected[0] == "PointOnBoundary"
             assert outcome_text(winding_numbers, np.array([good] * 3), points) == expected
-            doubled = good.copy()
-            doubled[3] = doubled[2]
-            expected = outcome_text(PolygonChain, doubled)
-            assert expected == ("CoincidentVertices", "vertices 2 and 3 coincide")
-            assert outcome_text(require_distinct, np.array([good, doubled, doubled[::-1]])) == (
-                expected
-            )
-            # The kernel checks distinct vertices first: a coincident row
-            # raises before an off-slope row that precedes it.
-            stack = np.array([good, doubled, doubled[::-1]])
-            assert outcome_text(polygon_measures, stack, system.angles) == expected
-            assert outcome_text(polygon_measures, np.array([good, good, doubled]), slopes) == (
-                expected
-            )
+            # The zero polygon lies along any slopes: a stack that starts
+            # with it under the wrong slopes names the first polygon off its
+            # slopes, as that polygon alone does.
+            expected = outcome_text(reference_signed_perimeter, polygon, bad)
+            stack = np.array([np.zeros_like(good), good, good])
+            slopes = np.array([bad.angles, system.angles, bad.angles])
+            assert outcome_text(signed_perimeters, stack, slopes) == expected
+            assert outcome_text(polygon_measures, stack, slopes) == expected
 
     def test_parallel_lines_name_first_pair(self):
         angles = [0.0, 1.0, 1.0 + math.pi, 2.5, 2.5, 4.0]

@@ -23,7 +23,13 @@ from polyslope import (
     tritangent_circle,
     unit_triangle,
 )
-from polyslope.geometry import edge_offsets, left_normal, left_normals, line_gap
+from polyslope.geometry import (
+    edge_lengths_along,
+    edge_offsets,
+    left_normal,
+    left_normals,
+    line_gap,
+)
 from polyslope.randomgen import random_radii, random_slope_system
 from polyslope.slope_space import _line_offsets
 
@@ -462,14 +468,19 @@ class TestStackedReconstruction:
             expected = reference_coordinates(chart, polygon)
             assert np.max(np.abs(x - expected)) <= 1e-12 * max(1.0, float(np.max(np.abs(expected))))
 
-    def test_coincident_vertices_named_as_before(self):
-        # A zero radius at n = 3 makes the three lines concurrent.
-        rng = np.random.default_rng(64)
-        for _ in range(20):
-            chart = build_chart(random_slope_system(rng, 3))
-            expected = outcome_text(reference_polygon_from_radii, chart, [0.0])
-            assert expected[0] == "CoincidentVertices"
-            assert outcome_text(polygon_from_radii, chart, [[0.8], [0.0], [0.0]]) == expected
+    def test_zero_radii_give_the_zero_polygon(self):
+        # Zero radii make every line pass through the origin: every vertex,
+        # in the stack and in the loop reference, is the origin, a polygon
+        # whose edges are all zero, of area 0 and signed perimeter 0.
+        for chart, rows in stacked_draws(64, 40):
+            rows[1:] = 0.0
+            stacked = polygon_from_radii(chart, rows)
+            zero = reference_polygon_from_radii(chart, rows[1])
+            assert not stacked[1:].any() and not zero.vertices.any()
+            assert oriented_area(zero) == 0.0
+            assert signed_perimeter(zero, chart.system) == 0.0
+            assert not radii_of_polygon(chart, zero).any()
+            assert not decomposition_polygons(chart, zero).any()
 
     def test_violated_chart_laws_named_as_before(self):
         # The message quotes both errors, which differ from the loop's by the
@@ -512,6 +523,39 @@ class TestStackedReconstruction:
                 assert outcome_text(func, chart, short) == (
                     "SlopeMismatch", f"polygon has {chart.n - 1} edges, chart expects {chart.n}"
                 )
+
+
+class TestZeroEdges:
+    def test_axes_and_zero_edge_hyperplanes_reconstruct(self):
+        # The edge lengths l = L r are linear in the radii, so the
+        # configuration space holds each coordinate axis and each hyperplane
+        # l_j = 0, a point of which is a random row projected along L_j.
+        # Every such polygon meets both chart laws (the 2048 eps sum|terms|
+        # bound of the reconstruction), its edge j is zero to 256 eps sum|l|
+        # (measured: 27 eps), it is a PolygonChain whose decomposition
+        # triangles are built, and its radii read back within 1e-11 max|r|
+        # (measured: 1.2e-12; a generic row of the same charts 2.7e-13).
+        rng = np.random.default_rng(71)
+        for _ in range(300):
+            n = int(rng.integers(4, 13))
+            chart = build_chart(random_slope_system(rng, n))
+            angles, p = chart.system.angles, chart.unit_perimeters
+            lengths = edge_lengths_along(polygon_from_radii(chart, np.eye(n - 2)), angles).T
+            r = random_radii(rng, n - 2)
+            planes = [r - (row @ r) / (row @ row) * row for row in lengths]
+            for j, radii in enumerate([*np.eye(n - 2), *planes]):
+                polygon = polygon_from_radii(chart, radii)
+                area, perimeter = p * radii**2 / 2, p * radii
+                assert abs(oriented_area(polygon) - area.sum()) <= 2048 * EPS * np.abs(area).sum()
+                assert abs(signed_perimeter(polygon, chart.system) - perimeter.sum()) <= (
+                    2048 * EPS * np.abs(perimeter).sum()
+                )
+                if j >= n - 2:
+                    signed = edge_lengths_along(polygon.vertices, angles)
+                    assert abs(signed[j - (n - 2)]) <= 256 * EPS * np.abs(signed).sum()
+                assert decomposition_polygons(chart, polygon).shape == (n - 2, 3, 2)
+                back = radii_of_polygon(chart, polygon)
+                assert np.max(np.abs(back - radii)) <= 1e-11 * np.max(np.abs(radii))
 
 
 # test_fuzz.ANGLES[1213] and its third random_radii draw from default_rng(2022)

@@ -46,7 +46,6 @@ from polyslope.cyclic import bifurcation_test, cyclic_invariants
 from polyslope.geometry import (
     area_form,
     oriented_areas,
-    require_distinct,
     signed_perimeters,
     tangential_polygons,
 )
@@ -399,14 +398,8 @@ def counted_systems(monkeypatch):
 
 def test_cyclic_report_computes_invariants_and_dual_once(monkeypatch):
     # One tangential construction gives both the reported dual vertices and
-    # the polygon about the origin that the perimeter is read from.  No
-    # vertex check runs: a fold of the input is a zero edge of the dual, and
-    # the unit-circle polygon of the numeric area index has vertex angles
-    # that the CyclicPolygon has checked.
-    counts = counted(
-        monkeypatch,
-        (cyclic_invariants, bifurcation_test, tangential_polygons, require_distinct),
-    )
+    # the polygon about the origin that the perimeter is read from.
+    counts = counted(monkeypatch, (cyclic_invariants, bifurcation_test, tangential_polygons))
     systems = counted_systems(monkeypatch)
     report = cyclic_report(1.0, [0.0, 70.0, 150.0, 220.0, 290.0])
     assert report["indices"]["mu_dual_perimeter"] is not None
@@ -414,7 +407,6 @@ def test_cyclic_report_computes_invariants_and_dual_once(monkeypatch):
         "cyclic_invariants": 1,
         "bifurcation_test": 1,
         "tangential_polygons": 1,
-        "require_distinct": 0,
     }
     assert systems[0] == 1
 
@@ -451,8 +443,8 @@ def test_chart_identity_trial_reconstructs_one_stack(monkeypatch):
     # vertices: the reconstruction has held every edge to its slope.  One
     # polygon_measures call measures the reconstruction's stack and one the
     # triangles' stack, each with one diameters call; nothing else measures
-    # either stack, and no vertex check runs: the tangential points'
-    # closed-form polygons are compared with the reconstruction unchecked.
+    # either stack: the tangential points' closed-form polygons are compared
+    # with the reconstruction directly.
     # The triangles' radii are one tritangent_circle call in closed form: no
     # linear solve.
     index, check = next((i, c) for i, (n, c) in enumerate(CHECKS) if n == "chart_identities")
@@ -460,7 +452,7 @@ def test_chart_identity_trial_reconstructs_one_stack(monkeypatch):
     counts = counted(monkeypatch, (build_chart, _reconstruction, polygon_from_radii), results)
     counted(monkeypatch, (geometry.line_vertices,), vertices_made)
     measures = (geometry.polygon_measures, oriented_areas, signed_perimeters, geometry.diameters)
-    checks = counted(monkeypatch, (_line_offsets, require_distinct, tritangent_circle, *measures))
+    checks = counted(monkeypatch, (_line_offsets, tritangent_circle, *measures))
     linalg = counted_linalg(monkeypatch, ("solve",))
     measured = []
     kernel = sweeps.polygon_measures
@@ -485,7 +477,6 @@ def test_chart_identity_trial_reconstructs_one_stack(monkeypatch):
         assert counts == {"build_chart": 1, "_reconstruction": 1, "polygon_from_radii": 0}
         assert checks == {
             "_line_offsets": 0,
-            "require_distinct": 0,
             "tritangent_circle": 1,
             "polygon_measures": 2,
             "oriented_areas": 0,
