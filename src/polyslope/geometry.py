@@ -227,7 +227,8 @@ def _edge_pass(vertices: np.ndarray):
 class PolygonChain:
     """Oriented closed broken line given by its vertex list.
 
-    The vertex list is cyclic and its coordinates finite.  Consecutive
+    The vertex list is cyclic and its coordinates finite, and so is their
+    spread, the bounding box's diagonal.  Consecutive
     vertices may coincide: a zero edge, as on the hyperplanes l_j = 0 of the
     configuration space, lies along any slope.  Self-intersection and zero
     total area are allowed.  Edge data and the diameter are computed on
@@ -242,8 +243,14 @@ class PolygonChain:
             raise ValueError("vertices must be an (n, 2) array")
         if len(verts) < 3:
             raise ValueError("a polygon needs at least three vertices")
-        if not np.isfinite(verts).all():
-            raise ValueError("vertices must be finite")
+        # The bounding box's diagonal in plain floats, which overflow with no
+        # warning; a NaN or infinite coordinate leaves it non-finite too.
+        (left, bottom), (right, top) = verts.min(axis=0).tolist(), verts.max(axis=0).tolist()
+        if not math.isfinite(math.hypot(right - left, top - bottom)):
+            if not np.isfinite(verts).all():
+                raise ValueError("vertices must be finite")
+            # Within a finite spread every edge and the diameter are finite.
+            raise ValueError("vertices must spread within the float range")
         verts = verts.copy()
         verts.setflags(write=False)
         object.__setattr__(self, "vertices", verts)

@@ -17,9 +17,10 @@ import numpy as np
 
 from .cyclic import CyclicPolygon, dual_polygon, duality_index_check
 from .errors import InputSchemaError, ParallelLines
-from .geometry import TWO_PI, SlopeSystem, tangential_polygons
+from .geometry import TWO_PI, SlopeSystem, tangential_polygons, turn_tangents
 from .slope_space import build_chart, chart_stack, topology_report
 from .tangential import (
+    edge_terms,
     exceptional_mask,
     index_pair,
     index_reports,
@@ -107,13 +108,14 @@ def _component_dict(shape) -> dict:
 def _critical_point_dicts(points) -> list[dict]:
     """The report entries of the two critical points of one chart.  Their
     Hessians are one stack and their polygons one vertex stack; the first
-    polygon's edge-space checks and index count serve both, whose edges
-    differ in sign."""
+    polygon's edge-space checks and index count, from one pass over its
+    edges, serve both, whose edges differ in sign."""
     chart = points[0].chart
     centers, radii = [point.incenter for point in points], [point.inradius for point in points]
     vertices = tangential_polygons(chart.system.angles, centers, radii)
-    reports = index_reports(points, vertices[0])
-    norm, bound, area_error, area_bound = tangential_residual(chart, vertices[0], radii[0])
+    edges = edge_terms(chart, vertices[0])
+    reports = index_reports(points, vertices[0], edges)
+    norm, bound, area_error, area_bound = tangential_residual(chart, vertices[0], radii[0], edges)
     return [
         {
             "inradius": float(point.inradius),
@@ -287,36 +289,137 @@ def _family_rows(start, end, steps, tol) -> list[dict]:
     return rows
 
 
-def _turn_sum(start, end, t: float) -> float:
-    """Sum of tan(tau_i / 2) over the turns tau_i = s_{i+1} - s_i of the
-    family at t, in plain floats.  The product form of p_i telescopes, so
-    this is half of sum p; each angle is reduced as :class:`SlopeSystem`
-    stores it before differencing: a remainder that rounds up to 2 pi is 0."""
+def _cyclic_steps(values: list[float]) -> list[float]:
+    """v_{i+1} - v_i cyclically: the turns of a list of angles, or the
+    turns' rates from the angles' rates."""
+    return [b - a for a, b in zip(values, values[1:] + values[:1])]
+
+
+def _turn_tangents(start, end, t: float) -> list[float]:
+    """tan(tau_i / 2) of the turns tau_i = s_{i+1} - s_i of the family at t,
+    in plain floats; each angle is reduced as :class:`SlopeSystem` stores it
+    before differencing: a remainder that rounds up to 2 pi is 0."""
     reduced = (math.radians((1.0 - t) * a + t * b) % TWO_PI for a, b in zip(start, end))
     angles = [0.0 if x == TWO_PI else x for x in reduced]
-    return sum(math.tan(0.5 * (b - a)) for a, b in zip(angles, angles[1:] + angles[:1]))
+    return [math.tan(0.5 * turn) for turn in _cyclic_steps(angles)]
 
 
-def _bracket(start, end, lo: float, hi: float, flo: float, tol) -> dict | None:
+def _turn_sum(start, end, t: float) -> float:
+    """The turn sum T = sum tan(tau_i / 2) of the family at t.  The product
+    form of p_i telescopes, so T is half of sum p."""
+    return sum(_turn_tangents(start, end, t))
+
+
+def _first_pole(turns, rates, lo: float, hi: float, flo: float) -> float | None:
+    """The first t in (lo, hi) where a turn passes an odd multiple of 180
+    degrees the way that takes T from the sign of flo to the other, or None:
+    tan(tau / 2) falls from +inf to -inf as tau rises through pi.  Each turn
+    is linear in t, at ``turns`` in degrees at lo and ``rates`` in degrees
+    per unit t, so its pole takes one division."""
+    poles = []
+    for turn, rate in zip(turns, rates):
+        if rate * flo > 0.0:
+            # Float floor division: a turn beyond the float range gives NaN, not an error.
+            below = 180.0 + 360.0 * ((turn - 180.0) // 360.0)
+            t = lo + ((below + 360.0 if rate > 0.0 else below) - turn) / rate
+            if lo < t < hi:
+                poles.append(t)
+    return min(poles, default=None)
+
+
+# The Newton steps of one proposal, and the step that ends them: where
+# Newton converges, the error after a step s is near s**2 T'' / (2 T'),
+# far inside BRACKET_WIDTH; the check catches a proposal where it is not.
+NEWTON_STEPS = 8
+NEWTON_STEP_MIN = 1e-8
+
+
+def _newton_root(start, end, rates, lo: float, hi: float, flo: float, fhi: float) -> float:
+    """A root of T in (lo, hi), where the chart's sums flo and fhi differ in
+    sign, in plain floats: Newton steps on T and dT/dt = sum (1 + tan(tau_i
+    / 2)**2) d(tau_i / 2)/dt from the secant of flo and fhi, each kept
+    inside the bracket that the signs of T so far leave (its ends
+    included: T may be exactly 0 at one), or else its midpoint.  The turns
+    change at ``rates``, in degrees per unit t."""
+    halves = [math.radians(0.5 * rate) for rate in rates]
+    a, b = lo, hi
+    t = lo - flo * (hi - lo) / (fhi - flo)
+    for _ in range(NEWTON_STEPS):
+        tangents = _turn_tangents(start, end, t)
+        value = sum(tangents)
+        slope = sum((1.0 + x * x) * half for x, half in zip(tangents, halves))
+        if flo * value <= 0.0:
+            b = t
+        else:
+            a = t
+        ahead = t - value / slope if slope else math.nan
+        if not a <= ahead <= b:
+            ahead = 0.5 * (a + b)
+        if abs(ahead - t) <= NEWTON_STEP_MIN:
+            return ahead
+        t = ahead
+    return t
+
+
+def _proposed_root(start, end, lo: float, hi: float, flo: float, fhi: float) -> float:
+    """Where the sign change of T in (lo, hi) is proposed to lie: the first
+    pole of :func:`_first_pole`, else :func:`_newton_root`."""
+    turns = _cyclic_steps([(1.0 - lo) * a + lo * b for a, b in zip(start, end)])
+    rates = _cyclic_steps([b - a for a, b in zip(start, end)])
+    pole = _first_pole(turns, rates, lo, hi, flo)
+    return _newton_root(start, end, rates, lo, hi, flo, fhi) if pole is None else pole
+
+
+def _halvings(lo: float, hi: float, keeps_low) -> list[tuple[float, bool]]:
+    """The midpoints of halving (lo, hi) down to BRACKET_WIDTH, each with
+    ``keeps_low(mid)``: whether that halving keeps (lo, mid)."""
+    path = []
+    while hi - lo > BRACKET_WIDTH:
+        mid = 0.5 * (lo + hi)
+        low = keeps_low(mid)
+        path.append((mid, low))
+        lo, hi = (lo, mid) if low else (mid, hi)
+    return path
+
+
+def _checked_halvings(start, end, lo: float, hi: float, flo: float, root: float):
+    """The halvings of (lo, hi) that the sign of T predicts, as a root at
+    ``root`` would give them, and the reduced angles of their midpoints
+    (:func:`_family_angles`).  One :func:`turn_tangents` call on those rows
+    checks them; from the first halving that T decides otherwise, T decides
+    one halving at a time (:func:`_turn_sum`).  So the path is T's, whatever
+    the root proposed."""
+    proposed = _halvings(lo, hi, lambda mid: mid > root)
+    _, reduced = _family_angles(start, end, [mid for mid, _ in proposed])
+    checked = (flo * turn_tangents(reduced).sum(axis=-1) <= 0.0).tolist()
+    path = []
+    for (mid, guess), low in zip(proposed, checked):
+        path.append((mid, low))
+        lo, hi = (lo, mid) if low else (mid, hi)
+        if low != guess:
+            rest = _halvings(lo, hi, lambda mid: flo * _turn_sum(start, end, mid) <= 0.0)
+            _, more = _family_angles(start, end, [mid for mid, _ in rest])
+            return path + rest, np.concatenate((reduced[: len(path)], more))
+    return path, reduced
+
+
+def _bracket(start, end, lo: float, hi: float, flo: float, fhi: float, tol) -> dict | None:
     """Bisect a sign change of sum p between lo and hi to BRACKET_WIDTH.
 
     Each halving keeps the half (lo, mid) when flo * f(mid) <= 0 and
-    (mid, hi) otherwise, where f is the chart's sum p.  A round predicts
-    the halvings down to BRACKET_WIDTH by the sign of :func:`_turn_sum`,
-    charts their midpoints in one call, and replays them with the chart's
-    sums up to the first halving the chart decides otherwise; the next
-    round predicts from there.  So the chart decides every halving, and the
-    prediction only picks the rows charted.  Reaching parallel lines means
-    a pole, not a root: None.
+    (mid, hi) otherwise, where f is the chart's sum p, flo its value at lo
+    and fhi at hi.  Sum p is twice the turn sum T, so a round proposes
+    where T changes sign (:func:`_proposed_root`), takes the halvings down
+    to BRACKET_WIDTH that T decides (:func:`_checked_halvings`), charts
+    their midpoints in one call, and replays them with the chart's sums up
+    to the first halving the chart decides otherwise; the next round
+    proposes from there.  So the chart decides every halving, and the
+    proposal and T only pick the rows charted.  Reaching parallel lines
+    means a pole, not a root: None.
     """
     while hi - lo > BRACKET_WIDTH:
-        predicted, a, b = [], lo, hi
-        while b - a > BRACKET_WIDTH:
-            mid = 0.5 * (a + b)
-            keeps_low = flo * _turn_sum(start, end, mid) <= 0.0
-            predicted.append((mid, keeps_low))
-            a, b = (a, mid) if keeps_low else (mid, b)
-        _, reduced = _family_angles(start, end, [mid for mid, _ in predicted])
+        root = _proposed_root(start, end, lo, hi, flo, fhi)
+        predicted, reduced = _checked_halvings(start, end, lo, hi, flo, root)
         stack = chart_stack(reduced, tol)
         ok, sums = stack.ok.tolist(), stack.perimeter_sums.tolist()
         for row, (mid, keeps_low) in enumerate(predicted):
@@ -330,17 +433,18 @@ def _bracket(start, end, lo: float, hi: float, flo: float, tol) -> dict | None:
             fmid = sums[row]
             charted_low = flo * fmid <= 0.0
             if charted_low:
-                hi = mid
+                hi, fhi = mid, fmid
             else:
                 lo, flo = mid, fmid
             if charted_low != keeps_low:
                 break
-    degrees, _ = _family_angles(start, end, [0.5 * (lo + hi)])
+    mid = 0.5 * (lo + hi)
     return {
         "t_low": float(lo),
         "t_high": float(hi),
         "perimeter_sum_low": float(flo),
-        "angles_deg_root": degrees[0].tolist(),
+        # The arithmetic of _family_angles' degrees, in plain floats.
+        "angles_deg_root": [(1.0 - mid) * a + mid * b for a, b in zip(start, end)],
     }
 
 
@@ -368,7 +472,7 @@ def family_report(
         pa, pb = a["perimeter_sum"], b["perimeter_sum"]
         if pa == 0.0 or pa * pb >= 0.0:
             continue
-        bracket = _bracket(start, end, a["t"], b["t"], pa, tol)
+        bracket = _bracket(start, end, a["t"], b["t"], pa, pb, tol)
         if bracket is not None:
             brackets.append(bracket)
     return {

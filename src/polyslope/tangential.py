@@ -195,28 +195,37 @@ def index_pair(n, k, perimeter_sum):
 INERTIA_ROUNDOFF = 500.0  # the edge-space inertia's, in n eps max|Q| / |r| (tolerances.py)
 
 
-def _edge_space_form(chart: RadiiChart, vertices: np.ndarray, inradius: float):
-    """-Q / r on T = ker U ∩ (Q l)^perp at the edges l of the (n, 2) ``vertices``
-    of the point of inradius r, and b = INERTIA_ROUNDOFF n eps max|Q| / |r|.
-    T is B times the closure basis of (Q l)^T B, with B the chart's
-    ``closure_space``; no p enters."""
-    angles, basis, form = chart.system.angles, chart.closure_space, chart.area_form
-    normal = form @ edge_lengths_along(vertices, angles) @ basis
-    tangent = basis @ closure_basis(normal[None])
+def edge_terms(chart: RadiiChart, vertices: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(l, Q l): the signed lengths l_i = (v_{i+1} - v_i) . u_i of the edges
+    of the (n, 2) ``vertices`` along the chart's slopes, and their image
+    under the chart's area form Q, which the edge-space checks share."""
+    lengths = edge_lengths_along(vertices, chart.system.angles)
+    return lengths, chart.area_form @ lengths
+
+
+def _edge_space_form(chart: RadiiChart, normal: np.ndarray, inradius: float):
+    """-Q / r on T = ker U ∩ (Q l)^perp, given Q l (:func:`edge_terms`) at
+    the edges l of the point of inradius r, and b = INERTIA_ROUNDOFF n eps
+    max|Q| / |r|.  T is B times the closure basis of (Q l)^T B, with B the
+    chart's ``closure_space``; no p enters."""
+    basis, form = chart.closure_space, chart.area_form
+    tangent = basis @ closure_basis((normal @ basis)[None])
     bound = INERTIA_ROUNDOFF * chart.n * EPS * np.abs(form).max() / abs(inradius)
     return tangent.T @ form @ tangent / -inradius, bound
 
 
-def index_reports(points: Sequence[TangentialCritical], vertices) -> list[IndexReport]:
+def index_reports(points: Sequence[TangentialCritical], vertices, edges=None) -> list[IndexReport]:
     """Morse index of each critical point of one chart by :func:`index_pair`,
     against the edge-space inertia at ``vertices``, the first point's polygon:
     how many eigenvalues of :func:`_edge_space_form` lie below -b, 0 and b.
     A point of the other sign has edges -l and reads n - 3 - count.  Within
     b an eigenvalue may take either sign, so the formula agrees when it is a
     count those signs allow.  One eigenvalue call reads that form and the
-    points' Hessians as one stack."""
+    points' Hessians as one stack.  ``edges`` is :func:`edge_terms` at
+    ``vertices``, when the caller has it."""
     chart, first = _shared_chart(points), points[0].inradius
-    form, bound = _edge_space_form(chart, vertices, first)
+    _, normal = edge_terms(chart, vertices) if edges is None else edges
+    form, bound = _edge_space_form(chart, normal, first)
     hessians = hessian_formula(chart.unit_perimeters, np.array([p.inradius for p in points]))
     inertia, *eigenvalues = np.linalg.eigvalsh(np.concatenate((form[None], hessians)))
     counts = np.searchsorted(inertia, (-bound, 0.0, bound))
@@ -241,9 +250,10 @@ RESIDUAL_ROUNDOFF = 64.0
 AREA_ROUNDOFF = 16.0
 
 
-def tangential_residual(chart: RadiiChart, vertices: np.ndarray, inradius: float):
+def tangential_residual(chart: RadiiChart, vertices: np.ndarray, inradius: float, edges=None):
     """(gradient_norm, gradient_bound, area_error, area_bound) of the (n, 2)
-    ``vertices`` reported as the critical point of inradius r in ``chart``.
+    ``vertices`` reported as the critical point of inradius r in ``chart``;
+    ``edges`` is :func:`edge_terms` at ``vertices``, when the caller has it.
 
     With l_i = (v_{i+1} - v_i) . u_i, the Lagrangian gradient g = 1 - Q l / r
     vanishes on ker U; the chart's orthonormal basis of ker U,
@@ -255,9 +265,9 @@ def tangential_residual(chart: RadiiChart, vertices: np.ndarray, inradius: float
     Any p makes every r critical, so only the area sees a wrong sum p.  The
     other point has edges -l and inradius -r: the same numbers serve it.
     """
-    angles, n, form = chart.system.angles, chart.n, chart.area_form
-    lengths = edge_lengths_along(vertices, angles)
-    gradient = 1.0 - form @ lengths / inradius
+    n, form = chart.n, chart.area_form
+    lengths, normal = edge_terms(chart, vertices) if edges is None else edges
+    gradient = 1.0 - normal / inradius
     residual = gradient @ chart.closure_space
     size = np.abs(vertices).max()
     spread = (np.abs(form) @ (np.abs(lengths) + size)).sum() / abs(inradius)

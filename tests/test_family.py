@@ -2,16 +2,21 @@
 
 ``family_report`` charts its rows and bisection midpoints as angle stacks
 (``slope_space.chart_stack``).  Each bisection round predicts the halvings
-by the sign of the turn sum, sum tan(tau_i / 2), which is half of sum p,
-charts their midpoints as one stack, and replays them with the chart's sums
-up to the first halving the chart decides otherwise.
+by the sign of the turn sum, sum tan(tau_i / 2), which is half of sum p:
+it proposes where the turn sum changes sign (a pole, or a Newton root),
+checks the halvings that proposal gives with one stacked turn sum, and
+from the first it decides otherwise lets the turn sum decide one halving
+at a time.  It charts their midpoints as one stack, and replays them with
+the chart's sums up to the first halving the chart decides otherwise.
 ``families.sequential_family_report`` is the route it replaced: one
 ``SlopeSystem`` and one ``build_chart`` per row and per midpoint.  Both
 must give the same JSON, byte for byte, on families that reach every
 branch: random families, poles, invalid rows at grid points, scaled
 tolerances, two steps, crossings shaped like the benchmark's, and roots on
-a grid row or one float beside it.  They must still do so when the turn sum
-is negated or constant, so the prediction never decides.  No bracket may
+a grid row or one float beside it.  They must still do so when the
+proposal is wrong, checked or not, and when the turn sum is negated or
+constant, so the prediction never decides; a wrong proposal that is
+checked charts the same rows.  No bracket may
 take more than two stacks on these families, nor more than the midpoint
 trees of the earlier rounds took.
 """
@@ -24,7 +29,7 @@ import pytest
 
 from polyslope import SlopeSystem, build_chart, report
 from polyslope.errors import InputSchemaError, NonIntegralTurn, ParallelLines, PolyslopeError
-from polyslope.geometry import EPS, TWO_PI
+from polyslope.geometry import EPS, TWO_PI, turn_tangents
 from polyslope.report import family_report
 from polyslope.slope_space import chart_stack
 from polyslope.tolerances import DEFAULT_TOL
@@ -275,29 +280,62 @@ def test_no_bracket_charts_more_stacks_than_its_midpoint_trees(compared):
     assert used < 0.66 * bound and used <= 1700
 
 
-@pytest.mark.parametrize(
-    "predictor",
-    [
-        lambda start, end, t, turn_sum=report._turn_sum: -turn_sum(start, end, t),
-        lambda start, end, t: 0.0,  # every halving predicted to keep (lo, mid)
-        lambda start, end, t: math.nan,  # every halving predicted to keep (mid, hi)
-    ],
-    ids=["negated", "zero", "nan"],
-)
-def test_the_turn_sum_only_picks_the_rows_charted(monkeypatch, predictor):
-    # With a wrong prediction the chart still decides every halving and
-    # every pole: the same reports, byte for byte, with more stacks.
+def proposing(where):
+    """A ``_proposed_root`` that proposes ``where(lo, hi)``."""
+    return lambda start, end, lo, hi, flo, fhi: where(lo, hi)
+
+
+def unchecked(start, end, lo, hi, flo, root):
+    """``_checked_halvings`` without the check: the proposal's halvings."""
+    path = report._halvings(lo, hi, lambda mid: mid > root)
+    return path, report._family_angles(start, end, [mid for mid, _ in path])[1]
+
+
+def negated(start, end, t, turn_sum=report._turn_sum):
+    return -turn_sum(start, end, t)
+
+
+RANDOM_ROOTS = np.random.default_rng(5)
+AT_LOW = proposing(lambda lo, hi: lo)  # every halving proposed to keep (lo, mid)
+# Wrong proposals, each with whether the path it gives may differ from T's.
+WRONG = {
+    "root at lo": ({"_proposed_root": AT_LOW}, False),
+    "root at hi": ({"_proposed_root": proposing(lambda lo, hi: hi)}, False),
+    "root NaN": ({"_proposed_root": proposing(lambda lo, hi: math.nan)}, False),
+    "random root": (
+        {"_proposed_root": proposing(lambda lo, hi: RANDOM_ROOTS.uniform(lo, hi))},
+        False,
+    ),
+    "unchecked": ({"_checked_halvings": unchecked}, True),
+    "unchecked root at lo": ({"_checked_halvings": unchecked, "_proposed_root": AT_LOW}, True),
+    # A proposal the check rejects at once, then a wrong turn sum.
+    "negated": ({"_proposed_root": AT_LOW, "_turn_sum": negated}, True),
+    "zero": ({"_proposed_root": AT_LOW, "_turn_sum": lambda start, end, t: 0.0}, True),
+    "nan": ({"_proposed_root": AT_LOW, "_turn_sum": lambda start, end, t: math.nan}, True),
+}
+
+
+@pytest.mark.parametrize("name", WRONG)
+def test_the_turn_sum_only_picks_the_rows_charted(monkeypatch, name):
+    # With a wrong proposal, unchecked or not, or a wrong turn sum, the
+    # chart still decides every halving and every pole: the same reports,
+    # byte for byte, with no fewer stacks.  Checked, any proposal gives the
+    # turn sum's halvings, so the same stacks.
+    patches, mispredicts = WRONG[name]
     cases = [(start, end, steps, 1.0) for start, end in FIXED for steps in (2, 3, 11, 21)]
     right = counted_reports(cases)
-    monkeypatch.setattr(report, "_turn_sum", predictor)
+    for attribute, value in patches.items():
+        monkeypatch.setattr(report, attribute, value)
     wrong = counted_reports(cases)
     used = mispredicted = 0
     for (case, expected, actual, rounds, _), (_, _, again, more, _) in zip(right, wrong):
         assert actual == again == expected, case
         assert all(a <= b for a, b in zip(rounds, more)), case
+        if not mispredicts:
+            assert more == rounds, case
         used += sum(rounds)
         mispredicted += sum(more)
-    assert mispredicted > used > 0
+    assert mispredicted > used > 0 if mispredicts else mispredicted == used > 0
 
 
 def turn_sum_cases(name):
@@ -335,6 +373,9 @@ def test_twice_the_turn_sum_is_the_perimeter_sum(name):
             continue
         bound = TURN_SUM_EPS * np.finfo(float).eps * np.abs(chart.unit_perimeters).sum()
         assert abs(2.0 * report._turn_sum(start, end, t) - chart.perimeter_sum) <= bound
+        # The check's stacked turn sum, on the rows the chart reads.
+        stacked = turn_tangents(report._family_angles(start, end, [t])[1]).sum(axis=-1)
+        assert abs(2.0 * float(stacked[0]) - chart.perimeter_sum) <= bound
         checked += 1
     assert checked >= 0.9 * cases
 

@@ -322,6 +322,26 @@ class TestConstruction:
         with pytest.raises(ValueError, match="^vertices must be finite$"):
             PolygonChain(vertices)
 
+    @pytest.mark.parametrize(
+        "vertices",
+        [
+            [[1e308, 0.0], [-1e308, 0.0], [0.0, 1.0]],  # an x spread of 2e308
+            [[1.5e308, 0.0], [0.0, 1.5e308], [0.0, 0.0]],  # each spread finite, the diagonal not
+        ],
+    )
+    def test_spread_beyond_the_float_range_rejected(self, vertices):
+        # Measured, the first overflowed the diameter and the area with a
+        # RuntimeWarning (an error under the suite's warning filters) and put
+        # (0, 0.5) on its edge 0 with an infinite dot product.
+        with pytest.raises(ValueError, match="^vertices must spread within the float range$"):
+            PolygonChain(vertices)
+
+    def test_spread_within_the_float_range_measures(self):
+        # Clockwise: the base runs from (1e307, 0) to (-1e307, 0).
+        polygon = PolygonChain([[1e307, 0.0], [-1e307, 0.0], [0.0, 1.0]])
+        assert polygon.diameter == math.hypot(2e307, 1.0)
+        assert oriented_area(polygon) == -1e307
+
     def test_too_few_vertices_rejected(self):
         with pytest.raises(ValueError):
             PolygonChain(np.array([[0.0, 0.0], [1.0, 0.0]]))

@@ -26,6 +26,7 @@ from polyslope.tangential import (
     _edge_space_form,
     constrained_perimeter,
     edge_hessians,
+    edge_terms,
     index_pair,
     index_reports,
     tangential_residual,
@@ -402,7 +403,7 @@ class TestMorseIndex:
         chart = build_chart(SlopeSystem.from_degrees([0, 120, 1e-8, 240]), DEFAULT_TOL.scaled(1e-3))
         points = tangential_critical_points(chart)
         vertices = points[0].polygon.vertices
-        form, bound = _edge_space_form(chart, vertices, points[0].inradius)
+        form, bound = _edge_space_form(chart, edge_terms(chart, vertices)[1], points[0].inradius)
         counts = np.searchsorted(np.linalg.eigvalsh(form), (-bound, 0.0, bound))
         assert counts.tolist() == [0, 1, 1]
         assert [report.agreement for report in index_reports(points, vertices)] == [True, True]

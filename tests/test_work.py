@@ -5,8 +5,9 @@ chart its area constants and area form.  A slopes report takes its angle
 sum from its chart and builds both critical points' polygons as one vertex
 stack from one ``tangential_polygons`` call, checks them by one edge-space
 residual and counts their index by one edge-space inertia on the chart's
-one closure basis and one area form, and builds their Hessians as one closed-form stack with one
-eigenvalue call; the
+one closure basis and one area form, both read off one pass over the
+first polygon's edges, and builds their Hessians as one closed-form stack
+with one eigenvalue call; the
 index-agreement and determinant trials read the same stack, with one
 eigenvalue or determinant call, and no point's own Hessian.
 A cyclic report computes its invariants and its dual slopes once, and its
@@ -19,11 +20,14 @@ indices, the well-conditioned chart against a fresh ``build_chart`` per
 relabeling.
 A family charts its rows as one angle stack, and each bracket the
 midpoints that the turn sum predicts as one more, and builds no chart
-unless a row is invalid.  A chart-identity trial reads the areas,
-signed perimeters, diameters and chart-law sums that its reconstruction
-returned, measures each vertex stack in one edge pass, recovers the radii
-with one closed-form tritangent_circle call and no linear solve, and builds
-the tangential points' polygons as one vertex stack.
+unless a row is invalid; a crossing's bracket proposes its root in a few
+Newton steps of the turn sum, which one stacked turn sum confirms, where
+predicting each halving on its own took about 37 turn sums.  A
+chart-identity trial reads the areas, signed perimeters, diameters and
+chart-law sums that its reconstruction returned, measures each vertex
+stack in one edge pass, recovers the radii with one closed-form
+tritangent_circle call and no linear solve, and builds the tangential
+points' polygons as one vertex stack.
 """
 
 import math
@@ -45,12 +49,13 @@ from polyslope import geometry
 from polyslope.cyclic import bifurcation_test, cyclic_invariants
 from polyslope.geometry import (
     area_form,
+    edge_lengths_along,
     oriented_areas,
     signed_perimeters,
     tangential_polygons,
 )
 from polyslope.randomgen import random_slope_system, trial_rng
-from polyslope.report import cyclic_report, family_report, slopes_report
+from polyslope.report import _turn_sum, _turn_tangents, cyclic_report, family_report, slopes_report
 from polyslope.slope_space import (
     RadiiChart,
     _line_offsets,
@@ -111,14 +116,15 @@ SLOPES_7 = [10.0, 62.0, 131.0, 175.0, 228.0, 281.0, 333.0]
 def test_slopes_report_builds_one_chart_and_one_vertex_stack(monkeypatch):
     # Both points' polygons come from one call with the stack of their radii,
     # and both points' edge-space checks from one residual.  The residual and
-    # the edge-space inertia read the chart's one area form.
+    # the edge-space inertia read the chart's one area form and one pass
+    # over the first polygon's edges.
     results = []
     calls = counted(monkeypatch, (build_chart, tangential_polygons), results)
-    shared = counted(monkeypatch, (tangential_residual, area_form))
+    shared = counted(monkeypatch, (tangential_residual, area_form, edge_lengths_along))
     report = slopes_report(SLOPES_7)
     assert not report["critical"]["exceptional"]
     assert calls == {"build_chart": 1, "tangential_polygons": 1}
-    assert shared == {"tangential_residual": 1, "area_form": 1}
+    assert shared == {"tangential_residual": 1, "area_form": 1, "edge_lengths_along": 1}
     assert results[-1].shape == (2, 7, 2)
 
 
@@ -312,6 +318,29 @@ def test_family_report_charts_rows_and_midpoints_as_stacks(monkeypatch):
         assert made[0] == 0
         assert math.ceil(halvings / 5) == 8
         assert stacks["chart_stack"] == 1 + 1
+
+
+# Turn sums a crossing bracket may evaluate, Newton steps and halvings
+# that T decides one at a time together; predicting every halving one at a
+# time took about 37.
+TURN_SUMS_PER_BRACKET = 8
+
+
+def test_a_crossing_bracket_evaluates_few_turn_sums(monkeypatch):
+    # One proposal, a Newton root from the secant of the charted sums,
+    # whose halvings one stacked turn sum confirms: no turn sum is taken
+    # one halving at a time, and the chart confirms every halving.
+    # Every plain-float turn sum reads _turn_tangents once.
+    sums = counted(monkeypatch, (_turn_sum, _turn_tangents))
+    stacks = counted(monkeypatch, (chart_stack,))
+    for start, end in (BENCH_F3, BENCH_CROSSING):
+        sums.update(_turn_sum=0, _turn_tangents=0)
+        stacks["chart_stack"] = 0
+        family = family_report(start, end, 11)
+        assert len(family["sign_changes"]) == 1
+        assert stacks["chart_stack"] == 1 + 1
+        assert sums["_turn_sum"] == 0
+        assert 0 < sums["_turn_tangents"] <= TURN_SUMS_PER_BRACKET
 
 
 def test_family_root_at_a_bracket_end_takes_two_stacks(monkeypatch):
