@@ -35,7 +35,7 @@ TWO_PI = 2.0 * math.pi
 EPS = float(np.finfo(float).eps)
 INTEGRAL_SUM = 16.0  # eps n max(1, |ratio|): n rounded terms, integral by construction
 NOT_FINITE = "slope angles must be finite"
-ON_EDGE = 8.0  # eps hypot(cross, dot): the cross product deciding a side of an edge
+ON_EDGE = 8.0  # eps (|x y'| + |y x'|): the cross product deciding a side of an edge
 
 
 def left_normal(angle: float) -> np.ndarray:
@@ -353,9 +353,19 @@ def closure_basis(constraints) -> np.ndarray:
     return vh[np.count_nonzero(s > s[0] * EPS * max(constraints.shape)) :].T
 
 
+def _binary_exponents(vertices: np.ndarray) -> np.ndarray:
+    """The exponent m of each vertex list of a (..., m, 2) stack that puts its
+    largest |coordinate| in [1/2, 1) times 2**m: scaled by 2**-m, exactly,
+    its coordinate products stay in the float range."""
+    return np.frexp(np.abs(vertices).max(axis=(-2, -1), keepdims=True, initial=0.0))[1]
+
+
 def _shoelace(v: np.ndarray, w: np.ndarray) -> np.ndarray:
-    """:func:`oriented_areas` of a vertex stack ``v`` and its cycled vertices ``w``."""
-    return 0.5 * (v[..., 0] * w[..., 1] - w[..., 0] * v[..., 1]).sum(axis=-1)
+    """:func:`oriented_areas` of a vertex stack ``v`` and its cycled vertices
+    ``w``, each list scaled by 2**-m (:func:`_binary_exponents`) for the products."""
+    m = _binary_exponents(v)
+    v, w = np.ldexp(v, -m), np.ldexp(w, -m)
+    return np.ldexp(0.5 * (v[..., 0] * w[..., 1] - w[..., 0] * v[..., 1]).sum(-1), 2 * m[..., 0, 0])
 
 
 def oriented_areas(vertices: np.ndarray) -> np.ndarray:
@@ -377,11 +387,13 @@ def winding_numbers(vertices: np.ndarray, points) -> np.ndarray:
     or NonIntegralTurn (the angle sum off :func:`integral_ratio`'s rule)."""
     points = np.asarray(points, dtype=float)[..., None, :]
     rel = vertices - points
+    rel = np.ldexp(rel, -_binary_exponents(rel))
     nxt = _cycled(rel, 1, -2)
-    cross = rel[..., 0] * nxt[..., 1] - rel[..., 1] * nxt[..., 0]
+    ahead, behind = rel[..., 0] * nxt[..., 1], rel[..., 1] * nxt[..., 0]
+    cross = ahead - behind
     dot = np.einsum("...ij,...ij->...i", rel, nxt)
-    # Past an edge the angle nears +-pi, signed by cross, which errs by 2 eps hypot.
-    on_edge = (dot <= 0.0) & (np.abs(cross) <= ON_EDGE * EPS * np.hypot(cross, dot))
+    # Past an edge the angle nears +-pi, signed by cross: it errs by 2 eps (|ahead| + |behind|).
+    on_edge = (dot <= 0.0) & (np.abs(cross) <= ON_EDGE * EPS * (np.abs(ahead) + np.abs(behind)))
     if on_edge.any():
         *row, i = np.unravel_index(np.argmax(on_edge), on_edge.shape)
         point = np.broadcast_to(points, vertices.shape)[(*row, 0)]

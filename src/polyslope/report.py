@@ -304,14 +304,8 @@ def _turn_tangents(start, end, t: float) -> list[float]:
     return [math.tan(0.5 * turn) for turn in _cyclic_steps(angles)]
 
 
-def _turn_sum(start, end, t: float) -> float:
-    """The turn sum T = sum tan(tau_i / 2) of the family at t.  The product
-    form of p_i telescopes, so T is half of sum p."""
-    return sum(_turn_tangents(start, end, t))
-
-
 def _first_pole(turns, rates, lo: float, hi: float, flo: float) -> float | None:
-    """The first t in (lo, hi) where a turn passes an odd multiple of 180
+    """The first t in (lo, hi] where a turn passes an odd multiple of 180
     degrees the way that takes T from the sign of flo to the other, or None:
     tan(tau / 2) falls from +inf to -inf as tau rises through pi.  Each turn
     is linear in t, at ``turns`` in degrees at lo and ``rates`` in degrees
@@ -322,7 +316,7 @@ def _first_pole(turns, rates, lo: float, hi: float, flo: float) -> float | None:
             # Float floor division: a turn beyond the float range gives NaN, not an error.
             below = 180.0 + 360.0 * ((turn - 180.0) // 360.0)
             t = lo + ((below + 360.0 if rate > 0.0 else below) - turn) / rate
-            if lo < t < hi:
+            if lo < t <= hi:
                 poles.append(t)
     return min(poles, default=None)
 
@@ -335,8 +329,8 @@ NEWTON_STEP_MIN = 1e-8
 
 
 def _newton_root(start, end, rates, lo: float, hi: float, flo: float, fhi: float) -> float:
-    """A root of T in (lo, hi), where the chart's sums flo and fhi differ in
-    sign, in plain floats: Newton steps on T and dT/dt = sum (1 + tan(tau_i
+    """A root of T in (lo, hi), where flo and fhi, sum p at lo and hi, differ
+    in sign, in plain floats: Newton steps on T and dT/dt = sum (1 + tan(tau_i
     / 2)**2) d(tau_i / 2)/dt from the secant of flo and fhi, each kept
     inside the bracket that the signs of T so far leave (its ends
     included: T may be exactly 0 at one), or else its midpoint.  The turns
@@ -370,74 +364,62 @@ def _proposed_root(start, end, lo: float, hi: float, flo: float, fhi: float) -> 
     return _newton_root(start, end, rates, lo, hi, flo, fhi) if pole is None else pole
 
 
-def _halvings(lo: float, hi: float, keeps_low) -> list[tuple[float, bool]]:
-    """The midpoints of halving (lo, hi) down to BRACKET_WIDTH, each with
-    ``keeps_low(mid)``: whether that halving keeps (lo, mid)."""
+def _halvings(lo: float, hi: float, root: float) -> list[tuple[float, bool]]:
+    """The midpoints of halving (lo, hi) down to BRACKET_WIDTH as a root at
+    ``root`` would give them, each with whether that halving keeps (lo, mid)."""
     path = []
     while hi - lo > BRACKET_WIDTH:
         mid = 0.5 * (lo + hi)
-        low = keeps_low(mid)
+        low = mid > root
         path.append((mid, low))
         lo, hi = (lo, mid) if low else (mid, hi)
     return path
 
 
-def _checked_halvings(start, end, lo: float, hi: float, flo: float, root: float):
-    """The halvings of (lo, hi) that the sign of T predicts, as a root at
-    ``root`` would give them, and the reduced angles of their midpoints
-    (:func:`_family_angles`).  One :func:`turn_tangents` call on those rows
-    checks them; from the first halving that T decides otherwise, T decides
-    one halving at a time (:func:`_turn_sum`).  So the path is T's, whatever
-    the root proposed."""
-    proposed = _halvings(lo, hi, lambda mid: mid > root)
-    _, reduced = _family_angles(start, end, [mid for mid, _ in proposed])
-    checked = (flo * turn_tangents(reduced).sum(axis=-1) <= 0.0).tolist()
-    path = []
-    for (mid, guess), low in zip(proposed, checked):
-        path.append((mid, low))
-        lo, hi = (lo, mid) if low else (mid, hi)
-        if low != guess:
-            rest = _halvings(lo, hi, lambda mid: flo * _turn_sum(start, end, mid) <= 0.0)
-            _, more = _family_angles(start, end, [mid for mid, _ in rest])
-            return path + rest, np.concatenate((reduced[: len(path)], more))
-    return path, reduced
+def _perimeter_sums(start, end, ts) -> list[float]:
+    """Sum p = 2 T of the family at each parameter in ``ts``, from one
+    :func:`turn_tangents` call on the rows that :func:`_family_angles`
+    reduces."""
+    return (2.0 * turn_tangents(_family_angles(start, end, ts)[1]).sum(axis=-1)).tolist()
 
 
-def _bracket(start, end, lo: float, hi: float, flo: float, fhi: float, tol) -> dict | None:
-    """Bisect a sign change of sum p between lo and hi to BRACKET_WIDTH.
+def _is_pole(start, end, lo: float, hi: float) -> bool:
+    """Whether T changes sign across (lo, hi) at a pole: some turn tangent,
+    read off the reduced angles as T is, has opposite signs at lo and hi
+    with |tan| >= 1 at both, as where two consecutive lines turn antiparallel."""
+    low, high = turn_tangents(_family_angles(start, end, [lo, hi])[1])
+    return bool(((low * high < 0.0) & (np.minimum(abs(low), abs(high)) >= 1.0)).any())
 
-    Each halving keeps the half (lo, mid) when flo * f(mid) <= 0 and
-    (mid, hi) otherwise, where f is the chart's sum p, flo its value at lo
-    and fhi at hi.  Sum p is twice the turn sum T, so a round proposes
-    where T changes sign (:func:`_proposed_root`), takes the halvings down
-    to BRACKET_WIDTH that T decides (:func:`_checked_halvings`), charts
-    their midpoints in one call, and replays them with the chart's sums up
-    to the first halving the chart decides otherwise; the next round
-    proposes from there.  So the chart decides every halving, and the
-    proposal and T only pick the rows charted.  Reaching parallel lines
-    means a pole, not a root: None.
+
+def _bracket(start, end, lo: float, hi: float, flo: float, fhi: float) -> dict | None:
+    """Bisect a sign change of sum p between the rows lo and hi, of charted
+    sums flo and fhi, to BRACKET_WIDTH: the bracket, or None at a pole.
+
+    Sum p is twice the turn sum T, whose sign alone decides each halving:
+    it keeps (lo, mid) when flo * f(mid) <= 0 and (mid, hi) otherwise, where
+    f = 2 T and flo is f at lo (the charted sum while lo is a row).  A round
+    proposes where T changes sign (:func:`_proposed_root`), evaluates T at
+    the midpoints of that proposal's halvings in one :func:`_perimeter_sums`
+    call, and takes them up to the first that T decides otherwise; the next
+    round proposes from there.  So the bracket is bisection's on T, whatever
+    the proposal.  T is finite between poles, so parallel lines at a
+    midpoint decide nothing, and the sign change is a root unless
+    :func:`_is_pole` holds on the final bracket.
     """
     while hi - lo > BRACKET_WIDTH:
         root = _proposed_root(start, end, lo, hi, flo, fhi)
-        predicted, reduced = _checked_halvings(start, end, lo, hi, flo, root)
-        stack = chart_stack(reduced, tol)
-        ok, sums = stack.ok.tolist(), stack.perimeter_sums.tolist()
-        for row, (mid, keeps_low) in enumerate(predicted):
-            # Only the sign of sum p matters here; critical points next to
-            # its root are nearly degenerate and their indices are not reported.
-            if not ok[row]:
-                try:
-                    stack.require(row=row)
-                except ParallelLines:
-                    return None
-            fmid = sums[row]
-            charted_low = flo * fmid <= 0.0
-            if charted_low:
+        proposed = _halvings(lo, hi, root)
+        sums = _perimeter_sums(start, end, [mid for mid, _ in proposed])
+        for (mid, keeps_low), fmid in zip(proposed, sums):
+            low = flo * fmid <= 0.0
+            if low:
                 hi, fhi = mid, fmid
             else:
                 lo, flo = mid, fmid
-            if charted_low != keeps_low:
+            if low != keeps_low:
                 break
+    if _is_pole(start, end, lo, hi):
+        return None
     mid = 0.5 * (lo + hi)
     return {
         "t_low": float(lo),
@@ -456,9 +438,11 @@ def family_report(
 ) -> dict:
     """Interpolate two slope systems and track the perimeter sum.
 
-    Produces one row per step and refines every sign change of the perimeter
-    sum by bisection to a bracket of width 1e-12 in the family parameter.
-    A bisection that reaches parallel lines has found a pole, not a root.
+    Produces one row per step and refines every sign change of the
+    perimeter sum between two valid rows by bisection on the turn sum
+    (:func:`_bracket`) to a bracket of width 1e-12 in the family parameter.
+    Each sign change is a root and gets a bracket, unless its bisection
+    ends at a pole, where two consecutive lines turn antiparallel.
     """
     if len(start) != len(end):
         raise InputSchemaError("'start_angles_deg' and 'end_angles_deg' differ in length")
@@ -472,7 +456,7 @@ def family_report(
         pa, pb = a["perimeter_sum"], b["perimeter_sum"]
         if pa == 0.0 or pa * pb >= 0.0:
             continue
-        bracket = _bracket(start, end, a["t"], b["t"], pa, pb, tol)
+        bracket = _bracket(start, end, a["t"], b["t"], pa, pb)
         if bracket is not None:
             brackets.append(bracket)
     return {

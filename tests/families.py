@@ -25,7 +25,9 @@ from polyslope import (
     build_chart,
 )
 from polyslope.cyclic import cyclic_invariants
+from polyslope.geometry import turn_tangents
 from polyslope.randomgen import MIN_LINE_SEPARATION, random_cyclic_polygon, random_slope_system
+from polyslope.report import _family_angles
 from polyslope.tangential import exceptional_mask
 from polyslope.tolerances import DEFAULT_TOL
 
@@ -121,23 +123,24 @@ def _sequential_step(start, end, t, tol):
     return step
 
 
-def sequential_bracket(start, end, lo, hi, flo, tol=DEFAULT_TOL):
-    """Bisection of a sign change of sum p between rows lo and hi with one
-    build_chart per midpoint: the bracket, or None where a midpoint has
-    parallel lines (a pole), and the number of midpoints charted."""
+def sequential_bracket(start, end, lo, hi, flo):
+    """Plain bisection of a sign change of sum p between rows lo and hi,
+    with one turn sum per midpoint, 2 T = sum p of the midpoint's angles as
+    the family report reduces them, and no chart: the bracket, or None where
+    a turn tangent changes sign with |tan| >= 1 at both of its ends (a
+    pole), and the number of midpoints evaluated."""
     halvings = 0
     while hi - lo > 1e-12:
         mid = 0.5 * (lo + hi)
         halvings += 1
-        try:
-            system = SlopeSystem.from_degrees(interpolated(start, end, mid))
-            fmid = float(build_chart(system, tol).perimeter_sum)
-        except ParallelLines:
-            return None, halvings
+        fmid = 2.0 * float(turn_tangents(_family_angles(start, end, [mid])[1]).sum())
         if flo * fmid <= 0.0:
             hi = mid
         else:
             lo, flo = mid, fmid
+    low, high = turn_tangents(_family_angles(start, end, [lo, hi])[1]).tolist()
+    if any(a * b < 0.0 and min(abs(a), abs(b)) >= 1.0 for a, b in zip(low, high)):
+        return None, halvings
     bracket = {
         "t_low": float(lo),
         "t_high": float(hi),
@@ -149,8 +152,9 @@ def sequential_bracket(start, end, lo, hi, flo, tol=DEFAULT_TOL):
 
 def sequential_family_report(start, end, steps, tol=DEFAULT_TOL):
     """The family report with one SlopeSystem and one build_chart per row
-    and per bisection midpoint: the route that ``family_report``'s angle
-    stacks and bisection rounds replace, kept as their reference."""
+    and one turn sum per bisection midpoint: the route that
+    ``family_report``'s angle stacks and bisection rounds replace, kept as
+    their reference."""
     rows = [_sequential_step(start, end, i / (steps - 1), tol) for i in range(steps)]
     brackets = []
     for a, b in zip(rows[:-1], rows[1:]):
@@ -159,7 +163,7 @@ def sequential_family_report(start, end, steps, tol=DEFAULT_TOL):
         pa, pb = a["perimeter_sum"], b["perimeter_sum"]
         if pa == 0.0 or pa * pb >= 0.0:
             continue
-        bracket, _ = sequential_bracket(start, end, a["t"], b["t"], pa, tol)
+        bracket, _ = sequential_bracket(start, end, a["t"], b["t"], pa)
         if bracket is not None:
             brackets.append(bracket)
     return {

@@ -582,7 +582,54 @@ class TestSweep:
         assert [t.name for t in result.tallies] == [name for name, _ in sweeps.CHECKS]
 
 
+# The text form of `family --steps 3`: rows, then brackets or their absence.
+FAMILY_TEXT = {
+    "bracket": (
+        FAMILY,
+        [
+            "    0.0000       +1.436527         2  [0, 1]",
+            "    0.5000       +0.070343         2  [0, 1]",
+            "    1.0000       -0.805181         2  [1, 0]",
+            "  perimeter-sum sign change bracketed in t = [0.533333333333, 0.533333333334]",
+        ],
+    ),
+    # Its root lies past t = 0.875, where lines 1 and 5 are parallel.
+    "invalid row": (
+        {
+            "start_angles_deg": [285, 55, 315, 95, 335, 335],
+            "end_angles_deg": [55, 205, 240, 130, 80, 165],
+        },
+        [
+            "    0.0000  invalid: consecutive slopes 4 and 5 are parallel as lines",
+            "    0.5000       -7.775584         2  [2, 1]",
+            "    1.0000       +3.282154         2  [1, 2]",
+            "  perimeter-sum sign change bracketed in t = [0.936271316115, 0.936271316116]",
+        ],
+    ),
+    "no sign change": (
+        {"start_angles_deg": [10, 80, 150, 250], "end_angles_deg": [15, 85, 155, 255]},
+        [
+            "    0.0000       +8.648439         2  [0, 1]",
+            "    0.5000       +8.648439         2  [0, 1]",
+            "    1.0000       +8.648439         2  [0, 1]",
+            "  no perimeter-sum sign change",
+        ],
+    ),
+}
+
+
 class TestFamily:
+    @pytest.mark.parametrize("name", FAMILY_TEXT)
+    def test_text_report(self, tmp_path, capsys, name):
+        payload, lines = FAMILY_TEXT[name]
+        path = write_json(tmp_path, "family.json", payload)
+        header = ["family sweep", "         t   perimeter sum  critical  indices"]
+        assert run_cli(capsys, "family", path, "--steps", "3") == (
+            0,
+            "\n".join(header + lines) + "\n",
+            "",
+        )
+
     def test_family_brackets_sign_change(self, tmp_path, capsys):
         path = write_json(tmp_path, "fam.json", FAMILY)
         code, out, _ = run_cli(capsys, "family", path, "--steps", "9", "--json")
@@ -667,8 +714,8 @@ class TestFamily:
             assert row["indices"] == [point["index_formula"] for point in points]
 
     def test_pole_of_perimeter_sum_is_not_bracketed(self, tmp_path, capsys):
-        # Slope 3 turns parallel to slope 2 near t = 2/21, where sum p jumps
-        # from +inf to -inf; bisection runs into the parallel lines.
+        # Slope 3 turns antiparallel to slope 2 near t = 2/21, where sum p
+        # jumps from +inf to -inf: bisection ends at that pole.
         payload = {"start_angles_deg": [264, 211, 29, 22], "end_angles_deg": [264, 211, 50, 22]}
         path = write_json(tmp_path, "pole.json", payload)
         code, out, _ = run_cli(capsys, "family", path, "--steps", "11", "--json")

@@ -1,29 +1,29 @@
 """The family report against its one-row-at-a-time reference.
 
-``family_report`` charts its rows and bisection midpoints as angle stacks
-(``slope_space.chart_stack``).  Each bisection round predicts the halvings
-by the sign of the turn sum, sum tan(tau_i / 2), which is half of sum p:
-it proposes where the turn sum changes sign (a pole, or a Newton root),
-checks the halvings that proposal gives with one stacked turn sum, and
-from the first it decides otherwise lets the turn sum decide one halving
-at a time.  It charts their midpoints as one stack, and replays them with
-the chart's sums up to the first halving the chart decides otherwise.
-``families.sequential_family_report`` is the route it replaced: one
-``SlopeSystem`` and one ``build_chart`` per row and per midpoint.  Both
-must give the same JSON, byte for byte, on families that reach every
-branch: random families, poles, invalid rows at grid points, scaled
-tolerances, two steps, crossings shaped like the benchmark's, and roots on
-a grid row or one float beside it.  They must still do so when the
-proposal is wrong, checked or not, and when the turn sum is negated or
-constant, so the prediction never decides; a wrong proposal that is
-checked charts the same rows.  No bracket may
-take more than two stacks on these families, nor more than the midpoint
-trees of the earlier rounds took.
+``family_report`` charts its rows as one angle stack
+(``slope_space.chart_stack``) and brackets each sign change of sum p
+between two valid rows on the turn sum T = sum tan(tau_i / 2) alone, which
+is half of sum p: each bisection round proposes where T changes sign (a
+pole, or a Newton root), evaluates T at the midpoints of the halvings that
+proposal gives with one stacked turn sum, and takes them up to the first
+that T decides otherwise.  A bracket whose ends straddle a pole, where a
+turn tangent changes sign through infinity, is dropped.
+``families.sequential_family_report`` is the plain route: one
+``SlopeSystem`` and one ``build_chart`` per row, and one turn sum per
+midpoint.  Both must give the same JSON, byte for byte, on families that
+reach every branch: random families, poles, invalid rows at grid points,
+parallel lines at midpoints, scaled tolerances, two steps, crossings
+shaped like the benchmark's, and roots on a grid row or one float beside
+it.  They must still do so when the proposal is wrong, in more stacks.
+Every sign change of the charted rows is a bracket or a pole, which a
+planted rule that reads parallel lines at a midpoint as a pole breaks;
+no bracket takes more stacks than the midpoint trees of earlier rounds.
 """
 
 import json
 import math
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -196,15 +196,16 @@ def families():
 
 
 def counted_reports(families):
-    """For each family: the outcome of each route, the chart_stack calls of
-    each bracket of family_report, and the midpoints the one-at-a-time loop
-    charts for each bracket; both routes bracket the same rows in order."""
+    """For each family: the outcome of each route, the stacked turn sums
+    (``_perimeter_sums`` calls) of each bracket of family_report, and the
+    midpoints the plain bisection evaluates for each bracket; both routes
+    bracket the same rows in order."""
     stacks, rounds, halvings, results = [0], [], [], []
-    stack, bracket, sequential = report.chart_stack, report._bracket, reference.sequential_bracket
+    sums, bracket, sequential = report._perimeter_sums, report._bracket, reference.sequential_bracket
 
-    def counted_stack(*args):
+    def counted_sums(*args):
         stacks[0] += 1
-        return stack(*args)
+        return sums(*args)
 
     def counted_bracket(*args):
         before = stacks[0]
@@ -218,7 +219,7 @@ def counted_reports(families):
         return result, count
 
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(report, "chart_stack", counted_stack)
+        patch.setattr(report, "_perimeter_sums", counted_sums)
         patch.setattr(report, "_bracket", counted_bracket)
         patch.setattr(reference, "sequential_bracket", counted_sequential)
         for start, end, steps, scale in families:
@@ -253,31 +254,35 @@ def test_reports_equal_the_sequential_reference(compared):
         brackets += sign_changes
         poles += changes - sign_changes
         invalid += sum(row["status"] == "invalid" for row in rows)
-    # Every branch is reached: roots, poles broken off at parallel
-    # midpoints, and invalid rows (648, 1020 and 289 when written).
+    # Every branch is reached: roots, poles and invalid rows (816, 852 and
+    # 289 when written).
     assert brackets >= 300 and poles >= 300 and invalid >= 100
 
 
 # The depth of the midpoint trees that bisection rounds once charted: a
-# bracket whose one-at-a-time loop charts h midpoints took ceil(h / 5)
-# stacks with the trees alone (10,069 in all on these families).
+# bracket whose plain bisection evaluates h midpoints took ceil(h / 5)
+# chart stacks with the trees alone.
 TREE_DEPTH = 5
 
 
 def test_no_bracket_charts_more_stacks_than_its_midpoint_trees(compared):
-    # A round charts the halvings that the turn sum predicts, down to the
-    # bracket width, so a bracket takes one stack per halving the chart
-    # decides otherwise, plus one.  On these families no bracket took more
-    # than 2, and all took 1,673 in all, where the midpoint trees with the
-    # interpolated root's path took 6,315.
+    # A round evaluates the halvings that its proposal gives, down to the
+    # bracket width, as one stacked turn sum, so a bracket takes one stack
+    # per halving that the turn sum decides against a proposal, plus one.
+    # When written, 1,514 brackets took one stack, 130 two and 8 three,
+    # 2,066 in all, where the midpoint trees took 13,344.  The unreduced
+    # turns of the family at 1.7e308 degrees carry no proposal: its 16
+    # brackets took 13 to 20 stacks each, still one halving at least per
+    # stack.
     used = bound = 0
     for case, _, _, rounds, halvings in compared:
         assert len(rounds) == len(halvings), case
+        huge = case[0] == EXTREME[1][0]
         for taken, count in zip(rounds, halvings):
-            assert taken <= min(2, math.ceil(count / TREE_DEPTH)), case
+            assert 1 <= taken <= (count if huge else min(3, math.ceil(count / TREE_DEPTH))), case
             used += taken
             bound += math.ceil(count / TREE_DEPTH)
-    assert used < 0.66 * bound and used <= 1700
+    assert used < 0.2 * bound and used <= 2100
 
 
 def proposing(where):
@@ -285,57 +290,39 @@ def proposing(where):
     return lambda start, end, lo, hi, flo, fhi: where(lo, hi)
 
 
-def unchecked(start, end, lo, hi, flo, root):
-    """``_checked_halvings`` without the check: the proposal's halvings."""
-    path = report._halvings(lo, hi, lambda mid: mid > root)
-    return path, report._family_angles(start, end, [mid for mid, _ in path])[1]
-
-
-def negated(start, end, t, turn_sum=report._turn_sum):
-    return -turn_sum(start, end, t)
+def negated(start, end, t, turn_tangents=report._turn_tangents):
+    return [-x for x in turn_tangents(start, end, t)]
 
 
 RANDOM_ROOTS = np.random.default_rng(5)
-AT_LOW = proposing(lambda lo, hi: lo)  # every halving proposed to keep (lo, mid)
-# Wrong proposals, each with whether the path it gives may differ from T's.
+# Wrong proposals: a wrong root, or Newton steps on a wrong turn sum.
 WRONG = {
-    "root at lo": ({"_proposed_root": AT_LOW}, False),
-    "root at hi": ({"_proposed_root": proposing(lambda lo, hi: hi)}, False),
-    "root NaN": ({"_proposed_root": proposing(lambda lo, hi: math.nan)}, False),
-    "random root": (
-        {"_proposed_root": proposing(lambda lo, hi: RANDOM_ROOTS.uniform(lo, hi))},
-        False,
-    ),
-    "unchecked": ({"_checked_halvings": unchecked}, True),
-    "unchecked root at lo": ({"_checked_halvings": unchecked, "_proposed_root": AT_LOW}, True),
-    # A proposal the check rejects at once, then a wrong turn sum.
-    "negated": ({"_proposed_root": AT_LOW, "_turn_sum": negated}, True),
-    "zero": ({"_proposed_root": AT_LOW, "_turn_sum": lambda start, end, t: 0.0}, True),
-    "nan": ({"_proposed_root": AT_LOW, "_turn_sum": lambda start, end, t: math.nan}, True),
+    "root at lo": {"_proposed_root": proposing(lambda lo, hi: lo)},
+    "root at hi": {"_proposed_root": proposing(lambda lo, hi: hi)},
+    "root NaN": {"_proposed_root": proposing(lambda lo, hi: math.nan)},
+    "random root": {"_proposed_root": proposing(lambda lo, hi: RANDOM_ROOTS.uniform(lo, hi))},
+    "negated": {"_turn_tangents": negated},
+    "zero": {"_turn_tangents": lambda start, end, t: [0.0] * len(start)},
+    "nan": {"_turn_tangents": lambda start, end, t: [math.nan] * len(start)},
 }
 
 
 @pytest.mark.parametrize("name", WRONG)
 def test_the_turn_sum_only_picks_the_rows_charted(monkeypatch, name):
-    # With a wrong proposal, unchecked or not, or a wrong turn sum, the
-    # chart still decides every halving and every pole: the same reports,
-    # byte for byte, with no fewer stacks.  Checked, any proposal gives the
-    # turn sum's halvings, so the same stacks.
-    patches, mispredicts = WRONG[name]
+    # The proposal only picks the midpoints that one stacked turn sum
+    # evaluates; the turn sum decides every halving.  A wrong proposal
+    # gives the same reports, byte for byte, in more stacks.
     cases = [(start, end, steps, 1.0) for start, end in FIXED for steps in (2, 3, 11, 21)]
     right = counted_reports(cases)
-    for attribute, value in patches.items():
+    for attribute, value in WRONG[name].items():
         monkeypatch.setattr(report, attribute, value)
     wrong = counted_reports(cases)
     used = mispredicted = 0
     for (case, expected, actual, rounds, _), (_, _, again, more, _) in zip(right, wrong):
         assert actual == again == expected, case
-        assert all(a <= b for a, b in zip(rounds, more)), case
-        if not mispredicts:
-            assert more == rounds, case
         used += sum(rounds)
         mispredicted += sum(more)
-    assert mispredicted > used > 0 if mispredicts else mispredicted == used > 0
+    assert mispredicted > used > 0
 
 
 def turn_sum_cases(name):
@@ -372,7 +359,7 @@ def test_twice_the_turn_sum_is_the_perimeter_sum(name):
         except PolyslopeError:
             continue
         bound = TURN_SUM_EPS * np.finfo(float).eps * np.abs(chart.unit_perimeters).sum()
-        assert abs(2.0 * report._turn_sum(start, end, t) - chart.perimeter_sum) <= bound
+        assert abs(2.0 * sum(report._turn_tangents(start, end, t)) - chart.perimeter_sum) <= bound
         # The check's stacked turn sum, on the rows the chart reads.
         stacked = turn_tangents(report._family_angles(start, end, [t])[1]).sum(axis=-1)
         assert abs(2.0 * float(stacked[0]) - chart.perimeter_sum) <= bound
@@ -387,7 +374,119 @@ def test_the_turn_sum_reads_the_angles_as_charted(name):
     for start, end, t in turn_sum_cases(name):
         angles = report._family_angles(start, end, [t])[1][0].tolist()
         turns = zip(angles, angles[1:] + angles[:1])
-        assert report._turn_sum(start, end, t) == sum(math.tan(0.5 * (b - a)) for a, b in turns)
+        assert report._turn_tangents(start, end, t) == [math.tan(0.5 * (b - a)) for a, b in turns]
+
+
+def antiparallel_between(start, end, lo, hi):
+    """Whether two consecutive lines of the family turn antiparallel at some
+    t in [lo, hi]: a turn, linear in t, at an odd multiple of 180 degrees,
+    in closed form on the unreduced degrees (which find one in every
+    interval where the degrees are too large to carry a turn)."""
+    ends = [interpolated(start, end, t) for t in (lo, hi)]
+    turns = [[b - a for a, b in zip(angles, angles[1:] + angles[:1])] for angles in ends]
+    return any(
+        math.floor((a - 180.0) / 360.0) != math.floor((b - 180.0) / 360.0)
+        or (a - 180.0) % 360.0 == 0.0
+        for a, b in zip(*turns)
+    )
+
+
+def unaccounted(start, end, family):
+    """The row pairs of a family report whose charted sums change sign with
+    no bracket between them and no antiparallel turn, and those with more
+    than one bracket."""
+    rows, brackets = family["rows"], family["sign_changes"]
+    missing, pairs = [], 0
+    for a, b in zip(rows, rows[1:]):
+        if not a["status"] == b["status"] == "ok":
+            continue
+        pa, pb = a["perimeter_sum"], b["perimeter_sum"]
+        if pa == 0.0 or pa * pb >= 0.0:
+            continue
+        pairs += 1
+        inside = [x for x in brackets if a["t"] <= x["t_low"] < x["t_high"] <= b["t"]]
+        if len(inside) > 1 or not inside and not antiparallel_between(start, end, a["t"], b["t"]):
+            missing.append((a["t"], b["t"]))
+    assert len(brackets) <= pairs
+    return missing
+
+
+def test_every_sign_change_is_a_root_or_a_pole(compared):
+    # Every row pair whose charted sums change sign gets one bracket, or
+    # its interval holds a turn through an odd multiple of 180 degrees, a
+    # pole of the turn sum, where the bisection ends.
+    dropped = 0
+    for (start, end, _), expected, _, _, _ in compared:
+        if expected.startswith("{"):
+            family = json.loads(expected)
+            assert unaccounted(start, end, family) == [], (start, end)
+            dropped += sum(
+                a["status"] == b["status"] == "ok" and a["perimeter_sum"] * b["perimeter_sum"] < 0
+                for a, b in zip(family["rows"], family["rows"][1:])
+            ) - len(family["sign_changes"])
+    assert dropped >= 300
+
+
+def parallel_midpoint_is_a_pole(monkeypatch):
+    """Plant the rule that parallel lines at a midpoint of the bisection end
+    it at a pole: a bracket whose path meets a row that the chart rejects
+    becomes None."""
+    bracket = report._bracket
+
+    def planted(start, end, lo, hi, flo, fhi):
+        found = bracket(start, end, lo, hi, flo, fhi)
+        mids = []
+        while found is not None and hi - lo > report.BRACKET_WIDTH:
+            mids.append(0.5 * (lo + hi))
+            lo, hi = (lo, mids[-1]) if found["t_high"] <= mids[-1] else (mids[-1], hi)
+        if mids and not chart_stack(report._family_angles(start, end, mids)[1]).ok.all():
+            return None
+        return found
+
+    monkeypatch.setattr(report, "_bracket", planted)
+
+
+# Lines 1 and 5 of this family are parallel at t = 0.875 (both at 6.25
+# degrees mod 180), not consecutive: the chart rejects that system, but the
+# turn sum is finite there.  Its root lies near t = 0.9362713.
+PAST_PARALLEL = (
+    [285.0, 55.0, 315.0, 95.0, 335.0, 335.0],
+    [55.0, 205.0, 240.0, 130.0, 80.0, 165.0],
+)
+
+
+def exact_turn_sum(start, end, t):
+    """T at t, with the degrees interpolated and the tangents taken at 60
+    digits."""
+    with mpmath.workdps(60):
+        t = mpmath.mpf(t)
+        angles = [mpmath.radians((1 - t) * a + t * b) for a, b in zip(start, end)]
+        return sum(mpmath.tan((b - a) / 2) for a, b in zip(angles, angles[1:] + angles[:1]))
+
+
+def test_a_root_past_non_consecutive_parallel_lines_is_bracketed():
+    start, end = PAST_PARALLEL
+    assert not chart_stack(report._family_angles(start, end, [0.875])[1]).ok[0]
+    [bracket] = family_report(start, end, 3)["sign_changes"]
+    lo, hi = bracket["t_low"], bracket["t_high"]
+    assert 0.0 < hi - lo <= 1e-12 and abs(lo - 0.9362713) < 1e-7
+    assert exact_turn_sum(start, end, lo) < 0 < exact_turn_sum(start, end, hi)
+    # t_low is a midpoint: perimeter_sum_low is 2 T there.
+    low = bracket["perimeter_sum_low"]
+    assert low < 0 and abs(2.0 * exact_turn_sum(start, end, lo) - low) <= 1e-12
+
+
+def test_a_parallel_midpoint_read_as_a_pole_fails_the_accounting(monkeypatch, compared):
+    # With the planted rule the family above loses its root, and so do 124
+    # of the families compared (when written).
+    parallel_midpoint_is_a_pole(monkeypatch)
+    start, end = PAST_PARALLEL
+    assert unaccounted(start, end, family_report(start, end, 3)) == [(0.5, 1.0)]
+    lost = 0
+    for (start, end, steps), expected, _, _, _ in compared:
+        if expected.startswith("{"):
+            lost += bool(unaccounted(start, end, family_report(start, end, steps)))
+    assert lost >= 100
 
 
 def test_poles_are_not_bracketed():

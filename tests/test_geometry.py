@@ -1,6 +1,7 @@
 """Tests for the planar primitives."""
 
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -624,8 +625,9 @@ def reference_winding_number(polygon, point):
     dot = np.einsum("ij,ij->i", rel, nxt)
     for i in range(polygon.n):
         # Past edge i the signed angle is near +-pi, with the sign of a cross
-        # product that rounds by at most 2 eps hypot(cross, dot).
-        if dot[i] <= 0.0 and abs(cross[i]) <= 8.0 * EPS * math.hypot(cross[i], dot[i]):
+        # product that rounds by at most 2 eps times its terms' magnitudes.
+        terms = abs(rel[i, 0] * nxt[i, 1]) + abs(rel[i, 1] * nxt[i, 0])
+        if dot[i] <= 0.0 and abs(cross[i]) <= 8.0 * EPS * terms:
             raise PointOnBoundary(f"point {point.tolist()} lies on edge {i}")
     return round(float(np.sum(np.arctan2(cross, dot))) / (2 * math.pi))
 
@@ -813,6 +815,57 @@ class TestArrayKernels:
         assert str(raised.value) == (
             f"lines at angles {1.0!r} and {1.0 + math.pi!r} are parallel within tolerance"
         )
+
+
+def exact_shoelace(vertices):
+    """The shoelace area of float vertices in exact arithmetic, and half the
+    sum of its products' magnitudes, the unit of its roundoff."""
+    rows = [[Fraction(x) for x in row] for row in vertices.tolist()]
+    pairs = list(zip(rows, rows[1:] + rows[:1]))
+    area = sum(v[0] * w[1] - w[0] * v[1] for v, w in pairs) / 2
+    return area, sum(abs(v[0] * w[1]) + abs(w[0] * v[1]) for v, w in pairs) / 2
+
+
+class TestPowerOfTwoScaling:
+    # Coordinate products past the float range: each vertex list is scaled
+    # by a power of two before them, under the suite's RuntimeWarning filter.
+    def test_rays_longer_than_the_float_range_allows_wind(self):
+        # The point lies 0.5 off an edge 2e200 long: the cross product
+        # deciding its side, -1e200, is exact to eps in its terms.
+        chain = PolygonChain(np.array([[1e200, 0.0], [-1e200, 0.0], [0.0, 1.0]]))
+        assert winding_number(chain, [0.0, 0.5]) == -1
+        assert winding_number(chain, [0.0, -0.5]) == 0
+        with pytest.raises(PointOnBoundary):
+            winding_number(chain, [0.0, 0.0])
+
+    def test_area_of_a_triangle_far_out(self):
+        # 1e150 wide at 1e160 from the origin: its products near 1e320
+        # overflowed, giving NaN.  The shoelace about the origin rounds its
+        # products at their magnitude, so this area, 5.000006e299, is exact
+        # only to 16 eps times half their sum (the bound of the slopes
+        # report's area check): it reads -1.1e304.
+        vertices = np.array([[1e160, 1e160], [1e160 + 1e150, 1e160], [1e160, 1e160 + 1e150]])
+        area = oriented_area(PolygonChain(vertices))
+        exact, terms = exact_shoelace(vertices)
+        assert math.isfinite(area)
+        assert abs(Fraction(area) - exact) <= 16 * Fraction(EPS) * terms
+        for m in (-532, -600, -1000):
+            assert np.ldexp(oriented_area(PolygonChain(np.ldexp(vertices, m))), -2 * m) == area
+
+    @pytest.mark.parametrize("m", [-1000, -600, -300, 300, 600, 1000])
+    def test_measures_scale_exactly(self, m):
+        # 2**m V has 2**m times the signed perimeter, 2**2m times the area
+        # where that is a float, and the same windings, exactly.
+        for rng, system, polygon in chart_polygons(47, 40):
+            if np.abs(polygon.vertices).max() > 2.0**20:
+                continue
+            scaled = PolygonChain(np.ldexp(polygon.vertices, m))
+            assert signed_perimeter(scaled, system) == math.ldexp(signed_perimeter(polygon, system), m)
+            if abs(m) <= 500:
+                assert oriented_area(scaled) == math.ldexp(oriented_area(polygon), 2 * m)
+            low, high = polygon.vertices.min(axis=0), polygon.vertices.max(axis=0)
+            for point in rng.uniform(low, high, (3, 2)):
+                assert winding_number(scaled, np.ldexp(point, m)) == winding_number(polygon, point)
 
 
 def mpmath_tangential_vertices(angles, center, inradius):

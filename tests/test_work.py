@@ -18,11 +18,11 @@ and ``numpy.linalg``'s ``eigvalsh`` and ``det``.  The routes these shortcuts rep
 stay here as oracles: the family rows against the critical points' own
 indices, the well-conditioned chart against a fresh ``build_chart`` per
 relabeling.
-A family charts its rows as one angle stack, and each bracket the
-midpoints that the turn sum predicts as one more, and builds no chart
-unless a row is invalid; a crossing's bracket proposes its root in a few
-Newton steps of the turn sum, which one stacked turn sum confirms, where
-predicting each halving on its own took about 37 turn sums.  A
+A family charts its rows as one angle stack and builds no chart unless a
+row is invalid; its brackets chart nothing.  A crossing's bracket
+proposes its root in a few Newton steps of the turn sum, which one
+stacked turn sum at the proposal's midpoints confirms, and tests its ends
+for a pole with one more stack of turn tangents.  A
 chart-identity trial reads the areas, signed perimeters, diameters and
 chart-law sums that its reconstruction returned, measures each vertex
 stack in one edge pass, recovers the radii with one closed-form
@@ -53,9 +53,16 @@ from polyslope.geometry import (
     oriented_areas,
     signed_perimeters,
     tangential_polygons,
+    turn_tangents,
 )
 from polyslope.randomgen import random_slope_system, trial_rng
-from polyslope.report import _turn_sum, _turn_tangents, cyclic_report, family_report, slopes_report
+from polyslope.report import (
+    _perimeter_sums,
+    _turn_tangents,
+    cyclic_report,
+    family_report,
+    slopes_report,
+)
 from polyslope.slope_space import (
     RadiiChart,
     _line_offsets,
@@ -69,6 +76,7 @@ from polyslope.sweeps import CHECKS
 from polyslope.tangential import hessian_formula, tangential_residual, well_conditioned_chart
 from polyslope.tolerances import DEFAULT_TOL
 
+import families
 from families import (
     BENCH_CROSSING,
     BENCH_F3,
@@ -293,11 +301,11 @@ def test_family_rows_match_critical_points():
 
 def test_family_report_charts_rows_and_midpoints_as_stacks(monkeypatch):
     # With no invalid row, one chart_stack call charts the rows, and no
-    # RadiiChart is built.  Each bracket charts the halvings that the turn
-    # sum predicts as one more stack, and the chart confirms them all, where
-    # the midpoint trees of earlier rounds took one stack per five halvings,
-    # rounded up (eight).  The reference builds one chart per row and per
-    # midpoint, so its count less the rows is the number of halvings.
+    # RadiiChart is built.  Each bracket evaluates the turn sum at the
+    # midpoints of the halvings that its proposal gives as one stack, which
+    # confirms them all, where the midpoint trees of earlier rounds took one
+    # chart stack per five halvings, rounded up (eight).  The reference
+    # builds one chart per row and evaluates one turn sum per midpoint.
     made = [0]
     init = RadiiChart.__init__
 
@@ -306,54 +314,62 @@ def test_family_report_charts_rows_and_midpoints_as_stacks(monkeypatch):
         init(self, *args, **kwargs)
 
     monkeypatch.setattr(RadiiChart, "__init__", counted_init)
-    stacks = counted(monkeypatch, (chart_stack,))
+    halvings = []
+    bracket = families.sequential_bracket
+
+    def counted_bracket(*args):
+        result, count = bracket(*args)
+        halvings.append(count)
+        return result, count
+
+    monkeypatch.setattr(families, "sequential_bracket", counted_bracket)
+    stacks = counted(monkeypatch, (chart_stack, _perimeter_sums))
     for start, end in ((FAMILY_START, FAMILY_END), BENCH_F3, BENCH_CROSSING):
         made[0] = 0
+        halvings.clear()
         sequential_family_report(start, end, 11)
-        halvings = made[0] - 11
-        made[0] = stacks["chart_stack"] = 0
+        assert made[0] == 11 and math.ceil(halvings[0] / 5) == 8
+        made[0] = stacks["chart_stack"] = stacks["_perimeter_sums"] = 0
         report = family_report(start, end, 11)
         assert all(row["status"] == "ok" for row in report["rows"])
         assert len(report["sign_changes"]) == 1
         assert made[0] == 0
-        assert math.ceil(halvings / 5) == 8
-        assert stacks["chart_stack"] == 1 + 1
+        assert stacks == {"chart_stack": 1, "_perimeter_sums": 1}
 
 
-# Turn sums a crossing bracket may evaluate, Newton steps and halvings
-# that T decides one at a time together; predicting every halving one at a
-# time took about 37.
+# Plain-float turn sums a crossing bracket may evaluate in its Newton
+# steps; predicting each halving one at a time took about 37.
 TURN_SUMS_PER_BRACKET = 8
 
 
 def test_a_crossing_bracket_evaluates_few_turn_sums(monkeypatch):
     # One proposal, a Newton root from the secant of the charted sums,
-    # whose halvings one stacked turn sum confirms: no turn sum is taken
-    # one halving at a time, and the chart confirms every halving.
-    # Every plain-float turn sum reads _turn_tangents once.
-    sums = counted(monkeypatch, (_turn_sum, _turn_tangents))
-    stacks = counted(monkeypatch, (chart_stack,))
+    # whose halvings one stacked turn sum confirms, and one stack of turn
+    # tangents at the bracket's ends for the pole test: three turn_tangents
+    # calls with the rows' unit perimeters.  Every plain-float turn sum of
+    # the Newton steps reads _turn_tangents once.
+    sums = counted(monkeypatch, (_turn_tangents, _perimeter_sums, turn_tangents, chart_stack))
     for start, end in (BENCH_F3, BENCH_CROSSING):
-        sums.update(_turn_sum=0, _turn_tangents=0)
-        stacks["chart_stack"] = 0
+        for name in sums:
+            sums[name] = 0
         family = family_report(start, end, 11)
         assert len(family["sign_changes"]) == 1
-        assert stacks["chart_stack"] == 1 + 1
-        assert sums["_turn_sum"] == 0
+        assert sums["chart_stack"] == 1 and sums["_perimeter_sums"] == 1
+        assert sums["turn_tangents"] == 3
         assert 0 < sums["_turn_tangents"] <= TURN_SUMS_PER_BRACKET
 
 
 def test_family_root_at_a_bracket_end_takes_two_stacks(monkeypatch):
-    # The row t = 1/2 of this family has sum p exactly 0, where the turn sum
-    # is 8.9e-16: the chart keeps (lo, 1/2) against the prediction, and the
-    # first round stops there.  From then on every halving keeps (mid, hi),
-    # as the turn sum predicts, so the bracket takes two stacks, as many as
-    # along the interpolated root and where the midpoint trees took 8.
+    # The row t = 1/2 of this family has sum p exactly 0 in the chart, where
+    # 2 T is 1.8e-15: the turn sum keeps (1/2, hi) against the proposal,
+    # and the first round stops there.  From then on every halving keeps
+    # (mid, hi), as the next proposal predicts, so the bracket takes two
+    # stacked turn sums, where the midpoint trees took 8 chart stacks.
     start = [203.401, 207.53, 322.02, 107.113, -14.118576482893687]
     end = [203.401, 207.53, 322.02, 107.113, -12.118576482893687]
-    stacks = counted(monkeypatch, (chart_stack,))
+    stacks = counted(monkeypatch, (chart_stack, _perimeter_sums))
     report = family_report(start, end, 2)
-    assert stacks["chart_stack"] == 1 + 2
+    assert stacks == {"chart_stack": 1, "_perimeter_sums": 2}
     assert len(report["sign_changes"]) == 1
     assert report == sequential_family_report(start, end, 2)
 
