@@ -33,7 +33,6 @@ from .errors import (
     DegenerateCritical,
     InputSchemaError,
     LengthMismatch,
-    NotCritical,
     SlopeMismatch,
 )
 from .geometry import (
@@ -47,7 +46,7 @@ from .geometry import (
     signed_perimeters,
     tangential_polygons,
     turn_tangents,
-    turning_sum,
+    turning_rule,
 )
 from .tangential import index_pair
 from .tolerances import DEFAULT_TOL, Tolerances
@@ -91,25 +90,18 @@ class CyclicPolygon:
             raise ValueError("radius must be positive and finite")
         if phis.ndim != 1 or len(phis) < 3 or not np.isfinite(phis).all():
             raise ValueError("need at least three finite vertex angles")
-        center = center.copy()
-        phis = phis % TWO_PI
+        center, phis = center.copy(), phis % TWO_PI
         phis[phis == TWO_PI] = 0.0
-        center.setflags(write=False)
-        phis.setflags(write=False)
-        object.__setattr__(self, "center", center)
-        object.__setattr__(self, "radius", float(self.radius))
-        object.__setattr__(self, "phis", phis)
         arcs = (_cycled(phis) - phis) % TWO_PI
-        arcs.setflags(write=False)
-        object.__setattr__(self, "arcs", arcs)
-        coincident = np.minimum(arcs, TWO_PI - arcs) < DEFAULT_TOL.parallel
-        faults = coincident | (np.abs(arcs - math.pi) <= 2.0 * ANTIPODAL)
-        if faults.any():
-            i = int(np.argmax(faults))
-            pair = f"vertices {i} and {(i + 1) % len(phis)}"
-            if coincident[i]:
-                raise CoincidentVertices(f"{pair} coincide")
-            raise AntipodalVertices(f"{pair} are antipodal")
+        for name, array in (("center", center), ("phis", phis), ("arcs", arcs)):
+            array.setflags(write=False)
+            object.__setattr__(self, name, array)
+        object.__setattr__(self, "radius", float(self.radius))
+        for i, arc in enumerate(arcs.tolist()):
+            if min(arc, TWO_PI - arc) < DEFAULT_TOL.parallel:
+                raise CoincidentVertices(f"vertices {i} and {(i + 1) % len(phis)} coincide")
+            if abs(arc - math.pi) <= 2.0 * ANTIPODAL:
+                raise AntipodalVertices(f"vertices {i} and {(i + 1) % len(phis)} are antipodal")
 
     @classmethod
     def from_degrees(cls, radius: float, phis_deg, center=(0.0, 0.0)) -> "CyclicPolygon":
@@ -134,8 +126,9 @@ class CyclicPolygon:
 
     @functools.cached_property
     def dual_slopes(self) -> SlopeSystem:
-        """Slopes of the :func:`dual_polygon`: the tangent directions phi + pi/2."""
-        return SlopeSystem.from_angles((self.phis + 0.5 * math.pi) % TWO_PI)
+        """Slopes of the :func:`dual_polygon`: the tangent directions phi + pi/2,
+        their turns the arcs that the constructor has kept apart as lines."""
+        return SlopeSystem._unchecked((self.phis + 0.5 * math.pi) % TWO_PI)
 
 
 @dataclass(frozen=True, eq=False)
@@ -194,12 +187,12 @@ def cyclic_invariants(cyclic: CyclicPolygon) -> CyclicInvariants:
     the dual slopes phi + pi/2, whose turns are the arcs: eps_i tan(alpha_i)
     is the turn tangent tan(arc_i / 2), so B is the dual's turn sum, and k
     and the right turns RT (the arcs past pi) are its turning rule's integers
-    (:func:`~polyslope.geometry.turning_sum`), so the winding is (k - RT) / 2.
+    (:func:`~polyslope.geometry.turning_rule`), so the winding is (k - RT) / 2.
     """
     arcs = cyclic.arcs
     forward = arcs < math.pi
     tangents = turn_tangents(cyclic.phis)
-    _, k, right_turns = turning_sum(cyclic.dual_slopes)
+    k, right_turns = (int(x) for x in turning_rule(cyclic.dual_slopes.angles))
     return CyclicInvariants(
         orientations=np.where(forward, 1, -1),
         half_angles=np.minimum(arcs, TWO_PI - arcs) / 2.0,
@@ -230,7 +223,7 @@ def dual_polygon(cyclic: CyclicPolygon, tol: Tolerances = DEFAULT_TOL) -> DualPo
     unresolved = "the coordinates cannot resolve the polygon at this radius and center"
     # Coordinates near the center round by eps |center|, which turns an edge
     # of length R by up to that over R.
-    blur = float(EPS * np.abs(cyclic.center).max())
+    blur = EPS * max(map(abs, cyclic.center.tolist()))
     if blur > tol.parallel * cyclic.radius:
         raise InputSchemaError(
             f"{unresolved} (rounding of {blur!r} at the center exceeds "
@@ -299,9 +292,10 @@ def area_morse_index_numeric(cyclic: CyclicPolygon) -> int:
     lambda . J w_k, so the closure multiplier is lambda = -J (v_1 - c) in
     closed form, and with d^2 w_k / d theta_k^2 = -w_k the diagonal comes to
     cross(v_{k+1} - c, v_k - c) = -R^2 sin(arc_k): no multiplier is solved
-    for.  An eigenvalue within the roundoff bound 500 * n * eps * max|L| of
-    zero raises DegenerateCritical (the bifurcation signature).  The bound
-    is relative to L, not to the projected matrix, which is 1 x 1 at n = 4.
+    for, and no gradient tested: a polygon on a circle is critical.  An
+    eigenvalue within the roundoff bound 500 * n * eps * max|L| of zero
+    raises DegenerateCritical (the bifurcation signature).  The bound is
+    relative to L, not to the projected matrix, which is 1 x 1 at n = 4.
     Its constant is measured on two seeded samples of random polygons, 60
     per n for n 4..9: at bifurcation roots bisected to adjacent floats,
     min|eigenvalue| was at most 20 n eps max|L|; with 1e-9 <= |B| /
@@ -315,24 +309,21 @@ def area_morse_index_numeric(cyclic: CyclicPolygon) -> int:
     so its edges are the differences of its vertices, as :class:`PolygonChain`
     reads them, without that class's check.
     """
-    vertices = np.array([np.cos(cyclic.phis), np.sin(cyclic.phis)]).T
+    vertices = np.empty((cyclic.n, 2))
+    vertices[:, 0], vertices[:, 1] = np.cos(cyclic.phis), np.sin(cyclic.phis)
     ahead = _cycled(vertices)
     w = ahead - vertices
     basis = closure_basis(w[1:].T)
-    residual = _area_residual(w, basis)
-    scale = max(1.0, float(np.hypot(w[:, 0], w[:, 1]).sum()) ** 2)
-    if residual > 1e-8 * scale:
-        raise NotCritical(f"cyclic polygon fails the criticality test ({residual!r})")
     if basis.shape[1] == 0:
         return 0  # a triangle is rigid: the area has no direction to move in
     x, y = w[1:, 0], w[1:, 1]
     lagrangian = (x[:, None] * y - y[:, None] * x) * half_signs(cyclic.n - 1)
     lagrangian.flat[:: cyclic.n] = ahead[1:, 0] * vertices[1:, 1] - ahead[1:, 1] * vertices[1:, 0]
-    eigenvalues = np.linalg.eigvalsh(basis.T @ lagrangian @ basis)
+    eigenvalues = np.linalg.eigvalsh(basis.T @ lagrangian @ basis).tolist()
     bound = 500.0 * cyclic.n * EPS * float(np.abs(lagrangian).max())
-    if (np.abs(eigenvalues) <= bound).any():
+    if any(abs(value) <= bound for value in eigenvalues):
         raise DegenerateCritical(f"area Hessian eigenvalue within roundoff bound {bound!r}")
-    return int(np.count_nonzero(eigenvalues < 0))
+    return sum(value < 0 for value in eigenvalues)
 
 
 def area_morse_index_formula(inv: CyclicInvariants, tol: Tolerances = DEFAULT_TOL) -> int:

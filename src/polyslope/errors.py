@@ -29,10 +29,6 @@ class SlopeMismatch(InputError):
     """A polygon edge is not parallel to its declared slope."""
 
 
-class SignatureMismatch(PolyslopeError):
-    """Sign count of the chart perimeters disagrees with the turning number."""
-
-
 class ReconstructionDegenerate(PolyslopeError):
     """Polygon reconstruction hit an ill-conditioned or inconsistent step."""
 

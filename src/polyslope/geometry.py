@@ -93,11 +93,12 @@ _PI_MULTIPLES = np.array([-math.pi, 0.0, math.pi])
 def turning_rule(angles: np.ndarray):
     """The integers k = -sum f_i and RT = #{odd f_i} along the last axis of
     angles in [0, 2pi), from the floors f_i = floor(tau_i / pi) of the turns
-    tau_i = s_{i+1} - s_i.  As sum tau_i = 0, the line turns tau_i - f_i pi,
-    each in (0, pi) where the lines rule holds, add up to k pi, 0 < k < n."""
+    tau_i = s_{i+1} - s_i, read as the counts f_i + 2 of the multiples of pi
+    at or below tau_i.  As sum tau_i = 0, the line turns tau_i - f_i pi, each
+    in (0, pi) where the lines rule holds, add up to k pi, 0 < k < n."""
     steps = _cycled(angles, 1, -1) - angles
-    floors = np.searchsorted(_PI_MULTIPLES, steps, side="right") - 2
-    return -floors.sum(axis=-1), (floors & 1).sum(axis=-1)
+    counts = _PI_MULTIPLES.searchsorted(steps, "right")
+    return 2 * steps.shape[-1] - counts.sum(axis=-1), (counts & 1).sum(axis=-1)
 
 
 def line_vertices(angles, offsets, tol: Tolerances = DEFAULT_TOL) -> np.ndarray:
@@ -173,6 +174,15 @@ class SlopeSystem:
         return cls(angles)
 
     @classmethod
+    def _unchecked(cls, angles: np.ndarray) -> "SlopeSystem":
+        """The system of a float64 array of angles in [0, 2pi) whose consecutive
+        lines the caller has kept apart, made read-only in place: no loop."""
+        angles.setflags(write=False)
+        system = object.__new__(cls)
+        object.__setattr__(system, "angles", angles)
+        return system
+
+    @classmethod
     def from_degrees(cls, degrees: Iterable[float]) -> "SlopeSystem":
         return cls(map(math.radians, degrees))
 
@@ -216,11 +226,10 @@ def diameters(vertices: np.ndarray) -> np.ndarray:
 
 def _edge_pass(vertices: np.ndarray):
     """One pass over a (..., m, 2) vertex stack: its cycled vertices (vertex
-    i + 1 in place i), its edges, edge i leaving vertex i, their lengths, and
-    the stack's diameters."""
+    i + 1 in place i), its edges, edge i leaving vertex i, and their lengths."""
     following = _cycled(vertices, 1, -2)
     edges = following - vertices
-    return following, edges, np.hypot(edges[..., 0], edges[..., 1]), diameters(vertices)
+    return following, edges, np.hypot(edges[..., 0], edges[..., 1])
 
 
 @dataclass(frozen=True, eq=False)
@@ -362,10 +371,14 @@ def _binary_exponents(vertices: np.ndarray) -> np.ndarray:
 
 def _shoelace(v: np.ndarray, w: np.ndarray) -> np.ndarray:
     """:func:`oriented_areas` of a vertex stack ``v`` and its cycled vertices
-    ``w``, each list scaled by 2**-m (:func:`_binary_exponents`) for the products."""
+    ``w``, each list scaled by 2**-m (:func:`_binary_exponents`), exactly, and
+    translated to its first vertex, so its products round at the polygon's
+    size, not at its distance from the origin."""
     m = _binary_exponents(v)
-    v, w = np.ldexp(v, -m), np.ldexp(w, -m)
-    return np.ldexp(0.5 * (v[..., 0] * w[..., 1] - w[..., 0] * v[..., 1]).sum(-1), 2 * m[..., 0, 0])
+    first = np.ldexp(v[..., :1, :], -m)
+    v, w = np.ldexp(v, -m) - first, np.ldexp(w, -m) - first
+    # The half is taken in the exponent: the sum may sit at the bottom of the normal range.
+    return np.ldexp((v[..., 0] * w[..., 1] - w[..., 0] * v[..., 1]).sum(-1), 2 * m[..., 0, 0] - 1)
 
 
 def oriented_areas(vertices: np.ndarray) -> np.ndarray:
@@ -425,7 +438,7 @@ def turning_sum(system: SlopeSystem) -> tuple[float, int, int]:
 
 def _slope_rule(vertices, edges, lengths, sizes, slope_angles, tol: Tolerances):
     """The directions in [0, 2pi) of the edges of a (..., m, 2) vertex stack
-    (from :func:`_edge_pass`) and the mask of the edges
+    (from :func:`_edge_pass` and :func:`diameters`) and the mask of the edges
     off slope i by more than ``tol.parallel`` plus 256 eps (diameter +
     max|coordinate|) / length: the roundoff of a direction read off vertices
     that were built at the polygon's scale and rounded at their own magnitude
@@ -440,22 +453,30 @@ def _slope_rule(vertices, edges, lengths, sizes, slope_angles, tol: Tolerances):
 def edges_against_slopes(vertices: np.ndarray, slope_angles, tol: Tolerances) -> np.ndarray:
     """The mask of the edges of a (..., m, 2) vertex stack, edge i leaving
     vertex i, that :func:`_slope_rule` finds off slope i."""
-    return _slope_rule(vertices, *_edge_pass(vertices)[1:], slope_angles, tol)[1]
+    _, edges, lengths = _edge_pass(vertices)
+    return _slope_rule(vertices, edges, lengths, diameters(vertices), slope_angles, tol)[1]
 
 
-def _signed_lengths(vertices, edges, lengths, sizes, slope_angles, tol: Tolerances):
+def _signed_lengths(vertices, edges, lengths, slope_angles, tol: Tolerances, sizes=None):
     """The edge lengths of :func:`signed_perimeters`, each signed by its slope,
-    from the stack's :func:`_edge_pass`."""
-    angles, mismatched = _slope_rule(vertices, edges, lengths, sizes, slope_angles, tol)
-    if mismatched.any():
-        at = np.unravel_index(np.argmax(mismatched), mismatched.shape)
-        slope = np.broadcast_to(slope_angles, angles.shape)[at]
-        raise SlopeMismatch(
-            f"edge {at[-1]} at angle {float(angles[at])!r} is not parallel to slope "
-            f"{float(slope)!r}"
-        )
-    codirected = edges[..., 0] * np.cos(slope_angles) + edges[..., 1] * np.sin(slope_angles) > 0.0
-    return np.where(codirected, lengths, -lengths)
+    from the stack's :func:`_edge_pass` and, when at hand, diameters.  An edge
+    (x, y) with |x sin s - y cos s| + 2**-1000 <= 64 eps length lies within
+    68 eps of the line of its slope s (sine, cosine and products err by under
+    4 eps of the length), where the rule, exact to 20 eps, allows 256 eps or
+    more (no edge outgrows the diameter): for tol.parallel >= 0 it passes
+    every such edge, so it runs only on a stack with an edge not cleared."""
+    x, y = edges[..., 0], edges[..., 1]
+    cos, sin = np.cos(slope_angles), np.sin(slope_angles)
+    if np.count_nonzero(np.abs(x * sin - y * cos) + 2.0**-1000 > 64.0 * EPS * lengths):
+        sizes = diameters(vertices) if sizes is None else sizes
+        angles, mismatched = _slope_rule(vertices, edges, lengths, sizes, slope_angles, tol)
+        if mismatched.any():
+            at = np.unravel_index(np.argmax(mismatched), mismatched.shape)
+            raise SlopeMismatch(
+                f"edge {at[-1]} at angle {float(angles[at])!r} is not parallel to slope "
+                f"{float(np.broadcast_to(slope_angles, angles.shape)[at])!r}"
+            )
+    return np.where(x * cos + y * sin > 0.0, lengths, -lengths)
 
 
 def signed_perimeters(vertices: np.ndarray, slope_angles, tol: Tolerances = DEFAULT_TOL):
@@ -474,8 +495,9 @@ def polygon_measures(vertices: np.ndarray, slope_angles, tol: Tolerances = DEFAU
     :func:`diameters` of a (..., m, 2) vertex stack, bit for bit, from one
     pass over its edges.  The first edge off its slope raises as in
     :func:`signed_perimeters`; a zero edge lies along any slope."""
-    following, edges, lengths, sizes = _edge_pass(vertices)
-    signed = _signed_lengths(vertices, edges, lengths, sizes, slope_angles, tol)
+    following, edges, lengths = _edge_pass(vertices)
+    sizes = diameters(vertices)
+    signed = _signed_lengths(vertices, edges, lengths, slope_angles, tol, sizes)
     return _shoelace(vertices, following), signed.sum(axis=-1), sizes
 
 

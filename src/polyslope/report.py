@@ -204,7 +204,7 @@ def cyclic_report(
         "invariants": {
             "edge_orientations": inv.orientations.tolist(),
             "half_angles_rad": inv.half_angles.tolist(),
-            "half_angles_deg": [float(math.degrees(a)) for a in inv.half_angles],
+            "half_angles_deg": [math.degrees(a) for a in inv.half_angles.tolist()],
             "positive_edges": int(inv.positive_edges),
             "winding": int(inv.winding),
             "bifurcation_sum": float(inv.bifurcation_sum),

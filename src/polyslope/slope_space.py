@@ -21,12 +21,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import (
-    ParallelLines,
-    ReconstructionDegenerate,
-    SignatureMismatch,
-    SlopeMismatch,
-)
+from .errors import ParallelLines, ReconstructionDegenerate, SlopeMismatch
 from .geometry import (
     EPS,
     NOT_FINITE,
@@ -264,7 +259,7 @@ def build_chart(system: SlopeSystem, tol: Tolerances = DEFAULT_TOL) -> RadiiChar
 
 
 # The chart rules, in the order they are checked.
-LINES, FINITE, SIGNATURE = range(3)
+LINES, FINITE = range(2)
 
 
 @functools.lru_cache(maxsize=None)
@@ -306,8 +301,8 @@ class ChartStack(NamedTuple):
         """Raise the error of the first of ``rules`` (all by default) that a
         row (the one row by default) breaks, working out the failing pair and
         the message only here.  A NaN or infinite angle raises ValueError."""
-        rule = next((rule for rule in rules or range(3) if self.broken[rule][row]), None)
-        angles, k = self.angles[row], self.half_turns[row]
+        rule = next((rule for rule in rules or range(2) if self.broken[rule][row]), None)
+        angles = self.angles[row]
         if rule == LINES:
             first, second, _ = _slope_pairs(len(angles), self.tol.parallel)
             at = int(np.argmax(_parallel_pairs(angles, self.tol)))
@@ -315,20 +310,17 @@ class ChartStack(NamedTuple):
             raise ParallelLines(f"consecutive {pair}" if at < len(angles) else pair)
         if rule == FINITE:
             raise ValueError(NOT_FINITE)
-        if rule == SIGNATURE:
-            positive = np.count_nonzero(self.unit_perimeters[row] > 0)
-            raise SignatureMismatch(f"{positive} positive unit perimeters, expected {int(k) - 1}")
 
 
 def chart_stack(angles: np.ndarray, tol: Tolerances = DEFAULT_TOL) -> ChartStack:
     """The one definition of a chart, on each row of an (..., n) stack of
     angles reduced as :class:`SlopeSystem` stores them: lines apart (the
-    consecutive ones by ``DEFAULT_TOL.parallel``, all by ``tol.parallel``),
-    finite angles, and k - 1 positive p_i for the k of :func:`turning_rule`."""
+    consecutive ones by ``DEFAULT_TOL.parallel``, all by ``tol.parallel``)
+    and finite angles.  Every such row has the signature k - 1 positive p_i
+    for the k of :func:`turning_rule`, a property the tests hold it to."""
     k, right_turns = turning_rule(angles)
     perimeters = _unit_perimeters(angles)
-    lines = _parallel_pairs(angles, tol).any(axis=-1)
-    broken = lines, ~np.isfinite(angles).all(axis=-1), (perimeters > 0).sum(axis=-1) != k - 1
+    broken = _parallel_pairs(angles, tol).any(axis=-1), ~np.isfinite(angles).all(axis=-1)
     sums = perimeters.sum(axis=-1)
     return ChartStack(perimeters, sums, k, right_turns, broken, angles, tol)
 

@@ -206,11 +206,11 @@ def check_chart_identities(rng, n, tol):
 
 
 def check_turning_signature(rng, n, tol):
-    """Signature law, the parity of the right turns, the chart's winding
+    """The range of k, the parity of the right turns, the chart's winding
     against the sum of turns wrapped to (-pi, pi), and its angle sum k pi
-    against the line turns (s_{i+1} - s_i) mod pi summed in floats."""
+    against the line turns (s_{i+1} - s_i) mod pi summed in floats; the
+    signature, k - 1 positive p_i, is a Tier-1 property of every chart."""
     system = random_slope_system(rng, n)
-    # build_chart raises SignatureMismatch when the sign count is off.
     chart = build_chart(system, tol)
     k, right = chart.half_turns, chart.right_turns
     steps = _cycled(system.angles) - system.angles

@@ -113,14 +113,21 @@ def _unit_polygon(phis: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return vertices, np.roll(vertices, -1, axis=0) - vertices
 
 
+def _criticality(w, grad, basis) -> tuple[float, float]:
+    """The norm of the area gradient ``grad`` on the closure space ``basis``
+    of the edges w, and its bound 1e-8 max(1, perimeter**2)."""
+    scale = max(1.0, float(np.sum(np.hypot(w[:, 0], w[:, 1]))) ** 2)
+    return float(np.linalg.norm(basis.T @ grad)), 1e-8 * scale
+
+
 def _projected_eigenvalues(w, grad, basis, lagrangian) -> tuple[np.ndarray, float]:
     """The eigenvalues of basis^T L basis, none for a triangle, with the
-    criticality test, the roundoff bound 500 n eps max|L| and the two errors
-    and messages of ``area_morse_index_numeric``; and the unit n eps max|L|."""
+    criticality test, which ``area_morse_index_numeric`` leaves out (a
+    polygon on a circle is critical), and the roundoff bound 500 n eps
+    max|L| with that function's error and message; and the unit n eps max|L|."""
     n = len(w)
-    scale = max(1.0, float(np.sum(np.hypot(w[:, 0], w[:, 1]))) ** 2)
-    residual = float(np.linalg.norm(basis.T @ grad))
-    if residual > 1e-8 * scale:
+    residual, bound = _criticality(w, grad, basis)
+    if residual > bound:
         raise NotCritical(f"cyclic polygon fails the criticality test ({residual!r})")
     unit = n * EPS * float(np.max(np.abs(lagrangian)))
     if basis.shape[1] == 0:
@@ -145,6 +152,26 @@ def reference_area_eigenvalues(phis: np.ndarray) -> tuple[np.ndarray, float]:
     return _projected_eigenvalues(w, grad, basis, lagrangian)
 
 
+def _closed_form_frame(w: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The gradient of the polygon's own area in the free angles, from the
+    sums of the edges w before and after each edge, and the null-space basis
+    of the constraint matrix w[1:]^T from one SVD, rank cut at max(s) eps
+    max(shape)."""
+    before = np.cumsum(w, axis=0) - w
+    after = np.cumsum(w[::-1], axis=0)[::-1] - w
+    grad = 0.5 * np.sum(w * (before - after), axis=1)[1:]
+    constraints = w[1:].T
+    _, s, vh = np.linalg.svd(constraints)
+    return grad, vh[np.count_nonzero(s > s[0] * EPS * max(constraints.shape)) :].T
+
+
+def closed_form_criticality(vertices: np.ndarray) -> tuple[float, float]:
+    """The criticality test of :func:`closed_form_area_eigenvalues` on an
+    (n, 2) vertex list: the residual and its bound."""
+    w = np.roll(vertices, -1, axis=0) - vertices
+    return _criticality(w, *_closed_form_frame(w))
+
+
 def closed_form_area_eigenvalues(phis: np.ndarray) -> tuple[np.ndarray, float]:
     """:func:`_projected_eigenvalues` at the vertex angles ``phis`` (radians)
     on the unit circle, of the polygon's own area 1/2 sum_{j<k} cross(w_j,
@@ -154,13 +181,8 @@ def closed_form_area_eigenvalues(phis: np.ndarray) -> tuple[np.ndarray, float]:
     cross(v_{k+1}, v_k) on it, on the null-space basis of the constraint
     matrix w[1:]^T from one SVD, rank cut at max(s) eps max(shape)."""
     vertices, w = _unit_polygon(phis)
-    before = np.cumsum(w, axis=0) - w
-    after = np.cumsum(w[::-1], axis=0)[::-1] - w
-    grad = 0.5 * np.sum(w * (before - after), axis=1)[1:]
-    constraints = w[1:].T
-    _, s, vh = np.linalg.svd(constraints)
-    basis = vh[np.count_nonzero(s > s[0] * EPS * max(constraints.shape)) :].T
-    x, y = constraints
+    grad, basis = _closed_form_frame(w)
+    x, y = w[1:].T
     upper = np.triu(0.5 * (np.outer(x, y) - np.outer(y, x)), 1)
     ahead = np.roll(vertices, -1, axis=0)[1:]
     diagonal = ahead[:, 0] * vertices[1:, 1] - ahead[:, 1] * vertices[1:, 0]

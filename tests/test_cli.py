@@ -904,7 +904,6 @@ class TestErrorClasses:
         }
         library_faults = {
             "NonIntegralTurn",
-            "SignatureMismatch",
             "ReconstructionDegenerate",
             "NotCritical",
             "Bifurcating",

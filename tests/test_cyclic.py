@@ -21,6 +21,7 @@ from polyslope import (
     LengthMismatch,
     ParallelLines,
     PolygonChain,
+    SlopeSystem,
     area_criticality_residual,
     area_morse_index_formula,
     area_morse_index_numeric,
@@ -160,6 +161,22 @@ class TestInvariants:
 
 
 class TestDualPolygon:
+    def test_dual_slopes_take_the_constructors_verdict(self):
+        # The dual slopes are the checked system's angles bit for bit.  At
+        # vertices 1.00000008e-9 rad apart, which the arc rule accepts, the
+        # slopes' own loop on the rounded phi + pi/2 reads parallel lines,
+        # and the report raised ParallelLines; it now holds its identity.
+        rng = np.random.default_rng(52)
+        for _ in range(50):
+            cyclic = random_cyclic_polygon(rng, int(rng.integers(3, 10)))
+            angles = (cyclic.phis + 0.5 * math.pi) % (2.0 * math.pi)
+            assert cyclic.dual_slopes == SlopeSystem.from_angles(angles)
+            assert not cyclic.dual_slopes.angles.flags.writeable
+        phis = [107.89628065075429, 107.89628059345851, 200.0, 300.0]
+        with pytest.raises(ParallelLines):
+            SlopeSystem.from_angles(CyclicPolygon.from_degrees(1.0, phis).dual_slopes.angles)
+        assert cyclic_report(1.0, phis)["indices"]["identity_holds"]
+
     def test_square_dual_is_circumscribed_square(self):
         dual = dual_polygon(SQUARE)
         expected = np.array([[1.0, -1.0], [1.0, 1.0], [-1.0, 1.0], [-1.0, -1.0]])

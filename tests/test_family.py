@@ -518,8 +518,8 @@ def planted_stack(rng, n, m):
 
 def reference_chart_error(angles, perimeters, tol):
     """The type and text of the error of the first chart rule a row breaks,
-    or None: the plain float loops of test_geometry, then a plain count of
-    the positive p_i."""
+    or None: the plain float loops of test_geometry.  A row that keeps
+    them has the signature k - 1 positive p_i, by a plain count."""
     try:
         reference_consecutive_check(angles)
         reference_pairwise_check(angles, tol)
@@ -529,8 +529,7 @@ def reference_chart_error(angles, perimeters, tol):
     positive = 0
     for p in perimeters:
         positive += p > 0.0
-    if positive != k - 1:
-        return "SignatureMismatch", f"{positive} positive unit perimeters, expected {k - 1}"
+    assert positive == k - 1, angles
     return None
 
 

@@ -23,10 +23,12 @@ from polyslope import (
     turning_sum,
     winding_number,
 )
+from polyslope import geometry
 from polyslope.geometry import (
     area_form,
     diameters,
     edge_lengths_along,
+    edges_against_slopes,
     edge_offsets,
     integral_ratio,
     left_normal,
@@ -709,6 +711,35 @@ class TestArrayKernels:
             assert str(batched.value) == str(expected.value)
             assert "edge 2 " in str(batched.value)
 
+    @pytest.mark.parametrize("scale", [1.0, 1e-300])
+    def test_edges_the_quick_test_clears_pass_the_slope_rule(self, monkeypatch, scale):
+        # signed_perimeters runs the slope rule only on a stack with an edge
+        # that |x sin s - y cos s| + 2**-1000 <= 64 eps length cannot clear.
+        # Slopes turned by up to 1e-6 rad, across the rule's bound, and a
+        # tolerance near zero, where its roundoff term alone decides: it
+        # raises exactly where the rule finds an edge off its slope, and
+        # otherwise gives the lengths signed by their slopes, bit for bit.
+        tol, runs, seen = DEFAULT_TOL.scaled(scale), [0], set()
+        rule = geometry._slope_rule
+        monkeypatch.setattr(geometry, "_slope_rule", lambda *a: runs.append(1) or rule(*a))
+        for rng, system, polygon in chart_polygons(47, 300):
+            vertices, n = polygon.vertices, system.n
+            top = rng.uniform(-17.0, -6.0)
+            slopes = system.angles + rng.choice([-1.0, 1.0], n) * 10.0 ** rng.uniform(-18, top, n)
+            edges = np.roll(vertices, -1, axis=0) - vertices
+            lengths = np.hypot(edges[:, 0], edges[:, 1])
+            along = edges[:, 0] * np.cos(slopes) + edges[:, 1] * np.sin(slopes)
+            off = bool(edges_against_slopes(vertices, slopes, tol).any())
+            runs.clear()
+            outcome = outcome_text(signed_perimeters, vertices, slopes, tol)
+            if off:
+                assert outcome[0] == "SlopeMismatch" and runs, top
+            else:
+                signed = np.where(along > 0.0, lengths, -lengths).sum()
+                assert outcome is None and signed_perimeters(vertices, slopes, tol) == signed
+            seen.add((off, bool(runs)))
+        assert seen == {(True, True), (False, True), (False, False)}
+
     def test_point_on_an_edge_names_first_edge(self):
         # Vertex 2 ends edge 1 and starts edge 2.
         cases = [(polygon, polygon.vertices[2], 1) for _, _, polygon in chart_polygons(42, 20)]
@@ -840,17 +871,22 @@ class TestPowerOfTwoScaling:
 
     def test_area_of_a_triangle_far_out(self):
         # 1e150 wide at 1e160 from the origin: its products near 1e320
-        # overflowed, giving NaN.  The shoelace about the origin rounds its
-        # products at their magnitude, so this area, 5.000006e299, is exact
-        # only to 16 eps times half their sum (the bound of the slopes
-        # report's area check): it reads -1.1e304.
+        # overflowed, giving NaN, and about the origin they rounded at their
+        # magnitude, giving -1.1e304.  About the first vertex the edges are
+        # exact differences and the area, 5.000006e299, one rounded product.
         vertices = np.array([[1e160, 1e160], [1e160 + 1e150, 1e160], [1e160, 1e160 + 1e150]])
         area = oriented_area(PolygonChain(vertices))
-        exact, terms = exact_shoelace(vertices)
-        assert math.isfinite(area)
-        assert abs(Fraction(area) - exact) <= 16 * Fraction(EPS) * terms
+        exact, _ = exact_shoelace(vertices)
+        assert abs(Fraction(area) - exact) <= Fraction(EPS) * abs(exact)
         for m in (-532, -600, -1000):
             assert np.ldexp(oriented_area(PolygonChain(np.ldexp(vertices, m))), -2 * m) == area
+
+    def test_area_of_a_list_whose_spread_leaves_the_float_range(self):
+        # PolygonChain refuses it; the stack kernel scales before it
+        # translates, so the differences 2e308 of this clockwise list stay
+        # finite and its area is the base 2e308 times the height 1 halved.
+        vertices = np.array([[1e308, 0.0], [-1e308, 0.0], [0.0, 1.0]])
+        assert oriented_areas(vertices) == -1e308
 
     @pytest.mark.parametrize("m", [-1000, -600, -300, 300, 600, 1000])
     def test_measures_scale_exactly(self, m):

@@ -5,6 +5,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
 
 from polyslope import (
     ParallelLines,
@@ -32,8 +33,15 @@ from polyslope.geometry import (
 )
 from polyslope.randomgen import random_radii, random_slope_system
 from polyslope.slope_space import _line_offsets
+from polyslope.tolerances import DEFAULT_TOL
 
-from test_geometry import EPS, outcome_text, reference_intersect_lines, reference_line_vertices
+from test_geometry import (
+    EPS,
+    angle_lists,
+    outcome_text,
+    reference_intersect_lines,
+    reference_line_vertices,
+)
 
 EQUILATERAL = SlopeSystem.from_degrees([90, 210, 330])
 
@@ -143,6 +151,32 @@ class TestTritangentCircle:
                 tritangent_circle(angles, np.zeros(np.shape(angles)))
 
 
+def signature_property(perimeters, scale):
+    """The hypothesis test that every chart, built from the drawn lists that
+    keep the chart rules at ``scale`` times the default tolerances, has
+    k - 1 positive entries among ``perimeters(chart)``: the signature law,
+    which no rule of the chart checks."""
+    tol = DEFAULT_TOL.scaled(scale)
+
+    @settings(derandomize=True, max_examples=300, deadline=None, database=None)
+    @given(angle_lists())
+    def holds(angles):
+        try:
+            chart = build_chart(SlopeSystem.from_angles(angles), tol)
+        except ParallelLines:
+            return
+        assert np.count_nonzero(perimeters(chart) > 0) == chart.half_turns - 1, angles
+
+    return holds
+
+
+def first_sign_flipped(chart):
+    """The chart's p_i with the sign of p_1 flipped: one positive p_i more or less."""
+    perimeters = chart.unit_perimeters.copy()
+    perimeters[0] = -perimeters[0]
+    return perimeters
+
+
 class TestBuildChart:
     def test_single_triangle_chart(self):
         chart = build_chart(EQUILATERAL)
@@ -156,6 +190,14 @@ class TestBuildChart:
             chart = build_chart(random_slope_system(rng, n))
             positive = int(np.count_nonzero(chart.unit_perimeters > 0))
             assert positive == chart.half_turns - 1
+
+    @pytest.mark.parametrize("scale", [1.0, 1e-3, 1e-6])
+    def test_every_chart_has_the_signature(self, scale):
+        signature_property(lambda chart: chart.unit_perimeters, scale)()
+
+    def test_a_flipped_sign_breaks_the_signature(self):
+        with pytest.raises(AssertionError):
+            signature_property(first_sign_flipped, 1.0)()
 
     def test_area_constants_positive(self):
         rng = np.random.default_rng(7)

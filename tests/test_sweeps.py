@@ -422,3 +422,17 @@ def test_sweep_passes_at_scaled_tolerances():
         for seed in seeds:
             result = sweeps.run_sweep(seed, 20, (4, 9), DEFAULT_TOL.scaled(factor))
             assert result.total_failed == 0, result.format_text()
+
+
+def test_systems_without_critical_points_are_skipped(monkeypatch):
+    # A draw with no tangential critical point (an exceptional system) gives
+    # the five checks that read the points nothing to compare: each skips
+    # the trial.  The chart identities still check the drawn radii.
+    monkeypatch.setattr(sweeps, "tangential_critical_points", lambda chart: ())
+    result = sweeps.run_sweep(3, 10, (4, 9))
+    tallies = {tally.name: tally for tally in result.tallies}
+    for name in ("critical_gradient", "hessian_difference", "hessian_determinant",
+                 "index_agreement", "convex_indices"):
+        assert (tallies[name].passed, tallies[name].failed, tallies[name].skipped) == (0, 0, 10)
+    assert (tallies["chart_identities"].passed, tallies["chart_identities"].skipped) == (10, 0)
+    assert result.total_failed == 0

@@ -11,7 +11,8 @@ with one eigenvalue call; the
 index-agreement and determinant trials read the same stack, with one
 eigenvalue or determinant call, and no point's own Hessian.
 A cyclic report computes its invariants and its dual slopes once, and its
-indices with one SVD, one eigenvalue call and no chart.  Counters
+indices with one SVD, one eigenvalue call, one turning rule, no chart,
+no area gradient and no slope rule.  Counters
 wrap functions such as ``geometry.tangential_polygons`` and
 ``slope_space.build_chart`` in every ``polyslope`` module that holds them,
 and ``numpy.linalg``'s ``eigvalsh`` and ``det``.  The routes these shortcuts replace
@@ -46,7 +47,7 @@ from polyslope import (
     tangential_critical_points,
 )
 from polyslope import geometry
-from polyslope.cyclic import bifurcation_test, cyclic_invariants
+from polyslope.cyclic import _area_residual, bifurcation_test, cyclic_invariants
 from polyslope.geometry import (
     area_form,
     edge_lengths_along,
@@ -428,16 +429,22 @@ def test_cyclic_trial_computes_invariants_once(monkeypatch, name):
 
 
 def counted_systems(monkeypatch):
-    """A one-item list holding the number of SlopeSystems constructed."""
+    """A one-item list holding the number of SlopeSystems made, by the
+    checking constructor or by ``SlopeSystem._unchecked``."""
     systems = [0]
-    init = SlopeSystem.__init__
+    init, unchecked = SlopeSystem.__init__, SlopeSystem._unchecked
 
     def counted_init(self, angles):
         systems[0] += 1
         init(self, angles)
 
-    # Every SlopeSystem, however it is made, runs the one constructor.
+    def counted_unchecked(angles):
+        systems[0] += 1
+        return unchecked(angles)
+
+    # Every SlopeSystem, however it is made, runs one of the two.
     monkeypatch.setattr(SlopeSystem, "__init__", counted_init)
+    monkeypatch.setattr(SlopeSystem, "_unchecked", staticmethod(counted_unchecked))
     return systems
 
 
@@ -461,10 +468,18 @@ def test_cyclic_report_computes_invariants_and_dual_once(monkeypatch):
 )
 def test_cyclic_report_makes_one_svd_and_eigvalsh_and_no_chart(monkeypatch, phis):
     # The numeric area index takes one closure basis and one eigenvalue
-    # call; the dual index is the formula at the dual slopes' half turns,
-    # from one turning rule and no chart, and no TangentialCritical is built.
+    # call, and no area gradient: the polygon is critical by construction.
+    # The dual index is the formula at the dual slopes' half turns, from one
+    # turning rule and no chart or turning_sum, whose finiteness check the
+    # constructor has made, and no TangentialCritical is built.  The dual's
+    # edges keep their slopes within the quick test of _signed_lengths, so
+    # its signed perimeter runs no slope rule.
     linalg = counted_linalg(monkeypatch, ("svd", "eigvalsh"))
-    charts = counted(monkeypatch, (build_chart, chart_stack, turning_rule))
+    charts = counted(
+        monkeypatch,
+        (build_chart, chart_stack, turning_rule, geometry.turning_sum, _area_residual,
+         geometry._slope_rule),
+    )
     made = [0]
     init = TangentialCritical.__init__
 
@@ -476,7 +491,14 @@ def test_cyclic_report_makes_one_svd_and_eigvalsh_and_no_chart(monkeypatch, phis
     report = cyclic_report(1.0, phis)
     assert report["indices"]["mu_dual_perimeter"] is not None
     assert linalg == {"svd": 1, "eigvalsh": 1}
-    assert charts == {"build_chart": 0, "chart_stack": 0, "turning_rule": 1}
+    assert charts == {
+        "build_chart": 0,
+        "chart_stack": 0,
+        "turning_rule": 1,
+        "turning_sum": 0,
+        "_area_residual": 0,
+        "_slope_rule": 0,
+    }
     assert made[0] == 0
 
 
