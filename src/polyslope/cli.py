@@ -124,7 +124,7 @@ def _format_family_text(report: dict) -> str:
             f"t = [{bracket['t_low']:.12f}, {bracket['t_high']:.12f}]"
         )
     if not report["sign_changes"]:
-        lines.append("  no perimeter-sum sign change")
+        lines.append("  no root of the perimeter sum bracketed")
     return "\n".join(lines)
 
 

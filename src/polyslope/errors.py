@@ -20,9 +20,8 @@ class PointOnBoundary(PolyslopeError):
 
 
 class NonIntegralTurn(PolyslopeError):
-    """A cyclic angle sum is off its integral multiple: the line turns of a
-    slope system, a cyclic polygon's dual slopes too (of pi, with k in
-    1..n - 1), or winding angles (of 2pi)."""
+    """A winding angle sum is off its integral multiple of 2 pi
+    (:func:`polyslope.geometry.winding_numbers`)."""
 
 
 class SlopeMismatch(InputError):
@@ -48,10 +47,9 @@ class LengthMismatch(InputError):
 
 
 class NotCritical(PolyslopeError):
-    """A point is not the critical point it is taken for: a cyclic polygon fails
-    :func:`polyslope.cyclic.area_morse_index_numeric`'s criticality test, or no
-    real r_1 gives the area asked of :func:`polyslope.tangential.constrained_perimeter`.
-    A slopes report raises none: its edge-space checks are cross-checks."""
+    """No real r_1 gives the area asked of
+    :func:`polyslope.tangential.constrained_perimeter`.  A slopes report raises
+    none: its edge-space checks are cross-checks."""
 
 
 class Bifurcating(PolyslopeError):

@@ -12,6 +12,7 @@ lists), so ``json.dumps``/``json.loads`` round-trips them losslessly.
 
 import json
 import math
+from bisect import bisect_left, bisect_right
 
 import numpy as np
 
@@ -304,21 +305,26 @@ def _turn_tangents(start, end, t: float) -> list[float]:
     return [math.tan(0.5 * turn) for turn in _cyclic_steps(angles)]
 
 
-def _first_pole(turns, rates, lo: float, hi: float, flo: float) -> float | None:
-    """The first t in (lo, hi] where a turn passes an odd multiple of 180
-    degrees the way that takes T from the sign of flo to the other, or None:
-    tan(tau / 2) falls from +inf to -inf as tau rises through pi.  Each turn
-    is linear in t, at ``turns`` in degrees at lo and ``rates`` in degrees
-    per unit t, so its pole takes one division."""
+def _poles(turns, rates) -> list[tuple[float, float]]:
+    """Every pole of T in 0 < t < 1, in order, as (t, rate): a turn at an odd
+    multiple of 180 degrees, where tan(tau / 2) runs to sign(rate) * inf
+    just before t and comes back from -sign(rate) * inf just after it.
+    Each turn is linear in t, ``turns`` degrees at t = 0 changing at
+    ``rates`` degrees per unit t, so each pole takes one division."""
     poles = []
     for turn, rate in zip(turns, rates):
-        if rate * flo > 0.0:
-            # Float floor division: a turn beyond the float range gives NaN, not an error.
-            below = 180.0 + 360.0 * ((turn - 180.0) // 360.0)
-            t = lo + ((below + 360.0 if rate > 0.0 else below) - turn) / rate
-            if lo < t <= hi:
-                poles.append(t)
-    return min(poles, default=None)
+        if rate:
+            step = math.copysign(360.0, rate)
+            # The first odd multiple of 180 the turn meets: above it when it
+            # rises, at or below it when it falls.
+            target = 180.0 + 360.0 * ((turn - 180.0) // 360.0) + max(step, 0.0)
+            t = (target - turn) / rate
+            while t < 1.0:
+                if t > 0.0:
+                    poles.append((t, rate))
+                target += step
+                t = (target - turn) / rate
+    return sorted(poles)
 
 
 # The Newton steps of one proposal, and the step that ends them: where
@@ -328,13 +334,13 @@ NEWTON_STEPS = 8
 NEWTON_STEP_MIN = 1e-8
 
 
-def _newton_root(start, end, rates, lo: float, hi: float, flo: float, fhi: float) -> float:
-    """A root of T in (lo, hi), where flo and fhi, sum p at lo and hi, differ
-    in sign, in plain floats: Newton steps on T and dT/dt = sum (1 + tan(tau_i
-    / 2)**2) d(tau_i / 2)/dt from the secant of flo and fhi, each kept
-    inside the bracket that the signs of T so far leave (its ends
-    included: T may be exactly 0 at one), or else its midpoint.  The turns
-    change at ``rates``, in degrees per unit t."""
+def _proposed_root(start, end, rates, lo: float, hi: float, flo: float, fhi: float) -> float:
+    """Where the root of T in (lo, hi) is proposed to lie, in plain floats:
+    Newton steps on T and dT/dt = sum (1 + tan(tau_i / 2)**2) d(tau_i / 2)/dt
+    (the turns change at ``rates`` degrees per unit t) from the secant of
+    flo and fhi, T's values or signs at lo and hi, each kept inside the
+    bracket that the signs of T so far leave (its ends included: T may be
+    exactly 0 at one), or else its midpoint."""
     halves = [math.radians(0.5 * rate) for rate in rates]
     a, b = lo, hi
     t = lo - flo * (hi - lo) / (fhi - flo)
@@ -353,15 +359,6 @@ def _newton_root(start, end, rates, lo: float, hi: float, flo: float, fhi: float
             return ahead
         t = ahead
     return t
-
-
-def _proposed_root(start, end, lo: float, hi: float, flo: float, fhi: float) -> float:
-    """Where the sign change of T in (lo, hi) is proposed to lie: the first
-    pole of :func:`_first_pole`, else :func:`_newton_root`."""
-    turns = _cyclic_steps([(1.0 - lo) * a + lo * b for a, b in zip(start, end)])
-    rates = _cyclic_steps([b - a for a, b in zip(start, end)])
-    pole = _first_pole(turns, rates, lo, hi, flo)
-    return _newton_root(start, end, rates, lo, hi, flo, fhi) if pole is None else pole
 
 
 def _halvings(lo: float, hi: float, root: float) -> list[tuple[float, bool]]:
@@ -383,31 +380,21 @@ def _perimeter_sums(start, end, ts) -> list[float]:
     return (2.0 * turn_tangents(_family_angles(start, end, ts)[1]).sum(axis=-1)).tolist()
 
 
-def _is_pole(start, end, lo: float, hi: float) -> bool:
-    """Whether T changes sign across (lo, hi) at a pole: some turn tangent,
-    read off the reduced angles as T is, has opposite signs at lo and hi
-    with |tan| >= 1 at both, as where two consecutive lines turn antiparallel."""
-    low, high = turn_tangents(_family_angles(start, end, [lo, hi])[1])
-    return bool(((low * high < 0.0) & (np.minimum(abs(low), abs(high)) >= 1.0)).any())
-
-
-def _bracket(start, end, lo: float, hi: float, flo: float, fhi: float) -> dict | None:
-    """Bisect a sign change of sum p between the rows lo and hi, of charted
-    sums flo and fhi, to BRACKET_WIDTH: the bracket, or None at a pole.
+def _bracket(start, end, rates, lo: float, hi: float, flo: float, fhi: float) -> dict:
+    """Bisect the root of T in the pole-free piece (lo, hi), whose ends have
+    values or signs flo and fhi of opposite sign, to BRACKET_WIDTH.
 
     Sum p is twice the turn sum T, whose sign alone decides each halving:
     it keeps (lo, mid) when flo * f(mid) <= 0 and (mid, hi) otherwise, where
-    f = 2 T and flo is f at lo (the charted sum while lo is a row).  A round
-    proposes where T changes sign (:func:`_proposed_root`), evaluates T at
-    the midpoints of that proposal's halvings in one :func:`_perimeter_sums`
-    call, and takes them up to the first that T decides otherwise; the next
-    round proposes from there.  So the bracket is bisection's on T, whatever
-    the proposal.  T is finite between poles, so parallel lines at a
-    midpoint decide nothing, and the sign change is a root unless
-    :func:`_is_pole` holds on the final bracket.
+    f = 2 T.  A round proposes a root (:func:`_proposed_root`), evaluates T
+    at the midpoints of that proposal's halvings in one
+    :func:`_perimeter_sums` call, and takes them up to the first that T
+    decides otherwise; the next round proposes from there.  So the bracket
+    is bisection's on T, whatever the proposal.  T is finite inside the
+    piece, so parallel lines at a midpoint decide nothing.
     """
     while hi - lo > BRACKET_WIDTH:
-        root = _proposed_root(start, end, lo, hi, flo, fhi)
+        root = _proposed_root(start, end, rates, lo, hi, flo, fhi)
         proposed = _halvings(lo, hi, root)
         sums = _perimeter_sums(start, end, [mid for mid, _ in proposed])
         for (mid, keeps_low), fmid in zip(proposed, sums):
@@ -418,8 +405,6 @@ def _bracket(start, end, lo: float, hi: float, flo: float, fhi: float) -> dict |
                 lo, flo = mid, fmid
             if low != keeps_low:
                 break
-    if _is_pole(start, end, lo, hi):
-        return None
     mid = 0.5 * (lo + hi)
     return {
         "t_low": float(lo),
@@ -438,27 +423,41 @@ def family_report(
 ) -> dict:
     """Interpolate two slope systems and track the perimeter sum.
 
-    Produces one row per step and refines every sign change of the
-    perimeter sum between two valid rows by bisection on the turn sum
-    (:func:`_bracket`) to a bracket of width 1e-12 in the family parameter.
-    Each sign change is a root and gets a bracket, unless its bisection
-    ends at a pole, where two consecutive lines turn antiparallel.
+    Produces one row per step.  T = sum p / 2 changes sign only at its roots
+    and its poles (:func:`_poles`), which cut each interval between two
+    valid rows into pieces where T is finite.  A row end has the sign of its
+    charted sum p, a pole end sign(rate) before the pole and -sign(rate)
+    after it; each piece whose ends differ in sign holds a root, which
+    :func:`_bracket` bisects on T to a bracket of width 1e-12 in t.  An
+    angle whose float spacing exceeds the default lines tolerance (2**28
+    degrees or more) is an input error.
     """
     if len(start) != len(end):
         raise InputSchemaError("'start_angles_deg' and 'end_angles_deg' differ in length")
     if steps < 2:
         raise InputSchemaError("family needs at least 2 steps")
+    largest = max(map(abs, [*start, *end]))
+    if math.ulp(largest) > math.degrees(DEFAULT_TOL.parallel):
+        raise InputSchemaError(
+            f"family angle {largest!r} is too large: its float spacing exceeds"
+            f" the lines tolerance of {DEFAULT_TOL.parallel!r} rad"
+        )
     rows = _family_rows(start, end, steps, tol)
+    rates = _cyclic_steps([b - a for a, b in zip(start, end)])
+    poles = _poles(_cyclic_steps(start), rates)
+    times = [t for t, _ in poles]
     brackets = []
     for a, b in zip(rows[:-1], rows[1:]):
         if a.get("status") != "ok" or b.get("status") != "ok":
             continue
-        pa, pb = a["perimeter_sum"], b["perimeter_sum"]
-        if pa == 0.0 or pa * pb >= 0.0:
-            continue
-        bracket = _bracket(start, end, a["t"], b["t"], pa, pb)
-        if bracket is not None:
-            brackets.append(bracket)
+        # Walk the pieces: lo is a row or a pole, flo its sum p or the sign of T after it.
+        lo, flo = a["t"], a["perimeter_sum"]
+        for t, rate in poles[bisect_right(times, lo):bisect_left(times, b["t"])]:
+            if lo < t and flo * rate < 0.0:
+                brackets.append(_bracket(start, end, rates, lo, t, flo, math.copysign(1.0, rate)))
+            lo, flo = t, -math.copysign(1.0, rate)
+        if flo * b["perimeter_sum"] < 0.0:
+            brackets.append(_bracket(start, end, rates, lo, b["t"], flo, b["perimeter_sum"]))
     return {
         "kind": "family",
         "input": {

@@ -20,7 +20,8 @@ result, or ``Type: message`` of the error it raises.  The sets:
   near-parallel fuzz lists of ``test_fuzz`` at tolerance scale F;
 * ``cyclic at C``: cyclic reports of radius 1 on the fuzz vertex angles
   about the center C;
-* ``family``: the family reports of ``test_family.families()``;
+* ``family``: the family reports of ``test_family.families()`` and of
+  ``test_family.BESIDE_POLE`` (a root beside a pole) at 3 steps;
 * ``near bifurcation xF``: cyclic reports of ``families.near_bifurcation_phis``
   polygons, on the bifurcation locus, inside its band and just outside it,
   at tolerance scale F (the set at scale 1 is named without it);
@@ -357,9 +358,10 @@ def sets():
     for center in CENTERS:
         phis = test_fuzz.ANGLES[test_fuzz.COUNT:]
         yield f"cyclic at {center}", (outcome(cyclic_report, 1.0, p, center) for p in phis)
+    families = [*test_family.families(), (*test_family.BESIDE_POLE, 3, 1.0)]
     yield "family", (
         outcome(family_report, start, end, steps, test_family.tolerances(scale))
-        for start, end, steps, scale in test_family.families()
+        for start, end, steps, scale in families
     )
     near = list(near_bifurcation_inputs())
     for factor in BIFURCATION_SCALES:

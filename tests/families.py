@@ -19,6 +19,7 @@ import numpy as np
 from polyslope import (
     CyclicPolygon,
     InputError,
+    InputSchemaError,
     ParallelLines,
     PolyslopeError,
     SlopeSystem,
@@ -123,12 +124,46 @@ def _sequential_step(start, end, t, tol):
     return step
 
 
+def pole_ends(start, end, lo, hi):
+    """The poles of T between rows lo and hi, in order, as (t, sign of T
+    just before, sign just after): each odd multiple of 180 degrees that a
+    turn passes between its values at lo and hi, found by the floor of
+    (turn - 180) / 360 at both rows and placed on the turn's line through
+    its start value, where tan(tau / 2) runs to sign(rate) * inf and
+    returns from -sign(rate) * inf."""
+    turns = [
+        [b - a for a, b in zip(x, x[1:] + x[:1])]
+        for x in (start, interpolated(start, end, lo), interpolated(start, end, hi))
+    ]
+    moves = [b - a for a, b in zip(start, end)]
+    rates = [b - a for a, b in zip(moves, moves[1:] + moves[:1])]
+    poles = []
+    for first, low, high, rate in zip(*turns, rates):
+        laps = sorted((math.floor((low - 180.0) / 360.0), math.floor((high - 180.0) / 360.0)))
+        for lap in range(laps[0] + 1, laps[1] + 1):
+            t = (180.0 + 360.0 * lap - first) / rate
+            if lo < t < hi:
+                poles.append((t, math.copysign(1.0, rate), -math.copysign(1.0, rate)))
+    return sorted(poles)
+
+
+def sign_pieces(start, end, lo, hi, flo, fhi):
+    """The pieces of the row interval (lo, hi), of charted sums flo and fhi,
+    between its poles (:func:`pole_ends`) whose ends differ in sign, as
+    (lo, hi, value or sign at lo, value or sign at hi)."""
+    ends = [(lo, flo, flo)] + pole_ends(start, end, lo, hi) + [(hi, fhi, fhi)]
+    return [
+        (a, b, fa, fb)
+        for (a, _, fa), (b, fb, _) in zip(ends, ends[1:])
+        if a < b and fa * fb < 0.0
+    ]
+
+
 def sequential_bracket(start, end, lo, hi, flo):
-    """Plain bisection of a sign change of sum p between rows lo and hi,
-    with one turn sum per midpoint, 2 T = sum p of the midpoint's angles as
-    the family report reduces them, and no chart: the bracket, or None where
-    a turn tangent changes sign with |tan| >= 1 at both of its ends (a
-    pole), and the number of midpoints evaluated."""
+    """Plain bisection of the root of T in a pole-free piece (lo, hi), where
+    flo is sum p or the sign of T at lo, with one turn sum per midpoint,
+    2 T = sum p of the midpoint's angles as the family report reduces them,
+    and no chart: the bracket and the number of midpoints evaluated."""
     halvings = 0
     while hi - lo > 1e-12:
         mid = 0.5 * (lo + hi)
@@ -138,9 +173,6 @@ def sequential_bracket(start, end, lo, hi, flo):
             hi = mid
         else:
             lo, flo = mid, fmid
-    low, high = turn_tangents(_family_angles(start, end, [lo, hi])[1]).tolist()
-    if any(a * b < 0.0 and min(abs(a), abs(b)) >= 1.0 for a, b in zip(low, high)):
-        return None, halvings
     bracket = {
         "t_low": float(lo),
         "t_high": float(hi),
@@ -151,21 +183,26 @@ def sequential_bracket(start, end, lo, hi, flo):
 
 
 def sequential_family_report(start, end, steps, tol=DEFAULT_TOL):
-    """The family report with one SlopeSystem and one build_chart per row
-    and one turn sum per bisection midpoint: the route that
-    ``family_report``'s angle stacks and bisection rounds replace, kept as
-    their reference."""
+    """The family report with one SlopeSystem and one build_chart per row,
+    poles from the floor of each turn at both rows and one turn sum per
+    bisection midpoint: the route that ``family_report``'s angle stacks,
+    pole list and bisection rounds replace, kept as their reference."""
+    # From 2**28 degrees on, one float step of an angle exceeds 1e-9 rad.
+    largest = max(abs(angle) for angle in [*start, *end])
+    if largest >= 2.0**28:
+        raise InputSchemaError(
+            f"family angle {largest!r} is too large: its float spacing exceeds"
+            f" the lines tolerance of {DEFAULT_TOL.parallel!r} rad"
+        )
     rows = [_sequential_step(start, end, i / (steps - 1), tol) for i in range(steps)]
     brackets = []
     for a, b in zip(rows[:-1], rows[1:]):
         if a.get("status") != "ok" or b.get("status") != "ok":
             continue
-        pa, pb = a["perimeter_sum"], b["perimeter_sum"]
-        if pa == 0.0 or pa * pb >= 0.0:
-            continue
-        bracket, _ = sequential_bracket(start, end, a["t"], b["t"], pa)
-        if bracket is not None:
-            brackets.append(bracket)
+        for lo, hi, flo, _ in sign_pieces(
+            start, end, a["t"], b["t"], a["perimeter_sum"], b["perimeter_sum"]
+        ):
+            brackets.append(sequential_bracket(start, end, lo, hi, flo)[0])
     return {
         "kind": "family",
         "input": {

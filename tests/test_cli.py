@@ -365,6 +365,11 @@ class TestCyclicAnalyze:
         assert report["bifurcating"] is True
         assert report["indices"]["withheld"] is True
         assert "reason" in report["indices"]
+        code, out, _ = run_cli(capsys, "cyclic", "analyze", path)
+        assert code == 0
+        assert out.splitlines()[-1] == (
+            "  indices withheld: bifurcating polygon: the area Hessian is degenerate"
+        )
 
     @pytest.mark.parametrize("scale", ["1e-3", "1e-6"])
     def test_narrow_bifurcation_band_still_withholds_indices(self, tmp_path, capsys, scale):
@@ -606,13 +611,24 @@ FAMILY_TEXT = {
             "  perimeter-sum sign change bracketed in t = [0.936271316115, 0.936271316116]",
         ],
     ),
+    # Rows t = 0 and 1/2 differ in sign through a pole at t = 1/6; the root
+    # lies past a second pole, at t = 31/41, between rows of one sign.
+    "root beside a pole": (
+        {"start_angles_deg": [85, 250, 255, 110], "end_angles_deg": [100, 355, 200, 330]},
+        [
+            "    0.0000       +8.492251         2  [0, 1]",
+            "    0.5000      -13.185441         2  [1, 0]",
+            "    1.0000       -3.049840         2  [1, 0]",
+            "  perimeter-sum sign change bracketed in t = [0.931506849314, 0.931506849315]",
+        ],
+    ),
     "no sign change": (
         {"start_angles_deg": [10, 80, 150, 250], "end_angles_deg": [15, 85, 155, 255]},
         [
             "    0.0000       +8.648439         2  [0, 1]",
             "    0.5000       +8.648439         2  [0, 1]",
             "    1.0000       +8.648439         2  [0, 1]",
-            "  no perimeter-sum sign change",
+            "  no root of the perimeter sum bracketed",
         ],
     ),
 }
@@ -651,6 +667,27 @@ class TestFamily:
         code, _, err = run_cli(capsys, "family", path, "--steps", "3")
         assert code == 2
         assert "differ in length" in err
+
+    def test_one_step_is_an_input_error(self, tmp_path, capsys):
+        path = write_json(tmp_path, "family.json", FAMILY)
+        assert run_cli(capsys, "family", path, "--steps", "1") == (
+            2,
+            "",
+            "error: family needs at least 2 steps\n",
+        )
+
+    def test_angles_beyond_the_lines_tolerance_are_an_input_error(self, tmp_path, capsys):
+        # From 2**28 degrees on, one float step of an angle exceeds the 1e-9
+        # rad lines tolerance, so no row of the family is placed within it.
+        below = math.nextafter(2.0**28, 0.0)
+        payload = {"start_angles_deg": [below, 0, 100], "end_angles_deg": [below, 10, 200]}
+        path = write_json(tmp_path, "below.json", payload)
+        assert run_cli(capsys, "family", path, "--steps", "3")[0] == 0
+        payload["end_angles_deg"][0] = -(2.0**28)
+        path = write_json(tmp_path, "beyond.json", payload)
+        code, out, err = run_cli(capsys, "family", path, "--steps", "3")
+        assert (code, out) == (2, "")
+        assert err.startswith("error: family angle 268435456.0 is too large")
 
     def test_constant_family(self, tmp_path, capsys):
         payload = {
@@ -714,8 +751,9 @@ class TestFamily:
             assert row["indices"] == [point["index_formula"] for point in points]
 
     def test_pole_of_perimeter_sum_is_not_bracketed(self, tmp_path, capsys):
-        # Slope 3 turns antiparallel to slope 2 near t = 2/21, where sum p
-        # jumps from +inf to -inf: bisection ends at that pole.
+        # Slope 3 turns antiparallel to slope 2 at t = 2/21, where sum p
+        # jumps from +inf to -inf: rows 0 and 1 differ in sign at that pole,
+        # and neither piece between a row and the pole does.
         payload = {"start_angles_deg": [264, 211, 29, 22], "end_angles_deg": [264, 211, 50, 22]}
         path = write_json(tmp_path, "pole.json", payload)
         code, out, _ = run_cli(capsys, "family", path, "--steps", "11", "--json")
@@ -769,6 +807,39 @@ class TestRender:
             capsys, "render", str(tmp_path / "nope.json"), "-o", str(tmp_path / "x.svg")
         )
         assert code == 2
+
+    @pytest.mark.parametrize(
+        "payload, message",
+        [
+            (FAMILY, "error: render expects a slopes or cyclic input file"),
+            ({"radius": 1}, "error: cannot classify input: expected 'angles_deg', 'phis_deg'"),
+        ],
+    )
+    def test_family_and_unclassifiable_files_are_input_errors(
+        self, tmp_path, capsys, payload, message
+    ):
+        # render reads the kind from the file's fields and draws no family.
+        path = write_json(tmp_path, "input.json", payload)
+        out_path = tmp_path / "figure.svg"
+        code, out, err = run_cli(capsys, "render", path, "-o", str(out_path))
+        assert (code, out) == (2, "") and err.startswith(message)
+        assert not out_path.exists()
+
+    def test_exceptional_system(self, tmp_path, capsys):
+        # The root of the frozen family: its text report and figure say that
+        # there is no critical point to draw.
+        report = family_report(FAMILY["start_angles_deg"], FAMILY["end_angles_deg"], 11)
+        path = write_json(
+            tmp_path, "exc.json", {"angles_deg": report["sign_changes"][0]["angles_deg_root"]}
+        )
+        code, out, _ = run_cli(capsys, "slopes", "analyze", path)
+        assert code == 0
+        assert out.splitlines()[-1] == "  exceptional: no critical points of the perimeter"
+        out_path = tmp_path / "exc.svg"
+        assert run_cli(capsys, "render", path, "-o", str(out_path))[0] == 0
+        figure = out_path.read_text()
+        assert "exceptional configuration space (perimeter sum ~ 0)" in figure
+        assert "<polygon" not in figure
 
 
 def walk_values(node):
@@ -866,6 +937,12 @@ class TestValidation:
             validate_cyclic_input({"phis_deg": [0, 90, 200]})
         with pytest.raises(InputSchemaError):
             validate_cyclic_input({"radius": 1, "phis_deg": [0, 90, 200], "center": [0]})
+
+    def test_top_level_must_be_an_object(self, tmp_path, capsys):
+        path = write_json(tmp_path, "list.json", [90, 210, 330])
+        code, out, err = run_cli(capsys, "slopes", "analyze", path)
+        assert (code, out) == (2, "")
+        assert err == f"error: {path}: top level must be a JSON object\n"
 
     def test_analyze_reads_each_kind(self):
         slopes = {"angles_deg": [90, 210, 330]}

@@ -1,23 +1,25 @@
 """The family report against its one-row-at-a-time reference.
 
 ``family_report`` charts its rows as one angle stack
-(``slope_space.chart_stack``) and brackets each sign change of sum p
-between two valid rows on the turn sum T = sum tan(tau_i / 2) alone, which
-is half of sum p: each bisection round proposes where T changes sign (a
-pole, or a Newton root), evaluates T at the midpoints of the halvings that
-proposal gives with one stacked turn sum, and takes them up to the first
-that T decides otherwise.  A bracket whose ends straddle a pole, where a
-turn tangent changes sign through infinity, is dropped.
+(``slope_space.chart_stack``), splits each interval between two valid rows
+at the poles of the turn sum T = sum tan(tau_i / 2), which is half of sum
+p, and brackets every pole-free piece whose ends differ in sign on T
+alone: each bisection round proposes a Newton root, evaluates T at the
+midpoints of the halvings that proposal gives with one stacked turn sum,
+and takes them up to the first that T decides otherwise.
 ``families.sequential_family_report`` is the plain route: one
-``SlopeSystem`` and one ``build_chart`` per row, and one turn sum per
-midpoint.  Both must give the same JSON, byte for byte, on families that
-reach every branch: random families, poles, invalid rows at grid points,
-parallel lines at midpoints, scaled tolerances, two steps, crossings
-shaped like the benchmark's, and roots on a grid row or one float beside
-it.  They must still do so when the proposal is wrong, in more stacks.
-Every sign change of the charted rows is a bracket or a pole, which a
-planted rule that reads parallel lines at a midpoint as a pole breaks;
-no bracket takes more stacks than the midpoint trees of earlier rounds.
+``SlopeSystem`` and one ``build_chart`` per row, poles from the floor of
+each turn at both rows, and one turn sum per midpoint.  Both must give the
+same JSON, byte for byte, on families that reach every branch: random
+families, poles, roots beside poles, invalid rows at grid points, parallel
+lines at midpoints, scaled tolerances, two steps, crossings shaped like the
+benchmark's, roots on a grid row or one float beside it, and angles too
+large for the lines tolerance.  They must still do so when the proposal is
+wrong, in more stacks.  Every pole-free piece whose ends differ in sign
+holds one bracket, and every bracket a sign change of the 60-digit T,
+which a planted report that stops at the first pole of each row pair, or
+reads parallel lines at a midpoint as a pole, breaks; no bracket takes more
+stacks than the midpoint trees of earlier rounds.
 """
 
 import json
@@ -26,6 +28,7 @@ import math
 import mpmath
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from polyslope import SlopeSystem, build_chart, report
 from polyslope.errors import InputSchemaError, NonIntegralTurn, ParallelLines, PolyslopeError
@@ -47,11 +50,17 @@ from families import (
     FAMILY_END,
     FAMILY_START,
     interpolated,
+    pole_ends,
     sequential_family_report,
+    sign_pieces,
 )
 
 # The third slope turns parallel to the second near t = 2/21: a pole of sum p.
 POLE = ([264.0, 211.0, 29.0, 22.0], [264.0, 211.0, 50.0, 22.0])
+# Lines 2 and 3 turn antiparallel at t = 31/41, where sum p falls from +inf
+# to -inf; it then rises through a root at t = 68/73 (lines at least 32.9
+# degrees apart) and is negative again at the row t = 1.
+BESIDE_POLE = ([85.0, 250.0, 255.0, 110.0], [100.0, 355.0, 200.0, 330.0])
 # At t = 1/2 slope 2 turns parallel to slope 0, a non-consecutive pair in
 # the first family and a consecutive one in the second: invalid grid rows.
 PARALLEL_ROWS = [
@@ -59,7 +68,8 @@ PARALLEL_ROWS = [
     ([0.0, 100.0, 170.0], [0.0, 100.0, 190.0]),
 ]
 # Angles at the ends of the float range: a reduction that rounds up to
-# 2 pi, and interpolation next to overflow.
+# 2 pi, and interpolation next to overflow, which the family report refuses
+# as an input error (its float spacing is far beyond the lines tolerance).
 EXTREME = [
     ([-1e-300, 0.0, 100.0], [-1e-20, 10.0, 200.0]),
     ([1.7e308, 0.0, 100.0], [1.7976931348623157e308, 10.0, 200.0]),
@@ -240,23 +250,25 @@ def compared():
 
 def test_reports_equal_the_sequential_reference(compared):
     assert len(compared) >= 1000
-    brackets = poles = invalid = 0
-    for case, expected, actual, _, _ in compared:
-        assert actual == expected, case
+    brackets = poles = beside = invalid = refused = 0
+    for (start, end, _), expected, actual, _, _ in compared:
+        assert actual == expected, (start, end)
         if not expected.startswith("{"):
+            refused += expected.startswith("InputSchemaError")
             continue
-        rows = json.loads(expected)["rows"]
-        changes = sum(
-            a["status"] == b["status"] == "ok" and a["perimeter_sum"] * b["perimeter_sum"] < 0
-            for a, b in zip(rows, rows[1:])
-        )
-        sign_changes = len(json.loads(expected)["sign_changes"])
-        brackets += sign_changes
-        poles += changes - sign_changes
+        family = json.loads(expected)
+        rows = family["rows"]
+        for a, b in zip(rows, rows[1:]):
+            if a["status"] == b["status"] == "ok" and pole_ends(start, end, a["t"], b["t"]):
+                poles += 1
+                beside += any(a["t"] < x["t_low"] < b["t"] for x in family["sign_changes"])
+        brackets += len(family["sign_changes"])
         invalid += sum(row["status"] == "invalid" for row in rows)
-    # Every branch is reached: roots, poles and invalid rows (816, 852 and
-    # 289 when written).
-    assert brackets >= 300 and poles >= 300 and invalid >= 100
+    # Every branch is reached: roots, row pairs with poles, roots beside
+    # them, invalid rows and angles too large for the lines tolerance
+    # (1,237, 1,323, 409, 289 and 16 when written).
+    assert brackets >= 1000 and poles >= 1000 and beside >= 300 and invalid >= 100
+    assert refused >= 16
 
 
 # The depth of the midpoint trees that bisection rounds once charted: a
@@ -269,17 +281,13 @@ def test_no_bracket_charts_more_stacks_than_its_midpoint_trees(compared):
     # A round evaluates the halvings that its proposal gives, down to the
     # bracket width, as one stacked turn sum, so a bracket takes one stack
     # per halving that the turn sum decides against a proposal, plus one.
-    # When written, 1,514 brackets took one stack, 130 two and 8 three,
-    # 2,066 in all, where the midpoint trees took 13,344.  The unreduced
-    # turns of the family at 1.7e308 degrees carry no proposal: its 16
-    # brackets took 13 to 20 stacks each, still one halving at least per
-    # stack.
+    # When written, 1,166 brackets took one stack and 71 two, 1,308 in all,
+    # where the midpoint trees took 9,828.
     used = bound = 0
     for case, _, _, rounds, halvings in compared:
         assert len(rounds) == len(halvings), case
-        huge = case[0] == EXTREME[1][0]
         for taken, count in zip(rounds, halvings):
-            assert 1 <= taken <= (count if huge else min(3, math.ceil(count / TREE_DEPTH))), case
+            assert 1 <= taken <= min(3, math.ceil(count / TREE_DEPTH)), case
             used += taken
             bound += math.ceil(count / TREE_DEPTH)
     assert used < 0.2 * bound and used <= 2100
@@ -287,7 +295,7 @@ def test_no_bracket_charts_more_stacks_than_its_midpoint_trees(compared):
 
 def proposing(where):
     """A ``_proposed_root`` that proposes ``where(lo, hi)``."""
-    return lambda start, end, lo, hi, flo, fhi: where(lo, hi)
+    return lambda start, end, rates, lo, hi, flo, fhi: where(lo, hi)
 
 
 def negated(start, end, t, turn_tangents=report._turn_tangents):
@@ -377,73 +385,98 @@ def test_the_turn_sum_reads_the_angles_as_charted(name):
         assert report._turn_tangents(start, end, t) == [math.tan(0.5 * (b - a)) for a, b in turns]
 
 
-def antiparallel_between(start, end, lo, hi):
-    """Whether two consecutive lines of the family turn antiparallel at some
-    t in [lo, hi]: a turn, linear in t, at an odd multiple of 180 degrees,
-    in closed form on the unreduced degrees (which find one in every
-    interval where the degrees are too large to carry a turn)."""
-    ends = [interpolated(start, end, t) for t in (lo, hi)]
-    turns = [[b - a for a, b in zip(angles, angles[1:] + angles[:1])] for angles in ends]
-    return any(
-        math.floor((a - 180.0) / 360.0) != math.floor((b - 180.0) / 360.0)
-        or (a - 180.0) % 360.0 == 0.0
-        for a, b in zip(*turns)
-    )
+def exact_tangents(start, end, t):
+    """tan(tau_i / 2) at t, with the degrees interpolated and the tangents
+    taken at 60 digits."""
+    with mpmath.workdps(60):
+        t = mpmath.mpf(t)
+        angles = [mpmath.radians((1 - t) * a + t * b) for a, b in zip(start, end)]
+        return [mpmath.tan((b - a) / 2) for a, b in zip(angles, angles[1:] + angles[:1])]
+
+
+def exact_turn_sum(start, end, t):
+    """T at t, at 60 digits."""
+    with mpmath.workdps(60):
+        return sum(exact_tangents(start, end, t))
+
+
+def within_roundoff(start, end, t):
+    """Whether |T| at t is at most eps sum (1 + tan(tau_i / 2)**2), at 60
+    digits: the roundoff of one float reading of T, whose sign it may flip."""
+    with mpmath.workdps(60):
+        tangents = exact_tangents(start, end, t)
+        return abs(sum(tangents)) <= EPS * sum(1 + x * x for x in tangents)
+
+
+def changes_sign(start, end, bracket):
+    """Whether the 60-digit T is 0 at an end of the bracket or has opposite
+    signs at its ends."""
+    lo, hi = bracket["t_low"], bracket["t_high"]
+    return exact_turn_sum(start, end, lo) * exact_turn_sum(start, end, hi) <= 0
 
 
 def unaccounted(start, end, family):
-    """The row pairs of a family report whose charted sums change sign with
-    no bracket between them and no antiparallel turn, and those with more
-    than one bracket."""
+    """The pole-free pieces of a family report whose ends differ in sign
+    (``families.sign_pieces``) that do not hold exactly one bracket, and the
+    brackets that lie in no such piece, as (t_low, t_high) pairs."""
     rows, brackets = family["rows"], family["sign_changes"]
-    missing, pairs = [], 0
-    for a, b in zip(rows, rows[1:]):
-        if not a["status"] == b["status"] == "ok":
-            continue
-        pa, pb = a["perimeter_sum"], b["perimeter_sum"]
-        if pa == 0.0 or pa * pb >= 0.0:
-            continue
-        pairs += 1
-        inside = [x for x in brackets if a["t"] <= x["t_low"] < x["t_high"] <= b["t"]]
-        if len(inside) > 1 or not inside and not antiparallel_between(start, end, a["t"], b["t"]):
-            missing.append((a["t"], b["t"]))
-    assert len(brackets) <= pairs
-    return missing
+    pieces = [
+        (lo, hi)
+        for a, b in zip(rows, rows[1:])
+        if a["status"] == b["status"] == "ok"
+        for lo, hi, _, _ in sign_pieces(
+            start, end, a["t"], b["t"], a["perimeter_sum"], b["perimeter_sum"]
+        )
+    ]
+    held = [[x for x in brackets if lo <= x["t_low"] < x["t_high"] <= hi] for lo, hi in pieces]
+    missing = [piece for piece, inside in zip(pieces, held) if len(inside) != 1]
+    stray = [x for x in brackets if not any(x in inside for inside in held)]
+    return missing + [(x["t_low"], x["t_high"]) for x in stray]
 
 
 def test_every_sign_change_is_a_root_or_a_pole(compared):
-    # Every row pair whose charted sums change sign gets one bracket, or
-    # its interval holds a turn through an odd multiple of 180 degrees, a
-    # pole of the turn sum, where the bisection ends.
-    dropped = 0
+    # T changes sign only at roots and poles, so every pole-free piece of a
+    # row interval whose ends differ in sign holds one bracket, nothing else
+    # holds one, and each bracket holds a sign change of the 60-digit T.
+    # When written, 11 of the 1,237 brackets hold none: each has an end
+    # where |T| is within the roundoff of one float reading (0.41 units of
+    # eps sum (1 + tan**2) at most), 6 of them at an exact root on a row.
+    brackets = beside_roundoff = 0
     for (start, end, _), expected, _, _, _ in compared:
-        if expected.startswith("{"):
-            family = json.loads(expected)
-            assert unaccounted(start, end, family) == [], (start, end)
-            dropped += sum(
-                a["status"] == b["status"] == "ok" and a["perimeter_sum"] * b["perimeter_sum"] < 0
-                for a, b in zip(family["rows"], family["rows"][1:])
-            ) - len(family["sign_changes"])
-    assert dropped >= 300
+        if not expected.startswith("{"):
+            continue
+        family = json.loads(expected)
+        assert unaccounted(start, end, family) == [], (start, end)
+        for bracket in family["sign_changes"]:
+            brackets += 1
+            if not changes_sign(start, end, bracket):
+                beside_roundoff += 1
+                ends = (bracket["t_low"], bracket["t_high"])
+                assert any(within_roundoff(start, end, t) for t in ends), (start, end, bracket)
+    assert brackets >= 1000 and beside_roundoff <= 11
 
 
-def parallel_midpoint_is_a_pole(monkeypatch):
+def parallel_midpoint_read_as_a_pole(start, end, family):
     """Plant the rule that parallel lines at a midpoint of the bisection end
-    it at a pole: a bracket whose path meets a row that the chart rejects
-    becomes None."""
-    bracket = report._bracket
-
-    def planted(start, end, lo, hi, flo, fhi):
-        found = bracket(start, end, lo, hi, flo, fhi)
-        mids = []
-        while found is not None and hi - lo > report.BRACKET_WIDTH:
-            mids.append(0.5 * (lo + hi))
-            lo, hi = (lo, mids[-1]) if found["t_high"] <= mids[-1] else (mids[-1], hi)
-        if mids and not chart_stack(report._family_angles(start, end, mids)[1]).ok.all():
-            return None
-        return found
-
-    monkeypatch.setattr(report, "_bracket", planted)
+    it at a pole: the family report without each bracket whose halvings,
+    replayed from its piece, meet a row that the chart rejects."""
+    rows, kept = family["rows"], []
+    for a, b in zip(rows, rows[1:]):
+        if a["status"] != "ok" or b["status"] != "ok":
+            continue
+        for lo, hi, _, _ in sign_pieces(
+            start, end, a["t"], b["t"], a["perimeter_sum"], b["perimeter_sum"]
+        ):
+            for found in family["sign_changes"]:
+                if not lo <= found["t_low"] < found["t_high"] <= hi:
+                    continue
+                low, high, mids = lo, hi, []
+                while high - low > report.BRACKET_WIDTH:
+                    mids.append(0.5 * (low + high))
+                    low, high = (low, mids[-1]) if found["t_high"] <= mids[-1] else (mids[-1], high)
+                if not mids or chart_stack(report._family_angles(start, end, mids)[1]).ok.all():
+                    kept.append(found)
+    return dict(family, sign_changes=kept)
 
 
 # Lines 1 and 5 of this family are parallel at t = 0.875 (both at 6.25
@@ -453,15 +486,6 @@ PAST_PARALLEL = (
     [285.0, 55.0, 315.0, 95.0, 335.0, 335.0],
     [55.0, 205.0, 240.0, 130.0, 80.0, 165.0],
 )
-
-
-def exact_turn_sum(start, end, t):
-    """T at t, with the degrees interpolated and the tangents taken at 60
-    digits."""
-    with mpmath.workdps(60):
-        t = mpmath.mpf(t)
-        angles = [mpmath.radians((1 - t) * a + t * b) for a, b in zip(start, end)]
-        return sum(mpmath.tan((b - a) / 2) for a, b in zip(angles, angles[1:] + angles[:1]))
 
 
 def test_a_root_past_non_consecutive_parallel_lines_is_bracketed():
@@ -476,24 +500,108 @@ def test_a_root_past_non_consecutive_parallel_lines_is_bracketed():
     assert low < 0 and abs(2.0 * exact_turn_sum(start, end, lo) - low) <= 1e-12
 
 
-def test_a_parallel_midpoint_read_as_a_pole_fails_the_accounting(monkeypatch, compared):
-    # With the planted rule the family above loses its root, and so do 124
+def test_a_parallel_midpoint_read_as_a_pole_fails_the_accounting(compared):
+    # With the planted rule the family above loses its root, and so do 161
     # of the families compared (when written).
-    parallel_midpoint_is_a_pole(monkeypatch)
     start, end = PAST_PARALLEL
-    assert unaccounted(start, end, family_report(start, end, 3)) == [(0.5, 1.0)]
+    planted = parallel_midpoint_read_as_a_pole(start, end, family_report(start, end, 3))
+    assert unaccounted(start, end, planted) == [(0.5, 1.0)]
     lost = 0
-    for (start, end, steps), expected, _, _, _ in compared:
+    for (start, end, _), expected, _, _, _ in compared:
         if expected.startswith("{"):
-            lost += bool(unaccounted(start, end, family_report(start, end, steps)))
+            planted = parallel_midpoint_read_as_a_pole(start, end, json.loads(expected))
+            lost += bool(unaccounted(start, end, planted))
     assert lost >= 100
 
 
 def test_poles_are_not_bracketed():
+    # Near t = 2/21 the turn from line 1 to line 2, rising at 21 degrees per
+    # unit t, passes -180 degrees: sum p runs to +inf before that pole and
+    # comes back from -inf after it, so neither piece changes sign.
     start, end = POLE
-    report = family_report(start, end, 11)
-    sums = [row["perimeter_sum"] for row in report["rows"]]
-    assert sums[0] > 0 > sums[1] and report["sign_changes"] == []
+    family = family_report(start, end, 11)
+    sums = [row["perimeter_sum"] for row in family["rows"]]
+    [(t, before, after)] = pole_ends(start, end, 0.0, 0.1)
+    assert abs(t - 2 / 21) <= 1e-16 and (before, after) == (1.0, -1.0)
+    assert sums[0] > 0 > sums[1] and family["sign_changes"] == []
+
+
+def test_a_root_beside_a_pole_is_bracketed():
+    # Rows t = 0 and 1/2 differ in sign through the pole at t = 1/6; the
+    # row pair (1/2, 1) keeps its sign but holds the pole at t = 31/41 and
+    # the root at t = 68/73 after it.
+    start, end = BESIDE_POLE
+    family = family_report(start, end, 3)
+    first, middle, last = (row["perimeter_sum"] for row in family["rows"])
+    assert first > 0 > middle and last < 0
+    assert [t for t, _, _ in pole_ends(start, end, 0.0, 0.5)] == [1 / 6]
+    [(t, before, after)] = pole_ends(start, end, 0.5, 1.0)
+    assert abs(t - 31 / 41) <= 1e-16 and (before, after) == (-1.0, 1.0)
+    [bracket] = family["sign_changes"]
+    lo, hi = bracket["t_low"], bracket["t_high"]
+    assert lo <= 0.9315068493150684 <= hi and 0.0 < hi - lo <= 1e-12
+    assert exact_turn_sum(start, end, lo) > 0 > exact_turn_sum(start, end, hi)
+
+
+@st.composite
+def drawn_families(draw):
+    """(start, end, steps): n = 3..10 lines from a drawn seed, one slope
+    moved by up to 60 degrees or two random endpoints, and 2..21 steps."""
+    n = draw(st.integers(3, 10))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    if draw(st.booleans()):
+        start, end = one_angle_family(rng, n)
+    else:
+        start, end = rng.uniform(0.0, 360.0, (2, n)).tolist()
+    return start, end, draw(st.integers(2, 21))
+
+
+def piece_property(make):
+    """The hypothesis test that the report ``make(start, end, steps)``
+    brackets every pole-free piece whose ends differ in sign once, and
+    nothing else, and that T changes sign across each bracket at 60
+    digits."""
+
+    @settings(derandomize=True, max_examples=300, deadline=None, database=None)
+    @given(drawn_families())
+    def holds(family):
+        start, end, steps = family
+        found = make(start, end, steps)
+        assert unaccounted(start, end, found) == [], family
+        for bracket in found["sign_changes"]:
+            assert changes_sign(start, end, bracket), (family, bracket)
+
+    return holds
+
+
+def first_pole_only(start, end, steps):
+    """The family report with every bracket past the first pole of its row
+    pair dropped: the one-event rule."""
+    family = family_report(start, end, steps)
+    rows = family["rows"]
+    cuts = [
+        (poles[0][0], b["t"])
+        for a, b in zip(rows, rows[1:])
+        if a["status"] == b["status"] == "ok"
+        for poles in [pole_ends(start, end, a["t"], b["t"])]
+        if poles
+    ]
+    kept = [
+        x for x in family["sign_changes"] if not any(cut <= x["t_low"] < hi for cut, hi in cuts)
+    ]
+    return dict(family, sign_changes=kept)
+
+
+def test_every_piece_with_a_sign_change_holds_a_root_bracket():
+    # When written the 300 draws held 214 brackets, 85 of them in a row
+    # pair with a pole.
+    piece_property(family_report)()
+
+
+def test_a_report_that_stops_at_the_first_pole_fails_the_piece_property():
+    # 36 of the 300 draws fail it (when written).
+    with pytest.raises(AssertionError):
+        piece_property(first_pole_only)()
 
 
 def test_unequal_endpoints_are_an_input_error():

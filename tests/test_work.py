@@ -22,8 +22,8 @@ relabeling.
 A family charts its rows as one angle stack and builds no chart unless a
 row is invalid; its brackets chart nothing.  A crossing's bracket
 proposes its root in a few Newton steps of the turn sum, which one
-stacked turn sum at the proposal's midpoints confirms, and tests its ends
-for a pole with one more stack of turn tangents.  A
+stacked turn sum at the proposal's midpoints confirms; its poles are a
+closed form of the rows' turns, with no stack of turn tangents.  A
 chart-identity trial reads the areas, signed perimeters, diameters and
 chart-law sums that its reconstruction returned, measures each vertex
 stack in one edge pass, recovers the radii with one closed-form
@@ -87,6 +87,7 @@ from families import (
     family_system,
     sequential_family_report,
 )
+from test_family import BESIDE_POLE, POLE
 
 
 def counted(monkeypatch, originals, results=None):
@@ -345,10 +346,10 @@ TURN_SUMS_PER_BRACKET = 8
 
 def test_a_crossing_bracket_evaluates_few_turn_sums(monkeypatch):
     # One proposal, a Newton root from the secant of the charted sums,
-    # whose halvings one stacked turn sum confirms, and one stack of turn
-    # tangents at the bracket's ends for the pole test: three turn_tangents
-    # calls with the rows' unit perimeters.  Every plain-float turn sum of
-    # the Newton steps reads _turn_tangents once.
+    # whose halvings one stacked turn sum confirms: two turn_tangents calls
+    # with the rows' unit perimeters, as no turn tangent decides a pole.
+    # Every plain-float turn sum of the Newton steps reads _turn_tangents
+    # once.
     sums = counted(monkeypatch, (_turn_tangents, _perimeter_sums, turn_tangents, chart_stack))
     for start, end in (BENCH_F3, BENCH_CROSSING):
         for name in sums:
@@ -356,8 +357,23 @@ def test_a_crossing_bracket_evaluates_few_turn_sums(monkeypatch):
         family = family_report(start, end, 11)
         assert len(family["sign_changes"]) == 1
         assert sums["chart_stack"] == 1 and sums["_perimeter_sums"] == 1
-        assert sums["turn_tangents"] == 3
+        assert sums["turn_tangents"] == 2
         assert 0 < sums["_turn_tangents"] <= TURN_SUMS_PER_BRACKET
+
+
+def test_poles_take_no_stack(monkeypatch):
+    # The poles are a closed form of the rows' turns: the family with a pole
+    # and no root charts its rows and evaluates no turn sum, and the root
+    # beside a pole takes one stacked turn sum, as a crossing's does.
+    sums = counted(monkeypatch, (_turn_tangents, _perimeter_sums, turn_tangents, chart_stack))
+    for (start, end), steps, brackets in ((POLE, 11, 0), (BESIDE_POLE, 3, 1)):
+        for name in sums:
+            sums[name] = 0
+        family = family_report(start, end, steps)
+        assert len(family["sign_changes"]) == brackets
+        assert sums["chart_stack"] == 1 and sums["_perimeter_sums"] == brackets
+        assert sums["turn_tangents"] == 1 + brackets
+        assert sums["_turn_tangents"] <= TURN_SUMS_PER_BRACKET * brackets
 
 
 def test_family_root_at_a_bracket_end_takes_two_stacks(monkeypatch):
