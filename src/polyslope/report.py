@@ -269,23 +269,15 @@ def _family_rows(start, end, steps, tol) -> list[dict]:
     # The two critical points, of inradius +r and -r, have the area sign of sum p.
     indices = zip(*(mu.tolist() for mu in index_pair(len(start), stack.half_turns, sums)))
     rows = []
-    for i, (t, angles, total, pair) in enumerate(
-        zip(ts, degrees.tolist(), sums.tolist(), indices)
-    ):
-        step = {"t": t, "angles_deg": angles}
+    for i, (t, angles, total, pair) in enumerate(zip(ts, degrees.tolist(), sums.tolist(), indices)):
         if i in reasons:
-            step["status"] = "invalid"
-            step["reason"] = reasons[i]
-        else:
-            step["status"] = "ok"
-            step["perimeter_sum"] = total
-            step["exceptional"] = exceptional_rows[i]
-            if exceptional_rows[i]:
-                step["critical_points"] = 0
-            else:
-                step["critical_points"] = 2
-                step["area_sign"] = int(math.copysign(1.0, total))
-                step["indices"] = list(pair)
+            rows.append({"t": t, "angles_deg": angles, "status": "invalid", "reason": reasons[i]})
+            continue
+        step = {"t": t, "angles_deg": angles, "status": "ok", "perimeter_sum": total}
+        step["exceptional"] = exceptional_rows[i]
+        step["critical_points"] = 0 if exceptional_rows[i] else 2
+        if not exceptional_rows[i]:
+            step["area_sign"], step["indices"] = int(math.copysign(1.0, total)), list(pair)
         rows.append(step)
     return rows
 
@@ -306,25 +298,28 @@ def _turn_tangents(start, end, t: float) -> list[float]:
 
 
 def _poles(turns, rates) -> list[tuple[float, float]]:
-    """Every pole of T in 0 < t < 1, in order, as (t, rate): a turn at an odd
-    multiple of 180 degrees, where tan(tau / 2) runs to sign(rate) * inf
-    just before t and comes back from -sign(rate) * inf just after it.
-    Each turn is linear in t, ``turns`` degrees at t = 0 changing at
-    ``rates`` degrees per unit t, so each pole takes one division."""
-    poles = []
+    """Every pole of T in 0 < t < 1, in order, as (t, side): T runs to
+    side * inf just before t and back from -side * inf after it.  A turn,
+    ``turns`` degrees at t = 0 changing at ``rates`` per unit t, is an odd
+    multiple 180 + 360 m at t = (180 + 360 m - turn) / rate, where tan(tau/2)
+    is near -2 / (rho (t - t_pole)), rho in radians: turns meeting at one t
+    give side = sign(sum 1 / rho), exactly, and no pole where it is 0."""
+    rates_at = {}
     for turn, rate in zip(turns, rates):
-        if rate:
-            step = math.copysign(360.0, rate)
-            # The first odd multiple of 180 the turn meets: above it when it
-            # rises, at or below it when it falls.
-            target = 180.0 + 360.0 * ((turn - 180.0) // 360.0) + max(step, 0.0)
-            t = (target - turn) / rate
-            while t < 1.0:
-                if t > 0.0:
-                    poles.append((t, rate))
-                target += step
-                t = (target - turn) / rate
-    return sorted(poles)
+        laps = (turn - 180.0) // 360.0, (turn + rate - 180.0) // 360.0
+        if laps[0] != laps[1]:
+            for m in range(int(min(laps)) + 1, int(max(laps)) + 1):
+                t = (180.0 + 360.0 * m - turn) / rate
+                if 0.0 < t < 1.0:
+                    rates_at.setdefault(t, []).append(rate)
+    poles = []
+    for t, meeting in sorted(rates_at.items()):
+        num, den = 0, 1  # sum 1 / rate as the exact fraction num / den
+        for p, q in (rate.as_integer_ratio() for rate in meeting):
+            num, den = num * p + q * den, den * p
+        if num:
+            poles.append((t, 1.0 if num * den > 0 else -1.0))
+    return poles
 
 
 # The Newton steps of one proposal, and the step that ends them: where
@@ -337,10 +332,9 @@ NEWTON_STEP_MIN = 1e-8
 def _proposed_root(start, end, rates, lo: float, hi: float, flo: float, fhi: float) -> float:
     """Where the root of T in (lo, hi) is proposed to lie, in plain floats:
     Newton steps on T and dT/dt = sum (1 + tan(tau_i / 2)**2) d(tau_i / 2)/dt
-    (the turns change at ``rates`` degrees per unit t) from the secant of
-    flo and fhi, T's values or signs at lo and hi, each kept inside the
-    bracket that the signs of T so far leave (its ends included: T may be
-    exactly 0 at one), or else its midpoint."""
+    from the secant of flo and fhi, T's values or signs at lo and hi, each
+    kept inside the bracket that the signs of T so far leave (ends included:
+    T may be 0 at one), or else its midpoint."""
     halves = [math.radians(0.5 * rate) for rate in rates]
     a, b = lo, hi
     t = lo - flo * (hi - lo) / (fhi - flo)
@@ -374,25 +368,24 @@ def _halvings(lo: float, hi: float, root: float) -> list[tuple[float, bool]]:
 
 
 def _perimeter_sums(start, end, ts) -> list[float]:
-    """Sum p = 2 T of the family at each parameter in ``ts``, from one
-    :func:`turn_tangents` call on the rows that :func:`_family_angles`
-    reduces."""
+    """Sum p = 2 T of the family at each parameter in ``ts``: one
+    :func:`turn_tangents` call on the rows that :func:`_family_angles` reduces."""
     return (2.0 * turn_tangents(_family_angles(start, end, ts)[1]).sum(axis=-1)).tolist()
 
 
-def _bracket(start, end, rates, lo: float, hi: float, flo: float, fhi: float) -> dict:
+def _bracket(start, end, rates, lo: float, hi: float, flo: float, fhi: float, pole_low) -> dict:
     """Bisect the root of T in the pole-free piece (lo, hi), whose ends have
     values or signs flo and fhi of opposite sign, to BRACKET_WIDTH.
 
-    Sum p is twice the turn sum T, whose sign alone decides each halving:
-    it keeps (lo, mid) when flo * f(mid) <= 0 and (mid, hi) otherwise, where
-    f = 2 T.  A round proposes a root (:func:`_proposed_root`), evaluates T
-    at the midpoints of that proposal's halvings in one
-    :func:`_perimeter_sums` call, and takes them up to the first that T
-    decides otherwise; the next round proposes from there.  So the bracket
-    is bisection's on T, whatever the proposal.  T is finite inside the
-    piece, so parallel lines at a midpoint decide nothing.
+    The sign of T = sum p / 2 alone decides each halving: it keeps (lo, mid)
+    when flo * f(mid) <= 0, f = 2 T.  A round proposes a root
+    (:func:`_proposed_root`), evaluates T at the midpoints of its halvings
+    in one :func:`_perimeter_sums` call, and takes them up to the first that
+    T decides otherwise, so the bracket is bisection's, whatever the
+    proposal.  The low sum is sum p at t_low: flo at a row, else 2 T, read
+    in floats also at a pole (``pole_low``, where flo is only a sign).
     """
+    first = lo
     while hi - lo > BRACKET_WIDTH:
         root = _proposed_root(start, end, rates, lo, hi, flo, fhi)
         proposed = _halvings(lo, hi, root)
@@ -405,6 +398,8 @@ def _bracket(start, end, rates, lo: float, hi: float, flo: float, fhi: float) ->
                 lo, flo = mid, fmid
             if low != keeps_low:
                 break
+    if pole_low and lo == first:
+        [flo] = _perimeter_sums(start, end, [lo])
     mid = 0.5 * (lo + hi)
     return {
         "t_low": float(lo),
@@ -413,6 +408,11 @@ def _bracket(start, end, rates, lo: float, hi: float, flo: float, fhi: float) ->
         # The arithmetic of _family_angles' degrees, in plain floats.
         "angles_deg_root": [(1.0 - mid) * a + mid * b for a, b in zip(start, end)],
     }
+
+
+# A family's turns may sweep this many full turns in all, so T has at most
+# MAX_TURN_LAPS + n poles, and a report as many brackets and one per row pair.
+MAX_TURN_LAPS = 1024
 
 
 def family_report(
@@ -425,12 +425,11 @@ def family_report(
 
     Produces one row per step.  T = sum p / 2 changes sign only at its roots
     and its poles (:func:`_poles`), which cut each interval between two
-    valid rows into pieces where T is finite.  A row end has the sign of its
-    charted sum p, a pole end sign(rate) before the pole and -sign(rate)
-    after it; each piece whose ends differ in sign holds a root, which
-    :func:`_bracket` bisects on T to a bracket of width 1e-12 in t.  An
-    angle whose float spacing exceeds the default lines tolerance (2**28
-    degrees or more) is an input error.
+    valid rows into pieces.  A row end has the sign of its charted sum p, a
+    pole end the sign of T beside the pole; each piece whose ends differ in
+    sign holds a root, which :func:`_bracket` bisects.  An angle whose float
+    spacing exceeds the default lines tolerance (2**28 degrees or more), or
+    turns that sweep more than MAX_TURN_LAPS full turns, are an input error.
     """
     if len(start) != len(end):
         raise InputSchemaError("'start_angles_deg' and 'end_angles_deg' differ in length")
@@ -442,8 +441,10 @@ def family_report(
             f"family angle {largest!r} is too large: its float spacing exceeds"
             f" the lines tolerance of {DEFAULT_TOL.parallel!r} rad"
         )
-    rows = _family_rows(start, end, steps, tol)
     rates = _cyclic_steps([b - a for a, b in zip(start, end)])
+    if sum(map(abs, rates)) > 360.0 * MAX_TURN_LAPS:
+        raise InputSchemaError(f"family turns sweep more than {MAX_TURN_LAPS} full turns")
+    rows = _family_rows(start, end, steps, tol)
     poles = _poles(_cyclic_steps(start), rates)
     times = [t for t, _ in poles]
     brackets = []
@@ -451,13 +452,13 @@ def family_report(
         if a.get("status") != "ok" or b.get("status") != "ok":
             continue
         # Walk the pieces: lo is a row or a pole, flo its sum p or the sign of T after it.
-        lo, flo = a["t"], a["perimeter_sum"]
-        for t, rate in poles[bisect_right(times, lo):bisect_left(times, b["t"])]:
-            if lo < t and flo * rate < 0.0:
-                brackets.append(_bracket(start, end, rates, lo, t, flo, math.copysign(1.0, rate)))
-            lo, flo = t, -math.copysign(1.0, rate)
-        if flo * b["perimeter_sum"] < 0.0:
-            brackets.append(_bracket(start, end, rates, lo, b["t"], flo, b["perimeter_sum"]))
+        lo, flo, fhi = a["t"], a["perimeter_sum"], b["perimeter_sum"]
+        for t, side in poles[bisect_right(times, lo):bisect_left(times, b["t"])]:
+            if flo * side < 0.0:
+                brackets.append(_bracket(start, end, rates, lo, t, flo, side, lo != a["t"]))
+            lo, flo = t, -side
+        if flo * fhi < 0.0:
+            brackets.append(_bracket(start, end, rates, lo, b["t"], flo, fhi, lo != a["t"]))
     return {
         "kind": "family",
         "input": {

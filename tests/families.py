@@ -13,6 +13,7 @@ and :func:`sequential_bracket` that of one bisection; ``BENCH_F3`` and
 """
 
 import math
+from fractions import Fraction
 
 import numpy as np
 
@@ -129,22 +130,24 @@ def pole_ends(start, end, lo, hi):
     just before, sign just after): each odd multiple of 180 degrees that a
     turn passes between its values at lo and hi, found by the floor of
     (turn - 180) / 360 at both rows and placed on the turn's line through
-    its start value, where tan(tau / 2) runs to sign(rate) * inf and
-    returns from -sign(rate) * inf."""
+    its start value.  Near it tan(tau / 2) = -2 / (rho (t - t_pole)) + O(1),
+    rho the turn's rate in radians, so the turns that pass one at the same t
+    give T the sign of sum 1 / rho before it and the opposite after it, and
+    no pole where that sum is 0."""
     turns = [
         [b - a for a, b in zip(x, x[1:] + x[:1])]
         for x in (start, interpolated(start, end, lo), interpolated(start, end, hi))
     ]
     moves = [b - a for a, b in zip(start, end)]
     rates = [b - a for a, b in zip(moves, moves[1:] + moves[:1])]
-    poles = []
+    weights = {}
     for first, low, high, rate in zip(*turns, rates):
         laps = sorted((math.floor((low - 180.0) / 360.0), math.floor((high - 180.0) / 360.0)))
         for lap in range(laps[0] + 1, laps[1] + 1):
             t = (180.0 + 360.0 * lap - first) / rate
             if lo < t < hi:
-                poles.append((t, math.copysign(1.0, rate), -math.copysign(1.0, rate)))
-    return sorted(poles)
+                weights[t] = weights.get(t, 0) + 1 / Fraction(rate)
+    return [(t, 1.0, -1.0) if w > 0 else (t, -1.0, 1.0) for t, w in sorted(weights.items()) if w]
 
 
 def sign_pieces(start, end, lo, hi, flo, fhi):
@@ -152,27 +155,31 @@ def sign_pieces(start, end, lo, hi, flo, fhi):
     between its poles (:func:`pole_ends`) whose ends differ in sign, as
     (lo, hi, value or sign at lo, value or sign at hi)."""
     ends = [(lo, flo, flo)] + pole_ends(start, end, lo, hi) + [(hi, fhi, fhi)]
-    return [
-        (a, b, fa, fb)
-        for (a, _, fa), (b, fb, _) in zip(ends, ends[1:])
-        if a < b and fa * fb < 0.0
-    ]
+    return [(a, b, fa, fb) for (a, _, fa), (b, fb, _) in zip(ends, ends[1:]) if fa * fb < 0.0]
 
 
-def sequential_bracket(start, end, lo, hi, flo):
+def sequential_bracket(start, end, lo, hi, flo, pole_low=False):
     """Plain bisection of the root of T in a pole-free piece (lo, hi), where
-    flo is sum p or the sign of T at lo, with one turn sum per midpoint,
-    2 T = sum p of the midpoint's angles as the family report reduces them,
-    and no chart: the bracket and the number of midpoints evaluated."""
-    halvings = 0
+    flo is sum p at lo, or the sign of T there when lo is a pole
+    (``pole_low``), with one turn sum per midpoint, 2 T = sum p of the
+    midpoint's angles as the family report reduces them, and no chart: the
+    bracket and the number of midpoints evaluated.  A pole that stays the
+    low end reports 2 T evaluated there, not its sign."""
+
+    def perimeter_sum(t):
+        return 2.0 * float(turn_tangents(_family_angles(start, end, [t])[1]).sum())
+
+    halvings, first = 0, lo
     while hi - lo > 1e-12:
         mid = 0.5 * (lo + hi)
         halvings += 1
-        fmid = 2.0 * float(turn_tangents(_family_angles(start, end, [mid])[1]).sum())
+        fmid = perimeter_sum(mid)
         if flo * fmid <= 0.0:
             hi = mid
         else:
             lo, flo = mid, fmid
+    if pole_low and lo == first:
+        flo = perimeter_sum(lo)
     bracket = {
         "t_low": float(lo),
         "t_high": float(hi),
@@ -194,6 +201,10 @@ def sequential_family_report(start, end, steps, tol=DEFAULT_TOL):
             f"family angle {largest!r} is too large: its float spacing exceeds"
             f" the lines tolerance of {DEFAULT_TOL.parallel!r} rad"
         )
+    # The turns' rates, in degrees per unit t, sweep at most 1,024 full turns.
+    moves = [b - a for a, b in zip(start, end)]
+    if sum(abs(b - a) for a, b in zip(moves, moves[1:] + moves[:1])) > 360.0 * 1024:
+        raise InputSchemaError("family turns sweep more than 1024 full turns")
     rows = [_sequential_step(start, end, i / (steps - 1), tol) for i in range(steps)]
     brackets = []
     for a, b in zip(rows[:-1], rows[1:]):
@@ -202,7 +213,7 @@ def sequential_family_report(start, end, steps, tol=DEFAULT_TOL):
         for lo, hi, flo, _ in sign_pieces(
             start, end, a["t"], b["t"], a["perimeter_sum"], b["perimeter_sum"]
         ):
-            brackets.append(sequential_bracket(start, end, lo, hi, flo)[0])
+            brackets.append(sequential_bracket(start, end, lo, hi, flo, lo != a["t"])[0])
     return {
         "kind": "family",
         "input": {

@@ -543,6 +543,77 @@ def test_a_root_beside_a_pole_is_bracketed():
     assert exact_turn_sum(start, end, lo) > 0 > exact_turn_sum(start, end, hi)
 
 
+def listed_poles(start, end):
+    """report._poles of the family, from its turns and their rates."""
+    rates = report._cyclic_steps([b - a for a, b in zip(start, end)])
+    return report._poles(report._cyclic_steps(start), rates)
+
+
+# Two turns reach an odd multiple of 180 degrees at t = 1/2, at rates +20
+# and -40 degrees per unit t: T is near -2 / (t - 1/2) (1/20 - 1/40) there,
+# so it is positive before the pole and negative after it, and the rows
+# t = 1/3 and 2/3 differ in sign through the pole alone.
+MEETING_POLES = ([0.0, 170.0, 90.0, 290.0], [0.0, 190.0, 90.0, 250.0])
+# Two turns at rates +20 and -20 meet 180 degrees at t = 1/2, where their
+# tangents cancel: tan(x) + tan(180 - x) = 0, so T is constant.
+CANCELLING_POLES = ([0.0, 170.0, 120.0, 310.0, 45.0], [0.0, 190.0, 140.0, 310.0, 45.0])
+
+
+def test_poles_at_one_t_take_the_sign_of_the_summed_reciprocal_rates():
+    start, end = MEETING_POLES
+    assert listed_poles(start, end) == [(0.5, 1.0)]
+    assert pole_ends(start, end, 0.0, 1.0) == [(0.5, 1.0, -1.0)]
+    for steps in (2, 4):
+        family = family_report(start, end, steps)
+        sums = [row["perimeter_sum"] for row in family["rows"]]
+        assert sums[steps // 2 - 1] > 0 > sums[steps // 2]
+        assert family["sign_changes"] == []
+        assert json.dumps(family) == json.dumps(sequential_family_report(start, end, steps))
+
+
+def test_poles_whose_reciprocal_rates_cancel_cut_nothing():
+    start, end = CANCELLING_POLES
+    assert listed_poles(start, end) == [] and pole_ends(start, end, 0.0, 1.0) == []
+    for steps in (2, 3, 4):
+        family = family_report(start, end, steps)
+        assert family["sign_changes"] == []
+        assert all(row["perimeter_sum"] > 0.4 for row in family["rows"] if row["status"] == "ok")
+
+
+def test_a_pole_kept_as_the_low_end_reports_the_float_sum_there():
+    # Lines 1 and 2 turn antiparallel 5e-13 before lines 3 and 4 do, both
+    # turns rising: T runs from -inf after the first pole to +inf before the
+    # second, and the piece between them is narrower than BRACKET_WIDTH, so
+    # the first pole stays the bracket's low end.  Its low sum is 2 T as
+    # plain floats read it at that pole, not the sign that the piece starts
+    # from.
+    start, end = [0.0, 170.0, 100.0, 270.0 + 1e-11], [0.0, 190.0, 100.0, 290.0 + 1e-11]
+    [(first, side), (second, _)] = listed_poles(start, end)
+    assert second == 0.5 and 0.0 < second - first < report.BRACKET_WIDTH and side == 1.0
+    family = family_report(start, end, 2)
+    [bracket] = family["sign_changes"]
+    assert (bracket["t_low"], bracket["t_high"]) == (first, second)
+    [low] = report._perimeter_sums(start, end, [first])
+    assert bracket["perimeter_sum_low"] == low and abs(low) > 1e15
+    assert json.dumps(family) == json.dumps(sequential_family_report(start, end, 2))
+
+
+def test_turns_that_sweep_too_far_are_an_input_error():
+    # Turn i has at most |rate_i| / 360 + 1 poles, so the bound on the
+    # summed rates bounds the brackets.  Rates -D, -D and 2 D sweep 4 D.
+    start, full = [0.0, 100.0, 230.0], 360.0 * report.MAX_TURN_LAPS / 4.0
+    end = [full, 100.0, 230.0 - full]
+    poles = listed_poles(start, end)
+    assert report.MAX_TURN_LAPS - 3 <= len(poles) <= report.MAX_TURN_LAPS + 3
+    family = family_report(start, end, 21)
+    assert 0 < len(family["sign_changes"]) <= len(poles) + 20
+    for beyond in (math.nextafter(full, math.inf), 2.6e8):
+        end = [beyond, 100.0, 230.0 - beyond]
+        for make in (family_report, sequential_family_report):
+            with pytest.raises(InputSchemaError, match="sweep more than 1024 full turns"):
+                make(start, end, 3)
+
+
 @st.composite
 def drawn_families(draw):
     """(start, end, steps): n = 3..10 lines from a drawn seed, one slope
